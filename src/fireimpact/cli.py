@@ -221,8 +221,9 @@ def _records_from_rows(rows: list[dict[str, str]]):
     from .impact import DailyImpactRecord, Demographics
 
     def cents(text: str) -> int:
-        whole, _, frac = text.partition(".")
-        return int(whole) * 100 + (int(frac.ljust(2, "0")[:2]) if frac else 0)
+        sign = -1 if text.startswith("-") else 1
+        whole, _, frac = text.removeprefix("-").partition(".")
+        return sign * (int(whole) * 100 + (int(frac.ljust(2, "0")[:2]) if frac else 0))
 
     records = []
     for row in rows:

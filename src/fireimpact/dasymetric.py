@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnknownClassError, ValidationError
-from .geometry import Polygon, polygon_centroid, polygons_cell_indices
+from .geometry import Polygon, features_cell_indices, polygon_centroid
 from .grid import AnalysisGrid, CategoryRaster, RealRaster
 
 # Persons per cell; semantically distinct from other real rasters.
@@ -101,6 +101,12 @@ class DownscaleReport:
 
     allocations: list[BlockAllocation] = field(default_factory=list)
     overlap_cells: int = 0
+    # Cells of every allocation, concatenated in block order: block k's
+    # rows and cols are views of rows[starts[k]:starts[k + 1]] and the same
+    # slice of cols. No block's run is empty.
+    rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    cols: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    starts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     def fallback_ids(self) -> set[str]:
         return {a.block_id for a in self.allocations if a.fallback}
@@ -132,19 +138,36 @@ def rasterize_blocks(
     containing their centroid (clamped into the grid), so no population
     is lost at the grid resolution.
     """
-    claimed = np.zeros(grid.shape, dtype=bool)
+    cells, offsets = features_cell_indices([b.parts for b in blocks], grid)
+    claimed = np.zeros(grid.n_rows * grid.n_cols, dtype=bool)
     report = DownscaleReport()
-    for block in blocks:
-        rows, cols = polygons_cell_indices(block.parts, grid)
+    owned: list[np.ndarray] = []
+    fallbacks: list[str | None] = []
+    for k, block in enumerate(blocks):
+        flat = cells[offsets[k]:offsets[k + 1]]
         fallback = None
-        if rows.size:
-            free = ~claimed[rows, cols]
-            report.overlap_cells += int(rows.size - free.sum())
-            rows, cols = rows[free], cols[free]
-        if rows.size == 0:
+        if flat.size:
+            free = ~claimed[flat]
+            report.overlap_cells += int(flat.size - free.sum())
+            flat = flat[free]
+        if flat.size == 0:
             fallback = "centroid"
-            rows, cols = _centroid_cell(block, grid)
-        claimed[rows, cols] = True
+            row, col = _centroid_cell(block, grid)
+            flat = row * grid.n_cols + col
+        claimed[flat] = True
+        owned.append(flat)
+        fallbacks.append(fallback)
+    # Drop each copy as soon as it is merged, to keep the peak low.
+    del cells
+    sizes = np.array([f.size for f in owned], dtype=np.int64)
+    report.starts = np.cumsum(sizes) - sizes
+    if owned:
+        flat = np.concatenate(owned)
+        del owned
+        report.rows, report.cols = np.divmod(flat, grid.n_cols)
+    for block, fallback, start, size in zip(blocks, fallbacks, report.starts, sizes):
+        rows = report.rows[start:start + size]
+        cols = report.cols[start:start + size]
         report.allocations.append(BlockAllocation(block.block_id, rows, cols, fallback))
     return report
 

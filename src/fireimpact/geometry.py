@@ -147,58 +147,15 @@ def rasterize_polygon(poly: Polygon, grid: AnalysisGrid) -> Mask:
     between the (2k+1)-th and (2k+2)-th crossing are inside, half-open
     on the right.
     """
-    bits = np.zeros(grid.shape, dtype=bool)
-    _fill_rings_into(poly.rings(), grid, bits)
-    return Mask(grid, bits)
+    return rasterize_polygons([poly], grid)
 
 
 def rasterize_polygons(polys: list[Polygon], grid: AnalysisGrid) -> Mask:
     """Union of :func:`rasterize_polygon` over a list of polygons."""
+    cells, _ = features_cell_indices([polys], grid)
     bits = np.zeros(grid.shape, dtype=bool)
-    for poly in polys:
-        _fill_rings_into(poly.rings(), grid, bits)
+    bits.ravel()[cells] = True
     return Mask(grid, bits)
-
-
-def _fill_rings_into(
-    rings: list[list[Point]], grid: AnalysisGrid, bits: np.ndarray
-) -> None:
-    for row, lo, hi in _ring_row_spans(rings, grid):
-        bits[row, lo:hi] = True
-
-
-def _ring_row_spans(rings: list[list[Point]], grid: AnalysisGrid):
-    """Yield (row, col_lo, col_hi) half-open spans of interior cell centers."""
-    # Edge endpoints across all rings, as parallel arrays.
-    x1 = np.array([p.x for ring in rings for p in ring[:-1]])
-    y1 = np.array([p.y for ring in rings for p in ring[:-1]])
-    x2 = np.array([p.x for ring in rings for p in ring[1:]])
-    y2 = np.array([p.y for ring in rings for p in ring[1:]])
-    if max(x1.max(), x2.max()) < grid.origin_x:
-        return
-    if min(x1.min(), x2.min()) > grid.max_x:
-        return
-    min_y = min(y1.min(), y2.min())
-    max_y = max(y1.max(), y2.max())
-    # Candidate rows whose center y falls within the vertical extent.
-    r_hi = grid.n_rows - 1 - math.floor((min_y - grid.origin_y) / grid.cell_size - 0.5)
-    r_lo = grid.n_rows - 1 - math.ceil((max_y - grid.origin_y) / grid.cell_size - 0.5)
-    r_lo = max(r_lo, 0)
-    r_hi = min(r_hi, grid.n_rows - 1)
-    centers_x = grid.center_xs()
-    dy = y2 - y1
-    slope = np.divide(x2 - x1, dy, out=np.zeros_like(dy), where=dy != 0.0)
-    for row in range(r_lo, r_hi + 1):
-        y = grid.center_y(row)
-        hit = (y1 > y) != (y2 > y)
-        if not hit.any():
-            continue
-        crossings = np.sort(x1[hit] + (y - y1[hit]) * slope[hit])
-        a = np.searchsorted(centers_x, crossings[0::2], side="left")
-        b = np.searchsorted(centers_x, crossings[1::2], side="left")
-        for lo, hi in zip(a.tolist(), b.tolist()):
-            if lo < hi:
-                yield row, lo, hi
 
 
 def polygons_cell_indices(
@@ -209,21 +166,133 @@ def polygons_cell_indices(
     Cheaper than a full-grid mask for small features on large grids;
     duplicates from overlapping parts are removed.
     """
-    rows_parts: list[np.ndarray] = []
-    cols_parts: list[np.ndarray] = []
-    for poly in polys:
-        for row, lo, hi in _ring_row_spans(poly.rings(), grid):
-            rows_parts.append(np.full(hi - lo, row, dtype=np.int64))
-            cols_parts.append(np.arange(lo, hi, dtype=np.int64))
-    if not rows_parts:
-        empty = np.array([], dtype=np.int64)
-        return empty, empty.copy()
-    rows = np.concatenate(rows_parts)
-    cols = np.concatenate(cols_parts)
-    if len(polys) > 1:
-        flat = np.unique(rows * grid.n_cols + cols)
-        rows, cols = flat // grid.n_cols, flat % grid.n_cols
-    return rows, cols
+    cells, _ = features_cell_indices([polys], grid)
+    return np.divmod(cells, grid.n_cols)
+
+
+# Features scanned together; bounds the transient per-crossing arrays.
+FEATURE_BATCH = 256
+
+
+def features_cell_indices(
+    features: list[list[Polygon]], grid: AnalysisGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat cell ids (row * n_cols + col) of many features, in CSR form.
+
+    A feature is a list of polygons (a building's footprints, a block's
+    parts). Feature k's cells are ``cells[offsets[k]:offsets[k + 1]]``:
+    the cells whose centers lie inside any of its polygons, ascending and
+    without duplicates. Features are scanned in fixed batches, so one
+    call rasterizes a whole layer with bounded transient memory.
+    """
+    counts = np.zeros(len(features), dtype=np.int64)
+    chunks = [np.zeros(0, dtype=np.int64)]
+    for start in range(0, len(features), FEATURE_BATCH):
+        batch = features[start:start + FEATURE_BATCH]
+        owner, cells = _scan_features(batch, grid)
+        counts[start:start + len(batch)] = np.bincount(owner, minlength=len(batch))
+        chunks.append(cells)
+    offsets = np.zeros(len(features) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return np.concatenate(chunks), offsets
+
+
+def _scan_features(
+    features: list[list[Polygon]], grid: AnalysisGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """(feature, flat cell) pairs inside the features, sorted and unique.
+
+    Each polygon is scanned over the rows whose center y lies within its
+    vertical extent. An edge is tested only on the rows its own extent
+    spans, padded by one row against rounding, and kept only where the
+    PNPOLY test ``(y1 > y) != (y2 > y)`` holds. Crossings are sorted by
+    (polygon, row, x) and paired; centers between a pair are inside.
+    """
+    coords: list[Point] = []
+    ring_sizes: list[int] = []
+    ring_poly: list[int] = []
+    poly_feature: list[int] = []
+    for k, polys in enumerate(features):
+        for poly in polys:
+            for ring in poly.rings():
+                coords.extend(ring)
+                ring_sizes.append(len(ring))
+                ring_poly.append(len(poly_feature))
+            poly_feature.append(k)
+    if not coords:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    pts = np.array(coords, dtype=np.float64)
+    sizes = np.array(ring_sizes, dtype=np.int64)
+    point_poly = np.repeat(np.array(ring_poly, dtype=np.int64), sizes)
+    poly_first = np.flatnonzero(np.diff(point_poly, prepend=-1))
+
+    # Polygon extents and their candidate rows.
+    xs, ys = pts[:, 0], pts[:, 1]
+    off_grid = (np.maximum.reduceat(xs, poly_first) < grid.origin_x) | (
+        np.minimum.reduceat(xs, poly_first) > grid.max_x
+    )
+    r_lo, r_hi = _row_range(
+        np.minimum.reduceat(ys, poly_first), np.maximum.reduceat(ys, poly_first), grid
+    )
+    r_hi[off_grid] = -1
+
+    # Each ring point except its closing one starts an edge; horizontal
+    # edges never cross a row of centers.
+    starts = np.ones(len(pts), dtype=bool)
+    starts[np.cumsum(sizes) - 1] = False
+    e = np.flatnonzero(starts)
+    x1, y1, x2, y2 = xs[e], ys[e], xs[e + 1], ys[e + 1]
+    poly = point_poly[e]
+    sloped = y1 != y2
+    x1, y1, x2, y2, poly = x1[sloped], y1[sloped], x2[sloped], y2[sloped], poly[sloped]
+    slope = (x2 - x1) / (y2 - y1)
+    e_lo, e_hi = _row_range(np.minimum(y1, y2), np.maximum(y1, y2), grid)
+    e_lo = np.maximum(e_lo - 1, r_lo[poly])
+    e_hi = np.minimum(e_hi + 1, r_hi[poly])
+
+    # One entry per (edge, candidate row); keep the rows the edge crosses.
+    n_rows_per_edge = np.maximum(e_hi - e_lo + 1, 0)
+    edge = np.repeat(np.arange(len(e_lo)), n_rows_per_edge)
+    row = e_lo[edge] + _ramp(n_rows_per_edge)
+    y = grid.origin_y + (grid.n_rows - row - 0.5) * grid.cell_size
+    hit = (y1[edge] > y) != (y2[edge] > y)
+    edge, row, y = edge[hit], row[hit], y[hit]
+    x = x1[edge] + (y - y1[edge]) * slope[edge]
+    poly = poly[edge]
+
+    # Even-odd pairs of crossings along each (polygon, row).
+    order = np.lexsort((x, row, poly))
+    x, row, poly = x[order], row[order][0::2], poly[order][0::2]
+    centers_x = grid.center_xs()
+    lo = np.searchsorted(centers_x, x[0::2], side="left")
+    hi = np.searchsorted(centers_x, x[1::2], side="left")
+    span = lo < hi
+    lo, hi, row, poly = lo[span], hi[span], row[span], poly[span]
+
+    width = hi - lo
+    n_cells = grid.n_rows * grid.n_cols
+    first = np.array(poly_feature, dtype=np.int64)[poly] * n_cells + row * grid.n_cols + lo
+    keys = np.sort(np.repeat(first, width) + _ramp(width))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    owner = keys // n_cells
+    return owner, keys - owner * n_cells
+
+
+def _row_range(
+    lo_y: np.ndarray, hi_y: np.ndarray, grid: AnalysisGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows whose center y may fall in [lo_y, hi_y], clipped to the grid."""
+    top = grid.n_rows - 1 - np.ceil((hi_y - grid.origin_y) / grid.cell_size - 0.5)
+    bottom = grid.n_rows - 1 - np.floor((lo_y - grid.origin_y) / grid.cell_size - 0.5)
+    r_lo = np.clip(top, 0, grid.n_rows).astype(np.int64)
+    r_hi = np.clip(bottom, -1, grid.n_rows - 1).astype(np.int64)
+    return r_lo, r_hi
+
+
+def _ramp(lengths: np.ndarray) -> np.ndarray:
+    """0, 1, ..., n - 1 for each n in ``lengths``, concatenated."""
+    total = int(lengths.sum())
+    return np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
 def polygon_centroid(poly: Polygon) -> Point:

@@ -14,8 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingTractError, UnpricedClassError, ValidationError
-from .geometry import Point, PolyLine, Polygon, polygon_area, polygons_cell_indices, rasterize_polyline
-from .grid import CategoryRaster, Mask, RealRaster
+from .geometry import (
+    Point,
+    PolyLine,
+    Polygon,
+    features_cell_indices,
+    polygon_area,
+    rasterize_polyline,
+)
+from .grid import AnalysisGrid, CategoryRaster, Mask, RealRaster
 
 GENDER_KEYS = ("female", "male")
 AGE_KEYS = ("age_0_17", "age_18_64", "age_65_plus")
@@ -237,6 +244,63 @@ def road_loss(
     return cents, meters
 
 
+@dataclass(frozen=True)
+class BuildingIndex:
+    """Footprint cells and charges of every building that covers a cell.
+
+    Built once per run. Building j's flat cell ids (row * n_cols + col)
+    are ``cells[starts[j]:starts[j + 1]]`` (the last runs to the end) and
+    its charge is ``cents[j]``; buildings whose footprints capture no
+    cell center are left out, since no burn can reach them.
+    """
+
+    cells: np.ndarray
+    starts: np.ndarray
+    cents: np.ndarray
+
+    @classmethod
+    def build(
+        cls, buildings: list[BuildingFeature], grid: AnalysisGrid, costs: CostModel
+    ) -> "BuildingIndex":
+        cells, offsets = features_cell_indices([b.footprints for b in buildings], grid)
+        covered = np.diff(offsets) > 0
+        cents = [
+            to_cents(b.area() * costs.building_cost)
+            for b, keep in zip(buildings, covered)
+            if keep
+        ]
+        return cls(cells, offsets[:-1][covered], np.array(cents, dtype=np.int64))
+
+
+def first_burn_day(burns: list[Mask], grid: AnalysisGrid) -> np.ndarray:
+    """Index of the first mask that covers each cell, -1 where none does."""
+    if len(burns) > np.iinfo(np.int16).max:
+        raise ValidationError(f"{len(burns)} days exceed the first-burn-day raster")
+    first = np.full(grid.shape, -1, dtype=np.int16)
+    for day, burn in enumerate(burns):
+        first[(first < 0) & burn.bits] = day
+    return first
+
+
+def building_loss_by_day(
+    index: BuildingIndex, first_burn: np.ndarray, n_days: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cents and count of buildings charged on each of ``n_days`` days.
+
+    A building is charged once, on the first day any of its footprint
+    cells burns: the minimum of ``first_burn`` over its cells.
+    """
+    cents = np.zeros(n_days, dtype=np.int64)
+    if index.starts.size == 0:
+        return cents, np.zeros(n_days, dtype=np.int64)
+    day = first_burn.ravel()[index.cells].astype(np.int64)
+    day[day < 0] = n_days
+    charge_day = np.minimum.reduceat(day, index.starts)
+    burned = charge_day < n_days
+    np.add.at(cents, charge_day[burned], index.cents[burned])
+    return cents, np.bincount(charge_day[burned], minlength=n_days)
+
+
 def building_loss(
     cumulative_before: Mask,
     new_burn: Mask,
@@ -248,18 +312,10 @@ def building_loss(
     A building is charged once, on the first date any of its footprint
     cells (center rule) is newly burned; later days skip it.
     """
-    total_cents = 0
-    count = 0
-    for b in buildings:
-        rows, cols = polygons_cell_indices(b.footprints, new_burn.grid)
-        if rows.size == 0:
-            continue
-        if cumulative_before.bits[rows, cols].any():
-            continue
-        if new_burn.bits[rows, cols].any():
-            count += 1
-            total_cents += to_cents(b.area() * costs.building_cost)
-    return total_cents, count
+    index = BuildingIndex.build(buildings, new_burn.grid, costs)
+    first = first_burn_day([cumulative_before, new_burn], new_burn.grid)
+    cents, counts = building_loss_by_day(index, first, 2)
+    return int(cents[1]), int(counts[1])
 
 
 def poi_exposure(new_burn: Mask, pois: list[PoiFeature]) -> dict[str, int]:

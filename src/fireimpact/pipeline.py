@@ -10,6 +10,8 @@ from __future__ import annotations
 import datetime as dt
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .dasymetric import (
     CensusBlock,
     DownscaleReport,
@@ -24,6 +26,7 @@ from .geometry import point_in_polygon
 from .grid import CategoryRaster, Mask
 from .impact import (
     BuildingFeature,
+    BuildingIndex,
     CostModel,
     DailyImpactRecord,
     Demographics,
@@ -31,8 +34,9 @@ from .impact import (
     PoiFeature,
     RoadFeature,
     TractDemographics,
-    building_loss,
+    building_loss_by_day,
     demographic_breakdown,
+    first_burn_day,
     land_use_loss,
     poi_exposure,
     population_exposure,
@@ -195,19 +199,18 @@ def assess(
     perimeters = compute_perimeters(layers, params)
     popgrid, ds_report, _ = compute_population(layers)
     block_tracts = {b.block_id: b.tract_id for b in layers.blocks}
+    grid = layers.manifest.grid
+    buildings = BuildingIndex.build(layers.buildings, grid, layers.costs)
 
     records: list[DailyImpactRecord] = []
     for name in sorted(perimeters):
         days = perimeters[name]
-        empty = Mask.empty(layers.manifest.grid)
+        first_burn = first_burn_day([day.new_burn for day in days], grid)
+        b_cents, b_count = building_loss_by_day(buildings, first_burn, len(days))
         for i, day in enumerate(days):
-            before = days[i - 1].cumulative if i > 0 else empty
             exposure_mask = day.active if active_extent else day.new_burn
             land = land_use_loss(day.new_burn, layers.landcover, layers.costs)
             road_cents, road_m = road_loss(day.new_burn, layers.roads, layers.costs)
-            b_cents, b_count = building_loss(
-                before, day.new_burn, layers.buildings, layers.costs
-            )
             pois = poi_exposure(exposure_mask, layers.pois)
             exposed = population_exposure(exposure_mask, popgrid)
             if layers.demographics is not None:
@@ -224,8 +227,8 @@ def assess(
                     land_loss_cents=land,
                     road_loss_cents=road_cents,
                     road_length_m=road_m,
-                    building_loss_cents=b_cents,
-                    building_count=b_count,
+                    building_loss_cents=int(b_cents[i]),
+                    building_count=int(b_count[i]),
                     poi_count=pois,
                     exposed_population=exposed,
                     demographics=demo,
@@ -240,12 +243,13 @@ def exposure_by_block(
     mask: Mask, popgrid: PopulationGrid, report: DownscaleReport
 ) -> dict[str, float]:
     """Exposed persons per block: the block's cells that fall in the mask."""
-    out: dict[str, float] = {}
-    for alloc in report.allocations:
-        hit = mask.bits[alloc.rows, alloc.cols]
-        if hit.any():
-            exposed = float(popgrid.cells[alloc.rows[hit], alloc.cols[hit]].sum())
-        else:
-            exposed = 0.0
-        out[alloc.block_id] = exposed
-    return out
+    hit = mask.bits[report.rows, report.cols]
+    exposed = [0.0] * len(report.allocations)
+    if hit.any():
+        ends = np.append(report.starts[1:], hit.size)
+        touched = np.logical_or.reduceat(hit, report.starts)
+        for k in np.flatnonzero(touched).tolist():
+            alloc = report.allocations[k]
+            h = hit[report.starts[k]:ends[k]]
+            exposed[k] = float(popgrid.cells[alloc.rows[h], alloc.cols[h]].sum())
+    return dict(zip((a.block_id for a in report.allocations), exposed))

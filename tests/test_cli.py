@@ -1,4 +1,6 @@
+import datetime as dt
 import filecmp
+import hashlib
 import json
 
 import pytest
@@ -205,3 +207,75 @@ class TestStages:
         for r in district_a:
             running += int(r["new_burn_cells"])
             assert int(r["cumulative_new_burn_cells"]) == running
+
+
+class TestReportAmounts:
+    def test_negative_cents_round_trip(self, capsys, tmp_path):
+        from fireimpact.impact import DailyImpactRecord, Demographics, cents_to_usd
+        from fireimpact.io_formats import read_report, write_report
+
+        rec = DailyImpactRecord(
+            date=dt.date(2025, 1, 7),
+            district="A",
+            land_loss_cents={21: -50},
+            road_loss_cents={"residential": -150},
+            road_length_m={"residential": 2.5},
+            building_loss_cents=-1,
+            building_count=0,
+            poi_count={},
+            exposed_population=0.0,
+            demographics=Demographics.zeros(),
+            new_burn_cells=0,
+        )
+        path = tmp_path / "report.csv"
+        write_report([rec], path)
+        (back,) = cli._records_from_rows(read_report(path))
+        assert back.land_loss_cents == {21: -50}
+        assert back.road_loss_cents == {"residential": -150}
+        assert back.building_loss_cents == -1
+        code, out, _ = run(["report", "--report", str(path)], capsys)
+        assert code == 0
+        assert f"event total loss usd: {cents_to_usd(-201)}\n" in out
+        assert cents_to_usd(-201) == "-2.01"
+
+
+# sha256 of the outputs for `synth --seed 7`, recorded before overlay
+# rasterization moved to one batched pass per run. Any change to them is a
+# change in the program's results, not only in its speed.
+PINNED_DIGESTS = {
+    ("assess",): "c5deec9427b7a17ba5927af149e9bd4f8ed22fc9ad9723db502186c8cf827527",
+    ("assess", "--active-extent", "--cumulative-report"):
+        "4ed90d2fc6b444a340b9a2b71fd0b3250b6623e2b9ba90752f2dc3b27a4d4fa4",
+    ("downscale", "population.asc"):
+        "e494cdd712acc66e04cf2bfd931b3dc7faa3ece8c487a9cc7eb7bd0127354366",
+    ("downscale", "mass_report.csv"):
+        "563226b5168cf2e70b4d896a6e6da8590b5dcb572a4ff6fd884298a5fd71e607",
+}
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPinnedOutputs:
+    def test_assess_reports_match_pinned_digests(self, capsys, scenario_dir, tmp_path):
+        for key in (("assess",), ("assess", "--active-extent", "--cumulative-report")):
+            out = tmp_path / "-".join(key)
+            code, _, _ = run(
+                ["assess", "--manifest", str(scenario_dir / "manifest.json"),
+                 "--out", str(out), *key[1:]],
+                capsys,
+            )
+            assert code == 0
+            assert sha256_of(out / "report.csv") == PINNED_DIGESTS[key], key
+
+    def test_downscale_outputs_match_pinned_digests(self, capsys, scenario_dir, tmp_path):
+        out = tmp_path / "d"
+        code, _, _ = run(
+            ["downscale", "--manifest", str(scenario_dir / "manifest.json"),
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        for name in ("population.asc", "mass_report.csv"):
+            assert sha256_of(out / name) == PINNED_DIGESTS[("downscale", name)], name

@@ -1,17 +1,21 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fireimpact import geometry
 from fireimpact.errors import GeometryError
 from fireimpact.geometry import (
     Point,
     PolyLine,
     Polygon,
+    features_cell_indices,
     point_in_polygon,
     polygon_area,
+    polygons_cell_indices,
     project_lonlat,
     rasterize_polygon,
     rasterize_polygons,
@@ -167,6 +171,162 @@ class TestRasterizePolygon:
             for c in range(10):
                 p = Point(g.center_x(c), g.center_y(r))
                 assert mask.bits[r, c] == point_in_polygon(p, poly), (r, c)
+
+
+def row_scan_cells(polys, g):
+    """Flat cell ids from the per-row scanline that tests every edge on every row.
+
+    Same arithmetic as the library (row range, center y, crossing x,
+    half-open searchsorted), evaluated one polygon and one row at a time.
+    """
+    out = set()
+    centers_x = g.center_xs()
+    for poly in polys:
+        rings = poly.rings()
+        x1 = np.array([p.x for ring in rings for p in ring[:-1]])
+        y1 = np.array([p.y for ring in rings for p in ring[:-1]])
+        x2 = np.array([p.x for ring in rings for p in ring[1:]])
+        y2 = np.array([p.y for ring in rings for p in ring[1:]])
+        min_y, max_y = min(y1.min(), y2.min()), max(y1.max(), y2.max())
+        r_hi = g.n_rows - 1 - math.floor((min_y - g.origin_y) / g.cell_size - 0.5)
+        r_lo = g.n_rows - 1 - math.ceil((max_y - g.origin_y) / g.cell_size - 0.5)
+        dy = y2 - y1
+        slope = np.divide(x2 - x1, dy, out=np.zeros_like(dy), where=dy != 0.0)
+        for row in range(max(r_lo, 0), min(r_hi, g.n_rows - 1) + 1):
+            y = g.center_y(row)
+            hit = (y1 > y) != (y2 > y)
+            crossings = np.sort(x1[hit] + (y - y1[hit]) * slope[hit])
+            a = np.searchsorted(centers_x, crossings[0::2], side="left")
+            b = np.searchsorted(centers_x, crossings[1::2], side="left")
+            for lo, hi in zip(a.tolist(), b.tolist()):
+                out.update(row * g.n_cols + c for c in range(lo, hi))
+    return sorted(out)
+
+
+def center_rule_cells(polys, g):
+    """Flat cell ids whose centers point_in_polygon puts inside a polygon."""
+    return [
+        r * g.n_cols + c
+        for r in range(g.n_rows)
+        for c in range(g.n_cols)
+        if any(point_in_polygon(Point(g.center_x(c), g.center_y(r)), p) for p in polys)
+    ]
+
+
+def random_part(rng, g):
+    """One polygon, possibly with a hole, possibly partly or wholly off the grid.
+
+    Returns (polygon, exact): ``exact`` is False for slanted edges through
+    lattice points, where a crossing can land exactly on a cell center and
+    point_in_polygon's (y - y1) * dx / dy may round differently from the
+    rasterizer's (y - y1) * slope.
+    """
+    half = g.cell_size / 2
+    cx = g.origin_x + rng.uniform(-0.5, 1.5) * g.n_cols * g.cell_size
+    cy = g.origin_y + rng.uniform(-0.5, 1.5) * g.n_rows * g.cell_size
+    kind = rng.integers(0, 3)
+    if kind == 0:
+        # Rectilinear, vertices on cell centers and cell edges.
+        cx, cy = round(cx / half) * half, round(cy / half) * half
+        w, h = rng.integers(1, 12, size=2) * half
+        outer = [(cx - w, cy - h), (cx + w, cy - h), (cx + w, cy + h), (cx - w, cy + h)]
+        hole = None
+        if w > half and h > half and rng.random() < 0.5:
+            hw, hh = w - half, h - half
+            hole = [(cx - hw, cy - hh), (cx + hw, cy - hh), (cx + hw, cy + hh), (cx - hw, cy + hh)]
+        exact = True
+    else:
+        n = int(rng.integers(3, 9))
+        angles = np.sort(rng.uniform(0, 2 * math.pi, n))
+        radii = rng.uniform(0.5, 6.0, n) * g.cell_size
+        outer = [(cx + r * math.cos(a), cy + r * math.sin(a)) for r, a in zip(radii, angles)]
+        hole = [(cx + 0.4 * (x - cx), cy + 0.4 * (y - cy)) for x, y in outer]
+        exact = kind == 1
+        if not exact:
+            outer = [(round(x / half) * half, round(y / half) * half) for x, y in outer]
+            hole = [(round(x / half) * half, round(y / half) * half) for x, y in hole]
+        if rng.random() < 0.5:
+            hole = None
+    holes = [[Point(*q) for q in hole]] if hole else []
+    try:
+        return Polygon([Point(*q) for q in outer], holes), exact
+    except GeometryError:  # snapping collapsed a ring
+        return None, True
+
+
+def random_features(rng, g, n):
+    features, exact = [], []
+    for _ in range(n):
+        parts = [random_part(rng, g) for _ in range(int(rng.integers(0, 4)))]
+        features.append([p for p, _ in parts if p is not None])
+        exact.append(all(e for _, e in parts))
+    return features, exact
+
+
+def random_grid(rng):
+    return AnalysisGrid(
+        float(rng.uniform(-100, 100)),
+        float(rng.uniform(-100, 100)),
+        float(rng.choice([1.0, 20.0, 0.3])),
+        int(rng.integers(1, 16)),
+        int(rng.integers(1, 16)),
+    )
+
+
+def slices(cells, offsets):
+    return [cells[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])]
+
+
+class TestFeaturesCellIndices:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_slices_match_cell_center_oracles(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_grid(rng)
+        features, exact = random_features(rng, g, int(rng.integers(1, 7)))
+        cells, offsets = features_cell_indices(features, g)
+        assert offsets[0] == 0 and offsets[-1] == cells.size
+        for parts, is_exact, got in zip(features, exact, slices(cells, offsets)):
+            assert got == row_scan_cells(parts, g)
+            if is_exact:
+                assert got == center_rule_cells(parts, g)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 5]))
+    @settings(max_examples=40, deadline=None)
+    def test_slices_ignore_neighbours_and_batches(self, seed, batch):
+        rng = np.random.default_rng(seed)
+        g = random_grid(rng)
+        features, _ = random_features(rng, g, int(rng.integers(1, 12)))
+        alone = [features_cell_indices([f], g)[0].tolist() for f in features]
+        with mock.patch.object(geometry, "FEATURE_BATCH", batch):
+            batched = slices(*features_cell_indices(features, g))
+        assert batched == alone
+        order = rng.permutation(len(features))
+        shuffled = slices(*features_cell_indices([features[k] for k in order], g))
+        assert shuffled == [alone[k] for k in order]
+
+    def test_empty_and_off_grid_features_give_empty_slices(self):
+        g = AnalysisGrid(0, 0, 20, 5, 5)
+        cells, offsets = features_cell_indices([], g)
+        assert cells.size == 0 and offsets.tolist() == [0]
+        inside = Polygon([Point(25, 25), Point(75, 25), Point(75, 75), Point(25, 75)])
+        west = Polygon([Point(-90, 10), Point(-10, 10), Point(-10, 90)])
+        south = Polygon([Point(10, -90), Point(90, -90), Point(50, -10)])
+        between_centers = Polygon([Point(21, 21), Point(29, 21), Point(29, 29), Point(21, 29)])
+        features = [[], [west], [inside], [west, south], [between_centers], []]
+        got = slices(*features_cell_indices(features, g))
+        assert got == [[], [], [6, 7, 8, 11, 12, 13, 16, 17, 18], [], [], []]
+
+    def test_polygons_cell_indices_is_the_single_feature_case(self):
+        g = AnalysisGrid(0, 0, 20, 6, 6)
+        parts = [
+            Polygon([Point(5, 5), Point(70, 5), Point(70, 70), Point(5, 70)]),
+            Polygon([Point(50, 50), Point(115, 50), Point(115, 115), Point(50, 115)]),
+        ]
+        rows, cols = polygons_cell_indices(parts, g)
+        flat = rows * g.n_cols + cols
+        assert flat.tolist() == center_rule_cells(parts, g)
+        assert flat.tolist() == sorted(set(flat.tolist()))
 
 
 class TestRasterizePolyline:

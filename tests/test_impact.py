@@ -6,10 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fireimpact.errors import MissingTractError, UnpricedClassError, ValidationError
-from fireimpact.geometry import Point, PolyLine, Polygon, rasterize_polyline
+from fireimpact.geometry import (
+    Point,
+    PolyLine,
+    Polygon,
+    polygons_cell_indices,
+    rasterize_polyline,
+)
 from fireimpact.grid import AnalysisGrid, CategoryRaster, Mask, RealRaster
 from fireimpact.impact import (
     BuildingFeature,
+    BuildingIndex,
     CostModel,
     DailyImpactRecord,
     Demographics,
@@ -17,7 +24,9 @@ from fireimpact.impact import (
     RoadFeature,
     TractDemographics,
     building_loss,
+    building_loss_by_day,
     demographic_breakdown,
+    first_burn_day,
     land_use_loss,
     poi_exposure,
     population_exposure,
@@ -286,6 +295,115 @@ class TestBuildingLoss:
             )
         )
         assert sum(got_counts) == ever
+
+
+def box(x0, y0, x1, y1):
+    return Polygon([Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)])
+
+
+def first_burn_raster(g, burns):
+    """Day raster from {(row, col): day}; -1 elsewhere."""
+    first = np.full(g.shape, -1, dtype=np.int16)
+    for cell, day in burns.items():
+        first[cell] = day
+    return first
+
+
+class TestBuildingLossByDay:
+    def test_empty_footprints_interleaved_with_charged_ones(self):
+        # reduceat returns the element at the start of an empty segment, so
+        # an uncovered building next to a burned one must not be charged.
+        g = grid(5)
+        costs = simple_costs()
+        buildings = [
+            BuildingFeature([box(-80, -80, -60, -60)], "off-grid"),
+            BuildingFeature([box(20, 60, 40, 80)], "cell-1-1"),
+            BuildingFeature([box(41, 41, 49, 49)], "between-centers"),
+            BuildingFeature([box(60, 20, 80, 40)], "cell-3-3"),
+            BuildingFeature([box(41, 81, 49, 89)], "between-centers-2"),
+        ]
+        index = BuildingIndex.build(buildings, g, costs)
+        assert index.starts.size == 2
+        first = first_burn_raster(g, {(1, 1): 1, (3, 3): 0, (2, 2): 0, (0, 2): 2})
+        cents, counts = building_loss_by_day(index, first, 3)
+        one = to_cents(400.0 * costs.building_cost)
+        assert counts.tolist() == [1, 1, 0]
+        assert cents.tolist() == [one, one, 0]
+
+    def test_charged_on_the_earliest_day_of_its_footprint(self):
+        g = grid(5)
+        costs = simple_costs()
+        # Covers the centers of (2, 1), (2, 2) and (2, 3).
+        b = BuildingFeature([box(25, 45, 75, 55)], "long")
+        index = BuildingIndex.build([b], g, costs)
+        first = first_burn_raster(g, {(2, 1): 2, (2, 3): 1})
+        cents, counts = building_loss_by_day(index, first, 4)
+        assert counts.tolist() == [0, 1, 0, 0]
+        assert cents.tolist() == [0, to_cents(b.area() * costs.building_cost), 0, 0]
+
+    def test_cents_are_summed_as_exact_integers(self):
+        # 3 * 2**52 + 3 is odd and above 2**53, so float weights would round it.
+        g = grid(4)
+        index = BuildingIndex(
+            cells=np.array([0, 1], dtype=np.int64),
+            starts=np.array([0, 1], dtype=np.int64),
+            cents=np.array([2**53 + 2, 2**52 + 1], dtype=np.int64),
+        )
+        cents, counts = building_loss_by_day(index, first_burn_raster(g, {(0, 0): 0, (0, 1): 0}), 1)
+        assert counts.tolist() == [2]
+        assert int(cents[0]) == 3 * 2**52 + 3
+
+    def test_no_buildings(self):
+        g = grid(3)
+        index = BuildingIndex.build([], g, simple_costs())
+        cents, counts = building_loss_by_day(index, first_burn_raster(g, {(0, 0): 0}), 2)
+        assert cents.tolist() == [0, 0] and counts.tolist() == [0, 0]
+
+    def test_first_burn_day_keeps_the_earliest_mask(self):
+        g = grid(3)
+        first = first_burn_day([mask_of(g, [(0, 0)]), mask_of(g, [(0, 0), (1, 1)])], g)
+        assert first[0, 0] == 0 and first[1, 1] == 1 and first[2, 2] == -1
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_random_sequence_matches_daily_wrapper_and_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        g = grid(10)
+        costs = simple_costs(building=float(rng.uniform(1, 5000)))
+        buildings = []
+        for i in range(40):
+            parts = []
+            for _ in range(int(rng.integers(1, 3))):
+                x0, y0 = rng.uniform(-40, 200, 2)
+                w, h = rng.uniform(2, 50, 2)
+                parts.append(box(x0, y0, x0 + w, y0 + h))
+            buildings.append(BuildingFeature(parts, f"b{i}"))
+        n_days = int(rng.integers(1, 7))
+        cum = np.zeros(g.shape, dtype=bool)
+        befores, new_burns = [], []
+        for _ in range(n_days):
+            nb = (rng.random(g.shape) < 0.1) & ~cum
+            befores.append(Mask(g, cum.copy()))
+            new_burns.append(Mask(g, nb))
+            cum |= nb
+
+        index = BuildingIndex.build(buildings, g, costs)
+        cents, counts = building_loss_by_day(index, first_burn_day(new_burns, g), n_days)
+        daily = [building_loss(b, nb, buildings, costs) for b, nb in zip(befores, new_burns)]
+        assert [(int(c), int(n)) for c, n in zip(cents, counts)] == daily
+        assert int(cents.sum()) == sum(c for c, _ in daily)
+
+        # Oracle: charged today iff no footprint cell burned earlier and one burns today.
+        want = []
+        for before, nb in zip(befores, new_burns):
+            total = count = 0
+            for b in buildings:
+                rows, cols = polygons_cell_indices(b.footprints, g)
+                if rows.size and not before.bits[rows, cols].any() and nb.bits[rows, cols].any():
+                    total += to_cents(b.area() * costs.building_cost)
+                    count += 1
+            want.append((total, count))
+        assert daily == want
 
 
 class TestPoiExposure:

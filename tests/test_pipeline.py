@@ -6,11 +6,12 @@ import pytest
 from fireimpact.errors import ValidationError
 from fireimpact.geometry import Point, Polygon
 from fireimpact.grid import AnalysisGrid, CategoryRaster, Mask
-from fireimpact.impact import District
+from fireimpact.impact import BuildingFeature, CostModel, District, to_cents
 from fireimpact.io_formats import FileManifest
 from fireimpact.perimeters import Detection, KdeParams
 from fireimpact.pipeline import (
     Layers,
+    assess,
     compute_perimeters,
     compute_population,
     event_dates,
@@ -146,3 +147,59 @@ class TestExposureByBlock:
         total = float(popgrid.cells[bits].sum())
         assert sum(by_block.values()) == pytest.approx(total, rel=1e-12)
         assert by_block["west"] > 0 and by_block["east"] > 0
+
+
+    def test_matches_each_blocks_own_sum_exactly(self):
+        from fireimpact.dasymetric import CensusBlock, WeightTable, downscale
+
+        rng = np.random.default_rng(5)
+        m = manifest(24)
+        g = m.grid
+        landcover = CategoryRaster(g, rng.choice([11, 21, 22, 41, 82], size=(24, 24)))
+        blocks = [
+            CensusBlock(f"b{i % 7}", [rect(x, y, x + 120, y + 160)], float(rng.uniform(1, 900)), "t1")
+            for i, (x, y) in enumerate((x, y) for x in range(0, 480, 120) for y in range(0, 480, 160))
+        ]
+        blocks.append(CensusBlock("tiny", [rect(3, 3, 6, 6)], 5.0, "t1"))
+        popgrid, report = downscale(blocks, landcover, WeightTable.default(), g)
+        bits = rng.random((24, 24)) < 0.6
+        # Reference: each block's own cells summed in allocation order.
+        want: dict[str, float] = {}
+        for alloc in report.allocations:
+            hit = bits[alloc.rows, alloc.cols]
+            want[alloc.block_id] = (
+                float(popgrid.cells[alloc.rows[hit], alloc.cols[hit]].sum()) if hit.any() else 0.0
+            )
+        got = exposure_by_block(Mask(g, bits), popgrid, report)
+        assert list(got.items()) == list(want.items())
+
+
+class TestAssessBuildings:
+    def test_building_in_two_districts_is_charged_once_in_each(self):
+        from fireimpact.dasymetric import CensusBlock
+
+        m = manifest(20)
+        layers = Layers(manifest=m)
+        layers.landcover = CategoryRaster(m.grid, np.full((20, 20), 22))
+        layers.blocks = [CensusBlock("b1", [rect(0, 0, 400, 400)], 100.0, "t1")]
+        layers.districts = [
+            District("east", [rect(100, 0, 400, 400)]),
+            District("west", [rect(0, 0, 300, 400)]),
+        ]
+        # Covers the centers of cells (10, 9) and (10, 10), inside both districts.
+        house = BuildingFeature([rect(180, 180, 220, 200)], "house")
+        layers.buildings = [house]
+        layers.detections = [
+            Detection(Point(191, 191), D0),
+            Detection(Point(211, 191), D0 + dt.timedelta(days=1)),
+        ]
+        records = assess(layers, KdeParams(bandwidth_m=4))
+        charge = to_cents(house.area() * CostModel.demo().building_cost)
+        got = [(r.date, r.district, r.building_count, r.building_loss_cents) for r in records]
+        assert got == [
+            (D0, "east", 1, charge),
+            (D0, "west", 1, charge),
+            (D0 + dt.timedelta(days=1), "east", 0, 0),
+            (D0 + dt.timedelta(days=1), "west", 0, 0),
+        ]
+        assert all(r.new_burn_cells == 1 for r in records)
