@@ -9,6 +9,8 @@ unknown subcommand.
 from __future__ import annotations
 
 import argparse
+import datetime as dt
+import re
 import sys
 from pathlib import Path
 
@@ -215,15 +217,31 @@ def cmd_report(argv: list[str]) -> int:
     return 0
 
 
+# A report amount has at most two decimals.
+_AMOUNT = re.compile(r"-?\d+(\.\d{1,2})?", re.ASCII)
+
+
+def _cents(text: str) -> int:
+    if not _AMOUNT.fullmatch(text):
+        raise ValueError(text)
+    whole, _, frac = text.removeprefix("-").partition(".")
+    value = int(whole) * 100 + int(frac.ljust(2, "0"))
+    return -value if text.startswith("-") else value
+
+
+def _field(row: dict[str, str], col: str, parse, default: str | None = None):
+    """``parse(row[col])``; a missing or malformed value is a FormatError."""
+    try:
+        return parse(row.get(col, default))
+    except (TypeError, ValueError):
+        raise FormatError(
+            f"report row for {row.get('date')} {row.get('district')}: "
+            f"bad {col} value {row.get(col)!r}"
+        ) from None
+
+
 def _records_from_rows(rows: list[dict[str, str]]):
-    import datetime as dt
-
     from .impact import DailyImpactRecord, Demographics
-
-    def cents(text: str) -> int:
-        sign = -1 if text.startswith("-") else 1
-        whole, _, frac = text.removeprefix("-").partition(".")
-        return sign * (int(whole) * 100 + (int(frac.ljust(2, "0")[:2]) if frac else 0))
 
     records = []
     for row in rows:
@@ -231,28 +249,28 @@ def _records_from_rows(rows: list[dict[str, str]]):
         road_cents = {}
         road_m = {}
         pois = {}
-        for col, value in row.items():
+        for col in row:
             if col.startswith("land_loss_usd_class_"):
-                land[int(col.rsplit("_", 1)[1])] = cents(value)
+                land[int(col.rsplit("_", 1)[1])] = _field(row, col, _cents)
             elif col.startswith("road_loss_usd_"):
-                road_cents[col[len("road_loss_usd_"):]] = cents(value)
+                road_cents[col[len("road_loss_usd_"):]] = _field(row, col, _cents)
             elif col.startswith("road_length_m_"):
-                road_m[col[len("road_length_m_"):]] = float(value)
+                road_m[col[len("road_length_m_"):]] = _field(row, col, float)
             elif col.startswith("poi_count_"):
-                pois[col[len("poi_count_"):]] = int(value)
+                pois[col[len("poi_count_"):]] = _field(row, col, int)
         records.append(
             DailyImpactRecord(
-                date=dt.date.fromisoformat(row["date"]),
+                date=_field(row, "date", dt.date.fromisoformat),
                 district=row["district"],
                 land_loss_cents=land,
                 road_loss_cents=road_cents,
                 road_length_m=road_m,
-                building_loss_cents=cents(row["building_loss_usd"]),
-                building_count=int(row["building_count"]),
+                building_loss_cents=_field(row, "building_loss_usd", _cents),
+                building_count=_field(row, "building_count", int),
                 poi_count=pois,
-                exposed_population=float(row["exposed_population"]),
+                exposed_population=_field(row, "exposed_population", float),
                 demographics=Demographics.zeros(),
-                new_burn_cells=int(row.get("new_burn_cells", "0")),
+                new_burn_cells=_field(row, "new_burn_cells", int, "0"),
             )
         )
     return records

@@ -192,27 +192,6 @@ def _centroid_cell(
     return np.array([row], dtype=np.int64), np.array([col], dtype=np.int64)
 
 
-def tabulate_block_classes(
-    landcover: CategoryRaster,
-    blocks: list[CensusBlock],
-    grid: AnalysisGrid,
-    report: DownscaleReport | None = None,
-) -> list[dict[int, int]]:
-    """Class-code pixel counts per block over the cells each block owns."""
-    if report is None:
-        report = rasterize_blocks(blocks, grid)
-    out: list[dict[int, int]] = []
-    for alloc in report.allocations:
-        if alloc.fallback == "centroid":
-            out.append({})
-            continue
-        codes, counts = np.unique(
-            landcover.cells[alloc.rows, alloc.cols], return_counts=True
-        )
-        out.append({int(k): int(v) for k, v in zip(codes, counts)})
-    return out
-
-
 def downscale(
     blocks: list[CensusBlock],
     landcover: CategoryRaster,
@@ -270,17 +249,13 @@ class MassReport:
 def validate_mass(
     blocks: list[CensusBlock],
     popgrid: PopulationGrid,
-    report: DownscaleReport | None = None,
-    tol: float = 1e-9,
+    report: DownscaleReport,
 ) -> MassReport:
     """Per-block |allocated - pop| / max(pop, 1) over the block's cells.
 
-    Pass the report from :func:`downscale` so fallback blocks are
-    exempted; without it, blocks are re-rasterized the same way and only
-    centroid fallbacks can be recognized.
+    ``report`` is the one :func:`downscale` returned with ``popgrid``: it
+    names each block's cells and exempts its fallback blocks.
     """
-    if report is None:
-        report = rasterize_blocks(blocks, popgrid.grid)
     entries = []
     for block, alloc in zip(blocks, report.allocations):
         allocated = float(popgrid.cells[alloc.rows, alloc.cols].sum())

@@ -139,35 +139,12 @@ def point_in_polygon(p: Point, poly: Polygon) -> bool:
     return inside
 
 
-def rasterize_polygon(poly: Polygon, grid: AnalysisGrid) -> Mask:
-    """Mask of cells whose centers lie inside the polygon.
-
-    Scanline evaluation of the same even-odd rule as
-    :func:`point_in_polygon`: along each row of cell centers, centers
-    between the (2k+1)-th and (2k+2)-th crossing are inside, half-open
-    on the right.
-    """
-    return rasterize_polygons([poly], grid)
-
-
 def rasterize_polygons(polys: list[Polygon], grid: AnalysisGrid) -> Mask:
-    """Union of :func:`rasterize_polygon` over a list of polygons."""
+    """Mask of cells whose centers lie inside any of the polygons (even-odd)."""
     cells, _ = features_cell_indices([polys], grid)
     bits = np.zeros(grid.shape, dtype=bool)
     bits.ravel()[cells] = True
     return Mask(grid, bits)
-
-
-def polygons_cell_indices(
-    polys: list[Polygon], grid: AnalysisGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of cells whose centers lie inside any of the polygons.
-
-    Cheaper than a full-grid mask for small features on large grids;
-    duplicates from overlapping parts are removed.
-    """
-    cells, _ = features_cell_indices([polys], grid)
-    return np.divmod(cells, grid.n_cols)
 
 
 # Features scanned together; bounds the transient per-crossing arrays.
@@ -397,23 +374,24 @@ def trace_mask_boundary(m: Mask) -> list[Polygon]:
         else:
             holes.append(loop)
 
-    # Largest exteriors first so "smallest containing" can scan small-to-large.
     exteriors.sort(key=lambda item: item[0])
     ext_rings = [
         _corners_to_ring(loop, grid) for _, loop in exteriors
     ]
     ext_holes: list[list[list[Point]]] = [[] for _ in exteriors]
-    for hole in holes:
-        # A representative point inside the hole: center of the false cell
-        # to the right of the hole's first edge (true region is on the left).
-        (i0, j0), (i1, j1) = hole[0], hole[1]
-        cell = _right_cell((i0, j0), (i1 - i0, j1 - j0))
-        px = grid.center_x(cell[1])
-        py = grid.center_y(cell[0])
-        for idx, ring in enumerate(ext_rings):
-            if _point_in_ring(px, py, ring):
-                ext_holes[idx].append(_corners_to_ring(hole, grid))
-                break
+    if holes:
+        # Exteriors ascend by area, so the lowest exterior index covering a
+        # cell center is the smallest exterior around that cell.
+        cells, offsets = features_cell_indices([[Polygon(r)] for r in ext_rings], grid)
+        exterior_of_cell = np.repeat(np.arange(len(ext_rings)), np.diff(offsets))
+        owner = np.full(grid.n_rows * grid.n_cols, len(ext_rings))
+        np.minimum.at(owner, cells, exterior_of_cell)
+        for hole in holes:
+            # The false cell to the right of the hole's first edge lies
+            # inside the hole (the true region is on the left).
+            (i0, j0), (i1, j1) = hole[0], hole[1]
+            row, col = _right_cell((i0, j0), (i1 - i0, j1 - j0))
+            ext_holes[owner[row * grid.n_cols + col]].append(_corners_to_ring(hole, grid))
 
     polys = [
         Polygon(ring, hs) for ring, hs in zip(ext_rings, ext_holes)

@@ -12,13 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from .errors import AlignmentError, FrameError, ValidationError
-
-MaskOp = Literal["union", "intersect", "difference"]
 
 
 @dataclass(frozen=True)
@@ -124,11 +121,6 @@ class CategoryRaster:
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
 
-    def codes_present(self) -> list[int]:
-        """Sorted distinct non-nodata codes in the raster."""
-        codes = np.unique(self.cells)
-        return [int(c) for c in codes if c != self.nodata]
-
 
 @dataclass(frozen=True)
 class RealRaster:
@@ -181,20 +173,6 @@ class Mask:
         return bool(np.all(~self.bits | other.bits))
 
 
-def mask_combine(a: Mask, b: Mask, op: MaskOp) -> Mask:
-    """Cellwise boolean combination of two aligned masks."""
-    _require_same_grid(a.grid, b.grid, "mask_combine")
-    if op == "union":
-        bits = a.bits | b.bits
-    elif op == "intersect":
-        bits = a.bits & b.bits
-    elif op == "difference":
-        bits = a.bits & ~b.bits
-    else:
-        raise ValidationError(f"unknown mask op {op!r}")
-    return Mask(a.grid, bits)
-
-
 def resample_nearest(src: CategoryRaster, target: AnalysisGrid) -> CategoryRaster:
     """Resample a categorical raster onto ``target`` by cell-center lookup.
 
@@ -224,27 +202,3 @@ def resample_nearest(src: CategoryRaster, target: AnalysisGrid) -> CategoryRaste
     out[valid] = sampled[valid]
     return CategoryRaster(target, out, nodata=src.nodata)
 
-
-def tabulate_area(classes: CategoryRaster, zones: list[Mask]) -> list[dict[int, int]]:
-    """Count cells per class code inside each zone mask.
-
-    Counts include nodata cells under the nodata code, so each zone's
-    counts sum to exactly its cell count.
-    """
-    for m in zones:
-        _require_same_grid(classes.grid, m.grid, "tabulate_area")
-    out: list[dict[int, int]] = []
-    flat = classes.cells.ravel()
-    offset = int(flat.min(initial=0))
-    shifted = flat - offset
-    for m in zones:
-        zone = m.bits.ravel()
-        if not zone.any():
-            out.append({})
-            continue
-        counts = np.bincount(shifted[zone])
-        tally = {
-            int(code + offset): int(n) for code, n in enumerate(counts) if n > 0
-        }
-        out.append(tally)
-    return out

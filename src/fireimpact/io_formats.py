@@ -23,7 +23,14 @@ import numpy as np
 
 from .dasymetric import CensusBlock, WeightTable
 from .errors import FormatError, SchemaError, ValidationError
-from .geometry import Point, PolyLine, Polygon, project_lonlat, unproject_to_lonlat
+from .geometry import (
+    Point,
+    PolyLine,
+    Polygon,
+    project_lonlat,
+    trace_mask_boundary,
+    unproject_to_lonlat,
+)
 from .grid import AnalysisGrid, CategoryRaster, Mask, RealRaster
 from .impact import (
     AGE_KEYS,
@@ -497,7 +504,7 @@ def write_daily_perimeters_geojson(
     path: str | Path,
 ) -> None:
     features = []
-    for poly in day.polygons:
+    for poly in trace_mask_boundary(day.new_burn):
         features.append(
             {
                 "type": "Feature",
@@ -786,10 +793,8 @@ def render_svg(
     if perimeters:
         for name in sorted(perimeters):
             for day in perimeters[name]:
-                if not day.polygons:
-                    continue
                 color = _DAY_COLORS[dates.index(day.date) % len(_DAY_COLORS)]
-                for poly in day.polygons:
+                for poly in trace_mask_boundary(day.new_burn):
                     parts.append(
                         f'<path d="{_poly_path(poly, sx, sy)}" fill="none" '
                         f'stroke="{color}" stroke-width="1.2"/>'

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import Point, Polygon, rasterize_polygons, trace_mask_boundary
+from .geometry import Point, Polygon, rasterize_polygons
 from .grid import AnalysisGrid, Mask, RealRaster
 
 ThresholdMode = Literal["relative_to_daily_max", "absolute"]
@@ -78,14 +78,15 @@ class DailyPerimeter:
 
     ``active`` is the day's full thresholded-and-clipped mask;
     ``new_burn`` removes cells already burned on earlier dates, and
-    ``cumulative`` is the union of all new burns to date.
+    ``cumulative`` is the union of all new burns to date. Outlines are
+    traced from ``new_burn`` only where they are written
+    (:func:`fireimpact.geometry.trace_mask_boundary`).
     """
 
     date: dt.date
     new_burn: Mask
     cumulative: Mask
     active: Mask
-    polygons: list[Polygon] = field(default_factory=list)
 
 
 def kde_surface(
@@ -184,46 +185,13 @@ def extract_daily_perimeters(
         active = burned.bits & clip.bits
         new_burn = active & ~cumulative
         cumulative = cumulative | new_burn
-        nb_mask = Mask(grid, new_burn)
         out.append(
             DailyPerimeter(
                 date=day,
-                new_burn=nb_mask,
+                new_burn=Mask(grid, new_burn),
                 cumulative=Mask(grid, cumulative.copy()),
                 active=Mask(grid, active),
-                polygons=trace_mask_boundary(nb_mask),
             )
         )
     return out
 
-
-def connected_components(m: Mask) -> tuple[np.ndarray, list[int]]:
-    """8-connected region labeling.
-
-    Returns a label raster (0 = background, regions numbered densely from
-    1 in raster-scan order of first encounter) and the per-region cell
-    counts, so ``sum(counts) == m.popcount()``.
-    """
-    bits = m.bits
-    labels = np.zeros(bits.shape, dtype=np.int32)
-    counts: list[int] = []
-    n_rows, n_cols = bits.shape
-    next_label = 0
-    for r0 in range(n_rows):
-        for c0 in range(n_cols):
-            if not bits[r0, c0] or labels[r0, c0]:
-                continue
-            next_label += 1
-            size = 0
-            stack = [(r0, c0)]
-            labels[r0, c0] = next_label
-            while stack:
-                r, c = stack.pop()
-                size += 1
-                for rr in range(max(r - 1, 0), min(r + 2, n_rows)):
-                    for cc in range(max(c - 1, 0), min(c + 2, n_cols)):
-                        if bits[rr, cc] and not labels[rr, cc]:
-                            labels[rr, cc] = next_label
-                            stack.append((rr, cc))
-            counts.append(size)
-    return labels, counts

@@ -238,6 +238,73 @@ class TestReportAmounts:
         assert f"event total loss usd: {cents_to_usd(-201)}\n" in out
         assert cents_to_usd(-201) == "-2.01"
 
+    def _report_with(self, tmp_path, column, value):
+        """A one-row report.csv whose ``column`` holds ``value``."""
+        import csv
+
+        from fireimpact.impact import DailyImpactRecord, Demographics
+        from fireimpact.io_formats import write_report
+
+        rec = DailyImpactRecord(
+            date=dt.date(2025, 1, 7),
+            district="A",
+            land_loss_cents={21: 150},
+            road_loss_cents={"residential": 250},
+            road_length_m={"residential": 2.5},
+            building_loss_cents=1000,
+            building_count=1,
+            poi_count={"school": 2},
+            exposed_population=3.5,
+            demographics=Demographics.zeros(),
+            new_burn_cells=4,
+        )
+        path = tmp_path / "report.csv"
+        write_report([rec], path)
+        with path.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert column in rows[0]
+        rows[0][column] = value
+        with path.open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        return path
+
+    @pytest.mark.parametrize("value", ["1.2.3", "1.239", "12,5", ""])
+    def test_malformed_building_amount_exits_2(self, capsys, tmp_path, value):
+        path = self._report_with(tmp_path, "building_loss_usd", value)
+        code, out, err = run(["report", "--report", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "building_loss_usd" in err
+        assert "2025-01-07" in err and " A" in err
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("poi_count_school", "2.5"), ("poi_count_school", "two"),
+         ("exposed_population", "many"), ("exposed_population", ""),
+         ("land_loss_usd_class_21", "1.5e2"), ("road_loss_usd_residential", "-")],
+    )
+    def test_malformed_number_in_other_columns_exits_2(
+        self, capsys, tmp_path, column, value
+    ):
+        path = self._report_with(tmp_path, column, value)
+        code, _, err = run(["report", "--report", str(path)], capsys)
+        assert code == 2
+        assert column in err
+
+    def test_well_formed_report_round_trips(self, tmp_path):
+        from fireimpact.io_formats import read_report
+
+        path = self._report_with(tmp_path, "building_loss_usd", "-0.50")
+        (back,) = cli._records_from_rows(read_report(path))
+        assert back.building_loss_cents == -50
+        assert back.land_loss_cents == {21: 150}
+        assert back.road_loss_cents == {"residential": 250}
+        assert back.poi_count == {"school": 2}
+        assert back.exposed_population == 3.5
+        assert back.new_burn_cells == 4
+
 
 # sha256 of the outputs for `synth --seed 7`, recorded before overlay
 # rasterization moved to one batched pass per run. Any change to them is a
@@ -255,6 +322,126 @@ PINNED_DIGESTS = {
 
 def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of every file `perimeters` writes and of the SVG `render` writes
+# for `synth --seed 7`, by KDE flags, recorded before boundary tracing
+# moved from `extract_daily_perimeters` into the writers.
+PINNED_PERIMETER_DIGESTS = {
+    (): {
+        "cumulative_district-a.asc":
+            "f2d5f9e0a3d6956d8aec9506471a696870297bf8d894406bef648572a99dc2b6",
+        "cumulative_district-b.asc":
+            "6211ac4ee46c47e2edc2b7c1a69e0fb440347b0a3c2b0c64c18546b0586336bf",
+        "new_burn_district-a_2025-01-07.asc":
+            "f2d5f9e0a3d6956d8aec9506471a696870297bf8d894406bef648572a99dc2b6",
+        "new_burn_district-a_2025-01-07.geojson":
+            "a47070f9f0ae29e7950ad9679cf8b684c56a4bbdae12b559bced82e662314735",
+        "new_burn_district-a_2025-01-08.asc":
+            "f29e065aa69add0f4198f193224fa1eb772c9298739e65c0173528505f5d2781",
+        "new_burn_district-a_2025-01-08.geojson":
+            "6d6b80a88dc60e65991d34024fe7cf2eb86531ffba8b75efb697fe0a601f2799",
+        "new_burn_district-a_2025-01-09.asc":
+            "f29e065aa69add0f4198f193224fa1eb772c9298739e65c0173528505f5d2781",
+        "new_burn_district-a_2025-01-09.geojson":
+            "6d6b80a88dc60e65991d34024fe7cf2eb86531ffba8b75efb697fe0a601f2799",
+        "new_burn_district-a_2025-01-10.asc":
+            "f29e065aa69add0f4198f193224fa1eb772c9298739e65c0173528505f5d2781",
+        "new_burn_district-a_2025-01-10.geojson":
+            "6d6b80a88dc60e65991d34024fe7cf2eb86531ffba8b75efb697fe0a601f2799",
+        "new_burn_district-a_2025-01-11.asc":
+            "f29e065aa69add0f4198f193224fa1eb772c9298739e65c0173528505f5d2781",
+        "new_burn_district-a_2025-01-11.geojson":
+            "6d6b80a88dc60e65991d34024fe7cf2eb86531ffba8b75efb697fe0a601f2799",
+        "new_burn_district-a_2025-01-12.asc":
+            "f29e065aa69add0f4198f193224fa1eb772c9298739e65c0173528505f5d2781",
+        "new_burn_district-a_2025-01-12.geojson":
+            "6d6b80a88dc60e65991d34024fe7cf2eb86531ffba8b75efb697fe0a601f2799",
+        "new_burn_district-b_2025-01-07.asc":
+            "6211ac4ee46c47e2edc2b7c1a69e0fb440347b0a3c2b0c64c18546b0586336bf",
+        "new_burn_district-b_2025-01-07.geojson":
+            "6059508f053f64c8f5b7f045adfa939cf32bb2c458c980e306269a9beff85333",
+        "new_burn_district-b_2025-01-08.asc":
+            "f29e065aa69add0f4198f193224fa1eb772c9298739e65c0173528505f5d2781",
+        "new_burn_district-b_2025-01-08.geojson":
+            "6d6b80a88dc60e65991d34024fe7cf2eb86531ffba8b75efb697fe0a601f2799",
+        "new_burn_district-b_2025-01-09.asc":
+            "f29e065aa69add0f4198f193224fa1eb772c9298739e65c0173528505f5d2781",
+        "new_burn_district-b_2025-01-09.geojson":
+            "6d6b80a88dc60e65991d34024fe7cf2eb86531ffba8b75efb697fe0a601f2799",
+        "new_burn_district-b_2025-01-10.asc":
+            "f29e065aa69add0f4198f193224fa1eb772c9298739e65c0173528505f5d2781",
+        "new_burn_district-b_2025-01-10.geojson":
+            "6d6b80a88dc60e65991d34024fe7cf2eb86531ffba8b75efb697fe0a601f2799",
+        "new_burn_district-b_2025-01-11.asc":
+            "f29e065aa69add0f4198f193224fa1eb772c9298739e65c0173528505f5d2781",
+        "new_burn_district-b_2025-01-11.geojson":
+            "6d6b80a88dc60e65991d34024fe7cf2eb86531ffba8b75efb697fe0a601f2799",
+        "new_burn_district-b_2025-01-12.asc":
+            "f29e065aa69add0f4198f193224fa1eb772c9298739e65c0173528505f5d2781",
+        "new_burn_district-b_2025-01-12.geojson":
+            "6d6b80a88dc60e65991d34024fe7cf2eb86531ffba8b75efb697fe0a601f2799",
+    },
+    ("--bandwidth-m", "4"): {
+        "cumulative_district-a.asc":
+            "0575680f59cfcf1812751bd21df146c5cf793dcd845d5844f0e28a208433971b",
+        "cumulative_district-b.asc":
+            "0dc01f1e9c088c0043535734ce8df6b1dc608c4d3b814dda0b14650efd8e0c7b",
+        "new_burn_district-a_2025-01-07.asc":
+            "fd986e534a3912f72446294b7c9ca950b5f7b1b956d502c93b8293c0c819ce01",
+        "new_burn_district-a_2025-01-07.geojson":
+            "a8b6fb2de2b83219ed6e3b5683d38ffdc21375b2c595fcaf5ca19a96227ef7a4",
+        "new_burn_district-a_2025-01-08.asc":
+            "c77e24ea9d3632048ae4fcde7eb0f0ff0a85245951e95354802fb2cf6929300c",
+        "new_burn_district-a_2025-01-08.geojson":
+            "d45ade45189edf63b5fd4cffbb4d2d0d5fa1c94bae02f37da0241bfd76c57a8f",
+        "new_burn_district-a_2025-01-09.asc":
+            "8417a970eb7c7e9c73076e4470c3996a41ac72a8e7b665e0ec68959d16610652",
+        "new_burn_district-a_2025-01-09.geojson":
+            "2607d1bdae3ba3ea3f017d5d8866b6dbf2b03eace7847b355ec5e21959ef601c",
+        "new_burn_district-a_2025-01-10.asc":
+            "183c2912cc392213922dc7f7265144381e9ab92034f552696969b15ced67606e",
+        "new_burn_district-a_2025-01-10.geojson":
+            "675401fdbb20d68d56b2fd753e212655505a592bd3ca76089dce881defbae880",
+        "new_burn_district-a_2025-01-11.asc":
+            "3a6ad2ba788d117683aa74241468957fa036e01bbd791fc818afd0f15dd7956c",
+        "new_burn_district-a_2025-01-11.geojson":
+            "de8e0507d2ad2101ceb04dad75ce823550048dd59928056cb45e96286380e38d",
+        "new_burn_district-a_2025-01-12.asc":
+            "477bfb9e23010b3c5f4f3e33eac8db211016e038e906bec1d07b01cf6ce4f3d3",
+        "new_burn_district-a_2025-01-12.geojson":
+            "c64963a3f8d568e7330f5b0060f35135e1dbed10a347e2eff10230f0c7661b1c",
+        "new_burn_district-b_2025-01-07.asc":
+            "5afaab55d71a3fdeef1f27aeeb91b0812f115cb274e56d0b959b0284be91fca0",
+        "new_burn_district-b_2025-01-07.geojson":
+            "2a913b06a275811c9b4695a2c49130d666cd2f7f025e268cd56ce054a0bc0e4d",
+        "new_burn_district-b_2025-01-08.asc":
+            "dd68492e3e58108eab3f82bccf69a6959884e19f1814de3ebe028984f357c126",
+        "new_burn_district-b_2025-01-08.geojson":
+            "01fd103cf8a50fe2bf73377563f4fb02a2a6f82d92d90d476d06eb19559b8a82",
+        "new_burn_district-b_2025-01-09.asc":
+            "b688dc7bd730c0fd31acfed8df76b67600040eefed887a7a8b131d704b7917dc",
+        "new_burn_district-b_2025-01-09.geojson":
+            "3a2e0abb344cac81fcfee6dc7f5ccf15ca465025d6e8b422eabcd52aa9d986a0",
+        "new_burn_district-b_2025-01-10.asc":
+            "88552700a3634e76967ab955a49968cc195e07f9aa55acfd6ed68f2e3bae2d54",
+        "new_burn_district-b_2025-01-10.geojson":
+            "23d800c0e3bdabc2cda657ebeb7ab4997c87c3aae97d5dd99ce906b0f9b985bf",
+        "new_burn_district-b_2025-01-11.asc":
+            "607cc454db9d276769ec3a79d0c790a531aeed8c737d84752c8347f3bd6c7ed7",
+        "new_burn_district-b_2025-01-11.geojson":
+            "7fc4129b4721c0785f20946be13db9074469c223d85ada73ee9ffb5aa0032fb1",
+        "new_burn_district-b_2025-01-12.asc":
+            "bded90fe273b3bc35054ea79456006f6d9dbc555c1f643a6548946e55bff38fa",
+        "new_burn_district-b_2025-01-12.geojson":
+            "7642c222698cbd9d57d2fe9005a7acccb24e938b849928836d6222b8bcef0be6",
+    },
+}
+PINNED_RENDER_DIGESTS = {
+    (): "2ce8abb3b98d2e6acce64405b8dd7d32a9aa38b537a2148b1aa731208f8d405f",
+    ("--bandwidth-m", "4"):
+        "66e7c0acbb7cf18b7e63d9bdc95d8ddca421416f698e74c2f07a921b5aedc721",
+}
 
 
 class TestPinnedOutputs:
@@ -279,3 +466,26 @@ class TestPinnedOutputs:
         assert code == 0
         for name in ("population.asc", "mass_report.csv"):
             assert sha256_of(out / name) == PINNED_DIGESTS[("downscale", name)], name
+
+    @pytest.mark.parametrize("flags", sorted(PINNED_PERIMETER_DIGESTS))
+    def test_perimeters_files_match_pinned_digests(self, capsys, scenario_dir, tmp_path, flags):
+        out = tmp_path / "p"
+        code, _, _ = run(
+            ["perimeters", "--manifest", str(scenario_dir / "manifest.json"),
+             "--out", str(out), *flags],
+            capsys,
+        )
+        assert code == 0
+        got = {f.name: sha256_of(f) for f in sorted(out.iterdir())}
+        assert got == PINNED_PERIMETER_DIGESTS[flags]
+
+    @pytest.mark.parametrize("flags", sorted(PINNED_RENDER_DIGESTS))
+    def test_render_svg_matches_pinned_digest(self, capsys, scenario_dir, tmp_path, flags):
+        svg = tmp_path / "map.svg"
+        code, _, _ = run(
+            ["render", "--manifest", str(scenario_dir / "manifest.json"),
+             "--out", str(svg), *flags],
+            capsys,
+        )
+        assert code == 0
+        assert sha256_of(svg) == PINNED_RENDER_DIGESTS[flags]

@@ -10,11 +10,10 @@ from fireimpact.dasymetric import (
     allocation_factor_raster,
     downscale,
     rasterize_blocks,
-    tabulate_block_classes,
     validate_mass,
 )
 from fireimpact.errors import UnknownClassError, ValidationError
-from fireimpact.geometry import Point, Polygon, point_in_polygon
+from fireimpact.geometry import Point, Polygon
 from fireimpact.grid import AnalysisGrid, CategoryRaster
 
 
@@ -92,45 +91,7 @@ class TestAllocationFactorRaster:
         assert ra.cells[0, 1] == 0.0
 
 
-class TestTabulateBlockClasses:
-    def test_uniform_block(self):
-        g = grid(6)
-        landcover = CategoryRaster(g, np.full((6, 6), 22))
-        [counts] = tabulate_block_classes(landcover, [block(g, "b1", 0, 1, 0, 1, 10)], g)
-        assert counts == {22: 4}
-
-    def test_tiny_block_has_empty_counts(self):
-        g = grid(6)
-        landcover = CategoryRaster(g, np.full((6, 6), 22))
-        # 2 m sliver between cell centers captures nothing.
-        sliver = Polygon([Point(1, 1), Point(3, 1), Point(3, 3), Point(1, 3)])
-        b = CensusBlock("tiny", [sliver], 5, "t1")
-        report = rasterize_blocks([b], g)
-        assert report.allocations[0].fallback == "centroid"
-        [counts] = tabulate_block_classes(landcover, [b], g, report)
-        assert counts == {}
-
-    def test_random_layout_matches_enumeration(self):
-        rng = np.random.default_rng(21)
-        g = grid(16)
-        codes = rng.choice([11, 21, 24, 42], size=(16, 16))
-        landcover = CategoryRaster(g, codes)
-        blocks = [
-            block(g, "a", 0, 7, 0, 7, 1),
-            block(g, "b", 0, 7, 8, 15, 1),
-            block(g, "c", 8, 15, 0, 15, 1),
-        ]
-        results = tabulate_block_classes(landcover, blocks, g)
-        for b, got in zip(blocks, results):
-            want: dict[int, int] = {}
-            for r in range(16):
-                for c in range(16):
-                    p = Point(g.center_x(c), g.center_y(r))
-                    if any(point_in_polygon(p, part) for part in b.parts):
-                        code = int(codes[r, c])
-                        want[code] = want.get(code, 0) + 1
-            assert got == want
-
+class TestRasterizeBlocks:
     def test_overlap_first_wins(self):
         g = grid(4)
         landcover = CategoryRaster(g, np.full((4, 4), 21))
@@ -273,9 +234,3 @@ class TestValidateMass:
         bad = mass.failures()
         assert len(bad) == 1
         assert bad[0].block_id == "b0_0"
-
-    def test_standalone_validation_without_report(self):
-        g, landcover, blocks = self._random_setup(8)
-        pop, _ = downscale(blocks, landcover, WeightTable.default(), g)
-        mass = validate_mass(blocks, pop)
-        assert mass.max_rel_err() <= 1e-9

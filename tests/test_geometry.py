@@ -15,9 +15,7 @@ from fireimpact.geometry import (
     features_cell_indices,
     point_in_polygon,
     polygon_area,
-    polygons_cell_indices,
     project_lonlat,
-    rasterize_polygon,
     rasterize_polygons,
     rasterize_polyline,
     trace_mask_boundary,
@@ -124,14 +122,14 @@ class TestRasterizePolygon:
     def test_polygon_covering_whole_grid(self):
         g = AnalysisGrid(0, 0, 20, 5, 5)
         poly = Polygon([Point(-1, -1), Point(101, -1), Point(101, 101), Point(-1, 101)])
-        assert rasterize_polygon(poly, g).popcount() == 25
+        assert rasterize_polygons([poly], g).popcount() == 25
 
     def test_axis_aligned_rectangle_hits_exact_center_range(self):
         g = AnalysisGrid(0, 0, 20, 10, 10)
         # Covers centers of cols 2..5 and rows 3..7 and nothing else.
         # Col c center x = 20c+10; row r center y = 200-20r-10.
         poly = Polygon([Point(45, 45), Point(115, 45), Point(115, 135), Point(45, 135)])
-        mask = rasterize_polygon(poly, g)
+        mask = rasterize_polygons([poly], g)
         want = np.zeros((10, 10), dtype=bool)
         want[3:8, 2:6] = True
         assert np.array_equal(mask.bits, want)
@@ -139,7 +137,7 @@ class TestRasterizePolygon:
     def test_triangle_matches_per_cell_loop(self):
         g = AnalysisGrid(0, 0, 20, 10, 10)
         tri = Polygon([Point(10, 10), Point(190, 30), Point(70, 180)])
-        mask = rasterize_polygon(tri, g)
+        mask = rasterize_polygons([tri], g)
         for r in range(10):
             for c in range(10):
                 p = Point(g.center_x(c), g.center_y(r))
@@ -148,15 +146,15 @@ class TestRasterizePolygon:
     def test_polygon_outside_grid_gives_empty_mask(self):
         g = AnalysisGrid(0, 0, 20, 4, 4)
         poly = Polygon([Point(500, 500), Point(600, 500), Point(600, 600)])
-        assert rasterize_polygon(poly, g).popcount() == 0
+        assert rasterize_polygons([poly], g).popcount() == 0
 
     def test_shared_edge_partitions_cells(self):
         # Two rectangles sharing the x=50 edge: every center claimed once.
         g = AnalysisGrid(0, 0, 20, 5, 5)
         left = Polygon([Point(-1, -1), Point(50, -1), Point(50, 101), Point(-1, 101)])
         right = Polygon([Point(50, -1), Point(101, -1), Point(101, 101), Point(50, 101)])
-        lm = rasterize_polygon(left, g)
-        rm = rasterize_polygon(right, g)
+        lm = rasterize_polygons([left], g)
+        rm = rasterize_polygons([right], g)
         assert not np.any(lm.bits & rm.bits)
         assert np.all(lm.bits | rm.bits)
 
@@ -166,7 +164,7 @@ class TestRasterizePolygon:
             [Point(5, 5), Point(195, 5), Point(195, 195), Point(5, 195)],
             holes=[[Point(45, 45), Point(135, 45), Point(135, 135), Point(45, 135)]],
         )
-        mask = rasterize_polygon(poly, g)
+        mask = rasterize_polygons([poly], g)
         for r in range(10):
             for c in range(10):
                 p = Point(g.center_x(c), g.center_y(r))
@@ -317,17 +315,6 @@ class TestFeaturesCellIndices:
         got = slices(*features_cell_indices(features, g))
         assert got == [[], [], [6, 7, 8, 11, 12, 13, 16, 17, 18], [], [], []]
 
-    def test_polygons_cell_indices_is_the_single_feature_case(self):
-        g = AnalysisGrid(0, 0, 20, 6, 6)
-        parts = [
-            Polygon([Point(5, 5), Point(70, 5), Point(70, 70), Point(5, 70)]),
-            Polygon([Point(50, 50), Point(115, 50), Point(115, 115), Point(50, 115)]),
-        ]
-        rows, cols = polygons_cell_indices(parts, g)
-        flat = rows * g.n_cols + cols
-        assert flat.tolist() == center_rule_cells(parts, g)
-        assert flat.tolist() == sorted(set(flat.tolist()))
-
 
 class TestRasterizePolyline:
     def test_horizontal_segment_across_three_cells(self):
@@ -437,3 +424,105 @@ class TestTraceMaskBoundary:
                 ).reshape(n, n)
                 polys = trace_mask_boundary(Mask(g, bits))
                 assert np.array_equal(rasterize_polygons(polys, g).bits, bits), code
+
+
+def reference_trace_mask_boundary(m):
+    """The tracer with its former hole matching: a PNPOLY scan per hole.
+
+    Loops come from the same helpers; each hole goes to the first exterior,
+    in ascending area, whose ring contains the center of the false cell to
+    the right of the hole's first edge.
+    """
+    grid = m.grid
+    edges = geometry._boundary_edges(m.bits)
+    if not edges:
+        return []
+    loops = geometry._link_loops(edges)
+
+    exteriors = []
+    holes = []
+    for loop in loops:
+        ring_xy = [Point(grid.corner_x(j), grid.corner_y(i)) for i, j in loop]
+        area = geometry._ring_area_signed(ring_xy + [ring_xy[0]])
+        if area > 0:
+            exteriors.append((area, loop))
+        else:
+            holes.append(loop)
+
+    exteriors.sort(key=lambda item: item[0])
+    ext_rings = [
+        geometry._corners_to_ring(loop, grid) for _, loop in exteriors
+    ]
+    ext_holes = [[] for _ in exteriors]
+    for hole in holes:
+        (i0, j0), (i1, j1) = hole[0], hole[1]
+        cell = geometry._right_cell((i0, j0), (i1 - i0, j1 - j0))
+        px = grid.center_x(cell[1])
+        py = grid.center_y(cell[0])
+        for idx, ring in enumerate(ext_rings):
+            if geometry._point_in_ring(px, py, ring):
+                ext_holes[idx].append(geometry._corners_to_ring(hole, grid))
+                break
+
+    polys = [
+        Polygon(ring, hs) for ring, hs in zip(ext_rings, ext_holes)
+    ]
+    polys.sort(key=lambda p: (p.exterior[0].y, p.exterior[0].x))
+    return polys
+
+
+def nested_squares(n):
+    """Concentric square bands alternating true / false from the border in."""
+    r, c = np.indices((n, n))
+    return np.minimum.reduce([r, c, n - 1 - r, n - 1 - c]) % 2 == 0
+
+
+class TestHoleMatching:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.floats(0.05, 0.95),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_on_random_masks(self, seed, n_rows, n_cols, density):
+        rng = np.random.default_rng(seed)
+        g = AnalysisGrid(
+            float(rng.uniform(-100, 100)),
+            float(rng.uniform(-100, 100)),
+            float(rng.choice([1.0, 20.0, 0.3])),
+            n_rows,
+            n_cols,
+        )
+        m = Mask(g, rng.random((n_rows, n_cols)) < density)
+        assert trace_mask_boundary(m) == reference_trace_mask_boundary(m)
+
+    def test_nested_islands_and_holes(self):
+        # Exterior > hole > island > hole > island, one cell at the center.
+        g = AnalysisGrid(0, 0, 20, 9, 9)
+        m = Mask(g, nested_squares(9))
+        polys = trace_mask_boundary(m)
+        assert polys == reference_trace_mask_boundary(m)
+        got = sorted((polygon_area(p) / g.cell_area, len(p.holes)) for p in polys)
+        assert got == [(1.0, 0), (16.0, 1), (32.0, 1)]
+        assert np.array_equal(rasterize_polygons(polys, g).bits, m.bits)
+
+    def test_dense_mask_with_many_holes(self):
+        rng = np.random.default_rng(62)
+        g = AnalysisGrid(0, 0, 20, 100, 100)
+        m = Mask(g, rng.random((100, 100)) < 0.62)
+        polys = trace_mask_boundary(m)
+        assert polys == reference_trace_mask_boundary(m)
+        assert sum(len(p.holes) for p in polys) >= 100
+
+    def test_one_rasterizer_call_and_no_pnpoly(self):
+        g = AnalysisGrid(0, 0, 20, 9, 9)
+        m = Mask(g, nested_squares(9))
+        with mock.patch.object(
+            geometry, "features_cell_indices", wraps=geometry.features_cell_indices
+        ) as rasterizer, mock.patch.object(
+            geometry, "_point_in_ring", side_effect=AssertionError("PNPOLY scan")
+        ):
+            polys = trace_mask_boundary(m)
+        assert rasterizer.call_count == 1
+        assert sum(len(p.holes) for p in polys) == 2

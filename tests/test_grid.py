@@ -1,17 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from fireimpact.errors import AlignmentError, FrameError
-from fireimpact.grid import (
-    AnalysisGrid,
-    CategoryRaster,
-    Mask,
-    mask_combine,
-    resample_nearest,
-    tabulate_area,
-)
+from fireimpact.errors import FrameError
+from fireimpact.grid import AnalysisGrid, CategoryRaster, resample_nearest
 
 
 def grid(n_rows, n_cols, cell=20.0, ox=0.0, oy=0.0, frame="local"):
@@ -57,87 +48,3 @@ class TestResampleNearest:
         with pytest.raises(FrameError):
             resample_nearest(src, grid(2, 2, frame="b"))
 
-
-class TestTabulateArea:
-    def test_single_class_full_zone(self):
-        g = grid(10, 10)
-        classes = CategoryRaster(g, np.full((10, 10), 21))
-        [counts] = tabulate_area(classes, [Mask.full(g)])
-        assert counts == {21: 100}
-
-    def test_empty_zone(self):
-        g = grid(4, 4)
-        classes = CategoryRaster(g, np.full((4, 4), 21))
-        [counts] = tabulate_area(classes, [Mask.empty(g)])
-        assert counts == {}
-
-    def test_random_zones_match_per_cell_tally(self):
-        rng = np.random.default_rng(7)
-        g = grid(16, 16)
-        cells = rng.choice([11, 21, 42], size=(16, 16))
-        classes = CategoryRaster(g, cells)
-        zones = [Mask(g, rng.random((16, 16)) < 0.4) for _ in range(4)]
-        results = tabulate_area(classes, zones)
-        for zone, got in zip(zones, results):
-            want: dict[int, int] = {}
-            for r in range(16):
-                for c in range(16):
-                    if zone.bits[r, c]:
-                        code = int(cells[r, c])
-                        want[code] = want.get(code, 0) + 1
-            assert got == want
-
-    def test_full_zone_counts_sum_to_cell_count(self):
-        rng = np.random.default_rng(3)
-        g = grid(9, 13)
-        classes = CategoryRaster(g, rng.choice([11, 21, 24, -1], size=(9, 13)))
-        [counts] = tabulate_area(classes, [Mask.full(g)])
-        assert sum(counts.values()) == 9 * 13
-
-    def test_misaligned_zone_raises(self):
-        classes = CategoryRaster(grid(4, 4), np.zeros((4, 4)))
-        with pytest.raises(AlignmentError):
-            tabulate_area(classes, [Mask.empty(grid(5, 4))])
-
-
-class TestMaskCombine:
-    def test_intersect_with_full_is_identity(self):
-        g = grid(6, 6)
-        a = Mask(g, np.random.default_rng(0).random((6, 6)) < 0.5)
-        out = mask_combine(a, Mask.full(g), "intersect")
-        assert np.array_equal(out.bits, a.bits)
-
-    def test_self_difference_is_empty(self):
-        g = grid(6, 6)
-        a = Mask(g, np.random.default_rng(1).random((6, 6)) < 0.5)
-        assert mask_combine(a, a, "difference").popcount() == 0
-
-    def test_ops_match_cellwise_boolean(self):
-        rng = np.random.default_rng(2)
-        g = grid(8, 8)
-        a = Mask(g, rng.random((8, 8)) < 0.5)
-        b = Mask(g, rng.random((8, 8)) < 0.5)
-        for op, fn in [
-            ("union", lambda p, q: p or q),
-            ("intersect", lambda p, q: p and q),
-            ("difference", lambda p, q: p and not q),
-        ]:
-            got = mask_combine(a, b, op)
-            for r in range(8):
-                for c in range(8):
-                    assert got.bits[r, c] == fn(bool(a.bits[r, c]), bool(b.bits[r, c]))
-
-    @given(st.integers(0, 2**63 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_inclusion_exclusion_popcounts(self, seed):
-        rng = np.random.default_rng(seed)
-        g = grid(7, 5)
-        a = Mask(g, rng.random((7, 5)) < 0.5)
-        b = Mask(g, rng.random((7, 5)) < 0.5)
-        union = mask_combine(a, b, "union").popcount()
-        inter = mask_combine(a, b, "intersect").popcount()
-        assert union + inter == a.popcount() + b.popcount()
-
-    def test_misaligned_raises(self):
-        with pytest.raises(AlignmentError):
-            mask_combine(Mask.empty(grid(3, 3)), Mask.empty(grid(3, 4)), "union")

@@ -10,7 +10,7 @@ from fireimpact.geometry import (
     Point,
     PolyLine,
     Polygon,
-    polygons_cell_indices,
+    features_cell_indices,
     rasterize_polyline,
 )
 from fireimpact.grid import AnalysisGrid, CategoryRaster, Mask, RealRaster
@@ -398,8 +398,9 @@ class TestBuildingLossByDay:
         for before, nb in zip(befores, new_burns):
             total = count = 0
             for b in buildings:
-                rows, cols = polygons_cell_indices(b.footprints, g)
-                if rows.size and not before.bits[rows, cols].any() and nb.bits[rows, cols].any():
+                cells, _ = features_cell_indices([b.footprints], g)
+                was, now = before.bits.ravel()[cells], nb.bits.ravel()[cells]
+                if cells.size and not was.any() and now.any():
                     total += to_cents(b.area() * costs.building_cost)
                     count += 1
             want.append((total, count))

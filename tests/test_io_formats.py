@@ -30,7 +30,6 @@ from fireimpact.io_formats import (
     write_weights,
 )
 from fireimpact.perimeters import DailyPerimeter
-from fireimpact.geometry import trace_mask_boundary
 
 ORIGIN = (-118.25, 34.05)
 
@@ -350,7 +349,6 @@ class TestRenderSvg:
             new_burn=Mask.empty(g),
             cumulative=Mask.empty(g),
             active=Mask.empty(g),
-            polygons=[],
         )
         render_svg(tmp_path / "x.svg", g, perimeters={"A": [day]})
         text = (tmp_path / "x.svg").read_text()
@@ -368,7 +366,6 @@ class TestRenderSvg:
             new_burn=mask,
             cumulative=mask,
             active=mask,
-            polygons=trace_mask_boundary(mask),
         )
         render_svg(tmp_path / "x.svg", g, perimeters={"A": [day]})
         text = (tmp_path / "x.svg").read_text()

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from fireimpact.errors import ValidationError
 from fireimpact.geometry import Point, Polygon
-from fireimpact.grid import AnalysisGrid, Mask
+from fireimpact.grid import AnalysisGrid
 from fireimpact.perimeters import (
     Detection,
     KdeParams,
-    connected_components,
     extract_daily_perimeters,
     kde_surface,
     threshold_surface,
@@ -143,8 +142,7 @@ class TestExtractDailyPerimeters:
         cluster = [det(500 + dx, 500 + dy) for dx in (-30, 0, 30) for dy in (-30, 0, 30)]
         days = extract_daily_perimeters({D0: cluster}, official, g, KdeParams(bandwidth_m=100))
         assert len(days) == 1
-        labels, counts = connected_components(days[0].new_burn)
-        assert len(counts) == 1
+        assert dilation_flood_fill(days[0].new_burn.bits).max() == 1
         # Brute-force check of the same thresholding on this day.
         surface = kde_surface(cluster, g, KdeParams(bandwidth_m=100))
         want = threshold_surface(surface, KdeParams(bandwidth_m=100)).bits
@@ -210,12 +208,11 @@ class TestExtractDailyPerimeters:
                 pt = Point(g.center_x(int(c)), g.center_y(int(r)))
                 assert any(point_in_polygon(pt, poly) for poly in official)
         # Traced polygons reproduce the new-burn masks.
-        from fireimpact.geometry import rasterize_polygons
+        from fireimpact.geometry import rasterize_polygons, trace_mask_boundary
 
         for p in days:
-            assert np.array_equal(
-                rasterize_polygons(p.polygons, g).bits, p.new_burn.bits
-            )
+            polys = trace_mask_boundary(p.new_burn)
+            assert np.array_equal(rasterize_polygons(polys, g).bits, p.new_burn.bits)
 
 
 def dilation_flood_fill(bits):
@@ -250,37 +247,3 @@ def dilation_flood_fill(bits):
         remaining &= ~region
     return labels
 
-
-class TestConnectedComponents:
-    def test_empty_mask(self):
-        g = AnalysisGrid(0, 0, 20, 4, 4)
-        labels, counts = connected_components(Mask.empty(g))
-        assert counts == []
-        assert np.all(labels == 0)
-
-    def test_diagonal_cells_are_one_region(self):
-        g = AnalysisGrid(0, 0, 20, 2, 2)
-        bits = np.array([[True, False], [False, True]])
-        _, counts = connected_components(Mask(g, bits))
-        assert counts == [2]
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_matches_dilation_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        g = AnalysisGrid(0, 0, 20, 10, 10)
-        bits = rng.random((10, 10)) < 0.45
-        labels, counts = connected_components(Mask(g, bits))
-        oracle = dilation_flood_fill(bits)
-        # Same partition: label images agree up to renaming, sizes match.
-        assert sum(counts) == int(bits.sum())
-        assert labels.max() == oracle.max()
-        mapping = {}
-        for r in range(10):
-            for c in range(10):
-                if bits[r, c]:
-                    pair = (labels[r, c], oracle[r, c])
-                    mapping.setdefault(pair[0], pair[1])
-                    assert mapping[pair[0]] == pair[1]
-        # Dense labels from 1.
-        assert sorted(mapping.keys()) == list(range(1, len(counts) + 1))

@@ -203,3 +203,43 @@ class TestAssessBuildings:
             (D0 + dt.timedelta(days=1), "west", 0, 0),
         ]
         assert all(r.new_burn_cells == 1 for r in records)
+
+
+class TestLazyTracing:
+    def test_assess_traces_no_perimeters(self, tmp_path, monkeypatch):
+        import sys
+
+        from fireimpact import geometry
+        from fireimpact.io_formats import read_manifest, write_daily_perimeters_geojson
+        from fireimpact.pipeline import load_layers
+        from fireimpact.scenario import ScenarioSpec, generate
+
+        generate(ScenarioSpec(seed=7), tmp_path / "s")
+        manifest = read_manifest(tmp_path / "s" / "manifest.json")
+        layers = load_layers(
+            manifest,
+            {"detections", "landcover", "blocks", "roads", "buildings", "pois",
+             "official_perimeter", "weights", "costs", "demographics"},
+        )
+        original = geometry.trace_mask_boundary
+        traced = []
+
+        def counting(m):
+            traced.append(m)
+            return original(m)
+
+        # Rebind every name the tracer is reachable under, as imported.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fireimpact") and vars(module).get("trace_mask_boundary") is original:
+                monkeypatch.setattr(module, "trace_mask_boundary", counting)
+
+        for active_extent in (False, True):
+            assert assess(layers, KdeParams(bandwidth_m=4.0), active_extent=active_extent)
+        assert traced == []
+
+        # The writers trace each day they write, once.
+        day = compute_perimeters(layers, KdeParams(bandwidth_m=4.0))["district-a"][0]
+        write_daily_perimeters_geojson(
+            "district-a", day, manifest.origin_lon, manifest.origin_lat, tmp_path / "d.geojson"
+        )
+        assert len(traced) == 1 and traced[0] is day.new_burn
