@@ -243,8 +243,17 @@ def _field(row: dict[str, str], col: str, parse, default: str | None = None):
 def _records_from_rows(rows: list[dict[str, str]]):
     from .impact import DailyImpactRecord, Demographics
 
+    for col in ("date", "district"):
+        if rows and col not in rows[0]:
+            raise FormatError(f"report has no {col!r} column")
     records = []
     for row in rows:
+        if None in row:
+            # csv.DictReader files the fields beyond the header under None.
+            raise FormatError(
+                f"report row for {row.get('date')} {row.get('district')}: "
+                "more fields than the header"
+            )
         land = {}
         road_cents = {}
         road_m = {}

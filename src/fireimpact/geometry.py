@@ -114,29 +114,29 @@ def polygon_area(poly: Polygon) -> float:
     return area
 
 
-def _point_in_ring(x: float, y: float, ring: list[Point]) -> bool:
-    """PNPOLY crossing test against one closed ring."""
-    inside = False
-    for (x1, y1), (x2, y2) in zip(ring, ring[1:]):
-        if (y1 > y) != (y2 > y):
-            x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x < x_cross:
-                inside = not inside
-    return inside
+def points_in_polygon(xs: np.ndarray, ys: np.ndarray, poly: Polygon) -> np.ndarray:
+    """Even-odd membership of many points; interior rings subtract.
 
-
-def point_in_polygon(p: Point, poly: Polygon) -> bool:
-    """Even-odd membership; interior rings subtract.
-
+    The PNPOLY crossing test, one ring edge at a time over all points.
     Points exactly on a boundary resolve by the crossing count, which is
     deterministic and half-open: of two polygons sharing an edge, the
     point belongs to exactly one.
     """
-    inside = False
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    inside = np.zeros(xs.shape, dtype=bool)
     for ring in poly.rings():
-        if _point_in_ring(p.x, p.y, ring):
-            inside = not inside
+        for (x1, y1), (x2, y2) in zip(ring, ring[1:]):
+            if y1 == y2:  # a horizontal edge crosses no point's ray
+                continue
+            crossed = (y1 > ys) != (y2 > ys)
+            inside ^= crossed & (xs < x1 + (ys - y1) * (x2 - x1) / (y2 - y1))
     return inside
+
+
+def point_in_polygon(p: Point, poly: Polygon) -> bool:
+    """Even-odd membership of one point (see :func:`points_in_polygon`)."""
+    return bool(points_in_polygon(np.array([p.x]), np.array([p.y]), poly)[0])
 
 
 def rasterize_polygons(polys: list[Polygon], grid: AnalysisGrid) -> Mask:
@@ -341,11 +341,11 @@ def _axis_cuts(
             ts.append(t)
 
 
-# Directions on the corner lattice, as (di, dj) with i increasing south.
-_E = (0, 1)
-_W = (0, -1)
-_N = (-1, 0)
-_S = (1, 0)
+# Boundary edge directions on the corner lattice, as (di, dj) with i
+# increasing south. Ranked N, W, E, S so that, among the edges leaving
+# one corner, rank order is target corner order.
+_DI = np.array([-1, 0, 0, 1])
+_DJ = np.array([0, -1, 1, 0])
 
 
 def trace_mask_boundary(m: Mask) -> list[Polygon]:
@@ -357,145 +357,123 @@ def trace_mask_boundary(m: Mask) -> list[Polygon]:
     smallest exterior that contains it. At corners where two true cells
     touch only diagonally the trace keeps them in separate loops, which
     keeps every ring simple. Rasterizing the result reproduces ``m``.
+
+    Loops are the cycles of a successor map on directed boundary edges
+    (left turns at saddle corners), found by pointer doubling and list
+    ranking, so no Python loop runs over edges or corners. Loops are
+    ordered by (smallest corner, first target) and each starts at its
+    smallest corner.
     """
     grid = m.grid
-    edges = _boundary_edges(m.bits)
-    if not edges:
+    n_rows, n_cols = m.bits.shape
+    width = n_cols + 1
+    start, rank = _directed_edges(m.bits)
+    n = len(start)
+    if n == 0:
         return []
-    loops = _link_loops(edges)
+    edge = np.arange(n)
 
-    exteriors: list[tuple[float, list[tuple[int, int]]]] = []
-    holes: list[list[tuple[int, int]]] = []
-    for loop in loops:
-        ring_xy = [Point(grid.corner_x(j), grid.corner_y(i)) for i, j in loop]
-        area = _ring_area_signed(ring_xy + [ring_xy[0]])
-        if area > 0:
-            exteriors.append((area, loop))
-        else:
-            holes.append(loop)
+    # Successor: the out-edge of the target corner; at a saddle corner,
+    # which has two, the one turning left (positive cross product).
+    target = start + _DI[rank] * width + _DJ[rank]
+    first = np.searchsorted(start, target, side="left")
+    two_out = np.searchsorted(start, target, side="right") - first == 2
+    out = rank[first]
+    left = _DI[rank] * _DJ[out] - _DJ[rank] * _DI[out] > 0
+    succ = first + (two_out & ~left)
+    pred = np.empty(n, dtype=np.int64)
+    pred[succ] = edge
 
-    exteriors.sort(key=lambda item: item[0])
-    ext_rings = [
-        _corners_to_ring(loop, grid) for _, loop in exteriors
-    ]
-    ext_holes: list[list[list[Point]]] = [[] for _ in exteriors]
-    if holes:
+    # Label each cycle by its smallest edge: the minimum over a window of
+    # succ steps doubles each round, until a round changes nothing.
+    label, jump = edge, succ
+    while True:
+        wider = np.minimum(label, label[jump])
+        if np.array_equal(wider, label):
+            break
+        label, jump = wider, jump[jump]
+
+    # List ranking: each edge's distance from its loop's head edge.
+    head = label == edge
+    dist = (~head).astype(np.int64)
+    hop = np.where(head, edge, pred)
+    while not head[hop].all():
+        dist = dist + dist[hop]
+        hop = hop[hop]
+
+    heads = np.flatnonzero(head)
+    sizes = np.bincount(label)[heads]
+    loop_start = np.cumsum(sizes) - sizes
+    order = np.empty(n, dtype=np.int64)
+    order[loop_start[np.searchsorted(heads, label)] + dist] = edge
+
+    # Exact doubled areas in cell units (x = j, y = -i); positive for
+    # counterclockwise loops, i.e. exteriors.
+    i, j = start // width, start % width
+    ti, tj = target // width, target % width
+    area2 = np.add.reduceat((i * tj - ti * j)[order], loop_start)
+
+    # Ring vertices: loop corners where the direction changes.
+    turn = (rank != rank[pred])[order]
+    corner = start[order][turn]
+    xs = grid.origin_x + (corner % width) * grid.cell_size
+    ys = grid.origin_y + (n_rows - corner // width) * grid.cell_size
+    n_vertices = np.add.reduceat(turn.astype(np.int64), loop_start)
+    ring_end = np.cumsum(n_vertices)
+    ring_start = ring_end - n_vertices
+    pts = list(zip(xs.tolist(), ys.tolist()))
+
+    def ring(k: int) -> list[tuple[float, float]]:
+        return pts[ring_start[k]:ring_end[k]]
+
+    exteriors = np.flatnonzero(area2 > 0)
+    exteriors = exteriors[np.argsort(area2[exteriors], kind="stable")]
+    holes = np.flatnonzero(area2 < 0)
+    polys = [Polygon(ring(k)) for k in exteriors.tolist()]
+    if holes.size:
         # Exteriors ascend by area, so the lowest exterior index covering a
         # cell center is the smallest exterior around that cell.
-        cells, offsets = features_cell_indices([[Polygon(r)] for r in ext_rings], grid)
-        exterior_of_cell = np.repeat(np.arange(len(ext_rings)), np.diff(offsets))
-        owner = np.full(grid.n_rows * grid.n_cols, len(ext_rings))
+        cells, offsets = features_cell_indices([[p] for p in polys], grid)
+        exterior_of_cell = np.repeat(np.arange(len(polys)), np.diff(offsets))
+        owner = np.full(n_rows * n_cols, len(polys))
         np.minimum.at(owner, cells, exterior_of_cell)
-        for hole in holes:
-            # The false cell to the right of the hole's first edge lies
-            # inside the hole (the true region is on the left).
-            (i0, j0), (i1, j1) = hole[0], hole[1]
-            row, col = _right_cell((i0, j0), (i1 - i0, j1 - j0))
-            ext_holes[owner[row * grid.n_cols + col]].append(_corners_to_ring(hole, grid))
+        # A hole's first edge starts at its smallest corner, so it heads
+        # east along the top of the hole's top-left false cell (i, j).
+        e0 = heads[holes]
+        top_left = i[e0] * n_cols + j[e0]
+        rings_of: dict[int, list[list[tuple[float, float]]]] = {}
+        for k, ext in zip(holes.tolist(), owner[top_left].tolist()):
+            rings_of.setdefault(ext, []).append(ring(k))
+        for ext, hs in rings_of.items():
+            polys[ext] = Polygon(polys[ext].exterior, hs)
 
-    polys = [
-        Polygon(ring, hs) for ring, hs in zip(ext_rings, ext_holes)
-    ]
-    polys.sort(key=lambda p: (p.exterior[0].y, p.exterior[0].x))
-    return polys
+    first_vertex = ring_start[exteriors]
+    by_position = np.lexsort((xs[first_vertex], ys[first_vertex]))
+    return [polys[k] for k in by_position.tolist()]
 
 
-def _boundary_edges(bits: np.ndarray) -> dict[tuple[int, int], list[tuple[int, int]]]:
-    """Directed boundary edges keyed by start corner, true region on the left.
+def _directed_edges(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Directed boundary edges as (start corner, direction rank), sorted.
 
     A cell side survives dissolution iff its neighbor across that side is
     false (or outside); orientation is counterclockwise around the true
     region: bottom sides head east, right sides north, top sides west,
-    left sides south.
+    left sides south. Corners are flat ids ``i * (n_cols + 1) + j``;
+    edges are sorted by (start, target).
     """
     padded = np.zeros((bits.shape[0] + 2, bits.shape[1] + 2), dtype=bool)
     padded[1:-1, 1:-1] = bits
-    below = padded[2:, 1:-1]
-    above = padded[:-2, 1:-1]
-    right = padded[1:-1, 2:]
-    left = padded[1:-1, :-2]
-
-    out: dict[tuple[int, int], list[tuple[int, int]]] = {}
-
-    def add(a: tuple[int, int], b: tuple[int, int]) -> None:
-        out.setdefault(a, []).append(b)
-
-    for r, c in zip(*np.nonzero(bits & ~below)):
-        add((int(r) + 1, int(c)), (int(r) + 1, int(c) + 1))
-    for r, c in zip(*np.nonzero(bits & ~right)):
-        add((int(r) + 1, int(c) + 1), (int(r), int(c) + 1))
-    for r, c in zip(*np.nonzero(bits & ~above)):
-        add((int(r), int(c) + 1), (int(r), int(c)))
-    for r, c in zip(*np.nonzero(bits & ~left)):
-        add((int(r), int(c)), (int(r) + 1, int(c)))
-
-    for targets in out.values():
-        targets.sort()
-    return out
-
-
-def _link_loops(
-    outgoing: dict[tuple[int, int], list[tuple[int, int]]]
-) -> list[list[tuple[int, int]]]:
-    """Chain directed edges into closed loops, taking left turns at forks."""
-    loops: list[list[tuple[int, int]]] = []
-    starts = sorted(outgoing)
-    for start in starts:
-        while outgoing.get(start):
-            first = outgoing[start].pop(0)
-            loop = [start, first]
-            prev, cur = start, first
-            while cur != start:
-                nxts = outgoing[cur]
-                if len(nxts) == 1:
-                    nxt = nxts.pop(0)
-                else:
-                    d_in = (cur[0] - prev[0], cur[1] - prev[1])
-                    nxt = _pick_left(cur, d_in, nxts)
-                    nxts.remove(nxt)
-                loop.append(nxt)
-                prev, cur = cur, nxt
-            loops.append(loop[:-1])
-    return loops
-
-
-def _pick_left(
-    at: tuple[int, int], d_in: tuple[int, int], candidates: list[tuple[int, int]]
-) -> tuple[int, int]:
-    """Among outgoing corners, the one turning left relative to d_in.
-
-    With i pointing south, (di, dj) maps to planar (dx, dy) = (dj, -di);
-    left turns have positive cross product dx_in*dy_out - dy_in*dx_out.
-    """
-    for cand in candidates:
-        d_out = (cand[0] - at[0], cand[1] - at[1])
-        cross = d_in[1] * (-d_out[0]) - (-d_in[0]) * d_out[1]
-        if cross > 0:
-            return cand
-    return candidates[0]
-
-
-def _right_cell(start: tuple[int, int], d: tuple[int, int]) -> tuple[int, int]:
-    """Cell (row, col) to the right of a directed lattice edge."""
-    i, j = start
-    if d == _E:
-        return (i, j)
-    if d == _W:
-        return (i - 1, j - 1)
-    if d == _N:
-        return (i - 1, j)
-    if d == _S:
-        return (i, j - 1)
-    raise GeometryError(f"not a unit lattice step: {d}")
-
-
-def _corners_to_ring(loop: list[tuple[int, int]], grid: AnalysisGrid) -> list[Point]:
-    """Convert corner indices to coordinates, dropping collinear vertices."""
-    kept: list[tuple[int, int]] = []
-    n = len(loop)
-    for idx, cur in enumerate(loop):
-        prv = loop[idx - 1]
-        nxt = loop[(idx + 1) % n]
-        if (cur[0] - prv[0], cur[1] - prv[1]) != (nxt[0] - cur[0], nxt[1] - cur[1]):
-            kept.append(cur)
-    return [Point(grid.corner_x(j), grid.corner_y(i)) for i, j in kept]
+    width = bits.shape[1] + 1
+    keys = []
+    # (rank, start corner offset from the cell's top-left corner, neighbor
+    # across the side) for right, top, bottom and left sides.
+    for rank, di, dj, neighbor in (
+        (0, 1, 1, padded[1:-1, 2:]),
+        (1, 0, 1, padded[:-2, 1:-1]),
+        (2, 1, 0, padded[2:, 1:-1]),
+        (3, 0, 0, padded[1:-1, :-2]),
+    ):
+        r, c = np.nonzero(bits & ~neighbor)
+        keys.append(((r + di) * width + c + dj) * 4 + rank)
+    key = np.sort(np.concatenate(keys))
+    return key // 4, key % 4

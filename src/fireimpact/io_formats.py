@@ -310,15 +310,10 @@ def write_ascii_grid(
     g = raster.grid
     if isinstance(raster, CategoryRaster):
         nodata: float = raster.nodata
-
-        def fmt(v) -> str:
-            return str(int(v))
-
+        fmt = str  # class codes are int32, so tolist() gives ints
     else:
         nodata = -9999
-
-        def fmt(v) -> str:
-            return f"{v:.17g}"
+        fmt = "{:.17g}".format
     with path.open("w") as fh:
         fh.write(f"ncols {g.n_cols}\n")
         fh.write(f"nrows {g.n_rows}\n")
@@ -327,7 +322,7 @@ def write_ascii_grid(
         fh.write(f"cellsize {g.cell_size:.17g}\n")
         fh.write(f"NODATA_value {nodata}\n")
         for row in raster.cells:
-            fh.write(" ".join(fmt(v) for v in row) + "\n")
+            fh.write(" ".join(map(fmt, row.tolist())) + "\n")
 
 
 def mask_to_category(mask: Mask) -> CategoryRaster:

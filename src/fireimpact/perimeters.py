@@ -10,6 +10,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Literal
 
 import numpy as np
@@ -89,6 +90,16 @@ class DailyPerimeter:
     active: Mask
 
 
+def detection_xy(points: list[Detection]) -> tuple[np.ndarray, np.ndarray]:
+    """x and y coordinates of the detections, in their order."""
+    xy = np.fromiter(
+        chain.from_iterable(det.location for det in points),
+        dtype=np.float64,
+        count=2 * len(points),
+    )
+    return xy[0::2], xy[1::2]
+
+
 def kde_surface(
     points: list[Detection], grid: AnalysisGrid, params: KdeParams
 ) -> RealRaster:
@@ -121,13 +132,19 @@ def kde_surface(
     inv_2h2 = 1.0 / (2.0 * h * h)
     r2 = radius * radius
 
-    for det, w in zip(points, weights):
-        px, py = det.location
-        c_lo = int(np.searchsorted(xs, px - radius, side="left"))
-        c_hi = int(np.searchsorted(xs, px + radius, side="right"))
-        # ys decreases with row index.
-        r_lo = int(grid.n_rows - np.searchsorted(ys[::-1], py + radius, side="right"))
-        r_hi = int(grid.n_rows - np.searchsorted(ys[::-1], py - radius, side="left"))
+    # Every point's window of rows and columns; ys decreases with row index.
+    pxs, pys = detection_xy(points)
+    ys_up = ys[::-1]
+    windows = zip(
+        pxs.tolist(),
+        pys.tolist(),
+        weights,
+        np.searchsorted(xs, pxs - radius, side="left").tolist(),
+        np.searchsorted(xs, pxs + radius, side="right").tolist(),
+        (grid.n_rows - np.searchsorted(ys_up, pys + radius, side="right")).tolist(),
+        (grid.n_rows - np.searchsorted(ys_up, pys - radius, side="left")).tolist(),
+    )
+    for px, py, w, c_lo, c_hi, r_lo, r_hi in windows:
         if c_lo >= c_hi or r_lo >= r_hi:
             continue
         dx2 = (xs[c_lo:c_hi] - px) ** 2

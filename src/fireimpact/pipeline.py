@@ -22,7 +22,7 @@ from .dasymetric import (
     validate_mass,
 )
 from .errors import ValidationError
-from .geometry import point_in_polygon
+from .geometry import points_in_polygon
 from .grid import CategoryRaster, Mask
 from .impact import (
     BuildingFeature,
@@ -56,7 +56,13 @@ from .io_formats import (
     read_roads,
     read_weights,
 )
-from .perimeters import DailyPerimeter, Detection, KdeParams, extract_daily_perimeters
+from .perimeters import (
+    DailyPerimeter,
+    Detection,
+    KdeParams,
+    detection_xy,
+    extract_daily_perimeters,
+)
 
 
 @dataclass
@@ -151,13 +157,13 @@ def compute_perimeters(
     if not layers.districts:
         raise ValidationError("no districts in the official perimeter file")
     dates = event_dates(layers.detections)
+    xs, ys = detection_xy(layers.detections)
     out: dict[str, list[DailyPerimeter]] = {}
     for district in layers.districts:
-        mine = [
-            det
-            for det in layers.detections
-            if any(point_in_polygon(det.location, part) for part in district.perimeter)
-        ]
+        inside = np.zeros(len(xs), dtype=bool)
+        for part in district.perimeter:
+            inside |= points_in_polygon(xs, ys, part)
+        mine = [det for det, hit in zip(layers.detections, inside.tolist()) if hit]
         out[district.name] = extract_daily_perimeters(
             group_detections_by_date(mine),
             district.perimeter,

@@ -305,6 +305,32 @@ class TestReportAmounts:
         assert back.exposed_population == 3.5
         assert back.new_burn_cells == 4
 
+    def test_row_with_more_fields_than_header_exits_2(self, capsys, tmp_path):
+        path = self._report_with(tmp_path, "building_count", "1")
+        lines = path.read_text().splitlines()
+        path.write_text(f"{lines[0]}\n{lines[1]},extra\n")
+        code, out, err = run(["report", "--report", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "more fields than the header" in err
+        assert "2025-01-07" in err and " A" in err
+
+    @pytest.mark.parametrize("column", ["district", "date"])
+    def test_header_without_key_column_exits_2(self, capsys, tmp_path, column):
+        path = self._report_with(tmp_path, column, "")
+        header, row = path.read_text().splitlines()
+        names = header.split(",")
+        keep = [k for k, name in enumerate(names) if name != column]
+        values = row.split(",")
+        path.write_text(
+            ",".join(names[k] for k in keep) + "\n"
+            + ",".join(values[k] for k in keep) + "\n"
+        )
+        code, out, err = run(["report", "--report", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"no {column!r} column" in err
+
 
 # sha256 of the outputs for `synth --seed 7`, recorded before overlay
 # rasterization moved to one batched pass per run. Any change to them is a

@@ -14,6 +14,7 @@ from fireimpact.geometry import (
     Polygon,
     features_cell_indices,
     point_in_polygon,
+    points_in_polygon,
     polygon_area,
     project_lonlat,
     rasterize_polygons,
@@ -202,13 +203,13 @@ def row_scan_cells(polys, g):
 
 
 def center_rule_cells(polys, g):
-    """Flat cell ids whose centers point_in_polygon puts inside a polygon."""
-    return [
-        r * g.n_cols + c
-        for r in range(g.n_rows)
-        for c in range(g.n_cols)
-        if any(point_in_polygon(Point(g.center_x(c), g.center_y(r)), p) for p in polys)
-    ]
+    """Flat cell ids whose centers points_in_polygon puts inside a polygon."""
+    xs = np.array([g.center_x(c) for r in range(g.n_rows) for c in range(g.n_cols)])
+    ys = np.array([g.center_y(r) for r in range(g.n_rows) for c in range(g.n_cols)])
+    inside = np.zeros(xs.size, dtype=bool)
+    for p in polys:
+        inside |= points_in_polygon(xs, ys, p)
+    return np.flatnonzero(inside).tolist()
 
 
 def random_part(rng, g):
@@ -426,18 +427,143 @@ class TestTraceMaskBoundary:
                 assert np.array_equal(rasterize_polygons(polys, g).bits, bits), code
 
 
-def reference_trace_mask_boundary(m):
-    """The tracer with its former hole matching: a PNPOLY scan per hole.
+# The tracer's former loop building and hole matching, kept verbatim as the
+# reference the array tracer must equal polygon for polygon.
 
-    Loops come from the same helpers; each hole goes to the first exterior,
-    in ascending area, whose ring contains the center of the false cell to
-    the right of the hole's first edge.
+
+def _point_in_ring(x: float, y: float, ring: list[Point]) -> bool:
+    """PNPOLY crossing test against one closed ring."""
+    inside = False
+    for (x1, y1), (x2, y2) in zip(ring, ring[1:]):
+        if (y1 > y) != (y2 > y):
+            x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+            if x < x_cross:
+                inside = not inside
+    return inside
+
+
+# Directions on the corner lattice, as (di, dj) with i increasing south.
+_E = (0, 1)
+_W = (0, -1)
+_N = (-1, 0)
+_S = (1, 0)
+
+
+def _boundary_edges(bits: np.ndarray) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """Directed boundary edges keyed by start corner, true region on the left.
+
+    A cell side survives dissolution iff its neighbor across that side is
+    false (or outside); orientation is counterclockwise around the true
+    region: bottom sides head east, right sides north, top sides west,
+    left sides south.
+    """
+    padded = np.zeros((bits.shape[0] + 2, bits.shape[1] + 2), dtype=bool)
+    padded[1:-1, 1:-1] = bits
+    below = padded[2:, 1:-1]
+    above = padded[:-2, 1:-1]
+    right = padded[1:-1, 2:]
+    left = padded[1:-1, :-2]
+
+    out: dict[tuple[int, int], list[tuple[int, int]]] = {}
+
+    def add(a: tuple[int, int], b: tuple[int, int]) -> None:
+        out.setdefault(a, []).append(b)
+
+    for r, c in zip(*np.nonzero(bits & ~below)):
+        add((int(r) + 1, int(c)), (int(r) + 1, int(c) + 1))
+    for r, c in zip(*np.nonzero(bits & ~right)):
+        add((int(r) + 1, int(c) + 1), (int(r), int(c) + 1))
+    for r, c in zip(*np.nonzero(bits & ~above)):
+        add((int(r), int(c) + 1), (int(r), int(c)))
+    for r, c in zip(*np.nonzero(bits & ~left)):
+        add((int(r), int(c)), (int(r) + 1, int(c)))
+
+    for targets in out.values():
+        targets.sort()
+    return out
+
+
+def _link_loops(
+    outgoing: dict[tuple[int, int], list[tuple[int, int]]]
+) -> list[list[tuple[int, int]]]:
+    """Chain directed edges into closed loops, taking left turns at forks."""
+    loops: list[list[tuple[int, int]]] = []
+    starts = sorted(outgoing)
+    for start in starts:
+        while outgoing.get(start):
+            first = outgoing[start].pop(0)
+            loop = [start, first]
+            prev, cur = start, first
+            while cur != start:
+                nxts = outgoing[cur]
+                if len(nxts) == 1:
+                    nxt = nxts.pop(0)
+                else:
+                    d_in = (cur[0] - prev[0], cur[1] - prev[1])
+                    nxt = _pick_left(cur, d_in, nxts)
+                    nxts.remove(nxt)
+                loop.append(nxt)
+                prev, cur = cur, nxt
+            loops.append(loop[:-1])
+    return loops
+
+
+def _pick_left(
+    at: tuple[int, int], d_in: tuple[int, int], candidates: list[tuple[int, int]]
+) -> tuple[int, int]:
+    """Among outgoing corners, the one turning left relative to d_in.
+
+    With i pointing south, (di, dj) maps to planar (dx, dy) = (dj, -di);
+    left turns have positive cross product dx_in*dy_out - dy_in*dx_out.
+    """
+    for cand in candidates:
+        d_out = (cand[0] - at[0], cand[1] - at[1])
+        cross = d_in[1] * (-d_out[0]) - (-d_in[0]) * d_out[1]
+        if cross > 0:
+            return cand
+    return candidates[0]
+
+
+def _right_cell(start: tuple[int, int], d: tuple[int, int]) -> tuple[int, int]:
+    """Cell (row, col) to the right of a directed lattice edge."""
+    i, j = start
+    if d == _E:
+        return (i, j)
+    if d == _W:
+        return (i - 1, j - 1)
+    if d == _N:
+        return (i - 1, j)
+    if d == _S:
+        return (i, j - 1)
+    raise GeometryError(f"not a unit lattice step: {d}")
+
+
+def _corners_to_ring(loop: list[tuple[int, int]], grid: AnalysisGrid) -> list[Point]:
+    """Convert corner indices to coordinates, dropping collinear vertices."""
+    kept: list[tuple[int, int]] = []
+    n = len(loop)
+    for idx, cur in enumerate(loop):
+        prv = loop[idx - 1]
+        nxt = loop[(idx + 1) % n]
+        if (cur[0] - prv[0], cur[1] - prv[1]) != (nxt[0] - cur[0], nxt[1] - cur[1]):
+            kept.append(cur)
+    return [Point(grid.corner_x(j), grid.corner_y(i)) for i, j in kept]
+
+
+def reference_trace_mask_boundary(m, owner_raster=False):
+    """The tracer built from its former loop helpers.
+
+    Each hole goes to the first exterior, in ascending area, whose ring
+    contains the center of the false cell to the right of the hole's first
+    edge: found by a PNPOLY scan per hole or, with ``owner_raster``, as the
+    lowest exterior index covering that cell in one batched rasterization
+    of the exteriors (the scan is too slow for large masks).
     """
     grid = m.grid
-    edges = geometry._boundary_edges(m.bits)
+    edges = _boundary_edges(m.bits)
     if not edges:
         return []
-    loops = geometry._link_loops(edges)
+    loops = _link_loops(edges)
 
     exteriors = []
     holes = []
@@ -451,17 +577,26 @@ def reference_trace_mask_boundary(m):
 
     exteriors.sort(key=lambda item: item[0])
     ext_rings = [
-        geometry._corners_to_ring(loop, grid) for _, loop in exteriors
+        _corners_to_ring(loop, grid) for _, loop in exteriors
     ]
     ext_holes = [[] for _ in exteriors]
+    if owner_raster and holes:
+        cells, offsets = features_cell_indices([[Polygon(r)] for r in ext_rings], grid)
+        exterior_of_cell = np.repeat(np.arange(len(ext_rings)), np.diff(offsets))
+        owner = np.full(grid.n_rows * grid.n_cols, len(ext_rings))
+        np.minimum.at(owner, cells, exterior_of_cell)
     for hole in holes:
         (i0, j0), (i1, j1) = hole[0], hole[1]
-        cell = geometry._right_cell((i0, j0), (i1 - i0, j1 - j0))
+        cell = _right_cell((i0, j0), (i1 - i0, j1 - j0))
+        if owner_raster:
+            idx = owner[cell[0] * grid.n_cols + cell[1]]
+            ext_holes[idx].append(_corners_to_ring(hole, grid))
+            continue
         px = grid.center_x(cell[1])
         py = grid.center_y(cell[0])
         for idx, ring in enumerate(ext_rings):
-            if geometry._point_in_ring(px, py, ring):
-                ext_holes[idx].append(geometry._corners_to_ring(hole, grid))
+            if _point_in_ring(px, py, ring):
+                ext_holes[idx].append(_corners_to_ring(hole, grid))
                 break
 
     polys = [
@@ -521,8 +656,76 @@ class TestHoleMatching:
         with mock.patch.object(
             geometry, "features_cell_indices", wraps=geometry.features_cell_indices
         ) as rasterizer, mock.patch.object(
-            geometry, "_point_in_ring", side_effect=AssertionError("PNPOLY scan")
+            geometry, "points_in_polygon", side_effect=AssertionError("PNPOLY scan")
         ):
             polys = trace_mask_boundary(m)
         assert rasterizer.call_count == 1
         assert sum(len(p.holes) for p in polys) == 2
+
+
+class TestArrayTracer:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.floats(0.0, 0.3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_on_saddle_heavy_masks(self, seed, n_rows, n_cols, flip):
+        # A checkerboard has a saddle at every interior corner; flipping a
+        # few cells keeps the density near 0.5 and mixes in larger regions.
+        rng = np.random.default_rng(seed)
+        g = random_grid(rng)
+        g = AnalysisGrid(g.origin_x, g.origin_y, g.cell_size, n_rows, n_cols)
+        r, c = np.indices((n_rows, n_cols))
+        m = Mask(g, ((r + c) % 2 == 0) ^ (rng.random((n_rows, n_cols)) < flip))
+        assert trace_mask_boundary(m) == reference_trace_mask_boundary(m)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=2, deadline=None)
+    def test_matches_reference_on_benchmark_sized_dense_mask(self, seed):
+        # The size of the benchmark's grids, above the percolation density.
+        rng = np.random.default_rng(seed)
+        g = AnalysisGrid(0, 0, 20, 208, 416)
+        m = Mask(g, rng.random((208, 416)) < 0.62)
+        polys = trace_mask_boundary(m)
+        assert polys == reference_trace_mask_boundary(m, owner_raster=True)
+        assert sum(len(p.holes) for p in polys) > 1000
+
+
+def reference_point_in_polygon(p, poly):
+    """The former scalar even-odd test, one ring at a time."""
+    inside = False
+    for ring in poly.rings():
+        if _point_in_ring(p.x, p.y, ring):
+            inside = not inside
+    return inside
+
+
+class TestPointsInPolygon:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_scalar_test_on_and_off_the_boundary(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_grid(rng)
+        poly = None
+        while poly is None:
+            poly, _ = random_part(rng, g)
+        ring_pts = np.array([q for ring in poly.rings() for q in ring[:-1]])
+        ends = np.array([q for ring in poly.rings() for q in ring[1:]])
+        t = rng.random((len(ring_pts), 1))
+        lo, hi = ring_pts.min(axis=0) - g.cell_size, ring_pts.max(axis=0) + g.cell_size
+        pts = np.concatenate([
+            ring_pts,                          # vertices
+            (ring_pts + ends) / 2,             # edge midpoints
+            ring_pts + t * (ends - ring_pts),  # other points on edges
+            rng.uniform(lo, hi, (100, 2)),
+        ])
+        got = points_in_polygon(pts[:, 0], pts[:, 1], poly)
+        want = [reference_point_in_polygon(Point(x, y), poly) for x, y in pts.tolist()]
+        assert got.tolist() == want
+        vertices = pts[:len(ring_pts)].tolist()
+        assert [point_in_polygon(Point(x, y), poly) for x, y in vertices] == want[:len(vertices)]
+
+    def test_no_points(self):
+        assert points_in_polygon(np.zeros(0), np.zeros(0), unit_square()).shape == (0,)

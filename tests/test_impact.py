@@ -266,18 +266,19 @@ class TestBuildingLoss:
         ]
 
         # Oracle: per building, find its first day by direct scan.
-        want_counts = [0] * len(new_burns)
-        for b in buildings:
-            cell = None
-            for r in range(8):
-                for c in range(8):
-                    p = Point(g.center_x(c), g.center_y(r))
-                    from fireimpact.geometry import point_in_polygon
+        from fireimpact.geometry import points_in_polygon
 
-                    if any(point_in_polygon(p, fp) for fp in b.footprints):
-                        cell = (r, c) if cell is None else cell
-            if cell is None:
+        want_counts = [0] * len(new_burns)
+        centers = [(r, c) for r in range(8) for c in range(8)]
+        xs = np.array([g.center_x(c) for _, c in centers])
+        ys = np.array([g.center_y(r) for r, _ in centers])
+        for b in buildings:
+            inside = np.zeros(len(centers), dtype=bool)
+            for fp in b.footprints:
+                inside |= points_in_polygon(xs, ys, fp)
+            if not inside.any():
                 continue
+            cell = centers[int(np.argmax(inside))]
             for day, nb in enumerate(new_burns):
                 if nb.bits[cell]:
                     want_counts[day] += 1

@@ -58,6 +58,17 @@ class TestKdeSurface:
         assert surface.cells[5, 10] == pytest.approx(peak * math.exp(-0.5), rel=1e-12)
         assert surface.cells[5, 10] == pytest.approx(9.6532e-6, rel=1e-4)
 
+    def test_cells_exactly_at_the_cutoff_are_kept(self):
+        # 4 sigma of 25 m is exactly 5 cells: the window edges fall on the
+        # centers of cells (5, 0), (5, 10), (0, 5) and (10, 5).
+        g = AnalysisGrid(0, 0, 20, 11, 11)
+        params = KdeParams(bandwidth_m=25.0)
+        cells = kde_surface([det(g.center_x(5), g.center_y(5))], g, params).cells
+        at_cutoff = math.exp(-8.0) / (2 * math.pi * 625.0)
+        for r, c in ((5, 0), (5, 10), (0, 5), (10, 5)):
+            assert cells[r, c] == pytest.approx(at_cutoff, rel=1e-12)
+        assert cells[4, 0] == cells[0, 4] == 0.0
+
     def test_two_symmetric_points_superpose(self):
         g = AnalysisGrid(0, 0, 20, 9, 9)
         params = KdeParams(bandwidth_m=150.0)
@@ -201,12 +212,16 @@ class TestExtractDailyPerimeters:
             assert not np.any(seen & p.new_burn.bits)
             seen |= p.new_burn.bits
         # Every new-burn cell center is inside the official perimeter.
-        from fireimpact.geometry import point_in_polygon
+        from fireimpact.geometry import points_in_polygon
 
         for p in days:
-            for r, c in zip(*np.nonzero(p.new_burn.bits)):
-                pt = Point(g.center_x(int(c)), g.center_y(int(r)))
-                assert any(point_in_polygon(pt, poly) for poly in official)
+            rows, cols = np.nonzero(p.new_burn.bits)
+            xs = np.array([g.center_x(int(c)) for c in cols])
+            ys = np.array([g.center_y(int(r)) for r in rows])
+            inside = np.zeros(xs.size, dtype=bool)
+            for poly in official:
+                inside |= points_in_polygon(xs, ys, poly)
+            assert inside.all()
         # Traced polygons reproduce the new-burn masks.
         from fireimpact.geometry import rasterize_polygons, trace_mask_boundary
 

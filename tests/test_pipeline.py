@@ -67,6 +67,19 @@ class TestComputePerimeters:
         # The stray detection belongs to neither district.
         assert west.bits[10, 4] and east.bits[10, 15]
 
+    def test_detection_in_two_overlapping_parts_is_kept(self):
+        layers = Layers(manifest=manifest(20))
+        layers.districts = [
+            District("both", [rect(0, 0, 240, 400), rect(160, 0, 400, 400)])
+        ]
+        layers.detections = [
+            Detection(Point(205, 195), D0),  # in both parts
+            Detection(Point(95, 195), D0),  # in the first part only
+        ]
+        new_burn = compute_perimeters(layers, KdeParams(bandwidth_m=4))["both"][0].new_burn
+        assert new_burn.popcount() == 2
+        assert new_burn.bits[10, 10] and new_burn.bits[10, 4]
+
     def test_districts_share_event_date_range(self):
         m = manifest(20)
         layers = Layers(manifest=m)
