@@ -13,10 +13,6 @@ class ValidationError(PipelineError):
     """Invalid value, configuration, or precondition."""
 
 
-class FrameError(ValidationError):
-    """Two grids or geometries do not share the same planar frame."""
-
-
 class AlignmentError(ValidationError):
     """Rasters or masks with mismatched grids were combined."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, FrameError, ValidationError
+from .errors import AlignmentError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,7 @@ class AnalysisGrid:
 
     ``origin_x`` / ``origin_y`` are the coordinates of the lower-left
     (south-west) grid corner in meters, matching the ESRI ASCII
-    ``xllcorner`` / ``yllcorner`` convention. ``frame`` names the planar
-    frame; grids from different frames cannot be mixed.
+    ``xllcorner`` / ``yllcorner`` convention.
     """
 
     origin_x: float
@@ -33,7 +32,6 @@ class AnalysisGrid:
     cell_size: float = 20.0
     n_rows: int = 1
     n_cols: int = 1
-    frame: str = "local"
 
     def __post_init__(self) -> None:
         if not (self.cell_size > 0):
@@ -95,13 +93,6 @@ class AnalysisGrid:
     def corner_y(self, i: int) -> float:
         """y coordinate of the horizontal grid line with corner index i (0 = north edge)."""
         return self.origin_y + (self.n_rows - i) * self.cell_size
-
-
-def _require_same_grid(a: AnalysisGrid, b: AnalysisGrid, what: str) -> None:
-    if a.frame != b.frame:
-        raise FrameError(f"{what}: planar frames differ ({a.frame!r} vs {b.frame!r})")
-    if a != b:
-        raise AlignmentError(f"{what}: grids are not aligned ({a} vs {b})")
 
 
 @dataclass(frozen=True)
@@ -169,7 +160,10 @@ class Mask:
         return int(np.count_nonzero(self.bits))
 
     def is_subset_of(self, other: "Mask") -> bool:
-        _require_same_grid(self.grid, other.grid, "mask comparison")
+        if self.grid != other.grid:
+            raise AlignmentError(
+                f"mask comparison: grids are not aligned ({self.grid} vs {other.grid})"
+            )
         return bool(np.all(~self.bits | other.bits))
 
 
@@ -180,11 +174,6 @@ def resample_nearest(src: CategoryRaster, target: AnalysisGrid) -> CategoryRaste
     target cell's center; target cells whose centers fall outside the
     source extent get the source nodata code.
     """
-    if src.grid.frame != target.frame:
-        raise FrameError(
-            f"resample_nearest: planar frames differ "
-            f"({src.grid.frame!r} vs {target.frame!r})"
-        )
     sg = src.grid
     xs = target.center_xs()
     ys = target.center_ys()

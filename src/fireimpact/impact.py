@@ -272,16 +272,6 @@ class BuildingIndex:
         return cls(cells, offsets[:-1][covered], np.array(cents, dtype=np.int64))
 
 
-def first_burn_day(burns: list[Mask], grid: AnalysisGrid) -> np.ndarray:
-    """Index of the first mask that covers each cell, -1 where none does."""
-    if len(burns) > np.iinfo(np.int16).max:
-        raise ValidationError(f"{len(burns)} days exceed the first-burn-day raster")
-    first = np.full(grid.shape, -1, dtype=np.int16)
-    for day, burn in enumerate(burns):
-        first[(first < 0) & burn.bits] = day
-    return first
-
-
 def building_loss_by_day(
     index: BuildingIndex, first_burn: np.ndarray, n_days: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -313,7 +303,8 @@ def building_loss(
     cells (center rule) is newly burned; later days skip it.
     """
     index = BuildingIndex.build(buildings, new_burn.grid, costs)
-    first = first_burn_day([cumulative_before, new_burn], new_burn.grid)
+    # A cell burned before today stays day 0 even if today's mask covers it too.
+    first = np.where(cumulative_before.bits, 0, np.where(new_burn.bits, 1, -1))
     cents, counts = building_loss_by_day(index, first, 2)
     return int(cents[1]), int(counts[1])
 

@@ -397,12 +397,17 @@ def _polygon_parts(
 def read_blocks(path: str | Path, origin_lon: float, origin_lat: float) -> list[CensusBlock]:
     path = Path(path)
     blocks = []
+    ids = set()
     for feat in _read_feature_collection(path):
         _require_props(path, feat, ("block_id", "pop", "tract_id"), "blocks")
+        block_id = str(feat.properties["block_id"])
+        if block_id in ids:
+            raise ValidationError(f"{path}: duplicate block_id {block_id!r}")
+        ids.add(block_id)
         parts = _polygon_parts(feat, origin_lon, origin_lat, path)
         blocks.append(
             CensusBlock(
-                block_id=str(feat.properties["block_id"]),
+                block_id=block_id,
                 parts=parts,
                 pop=float(feat.properties["pop"]),
                 tract_id=str(feat.properties["tract_id"]),
@@ -745,7 +750,8 @@ def render_svg(
     scale = 800.0 / max(grid.n_cols * grid.cell_size, grid.n_rows * grid.cell_size)
     width = grid.n_cols * grid.cell_size * scale
     height = grid.n_rows * grid.cell_size * scale
-    legend_h = 20.0 * (1 + len(_legend_dates(perimeters)))
+    dates = _legend_dates(perimeters)
+    legend_h = 20.0 * (1 + len(dates))
 
     def sx(x: float) -> float:
         return (x - grid.origin_x) * scale
@@ -762,13 +768,14 @@ def render_svg(
     parts.append(f'<rect width="{width:.2f}" height="{height:.2f}" fill="#f7f7f7"/>')
 
     if popgrid is not None:
-        positive = popgrid.cells[popgrid.cells > 0]
-        if positive.size:
+        rows, cols = np.nonzero(popgrid.cells > 0)
+        if rows.size:
+            positive = popgrid.cells[rows, cols]
             breaks = np.quantile(positive, [0.2, 0.4, 0.6, 0.8])
+            levels = np.searchsorted(breaks, positive, side="right")
             cell_px = grid.cell_size * scale
-            for r, c in zip(*np.nonzero(popgrid.cells > 0)):
-                v = popgrid.cells[r, c]
-                color = _POP_RAMP[int(np.searchsorted(breaks, v, side="right"))]
+            for r, c, level in zip(rows.tolist(), cols.tolist(), levels.tolist()):
+                color = _POP_RAMP[level]
                 x = c * cell_px
                 y = r * cell_px
                 parts.append(
@@ -784,7 +791,6 @@ def render_svg(
                     f'stroke="#555555" stroke-width="1.5" stroke-dasharray="4 2"/>'
                 )
 
-    dates = _legend_dates(perimeters)
     if perimeters:
         for name in sorted(perimeters):
             for day in perimeters[name]:

@@ -1,8 +1,9 @@
 """Daily fire extent reconstruction from thermal-detection points.
 
 Detections for each date are smoothed into a Gaussian density surface,
-thresholded, and clipped to the official perimeter; differencing against
-the running cumulative extent yields disjoint per-day new-burn masks.
+thresholded, and clipped to the official perimeter. One first-burn-day
+raster per sequence gives the disjoint per-day new-burn masks and the
+cumulative extents.
 """
 
 from __future__ import annotations
@@ -77,17 +78,29 @@ class KdeParams:
 class DailyPerimeter:
     """Fire extent bookkeeping for one date.
 
-    ``active`` is the day's full thresholded-and-clipped mask;
-    ``new_burn`` removes cells already burned on earlier dates, and
-    ``cumulative`` is the union of all new burns to date. Outlines are
-    traced from ``new_burn`` only where they are written
+    ``active`` is the day's full thresholded-and-clipped mask.
+    ``first_burn`` is shared, read-only, by every day of the sequence: the
+    int16 index of the day each cell first burned, -1 where none did.
+    ``index`` is this day's position in the sequence. Outlines are traced
+    from ``new_burn`` only where they are written
     (:func:`fireimpact.geometry.trace_mask_boundary`).
     """
 
     date: dt.date
-    new_burn: Mask
-    cumulative: Mask
+    index: int
+    first_burn: np.ndarray
     active: Mask
+
+    @property
+    def new_burn(self) -> Mask:
+        """Cells first burned on this date."""
+        return Mask(self.active.grid, self.first_burn == self.index)
+
+    @property
+    def cumulative(self) -> Mask:
+        """Cells burned on this date or earlier: the union of new burns to date."""
+        first = self.first_burn
+        return Mask(self.active.grid, (first >= 0) & (first <= self.index))
 
 
 def detection_xy(points: list[Detection]) -> tuple[np.ndarray, np.ndarray]:
@@ -192,23 +205,19 @@ def extract_daily_perimeters(
             dates = []
     if sorted(dates) != list(dates):
         raise ValidationError("dates must be sorted ascending")
+    if len(dates) > np.iinfo(np.int16).max:
+        raise ValidationError(f"{len(dates)} days exceed the first-burn-day raster")
 
     clip = rasterize_polygons(official, grid)
-    cumulative = np.zeros(grid.shape, dtype=bool)
+    first = np.full(grid.shape, -1, dtype=np.int16)
     out: list[DailyPerimeter] = []
-    for day in dates:
+    for i, day in enumerate(dates):
         points = detections_by_date.get(day, [])
         burned = threshold_surface(kde_surface(points, grid, params), params)
         active = burned.bits & clip.bits
-        new_burn = active & ~cumulative
-        cumulative = cumulative | new_burn
+        first[active & (first < 0)] = i
         out.append(
-            DailyPerimeter(
-                date=day,
-                new_burn=Mask(grid, new_burn),
-                cumulative=Mask(grid, cumulative.copy()),
-                active=Mask(grid, active),
-            )
+            DailyPerimeter(date=day, index=i, first_burn=first, active=Mask(grid, active))
         )
+    first.setflags(write=False)
     return out
-

@@ -36,7 +36,6 @@ from .impact import (
     TractDemographics,
     building_loss_by_day,
     demographic_breakdown,
-    first_burn_day,
     land_use_loss,
     poi_exposure,
     population_exposure,
@@ -211,12 +210,14 @@ def assess(
     records: list[DailyImpactRecord] = []
     for name in sorted(perimeters):
         days = perimeters[name]
-        first_burn = first_burn_day([day.new_burn for day in days], grid)
-        b_cents, b_count = building_loss_by_day(buildings, first_burn, len(days))
+        if not days:
+            continue
+        b_cents, b_count = building_loss_by_day(buildings, days[0].first_burn, len(days))
         for i, day in enumerate(days):
-            exposure_mask = day.active if active_extent else day.new_burn
-            land = land_use_loss(day.new_burn, layers.landcover, layers.costs)
-            road_cents, road_m = road_loss(day.new_burn, layers.roads, layers.costs)
+            new_burn = day.new_burn
+            exposure_mask = day.active if active_extent else new_burn
+            land = land_use_loss(new_burn, layers.landcover, layers.costs)
+            road_cents, road_m = road_loss(new_burn, layers.roads, layers.costs)
             pois = poi_exposure(exposure_mask, layers.pois)
             exposed = population_exposure(exposure_mask, popgrid)
             if layers.demographics is not None:
@@ -238,7 +239,7 @@ def assess(
                     poi_count=pois,
                     exposed_population=exposed,
                     demographics=demo,
-                    new_burn_cells=day.new_burn.popcount(),
+                    new_burn_cells=new_burn.popcount(),
                 )
             )
     records.sort(key=lambda r: (r.date, r.district))

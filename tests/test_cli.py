@@ -2,6 +2,7 @@ import datetime as dt
 import filecmp
 import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -52,6 +53,21 @@ class TestDispatch:
         )
         assert code == 1
         assert "bandwidth" in err
+
+    def test_duplicate_block_id_exits_1(self, capsys, scenario_dir, tmp_path):
+        scen = shutil.copytree(scenario_dir, tmp_path / "s")
+        doc = json.loads((scen / "blocks.geojson").read_text())
+        first, second = doc["features"][:2]
+        second["properties"]["block_id"] = first["properties"]["block_id"]
+        (scen / "blocks.geojson").write_text(json.dumps(doc))
+        code, out, err = run(
+            ["assess", "--manifest", str(scen / "manifest.json"),
+             "--out", str(tmp_path / "i"), "--bandwidth-m", "4"],
+            capsys,
+        )
+        assert code == 1
+        assert "duplicate block_id" in err
+        assert "Traceback" not in err
 
     def test_malformed_manifest_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,12 +1,10 @@
 import numpy as np
-import pytest
 
-from fireimpact.errors import FrameError
 from fireimpact.grid import AnalysisGrid, CategoryRaster, resample_nearest
 
 
-def grid(n_rows, n_cols, cell=20.0, ox=0.0, oy=0.0, frame="local"):
-    return AnalysisGrid(ox, oy, cell, n_rows, n_cols, frame)
+def grid(n_rows, n_cols, cell=20.0, ox=0.0, oy=0.0):
+    return AnalysisGrid(ox, oy, cell, n_rows, n_cols)
 
 
 class TestResampleNearest:
@@ -42,9 +40,4 @@ class TestResampleNearest:
         out = resample_nearest(src, target)
         assert out.cells[0, 2] == -1  # center (60, 60) on the open boundary
         assert out.cells[2, 0] == 42  # center (20, 20) well inside
-
-    def test_frame_mismatch(self):
-        src = CategoryRaster(grid(2, 2, frame="a"), np.zeros((2, 2)))
-        with pytest.raises(FrameError):
-            resample_nearest(src, grid(2, 2, frame="b"))
 

@@ -26,7 +26,6 @@ from fireimpact.impact import (
     building_loss,
     building_loss_by_day,
     demographic_breakdown,
-    first_burn_day,
     land_use_loss,
     poi_exposure,
     population_exposure,
@@ -302,6 +301,14 @@ def box(x0, y0, x1, y1):
     return Polygon([Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)])
 
 
+def first_burn_day(burns, g):
+    """Index of the first mask that covers each cell, -1 where none does."""
+    first = np.full(g.shape, -1, dtype=np.int16)
+    for day, burn in enumerate(burns):
+        first[(first < 0) & burn.bits] = day
+    return first
+
+
 def first_burn_raster(g, burns):
     """Day raster from {(row, col): day}; -1 elsewhere."""
     first = np.full(g.shape, -1, dtype=np.int16)
@@ -359,11 +366,6 @@ class TestBuildingLossByDay:
         index = BuildingIndex.build([], g, simple_costs())
         cents, counts = building_loss_by_day(index, first_burn_raster(g, {(0, 0): 0}), 2)
         assert cents.tolist() == [0, 0] and counts.tolist() == [0, 0]
-
-    def test_first_burn_day_keeps_the_earliest_mask(self):
-        g = grid(3)
-        first = first_burn_day([mask_of(g, [(0, 0)]), mask_of(g, [(0, 0), (1, 1)])], g)
-        assert first[0, 0] == 0 and first[1, 1] == 1 and first[2, 2] == -1
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)

@@ -346,8 +346,8 @@ class TestRenderSvg:
         g = self._grid()
         day = DailyPerimeter(
             date=dt.date(2025, 1, 7),
-            new_burn=Mask.empty(g),
-            cumulative=Mask.empty(g),
+            index=0,
+            first_burn=np.full(g.shape, -1, dtype=np.int16),
             active=Mask.empty(g),
         )
         render_svg(tmp_path / "x.svg", g, perimeters={"A": [day]})
@@ -358,14 +358,13 @@ class TestRenderSvg:
 
     def test_single_burned_cell_one_square_path(self, tmp_path):
         g = self._grid()
-        bits = np.zeros((6, 6), dtype=bool)
-        bits[2, 3] = True
-        mask = Mask(g, bits)
+        first = np.full((6, 6), -1, dtype=np.int16)
+        first[2, 3] = 0
         day = DailyPerimeter(
             date=dt.date(2025, 1, 7),
-            new_burn=mask,
-            cumulative=mask,
-            active=mask,
+            index=0,
+            first_burn=first,
+            active=Mask(g, first == 0),
         )
         render_svg(tmp_path / "x.svg", g, perimeters={"A": [day]})
         text = (tmp_path / "x.svg").read_text()

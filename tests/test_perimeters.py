@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fireimpact.errors import ValidationError
-from fireimpact.geometry import Point, Polygon
+from fireimpact.geometry import Point, Polygon, rasterize_polygons
 from fireimpact.grid import AnalysisGrid
 from fireimpact.perimeters import (
     Detection,
@@ -228,6 +228,56 @@ class TestExtractDailyPerimeters:
         for p in days:
             polys = trace_mask_boundary(p.new_burn)
             assert np.array_equal(rasterize_polygons(polys, g).bits, p.new_burn.bits)
+
+
+class TestFirstBurnRaster:
+    @given(
+        st.lists(
+            st.tuples(st.floats(0, 400), st.floats(0, 400), st.integers(0, 5)),
+            max_size=25,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_views_match_running_mask_bookkeeping(self, points):
+        g = AnalysisGrid(0, 0, 20, 20, 20)
+        official = [square(40, 40, 360, 360)]
+        params = KdeParams(bandwidth_m=30)
+        dets: dict[dt.date, list[Detection]] = {}
+        for x, y, day in points:
+            dets.setdefault(D0 + dt.timedelta(days=day), []).append(det(x, y, day=day))
+        dates = [D0 + dt.timedelta(days=i) for i in range(6)]
+        days = extract_daily_perimeters(dets, official, g, params, dates=dates)
+
+        # Reference: the running cumulative mask the first-burn raster replaced.
+        clip = rasterize_polygons(official, g)
+        cum = np.zeros(g.shape, dtype=bool)
+        for p in days:
+            burned = threshold_surface(kde_surface(dets.get(p.date, []), g, params), params)
+            active = burned.bits & clip.bits
+            new = active & ~cum
+            cum |= new
+            assert np.array_equal(p.active.bits, active)
+            assert np.array_equal(p.new_burn.bits, new)
+            assert np.array_equal(p.cumulative.bits, cum)
+
+    def test_days_share_one_read_only_raster(self):
+        g = AnalysisGrid(0, 0, 20, 10, 10)
+        official = [square(0, 0, 200, 200)]
+        dets = {D0: [det(100, 100)], D0 + dt.timedelta(days=2): [det(40, 40, day=2)]}
+        days = extract_daily_perimeters(dets, official, g, KdeParams(bandwidth_m=40))
+        first = days[0].first_burn
+        assert [p.index for p in days] == [0, 1, 2]
+        assert all(p.first_burn is first for p in days)
+        assert first.dtype == np.int16
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1
+
+    def test_too_many_days_rejected(self):
+        g = AnalysisGrid(0, 0, 20, 2, 2)
+        dates = [D0 + dt.timedelta(days=i) for i in range(np.iinfo(np.int16).max + 1)]
+        with pytest.raises(ValidationError, match="first-burn-day raster"):
+            extract_daily_perimeters({}, [square(0, 0, 40, 40)], g, KdeParams(), dates=dates)
 
 
 def dilation_flood_fill(bits):

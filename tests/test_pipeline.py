@@ -255,4 +255,4 @@ class TestLazyTracing:
         write_daily_perimeters_geojson(
             "district-a", day, manifest.origin_lon, manifest.origin_lat, tmp_path / "d.geojson"
         )
-        assert len(traced) == 1 and traced[0] is day.new_burn
+        assert len(traced) == 1 and np.array_equal(traced[0].bits, day.new_burn.bits)
