@@ -19,6 +19,7 @@ from .errors import FormatError, PipelineError, ValidationError
 from .impact import EventSummary, cents_to_usd, summarize
 from .io_formats import (
     mask_to_category,
+    parse_value,
     read_manifest,
     read_report,
     render_svg,
@@ -212,7 +213,7 @@ def cmd_report(argv: list[str]) -> int:
     rows = read_report(args.report)
     if not rows:
         raise ValidationError(f"{args.report}: report has no rows")
-    records = _records_from_rows(rows)
+    records = _records_from_rows(rows, args.report)
     print_summary(summarize(records))
     return 0
 
@@ -229,57 +230,56 @@ def _cents(text: str) -> int:
     return -value if text.startswith("-") else value
 
 
-def _field(row: dict[str, str], col: str, parse, default: str | None = None):
+def _field(where: str, row: dict[str, str], col: str, parse, default: str | None = None):
     """``parse(row[col])``; a missing or malformed value is a FormatError."""
-    try:
-        return parse(row.get(col, default))
-    except (TypeError, ValueError):
-        raise FormatError(
-            f"report row for {row.get('date')} {row.get('district')}: "
-            f"bad {col} value {row.get(col)!r}"
-        ) from None
+    return parse_value(where, col, row.get(col, default), parse)
 
 
-def _records_from_rows(rows: list[dict[str, str]]):
+def _land_class(col: str) -> int:
+    return int(col.removeprefix("land_loss_usd_class_"))
+
+
+def _records_from_rows(rows: list[dict[str, str]], path: str | Path = "report"):
+    """Records from ``read_report`` rows; errors name ``path`` and the row."""
     from .impact import DailyImpactRecord, Demographics
 
     for col in ("date", "district"):
         if rows and col not in rows[0]:
-            raise FormatError(f"report has no {col!r} column")
+            raise FormatError(f"{path}: report has no {col!r} column")
     records = []
     for row in rows:
+        where = f"{path}: row for {row.get('date')} {row.get('district')}"
         if None in row:
             # csv.DictReader files the fields beyond the header under None.
-            raise FormatError(
-                f"report row for {row.get('date')} {row.get('district')}: "
-                "more fields than the header"
-            )
+            raise FormatError(f"{where}: more fields than the header")
         land = {}
         road_cents = {}
         road_m = {}
         pois = {}
         for col in row:
             if col.startswith("land_loss_usd_class_"):
-                land[int(col.rsplit("_", 1)[1])] = _field(row, col, _cents)
+                land[parse_value(str(path), "column", col, _land_class)] = _field(
+                    where, row, col, _cents
+                )
             elif col.startswith("road_loss_usd_"):
-                road_cents[col[len("road_loss_usd_"):]] = _field(row, col, _cents)
+                road_cents[col[len("road_loss_usd_"):]] = _field(where, row, col, _cents)
             elif col.startswith("road_length_m_"):
-                road_m[col[len("road_length_m_"):]] = _field(row, col, float)
+                road_m[col[len("road_length_m_"):]] = _field(where, row, col, float)
             elif col.startswith("poi_count_"):
-                pois[col[len("poi_count_"):]] = _field(row, col, int)
+                pois[col[len("poi_count_"):]] = _field(where, row, col, int)
         records.append(
             DailyImpactRecord(
-                date=_field(row, "date", dt.date.fromisoformat),
+                date=_field(where, row, "date", dt.date.fromisoformat),
                 district=row["district"],
                 land_loss_cents=land,
                 road_loss_cents=road_cents,
                 road_length_m=road_m,
-                building_loss_cents=_field(row, "building_loss_usd", _cents),
-                building_count=_field(row, "building_count", int),
+                building_loss_cents=_field(where, row, "building_loss_usd", _cents),
+                building_count=_field(where, row, "building_count", int),
                 poi_count=pois,
-                exposed_population=_field(row, "exposed_population", float),
+                exposed_population=_field(where, row, "exposed_population", float),
                 demographics=Demographics.zeros(),
-                new_burn_cells=_field(row, "new_burn_cells", int, "0"),
+                new_burn_cells=_field(where, row, "new_burn_cells", int, "0"),
             )
         )
     return records

@@ -87,6 +87,8 @@ class PolyLine:
 
     def __post_init__(self) -> None:
         pts = [Point(float(p[0]), float(p[1])) for p in self.vertices]
+        if not all(math.isfinite(p.x) and math.isfinite(p.y) for p in pts):
+            raise GeometryError("polyline has non-finite coordinates")
         if len(pts) < 2:
             raise GeometryError("polyline needs >= 2 vertices")
         for a, b in zip(pts, pts[1:]):

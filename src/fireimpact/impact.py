@@ -9,6 +9,7 @@ cents so that any partition of a mask accounts to the same totals.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,8 @@ class PoiFeature:
     category: str
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.location.x) and math.isfinite(self.location.y)):
+            raise ValidationError("poi has non-finite coordinates")
         if not self.category:
             raise ValidationError("poi feature needs a category")
 

@@ -182,6 +182,15 @@ def threshold_surface(surface: RealRaster, params: KdeParams) -> Mask:
     return Mask(surface.grid, (surface.cells >= cut) & (surface.cells > 0.0))
 
 
+def event_dates(detections: list[Detection]) -> list[dt.date]:
+    """Contiguous calendar range spanning all detections."""
+    if not detections:
+        return []
+    days = sorted({d.date for d in detections})
+    span = (days[-1] - days[0]).days
+    return [days[0] + dt.timedelta(days=i) for i in range(span + 1)]
+
+
 def extract_daily_perimeters(
     detections_by_date: dict[dt.date, list[Detection]],
     official: list[Polygon],
@@ -197,12 +206,7 @@ def extract_daily_perimeters(
     but stay in the sequence.
     """
     if dates is None:
-        if detections_by_date:
-            keys = sorted(detections_by_date)
-            span = (keys[-1] - keys[0]).days
-            dates = [keys[0] + dt.timedelta(days=i) for i in range(span + 1)]
-        else:
-            dates = []
+        dates = event_dates([d for day in detections_by_date.values() for d in day])
     if sorted(dates) != list(dates):
         raise ValidationError("dates must be sorted ascending")
     if len(dates) > np.iinfo(np.int16).max:

@@ -7,7 +7,6 @@ inputs.
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +59,7 @@ from .perimeters import (
     Detection,
     KdeParams,
     detection_xy,
+    event_dates,
     extract_daily_perimeters,
 )
 
@@ -98,7 +98,7 @@ def load_layers(manifest: FileManifest, roles: set[str]) -> Layers:
         )
     if "landcover" in roles:
         need("landcover")
-        raster = read_ascii_grid(paths["landcover"], kind="category")
+        raster = read_ascii_grid(paths["landcover"])
         layers.landcover = resample_landcover(raster, manifest)
     if "blocks" in roles:
         need("blocks")
@@ -133,15 +133,6 @@ def resample_landcover(
     if raster.grid == manifest.grid:
         return raster
     return resample_nearest(raster, manifest.grid)
-
-
-def event_dates(detections: list[Detection]) -> list[dt.date]:
-    """Contiguous calendar range spanning all detections."""
-    if not detections:
-        return []
-    days = sorted({d.date for d in detections})
-    span = (days[-1] - days[0]).days
-    return [days[0] + dt.timedelta(days=i) for i in range(span + 1)]
 
 
 def compute_perimeters(

@@ -1,0 +1,266 @@
+"""Malformed input files end in exit 1 or 2 with the file named, never a traceback.
+
+The regression cases are shapes that once escaped ``cli.main`` as Python
+exceptions; the fuzz test mutates one input file of a small synthetic
+tree per example and runs ``assess`` on it.
+"""
+
+import json
+import math
+import re
+import shutil
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from fireimpact import cli
+from fireimpact.scenario import DistrictSpec, ScenarioSpec, generate
+
+ASSESS = ["--bandwidth-m", "4"]
+
+
+def run(argv, capsys):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assess(root, out, capsys):
+    return run(
+        ["assess", "--manifest", str(root / "manifest.json"), "--out", str(out), *ASSESS],
+        capsys,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Regression cases
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def scenario(tmp_path_factory):
+    root = tmp_path_factory.mktemp("boundary") / "s"
+    assert cli.main(["synth", "--seed", "7", "--out", str(root)]) == 0
+    return root
+
+
+def set_byte(path, value=0xFF):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] = value
+    path.write_bytes(bytes(data))
+
+
+def edit_json(path, change):
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc))
+
+
+def edit_text(path, old, new):
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+
+
+def first_feature(name, change):
+    return name, lambda p: edit_json(p, lambda doc: change(doc["features"][0]))
+
+
+def asc_token(value):
+    """Replace the first class code of the first data row (line 7)."""
+
+    def change(path):
+        lines = path.read_text().split("\n")
+        lines[6] = re.sub(r"^\S+", value, lines[6])
+        path.write_text("\n".join(lines))
+
+    return "landcover.asc", change
+
+
+def short_demographics_row(path):
+    lines = path.read_text().split("\n")
+    lines[1] = ",".join(lines[1].split(",")[:4])
+    path.write_text("\n".join(lines))
+
+
+# (id, file edited, edit, exit code, what stderr names besides the file)
+CASES = [
+    ("ff-manifest", "manifest.json", set_byte, 2, None),
+    ("ff-detections", "detections.csv", set_byte, 2, None),
+    ("ff-landcover", "landcover.asc", set_byte, 2, None),
+    ("ff-blocks", "blocks.geojson", set_byte, 2, None),
+    ("ff-demographics", "demographics.csv", set_byte, 2, None),
+    ("origin-x-text", "manifest.json",
+     lambda p: edit_json(p, lambda d: d["grid"].update(origin_x="abc")), 2, "origin_x"),
+    ("start-date-month-13", "manifest.json",
+     lambda p: edit_json(p, lambda d: d.update(start_date="2025-13-01")), 2, "start_date"),
+    ("paths-list", "manifest.json",
+     lambda p: edit_json(p, lambda d: d.update(paths=["a"])), 2, "paths"),
+    ("asc-cellsize-x", "landcover.asc",
+     lambda p: edit_text(p, "cellsize 20", "cellsize x"), 2, "cellsize"),
+    ("asc-class-real", *asc_token("4.5"), 2, "line 7"),
+    ("asc-class-text", *asc_token("abc"), 2, "line 7"),
+    ("building-cost-text", "costs.json",
+     lambda p: edit_json(p, lambda d: d.update(building_cost="x")), 2, "building_cost"),
+    ("land-cost-key-text", "costs.json",
+     lambda p: edit_json(p, lambda d: d["land_cost"].update(x=1.0)), 2, "land_cost"),
+    ("demographics-short-row", "demographics.csv", short_demographics_row, 2, "line 2"),
+    ("feature-is-number", "roads.geojson",
+     lambda p: edit_json(p, lambda d: d["features"].insert(0, 1)), 2, "feature 0"),
+    ("coordinates-null",
+     *first_feature("buildings.geojson", lambda f: f["geometry"].update(coordinates=None)),
+     2, "feature 0"),
+    ("position-text",
+     *first_feature("perimeter.geojson",
+                    lambda f: f["geometry"]["coordinates"][0].__setitem__(0, ["a", "b"])),
+     2, "feature 0"),
+    ("pop-text",
+     *first_feature("blocks.geojson", lambda f: f["properties"].update(pop="abc")),
+     2, "feature 0"),
+    ("poi-nan",
+     *first_feature("pois.geojson",
+                    lambda f: f["geometry"].update(coordinates=[math.nan, 1.0])),
+     1, "feature 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, edit, code, names", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
+)
+def test_malformed_input_exits_cleanly(capsys, scenario, tmp_path, name, edit, code, names):
+    root = shutil.copytree(scenario, tmp_path / "s")
+    edit(root / name)
+    got, out, err = assess(root, tmp_path / "out", capsys)
+    assert got == code, err
+    assert name in err
+    if names is not None:
+        assert names in err
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
+def test_undecodable_report_exits_2(capsys, scenario, tmp_path):
+    assert assess(scenario, tmp_path / "out", capsys)[0] == 0
+    report = tmp_path / "out" / "report.csv"
+    set_byte(report)
+    code, out, err = run(["report", "--report", str(report)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "report.csv" in err
+
+
+def test_altitude_is_ignored(capsys, scenario, tmp_path):
+    def add_altitude(coords):
+        if coords and isinstance(coords[0], (int, float)):
+            return [*coords, 123.5]
+        return [add_altitude(c) for c in coords]
+
+    root = shutil.copytree(scenario, tmp_path / "s")
+    for name in ("blocks", "roads", "buildings", "pois", "perimeter"):
+        edit_json(
+            root / f"{name}.geojson",
+            lambda doc: [
+                f["geometry"].update(coordinates=add_altitude(f["geometry"]["coordinates"]))
+                for f in doc["features"]
+            ],
+        )
+    assert "123.5" in (root / "pois.geojson").read_text()
+    assert assess(scenario, tmp_path / "plain", capsys)[0] == 0
+    assert assess(root, tmp_path / "z", capsys)[0] == 0
+    plain = (tmp_path / "plain" / "report.csv").read_bytes()
+    assert (tmp_path / "z" / "report.csv").read_bytes() == plain
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: one mutation of one input file per example
+# ---------------------------------------------------------------------------
+
+SMALL = ScenarioSpec(
+    seed=7,
+    n_days=3,
+    n_rows=28,
+    n_cols=64,
+    districts=[
+        DistrictSpec("district-a", 4, 23, 4, 27, 2, 2000),
+        DistrictSpec("district-b", 4, 23, 36, 59, 3, 1500),
+    ],
+)
+INPUTS = (
+    "manifest.json", "detections.csv", "landcover.asc", "blocks.geojson",
+    "roads.geojson", "buildings.geojson", "pois.geojson", "perimeter.geojson",
+    "weights.json", "costs.json", "demographics.csv",
+)
+OTHER_JSON = st.sampled_from([None, True, 0, -1, 2.5, math.nan, "", "x", [], [1], {}])
+GARBAGE = st.sampled_from(
+    ["", "x", "-", "nan", "inf", "1e999", "4.5", "é", '"', ",", "0x1"]
+)
+
+
+@pytest.fixture(scope="module")
+def small_tree(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    generate(SMALL, root / "s")
+    return root
+
+
+def json_slots(doc, path=()):
+    """Every (container path, key) in ``doc``, leaves and containers alike."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(value, (dict, list)) and value:
+            yield from json_slots(value, path + (key,))
+        yield path, key
+
+
+def mutate(data, name, kind, where, byte, leaf, delete, garbage):
+    """``data`` changed in one way; ``where`` picks the place, modulo its size."""
+    if kind == "byte":
+        out = bytearray(data)
+        out[where % len(out)] = byte
+        return bytes(out)
+    if kind == "truncate":
+        return data[: where % len(data)]
+    if name.endswith(".json") or name.endswith(".geojson"):
+        doc = json.loads(data)
+        slots = list(json_slots(doc))
+        path, key = slots[where % len(slots)]
+        parent = doc
+        for step in path:
+            parent = parent[step]
+        if delete and isinstance(parent, dict):
+            del parent[key]
+        else:
+            parent[key] = leaf
+        return json.dumps(doc).encode()
+    spans = [m.span() for m in re.finditer(rb"[^,\s]+", data)]
+    start, end = spans[where % len(spans)]
+    return data[:start] + garbage.encode() + data[end:]
+
+
+@given(
+    name=st.sampled_from(INPUTS),
+    kind=st.sampled_from(["byte", "truncate", "value"]),
+    where=st.integers(0, 2**32 - 1),
+    byte=st.just(0xFF) | st.integers(0, 255),
+    leaf=OTHER_JSON,
+    delete=st.booleans(),
+    garbage=GARBAGE,
+)
+@example(name="manifest.json", kind="byte", where=100, byte=0xFF, leaf=None, delete=False,
+         garbage="")
+@example(name="blocks.geojson", kind="value", where=0, byte=0, leaf=None, delete=False,
+         garbage="")
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_mutated_input_never_escapes(
+    capsys, small_tree, name, kind, where, byte, leaf, delete, garbage
+):
+    path = small_tree / "s" / name
+    original = path.read_bytes()
+    path.write_bytes(mutate(original, name, kind, where, byte, leaf, delete, garbage))
+    try:
+        code, _, err = assess(small_tree / "s", small_tree / "out", capsys)
+    finally:
+        path.write_bytes(original)
+    assert code in (0, 1, 2), err

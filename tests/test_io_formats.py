@@ -98,15 +98,20 @@ class TestAsciiGrid:
         g = AnalysisGrid(-140.0, 350.0, 20, 20, 20)
         raster = RealRaster(g, rng.standard_normal((20, 20)) * 1e4)
         write_ascii_grid(raster, tmp_path / "r.asc")
-        back = read_ascii_grid(tmp_path / "r.asc", kind="real")
-        assert np.array_equal(back.cells, raster.cells)
-        assert back.grid == g
+        lines = (tmp_path / "r.asc").read_text().splitlines()
+        header = {k.lower(): float(v) for k, v in (line.split() for line in lines[:6])}
+        back = np.loadtxt(tmp_path / "r.asc", skiprows=6)
+        assert back.tobytes() == raster.cells.tobytes()
+        assert AnalysisGrid(
+            header["xllcorner"], header["yllcorner"], header["cellsize"],
+            int(header["nrows"]), int(header["ncols"]),
+        ) == g
 
     def test_nodata_preserved(self, tmp_path):
         g = AnalysisGrid(0, 0, 20, 2, 2)
         raster = CategoryRaster(g, np.array([[11, -1], [-1, 24]]), nodata=-1)
         write_ascii_grid(raster, tmp_path / "n.asc")
-        back = read_ascii_grid(tmp_path / "n.asc", kind="category")
+        back = read_ascii_grid(tmp_path / "n.asc")
         assert back.nodata == -1
         assert np.array_equal(back.cells, raster.cells)
 

@@ -135,7 +135,7 @@ class TestLandcoverResampling:
             origin_lon=-118.25, origin_lat=34.05,
             grid=AnalysisGrid(0, 0, 20, 6, 6), paths={},
         )
-        back = read_ascii_grid(tmp_path / "lc.asc", kind="category")
+        back = read_ascii_grid(tmp_path / "lc.asc")
         out = resample_landcover(back, m)
         assert out.grid == m.grid
         # Target center (10, 110) falls in source cell row 0, col 0.
