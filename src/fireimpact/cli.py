@@ -349,6 +349,10 @@ def main(argv: list[str] | None = None) -> int:
     except PipelineError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except MemoryError:
+        # A valid but extreme input, such as a manifest grid of 10^9 rows.
+        sys.stderr.write(f"error: {command}: out of memory; the grid or input is too large\n")
+        return 1
 
 
 if __name__ == "__main__":

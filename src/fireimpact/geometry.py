@@ -33,7 +33,8 @@ def project_lonlat(
     """Equirectangular local projection of lon/lat degrees to meters.
 
     x scales by cos(origin_lat) so east-west distances are correct near
-    the origin; accuracy is well under 0.1% at county scale.
+    the origin; accuracy is well under 0.1% at county scale. ``lon`` and
+    ``lat`` may be arrays: each element gets the scalar arithmetic.
     """
     k = math.pi / 180.0
     x = EARTH_RADIUS_M * (lon - origin_lon) * k * math.cos(origin_lat * k)
@@ -44,7 +45,10 @@ def project_lonlat(
 def unproject_to_lonlat(
     p: Point, origin_lon: float, origin_lat: float
 ) -> tuple[float, float]:
-    """Inverse of :func:`project_lonlat`; returns (lon, lat) degrees."""
+    """Inverse of :func:`project_lonlat`; returns (lon, lat) degrees.
+
+    ``p`` may hold coordinate arrays, as :func:`project_lonlat` allows.
+    """
     k = math.pi / 180.0
     lon = origin_lon + p.x / (EARTH_RADIUS_M * k * math.cos(origin_lat * k))
     lat = origin_lat + p.y / (EARTH_RADIUS_M * k)
@@ -161,23 +165,75 @@ def features_cell_indices(
     A feature is a list of polygons (a building's footprints, a block's
     parts). Feature k's cells are ``cells[offsets[k]:offsets[k + 1]]``:
     the cells whose centers lie inside any of its polygons, ascending and
-    without duplicates. Features are scanned in fixed batches, so one
-    call rasterizes a whole layer with bounded transient memory.
+    without duplicates. The features are flattened and passed to
+    :func:`ragged_cell_indices`.
     """
-    counts = np.zeros(len(features), dtype=np.int64)
+    coords: list[Point] = []
+    ring_sizes: list[int] = []
+    polygon_sizes: list[int] = []
+    for polys in features:
+        for poly in polys:
+            rings = poly.rings()
+            for ring in rings:
+                coords.extend(ring)
+                ring_sizes.append(len(ring))
+            polygon_sizes.append(len(rings))
+    xy = np.array(coords, dtype=np.float64).reshape(-1, 2)
+    return ragged_cell_indices(
+        xy[:, 0], xy[:, 1], _offsets(ring_sizes), _offsets(polygon_sizes),
+        _offsets([len(polys) for polys in features]), grid,
+    )
+
+
+def ragged_cell_indices(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    ring_offsets: np.ndarray,
+    polygon_offsets: np.ndarray,
+    feature_offsets: np.ndarray,
+    grid: AnalysisGrid,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`features_cell_indices` of features held as flat arrays.
+
+    The layout is GeoArrow's for multipolygons: ring r is the closed
+    vertex run ``xs, ys[ring_offsets[r]:ring_offsets[r + 1]]``, polygon p
+    holds rings ``polygon_offsets[p]:polygon_offsets[p + 1]`` (exterior
+    first) and feature k holds polygons
+    ``feature_offsets[k]:feature_offsets[k + 1]``. Features are scanned
+    in fixed batches, so one call rasterizes a whole layer with bounded
+    transient memory.
+    """
+    n_features = len(feature_offsets) - 1
+    counts = np.zeros(n_features, dtype=np.int64)
     chunks = [np.zeros(0, dtype=np.int64)]
-    for start in range(0, len(features), FEATURE_BATCH):
-        batch = features[start:start + FEATURE_BATCH]
-        owner, cells = _scan_features(batch, grid)
-        counts[start:start + len(batch)] = np.bincount(owner, minlength=len(batch))
+    for start in range(0, n_features, FEATURE_BATCH):
+        stop = min(start + FEATURE_BATCH, n_features)
+        p0, p1 = feature_offsets[start], feature_offsets[stop]
+        r0, r1 = polygon_offsets[p0], polygon_offsets[p1]
+        v0, v1 = ring_offsets[r0], ring_offsets[r1]
+        owner, cells = _scan_features(
+            xs[v0:v1], ys[v0:v1], ring_offsets[r0:r1 + 1] - v0,
+            polygon_offsets[p0:p1 + 1] - r0, feature_offsets[start:stop + 1] - p0, grid,
+        )
+        counts[start:stop] = np.bincount(owner, minlength=stop - start)
         chunks.append(cells)
-    offsets = np.zeros(len(features) + 1, dtype=np.int64)
+    return np.concatenate(chunks), _offsets(counts)
+
+
+def _offsets(counts) -> np.ndarray:
+    """0 followed by the running totals of ``counts``."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    return np.concatenate(chunks), offsets
+    return offsets
 
 
 def _scan_features(
-    features: list[list[Polygon]], grid: AnalysisGrid
+    xs: np.ndarray,
+    ys: np.ndarray,
+    ring_offsets: np.ndarray,
+    polygon_offsets: np.ndarray,
+    feature_offsets: np.ndarray,
+    grid: AnalysisGrid,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(feature, flat cell) pairs inside the features, sorted and unique.
 
@@ -187,26 +243,15 @@ def _scan_features(
     PNPOLY test ``(y1 > y) != (y2 > y)`` holds. Crossings are sorted by
     (polygon, row, x) and paired; centers between a pair are inside.
     """
-    coords: list[Point] = []
-    ring_sizes: list[int] = []
-    ring_poly: list[int] = []
-    poly_feature: list[int] = []
-    for k, polys in enumerate(features):
-        for poly in polys:
-            for ring in poly.rings():
-                coords.extend(ring)
-                ring_sizes.append(len(ring))
-                ring_poly.append(len(poly_feature))
-            poly_feature.append(k)
-    if not coords:
+    if not xs.size:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    pts = np.array(coords, dtype=np.float64)
-    sizes = np.array(ring_sizes, dtype=np.int64)
-    point_poly = np.repeat(np.array(ring_poly, dtype=np.int64), sizes)
-    poly_first = np.flatnonzero(np.diff(point_poly, prepend=-1))
+    n_polygons = len(polygon_offsets) - 1
+    ring_poly = np.repeat(np.arange(n_polygons), np.diff(polygon_offsets))
+    point_poly = np.repeat(ring_poly, np.diff(ring_offsets))
+    poly_first = ring_offsets[polygon_offsets[:-1]]
+    poly_feature = np.repeat(np.arange(len(feature_offsets) - 1), np.diff(feature_offsets))
 
     # Polygon extents and their candidate rows.
-    xs, ys = pts[:, 0], pts[:, 1]
     off_grid = (np.maximum.reduceat(xs, poly_first) < grid.origin_x) | (
         np.minimum.reduceat(xs, poly_first) > grid.max_x
     )
@@ -217,8 +262,8 @@ def _scan_features(
 
     # Each ring point except its closing one starts an edge; horizontal
     # edges never cross a row of centers.
-    starts = np.ones(len(pts), dtype=bool)
-    starts[np.cumsum(sizes) - 1] = False
+    starts = np.ones(len(xs), dtype=bool)
+    starts[ring_offsets[1:] - 1] = False
     e = np.flatnonzero(starts)
     x1, y1, x2, y2 = xs[e], ys[e], xs[e + 1], ys[e + 1]
     poly = point_poly[e]
@@ -250,7 +295,7 @@ def _scan_features(
 
     width = hi - lo
     n_cells = grid.n_rows * grid.n_cols
-    first = np.array(poly_feature, dtype=np.int64)[poly] * n_cells + row * grid.n_cols + lo
+    first = poly_feature[poly] * n_cells + row * grid.n_cols + lo
     keys = np.sort(np.repeat(first, width) + _ramp(width))
     keys = keys[np.diff(keys, prepend=-1) != 0]
     owner = keys // n_cells
@@ -350,7 +395,45 @@ _DI = np.array([-1, 0, 0, 1])
 _DJ = np.array([0, -1, 1, 0])
 
 
+class RingArrays(NamedTuple):
+    """Traced polygons as flat arrays, in the GeoArrow polygon layout.
+
+    ``corners`` holds corner ids ``i * (n_cols + 1) + j`` (see
+    :meth:`AnalysisGrid.corner_x` and :meth:`AnalysisGrid.corner_y`).
+    Ring r is ``corners[ring_offsets[r]:ring_offsets[r + 1]]``, closed:
+    its first corner is repeated last. Polygon p is the rings
+    ``polygon_offsets[p]:polygon_offsets[p + 1]``, exterior first.
+    """
+
+    corners: np.ndarray
+    ring_offsets: np.ndarray
+    polygon_offsets: np.ndarray
+
+
 def trace_mask_boundary(m: Mask) -> list[Polygon]:
+    """The polygons of :func:`trace_mask_rings`, as :class:`Polygon` objects."""
+    rings = trace_mask_rings(m)
+    xs, ys = _corner_xy(m.grid, rings.corners)
+    pts = list(zip(xs.tolist(), ys.tolist()))
+    ring_offsets = rings.ring_offsets.tolist()
+
+    def ring(r: int) -> list[tuple[float, float]]:
+        return pts[ring_offsets[r]:ring_offsets[r + 1]]
+
+    bounds = rings.polygon_offsets.tolist()
+    return [
+        Polygon(ring(first), [ring(r) for r in range(first + 1, stop)])
+        for first, stop in zip(bounds, bounds[1:])
+    ]
+
+
+def _corner_xy(grid: AnalysisGrid, corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of corner ids ``i * (n_cols + 1) + j``."""
+    i, j = np.divmod(corners, grid.n_cols + 1)
+    return grid.corner_xs()[j], grid.corner_ys()[i]
+
+
+def trace_mask_rings(m: Mask) -> RingArrays:
     """Vectorize a mask into polygons that follow cell edges.
 
     Each true cell contributes its square; shared edges dissolve. Loops
@@ -362,17 +445,17 @@ def trace_mask_boundary(m: Mask) -> list[Polygon]:
 
     Loops are the cycles of a successor map on directed boundary edges
     (left turns at saddle corners), found by pointer doubling and list
-    ranking, so no Python loop runs over edges or corners. Loops are
-    ordered by (smallest corner, first target) and each starts at its
-    smallest corner.
+    ranking, so no Python loop runs over edges or corners. Each ring
+    starts at its loop's smallest corner and keeps only the corners where
+    the direction changes. Polygons are ordered by the (y, x) of their
+    exterior's first vertex; holes follow their exterior in loop order,
+    loops being ordered by (smallest corner, first target).
     """
     grid = m.grid
     n_rows, n_cols = m.bits.shape
     width = n_cols + 1
     start, rank = _directed_edges(m.bits)
     n = len(start)
-    if n == 0:
-        return []
     edge = np.arange(n)
 
     # Successor: the out-edge of the target corner; at a saddle corner,
@@ -418,40 +501,46 @@ def trace_mask_boundary(m: Mask) -> list[Polygon]:
     # Ring vertices: loop corners where the direction changes.
     turn = (rank != rank[pred])[order]
     corner = start[order][turn]
-    xs = grid.origin_x + (corner % width) * grid.cell_size
-    ys = grid.origin_y + (n_rows - corner // width) * grid.cell_size
     n_vertices = np.add.reduceat(turn.astype(np.int64), loop_start)
-    ring_end = np.cumsum(n_vertices)
-    ring_start = ring_end - n_vertices
-    pts = list(zip(xs.tolist(), ys.tolist()))
+    ring_start = np.cumsum(n_vertices) - n_vertices
 
-    def ring(k: int) -> list[tuple[float, float]]:
-        return pts[ring_start[k]:ring_end[k]]
+    def closed(loops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The loops' corners, each ring closed, and their ring offsets."""
+        sizes = n_vertices[loops] + 1
+        within = _ramp(sizes) % np.repeat(n_vertices[loops], sizes)
+        return corner[np.repeat(ring_start[loops], sizes) + within], _offsets(sizes)
 
     exteriors = np.flatnonzero(area2 > 0)
     exteriors = exteriors[np.argsort(area2[exteriors], kind="stable")]
     holes = np.flatnonzero(area2 < 0)
-    polys = [Polygon(ring(k)) for k in exteriors.tolist()]
+    hole_exterior = np.zeros(0, dtype=np.int64)
     if holes.size:
         # Exteriors ascend by area, so the lowest exterior index covering a
         # cell center is the smallest exterior around that cell.
-        cells, offsets = features_cell_indices([[p] for p in polys], grid)
-        exterior_of_cell = np.repeat(np.arange(len(polys)), np.diff(offsets))
-        owner = np.full(n_rows * n_cols, len(polys))
+        ext_corners, ext_offsets = closed(exteriors)
+        each = np.arange(len(exteriors) + 1)
+        cells, offsets = ragged_cell_indices(
+            *_corner_xy(grid, ext_corners), ext_offsets, each, each, grid
+        )
+        exterior_of_cell = np.repeat(np.arange(len(exteriors)), np.diff(offsets))
+        owner = np.full(n_rows * n_cols, len(exteriors))
         np.minimum.at(owner, cells, exterior_of_cell)
         # A hole's first edge starts at its smallest corner, so it heads
         # east along the top of the hole's top-left false cell (i, j).
         e0 = heads[holes]
-        top_left = i[e0] * n_cols + j[e0]
-        rings_of: dict[int, list[list[tuple[float, float]]]] = {}
-        for k, ext in zip(holes.tolist(), owner[top_left].tolist()):
-            rings_of.setdefault(ext, []).append(ring(k))
-        for ext, hs in rings_of.items():
-            polys[ext] = Polygon(polys[ext].exterior, hs)
+        hole_exterior = owner[i[e0] * n_cols + j[e0]]
 
-    first_vertex = ring_start[exteriors]
-    by_position = np.lexsort((xs[first_vertex], ys[first_vertex]))
-    return [polys[k] for k in by_position.tolist()]
+    # Polygon of each ring: exteriors by the position of their first
+    # vertex, then each exterior's holes.
+    xs, ys = _corner_xy(grid, corner[ring_start[exteriors]])
+    position = np.empty(len(exteriors), dtype=np.int64)
+    position[np.lexsort((xs, ys))] = np.arange(len(exteriors))
+    polygon = np.concatenate([position, position[hole_exterior]])
+    is_hole = np.arange(len(polygon)) >= len(exteriors)
+    loops = np.concatenate([exteriors, holes])[np.lexsort((is_hole, polygon))]
+    corners, ring_offsets = closed(loops)
+    rings_per_polygon = np.bincount(polygon, minlength=len(exteriors))
+    return RingArrays(corners, ring_offsets, _offsets(rings_per_polygon))
 
 
 def _directed_edges(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -94,6 +94,14 @@ class AnalysisGrid:
         """y coordinate of the horizontal grid line with corner index i (0 = north edge)."""
         return self.origin_y + (self.n_rows - i) * self.cell_size
 
+    def corner_xs(self) -> np.ndarray:
+        """:meth:`corner_x` of every corner index j = 0 .. n_cols."""
+        return self.origin_x + np.arange(self.n_cols + 1) * self.cell_size
+
+    def corner_ys(self) -> np.ndarray:
+        """:meth:`corner_y` of every corner index i = 0 .. n_rows."""
+        return self.origin_y + (self.n_rows - np.arange(self.n_rows + 1)) * self.cell_size
+
 
 @dataclass(frozen=True)
 class CategoryRaster:

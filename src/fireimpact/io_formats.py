@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import reprlib
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,6 +38,7 @@ from .geometry import (
     Polygon,
     project_lonlat,
     trace_mask_boundary,
+    trace_mask_rings,
     unproject_to_lonlat,
 )
 from .grid import AnalysisGrid, CategoryRaster, Mask, RealRaster
@@ -53,7 +55,7 @@ from .impact import (
     TractDemographics,
     cents_to_usd,
 )
-from .perimeters import DailyPerimeter, Detection
+from .perimeters import CONFIDENCE_CODES, DailyPerimeter, Detections
 
 KNOWN_ROLES = (
     "detections",
@@ -116,6 +118,13 @@ def _whole(value: Any) -> int:
     if not number.is_integer():
         raise ValueError(value)
     return int(number)
+
+
+def _text(value: Any) -> str:
+    """A JSON string, or a number read as its text; not an object, array, bool or null."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise TypeError(value)
+    return str(value)
 
 
 def _object(value: Any) -> dict:
@@ -215,9 +224,7 @@ def _relative_str(p: Path, base: Path) -> str:
 # ---------------------------------------------------------------------------
 
 _CONFIDENCE = {
-    "l": "low", "low": "low",
-    "n": "nominal", "nominal": "nominal",
-    "h": "high", "high": "high",
+    key: code for code, name in enumerate(CONFIDENCE_CODES) for key in (name, name[0])
 }
 
 
@@ -227,84 +234,93 @@ def read_detections(
     origin_lat: float,
     start_date: dt.date | None = None,
     end_date: dt.date | None = None,
-) -> list[Detection]:
+) -> Detections:
     """Parse a FIRMS-style CSV: latitude, longitude, acq_date [, frp, confidence].
 
+    Rows stream into columns, which are projected together at the end.
     Bad rows are collected and reported together with their line numbers
     after the whole file has been scanned; rows outside the configured
-    event window are dropped.
+    event window are dropped. A kept row whose projected coordinates are
+    not finite is a ValidationError naming its line, reported before any
+    other problem.
     """
     path = Path(path)
-    detections: list[Detection] = []
+    # Six floats per kept row: latitude, longitude, date ordinal, frp,
+    # confidence code and line number; the integers are exact in a double.
+    kept = array("d")
     problems: list[str] = []
-    with _open_text(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected a CSV header") from None
-        cols = {name.strip().lower(): i for i, name in enumerate(header)}
-        for required in ("latitude", "longitude", "acq_date"):
-            if required not in cols:
-                raise SchemaError(f"{path}: missing required column {required!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
+
+    def table() -> Detections:
+        lat, lon, day, frp, code, line = np.frombuffer(kept).reshape(-1, 6).T
+        with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic
+            x, y = project_lonlat(lon, lat, origin_lon, origin_lat)
+        bad = ~(np.isfinite(x) & np.isfinite(y))
+        if bad.any():
+            raise ValidationError(
+                f"{path}: line {int(line[bad.argmax()])}: detection has non-finite coordinates"
+            )
+        return Detections(x, y, day.astype(np.int64), frp.copy(), code.astype(np.int8))
+
+    first = start_date.toordinal() if start_date else None
+    last = end_date.toordinal() if end_date else None
+    ordinals: dict[str, int] = {}
+    try:
+        with _open_text(path) as fh:
+            reader = csv.reader(fh)
             try:
-                lat = float(row[cols["latitude"]])
-                lon = float(row[cols["longitude"]])
-            except (ValueError, IndexError):
-                problems.append(f"line {lineno}: unparseable coordinate")
-                continue
-            try:
-                date = dt.date.fromisoformat(row[cols["acq_date"]].strip())
-            except (ValueError, IndexError):
-                problems.append(f"line {lineno}: unparseable acq_date")
-                continue
-            frp = None
-            if "frp" in cols and cols["frp"] < len(row) and row[cols["frp"]].strip():
-                try:
-                    frp = float(row[cols["frp"]])
-                    if frp < 0 or not math.isfinite(frp):
-                        raise ValueError
-                except ValueError:
-                    problems.append(f"line {lineno}: bad frp value")
+                header = next(reader)
+            except StopIteration:
+                raise SchemaError(f"{path}: empty file, expected a CSV header") from None
+            cols = {name.strip().lower(): i for i, name in enumerate(header)}
+            for required in ("latitude", "longitude", "acq_date"):
+                if required not in cols:
+                    raise SchemaError(f"{path}: missing required column {required!r}")
+            i_lat, i_lon, i_date = cols["latitude"], cols["longitude"], cols["acq_date"]
+            i_frp, i_conf = cols.get("frp"), cols.get("confidence")
+            for lineno, row in enumerate(reader, start=2):
+                if not "".join(row).strip():
                     continue
-            confidence = None
-            if "confidence" in cols and cols["confidence"] < len(row):
-                raw = row[cols["confidence"]].strip().lower()
-                if raw:
-                    if raw not in _CONFIDENCE:
-                        problems.append(f"line {lineno}: bad confidence {raw!r}")
+                try:
+                    lat = float(row[i_lat])
+                    lon = float(row[i_lon])
+                except (ValueError, IndexError):
+                    problems.append(f"line {lineno}: unparseable coordinate")
+                    continue
+                try:
+                    day = ordinals.get(row[i_date])
+                    if day is None:
+                        text = row[i_date]
+                        day = ordinals[text] = dt.date.fromisoformat(text.strip()).toordinal()
+                except (ValueError, IndexError):
+                    problems.append(f"line {lineno}: unparseable acq_date")
+                    continue
+                frp = math.nan
+                if i_frp is not None and i_frp < len(row) and row[i_frp].strip():
+                    try:
+                        frp = float(row[i_frp])
+                        if frp < 0 or not math.isfinite(frp):
+                            raise ValueError
+                    except ValueError:
+                        problems.append(f"line {lineno}: bad frp value")
                         continue
-                    confidence = _CONFIDENCE[raw]
-            if start_date and date < start_date:
-                continue
-            if end_date and date > end_date:
-                continue
-            try:
-                detections.append(
-                    Detection(
-                        location=project_lonlat(lon, lat, origin_lon, origin_lat),
-                        date=date,
-                        frp=frp,
-                        confidence=confidence,
-                    )
-                )
-            except ValidationError as exc:
-                raise type(exc)(f"{path}: line {lineno}: {exc}") from None
+                code = -1
+                if i_conf is not None and i_conf < len(row):
+                    raw = row[i_conf].strip().lower()
+                    if raw:
+                        if raw not in _CONFIDENCE:
+                            problems.append(f"line {lineno}: bad confidence {raw!r}")
+                            continue
+                        code = _CONFIDENCE[raw]
+                if (first is not None and day < first) or (last is not None and day > last):
+                    continue
+                kept.extend((lat, lon, day, frp, code, lineno))
+    except FormatError:
+        table()  # a non-finite row read before the failure is reported first
+        raise
+    detections = table()
     if problems:
         raise SchemaError(f"{path}: {len(problems)} bad row(s): " + "; ".join(problems))
     return detections
-
-
-def group_detections_by_date(
-    detections: list[Detection],
-) -> dict[dt.date, list[Detection]]:
-    out: dict[dt.date, list[Detection]] = {}
-    for d in detections:
-        out.setdefault(d.date, []).append(d)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +370,13 @@ def write_ascii_grid(
     g = raster.grid
     if isinstance(raster, CategoryRaster):
         nodata: float = raster.nodata
-        fmt = str  # class codes are int32, so tolist() gives ints
+        # Each distinct code is formatted once; the cells look their text up.
+        codes, index = np.unique(raster.cells, return_inverse=True)
+        text = np.array([str(code) for code in codes.tolist()], dtype=object)
+        rows = text[index.reshape(g.shape)].tolist()
     else:
         nodata = -9999
-        fmt = "{:.17g}".format
+        rows = (map("{:.17g}".format, row.tolist()) for row in raster.cells)
     with path.open("w") as fh:
         fh.write(f"ncols {g.n_cols}\n")
         fh.write(f"nrows {g.n_rows}\n")
@@ -365,8 +384,8 @@ def write_ascii_grid(
         fh.write(f"yllcorner {g.origin_y:.17g}\n")
         fh.write(f"cellsize {g.cell_size:.17g}\n")
         fh.write(f"NODATA_value {nodata}\n")
-        for row in raster.cells:
-            fh.write(" ".join(map(fmt, row.tolist())) + "\n")
+        for row in rows:
+            fh.write(" ".join(row) + "\n")
 
 
 def mask_to_category(mask: Mask) -> CategoryRaster:
@@ -444,7 +463,7 @@ def read_layer(
 def read_blocks(path: str | Path, origin_lon: float, origin_lat: float) -> list[CensusBlock]:
     return read_layer(
         path, origin_lon, origin_lat, _POLYGONAL,
-        {"block_id": str, "pop": _finite, "tract_id": str},
+        {"block_id": _text, "pop": _finite, "tract_id": _text},
         lambda v, parts: CensusBlock(v["block_id"], parts, v["pop"], v["tract_id"]),
         unique="block_id",
     )
@@ -452,7 +471,7 @@ def read_blocks(path: str | Path, origin_lon: float, origin_lat: float) -> list[
 
 def read_roads(path: str | Path, origin_lon: float, origin_lat: float) -> list[RoadFeature]:
     return read_layer(
-        path, origin_lon, origin_lat, ("LineString",), {"class": str},
+        path, origin_lon, origin_lat, ("LineString",), {"class": _text},
         lambda v, line: RoadFeature(line, v["class"]),
     )
 
@@ -461,14 +480,14 @@ def read_buildings(
     path: str | Path, origin_lon: float, origin_lat: float
 ) -> list[BuildingFeature]:
     return read_layer(
-        path, origin_lon, origin_lat, _POLYGONAL, {"id": str},
+        path, origin_lon, origin_lat, _POLYGONAL, {"id": _text},
         lambda v, parts: BuildingFeature(parts, v["id"]),
     )
 
 
 def read_pois(path: str | Path, origin_lon: float, origin_lat: float) -> list[PoiFeature]:
     return read_layer(
-        path, origin_lon, origin_lat, ("Point",), {"category": str},
+        path, origin_lon, origin_lat, ("Point",), {"category": _text},
         lambda v, point: PoiFeature(point, v["category"]),
     )
 
@@ -478,26 +497,20 @@ def read_districts(
 ) -> list[District]:
     """Official perimeter file: one polygonal feature per district with a name."""
     return read_layer(
-        path, origin_lon, origin_lat, _POLYGONAL, {"name": str},
+        path, origin_lon, origin_lat, _POLYGONAL, {"name": _text},
         lambda v, parts: District(v["name"], parts),
         unique="name",
     )
 
 
+def _json(doc: Any) -> str:
+    """The compact, key-sorted JSON text every GeoJSON writer emits."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def write_feature_collection(features: list[dict], path: str | Path) -> None:
     doc = {"type": "FeatureCollection", "features": features}
-    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def polygon_to_geojson_coords(
-    poly: Polygon, origin_lon: float, origin_lat: float
-) -> list[list[list[float]]]:
-    rings = []
-    for ring in poly.rings():
-        rings.append(
-            [list(unproject_to_lonlat(p, origin_lon, origin_lat)) for p in ring]
-        )
-    return rings
+    Path(path).write_text(_json(doc) + "\n")
 
 
 def write_daily_perimeters_geojson(
@@ -507,23 +520,40 @@ def write_daily_perimeters_geojson(
     origin_lat: float,
     path: str | Path,
 ) -> None:
-    features = []
-    for poly in trace_mask_boundary(day.new_burn):
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {
-                    "type": "Polygon",
-                    "coordinates": polygon_to_geojson_coords(poly, origin_lon, origin_lat),
-                },
-                "properties": {
-                    "district": district,
-                    "date": day.date.isoformat(),
-                    "kind": "new_burn",
-                },
-            }
-        )
-    write_feature_collection(features, path)
+    """One Polygon feature per polygon traced from the day's new burn.
+
+    The text is what ``json.dumps(doc, sort_keys=True, separators=(",",
+    ":"))`` gives for the FeatureCollection. Traced vertices lie on the
+    grid's corner lattice, so its n_cols + 1 longitudes and n_rows + 1
+    latitudes are unprojected and formatted once, then joined by index.
+    """
+    grid = day.new_burn.grid
+    rings = trace_mask_rings(day.new_burn)
+    lons, lats = unproject_to_lonlat(
+        Point(grid.corner_xs(), grid.corner_ys()), origin_lon, origin_lat
+    )
+    lon_text, lat_text = (
+        np.array(_json(values.tolist())[1:-1].split(","), dtype=object)
+        for values in (lons, lats)
+    )
+    i, j = np.divmod(rings.corners, grid.n_cols + 1)
+    vertices = (("[" + lon_text + ",")[j] + (lat_text + "]")[i]).tolist()
+    polygons = _json_arrays(_json_arrays(vertices, rings.ring_offsets), rings.polygon_offsets)
+    properties = _json(
+        {"district": district, "date": day.date.isoformat(), "kind": "new_burn"}
+    )
+    features = ",".join(
+        '{"geometry":{"coordinates":' + coordinates + ',"type":"Polygon"},"properties":'
+        + properties + ',"type":"Feature"}'
+        for coordinates in polygons
+    )
+    Path(path).write_text('{"features":[' + features + '],"type":"FeatureCollection"}\n')
+
+
+def _json_arrays(items: list[str], offsets: np.ndarray) -> list[str]:
+    """The JSON array of each run ``items[offsets[k]:offsets[k + 1]]``."""
+    bounds = offsets.tolist()
+    return ["[" + ",".join(items[a:b]) + "]" for a, b in zip(bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +561,18 @@ def write_daily_perimeters_geojson(
 # ---------------------------------------------------------------------------
 
 
+def _validated(path: Path, build: Callable[..., T], **fields: Any) -> T:
+    """``build(**fields)``; a ValidationError it raises is re-raised naming ``path``."""
+    try:
+        return build(**fields)
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def read_weights(path: str | Path) -> WeightTable:
     path = Path(path)
-    return WeightTable(_table(str(path), "weights", _load_json(path), int, _finite))
+    weights = _table(str(path), "weights", _load_json(path), int, _finite)
+    return _validated(path, WeightTable, weights=weights)
 
 
 def write_weights(w: WeightTable, path: str | Path) -> None:
@@ -545,7 +584,9 @@ def read_costs(path: str | Path) -> CostModel:
     path = Path(path)
     where = str(path)
     doc = parse_value(where, "costs", _load_json(path), _object)
-    return CostModel(
+    return _validated(
+        path,
+        CostModel,
         land_cost=_table(where, "land_cost", _required(where, doc, "land_cost", _object),
                          int, _finite),
         road_cost=_table(where, "road_cost", _required(where, doc, "road_cost", _object),

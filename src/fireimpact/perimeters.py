@@ -11,8 +11,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Literal
+from typing import Iterable, Iterator, Literal
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .grid import AnalysisGrid, Mask, RealRaster
 ThresholdMode = Literal["relative_to_daily_max", "absolute"]
 
 Confidence = Literal["low", "nominal", "high"]
+CONFIDENCE_CODES: tuple[Confidence, ...] = ("low", "nominal", "high")
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,72 @@ class Detection:
             raise ValidationError("detection has non-finite coordinates")
         if self.frp is not None and not (self.frp >= 0):
             raise ValidationError(f"frp must be >= 0, got {self.frp}")
+
+
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """Detections as columns, one row per detection in file order.
+
+    ``day`` holds ``date.toordinal()``, ``frp`` NaN where a detection has
+    none, and ``confidence`` an index into :data:`CONFIDENCE_CODES`, -1
+    where it has none. Rows are assumed valid, as :class:`Detection`
+    checks them. Indexing with a slice, mask or index array selects rows;
+    iterating yields :class:`Detection` objects.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    day: np.ndarray
+    frp: np.ndarray
+    confidence: np.ndarray
+
+    @classmethod
+    def of(cls, detections: Detections | Iterable[Detection]) -> Detections:
+        """``detections`` as a table; a table is returned as it is."""
+        if isinstance(detections, Detections):
+            return detections
+        rows = list(detections)
+        return cls(
+            np.array([d.location.x for d in rows], dtype=np.float64),
+            np.array([d.location.y for d in rows], dtype=np.float64),
+            np.array([d.date.toordinal() for d in rows], dtype=np.int64),
+            np.array([math.nan if d.frp is None else d.frp for d in rows], dtype=np.float64),
+            np.array(
+                [-1 if d.confidence is None else CONFIDENCE_CODES.index(d.confidence)
+                 for d in rows],
+                dtype=np.int8,
+            ),
+        )
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, rows) -> Detections:
+        return Detections(
+            self.x[rows], self.y[rows], self.day[rows], self.frp[rows], self.confidence[rows]
+        )
+
+    def __iter__(self) -> Iterator[Detection]:
+        for x, y, day, frp, code in zip(
+            self.x.tolist(), self.y.tolist(), self.day.tolist(), self.frp.tolist(),
+            self.confidence.tolist(),
+        ):
+            yield Detection(
+                Point(x, y),
+                dt.date.fromordinal(day),
+                None if math.isnan(frp) else frp,
+                None if code < 0 else CONFIDENCE_CODES[code],
+            )
+
+    def by_date(self) -> dict[dt.date, Detections]:
+        """The rows of each date, in their order."""
+        order = np.argsort(self.day, kind="stable")
+        days = self.day[order]
+        bounds = np.flatnonzero(np.diff(days, prepend=-1, append=-1))
+        return {
+            dt.date.fromordinal(int(days[lo])): self[order[lo:hi]]
+            for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+        }
 
 
 @dataclass(frozen=True)
@@ -83,7 +149,7 @@ class DailyPerimeter:
     int16 index of the day each cell first burned, -1 where none did.
     ``index`` is this day's position in the sequence. Outlines are traced
     from ``new_burn`` only where they are written
-    (:func:`fireimpact.geometry.trace_mask_boundary`).
+    (:func:`fireimpact.geometry.trace_mask_rings`).
     """
 
     date: dt.date
@@ -103,18 +169,8 @@ class DailyPerimeter:
         return Mask(self.active.grid, (first >= 0) & (first <= self.index))
 
 
-def detection_xy(points: list[Detection]) -> tuple[np.ndarray, np.ndarray]:
-    """x and y coordinates of the detections, in their order."""
-    xy = np.fromiter(
-        chain.from_iterable(det.location for det in points),
-        dtype=np.float64,
-        count=2 * len(points),
-    )
-    return xy[0::2], xy[1::2]
-
-
 def kde_surface(
-    points: list[Detection], grid: AnalysisGrid, params: KdeParams
+    points: Detections | list[Detection], grid: AnalysisGrid, params: KdeParams
 ) -> RealRaster:
     """Gaussian kernel density of detection points at cell centers, per m².
 
@@ -123,17 +179,17 @@ def kde_surface(
     ``frp_weighted`` the weights are frp / mean(frp), otherwise 1.
     """
     values = np.zeros(grid.shape)
-    if not points:
+    points = Detections.of(points)
+    if not len(points):
         return RealRaster(grid, values)
 
     if params.frp_weighted:
-        frps = [p.frp for p in points]
-        if any(f is None for f in frps):
+        if np.isnan(points.frp).any():
             raise ValidationError("frp_weighted requires frp on every detection")
-        mean_frp = sum(frps) / len(frps)
+        mean_frp = sum(points.frp.tolist()) / len(points)
         if mean_frp <= 0:
             raise ValidationError("frp_weighted requires a positive mean frp")
-        weights = [f / mean_frp for f in frps]
+        weights = (points.frp / mean_frp).tolist()
     else:
         weights = [1.0] * len(points)
 
@@ -146,7 +202,7 @@ def kde_surface(
     r2 = radius * radius
 
     # Every point's window of rows and columns; ys decreases with row index.
-    pxs, pys = detection_xy(points)
+    pxs, pys = points.x, points.y
     ys_up = ys[::-1]
     windows = zip(
         pxs.tolist(),
@@ -182,17 +238,16 @@ def threshold_surface(surface: RealRaster, params: KdeParams) -> Mask:
     return Mask(surface.grid, (surface.cells >= cut) & (surface.cells > 0.0))
 
 
-def event_dates(detections: list[Detection]) -> list[dt.date]:
+def event_dates(detections: Detections | list[Detection]) -> list[dt.date]:
     """Contiguous calendar range spanning all detections."""
-    if not detections:
+    days = Detections.of(detections).day
+    if not days.size:
         return []
-    days = sorted({d.date for d in detections})
-    span = (days[-1] - days[0]).days
-    return [days[0] + dt.timedelta(days=i) for i in range(span + 1)]
+    return [dt.date.fromordinal(d) for d in range(int(days.min()), int(days.max()) + 1)]
 
 
 def extract_daily_perimeters(
-    detections_by_date: dict[dt.date, list[Detection]],
+    detections_by_date: dict[dt.date, Detections | list[Detection]],
     official: list[Polygon],
     grid: AnalysisGrid,
     params: KdeParams,

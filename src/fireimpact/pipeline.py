@@ -42,7 +42,6 @@ from .impact import (
 )
 from .io_formats import (
     FileManifest,
-    group_detections_by_date,
     read_ascii_grid,
     read_blocks,
     read_buildings,
@@ -57,8 +56,8 @@ from .io_formats import (
 from .perimeters import (
     DailyPerimeter,
     Detection,
+    Detections,
     KdeParams,
-    detection_xy,
     event_dates,
     extract_daily_perimeters,
 )
@@ -69,7 +68,7 @@ class Layers:
     """Everything a run needs, loaded from the manifest's declared files."""
 
     manifest: FileManifest
-    detections: list[Detection] = field(default_factory=list)
+    detections: Detections | list[Detection] = field(default_factory=list)
     landcover: CategoryRaster | None = None
     blocks: list[CensusBlock] = field(default_factory=list)
     roads: list[RoadFeature] = field(default_factory=list)
@@ -146,16 +145,15 @@ def compute_perimeters(
     """
     if not layers.districts:
         raise ValidationError("no districts in the official perimeter file")
-    dates = event_dates(layers.detections)
-    xs, ys = detection_xy(layers.detections)
+    detections = Detections.of(layers.detections)
+    dates = event_dates(detections)
     out: dict[str, list[DailyPerimeter]] = {}
     for district in layers.districts:
-        inside = np.zeros(len(xs), dtype=bool)
+        inside = np.zeros(len(detections), dtype=bool)
         for part in district.perimeter:
-            inside |= points_in_polygon(xs, ys, part)
-        mine = [det for det, hit in zip(layers.detections, inside.tolist()) if hit]
+            inside |= points_in_polygon(detections.x, detections.y, part)
         out[district.name] = extract_daily_perimeters(
-            group_detections_by_date(mine),
+            detections[inside].by_date(),
             district.perimeter,
             layers.manifest.grid,
             params,

@@ -654,7 +654,7 @@ class TestHoleMatching:
         g = AnalysisGrid(0, 0, 20, 9, 9)
         m = Mask(g, nested_squares(9))
         with mock.patch.object(
-            geometry, "features_cell_indices", wraps=geometry.features_cell_indices
+            geometry, "ragged_cell_indices", wraps=geometry.ragged_cell_indices
         ) as rasterizer, mock.patch.object(
             geometry, "points_in_polygon", side_effect=AssertionError("PNPOLY scan")
         ):

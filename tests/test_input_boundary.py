@@ -7,8 +7,12 @@ tree per example and runs ``assess`` on it.
 
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -122,6 +126,31 @@ CASES = [
      *first_feature("pois.geojson",
                     lambda f: f["geometry"].update(coordinates=[math.nan, 1.0])),
      1, "feature 0"),
+    # A value the table or cost model rejects names the file.
+    ("negative-land-cost", "costs.json",
+     lambda p: edit_json(p, lambda d: d["land_cost"].update({"21": -1.0})),
+     1, "land costs must be >= 0"),
+    ("water-weight", "weights.json",
+     lambda p: edit_json(p, lambda d: d.update({"11": 5.0})), 1, "class 11"),
+    # Text properties must be JSON strings or numbers.
+    ("block-id-object",
+     *first_feature("blocks.geojson", lambda f: f["properties"].update(block_id={})),
+     2, "feature 0: bad block_id value {}"),
+    ("tract-id-null",
+     *first_feature("blocks.geojson", lambda f: f["properties"].update(tract_id=None)),
+     2, "feature 0: bad tract_id value None"),
+    ("road-class-array",
+     *first_feature("roads.geojson", lambda f: f["properties"].update({"class": [1]})),
+     2, "feature 0: bad class value [1]"),
+    ("building-id-bool",
+     *first_feature("buildings.geojson", lambda f: f["properties"].update(id=True)),
+     2, "feature 0: bad id value True"),
+    ("poi-category-object",
+     *first_feature("pois.geojson", lambda f: f["properties"].update(category={"a": 1})),
+     2, "feature 0: bad category value"),
+    ("district-name-null",
+     *first_feature("perimeter.geojson", lambda f: f["properties"].update(name=None)),
+     2, "feature 0: bad name value None"),
 ]
 
 
@@ -137,6 +166,43 @@ def test_malformed_input_exits_cleanly(capsys, scenario, tmp_path, name, edit, c
     if names is not None:
         assert names in err
     assert not (tmp_path / "out" / "report.csv").exists()
+
+
+def test_numeric_text_properties_read_as_their_text(capsys, scenario, tmp_path):
+    root = shutil.copytree(scenario, tmp_path / "s")
+    edit_json(root / "buildings.geojson",
+              lambda doc: [f["properties"].update(id=k) for k, f in enumerate(doc["features"])])
+    assert assess(root, tmp_path / "out", capsys)[0] == 0
+    assert assess(scenario, tmp_path / "plain", capsys)[0] == 0
+    plain = (tmp_path / "plain" / "report.csv").read_bytes()
+    assert (tmp_path / "out" / "report.csv").read_bytes() == plain
+
+
+def test_grid_too_large_for_memory_exits_1(scenario, tmp_path):
+    """A valid manifest whose grid cannot be allocated ends in one error line.
+
+    The child caps its own address space, so the 10^9-row grid fails at
+    allocation instead of claiming the machine's memory.
+    """
+    root = shutil.copytree(scenario, tmp_path / "s")
+    edit_json(root / "manifest.json", lambda d: d["grid"].update(n_rows=10**9))
+    child = (
+        "import resource, sys\n"
+        "limit = 1 << 30\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "from fireimpact import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "assess", "--manifest", str(root / "manifest.json"),
+         "--out", str(tmp_path / "out"), *ASSESS],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "out of memory" in proc.stderr
 
 
 def test_undecodable_report_exits_2(capsys, scenario, tmp_path):

@@ -42,7 +42,7 @@ def write(path, text):
 class TestDetections:
     def test_empty_data_section(self, tmp_path):
         p = write(tmp_path / "d.csv", "latitude,longitude,acq_date\n")
-        assert read_detections(p, *ORIGIN) == []
+        assert list(read_detections(p, *ORIGIN)) == []
 
     def test_single_row(self, tmp_path):
         p = write(

@@ -11,6 +11,7 @@ from fireimpact.geometry import Point, Polygon, rasterize_polygons
 from fireimpact.grid import AnalysisGrid
 from fireimpact.perimeters import (
     Detection,
+    Detections,
     KdeParams,
     extract_daily_perimeters,
     kde_surface,
@@ -278,6 +279,41 @@ class TestFirstBurnRaster:
         dates = [D0 + dt.timedelta(days=i) for i in range(np.iinfo(np.int16).max + 1)]
         with pytest.raises(ValidationError, match="first-burn-day raster"):
             extract_daily_perimeters({}, [square(0, 0, 40, 40)], g, KdeParams(), dates=dates)
+
+
+def random_detections(seed, n):
+    rng = np.random.default_rng(seed)
+    return [
+        Detection(
+            Point(float(rng.uniform(-50, 450)), float(rng.uniform(-50, 450))),
+            D0 + dt.timedelta(days=int(rng.integers(0, 4))),
+            frp=None if rng.random() < 0.2 else float(rng.uniform(0, 100)),
+            confidence=[None, "low", "nominal", "high"][int(rng.integers(0, 4))],
+        )
+        for _ in range(n)
+    ]
+
+
+class TestDetectionsTable:
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_and_selection(self, seed, n):
+        dets = random_detections(seed, n)
+        table = Detections.of(dets)
+        assert Detections.of(table) is table
+        assert len(table) == n
+        assert list(table) == dets
+        keep = np.random.default_rng(seed).random(n) < 0.5
+        assert list(table[keep]) == [d for d, k in zip(dets, keep) if k]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 300))
+    @settings(max_examples=40, deadline=None)
+    def test_by_date_keeps_file_order_within_each_date(self, seed, n):
+        dets = random_detections(seed, n)
+        groups = Detections.of(dets).by_date()
+        assert sorted(groups) == sorted({d.date for d in dets})
+        for date, rows in groups.items():
+            assert list(rows) == [d for d in dets if d.date == date]
 
 
 def dilation_flood_fill(bits):

@@ -234,7 +234,8 @@ class TestLazyTracing:
             {"detections", "landcover", "blocks", "roads", "buildings", "pois",
              "official_perimeter", "weights", "costs", "demographics"},
         )
-        original = geometry.trace_mask_boundary
+        # The array-level tracer, which trace_mask_boundary also calls.
+        original = geometry.trace_mask_rings
         traced = []
 
         def counting(m):
@@ -243,8 +244,8 @@ class TestLazyTracing:
 
         # Rebind every name the tracer is reachable under, as imported.
         for name, module in list(sys.modules.items()):
-            if name.startswith("fireimpact") and vars(module).get("trace_mask_boundary") is original:
-                monkeypatch.setattr(module, "trace_mask_boundary", counting)
+            if name.startswith("fireimpact") and vars(module).get("trace_mask_rings") is original:
+                monkeypatch.setattr(module, "trace_mask_rings", counting)
 
         for active_extent in (False, True):
             assert assess(layers, KdeParams(bandwidth_m=4.0), active_extent=active_extent)
