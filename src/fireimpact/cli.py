@@ -9,8 +9,6 @@ unknown subcommand.
 from __future__ import annotations
 
 import argparse
-import datetime as dt
-import re
 import sys
 from pathlib import Path
 
@@ -19,9 +17,9 @@ from .errors import FormatError, PipelineError, ValidationError
 from .impact import EventSummary, cents_to_usd, summarize
 from .io_formats import (
     mask_to_category,
-    parse_value,
     read_manifest,
     read_report,
+    records_from_rows as _records_from_rows,
     render_svg,
     write_ascii_grid,
     write_daily_perimeters_geojson,
@@ -216,73 +214,6 @@ def cmd_report(argv: list[str]) -> int:
     records = _records_from_rows(rows, args.report)
     print_summary(summarize(records))
     return 0
-
-
-# A report amount has at most two decimals.
-_AMOUNT = re.compile(r"-?\d+(\.\d{1,2})?", re.ASCII)
-
-
-def _cents(text: str) -> int:
-    if not _AMOUNT.fullmatch(text):
-        raise ValueError(text)
-    whole, _, frac = text.removeprefix("-").partition(".")
-    value = int(whole) * 100 + int(frac.ljust(2, "0"))
-    return -value if text.startswith("-") else value
-
-
-def _field(where: str, row: dict[str, str], col: str, parse, default: str | None = None):
-    """``parse(row[col])``; a missing or malformed value is a FormatError."""
-    return parse_value(where, col, row.get(col, default), parse)
-
-
-def _land_class(col: str) -> int:
-    return int(col.removeprefix("land_loss_usd_class_"))
-
-
-def _records_from_rows(rows: list[dict[str, str]], path: str | Path = "report"):
-    """Records from ``read_report`` rows; errors name ``path`` and the row."""
-    from .impact import DailyImpactRecord, Demographics
-
-    for col in ("date", "district"):
-        if rows and col not in rows[0]:
-            raise FormatError(f"{path}: report has no {col!r} column")
-    records = []
-    for row in rows:
-        where = f"{path}: row for {row.get('date')} {row.get('district')}"
-        if None in row:
-            # csv.DictReader files the fields beyond the header under None.
-            raise FormatError(f"{where}: more fields than the header")
-        land = {}
-        road_cents = {}
-        road_m = {}
-        pois = {}
-        for col in row:
-            if col.startswith("land_loss_usd_class_"):
-                land[parse_value(str(path), "column", col, _land_class)] = _field(
-                    where, row, col, _cents
-                )
-            elif col.startswith("road_loss_usd_"):
-                road_cents[col[len("road_loss_usd_"):]] = _field(where, row, col, _cents)
-            elif col.startswith("road_length_m_"):
-                road_m[col[len("road_length_m_"):]] = _field(where, row, col, float)
-            elif col.startswith("poi_count_"):
-                pois[col[len("poi_count_"):]] = _field(where, row, col, int)
-        records.append(
-            DailyImpactRecord(
-                date=_field(where, row, "date", dt.date.fromisoformat),
-                district=row["district"],
-                land_loss_cents=land,
-                road_loss_cents=road_cents,
-                road_length_m=road_m,
-                building_loss_cents=_field(where, row, "building_loss_usd", _cents),
-                building_count=_field(where, row, "building_count", int),
-                poi_count=pois,
-                exposed_population=_field(where, row, "exposed_population", float),
-                demographics=Demographics.zeros(),
-                new_burn_cells=_field(where, row, "new_burn_cells", int, "0"),
-            )
-        )
-    return records
 
 
 def print_summary(summary: EventSummary) -> None:

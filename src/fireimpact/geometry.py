@@ -269,7 +269,7 @@ def _scan_features(
     poly = point_poly[e]
     sloped = y1 != y2
     x1, y1, x2, y2, poly = x1[sloped], y1[sloped], x2[sloped], y2[sloped], poly[sloped]
-    slope = (x2 - x1) / (y2 - y1)
+    dx, dy = x2 - x1, y2 - y1
     e_lo, e_hi = _row_range(np.minimum(y1, y2), np.maximum(y1, y2), grid)
     e_lo = np.maximum(e_lo - 1, r_lo[poly])
     e_hi = np.minimum(e_hi + 1, r_hi[poly])
@@ -281,7 +281,7 @@ def _scan_features(
     y = grid.origin_y + (grid.n_rows - row - 0.5) * grid.cell_size
     hit = (y1[edge] > y) != (y2[edge] > y)
     edge, row, y = edge[hit], row[hit], y[hit]
-    x = x1[edge] + (y - y1[edge]) * slope[edge]
+    x = x1[edge] + (y - y1[edge]) * dx[edge] / dy[edge]  # as in points_in_polygon
     poly = poly[edge]
 
     # Even-odd pairs of crossings along each (polygon, row).

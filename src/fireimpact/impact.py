@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import re
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -40,6 +42,19 @@ def cents_to_usd(cents: int) -> str:
     sign = "-" if cents < 0 else ""
     cents = abs(cents)
     return f"{sign}{cents // 100}.{cents % 100:02d}"
+
+
+# A report amount has at most two decimals.
+_AMOUNT = re.compile(r"-?\d+(\.\d{1,2})?", re.ASCII)
+
+
+def usd_to_cents(text: str) -> int:
+    """Inverse of :func:`cents_to_usd`: exact cents of a decimal dollar amount."""
+    if not _AMOUNT.fullmatch(text):
+        raise ValueError(text)
+    whole, _, frac = text.removeprefix("-").partition(".")
+    value = int(whole) * 100 + int(frac.ljust(2, "0"))
+    return -value if text.startswith("-") else value
 
 
 @dataclass(frozen=True)
@@ -386,30 +401,15 @@ class EventSummary:
     total_exposed: float
 
 
-PEAK_CATEGORIES = (
-    "land_loss_usd",
-    "road_loss_usd",
-    "building_loss_usd",
-    "poi_count",
-    "exposed_population",
-    "new_burn_cells",
-)
-
-
-def _record_metric(rec: DailyImpactRecord, category: str) -> float:
-    if category == "land_loss_usd":
-        return rec.land_total_cents / 100.0
-    if category == "road_loss_usd":
-        return rec.road_total_cents / 100.0
-    if category == "building_loss_usd":
-        return rec.building_loss_cents / 100.0
-    if category == "poi_count":
-        return float(rec.poi_total)
-    if category == "exposed_population":
-        return rec.exposed_population
-    if category == "new_burn_cells":
-        return float(rec.new_burn_cells)
-    raise ValidationError(f"unknown category {category!r}")
+# The daily metric behind each peak category, named as its report.csv column.
+PEAK_METRICS: dict[str, Callable[[DailyImpactRecord], float]] = {
+    "land_loss_usd": lambda r: r.land_total_cents / 100.0,
+    "road_loss_usd": lambda r: r.road_total_cents / 100.0,
+    "building_loss_usd": lambda r: r.building_loss_cents / 100.0,
+    "poi_count": lambda r: float(r.poi_total),
+    "exposed_population": lambda r: r.exposed_population,
+    "new_burn_cells": lambda r: float(r.new_burn_cells),
+}
 
 
 def _percentages(totals: dict) -> dict:
@@ -435,8 +435,8 @@ def summarize(records: list[DailyImpactRecord]) -> EventSummary:
     for name in sorted(by_district):
         recs = sorted(by_district[name], key=lambda r: r.date)
         peaks: dict[str, CategorySummary] = {}
-        for cat in PEAK_CATEGORIES:
-            values = [_record_metric(r, cat) for r in recs]
+        for cat, metric in PEAK_METRICS.items():
+            values = [metric(r) for r in recs]
             total = sum(values)
             best = max(range(len(recs)), key=lambda i: (values[i], -i))
             peak_date = recs[best].date if values[best] > 0 else None

@@ -26,7 +26,7 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator, TextIO, TypeVar
+from typing import Any, Callable, Iterator, NamedTuple, TextIO, TypeVar
 
 import numpy as np
 
@@ -49,11 +49,13 @@ from .impact import (
     BuildingFeature,
     CostModel,
     DailyImpactRecord,
+    Demographics,
     District,
     PoiFeature,
     RoadFeature,
     TractDemographics,
     cents_to_usd,
+    usd_to_cents,
 )
 from .perimeters import CONFIDENCE_CODES, DailyPerimeter, Detections
 
@@ -107,6 +109,8 @@ def parse_value(where: str, key: str, raw: Any, parse: Callable[[Any], T]) -> T:
 
 
 def _finite(value: Any) -> float:
+    if isinstance(value, bool):  # JSON true/false, which float() takes for 1/0
+        raise TypeError(value)
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(value)
@@ -114,7 +118,7 @@ def _finite(value: Any) -> float:
 
 
 def _whole(value: Any) -> int:
-    number = float(value)
+    number = _finite(value)
     if not number.is_integer():
         raise ValueError(value)
     return int(number)
@@ -425,14 +429,20 @@ def read_layer(
     if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
         raise FormatError(f"{path}: expected a FeatureCollection with a features list")
 
+    def position(p) -> Point:
+        lon, lat = p[0], p[1]
+        if lon.__class__ is bool or lat.__class__ is bool:  # as in _finite
+            raise TypeError(p)
+        return project_lonlat(lon, lat, origin_lon, origin_lat)
+
     def project(ring) -> list[Point]:
-        return [project_lonlat(p[0], p[1], origin_lon, origin_lat) for p in ring]
+        return [position(p) for p in ring]
 
     def polygon(rings) -> Polygon:
         return Polygon(project(rings[0]), [project(r) for r in rings[1:]])
 
     shapes = {
-        "Point": lambda c: project_lonlat(c[0], c[1], origin_lon, origin_lat),
+        "Point": position,
         "LineString": lambda c: PolyLine(project(c)),
         "Polygon": lambda c: [polygon(c)],
         "MultiPolygon": lambda c: [polygon(rings) for rings in c],
@@ -654,102 +664,110 @@ def write_demographics(
 # Report CSV
 # ---------------------------------------------------------------------------
 
-_REPORT_HEAD = (
-    "date",
-    "district",
-    "land_loss_usd",
-    "road_loss_usd",
-    "building_loss_usd",
-    "building_count",
-    "poi_count",
-    "exposed_population",
+
+class _Column(NamedTuple):
+    """A record attribute written as ``text(value)``; read back by ``parse`` if set.
+
+    ``absent`` is the text read when a report lacks the column.
+    """
+
+    field: str
+    text: Callable[[Any], str]
+    parse: Callable[[str], Any] | None = None
+    absent: str | None = None
+
+
+class _ClassColumns(NamedTuple):
+    """A column ``prefix + class`` per key of the record dicts ``classes``.
+
+    Each shows the record dict ``field``, or ``missing`` for a class it lacks.
+    """
+
+    prefix: str
+    field: str
+    classes: tuple[str, ...]
+    text: Callable[[Any], str]
+    missing: Any
+    parse_class: Callable[[str], Any]
+    parse: Callable[[str], Any]
+
+    def key(self, column: str) -> Any:
+        return self.parse_class(column.removeprefix(self.prefix))
+
+
+# The columns of report.csv. The key and aggregate columns lead in this
+# order; the rest of the fixed columns, the demographic counts and the
+# per-class columns follow, sorted by name; with ``cumulative`` the
+# running per-district totals of five aggregates end the row.
+_REPORT_HEAD = {
+    "date": _Column("date", dt.date.isoformat, dt.date.fromisoformat),
+    "district": _Column("district", str, str),
+    "land_loss_usd": _Column("land_total_cents", cents_to_usd),
+    "road_loss_usd": _Column("road_total_cents", cents_to_usd),
+    "building_loss_usd": _Column("building_loss_cents", cents_to_usd, usd_to_cents),
+    "building_count": _Column("building_count", str, int),
+    "poi_count": _Column("poi_total", str),
+    "exposed_population": _Column("exposed_population", repr, float),
+}
+_REPORT_SORTED = {
+    "exposed_population_rounded": _Column("exposed_population", lambda v: str(round(v))),
+    "new_burn_cells": _Column("new_burn_cells", str, int, absent="0"),
+}
+_REPORT_FIXED = {**_REPORT_HEAD, **_REPORT_SORTED}
+_ROADS = ("road_loss_cents", "road_length_m")
+_REPORT_CLASSES = (
+    _ClassColumns("land_loss_usd_class_", "land_loss_cents", ("land_loss_cents",),
+                  cents_to_usd, 0, int, usd_to_cents),
+    _ClassColumns("road_loss_usd_", "road_loss_cents", _ROADS, cents_to_usd, 0, str, usd_to_cents),
+    _ClassColumns("road_length_m_", "road_length_m", _ROADS, repr, 0.0, str, float),
+    _ClassColumns("poi_count_", "poi_count", ("poi_count",), str, 0, str, int),
 )
+_DEMO_GROUPS = (("gender", GENDER_KEYS), ("age", AGE_KEYS), ("race", RACE_KEYS))
+_REPORT_CUMULATIVE = {
+    f"cumulative_{name}": _REPORT_FIXED[name] for name in (
+        "building_loss_usd", "exposed_population", "land_loss_usd", "new_burn_cells",
+        "road_loss_usd",
+    )
+}
 
 
 def write_report(
     records: list[DailyImpactRecord], path: str | Path, cumulative: bool = False
 ) -> None:
-    """Long-format CSV, one row per (date, district).
+    """Long-format CSV, one row per (date, district), in the columns above.
 
-    The aggregate columns come first, then every per-class / per-category
-    column seen anywhere in the records, sorted, zero-filled where a
-    record has no entry. With ``cumulative`` the running per-district
-    totals are appended as extra columns.
+    Every per-class / per-category column seen anywhere in the records
+    is written, zero-filled where a record has no entry.
     """
     if not records:
         raise ValidationError("write_report needs at least one record")
     records = sorted(records, key=lambda r: (r.date, r.district))
-    land_classes = sorted({k for r in records for k in r.land_loss_cents})
-    road_classes = sorted(
-        {k for r in records for k in r.road_loss_cents}
-        | {k for r in records for k in r.road_length_m}
-    )
-    poi_cats = sorted({k for r in records for k in r.poi_count})
-
-    tail: list[str] = sorted(
-        [f"land_loss_usd_class_{c}" for c in land_classes]
-        + [f"road_loss_usd_{c}" for c in road_classes]
-        + [f"road_length_m_{c}" for c in road_classes]
-        + [f"poi_count_{c}" for c in poi_cats]
-        + [f"demo_{k}" for k in GENDER_KEYS + AGE_KEYS + RACE_KEYS]
-        + ["exposed_population_rounded", "new_burn_cells"]
-    )
-    cum_cols = [
-        "cumulative_building_loss_usd",
-        "cumulative_exposed_population",
-        "cumulative_land_loss_usd",
-        "cumulative_new_burn_cells",
-        "cumulative_road_loss_usd",
+    classes = [
+        (family, {k for r in records for f in family.classes for k in getattr(r, f)})
+        for family in _REPORT_CLASSES
     ]
-    header = list(_REPORT_HEAD) + tail + (cum_cols if cumulative else [])
+    header = list(_REPORT_HEAD) + sorted(
+        [*_REPORT_SORTED, *(f"demo_{k}" for _, keys in _DEMO_GROUPS for k in keys)]
+        + [f"{family.prefix}{c}" for family, cs in classes for c in cs]
+    ) + list(_REPORT_CUMULATIVE if cumulative else ())
 
-    running: dict[str, dict[str, float]] = {}
+    running: dict[str, dict[str, Any]] = {}
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for rec in records:
-            row: dict[str, str] = {
-                "date": rec.date.isoformat(),
-                "district": rec.district,
-                "land_loss_usd": cents_to_usd(rec.land_total_cents),
-                "road_loss_usd": cents_to_usd(rec.road_total_cents),
-                "building_loss_usd": cents_to_usd(rec.building_loss_cents),
-                "building_count": str(rec.building_count),
-                "poi_count": str(rec.poi_total),
-                "exposed_population": repr(rec.exposed_population),
-                "exposed_population_rounded": str(round(rec.exposed_population)),
-                "new_burn_cells": str(rec.new_burn_cells),
-            }
-            for c in land_classes:
-                row[f"land_loss_usd_class_{c}"] = cents_to_usd(
-                    rec.land_loss_cents.get(c, 0)
-                )
-            for c in road_classes:
-                row[f"road_loss_usd_{c}"] = cents_to_usd(rec.road_loss_cents.get(c, 0))
-                row[f"road_length_m_{c}"] = repr(rec.road_length_m.get(c, 0.0))
-            for c in poi_cats:
-                row[f"poi_count_{c}"] = str(rec.poi_count.get(c, 0))
-            for k in GENDER_KEYS:
-                row[f"demo_{k}"] = repr(rec.demographics.gender[k])
-            for k in AGE_KEYS:
-                row[f"demo_{k}"] = repr(rec.demographics.age[k])
-            for k in RACE_KEYS:
-                row[f"demo_{k}"] = repr(rec.demographics.race[k])
+            row = {name: col.text(getattr(rec, col.field)) for name, col in _REPORT_FIXED.items()}
+            for family, cs in classes:
+                values = getattr(rec, family.field)
+                row.update((f"{family.prefix}{c}", family.text(values.get(c, family.missing)))
+                           for c in cs)
+            for group, keys in _DEMO_GROUPS:
+                row.update((f"demo_{k}", repr(getattr(rec.demographics, group)[k])) for k in keys)
             if cumulative:
-                acc = running.setdefault(
-                    rec.district,
-                    {"land": 0, "road": 0, "building": 0, "exposed": 0.0, "cells": 0},
-                )
-                acc["land"] += rec.land_total_cents
-                acc["road"] += rec.road_total_cents
-                acc["building"] += rec.building_loss_cents
-                acc["exposed"] += rec.exposed_population
-                acc["cells"] += rec.new_burn_cells
-                row["cumulative_land_loss_usd"] = cents_to_usd(int(acc["land"]))
-                row["cumulative_road_loss_usd"] = cents_to_usd(int(acc["road"]))
-                row["cumulative_building_loss_usd"] = cents_to_usd(int(acc["building"]))
-                row["cumulative_exposed_population"] = repr(acc["exposed"])
-                row["cumulative_new_burn_cells"] = str(int(acc["cells"]))
+                totals = running.setdefault(rec.district, dict.fromkeys(_REPORT_CUMULATIVE, 0))
+                for name, col in _REPORT_CUMULATIVE.items():
+                    totals[name] += getattr(rec, col.field)
+                    row[name] = col.text(totals[name])
             writer.writerow([row[col] for col in header])
 
 
@@ -757,6 +775,36 @@ def read_report(path: str | Path) -> list[dict[str, str]]:
     """Report rows as dicts of strings (for checks and the report command)."""
     with _open_text(Path(path)) as fh:
         return list(csv.DictReader(fh))
+
+
+def records_from_rows(
+    rows: list[dict[str, str]], path: str | Path = "report"
+) -> list[DailyImpactRecord]:
+    """Records from ``read_report`` rows, through the column table's parsers.
+
+    Demographics read back as zeros. A missing column or malformed value
+    is a FormatError naming ``path`` and the row.
+    """
+    for col in ("date", "district"):
+        if rows and col not in rows[0]:
+            raise FormatError(f"{path}: report has no {col!r} column")
+    records = []
+    for row in rows:
+        where = f"{path}: row for {row.get('date')} {row.get('district')}"
+        if None in row:
+            # csv.DictReader files the fields beyond the header under None.
+            raise FormatError(f"{where}: more fields than the header")
+        fields: dict[str, Any] = {family.field: {} for family in _REPORT_CLASSES}
+        for name in row:
+            for family in _REPORT_CLASSES:
+                if name.startswith(family.prefix):
+                    value = parse_value(where, name, row[name], family.parse)
+                    fields[family.field][parse_value(str(path), "column", name, family.key)] = value
+        for name, col in _REPORT_FIXED.items():
+            if col.parse:
+                fields[col.field] = parse_value(where, name, row.get(name, col.absent), col.parse)
+        records.append(DailyImpactRecord(**fields, demographics=Demographics.zeros()))
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,15 @@ PINNED_DIGESTS = {
 }
 
 
+# sha256 of `report`'s stdout on the report.csv of each `assess` run in
+# PINNED_DIGESTS, recorded before report.csv's columns moved into one table.
+PINNED_REPORT_STDOUT_DIGESTS = {
+    ("assess",): "37cd9b62d02a485955be5cdfd9b6d5c0aea15d2df8d74edd104a3ffc16b1fbca",
+    ("assess", "--active-extent", "--cumulative-report"):
+        "fa9d5651d2b4ea8675ecd8e6798f9cd28df51139e43230a3ee4059bb6e1a084c",
+}
+
+
 def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -497,6 +506,10 @@ class TestPinnedOutputs:
             )
             assert code == 0
             assert sha256_of(out / "report.csv") == PINNED_DIGESTS[key], key
+            code, stdout, _ = run(["report", "--report", str(out / "report.csv")], capsys)
+            assert code == 0
+            digest = hashlib.sha256(stdout.encode()).hexdigest()
+            assert digest == PINNED_REPORT_STDOUT_DIGESTS[key], key
 
     def test_downscale_outputs_match_pinned_digests(self, capsys, scenario_dir, tmp_path):
         out = tmp_path / "d"

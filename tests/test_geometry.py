@@ -171,6 +171,38 @@ class TestRasterizePolygon:
                 p = Point(g.center_x(c), g.center_y(r))
                 assert mask.bits[r, c] == point_in_polygon(p, poly), (r, c)
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_points_in_polygon_on_edges_through_centers(self, seed):
+        rng = np.random.default_rng(seed)
+        size = float(rng.choice([0.1, 1.0, 3.0, 20.0]))
+        n_rows, n_cols = (int(n) for n in rng.integers(4, 17, 2))
+        x0, y0 = (float(v) for v in rng.integers(-20, 21, 2) * size)
+        g = AnalysisGrid(x0, y0, size, n_rows, n_cols)
+
+        def ring():
+            # A walk between cell centers: a step of k * (a, b) cells passes
+            # through k - 1 more centers; rings may cross themselves.
+            c, r = int(rng.integers(0, n_cols)), int(rng.integers(0, n_rows))
+            pts = []
+            for _ in range(int(rng.integers(3, 7))):
+                pts.append(Point(g.center_x(c), g.center_y(r)))
+                a, b = rng.integers(-4, 5, 2) * rng.integers(2, 6)
+                c, r = c + int(a), r + int(b)
+            return pts
+
+        polys = []  # one multipolygon, parts with up to two holes
+        for _ in range(int(rng.integers(1, 5))):
+            try:
+                polys.append(Polygon(ring(), [ring() for _ in range(int(rng.integers(0, 3)))]))
+            except GeometryError:  # a walk with fewer than three distinct centers
+                pass
+        xs, ys = np.meshgrid(g.center_xs(), g.center_ys())
+        want = np.zeros(g.shape, dtype=bool)
+        for poly in polys:
+            want |= points_in_polygon(xs, ys, poly)
+        assert np.array_equal(rasterize_polygons(polys, g).bits, want)
+
 
 def row_scan_cells(polys, g):
     """Flat cell ids from the per-row scanline that tests every edge on every row.
@@ -189,12 +221,11 @@ def row_scan_cells(polys, g):
         min_y, max_y = min(y1.min(), y2.min()), max(y1.max(), y2.max())
         r_hi = g.n_rows - 1 - math.floor((min_y - g.origin_y) / g.cell_size - 0.5)
         r_lo = g.n_rows - 1 - math.ceil((max_y - g.origin_y) / g.cell_size - 0.5)
-        dy = y2 - y1
-        slope = np.divide(x2 - x1, dy, out=np.zeros_like(dy), where=dy != 0.0)
+        dx, dy = x2 - x1, y2 - y1
         for row in range(max(r_lo, 0), min(r_hi, g.n_rows - 1) + 1):
             y = g.center_y(row)
             hit = (y1 > y) != (y2 > y)
-            crossings = np.sort(x1[hit] + (y - y1[hit]) * slope[hit])
+            crossings = np.sort(x1[hit] + (y - y1[hit]) * dx[hit] / dy[hit])
             a = np.searchsorted(centers_x, crossings[0::2], side="left")
             b = np.searchsorted(centers_x, crossings[1::2], side="left")
             for lo, hi in zip(a.tolist(), b.tolist()):
@@ -215,10 +246,8 @@ def center_rule_cells(polys, g):
 def random_part(rng, g):
     """One polygon, possibly with a hole, possibly partly or wholly off the grid.
 
-    Returns (polygon, exact): ``exact`` is False for slanted edges through
-    lattice points, where a crossing can land exactly on a cell center and
-    point_in_polygon's (y - y1) * dx / dy may round differently from the
-    rasterizer's (y - y1) * slope.
+    Slanted rings snapped to the half-cell lattice put crossings exactly on
+    cell centers. Returns None if snapping collapsed a ring.
     """
     half = g.cell_size / 2
     cx = g.origin_x + rng.uniform(-0.5, 1.5) * g.n_cols * g.cell_size
@@ -233,33 +262,30 @@ def random_part(rng, g):
         if w > half and h > half and rng.random() < 0.5:
             hw, hh = w - half, h - half
             hole = [(cx - hw, cy - hh), (cx + hw, cy - hh), (cx + hw, cy + hh), (cx - hw, cy + hh)]
-        exact = True
     else:
         n = int(rng.integers(3, 9))
         angles = np.sort(rng.uniform(0, 2 * math.pi, n))
         radii = rng.uniform(0.5, 6.0, n) * g.cell_size
         outer = [(cx + r * math.cos(a), cy + r * math.sin(a)) for r, a in zip(radii, angles)]
         hole = [(cx + 0.4 * (x - cx), cy + 0.4 * (y - cy)) for x, y in outer]
-        exact = kind == 1
-        if not exact:
+        if kind == 2:
             outer = [(round(x / half) * half, round(y / half) * half) for x, y in outer]
             hole = [(round(x / half) * half, round(y / half) * half) for x, y in hole]
         if rng.random() < 0.5:
             hole = None
     holes = [[Point(*q) for q in hole]] if hole else []
     try:
-        return Polygon([Point(*q) for q in outer], holes), exact
-    except GeometryError:  # snapping collapsed a ring
-        return None, True
+        return Polygon([Point(*q) for q in outer], holes)
+    except GeometryError:
+        return None
 
 
 def random_features(rng, g, n):
-    features, exact = [], []
+    features = []
     for _ in range(n):
-        parts = [random_part(rng, g) for _ in range(int(rng.integers(0, 4)))]
-        features.append([p for p, _ in parts if p is not None])
-        exact.append(all(e for _, e in parts))
-    return features, exact
+        parts = (random_part(rng, g) for _ in range(int(rng.integers(0, 4))))
+        features.append([p for p in parts if p is not None])
+    return features
 
 
 def random_grid(rng):
@@ -282,20 +308,19 @@ class TestFeaturesCellIndices:
     def test_slices_match_cell_center_oracles(self, seed):
         rng = np.random.default_rng(seed)
         g = random_grid(rng)
-        features, exact = random_features(rng, g, int(rng.integers(1, 7)))
+        features = random_features(rng, g, int(rng.integers(1, 7)))
         cells, offsets = features_cell_indices(features, g)
         assert offsets[0] == 0 and offsets[-1] == cells.size
-        for parts, is_exact, got in zip(features, exact, slices(cells, offsets)):
+        for parts, got in zip(features, slices(cells, offsets)):
             assert got == row_scan_cells(parts, g)
-            if is_exact:
-                assert got == center_rule_cells(parts, g)
+            assert got == center_rule_cells(parts, g)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 5]))
     @settings(max_examples=40, deadline=None)
     def test_slices_ignore_neighbours_and_batches(self, seed, batch):
         rng = np.random.default_rng(seed)
         g = random_grid(rng)
-        features, _ = random_features(rng, g, int(rng.integers(1, 12)))
+        features = random_features(rng, g, int(rng.integers(1, 12)))
         alone = [features_cell_indices([f], g)[0].tolist() for f in features]
         with mock.patch.object(geometry, "FEATURE_BATCH", batch):
             batched = slices(*features_cell_indices(features, g))
@@ -710,7 +735,7 @@ class TestPointsInPolygon:
         g = random_grid(rng)
         poly = None
         while poly is None:
-            poly, _ = random_part(rng, g)
+            poly = random_part(rng, g)
         ring_pts = np.array([q for ring in poly.rings() for q in ring[:-1]])
         ends = np.array([q for ring in poly.rings() for q in ring[1:]])
         t = rng.random((len(ring_pts), 1))

@@ -151,6 +151,16 @@ CASES = [
     ("district-name-null",
      *first_feature("perimeter.geojson", lambda f: f["properties"].update(name=None)),
      2, "feature 0: bad name value None"),
+    # A JSON boolean is not a number.
+    ("pop-true",
+     *first_feature("blocks.geojson", lambda f: f["properties"].update(pop=True)),
+     2, "feature 0: bad pop value True"),
+    ("n-rows-true", "manifest.json",
+     lambda p: edit_json(p, lambda d: d["grid"].update(n_rows=True)), 2, "bad n_rows value True"),
+    ("coordinate-false",
+     *first_feature("blocks.geojson",
+                    lambda f: f["geometry"]["coordinates"][0][0].__setitem__(0, False)),
+     2, "feature 0: bad coordinates value"),
 ]
 
 
