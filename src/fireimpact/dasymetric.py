@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnknownClassError, ValidationError
-from .geometry import Polygon, features_cell_indices, polygon_centroid
+from .geometry import Polygon, features_cell_indices, polygon_area, polygon_centroid
 from .grid import AnalysisGrid, CategoryRaster, RealRaster
 
 # Persons per cell; semantically distinct from other real rasters.
@@ -134,49 +134,48 @@ def rasterize_blocks(
 ) -> DownscaleReport:
     """Assign grid cells to blocks by the cell-center rule, first wins.
 
-    Blocks that capture no cell centers fall back to the single cell
-    containing their centroid (clamped into the grid), so no population
-    is lost at the grid resolution.
+    A cell whose center several blocks capture goes to the earliest of
+    them, through one owner raster of block indices; the cells the others
+    lose are ``overlap_cells``. A block left with no cell falls back to the
+    one cell containing its centroid (clamped into the grid), so no
+    population is lost at the grid resolution. No other block keeps that
+    cell, whatever the order, so each block's cells hold its population
+    alone; a block that so loses its last cell falls back in turn.
     """
+    n = len(blocks)
     cells, offsets = features_cell_indices([b.parts for b in blocks], grid)
-    claimed = np.zeros(grid.n_rows * grid.n_cols, dtype=bool)
-    report = DownscaleReport()
-    owned: list[np.ndarray] = []
-    fallbacks: list[str | None] = []
-    for k, block in enumerate(blocks):
-        flat = cells[offsets[k]:offsets[k + 1]]
-        fallback = None
-        if flat.size:
-            free = ~claimed[flat]
-            report.overlap_cells += int(flat.size - free.sum())
-            flat = flat[free]
-        if flat.size == 0:
-            fallback = "centroid"
-            row, col = _centroid_cell(block, grid)
-            flat = row * grid.n_cols + col
-        claimed[flat] = True
-        owned.append(flat)
-        fallbacks.append(fallback)
-    # Drop each copy as soon as it is merged, to keep the peak low.
+    block = np.repeat(np.arange(n, dtype=np.int32), np.diff(offsets))
+    owner = np.full(grid.n_rows * grid.n_cols, n, dtype=np.int32)
+    np.minimum.at(owner, cells, block)
+    kept = owner[cells] == block
+    overlap_cells = kept.size - int(np.count_nonzero(kept))
+    extra = np.full(n, -1, dtype=np.int64)  # each fallback block's centroid cell
+    while True:
+        sizes = np.bincount(block[kept], minlength=n)
+        fallback = np.flatnonzero((sizes == 0) & (extra < 0))
+        if fallback.size == 0:
+            break
+        extra[fallback] = [_centroid_cell(blocks[k], grid) for k in fallback]
+        owner[extra[fallback]] = -1  # no block keeps a centroid cell
+        kept = owner[cells] == block
+    # Free each array once done: a run of `assess` reaches its memory peak here.
+    del owner, block
+    cells = cells[kept]
+    del kept
+    fallback = np.flatnonzero(extra >= 0)
+    cells = np.insert(cells, (np.cumsum(sizes) - sizes)[fallback], extra[fallback])
+    sizes[fallback] = 1
+    starts = np.cumsum(sizes) - sizes
+    rows, cols = np.divmod(cells, grid.n_cols)
     del cells
-    sizes = np.array([f.size for f in owned], dtype=np.int64)
-    report.starts = np.cumsum(sizes) - sizes
-    if owned:
-        flat = np.concatenate(owned)
-        del owned
-        report.rows, report.cols = np.divmod(flat, grid.n_cols)
-    for block, fallback, start, size in zip(blocks, fallbacks, report.starts, sizes):
-        rows = report.rows[start:start + size]
-        cols = report.cols[start:start + size]
-        report.allocations.append(BlockAllocation(block.block_id, rows, cols, fallback))
-    return report
+    allocations = [
+        BlockAllocation(b.block_id, rows[s:s + m], cols[s:s + m], "centroid" if c else None)
+        for b, s, m, c in zip(blocks, starts, sizes, extra >= 0)
+    ]
+    return DownscaleReport(allocations, overlap_cells, rows, cols, starts)
 
 
-def _centroid_cell(
-    block: CensusBlock, grid: AnalysisGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    from .geometry import polygon_area
-
+def _centroid_cell(block: CensusBlock, grid: AnalysisGrid) -> int:
     num_x = num_y = den = 0.0
     for part in block.parts:
         area = polygon_area(part)
@@ -188,8 +187,7 @@ def _centroid_cell(
     cx, cy = num_x / den, num_y / den
     col = int(np.clip((cx - grid.origin_x) // grid.cell_size, 0, grid.n_cols - 1))
     band = int(np.clip((cy - grid.origin_y) // grid.cell_size, 0, grid.n_rows - 1))
-    row = grid.n_rows - 1 - band
-    return np.array([row], dtype=np.int64), np.array([col], dtype=np.int64)
+    return (grid.n_rows - 1 - band) * grid.n_cols + col
 
 
 def downscale(
@@ -242,8 +240,9 @@ class MassReport:
         errs = [e.rel_err for e in self.entries if e.fallback is None]
         return max(errs, default=0.0)
 
-    def failures(self, tol: float = 1e-9) -> list[MassEntry]:
-        return [e for e in self.entries if e.fallback is None and e.rel_err > tol]
+    def failures(self) -> list[MassEntry]:
+        """Non-fallback blocks whose relative error exceeds 1e-9."""
+        return [e for e in self.entries if e.fallback is None and e.rel_err > 1e-9]
 
 
 def validate_mass(

@@ -109,12 +109,18 @@ def parse_value(where: str, key: str, raw: Any, parse: Callable[[Any], T]) -> T:
 
 
 def _finite(value: Any) -> float:
-    if isinstance(value, bool):  # JSON true/false, which float() takes for 1/0
-        raise TypeError(value)
+    """A finite number read from text (an ``.asc`` header, a CSV field)."""
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(value)
     return number
+
+
+def _number(value: Any) -> float:
+    """A finite JSON number: not a string, nor a bool, which float() takes for 1/0."""
+    if value.__class__ not in (int, float):
+        raise TypeError(value)
+    return _finite(value)
 
 
 def _whole(value: Any) -> int:
@@ -170,8 +176,8 @@ def read_manifest(path: str | Path) -> FileManifest:
     doc = parse_value(where, "manifest", _load_json(path), _object)
     g = _required(where, doc, "grid", _object)
     grid = AnalysisGrid(
-        *(_required(where, g, k, _finite) for k in ("origin_x", "origin_y", "cell_size")),
-        *(_required(where, g, k, _whole) for k in ("n_rows", "n_cols")),
+        *(_required(where, g, k, _number) for k in ("origin_x", "origin_y", "cell_size")),
+        *(_required(where, g, k, lambda v: _whole(_number(v))) for k in ("n_rows", "n_cols")),
     )
     paths: dict[str, Path] = {}
     for role, rel in _required(where, doc, "paths", _object).items():
@@ -186,8 +192,8 @@ def read_manifest(path: str | Path) -> FileManifest:
         for key in ("start_date", "end_date")
     )
     return FileManifest(
-        origin_lon=_required(where, doc, "origin_lon", _finite),
-        origin_lat=_required(where, doc, "origin_lat", _finite),
+        origin_lon=_required(where, doc, "origin_lon", _number),
+        origin_lat=_required(where, doc, "origin_lat", _number),
         grid=grid,
         paths=paths,
         start_date=start,
@@ -431,7 +437,7 @@ def read_layer(
 
     def position(p) -> Point:
         lon, lat = p[0], p[1]
-        if lon.__class__ is bool or lat.__class__ is bool:  # as in _finite
+        if lon.__class__ is bool or lat.__class__ is bool:  # as in _number
             raise TypeError(p)
         return project_lonlat(lon, lat, origin_lon, origin_lat)
 
@@ -473,7 +479,7 @@ def read_layer(
 def read_blocks(path: str | Path, origin_lon: float, origin_lat: float) -> list[CensusBlock]:
     return read_layer(
         path, origin_lon, origin_lat, _POLYGONAL,
-        {"block_id": _text, "pop": _finite, "tract_id": _text},
+        {"block_id": _text, "pop": _number, "tract_id": _text},
         lambda v, parts: CensusBlock(v["block_id"], parts, v["pop"], v["tract_id"]),
         unique="block_id",
     )
@@ -581,7 +587,7 @@ def _validated(path: Path, build: Callable[..., T], **fields: Any) -> T:
 
 def read_weights(path: str | Path) -> WeightTable:
     path = Path(path)
-    weights = _table(str(path), "weights", _load_json(path), int, _finite)
+    weights = _table(str(path), "weights", _load_json(path), int, _number)
     return _validated(path, WeightTable, weights=weights)
 
 
@@ -598,10 +604,10 @@ def read_costs(path: str | Path) -> CostModel:
         path,
         CostModel,
         land_cost=_table(where, "land_cost", _required(where, doc, "land_cost", _object),
-                         int, _finite),
+                         int, _number),
         road_cost=_table(where, "road_cost", _required(where, doc, "road_cost", _object),
-                         str, _finite),
-        building_cost=_required(where, doc, "building_cost", _finite),
+                         str, _number),
+        building_cost=_required(where, doc, "building_cost", _number),
     )
 
 

@@ -238,12 +238,24 @@ def threshold_surface(surface: RealRaster, params: KdeParams) -> Mask:
     return Mask(surface.grid, (surface.cells >= cut) & (surface.cells > 0.0))
 
 
+def _check_day_count(n_days: int) -> None:
+    """The int16 first-burn-day raster indexes at most 32767 days."""
+    if n_days > np.iinfo(np.int16).max:
+        raise ValidationError(f"{n_days} days exceed the first-burn-day raster")
+
+
 def event_dates(detections: Detections | list[Detection]) -> list[dt.date]:
-    """Contiguous calendar range spanning all detections."""
+    """Contiguous calendar range spanning all detections.
+
+    A span longer than the first-burn-day raster can index is rejected
+    before any date is built.
+    """
     days = Detections.of(detections).day
     if not days.size:
         return []
-    return [dt.date.fromordinal(d) for d in range(int(days.min()), int(days.max()) + 1)]
+    first, last = int(days.min()), int(days.max())
+    _check_day_count(last - first + 1)
+    return [dt.date.fromordinal(d) for d in range(first, last + 1)]
 
 
 def extract_daily_perimeters(
@@ -264,8 +276,7 @@ def extract_daily_perimeters(
         dates = event_dates([d for day in detections_by_date.values() for d in day])
     if sorted(dates) != list(dates):
         raise ValidationError("dates must be sorted ascending")
-    if len(dates) > np.iinfo(np.int16).max:
-        raise ValidationError(f"{len(dates)} days exceed the first-burn-day raster")
+    _check_day_count(len(dates))
 
     clip = rasterize_polygons(official, grid)
     first = np.full(grid.shape, -1, dtype=np.int16)

@@ -171,8 +171,9 @@ def compute_population(
         layers.blocks, layers.landcover, layers.weights, layers.manifest.grid
     )
     mass = validate_mass(layers.blocks, popgrid, report)
-    if mass.failures():
-        worst = max(mass.failures(), key=lambda e: e.rel_err)
+    failures = mass.failures()
+    if failures:
+        worst = max(failures, key=lambda e: e.rel_err)
         raise ValidationError(
             f"mass preservation failed: block {worst.block_id} off by {worst.rel_err:g}"
         )

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fireimpact.dasymetric import (
     DEFAULT_NLCD_WEIGHTS,
+    BlockAllocation,
     CensusBlock,
+    DownscaleReport,
     WeightTable,
     allocation_factor_raster,
     downscale,
@@ -13,7 +15,13 @@ from fireimpact.dasymetric import (
     validate_mass,
 )
 from fireimpact.errors import UnknownClassError, ValidationError
-from fireimpact.geometry import Point, Polygon
+from fireimpact.geometry import (
+    Point,
+    Polygon,
+    features_cell_indices,
+    polygon_area,
+    polygon_centroid,
+)
 from fireimpact.grid import AnalysisGrid, CategoryRaster
 
 
@@ -28,6 +36,10 @@ def cell_rect(grid_, r0, r1, c0, c1):
     y_top = grid_.corner_y(r0)
     y_bot = grid_.corner_y(r1 + 1)
     return Polygon([Point(x0, y_bot), Point(x1, y_bot), Point(x1, y_top), Point(x0, y_top)])
+
+
+def rect(x0, y0, x1, y1):
+    return Polygon([Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)])
 
 
 def block(grid_, bid, r0, r1, c0, c1, pop, tract="t1"):
@@ -100,6 +112,197 @@ class TestRasterizeBlocks:
         report = rasterize_blocks([b1, b2], g)
         assert report.overlap_cells == 16
         assert report.allocations[1].fallback == "centroid"
+
+    @pytest.mark.parametrize("sliver_first", [True, False])
+    def test_centroid_cell_goes_to_the_sliver_in_either_order(self, sliver_first):
+        # A sliver that captures no cell center falls back to the cell holding
+        # its centroid; its neighbour gives that cell up wherever it is listed,
+        # so each block's cells hold its own population and nothing overlaps.
+        g = grid(4)
+        landcover = CategoryRaster(g, np.full((4, 4), 22))
+        sliver = CensusBlock("s", [rect(2, 2, 6, 6)], 7.0, "t")
+        neighbour = CensusBlock("n", [rect(0, 0, 40, 80)], 80.0, "t")
+        blocks = [sliver, neighbour] if sliver_first else [neighbour, sliver]
+        pop, report = downscale(blocks, landcover, WeightTable.default(), g)
+        assert type(report.overlap_cells) is int and report.overlap_cells == 0
+        got = {a.block_id: (a.fallback, a.rows.size) for a in report.allocations}
+        assert got == {"s": ("centroid", 1), "n": (None, 7)}
+        expected = np.zeros((4, 4))
+        expected[:, :2] = 80.0 * (10.0 / 70.0)
+        expected[3, 0] = 7.0
+        assert np.array_equal(pop.cells, expected)
+        assert not validate_mass(blocks, pop, report).failures()
+
+    @pytest.mark.parametrize("sliver_first", [True, False])
+    def test_block_losing_its_last_cell_to_a_centroid_falls_back(self, sliver_first):
+        g = grid(2)
+        landcover = CategoryRaster(g, np.full((2, 2), 22))
+        sliver = CensusBlock("s", [rect(2, 2, 6, 6)], 7.0, "t")
+        host = CensusBlock("h", [rect(0, 0, 20, 20)], 5.0, "t")
+        blocks = [sliver, host] if sliver_first else [host, sliver]
+        pop, report = downscale(blocks, landcover, WeightTable.default(), g)
+        assert report.overlap_cells == 0
+        for a in report.allocations:
+            assert (a.fallback, a.rows.tolist(), a.cols.tolist()) == ("centroid", [1], [0])
+        assert pop.cells[1, 0] == 12.0
+        assert float(pop.cells.sum()) == 12.0
+
+
+@st.composite
+def tiled_blocks(draw):
+    """Blocks tiling a grid without overlap, on cell edges.
+
+    Some tiles are split into a sliver inside their bottom-left cell that
+    captures no cell center, and the L-shaped rest of the tile.
+    """
+    cell = 20.0
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    g = AnalysisGrid(0, 0, cell, n_rows, n_cols)
+    ys = sorted({0, n_rows} | draw(st.sets(st.integers(1, n_rows))))
+    xs = sorted({0, n_cols} | draw(st.sets(st.integers(1, n_cols))))
+    blocks = []
+    for i, (b0, b1) in enumerate(zip(ys, ys[1:])):
+        for j, (a0, a1) in enumerate(zip(xs, xs[1:])):
+            x0, x1, y0, y1 = a0 * cell, a1 * cell, b0 * cell, b1 * cell
+            pop = float(draw(st.integers(0, 500)))
+            if draw(st.booleans()):
+                w, h = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+                rest = Polygon([
+                    Point(x0 + w, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1),
+                    Point(x0, y0 + h), Point(x0 + w, y0 + h),
+                ])
+                blocks.append(CensusBlock(f"s{i}_{j}", [rect(x0, y0, x0 + w, y0 + h)],
+                                          float(draw(st.integers(0, 50))), "t"))
+                blocks.append(CensusBlock(f"r{i}_{j}", [rest], pop, "t"))
+            else:
+                blocks.append(CensusBlock(f"b{i}_{j}", [rect(x0, y0, x1, y1)], pop, "t"))
+    codes = draw(st.lists(st.sampled_from([11, 21, 22, 24, 42]),
+                          min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    landcover = CategoryRaster(g, np.array(codes).reshape(n_rows, n_cols))
+    return g, landcover, blocks
+
+
+def placements(blocks, report):
+    return {
+        b.block_id: (a.rows.tolist(), a.cols.tolist(), a.fallback)
+        for b, a in zip(blocks, report.allocations)
+    }
+
+
+class TestBlockOrder:
+    @given(tiled_blocks(), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_reordering_non_overlapping_blocks_changes_nothing(self, layout, rnd):
+        g, landcover, blocks = layout
+        shuffled = list(blocks)
+        rnd.shuffle(shuffled)
+        pop, report = downscale(blocks, landcover, WeightTable.default(), g)
+        pop2, report2 = downscale(shuffled, landcover, WeightTable.default(), g)
+        assert placements(shuffled, report2) == placements(blocks, report)
+        assert report2.overlap_cells == report.overlap_cells == 0
+        assert np.array_equal(pop2.cells, pop.cells)
+        assert not validate_mass(blocks, pop, report).failures()
+        assert not validate_mass(shuffled, pop2, report2).failures()
+
+
+def reference_rasterize_blocks(
+    blocks: list[CensusBlock], grid: AnalysisGrid
+) -> DownscaleReport:
+    """The per-block claim loop ``rasterize_blocks`` replaced, kept verbatim."""
+    cells, offsets = features_cell_indices([b.parts for b in blocks], grid)
+    claimed = np.zeros(grid.n_rows * grid.n_cols, dtype=bool)
+    report = DownscaleReport()
+    owned: list[np.ndarray] = []
+    fallbacks: list[str | None] = []
+    for k, block in enumerate(blocks):
+        flat = cells[offsets[k]:offsets[k + 1]]
+        fallback = None
+        if flat.size:
+            free = ~claimed[flat]
+            report.overlap_cells += int(flat.size - free.sum())
+            flat = flat[free]
+        if flat.size == 0:
+            fallback = "centroid"
+            row, col = _reference_centroid_cell(block, grid)
+            flat = row * grid.n_cols + col
+        claimed[flat] = True
+        owned.append(flat)
+        fallbacks.append(fallback)
+    # Drop each copy as soon as it is merged, to keep the peak low.
+    del cells
+    sizes = np.array([f.size for f in owned], dtype=np.int64)
+    report.starts = np.cumsum(sizes) - sizes
+    if owned:
+        flat = np.concatenate(owned)
+        del owned
+        report.rows, report.cols = np.divmod(flat, grid.n_cols)
+    for block, fallback, start, size in zip(blocks, fallbacks, report.starts, sizes):
+        rows = report.rows[start:start + size]
+        cols = report.cols[start:start + size]
+        report.allocations.append(BlockAllocation(block.block_id, rows, cols, fallback))
+    return report
+
+
+def _reference_centroid_cell(
+    block: CensusBlock, grid: AnalysisGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    num_x = num_y = den = 0.0
+    for part in block.parts:
+        area = polygon_area(part)
+        c = polygon_centroid(part)
+        weight = area if area > 0 else 1.0
+        num_x += weight * c.x
+        num_y += weight * c.y
+        den += weight
+    cx, cy = num_x / den, num_y / den
+    col = int(np.clip((cx - grid.origin_x) // grid.cell_size, 0, grid.n_cols - 1))
+    band = int(np.clip((cy - grid.origin_y) // grid.cell_size, 0, grid.n_rows - 1))
+    row = grid.n_rows - 1 - band
+    return np.array([row], dtype=np.int64), np.array([col], dtype=np.int64)
+
+
+@st.composite
+def overlapping_blocks(draw):
+    """Rectangles anywhere on or partly off a grid, some too small to hold a center."""
+    g = AnalysisGrid(0, 0, 20.0, draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    blocks = []
+    for k in range(draw(st.integers(0, 12))):
+        x0 = draw(st.integers(-40, int(g.max_x)))
+        y0 = draw(st.integers(-40, int(g.max_y)))
+        tiny = draw(st.integers(0, 3)) == 0
+        w = draw(st.integers(1, 8) if tiny else st.integers(10, 100))
+        h = draw(st.integers(1, 8) if tiny else st.integers(10, 100))
+        blocks.append(CensusBlock(f"b{k}", [rect(x0, y0, x0 + w, y0 + h)], 1.0, "t"))
+    return g, blocks
+
+
+class TestReferenceClaimLoop:
+    @given(overlapping_blocks())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_claim_loop_where_no_block_captures_a_centroid_cell(self, layout):
+        g, blocks = layout
+        ref = reference_rasterize_blocks(blocks, g)
+        cells, _ = features_cell_indices([b.parts for b in blocks], g)
+        for a in ref.allocations:
+            if a.fallback:
+                assume(a.rows[0] * g.n_cols + a.cols[0] not in cells)
+        got = rasterize_blocks(blocks, g)
+        assert placements(blocks, got) == placements(blocks, ref)
+        assert got.overlap_cells == ref.overlap_cells
+        for name in ("rows", "cols", "starts"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+class TestMassPreservedOnAnyLayout:
+    @given(overlapping_blocks(), st.lists(st.integers(0, 1000), min_size=12, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_no_block_shares_its_cells(self, layout, pops):
+        g, blocks = layout
+        blocks = [CensusBlock(b.block_id, b.parts, float(p), "t") for b, p in zip(blocks, pops)]
+        landcover = CategoryRaster(g, np.full((g.n_rows, g.n_cols), 22))
+        pop, report = downscale(blocks, landcover, WeightTable.default(), g)
+        assert not validate_mass(blocks, pop, report).failures()
+        assert float(pop.cells.sum()) == pytest.approx(sum(b.pop for b in blocks))
 
 
 class TestDownscale:

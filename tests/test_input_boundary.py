@@ -161,6 +161,18 @@ CASES = [
      *first_feature("blocks.geojson",
                     lambda f: f["geometry"]["coordinates"][0][0].__setitem__(0, False)),
      2, "feature 0: bad coordinates value"),
+    # A JSON string is not a number, even when its text reads as one.
+    ("pop-numeric-text",
+     *first_feature("blocks.geojson", lambda f: f["properties"].update(pop="169")),
+     2, "feature 0: bad pop value '169'"),
+    ("n-rows-numeric-text", "manifest.json",
+     lambda p: edit_json(p, lambda d: d["grid"].update(n_rows=str(d["grid"]["n_rows"]))),
+     2, "bad n_rows value '"),
+    ("weight-numeric-text", "weights.json",
+     lambda p: edit_json(p, lambda d: d.update({"22": "3"})), 2, "bad weights[22] value '3'"),
+    ("building-cost-numeric-text", "costs.json",
+     lambda p: edit_json(p, lambda d: d.update(building_cost="3000")),
+     2, "bad building_cost value '3000'"),
 ]
 
 

@@ -45,6 +45,19 @@ class TestEventDates:
         ]
         assert event_dates(dets) == [D0 + dt.timedelta(days=i) for i in range(4)]
 
+    def test_span_beyond_first_burn_raster_is_rejected_before_building(self):
+        dets = [Detection(Point(1, 1), dt.date.min), Detection(Point(2, 2), dt.date.max)]
+        with pytest.raises(ValidationError, match="3652059 days exceed"):
+            event_dates(dets)
+
+    def test_longest_span_the_raster_indexes_is_kept(self):
+        last = D0 + dt.timedelta(days=32766)
+        dets = [Detection(Point(1, 1), D0), Detection(Point(2, 2), last)]
+        assert len(event_dates(dets)) == 32767
+        dets[1] = Detection(Point(2, 2), last + dt.timedelta(days=1))
+        with pytest.raises(ValidationError, match="32768 days exceed"):
+            event_dates(dets)
+
 
 class TestComputePerimeters:
     def test_detections_partition_by_district(self):
@@ -118,6 +131,21 @@ class TestComputePopulation:
         ]
         popgrid, report, mass = compute_population(layers)
         assert float(popgrid.cells.sum()) == 64.0
+        assert mass.max_rel_err() <= 1e-9
+
+    @pytest.mark.parametrize("sliver_first", [True, False])
+    def test_sliver_inside_a_neighbours_cell_passes_mass_check(self, sliver_first):
+        from fireimpact.dasymetric import CensusBlock
+
+        m = manifest(4)
+        layers = Layers(manifest=m)
+        layers.landcover = CategoryRaster(m.grid, np.full((4, 4), 22))
+        sliver = CensusBlock("s", [rect(2, 2, 6, 6)], 7.0, "t1")
+        neighbour = CensusBlock("n", [rect(0, 0, 40, 80)], 80.0, "t1")
+        layers.blocks = [sliver, neighbour] if sliver_first else [neighbour, sliver]
+        popgrid, report, mass = compute_population(layers)
+        assert float(popgrid.cells.sum()) == pytest.approx(87.0)
+        assert report.fallback_ids() == {"s"}
         assert mass.max_rel_err() <= 1e-9
 
 
