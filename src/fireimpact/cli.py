@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .dasymetric import MassReport
-from .errors import FormatError, PipelineError, ValidationError
+from .errors import FormatError, ValidationError
 from .impact import EventSummary, cents_to_usd, summarize
 from .io_formats import (
     mask_to_category,
@@ -88,6 +88,27 @@ def cmd_synth(argv: list[str]) -> int:
     return 0
 
 
+def _district_slugs(names: list[str]) -> dict[str, str]:
+    """Each district's part of its file names: its name with spaces as underscores.
+
+    Two districts with one slug, or a slug holding a path separator or NUL,
+    would overwrite or escape the output files, so they are a ValidationError.
+    """
+    by_slug: dict[str, str] = {}
+    for name in names:
+        slug = name.replace(" ", "_")
+        if any(ch in slug for ch in "/\\\0"):
+            raise ValidationError(
+                f"district {name!r} cannot name a file: it holds a path separator or NUL"
+            )
+        if slug in by_slug:
+            raise ValidationError(
+                f"districts {by_slug[slug]!r} and {name!r} both name their files {slug!r}"
+            )
+        by_slug[slug] = name
+    return {name: slug for slug, name in by_slug.items()}
+
+
 def cmd_perimeters(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="fireimpact perimeters")
     _add_manifest_arg(parser)
@@ -96,12 +117,13 @@ def cmd_perimeters(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     manifest = read_manifest(args.manifest)
     layers = load_layers(manifest, {"detections", "official_perimeter"})
+    slugs = _district_slugs([d.name for d in layers.districts])
     perims = compute_perimeters(layers, _kde_params(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     n_files = 0
     for name in sorted(perims):
-        slug = name.replace(" ", "_")
+        slug = slugs[name]
         for day in perims[name]:
             stem = f"{slug}_{day.date.isoformat()}"
             write_daily_perimeters_geojson(
@@ -277,9 +299,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 2
-    except PipelineError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except MemoryError:
         # A valid but extreme input, such as a manifest grid of 10^9 rows.
         sys.stderr.write(f"error: {command}: out of memory; the grid or input is too large\n")

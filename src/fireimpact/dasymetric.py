@@ -8,6 +8,7 @@ property) and uninhabitable classes receive nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,17 +201,20 @@ def downscale(
 
     Within a block, cell i receives pop * RA(i) / sum(RA over the block);
     blocks whose weights sum to zero fall back to a uniform spread so no
-    population is dropped (flagged in the report).
+    population is dropped (flagged in the report). A centroid cell, which
+    no other block keeps, gets the exactly rounded sum of the populations
+    of the fallback blocks in it, in any block order.
     """
     if landcover.grid != grid:
         raise ValidationError("landcover raster is not on the analysis grid")
     ra = allocation_factor_raster(landcover, w)
     report = rasterize_blocks(blocks, grid)
     out = np.zeros(grid.shape)
+    centroid_pops: dict[tuple[int, int], list[float]] = {}
     for block, alloc in zip(blocks, report.allocations):
         rows, cols = alloc.rows, alloc.cols
         if alloc.fallback == "centroid":
-            out[rows, cols] += block.pop
+            centroid_pops.setdefault((int(rows[0]), int(cols[0])), []).append(block.pop)
             continue
         cell_ra = ra.cells[rows, cols]
         total = float(cell_ra.sum())
@@ -219,6 +223,8 @@ def downscale(
         else:
             alloc.fallback = "uniform"
             out[rows, cols] += block.pop / rows.size
+    for cell, pops in centroid_pops.items():
+        out[cell] = math.fsum(pops)
     return RealRaster(grid, out), report
 
 

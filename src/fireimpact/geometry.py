@@ -340,7 +340,7 @@ def polygon_centroid(poly: Polygon) -> Point:
     if den == 0.0:
         pts = poly.exterior[:-1]
         return Point(
-            sum(p.x for p in pts) / len(pts), sum(p.y for p in pts) / len(pts)
+            math.fsum(p.x for p in pts) / len(pts), math.fsum(p.y for p in pts) / len(pts)
         )
     return Point(num_x / den, num_y / den)
 

@@ -30,6 +30,8 @@ from .grid import AnalysisGrid, CategoryRaster, Mask, RealRaster
 GENDER_KEYS = ("female", "male")
 AGE_KEYS = ("age_0_17", "age_18_64", "age_65_plus")
 RACE_KEYS = ("white", "asian", "black", "multiracial", "other")
+# Each demographic group, named as its TractDemographics/Demographics field.
+DEMOGRAPHIC_GROUPS = {"gender": GENDER_KEYS, "age": AGE_KEYS, "race": RACE_KEYS}
 
 
 def to_cents(dollars: float) -> int:
@@ -110,7 +112,7 @@ class BuildingFeature:
             raise ValidationError(f"building {self.building_id} has no footprint")
 
     def area(self) -> float:
-        return sum(polygon_area(p) for p in self.footprints)
+        return math.fsum(polygon_area(p) for p in self.footprints)
 
 
 @dataclass(frozen=True)
@@ -149,18 +151,15 @@ class TractDemographics:
     race: dict[str, float]
 
     def __post_init__(self) -> None:
-        for name, keys, shares in (
-            ("gender", GENDER_KEYS, self.gender),
-            ("age", AGE_KEYS, self.age),
-            ("race", RACE_KEYS, self.race),
-        ):
+        for name, keys in DEMOGRAPHIC_GROUPS.items():
+            shares = getattr(self, name)
             if set(shares) != set(keys):
                 raise ValidationError(
                     f"tract {self.tract_id}: {name} shares must have keys {keys}"
                 )
             if any(not (0 <= v <= 1) for v in shares.values()):
                 raise ValidationError(f"tract {self.tract_id}: {name} share out of [0,1]")
-            total = sum(shares.values())
+            total = math.fsum(shares.values())
             if abs(total - 1.0) > 1e-6:
                 raise ValidationError(
                     f"tract {self.tract_id}: {name} shares sum to {total}, not 1"
@@ -177,11 +176,7 @@ class Demographics:
 
     @classmethod
     def zeros(cls) -> "Demographics":
-        return cls(
-            {k: 0.0 for k in GENDER_KEYS},
-            {k: 0.0 for k in AGE_KEYS},
-            {k: 0.0 for k in RACE_KEYS},
-        )
+        return cls(**{g: dict.fromkeys(keys, 0.0) for g, keys in DEMOGRAPHIC_GROUPS.items()})
 
 
 @dataclass(frozen=True)
@@ -243,23 +238,25 @@ def road_loss(
 ) -> tuple[dict[str, int], dict[str, float]]:
     """Burned road length and cents per road class.
 
-    Length inside the burn is the sum of per-cell clipped lengths over
-    burned cells; each cell's cents are rounded once so partitions of the
-    mask account exactly.
+    Length inside the burn is the exactly rounded sum of per-cell clipped
+    lengths over burned cells; each cell's cents are rounded once so
+    partitions of the mask account exactly. Neither depends on the order
+    of ``roads``; both dicts are keyed in sorted class order.
     """
     cents: dict[str, int] = {}
-    meters: dict[str, float] = {}
+    lengths: dict[str, list[float]] = {}
     for road in roads:
         if road.road_class not in costs.road_cost:
             raise UnpricedClassError(f"no road cost for class {road.road_class!r}")
         rate = costs.road_cost[road.road_class]
-        for (r, c), length in sorted(rasterize_polyline(road.line, new_burn.grid).items()):
+        for (r, c), length in rasterize_polyline(road.line, new_burn.grid).items():
             if new_burn.bits[r, c]:
-                meters[road.road_class] = meters.get(road.road_class, 0.0) + length
+                lengths.setdefault(road.road_class, []).append(length)
                 cents[road.road_class] = (
                     cents.get(road.road_class, 0) + to_cents(length * rate)
                 )
-    return cents, meters
+    classes = sorted(lengths)
+    return {k: cents[k] for k in classes}, {k: math.fsum(lengths[k]) for k in classes}
 
 
 @dataclass(frozen=True)
@@ -328,13 +325,16 @@ def building_loss(
 
 
 def poi_exposure(new_burn: Mask, pois: list[PoiFeature]) -> dict[str, int]:
-    """Counts of POIs whose containing cell is newly burned, per category."""
+    """Counts of POIs whose containing cell is newly burned, per category.
+
+    Keyed in sorted category order, whatever the order of ``pois``.
+    """
     out: dict[str, int] = {}
     for poi in pois:
         cell = new_burn.grid.cell_of(poi.location.x, poi.location.y)
         if cell is not None and new_burn.bits[cell]:
             out[poi.category] = out.get(poi.category, 0) + 1
-    return out
+    return dict(sorted(out.items()))
 
 
 def population_exposure(new_burn: Mask, popgrid: RealRaster) -> float:
@@ -352,30 +352,29 @@ def demographic_breakdown(
     """Split exposed persons into gender/age/race counts via tract shares.
 
     Each group's counts sum back to the total exposure (to rounding),
-    because every tract's shares sum to one.
+    because every tract's shares sum to one. A tract's exposure is the
+    exactly rounded sum of its blocks' exposures, and tracts are weighted
+    in sorted order, so the counts do not depend on the order of the blocks.
     """
-    gender = {k: 0.0 for k in GENDER_KEYS}
-    age = {k: 0.0 for k in AGE_KEYS}
-    race = {k: 0.0 for k in RACE_KEYS}
-    exposed_by_tract: dict[str, float] = {}
+    exposed_by_tract: dict[str, list[float]] = {}
     for block_id, exposed in exposure_by_block.items():
         if exposed == 0.0:
             continue
         tract_id = block_tracts.get(block_id)
         if tract_id is None:
             raise MissingTractError(f"block {block_id} has no tract mapping")
-        exposed_by_tract[tract_id] = exposed_by_tract.get(tract_id, 0.0) + exposed
-    for tract_id, exposed in sorted(exposed_by_tract.items()):
+        exposed_by_tract.setdefault(tract_id, []).append(exposed)
+    counts = Demographics.zeros()
+    for tract_id in sorted(exposed_by_tract):
         demo = tract_demo.get(tract_id)
         if demo is None:
             raise MissingTractError(f"no demographics for tract {tract_id}")
-        for k in GENDER_KEYS:
-            gender[k] += exposed * demo.gender[k]
-        for k in AGE_KEYS:
-            age[k] += exposed * demo.age[k]
-        for k in RACE_KEYS:
-            race[k] += exposed * demo.race[k]
-    return Demographics(gender, age, race)
+        exposed = math.fsum(exposed_by_tract[tract_id])
+        for group in DEMOGRAPHIC_GROUPS:
+            shares, totals = getattr(demo, group), getattr(counts, group)
+            for k in totals:
+                totals[k] += exposed * shares[k]
+    return counts
 
 
 @dataclass(frozen=True)
@@ -413,7 +412,7 @@ PEAK_METRICS: dict[str, Callable[[DailyImpactRecord], float]] = {
 
 
 def _percentages(totals: dict) -> dict:
-    whole = sum(totals.values())
+    whole = math.fsum(totals.values())
     if whole <= 0:
         return {}
     return {k: 100.0 * v / whole for k, v in totals.items()}
@@ -437,7 +436,7 @@ def summarize(records: list[DailyImpactRecord]) -> EventSummary:
         peaks: dict[str, CategorySummary] = {}
         for cat, metric in PEAK_METRICS.items():
             values = [metric(r) for r in recs]
-            total = sum(values)
+            total = math.fsum(values)
             best = max(range(len(recs)), key=lambda i: (values[i], -i))
             peak_date = recs[best].date if values[best] > 0 else None
             peaks[cat] = CategorySummary(total, peak_date, values[best])
@@ -463,5 +462,5 @@ def summarize(records: list[DailyImpactRecord]) -> EventSummary:
     return EventSummary(
         districts=districts,
         grand_total_cents=sum(r.grand_total_cents for r in records),
-        total_exposed=sum(r.exposed_population for r in records),
+        total_exposed=math.fsum(r.exposed_population for r in records),
     )

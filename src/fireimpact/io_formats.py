@@ -43,9 +43,7 @@ from .geometry import (
 )
 from .grid import AnalysisGrid, CategoryRaster, Mask, RealRaster
 from .impact import (
-    AGE_KEYS,
-    GENDER_KEYS,
-    RACE_KEYS,
+    DEMOGRAPHIC_GROUPS,
     BuildingFeature,
     CostModel,
     DailyImpactRecord,
@@ -577,12 +575,12 @@ def _json_arrays(items: list[str], offsets: np.ndarray) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _validated(path: Path, build: Callable[..., T], **fields: Any) -> T:
-    """``build(**fields)``; a ValidationError it raises is re-raised naming ``path``."""
+def _validated(where: str | Path, build: Callable[..., T], **fields: Any) -> T:
+    """``build(**fields)``; a ValidationError it raises is re-raised naming ``where``."""
     try:
         return build(**fields)
     except ValidationError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def read_weights(path: str | Path) -> WeightTable:
@@ -620,7 +618,14 @@ def write_costs(costs: CostModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
-_DEMO_COLUMNS = ("tract_id",) + GENDER_KEYS + AGE_KEYS + RACE_KEYS
+# Every demographic key, group by group: demographics.csv's share columns
+# and, prefixed with ``demo_``, report.csv's count columns.
+_DEMO_KEYS = tuple(itertools.chain(*DEMOGRAPHIC_GROUPS.values()))
+
+
+def _demo_values(demo: TractDemographics | Demographics) -> dict[str, float]:
+    """``demo``'s value for each key, in ``_DEMO_KEYS`` order."""
+    return {k: getattr(demo, g)[k] for g, keys in DEMOGRAPHIC_GROUPS.items() for k in keys}
 
 
 def read_demographics(path: str | Path) -> dict[str, TractDemographics]:
@@ -628,25 +633,19 @@ def read_demographics(path: str | Path) -> dict[str, TractDemographics]:
     out: dict[str, TractDemographics] = {}
     with _open_text(path) as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in _DEMO_COLUMNS if c not in (reader.fieldnames or [])]
+        missing = [c for c in ("tract_id", *_DEMO_KEYS) if c not in (reader.fieldnames or [])]
         if missing:
             raise SchemaError(f"{path}: missing demographics column(s) {missing}")
         for row in reader:
             where = f"{path}: line {reader.line_num}"
-            share = {k: parse_value(where, k, row[k], _finite) for k in _DEMO_COLUMNS[1:]}
+            shares = {
+                g: {k: parse_value(where, k, row[k], _finite) for k in keys}
+                for g, keys in DEMOGRAPHIC_GROUPS.items()
+            }
             tract_id = row["tract_id"]
-            try:
-                demo = TractDemographics(
-                    tract_id=tract_id,
-                    gender={k: share[k] for k in GENDER_KEYS},
-                    age={k: share[k] for k in AGE_KEYS},
-                    race={k: share[k] for k in RACE_KEYS},
-                )
-            except ValidationError as exc:
-                raise SchemaError(f"{where}: {exc}") from None
             if tract_id in out:
-                raise SchemaError(f"{where}: duplicate tract {tract_id}")
-            out[tract_id] = demo
+                raise ValidationError(f"{where}: duplicate tract {tract_id}")
+            out[tract_id] = _validated(where, TractDemographics, tract_id=tract_id, **shares)
     return out
 
 
@@ -655,15 +654,9 @@ def write_demographics(
 ) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_DEMO_COLUMNS)
+        writer.writerow(("tract_id", *_DEMO_KEYS))
         for tract_id in sorted(demos):
-            d = demos[tract_id]
-            writer.writerow(
-                [tract_id]
-                + [repr(d.gender[k]) for k in GENDER_KEYS]
-                + [repr(d.age[k]) for k in AGE_KEYS]
-                + [repr(d.race[k]) for k in RACE_KEYS]
-            )
+            writer.writerow([tract_id, *map(repr, _demo_values(demos[tract_id]).values())])
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +721,6 @@ _REPORT_CLASSES = (
     _ClassColumns("road_length_m_", "road_length_m", _ROADS, repr, 0.0, str, float),
     _ClassColumns("poi_count_", "poi_count", ("poi_count",), str, 0, str, int),
 )
-_DEMO_GROUPS = (("gender", GENDER_KEYS), ("age", AGE_KEYS), ("race", RACE_KEYS))
 _REPORT_CUMULATIVE = {
     f"cumulative_{name}": _REPORT_FIXED[name] for name in (
         "building_loss_usd", "exposed_population", "land_loss_usd", "new_burn_cells",
@@ -753,7 +745,7 @@ def write_report(
         for family in _REPORT_CLASSES
     ]
     header = list(_REPORT_HEAD) + sorted(
-        [*_REPORT_SORTED, *(f"demo_{k}" for _, keys in _DEMO_GROUPS for k in keys)]
+        [*_REPORT_SORTED, *(f"demo_{k}" for k in _DEMO_KEYS)]
         + [f"{family.prefix}{c}" for family, cs in classes for c in cs]
     ) + list(_REPORT_CUMULATIVE if cumulative else ())
 
@@ -767,8 +759,7 @@ def write_report(
                 values = getattr(rec, family.field)
                 row.update((f"{family.prefix}{c}", family.text(values.get(c, family.missing)))
                            for c in cs)
-            for group, keys in _DEMO_GROUPS:
-                row.update((f"demo_{k}", repr(getattr(rec.demographics, group)[k])) for k in keys)
+            row.update((f"demo_{k}", repr(v)) for k, v in _demo_values(rec.demographics).items())
             if cumulative:
                 totals = running.setdefault(rec.district, dict.fromkeys(_REPORT_CUMULATIVE, 0))
                 for name, col in _REPORT_CUMULATIVE.items():

@@ -186,7 +186,7 @@ def kde_surface(
     if params.frp_weighted:
         if np.isnan(points.frp).any():
             raise ValidationError("frp_weighted requires frp on every detection")
-        mean_frp = sum(points.frp.tolist()) / len(points)
+        mean_frp = math.fsum(points.frp.tolist()) / len(points)
         if mean_frp <= 0:
             raise ValidationError("frp_weighted requires a positive mean frp")
         weights = (points.frp / mean_frp).tolist()

@@ -69,6 +69,35 @@ class TestDispatch:
         assert "duplicate block_id" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "names, named",
+        [
+            # Spaces become underscores, so both would write district_a files.
+            (["district a", "district_a"], "'district a' and 'district_a'"),
+            (["north/south", "district-b"], "'north/south'"),
+            (["nul\0name", "district-b"], "'nul\\x00name'"),
+        ],
+        ids=["stems-collide", "path-separator", "nul"],
+    )
+    def test_district_names_that_cannot_name_files_exit_1(
+        self, capsys, scenario_dir, tmp_path, names, named
+    ):
+        scen = shutil.copytree(scenario_dir, tmp_path / "s")
+        doc = json.loads((scen / "perimeter.geojson").read_text())
+        for feature, name in zip(doc["features"], names, strict=True):
+            feature["properties"]["name"] = name
+        (scen / "perimeter.geojson").write_text(json.dumps(doc))
+        out = tmp_path / "p"
+        code, stdout, err = run(
+            ["perimeters", "--manifest", str(scen / "manifest.json"),
+             "--out", str(out), "--bandwidth-m", "4"],
+            capsys,
+        )
+        assert code == 1, err
+        assert named in err
+        assert "Traceback" not in err and stdout == ""
+        assert not out.exists()
+
     def test_malformed_manifest_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

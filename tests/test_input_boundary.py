@@ -82,10 +82,15 @@ def asc_token(value):
     return "landcover.asc", change
 
 
-def short_demographics_row(path):
-    lines = path.read_text().split("\n")
-    lines[1] = ",".join(lines[1].split(",")[:4])
-    path.write_text("\n".join(lines))
+def edit_demographics(change):
+    """Apply ``change`` to demographics.csv's rows, each a list of cells."""
+
+    def edit(path):
+        rows = [line.split(",") for line in path.read_text().split("\n")]
+        change(rows)
+        path.write_text("\n".join(",".join(row) for row in rows))
+
+    return "demographics.csv", edit
 
 
 # (id, file edited, edit, exit code, what stderr names besides the file)
@@ -109,7 +114,15 @@ CASES = [
      lambda p: edit_json(p, lambda d: d.update(building_cost="x")), 2, "building_cost"),
     ("land-cost-key-text", "costs.json",
      lambda p: edit_json(p, lambda d: d["land_cost"].update(x=1.0)), 2, "land_cost"),
-    ("demographics-short-row", "demographics.csv", short_demographics_row, 2, "line 2"),
+    ("demographics-short-row",
+     *edit_demographics(lambda rows: rows.__setitem__(1, rows[1][:4])), 2, "line 2"),
+    # Shares that parse but are invalid, and a repeated tract, are values: exit 1.
+    ("demographics-shares-sum",
+     *edit_demographics(lambda rows: rows[1].__setitem__(1, "0.9")),
+     1, "line 2: tract district-a-t0: gender shares sum to"),
+    ("demographics-repeated-tract",
+     *edit_demographics(lambda rows: rows[2].__setitem__(0, rows[1][0])),
+     1, "line 3: duplicate tract district-a-t0"),
     ("feature-is-number", "roads.geojson",
      lambda p: edit_json(p, lambda d: d["features"].insert(0, 1)), 2, "feature 0"),
     ("coordinates-null",

@@ -1,13 +1,27 @@
+import dataclasses
 import datetime as dt
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fireimpact.dasymetric import CensusBlock
 from fireimpact.errors import ValidationError
-from fireimpact.geometry import Point, Polygon
+from fireimpact.geometry import Point, Polygon, PolyLine
 from fireimpact.grid import AnalysisGrid, CategoryRaster, Mask
-from fireimpact.impact import BuildingFeature, CostModel, District, to_cents
-from fireimpact.io_formats import FileManifest
+from fireimpact.impact import (
+    BuildingFeature,
+    CostModel,
+    District,
+    PoiFeature,
+    RoadFeature,
+    TractDemographics,
+    to_cents,
+)
+from fireimpact.io_formats import FileManifest, write_report
 from fireimpact.perimeters import Detection, KdeParams
 from fireimpact.pipeline import (
     Layers,
@@ -244,6 +258,105 @@ class TestAssessBuildings:
             (D0 + dt.timedelta(days=1), "west", 0, 0),
         ]
         assert all(r.new_burn_cells == 1 for r in records)
+
+
+# Tract shares that weight every group's keys differently.
+TRACT_SHARES = [
+    {"gender": {"female": 0.3, "male": 0.7},
+     "age": {"age_0_17": 0.2, "age_18_64": 0.5, "age_65_plus": 0.3},
+     "race": {"white": 0.1, "asian": 0.2, "black": 0.3, "multiracial": 0.25, "other": 0.15}},
+    {"gender": {"female": 0.55, "male": 0.45},
+     "age": {"age_0_17": 0.15, "age_18_64": 0.6, "age_65_plus": 0.25},
+     "race": {"white": 0.45, "asian": 0.05, "black": 0.1, "multiracial": 0.3, "other": 0.1}},
+]
+
+
+@st.composite
+def assess_layers(draw):
+    """Layers whose totals are float sums over several features.
+
+    Blocks tile the grid without overlap; some tiles give their bottom-left
+    corner to up to three slivers that capture no cell center and so share
+    one centroid cell. Each road class has two or three roads with float
+    vertices; buildings and POIs fall anywhere.
+    """
+    cell = 20.0
+    n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    g = AnalysisGrid(0, 0, cell, n_rows, n_cols)
+    layers = Layers(manifest=FileManifest(-118.25, 34.05, g, {}))
+    codes = draw(st.lists(st.sampled_from([21, 22, 24, 42]),
+                          min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    layers.landcover = CategoryRaster(g, np.array(codes).reshape(n_rows, n_cols))
+    pop = st.floats(0, 500, allow_subnormal=False)
+    tract = st.sampled_from(["t0", "t1"])
+    ys = sorted({0, n_rows} | draw(st.sets(st.integers(1, n_rows))))
+    xs = sorted({0, n_cols} | draw(st.sets(st.integers(1, n_cols))))
+    for i, (b0, b1) in enumerate(zip(ys, ys[1:])):
+        for j, (a0, a1) in enumerate(zip(xs, xs[1:])):
+            x0, x1, y0, y1 = a0 * cell, a1 * cell, b0 * cell, b1 * cell
+            widths = draw(st.lists(st.integers(1, 3), max_size=3))
+            if not widths:
+                layers.blocks.append(CensusBlock(
+                    f"b{i}_{j}", [rect(x0, y0, x1, y1)], draw(pop), draw(tract)))
+                continue
+            h = draw(st.integers(1, 9))
+            edges = np.cumsum([0, *widths]).tolist()
+            for k, (e0, e1) in enumerate(zip(edges, edges[1:])):
+                layers.blocks.append(CensusBlock(
+                    f"s{i}_{j}_{k}", [rect(x0 + e0, y0, x0 + e1, y0 + h)],
+                    draw(pop), draw(tract)))
+            w = edges[-1]
+            rest = Polygon([
+                Point(x0 + w, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1),
+                Point(x0, y0 + h), Point(x0 + w, y0 + h),
+            ])
+            layers.blocks.append(CensusBlock(f"r{i}_{j}", [rest], draw(pop), draw(tract)))
+    layers.demographics = {
+        t: TractDemographics(t, **shares) for t, shares in zip(["t0", "t1"], TRACT_SHARES)
+    }
+
+    x = st.floats(-10, g.max_x + 10)
+    y = st.floats(-10, g.max_y + 10)
+    for road_class in ("primary", "residential"):
+        for _ in range(draw(st.integers(2, 3))):
+            vertices = draw(st.lists(st.tuples(x, y), min_size=2, max_size=4, unique=True))
+            layers.roads.append(RoadFeature(PolyLine([Point(*v) for v in vertices]), road_class))
+    for k in range(draw(st.integers(0, 4))):
+        bx, by = draw(st.integers(0, int(g.max_x) - 1)), draw(st.integers(0, int(g.max_y) - 1))
+        bw, bh = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+        layers.buildings.append(BuildingFeature([rect(bx, by, bx + bw, by + bh)], f"h{k}"))
+    for k in range(draw(st.integers(0, 6))):
+        category = draw(st.sampled_from(["clinic", "school", "shelter"]))
+        layers.pois.append(PoiFeature(Point(draw(x), draw(y)), category))
+
+    layers.districts = [District("d", [rect(0, 0, g.max_x, g.max_y)])]
+    inside = st.tuples(st.floats(0, g.max_x), st.floats(0, g.max_y))
+    layers.detections = [
+        Detection(Point(*xy), D0 + dt.timedelta(days=day))
+        for day in range(draw(st.integers(1, 3)))
+        for xy in draw(st.lists(inside, min_size=1, max_size=4))
+    ]
+    return layers
+
+
+class TestInputOrder:
+    """Reordering blocks, roads, buildings or POIs leaves the records and report alone."""
+
+    @given(assess_layers(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_reordering_features_changes_no_record(self, layers, rnd):
+        params = KdeParams(bandwidth_m=20.0)
+        shuffled = dataclasses.replace(layers, **{
+            name: rnd.sample(getattr(layers, name), len(getattr(layers, name)))
+            for name in ("blocks", "roads", "buildings", "pois")
+        })
+        records = assess(layers, params)
+        again = assess(shuffled, params)
+        assert [repr(r) for r in again] == [repr(r) for r in records]
+        with tempfile.TemporaryDirectory() as tmp:
+            write_report(records, Path(tmp) / "a.csv")
+            write_report(again, Path(tmp) / "b.csv")
+            assert (Path(tmp) / "b.csv").read_bytes() == (Path(tmp) / "a.csv").read_bytes()
 
 
 class TestLazyTracing:
