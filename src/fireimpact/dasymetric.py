@@ -108,6 +108,10 @@ class DownscaleReport:
     rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     cols: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     starts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    # Aligned with rows and cols, filled by `downscale`: the persons each
+    # block put in each of its cells. A centroid fallback block's one entry
+    # is its own pop, whichever other fallback blocks share the cell.
+    pop: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def fallback_ids(self) -> set[str]:
         return {a.block_id for a in self.allocations if a.fallback}
@@ -210,19 +214,23 @@ def downscale(
     ra = allocation_factor_raster(landcover, w)
     report = rasterize_blocks(blocks, grid)
     out = np.zeros(grid.shape)
+    report.pop = np.empty(report.rows.size)
     centroid_pops: dict[tuple[int, int], list[float]] = {}
-    for block, alloc in zip(blocks, report.allocations):
+    for block, alloc, start in zip(blocks, report.allocations, report.starts.tolist()):
         rows, cols = alloc.rows, alloc.cols
+        share = report.pop[start:start + rows.size]
         if alloc.fallback == "centroid":
+            share[:] = block.pop
             centroid_pops.setdefault((int(rows[0]), int(cols[0])), []).append(block.pop)
             continue
         cell_ra = ra.cells[rows, cols]
         total = float(cell_ra.sum())
         if total > 0.0:
-            out[rows, cols] += block.pop * (cell_ra / total)
+            share[:] = block.pop * (cell_ra / total)
         else:
             alloc.fallback = "uniform"
-            out[rows, cols] += block.pop / rows.size
+            share[:] = block.pop / rows.size
+        out[rows, cols] += share
     for cell, pops in centroid_pops.items():
         out[cell] = math.fsum(pops)
     return RealRaster(grid, out), report

@@ -36,8 +36,8 @@ from .geometry import (
     Point,
     PolyLine,
     Polygon,
+    RingArrays,
     project_lonlat,
-    trace_mask_boundary,
     trace_mask_rings,
     unproject_to_lonlat,
 )
@@ -872,12 +872,19 @@ def render_svg(
                 )
 
     if perimeters:
+        # Traced vertices lie on the corner lattice: format its x and y once.
+        x_text, y_text = (
+            np.array([f"{v:.2f}" for v in values.tolist()], dtype=object)
+            for values in ((grid.corner_xs() - grid.origin_x) * scale,
+                           (grid.max_y - grid.corner_ys()) * scale)
+        )
         for name in sorted(perimeters):
             for day in perimeters[name]:
                 color = _DAY_COLORS[dates.index(day.date) % len(_DAY_COLORS)]
-                for poly in trace_mask_boundary(day.new_burn):
+                rings = trace_mask_rings(day.new_burn)
+                for path_data in _ring_paths(rings, x_text, y_text, grid.n_cols):
                     parts.append(
-                        f'<path d="{_poly_path(poly, sx, sy)}" fill="none" '
+                        f'<path d="{path_data}" fill="none" '
                         f'stroke="{color}" stroke-width="1.2"/>'
                     )
 
@@ -906,6 +913,23 @@ def _legend_dates(perimeters: dict[str, list[DailyPerimeter]] | None) -> list[dt
         return []
     dates = sorted({day.date for days in perimeters.values() for day in days})
     return dates
+
+
+def _ring_paths(
+    rings: RingArrays, x_text: np.ndarray, y_text: np.ndarray, n_cols: int
+) -> list[str]:
+    """The SVG path data of each traced polygon, one closed subpath per ring.
+
+    ``x_text`` and ``y_text`` hold the formatted coordinates of the corner
+    lattice's columns and rows; the text is what :func:`_poly_path` gives
+    for the same polygon.
+    """
+    i, j = np.divmod(rings.corners, n_cols + 1)
+    vertices = ((x_text + " ")[j] + y_text[i]).tolist()
+    ends = rings.ring_offsets.tolist()
+    subpaths = ["M " + " L ".join(vertices[a:b - 1]) + " Z" for a, b in zip(ends, ends[1:])]
+    bounds = rings.polygon_offsets.tolist()
+    return [" ".join(subpaths[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def _poly_path(poly: Polygon, sx, sy) -> str:

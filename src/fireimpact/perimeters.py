@@ -169,6 +169,44 @@ class DailyPerimeter:
         return Mask(self.active.grid, (first >= 0) & (first <= self.index))
 
 
+# A point whose KDE window holds more cells than this is added on its own,
+# by one slice update; smaller windows are added in batches.
+SMALL_WINDOW_CELLS = 1024
+# A batch's points times its largest window rows times its largest window
+# columns stays within this many cells, bounding the padded temporaries.
+BATCH_CELLS = 32 * 1024
+
+
+def _batch_bounds(n_rows: np.ndarray, n_cols: np.ndarray) -> np.ndarray:
+    """Bounds ``[0, ..., n]`` of the consecutive batches the points are added in.
+
+    A point whose window holds more than :data:`SMALL_WINDOW_CELLS` cells
+    is a batch of its own. Runs of the other points are cut so that a
+    batch's points times its largest window rows times its largest window
+    columns stays within :data:`BATCH_CELLS`; every batch holds at least
+    one point.
+    """
+    sizes = n_rows * n_cols
+    big = sizes > SMALL_WINDOW_CELLS
+    edge = np.ones(len(sizes) + 1, dtype=bool)
+    edge[1:-1] = big[1:] | big[:-1]
+    bounds = np.flatnonzero(edge)
+    runs = np.flatnonzero(np.diff(bounds) > 1)
+    cuts = []
+    for lo, stop in zip(bounds[runs].tolist(), bounds[runs + 1].tolist()):
+        while lo < stop:
+            # A batch of k points pads at least k windows of the first one's size.
+            hi = min(stop, lo + max(1, BATCH_CELLS // int(sizes[lo])))
+            padded = (
+                np.arange(1, hi - lo + 1)
+                * np.maximum.accumulate(n_rows[lo:hi])
+                * np.maximum.accumulate(n_cols[lo:hi])
+            )
+            lo += max(1, int(np.count_nonzero(padded <= BATCH_CELLS)))
+            cuts.append(lo)
+    return np.union1d(bounds, np.array(cuts, dtype=bounds.dtype))
+
+
 def kde_surface(
     points: Detections | list[Detection], grid: AnalysisGrid, params: KdeParams
 ) -> RealRaster:
@@ -177,6 +215,13 @@ def kde_surface(
     Each point contributes w / (2*pi*h^2) * exp(-d^2 / (2*h^2)) out to
     ``cutoff_sigmas * h``; beyond that the contribution is dropped. With
     ``frp_weighted`` the weights are frp / mean(frp), otherwise 1.
+
+    Points are added in consecutive batches (:func:`_batch_bounds`): a point
+    with a wide window by a slice update, runs of narrow-window points by
+    one padded kernel block and one ``np.add.at``. ``np.add.at`` adds
+    repeated cells one after another in index order, so every cell sums
+    its terms in file order from 0.0, and the surface is bit for bit the
+    one a loop adding one point at a time gives.
     """
     values = np.zeros(grid.shape)
     points = Detections.of(points)
@@ -189,9 +234,9 @@ def kde_surface(
         mean_frp = math.fsum(points.frp.tolist()) / len(points)
         if mean_frp <= 0:
             raise ValidationError("frp_weighted requires a positive mean frp")
-        weights = (points.frp / mean_frp).tolist()
+        weights = points.frp / mean_frp
     else:
-        weights = [1.0] * len(points)
+        weights = np.ones(len(points))
 
     h = params.bandwidth_m
     radius = params.cutoff_sigmas * h
@@ -204,24 +249,45 @@ def kde_surface(
     # Every point's window of rows and columns; ys decreases with row index.
     pxs, pys = points.x, points.y
     ys_up = ys[::-1]
-    windows = zip(
-        pxs.tolist(),
-        pys.tolist(),
-        weights,
-        np.searchsorted(xs, pxs - radius, side="left").tolist(),
-        np.searchsorted(xs, pxs + radius, side="right").tolist(),
-        (grid.n_rows - np.searchsorted(ys_up, pys + radius, side="right")).tolist(),
-        (grid.n_rows - np.searchsorted(ys_up, pys - radius, side="left")).tolist(),
-    )
-    for px, py, w, c_lo, c_hi, r_lo, r_hi in windows:
-        if c_lo >= c_hi or r_lo >= r_hi:
+    c_lo = np.searchsorted(xs, pxs - radius, side="left")
+    c_hi = np.searchsorted(xs, pxs + radius, side="right")
+    r_lo = grid.n_rows - np.searchsorted(ys_up, pys + radius, side="right")
+    r_hi = grid.n_rows - np.searchsorted(ys_up, pys - radius, side="left")
+    hit = (c_lo < c_hi) & (r_lo < r_hi)
+    pxs, pys, wn = pxs[hit], pys[hit], weights[hit] * norm
+    c_lo, c_hi, r_lo, r_hi = c_lo[hit], c_hi[hit], r_lo[hit], r_hi[hit]
+    n_c, n_r = c_hi - c_lo, r_hi - r_lo
+
+    flat = values.reshape(-1)
+    bounds = _batch_bounds(n_r, n_c)
+    # Python scalars for the one-point batches, in order: they pay per-point overhead.
+    lone = bounds[:-1][np.diff(bounds) == 1]
+    one = zip(*(a[lone].tolist() for a in (pxs, pys, wn, c_lo, c_hi, r_lo, r_hi)))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if hi - lo == 1:
+            px, py, w, c0, c1, r0, r1 = next(one)
+            dx2 = (xs[c0:c1] - px) ** 2
+            dy2 = (ys[r0:r1] - py) ** 2
+            d2 = dy2[:, None] + dx2[None, :]
+            kernel = w * np.exp(-d2 * inv_2h2)
+            kernel[d2 > r2] = 0.0
+            values[r0:r1, c0:c1] += kernel
             continue
-        dx2 = (xs[c_lo:c_hi] - px) ** 2
-        dy2 = (ys[r_lo:r_hi] - py) ** 2
-        d2 = dy2[:, None] + dx2[None, :]
-        kernel = (w * norm) * np.exp(-d2 * inv_2h2)
-        kernel[d2 > r2] = 0.0
-        values[r_lo:r_hi, c_lo:c_hi] += kernel
+        # Pad every window to the batch's largest; padded rows and columns
+        # repeat the last real one and add 0.0.
+        steps_r = np.arange(n_r[lo:hi].max())
+        steps_c = np.arange(n_c[lo:hi].max())
+        pad_r = steps_r >= n_r[lo:hi, None]
+        pad_c = steps_c >= n_c[lo:hi, None]
+        rows = np.minimum(r_lo[lo:hi, None] + steps_r, r_hi[lo:hi, None] - 1)
+        cols = np.minimum(c_lo[lo:hi, None] + steps_c, c_hi[lo:hi, None] - 1)
+        dx2 = (xs[cols] - pxs[lo:hi, None]) ** 2
+        dy2 = (ys[rows] - pys[lo:hi, None]) ** 2
+        d2 = dy2[:, :, None] + dx2[:, None, :]
+        kernel = wn[lo:hi, None, None] * np.exp(-d2 * inv_2h2)
+        kernel[(d2 > r2) | pad_r[:, :, None] | pad_c[:, None, :]] = 0.0
+        cells = rows[:, :, None] * grid.n_cols + cols[:, None, :]
+        np.add.at(flat, cells.ravel(), kernel.ravel())
 
     return RealRaster(grid, values)
 

@@ -211,7 +211,7 @@ def assess(
             pois = poi_exposure(exposure_mask, layers.pois)
             exposed = population_exposure(exposure_mask, popgrid)
             if layers.demographics is not None:
-                by_block = exposure_by_block(exposure_mask, popgrid, ds_report)
+                by_block = exposure_by_block(exposure_mask, ds_report)
                 demo = demographic_breakdown(
                     by_block, block_tracts, layers.demographics
                 )
@@ -236,17 +236,19 @@ def assess(
     return records
 
 
-def exposure_by_block(
-    mask: Mask, popgrid: PopulationGrid, report: DownscaleReport
-) -> dict[str, float]:
-    """Exposed persons per block: the block's cells that fall in the mask."""
+def exposure_by_block(mask: Mask, report: DownscaleReport) -> dict[str, float]:
+    """Exposed persons per block: its own shares of the cells in the mask.
+
+    ``report`` is the one :func:`fireimpact.dasymetric.downscale` filled.
+    A centroid cell that several fallback blocks share charges each of
+    them its own population, not the cell's total.
+    """
     hit = mask.bits[report.rows, report.cols]
     exposed = [0.0] * len(report.allocations)
     if hit.any():
         ends = np.append(report.starts[1:], hit.size)
         touched = np.logical_or.reduceat(hit, report.starts)
         for k in np.flatnonzero(touched).tolist():
-            alloc = report.allocations[k]
-            h = hit[report.starts[k]:ends[k]]
-            exposed[k] = float(popgrid.cells[alloc.rows[h], alloc.cols[h]].sum())
+            lo, hi = report.starts[k], ends[k]
+            exposed[k] = float(report.pop[lo:hi][hit[lo:hi]].sum())
     return dict(zip((a.block_id for a in report.allocations), exposed))

@@ -516,6 +516,171 @@ PINNED_PERIMETER_DIGESTS = {
         "new_burn_district-b_2025-01-12.geojson":
             "7642c222698cbd9d57d2fe9005a7acccb24e938b849928836d6222b8bcef0be6",
     },
+    # FRP weights and a mid-size (41 x 41-cell) KDE window, recorded before
+    # the KDE added narrow-window detections in batches. At 750 m the FRP
+    # weights leave every mask as it is; at 100 m they change every file.
+    ("--frp-weighted",): {
+        "cumulative_district-a.asc":
+            "f2d5f9e0a3d6956d8aec9506471a696870297bf8d894406bef648572a99dc2b6",
+        "cumulative_district-b.asc":
+            "6211ac4ee46c47e2edc2b7c1a69e0fb440347b0a3c2b0c64c18546b0586336bf",
+        "new_burn_district-a_2025-01-07.asc":
+            "f2d5f9e0a3d6956d8aec9506471a696870297bf8d894406bef648572a99dc2b6",
+        "new_burn_district-a_2025-01-07.geojson":
+            "a47070f9f0ae29e7950ad9679cf8b684c56a4bbdae12b559bced82e662314735",
+        "new_burn_district-a_2025-01-08.asc":
+            "f29e065aa69add0f4198f193224fa1eb772c9298739e65c0173528505f5d2781",
+        "new_burn_district-a_2025-01-08.geojson":
+            "6d6b80a88dc60e65991d34024fe7cf2eb86531ffba8b75efb697fe0a601f2799",
+        "new_burn_district-a_2025-01-09.asc":
+            "f29e065aa69add0f4198f193224fa1eb772c9298739e65c0173528505f5d2781",
+        "new_burn_district-a_2025-01-09.geojson":
+            "6d6b80a88dc60e65991d34024fe7cf2eb86531ffba8b75efb697fe0a601f2799",
+        "new_burn_district-a_2025-01-10.asc":
+            "f29e065aa69add0f4198f193224fa1eb772c9298739e65c0173528505f5d2781",
+        "new_burn_district-a_2025-01-10.geojson":
+            "6d6b80a88dc60e65991d34024fe7cf2eb86531ffba8b75efb697fe0a601f2799",
+        "new_burn_district-a_2025-01-11.asc":
+            "f29e065aa69add0f4198f193224fa1eb772c9298739e65c0173528505f5d2781",
+        "new_burn_district-a_2025-01-11.geojson":
+            "6d6b80a88dc60e65991d34024fe7cf2eb86531ffba8b75efb697fe0a601f2799",
+        "new_burn_district-a_2025-01-12.asc":
+            "f29e065aa69add0f4198f193224fa1eb772c9298739e65c0173528505f5d2781",
+        "new_burn_district-a_2025-01-12.geojson":
+            "6d6b80a88dc60e65991d34024fe7cf2eb86531ffba8b75efb697fe0a601f2799",
+        "new_burn_district-b_2025-01-07.asc":
+            "6211ac4ee46c47e2edc2b7c1a69e0fb440347b0a3c2b0c64c18546b0586336bf",
+        "new_burn_district-b_2025-01-07.geojson":
+            "6059508f053f64c8f5b7f045adfa939cf32bb2c458c980e306269a9beff85333",
+        "new_burn_district-b_2025-01-08.asc":
+            "f29e065aa69add0f4198f193224fa1eb772c9298739e65c0173528505f5d2781",
+        "new_burn_district-b_2025-01-08.geojson":
+            "6d6b80a88dc60e65991d34024fe7cf2eb86531ffba8b75efb697fe0a601f2799",
+        "new_burn_district-b_2025-01-09.asc":
+            "f29e065aa69add0f4198f193224fa1eb772c9298739e65c0173528505f5d2781",
+        "new_burn_district-b_2025-01-09.geojson":
+            "6d6b80a88dc60e65991d34024fe7cf2eb86531ffba8b75efb697fe0a601f2799",
+        "new_burn_district-b_2025-01-10.asc":
+            "f29e065aa69add0f4198f193224fa1eb772c9298739e65c0173528505f5d2781",
+        "new_burn_district-b_2025-01-10.geojson":
+            "6d6b80a88dc60e65991d34024fe7cf2eb86531ffba8b75efb697fe0a601f2799",
+        "new_burn_district-b_2025-01-11.asc":
+            "f29e065aa69add0f4198f193224fa1eb772c9298739e65c0173528505f5d2781",
+        "new_burn_district-b_2025-01-11.geojson":
+            "6d6b80a88dc60e65991d34024fe7cf2eb86531ffba8b75efb697fe0a601f2799",
+        "new_burn_district-b_2025-01-12.asc":
+            "f29e065aa69add0f4198f193224fa1eb772c9298739e65c0173528505f5d2781",
+        "new_burn_district-b_2025-01-12.geojson":
+            "6d6b80a88dc60e65991d34024fe7cf2eb86531ffba8b75efb697fe0a601f2799",
+    },
+    ("--bandwidth-m", "100"): {
+        "cumulative_district-a.asc":
+            "c8d1039bba0f63b03eae8288d6972e750fce43a8520b01deef1868f609490543",
+        "cumulative_district-b.asc":
+            "76fe67fc54127e747441d189901ed3685546676db7622126bc318d7dcfe054dd",
+        "new_burn_district-a_2025-01-07.asc":
+            "36dd0dc2904f7770b2473fbd2b565ecf8eb23d81f654cf176f0806a7b8527b86",
+        "new_burn_district-a_2025-01-07.geojson":
+            "3285fef99a560612399bd0390a61e1643f217c92ebd80306cad8489312600b4b",
+        "new_burn_district-a_2025-01-08.asc":
+            "fae6bc67d6f2b243a949ed9d642dbabdaf4c1410378a5336d50a6ad38f3c224b",
+        "new_burn_district-a_2025-01-08.geojson":
+            "62eae27fe81f584934640acb1cdcf509f41b8daedd7501845b3ec8b21e192ec5",
+        "new_burn_district-a_2025-01-09.asc":
+            "708f79d6724b7cc8a4b8b4d1bc57e06d9889e5ca3cab15e9267426014a683295",
+        "new_burn_district-a_2025-01-09.geojson":
+            "f626e6f1661c2e5a6c1a391e7e98ad8ad9535d9f63a1ff7a702910e52a5a0a64",
+        "new_burn_district-a_2025-01-10.asc":
+            "aee6fbb29d9e498ee5ad3628b1c25b24a2fc0f4600cb69f24216d8cc733d3b1b",
+        "new_burn_district-a_2025-01-10.geojson":
+            "7c6c5dfb7c1551c7ffcaeead24792afff261f6a9c8dfcd6cf65356c148a0f760",
+        "new_burn_district-a_2025-01-11.asc":
+            "9ecc5c317a706e5b36235d88f01706375ab2ce784af805e91dac7a79b60a825d",
+        "new_burn_district-a_2025-01-11.geojson":
+            "f6f9d305f7587e35d7d56be999407de0be5c1468e7a6f0ca24ca85dff6dfa6fc",
+        "new_burn_district-a_2025-01-12.asc":
+            "fe88073e2bc0777daea48e6ccdb8759252d3d6c60810f95de51e12dae2a8cc7c",
+        "new_burn_district-a_2025-01-12.geojson":
+            "dcaccb4605a15c3aa6cec5f2f96e5a57d1c6b5f18533e28b020a99ec9e7b452e",
+        "new_burn_district-b_2025-01-07.asc":
+            "56db61c0b0acaf773438852f7825bee0abf921e99a9d18967694aaae1169afaf",
+        "new_burn_district-b_2025-01-07.geojson":
+            "8fd6356da19f522f53b87e514b665552ee2006c888301cb789fcafc5e0b4d416",
+        "new_burn_district-b_2025-01-08.asc":
+            "070faa12a8fb9fea8db8869b91fa7eddf72941623733b153e6faebae08245344",
+        "new_burn_district-b_2025-01-08.geojson":
+            "4aaffe3f4fa8af6ddf55ac4395b4fafe8e4fecea2ba1008886c20934894416a5",
+        "new_burn_district-b_2025-01-09.asc":
+            "79e0ee718aff6ae2a48e8c6453c66c51c3b2d4578915732353a05b9f6779b620",
+        "new_burn_district-b_2025-01-09.geojson":
+            "320962f9d232a678d34cb4713cc91708c225f4c9ff37a310e7c9caa5c3fc764d",
+        "new_burn_district-b_2025-01-10.asc":
+            "f877cec96fa469a259eb0fa6061fb82d0d2c731c9a728138260ec3fba09a76bb",
+        "new_burn_district-b_2025-01-10.geojson":
+            "ff0617e671a64dbeab2a9a259679ae52a8cd1ea3e2aefa63c0c062703177e0c5",
+        "new_burn_district-b_2025-01-11.asc":
+            "18ba504f7a755948ab4582986b24cc3031072f8011f2cc2c3f264fdb4a4a5241",
+        "new_burn_district-b_2025-01-11.geojson":
+            "2c643c9b32b8ceb8bfe114f6cb569815aa4128bcbb9876a4bd98a63704b90772",
+        "new_burn_district-b_2025-01-12.asc":
+            "bf1ea167603dd68aaeb00177268f6642460f34a40caa96e8a283564340dd5f85",
+        "new_burn_district-b_2025-01-12.geojson":
+            "44ce52b20e2c6e4629a0e1b8be961da0c39072a0dd1d5c40e3cb8aa2d4dd849e",
+    },
+    ("--bandwidth-m", "100", "--frp-weighted"): {
+        "cumulative_district-a.asc":
+            "cfd2e96a53036bd6efb1827e4f198e128a64a6e0985598b2b8bae5cb70207570",
+        "cumulative_district-b.asc":
+            "9560a2b09391c5a20e4e93b62801c15e0c509b30c1b0eb4482d1e602a22fec02",
+        "new_burn_district-a_2025-01-07.asc":
+            "22a909d35f00190fcec7350e62d8d53fbf0d3b107b2cb31a9af206e0df0a8aaa",
+        "new_burn_district-a_2025-01-07.geojson":
+            "d8801fe9a4c48d5adabb9242d484017e811d5ab9aa2054ae2867bee54dc798cf",
+        "new_burn_district-a_2025-01-08.asc":
+            "827191f8afda152fd9fb6ad5d1e5d2321dac6acd9d4600dd5b1a5c7c29a4d823",
+        "new_burn_district-a_2025-01-08.geojson":
+            "a2d142280ef75d0a7bd02a7cf4c8a79a03d2a5942b40cdda467d06dc0c637e00",
+        "new_burn_district-a_2025-01-09.asc":
+            "baa909a96151955458b6902380b840f941037e37e2f373c7a823dda307497d5f",
+        "new_burn_district-a_2025-01-09.geojson":
+            "94ffd66d933aa69017e07f0fd420015fadcd7724af7e3a7e48222dd07fc716c4",
+        "new_burn_district-a_2025-01-10.asc":
+            "c73bd1c1ddee7768eed799800410bdb8e0a8dda48e4fd153de18f6bfacd1c4db",
+        "new_burn_district-a_2025-01-10.geojson":
+            "be99a70afb371ad7c52da5ccd52b87aaf15b05d60487dd3d639d55106906c287",
+        "new_burn_district-a_2025-01-11.asc":
+            "d81f69ab70120f95b2f35e1b91e7dd9541a0de4c8acf725997327344c6fb2d45",
+        "new_burn_district-a_2025-01-11.geojson":
+            "a6f07ba958d6569967c8be2c7466bd1add6c46809dd6de984f871186749111bd",
+        "new_burn_district-a_2025-01-12.asc":
+            "3702b70570d323282fd4507f1c0a57e8b12c3e5e2799d1bdd99f4d6388ea3762",
+        "new_burn_district-a_2025-01-12.geojson":
+            "b06bf79e38dacb65f3b95f90b64903c325101e3a7aaccb1728753f3212d712a8",
+        "new_burn_district-b_2025-01-07.asc":
+            "eefcb7333e2d5775c94ea3388f75f397fdb9df41b71c4bc76d0d7225f19a9960",
+        "new_burn_district-b_2025-01-07.geojson":
+            "3b4c12062a33d2a683364092381fce60674d25c589272a3ae4e5454f5993b0b9",
+        "new_burn_district-b_2025-01-08.asc":
+            "a44ea596ecc71409a0c94f53e878e38dc7468ce29bd2910009f0554d7a3b4f56",
+        "new_burn_district-b_2025-01-08.geojson":
+            "239fffa4eccde17bfb24b3b038078d1cc49b069dc5ff9ae30e32b38677221d29",
+        "new_burn_district-b_2025-01-09.asc":
+            "cce7e3b892d78d209eaa1f2405e373093339facf076ade65655e83aa98c7e1a0",
+        "new_burn_district-b_2025-01-09.geojson":
+            "2ce945f944446090fa6745c173bacfaf98761bd10fe34be4d0c96a62d3418342",
+        "new_burn_district-b_2025-01-10.asc":
+            "87f14d288e96845581bc9ceb3ff2e3ebfa3c69dbad778778939c5388746a6f2d",
+        "new_burn_district-b_2025-01-10.geojson":
+            "4502134465e386ce7b271bb0056c41b4448fc4093c2fd81796c26eab114496fc",
+        "new_burn_district-b_2025-01-11.asc":
+            "3ec8b432c1ed8c2dbf5c9a75a6d1c8677bc46196440ba9969cfe85d0a3baa196",
+        "new_burn_district-b_2025-01-11.geojson":
+            "692d5670f819c5dc438f88f212423436e2c627312abad2cc2cacef8dc90713cd",
+        "new_burn_district-b_2025-01-12.asc":
+            "7fd57ef6560b5df4d3e339e405e73193ac265774fbf8aedf5e03090d3df98fda",
+        "new_burn_district-b_2025-01-12.geojson":
+            "89428e14e69b5fd8bf25eb025dc9001884d835c8c243976d5f1edb40106a7057",
+    },
 }
 PINNED_RENDER_DIGESTS = {
     (): "2ce8abb3b98d2e6acce64405b8dd7d32a9aa38b537a2148b1aa731208f8d405f",

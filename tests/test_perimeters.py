@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fireimpact import perimeters
 from fireimpact.errors import ValidationError
 from fireimpact.geometry import Point, Polygon, rasterize_polygons
 from fireimpact.grid import AnalysisGrid
@@ -115,6 +116,143 @@ class TestKdeSurface:
         surface = kde_surface(pts, g, KdeParams(bandwidth_m=h))
         mass = float(surface.cells.sum()) * g.cell_area
         assert abs(mass - 25) / 25 < 0.02
+
+
+def reference_kde(points, grid, params):
+    """One slice update per point, in file order: the bits ``kde_surface`` must give."""
+    values = np.zeros(grid.shape)
+    points = Detections.of(points)
+    if not len(points):
+        return values
+
+    if params.frp_weighted:
+        if np.isnan(points.frp).any():
+            raise ValidationError("frp_weighted requires frp on every detection")
+        mean_frp = math.fsum(points.frp.tolist()) / len(points)
+        if mean_frp <= 0:
+            raise ValidationError("frp_weighted requires a positive mean frp")
+        weights = (points.frp / mean_frp).tolist()
+    else:
+        weights = [1.0] * len(points)
+
+    h = params.bandwidth_m
+    radius = params.cutoff_sigmas * h
+    norm = 1.0 / (2.0 * math.pi * h * h)
+    xs = grid.center_xs()
+    ys = grid.center_ys()
+    inv_2h2 = 1.0 / (2.0 * h * h)
+    r2 = radius * radius
+
+    # Every point's window of rows and columns; ys decreases with row index.
+    pxs, pys = points.x, points.y
+    ys_up = ys[::-1]
+    windows = zip(
+        pxs.tolist(),
+        pys.tolist(),
+        weights,
+        np.searchsorted(xs, pxs - radius, side="left").tolist(),
+        np.searchsorted(xs, pxs + radius, side="right").tolist(),
+        (grid.n_rows - np.searchsorted(ys_up, pys + radius, side="right")).tolist(),
+        (grid.n_rows - np.searchsorted(ys_up, pys - radius, side="left")).tolist(),
+    )
+    for px, py, w, c_lo, c_hi, r_lo, r_hi in windows:
+        if c_lo >= c_hi or r_lo >= r_hi:
+            continue
+        dx2 = (xs[c_lo:c_hi] - px) ** 2
+        dy2 = (ys[r_lo:r_hi] - py) ** 2
+        d2 = dy2[:, None] + dx2[None, :]
+        kernel = (w * norm) * np.exp(-d2 * inv_2h2)
+        kernel[d2 > r2] = 0.0
+        values[r_lo:r_hi, c_lo:c_hi] += kernel
+
+    return values
+
+
+# 40 x 40 cells of 20 m: at 100 m an interior window (41 x 41, clipped to
+# 40 x 40) is over the small-window limit, one near an edge under it.
+KDE_GRID = AnalysisGrid(-1234.5, 4321.25, 20, 40, 40)
+BANDWIDTHS = (4.0, 30.0, 100.0, 750.0)
+
+
+@st.composite
+def kde_points(draw):
+    """Detections off the grid, near its edges, on cell edges and coincident."""
+    g = KDE_GRID
+    anywhere_x = st.floats(g.origin_x - 3500, g.max_x + 3500)
+    anywhere_y = st.floats(g.origin_y - 3500, g.max_y + 3500)
+    edge_x = st.integers(-2, g.n_cols + 2).map(lambda c: g.origin_x + c * g.cell_size)
+    edge_y = st.integers(-2, g.n_rows + 2).map(lambda r: g.origin_y + r * g.cell_size)
+    near_x = st.sampled_from([g.origin_x, g.max_x]).flatmap(
+        lambda e: st.floats(e - 450, e + 450))
+    near_y = st.sampled_from([g.origin_y, g.max_y]).flatmap(
+        lambda e: st.floats(e - 450, e + 450))
+    frp = st.one_of(st.just(0.0), st.floats(1e-3, 1e4))
+    point = st.tuples(
+        st.one_of(anywhere_x, edge_x, near_x), st.one_of(anywhere_y, edge_y, near_y), frp)
+    points = draw(st.lists(point, max_size=30))
+    if points:
+        for i in draw(st.lists(st.integers(0, len(points) - 1), max_size=8)):
+            points.insert(draw(st.integers(0, len(points))), points[i])
+    return [det(x, y, frp=f) for x, y, f in points]
+
+
+def kde_matches_reference(points, params, grid=KDE_GRID):
+    try:
+        want = reference_kde(points, grid, params)
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            kde_surface(points, grid, params)
+        return
+    assert kde_surface(points, grid, params).cells.tobytes() == want.tobytes()
+
+
+class TestKdeBitIdentity:
+    """The batched ``kde_surface`` gives the bits of one slice update per point."""
+
+    @given(kde_points(), st.sampled_from(BANDWIDTHS), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_loop(self, points, bandwidth, frp_weighted):
+        kde_matches_reference(points, KdeParams(bandwidth_m=bandwidth, frp_weighted=frp_weighted))
+
+    def test_empty_input(self):
+        for bandwidth in BANDWIDTHS:
+            kde_matches_reference([], KdeParams(bandwidth_m=bandwidth))
+
+    @pytest.mark.parametrize("name, value", [
+        ("BATCH_CELLS", 1), ("BATCH_CELLS", 2**40),
+        ("SMALL_WINDOW_CELLS", 0), ("SMALL_WINDOW_CELLS", 2**40),
+    ])
+    def test_batch_limits_change_no_bit(self, monkeypatch, name, value):
+        rng = np.random.default_rng(3)
+        g = KDE_GRID
+        n = 400
+        xs = rng.uniform(g.origin_x - 500, g.max_x + 500, n)
+        ys = rng.uniform(g.origin_y - 500, g.max_y + 500, n)
+        # Every 7th point on a cell edge; point 5k + 1 on point 5k.
+        xs[::7] = g.origin_x + rng.integers(0, g.n_cols, xs[::7].size) * g.cell_size
+        xs[1::5], ys[1::5] = xs[::5], ys[::5]
+        points = [det(x, y, frp=f) for x, y, f in zip(xs, ys, rng.exponential(20.0, n))]
+        monkeypatch.setattr(perimeters, name, value)
+        for bandwidth in BANDWIDTHS:
+            for frp_weighted in (False, True):
+                kde_matches_reference(
+                    points, KdeParams(bandwidth_m=bandwidth, frp_weighted=frp_weighted))
+
+    def test_coincident_points_add_in_file_order_across_batches(self, monkeypatch):
+        # At 4 m every window is the point's own cell. A budget of two cells
+        # ends the first batch with `a`; `b` and `c` share the second one.
+        g = AnalysisGrid(0, 0, 20, 1, 2)
+        params = KdeParams(bandwidth_m=4.0, frp_weighted=True)
+        frps = [1.0, 0.1, 0.2, 0.2]
+        other = det(g.center_x(0), g.center_y(0), frp=frps[0])
+        a, b, c = (det(g.center_x(1), g.center_y(0), frp=f) for f in frps[1:])
+        mean = math.fsum(frps) / len(frps)
+        ka, kb, kc = ((f / mean) * (1.0 / (2.0 * math.pi * 4.0 * 4.0)) for f in frps[1:])
+        assert (ka + kb) + kc != ka + (kb + kc)
+        monkeypatch.setattr(perimeters, "BATCH_CELLS", 2)
+        cells = kde_surface([other, a, b, c], g, params).cells
+        assert cells[0, 1] == (ka + kb) + kc
+        kde_matches_reference([other, a, b, c], params, g)
 
 
 class TestKdeParams:

@@ -198,7 +198,7 @@ class TestExposureByBlock:
         popgrid, report = downscale(blocks, landcover, WeightTable.default(), g)
         bits = np.zeros((8, 8), dtype=bool)
         bits[:, 2:6] = True  # straddles both blocks
-        by_block = exposure_by_block(Mask(g, bits), popgrid, report)
+        by_block = exposure_by_block(Mask(g, bits), report)
         total = float(popgrid.cells[bits].sum())
         assert sum(by_block.values()) == pytest.approx(total, rel=1e-12)
         assert by_block["west"] > 0 and by_block["east"] > 0
@@ -225,8 +225,35 @@ class TestExposureByBlock:
             want[alloc.block_id] = (
                 float(popgrid.cells[alloc.rows[hit], alloc.cols[hit]].sum()) if hit.any() else 0.0
             )
-        got = exposure_by_block(Mask(g, bits), popgrid, report)
+        got = exposure_by_block(Mask(g, bits), report)
         assert list(got.items()) == list(want.items())
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_shared_centroid_cell_charges_each_block_its_own_pop(self, order):
+        from fireimpact.dasymetric import WeightTable, downscale
+        from fireimpact.impact import demographic_breakdown, population_exposure
+
+        # Two slivers capture no cell center; both fall back to the one cell.
+        g = AnalysisGrid(0, 0, 20, 1, 1)
+        slivers = [
+            CensusBlock("a", [rect(1, 1, 3, 3)], 10.0, "t0"),
+            CensusBlock("b", [rect(4, 4, 6, 6)], 20.0, "t0"),
+        ]
+        blocks = [slivers[k] for k in order]
+        landcover = CategoryRaster(g, np.full((1, 1), 22))
+        popgrid, report = downscale(blocks, landcover, WeightTable.default(), g)
+        assert [a.fallback for a in report.allocations] == ["centroid", "centroid"]
+        mask = Mask(g, np.ones((1, 1), dtype=bool))
+        by_block = exposure_by_block(mask, report)
+        assert by_block == {"a": 10.0, "b": 20.0}
+        exposed = population_exposure(mask, popgrid)
+        assert exposed == 30.0
+        demo = demographic_breakdown(
+            by_block, {"a": "t0", "b": "t0"},
+            {"t0": TractDemographics("t0", **TRACT_SHARES[0])},
+        )
+        for group in ("gender", "age", "race"):
+            assert sum(getattr(demo, group).values()) == pytest.approx(exposed, rel=1e-12)
 
 
 class TestAssessBuildings:
@@ -357,6 +384,19 @@ class TestInputOrder:
             write_report(records, Path(tmp) / "a.csv")
             write_report(again, Path(tmp) / "b.csv")
             assert (Path(tmp) / "b.csv").read_bytes() == (Path(tmp) / "a.csv").read_bytes()
+
+
+class TestDemographicsSumToExposure:
+    """Slivers that share a centroid cell are charged their own population."""
+
+    @given(assess_layers())
+    @settings(max_examples=50, deadline=None)
+    def test_every_group_sums_to_the_exposed_population(self, layers):
+        for active_extent in (False, True):
+            for r in assess(layers, KdeParams(bandwidth_m=20.0), active_extent=active_extent):
+                for group in ("gender", "age", "race"):
+                    got = sum(getattr(r.demographics, group).values())
+                    assert got == pytest.approx(r.exposed_population, rel=1e-9, abs=1e-9)
 
 
 class TestLazyTracing:
