@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnknownClassError, ValidationError
-from .geometry import Polygon, features_cell_indices, polygon_area, polygon_centroid
+from .geometry import (
+    Polygon,
+    PolygonLayer,
+    polygon_area,
+    polygon_centroid,
+    ragged_cell_indices,
+    segment_sums,
+)
 from .grid import AnalysisGrid, CategoryRaster, RealRaster
 
 # Persons per cell; semantically distinct from other real rasters.
@@ -80,10 +87,53 @@ class CensusBlock:
     tract_id: str
 
     def __post_init__(self) -> None:
-        if not self.parts:
-            raise ValidationError(f"block {self.block_id} has no boundary parts")
-        if not (self.pop >= 0):
-            raise ValidationError(f"block {self.block_id} has negative pop {self.pop}")
+        check_block(self.block_id, len(self.parts), self.pop)
+
+
+def check_block(block_id: str, n_parts: int, pop: float) -> None:
+    """The checks of a :class:`CensusBlock`, on a block's values."""
+    if not n_parts:
+        raise ValidationError(f"block {block_id} has no boundary parts")
+    if not (pop >= 0):
+        raise ValidationError(f"block {block_id} has negative pop {pop}")
+
+
+@dataclass(frozen=True, eq=False)
+class Blocks:
+    """Census blocks as columns: block k is ``ids[k]``, ``pop[k]``,
+    ``tracts[k]`` and feature k of ``parts``. Rows are assumed valid, as
+    :class:`CensusBlock` checks them; indexing yields CensusBlock objects.
+    """
+
+    ids: list[str]
+    pop: np.ndarray
+    tracts: list[str]
+    parts: PolygonLayer
+
+    @classmethod
+    def of(cls, blocks: "list[CensusBlock] | Blocks") -> "Blocks":
+        """``blocks`` as a table; a table is returned as it is."""
+        if isinstance(blocks, Blocks):
+            return blocks
+        return cls(
+            [b.block_id for b in blocks],
+            np.array([b.pop for b in blocks], dtype=np.float64),
+            [b.tract_id for b in blocks],
+            PolygonLayer.of([b.parts for b in blocks]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, k: int) -> CensusBlock:
+        """Block k (k >= 0), its parts built as Polygons."""
+        block_id = self.ids[k]  # IndexError past the end ends iteration
+        return CensusBlock(block_id, self.parts.polygons(k), float(self.pop[k]), self.tracts[k])
+
+
+# DownscaleReport.fallback codes: none, centroid cell, uniform spread.
+FALLBACKS = (None, "centroid", "uniform")
+CENTROID, UNIFORM = 1, 2
 
 
 @dataclass
@@ -98,23 +148,37 @@ class BlockAllocation:
 
 @dataclass
 class DownscaleReport:
-    """Side record of a downscale run: placements, fallbacks, overlaps."""
+    """Side record of a downscale run: placements, fallbacks, overlaps.
 
-    allocations: list[BlockAllocation] = field(default_factory=list)
-    overlap_cells: int = 0
-    # Cells of every allocation, concatenated in block order: block k's
-    # rows and cols are views of rows[starts[k]:starts[k + 1]] and the same
-    # slice of cols. No block's run is empty.
+    Block k's cells are ``rows[starts[k]:starts[k + 1]]`` and the same
+    slice of ``cols``, the last block's running to the end; no block's run
+    is empty. ``fallback[k]`` indexes :data:`FALLBACKS`.
+    """
+
+    block_ids: list[str] = field(default_factory=list)
     rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     cols: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     starts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    fallback: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int8))
+    overlap_cells: int = 0
     # Aligned with rows and cols, filled by `downscale`: the persons each
     # block put in each of its cells. A centroid fallback block's one entry
     # is its own pop, whichever other fallback blocks share the cell.
     pop: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
+    @property
+    def allocations(self) -> list[BlockAllocation]:
+        """One record per block, built from the columns on each access."""
+        bounds = np.append(self.starts, self.rows.size).tolist()
+        return [
+            BlockAllocation(block_id, self.rows[a:b], self.cols[a:b], FALLBACKS[kind])
+            for block_id, a, b, kind in zip(
+                self.block_ids, bounds, bounds[1:], self.fallback.tolist()
+            )
+        ]
+
     def fallback_ids(self) -> set[str]:
-        return {a.block_id for a in self.allocations if a.fallback}
+        return {self.block_ids[k] for k in np.flatnonzero(self.fallback).tolist()}
 
 
 def allocation_factor_raster(
@@ -135,7 +199,7 @@ def allocation_factor_raster(
 
 
 def rasterize_blocks(
-    blocks: list[CensusBlock], grid: AnalysisGrid
+    blocks: list[CensusBlock] | Blocks, grid: AnalysisGrid
 ) -> DownscaleReport:
     """Assign grid cells to blocks by the cell-center rule, first wins.
 
@@ -147,8 +211,9 @@ def rasterize_blocks(
     cell, whatever the order, so each block's cells hold its population
     alone; a block that so loses its last cell falls back in turn.
     """
+    blocks = Blocks.of(blocks)
     n = len(blocks)
-    cells, offsets = features_cell_indices([b.parts for b in blocks], grid)
+    cells, offsets = ragged_cell_indices(*blocks.parts, grid)
     block = np.repeat(np.arange(n, dtype=np.int32), np.diff(offsets))
     owner = np.full(grid.n_rows * grid.n_cols, n, dtype=np.int32)
     np.minimum.at(owner, cells, block)
@@ -160,7 +225,7 @@ def rasterize_blocks(
         fallback = np.flatnonzero((sizes == 0) & (extra < 0))
         if fallback.size == 0:
             break
-        extra[fallback] = [_centroid_cell(blocks[k], grid) for k in fallback]
+        extra[fallback] = [_centroid_cell(blocks.parts.polygons(k), grid) for k in fallback]
         owner[extra[fallback]] = -1  # no block keeps a centroid cell
         kept = owner[cells] == block
     # Free each array once done: a run of `assess` reaches its memory peak here.
@@ -170,19 +235,17 @@ def rasterize_blocks(
     fallback = np.flatnonzero(extra >= 0)
     cells = np.insert(cells, (np.cumsum(sizes) - sizes)[fallback], extra[fallback])
     sizes[fallback] = 1
-    starts = np.cumsum(sizes) - sizes
     rows, cols = np.divmod(cells, grid.n_cols)
     del cells
-    allocations = [
-        BlockAllocation(b.block_id, rows[s:s + m], cols[s:s + m], "centroid" if c else None)
-        for b, s, m, c in zip(blocks, starts, sizes, extra >= 0)
-    ]
-    return DownscaleReport(allocations, overlap_cells, rows, cols, starts)
+    return DownscaleReport(
+        blocks.ids, rows, cols, np.cumsum(sizes) - sizes,
+        np.where(extra >= 0, CENTROID, 0).astype(np.int8), overlap_cells,
+    )
 
 
-def _centroid_cell(block: CensusBlock, grid: AnalysisGrid) -> int:
+def _centroid_cell(parts: list[Polygon], grid: AnalysisGrid) -> int:
     num_x = num_y = den = 0.0
-    for part in block.parts:
+    for part in parts:
         area = polygon_area(part)
         c = polygon_centroid(part)
         weight = area if area > 0 else 1.0
@@ -196,7 +259,7 @@ def _centroid_cell(block: CensusBlock, grid: AnalysisGrid) -> int:
 
 
 def downscale(
-    blocks: list[CensusBlock],
+    blocks: list[CensusBlock] | Blocks,
     landcover: CategoryRaster,
     w: WeightTable,
     grid: AnalysisGrid,
@@ -211,26 +274,28 @@ def downscale(
     """
     if landcover.grid != grid:
         raise ValidationError("landcover raster is not on the analysis grid")
+    blocks = Blocks.of(blocks)
     ra = allocation_factor_raster(landcover, w)
     report = rasterize_blocks(blocks, grid)
+    sizes = np.diff(report.starts, append=report.rows.size)
+    share = ra.cells[report.rows, report.cols]
+    total = segment_sums(share, report.starts)
+    centroid = report.fallback == CENTROID
+    report.fallback[~centroid & ~(total > 0.0)] = UNIFORM
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share /= np.repeat(total, sizes)
+    share *= np.repeat(blocks.pop, sizes)  # pop * (RA / total), one rounding each
+    other = report.fallback != 0
+    share[np.repeat(other, sizes)] = np.repeat(
+        np.where(centroid, blocks.pop, blocks.pop / sizes)[other], sizes[other]
+    )
+    report.pop = share
     out = np.zeros(grid.shape)
-    report.pop = np.empty(report.rows.size)
+    out[report.rows, report.cols] = share  # no two blocks share a cell but a centroid one
     centroid_pops: dict[tuple[int, int], list[float]] = {}
-    for block, alloc, start in zip(blocks, report.allocations, report.starts.tolist()):
-        rows, cols = alloc.rows, alloc.cols
-        share = report.pop[start:start + rows.size]
-        if alloc.fallback == "centroid":
-            share[:] = block.pop
-            centroid_pops.setdefault((int(rows[0]), int(cols[0])), []).append(block.pop)
-            continue
-        cell_ra = ra.cells[rows, cols]
-        total = float(cell_ra.sum())
-        if total > 0.0:
-            share[:] = block.pop * (cell_ra / total)
-        else:
-            alloc.fallback = "uniform"
-            share[:] = block.pop / rows.size
-        out[rows, cols] += share
+    for k in np.flatnonzero(centroid).tolist():
+        cell = int(report.rows[report.starts[k]]), int(report.cols[report.starts[k]])
+        centroid_pops.setdefault(cell, []).append(float(blocks.pop[k]))
     for cell, pops in centroid_pops.items():
         out[cell] = math.fsum(pops)
     return RealRaster(grid, out), report
@@ -245,35 +310,52 @@ class MassEntry:
     fallback: str | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MassReport:
-    entries: list[MassEntry]
+    """Per-block mass check as columns; ``fallback`` indexes :data:`FALLBACKS`."""
+
+    block_ids: list[str]
+    pop: np.ndarray
+    allocated: np.ndarray
+    rel_err: np.ndarray
+    fallback: np.ndarray
+
+    @property
+    def entries(self) -> list[MassEntry]:
+        """One record per block, built from the columns on each access."""
+        return self._entries(np.arange(len(self.block_ids)))
+
+    def _entries(self, ks: np.ndarray) -> list[MassEntry]:
+        return [
+            MassEntry(self.block_ids[k], p, a, e, FALLBACKS[f])
+            for k, p, a, e, f in zip(
+                ks.tolist(), self.pop[ks].tolist(), self.allocated[ks].tolist(),
+                self.rel_err[ks].tolist(), self.fallback[ks].tolist(),
+            )
+        ]
 
     def max_rel_err(self) -> float:
         """Largest relative error over non-fallback blocks."""
-        errs = [e.rel_err for e in self.entries if e.fallback is None]
-        return max(errs, default=0.0)
+        errs = self.rel_err[self.fallback == 0]
+        return float(errs.max()) if errs.size else 0.0
 
     def failures(self) -> list[MassEntry]:
         """Non-fallback blocks whose relative error exceeds 1e-9."""
-        return [e for e in self.entries if e.fallback is None and e.rel_err > 1e-9]
+        return self._entries(np.flatnonzero((self.fallback == 0) & (self.rel_err > 1e-9)))
 
 
 def validate_mass(
-    blocks: list[CensusBlock],
+    blocks: list[CensusBlock] | Blocks,
     popgrid: PopulationGrid,
     report: DownscaleReport,
 ) -> MassReport:
     """Per-block |allocated - pop| / max(pop, 1) over the block's cells.
 
     ``report`` is the one :func:`downscale` returned with ``popgrid``: it
-    names each block's cells and exempts its fallback blocks.
+    names each block's cells and exempts its fallback blocks. Each block's
+    ``allocated`` has the bits of summing its own cells with ``ndarray.sum``.
     """
-    entries = []
-    for block, alloc in zip(blocks, report.allocations):
-        allocated = float(popgrid.cells[alloc.rows, alloc.cols].sum())
-        rel_err = abs(allocated - block.pop) / max(block.pop, 1.0)
-        entries.append(
-            MassEntry(block.block_id, block.pop, allocated, rel_err, alloc.fallback)
-        )
-    return MassReport(entries)
+    pop = Blocks.of(blocks).pop
+    allocated = segment_sums(popgrid.cells[report.rows, report.cols], report.starts)
+    rel_err = np.abs(allocated - pop) / np.maximum(pop, 1.0)
+    return MassReport(report.block_ids, pop, allocated, rel_err, report.fallback.copy())

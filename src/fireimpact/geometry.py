@@ -68,6 +68,54 @@ def _normalize_ring(ring: list[Point]) -> list[Point]:
     return pts + [pts[0]]
 
 
+def ring_problem(
+    xs: np.ndarray, ys: np.ndarray, ring_offsets: np.ndarray
+) -> tuple[int, str] | None:
+    """The first ring :func:`_normalize_ring` rejects, as (ring, its message).
+
+    Ring r is ``xs, ys[ring_offsets[r]:ring_offsets[r + 1]]``, closed or
+    not. Distinct vertices are counted up to three: a ring's first vertex,
+    its first vertex unequal to that one, and any vertex unequal to both.
+    """
+    n = np.diff(ring_offsets)
+    starts = ring_offsets[:-1]
+    ring = np.repeat(np.arange(len(n)), n)
+    nonfinite = np.bincount(ring[~(np.isfinite(xs) & np.isfinite(ys))], minlength=len(n)) > 0
+    first = np.repeat(starts, n)
+    other = (xs != xs[first]) | (ys != ys[first])
+    seconds = np.append(np.flatnonzero(other), len(xs))
+    second = seconds[np.searchsorted(seconds, starts)]
+    has_second = second < ring_offsets[1:]
+    second = np.repeat(np.where(has_second, second, starts), n)
+    third = other & ((xs != xs[second]) | (ys != ys[second]))
+    has_third = np.bincount(ring[third], minlength=len(n)) > 0
+    distinct = np.where(has_third, 3, (n > 0).astype(np.int64) + has_second)
+    bad = np.flatnonzero(nonfinite | (distinct < 3))
+    if not bad.size:
+        return None
+    r = int(bad[0])
+    if nonfinite[r]:
+        return r, "ring has non-finite coordinates"
+    return r, f"ring needs >= 3 distinct vertices, got {distinct[r]}"
+
+
+def close_rings(
+    xs: np.ndarray, ys: np.ndarray, ring_offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rings :func:`_normalize_ring` returns, as (xs, ys, ring offsets).
+
+    Each ring's closing vertex, if equal to its first, is dropped and the
+    first vertex is repeated last. Every ring must pass
+    :func:`ring_problem`.
+    """
+    starts, ends = ring_offsets[:-1], ring_offsets[1:]
+    last = ends - 1
+    open_sizes = ends - starts - ((xs[starts] == xs[last]) & (ys[starts] == ys[last]))
+    sizes = open_sizes + 1
+    src = np.repeat(starts, sizes) + _ramp(sizes) % np.repeat(open_sizes, sizes)
+    return xs[src], ys[src], run_offsets(sizes)
+
+
 @dataclass(frozen=True)
 class Polygon:
     """Closed exterior ring plus zero or more interior (hole) rings."""
@@ -153,36 +201,85 @@ def rasterize_polygons(polys: list[Polygon], grid: AnalysisGrid) -> Mask:
     return Mask(grid, bits)
 
 
-# Features scanned together; bounds the transient per-crossing arrays.
-FEATURE_BATCH = 256
+class PolygonLayer(NamedTuple):
+    """Polygonal features as flat arrays, in GeoArrow's multipolygon layout.
+
+    Ring r is the closed vertex run ``xs, ys[ring_offsets[r]:ring_offsets[r + 1]]``
+    (its first vertex repeated last), polygon p holds rings
+    ``polygon_offsets[p]:polygon_offsets[p + 1]`` (exterior first) and
+    feature k holds polygons ``feature_offsets[k]:feature_offsets[k + 1]``.
+    Unpacked, a layer is the first five arguments of
+    :func:`ragged_cell_indices`.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+    ring_offsets: np.ndarray
+    polygon_offsets: np.ndarray
+    feature_offsets: np.ndarray
+
+    @classmethod
+    def of(cls, features: list[list[Polygon]]) -> "PolygonLayer":
+        """The layer of features given as lists of polygons (a block's parts)."""
+        coords: list[Point] = []
+        ring_sizes: list[int] = []
+        polygon_sizes: list[int] = []
+        for polys in features:
+            for poly in polys:
+                rings = poly.rings()
+                for ring in rings:
+                    coords.extend(ring)
+                    ring_sizes.append(len(ring))
+                polygon_sizes.append(len(rings))
+        xy = np.array(coords, dtype=np.float64).reshape(-1, 2)
+        return cls(
+            xy[:, 0].copy(), xy[:, 1].copy(), run_offsets(ring_sizes),
+            run_offsets(polygon_sizes), run_offsets([len(polys) for polys in features]),
+        )
+
+    def polygons(self, k: int) -> list[Polygon]:
+        """Feature k as Polygon objects."""
+        ro, po = self.ring_offsets, self.polygon_offsets
+
+        def ring(r: int) -> list[Point]:
+            a, b = ro[r], ro[r + 1]
+            return list(map(Point, self.xs[a:b].tolist(), self.ys[a:b].tolist()))
+
+        return [
+            Polygon(ring(po[p]), [ring(r) for r in range(po[p] + 1, po[p + 1])])
+            for p in range(self.feature_offsets[k], self.feature_offsets[k + 1])
+        ]
+
+    def areas(self) -> np.ndarray:
+        """Each feature's area, to the bit the ``math.fsum`` of its polygons'
+        :func:`polygon_area`.
+
+        As in :func:`polygon_area`, each ring's shoelace terms and then each
+        polygon's ring areas (holes negated) are added left to right.
+        """
+        xs, ys, ro, po, fo = self
+        terms = xs[:-1] * ys[1:] - xs[1:] * ys[:-1]  # the edge from vertex v to v + 1
+        ring_area = np.abs(0.5 * segment_sums(terms, ro[:-1], np.diff(ro) - 1, sequential=True))
+        hole = np.ones(len(ring_area), dtype=bool)
+        hole[po[:-1]] = False
+        ring_area[hole] = -ring_area[hole]
+        poly_area = segment_sums(ring_area, po[:-1], np.diff(po), sequential=True)
+        # One or two terms: a pairwise sum is exactly rounded, as fsum is.
+        area = segment_sums(poly_area, fo[:-1], np.diff(fo))
+        for k in np.flatnonzero(np.diff(fo) > 2).tolist():
+            area[k] = math.fsum(poly_area[fo[k]:fo[k + 1]].tolist())
+        return area
 
 
 def features_cell_indices(
     features: list[list[Polygon]], grid: AnalysisGrid
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Flat cell ids (row * n_cols + col) of many features, in CSR form.
+    """:func:`ragged_cell_indices` of features given as lists of polygons."""
+    return ragged_cell_indices(*PolygonLayer.of(features), grid)
 
-    A feature is a list of polygons (a building's footprints, a block's
-    parts). Feature k's cells are ``cells[offsets[k]:offsets[k + 1]]``:
-    the cells whose centers lie inside any of its polygons, ascending and
-    without duplicates. The features are flattened and passed to
-    :func:`ragged_cell_indices`.
-    """
-    coords: list[Point] = []
-    ring_sizes: list[int] = []
-    polygon_sizes: list[int] = []
-    for polys in features:
-        for poly in polys:
-            rings = poly.rings()
-            for ring in rings:
-                coords.extend(ring)
-                ring_sizes.append(len(ring))
-            polygon_sizes.append(len(rings))
-    xy = np.array(coords, dtype=np.float64).reshape(-1, 2)
-    return ragged_cell_indices(
-        xy[:, 0], xy[:, 1], _offsets(ring_sizes), _offsets(polygon_sizes),
-        _offsets([len(polys) for polys in features]), grid,
-    )
+
+# Features scanned together; bounds the transient per-crossing arrays.
+FEATURE_BATCH = 256
 
 
 def ragged_cell_indices(
@@ -193,15 +290,13 @@ def ragged_cell_indices(
     feature_offsets: np.ndarray,
     grid: AnalysisGrid,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`features_cell_indices` of features held as flat arrays.
+    """Flat cell ids (row * n_cols + col) of many features, in CSR form.
 
-    The layout is GeoArrow's for multipolygons: ring r is the closed
-    vertex run ``xs, ys[ring_offsets[r]:ring_offsets[r + 1]]``, polygon p
-    holds rings ``polygon_offsets[p]:polygon_offsets[p + 1]`` (exterior
-    first) and feature k holds polygons
-    ``feature_offsets[k]:feature_offsets[k + 1]``. Features are scanned
-    in fixed batches, so one call rasterizes a whole layer with bounded
-    transient memory.
+    The features are held as a :class:`PolygonLayer`'s arrays. Feature k's
+    cells are ``cells[offsets[k]:offsets[k + 1]]``: the cells whose
+    centers lie inside any of its polygons, ascending and without
+    duplicates. Features are scanned in fixed batches, so one call
+    rasterizes a whole layer with bounded transient memory.
     """
     n_features = len(feature_offsets) - 1
     counts = np.zeros(n_features, dtype=np.int64)
@@ -217,14 +312,44 @@ def ragged_cell_indices(
         )
         counts[start:stop] = np.bincount(owner, minlength=stop - start)
         chunks.append(cells)
-    return np.concatenate(chunks), _offsets(counts)
+    return np.concatenate(chunks), run_offsets(counts)
 
 
-def _offsets(counts) -> np.ndarray:
+def run_offsets(counts) -> np.ndarray:
     """0 followed by the running totals of ``counts``."""
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return offsets
+
+
+def segment_sums(
+    values: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray | None = None,
+    sequential: bool = False,
+) -> np.ndarray:
+    """The sum of each segment ``values[starts[k]:starts[k] + lengths[k]]``.
+
+    ``lengths`` defaults to the runs between consecutive starts, the last
+    running to the end of ``values``. Each sum has the bits of the
+    segment's own ``ndarray.sum()`` (numpy's pairwise summation) or, if
+    ``sequential``, of adding its terms left to right (an all-zero sum may
+    come out -0.0). Segments of one length are gathered into one
+    (count, length) block and reduced along its rows, which numpy does
+    with the routine of a 1-D sum; ``np.add.reduceat`` and ``np.bincount``
+    add in another order and round differently from eight terms on.
+    """
+    if lengths is None:
+        lengths = np.diff(starts, append=len(values))
+    out = np.zeros(len(starts))
+    order = np.argsort(lengths, kind="stable")
+    cuts = np.flatnonzero(np.diff(lengths[order])) + 1
+    for group in np.split(order, cuts) if order.size else ():
+        n = lengths[group[0]]
+        if n:
+            rows = values[starts[group, None] + np.arange(n)]
+            out[group] = np.cumsum(rows, axis=1)[:, -1] if sequential else rows.sum(axis=1)
+    return out
 
 
 def _scan_features(
@@ -508,7 +633,7 @@ def trace_mask_rings(m: Mask) -> RingArrays:
         """The loops' corners, each ring closed, and their ring offsets."""
         sizes = n_vertices[loops] + 1
         within = _ramp(sizes) % np.repeat(n_vertices[loops], sizes)
-        return corner[np.repeat(ring_start[loops], sizes) + within], _offsets(sizes)
+        return corner[np.repeat(ring_start[loops], sizes) + within], run_offsets(sizes)
 
     exteriors = np.flatnonzero(area2 > 0)
     exteriors = exteriors[np.argsort(area2[exteriors], kind="stable")]
@@ -540,7 +665,7 @@ def trace_mask_rings(m: Mask) -> RingArrays:
     loops = np.concatenate([exteriors, holes])[np.lexsort((is_hole, polygon))]
     corners, ring_offsets = closed(loops)
     rings_per_polygon = np.bincount(polygon, minlength=len(exteriors))
-    return RingArrays(corners, ring_offsets, _offsets(rings_per_polygon))
+    return RingArrays(corners, ring_offsets, run_offsets(rings_per_polygon))
 
 
 def _directed_edges(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

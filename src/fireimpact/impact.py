@@ -19,10 +19,11 @@ import numpy as np
 from .errors import MissingTractError, UnpricedClassError, ValidationError
 from .geometry import (
     Point,
+    PolygonLayer,
     PolyLine,
     Polygon,
-    features_cell_indices,
     polygon_area,
+    ragged_cell_indices,
     rasterize_polyline,
 )
 from .grid import AnalysisGrid, CategoryRaster, Mask, RealRaster
@@ -34,10 +35,14 @@ RACE_KEYS = ("white", "asian", "black", "multiracial", "other")
 DEMOGRAPHIC_GROUPS = {"gender": GENDER_KEYS, "age": AGE_KEYS, "race": RACE_KEYS}
 
 
-def to_cents(dollars: float) -> int:
-    """Nearest integer cents; ties round half away from zero."""
-    scaled = dollars * 100.0
-    return int(np.floor(scaled + 0.5)) if scaled >= 0 else -int(np.floor(-scaled + 0.5))
+def to_cents(dollars: float | np.ndarray) -> int | np.ndarray:
+    """Nearest integer cents; ties round half away from zero.
+
+    An array of dollar amounts gives an int64 array of cents.
+    """
+    scaled = np.asarray(dollars, dtype=np.float64) * 100.0
+    cents = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
+    return int(cents) if cents.ndim == 0 else cents.astype(np.int64)
 
 
 def cents_to_usd(cents: int) -> str:
@@ -108,8 +113,7 @@ class BuildingFeature:
     building_id: str
 
     def __post_init__(self) -> None:
-        if not self.footprints:
-            raise ValidationError(f"building {self.building_id} has no footprint")
+        check_building(self.building_id, len(self.footprints))
 
     def area(self) -> float:
         return math.fsum(polygon_area(p) for p in self.footprints)
@@ -135,10 +139,21 @@ class District:
     perimeter: list[Polygon]
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValidationError("district needs a name")
-        if not self.perimeter:
-            raise ValidationError(f"district {self.name} has no perimeter")
+        check_district(self.name, len(self.perimeter))
+
+
+def check_building(building_id: str, n_parts: int) -> None:
+    """The checks of a :class:`BuildingFeature`, on a building's values."""
+    if not n_parts:
+        raise ValidationError(f"building {building_id} has no footprint")
+
+
+def check_district(name: str, n_parts: int) -> None:
+    """The checks of a :class:`District`, on a district's values."""
+    if not name:
+        raise ValidationError("district needs a name")
+    if not n_parts:
+        raise ValidationError(f"district {name} has no perimeter")
 
 
 @dataclass(frozen=True)
@@ -275,16 +290,22 @@ class BuildingIndex:
 
     @classmethod
     def build(
-        cls, buildings: list[BuildingFeature], grid: AnalysisGrid, costs: CostModel
+        cls,
+        buildings: list[BuildingFeature] | PolygonLayer,
+        grid: AnalysisGrid,
+        costs: CostModel,
     ) -> "BuildingIndex":
-        cells, offsets = features_cell_indices([b.footprints for b in buildings], grid)
+        """The index of buildings given as objects or as a layer of footprints.
+
+        A building's charge is ``to_cents(area() * building_cost)``, with
+        :meth:`BuildingFeature.area`'s bits.
+        """
+        if not isinstance(buildings, PolygonLayer):
+            buildings = PolygonLayer.of([b.footprints for b in buildings])
+        cells, offsets = ragged_cell_indices(*buildings, grid)
         covered = np.diff(offsets) > 0
-        cents = [
-            to_cents(b.area() * costs.building_cost)
-            for b, keep in zip(buildings, covered)
-            if keep
-        ]
-        return cls(cells, offsets[:-1][covered], np.array(cents, dtype=np.int64))
+        cents = to_cents(buildings.areas()[covered] * costs.building_cost)
+        return cls(cells, offsets[:-1][covered], cents)
 
 
 def building_loss_by_day(

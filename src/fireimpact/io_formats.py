@@ -5,8 +5,10 @@ files (sorted keys, fixed float formatting, no timestamps). Readers
 report the file, line or feature index, and field for every problem.
 
 Input passes one boundary: ``_open_text``/``_load_json`` decode files,
-``parse_value`` parses values and ``read_layer`` reads GeoJSON layers, so
-a malformed file is a FormatError naming the file and place.
+``parse_value`` parses values, and ``read_layer`` (points and lines, one
+object per feature) and ``read_polygon_layer`` (polygons, one flat
+``PolygonLayer`` per file) read GeoJSON layers, so a malformed file is a
+FormatError naming the file and place.
 
 GeoJSON input is a simple subset: a FeatureCollection of Point,
 LineString, Polygon, or MultiPolygon features with flat properties and
@@ -21,6 +23,7 @@ import datetime as dt
 import itertools
 import json
 import math
+import operator
 import reprlib
 from array import array
 from contextlib import contextmanager
@@ -30,21 +33,24 @@ from typing import Any, Callable, Iterator, NamedTuple, TextIO, TypeVar
 
 import numpy as np
 
-from .dasymetric import CensusBlock, WeightTable
-from .errors import FormatError, SchemaError, ValidationError
+from .dasymetric import Blocks, WeightTable, check_block
+from .errors import FormatError, GeometryError, PipelineError, SchemaError, ValidationError
 from .geometry import (
     Point,
+    PolygonLayer,
     PolyLine,
     Polygon,
     RingArrays,
+    close_rings,
     project_lonlat,
+    ring_problem,
+    run_offsets,
     trace_mask_rings,
     unproject_to_lonlat,
 )
 from .grid import AnalysisGrid, CategoryRaster, Mask, RealRaster
 from .impact import (
     DEMOGRAPHIC_GROUPS,
-    BuildingFeature,
     CostModel,
     DailyImpactRecord,
     Demographics,
@@ -53,6 +59,8 @@ from .impact import (
     RoadFeature,
     TractDemographics,
     cents_to_usd,
+    check_building,
+    check_district,
     usd_to_cents,
 )
 from .perimeters import CONFIDENCE_CODES, DailyPerimeter, Detections
@@ -407,6 +415,40 @@ def mask_to_category(mask: Mask) -> CategoryRaster:
 
 
 _POLYGONAL = ("Polygon", "MultiPolygon")
+# The lon and lat of a GeoJSON position; an altitude is dropped.
+_LONLAT = operator.itemgetter(0, 1)
+# What `_lonlat` raises for a malformed position.
+_MALFORMED = (TypeError, IndexError, OverflowError)
+
+
+def _features(
+    path: Path, types: tuple[str, ...], properties: dict[str, Callable[[Any], Any]],
+    unique: str | None,
+) -> Iterator[tuple[str, str, dict[str, Any], Any]]:
+    """(place, geometry type, parsed properties, raw coordinates) of each feature.
+
+    Features come in file order, each one's JSON freed once it is yielded;
+    see :func:`read_layer` for the checks and errors.
+    """
+    doc = _load_json(path)
+    features = doc.get("features") if isinstance(doc, dict) else None
+    if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
+        raise FormatError(f"{path}: expected a FeatureCollection with a features list")
+    seen = set()
+    for i, feat in enumerate(features):
+        features[i] = None
+        where = f"{path}: feature {i}"
+        geom = feat.get("geometry") if isinstance(feat, dict) else None
+        gtype = geom.get("type") if isinstance(geom, dict) else None
+        if gtype not in types:
+            raise FormatError(f"{where}: expected {' or '.join(types)}, got {gtype!r}")
+        props = parse_value(where, "properties", feat.get("properties") or {}, _object)
+        values = {name: _required(where, props, name, parse) for name, parse in properties.items()}
+        if unique is not None:
+            if values[unique] in seen:
+                raise ValidationError(f"{where}: duplicate {unique} {values[unique]!r}")
+            seen.add(values[unique])
+        yield where, gtype, values, geom.get("coordinates")
 
 
 def read_layer(
@@ -420,18 +462,13 @@ def read_layer(
 ) -> list[T]:
     """``build(values, shape)`` for each feature of a GeoJSON FeatureCollection.
 
-    Geometry types must be in ``types``; ``values`` holds each property in
-    ``properties`` parsed by its function, and ``unique`` names one that
-    must not repeat. ``shape`` is the projected Point, PolyLine or list of
-    Polygons. Malformed input is a FormatError (exit 2); invalid geometry,
-    a repeated value or one ``build`` rejects is a ValidationError (exit 1).
-    Both name the file and the feature.
+    Geometry types must be in ``types`` (Point or LineString); ``values``
+    holds each property in ``properties`` parsed by its function, and
+    ``unique`` names one that must not repeat. ``shape`` is the projected
+    Point or PolyLine. Malformed input is a FormatError (exit 2); invalid
+    geometry, a repeated value or one ``build`` rejects is a
+    ValidationError (exit 1). Both name the file and the feature.
     """
-    path = Path(path)
-    doc = _load_json(path)
-    features = doc.get("features") if isinstance(doc, dict) else None
-    if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
-        raise FormatError(f"{path}: expected a FeatureCollection with a features list")
 
     def position(p) -> Point:
         lon, lat = p[0], p[1]
@@ -439,48 +476,128 @@ def read_layer(
             raise TypeError(p)
         return project_lonlat(lon, lat, origin_lon, origin_lat)
 
-    def project(ring) -> list[Point]:
-        return [position(p) for p in ring]
-
-    def polygon(rings) -> Polygon:
-        return Polygon(project(rings[0]), [project(r) for r in rings[1:]])
-
-    shapes = {
-        "Point": position,
-        "LineString": lambda c: PolyLine(project(c)),
-        "Polygon": lambda c: [polygon(c)],
-        "MultiPolygon": lambda c: [polygon(rings) for rings in c],
-    }
+    shapes = {"Point": position, "LineString": lambda c: PolyLine([position(p) for p in c])}
     out = []
-    seen = set()
-    for i, feat in enumerate(features):
-        features[i] = None  # each feature's JSON is freed once it is built
-        where = f"{path}: feature {i}"
-        geom = feat.get("geometry") if isinstance(feat, dict) else None
-        gtype = geom.get("type") if isinstance(geom, dict) else None
-        if gtype not in types:
-            raise FormatError(f"{where}: expected {' or '.join(types)}, got {gtype!r}")
-        props = parse_value(where, "properties", feat.get("properties") or {}, _object)
-        values = {name: _required(where, props, name, parse) for name, parse in properties.items()}
-        if unique is not None:
-            if values[unique] in seen:
-                raise ValidationError(f"{where}: duplicate {unique} {values[unique]!r}")
-            seen.add(values[unique])
+    for where, gtype, values, coords in _features(Path(path), types, properties, unique):
         try:
-            shape = parse_value(where, "coordinates", geom.get("coordinates"), shapes[gtype])
-            out.append(build(values, shape))
+            out.append(build(values, parse_value(where, "coordinates", coords, shapes[gtype])))
         except ValidationError as exc:
             raise type(exc)(f"{where}: {exc}") from None
     return out
 
 
-def read_blocks(path: str | Path, origin_lon: float, origin_lat: float) -> list[CensusBlock]:
-    return read_layer(
-        path, origin_lon, origin_lat, _POLYGONAL,
+def read_polygon_layer(
+    path: str | Path,
+    origin_lon: float,
+    origin_lat: float,
+    properties: dict[str, Callable[[Any], Any]],
+    check: Callable[[dict[str, Any], int], None],
+    unique: str | None = None,
+) -> tuple[dict[str, list], PolygonLayer]:
+    """Each property's values in feature order, and the features' shapes as one layer.
+
+    Features are Polygons or MultiPolygons; ``check(values, n_parts)``
+    validates each one's values, as its object's constructor would. Every
+    position is converted, projected and checked at once, yet the error is
+    the one that reading the features into :class:`Polygon` objects in
+    file order meets first, with :func:`read_layer`'s exit codes.
+    """
+    path = Path(path)
+    columns: dict[str, list] = {name: [] for name in properties}
+    raw: list = []  # each feature's coordinates, for an error message
+    positions: list = []  # every ring's positions, concatenated
+    ring_sizes: list[int] = []
+    polygon_sizes: list[int] = []
+    polygon_feature: list[int] = []
+
+    def layer() -> PolygonLayer:
+        """The polygons read so far; their first bad one's error is raised."""
+        po = run_offsets(polygon_sizes)
+        ro = run_offsets(ring_sizes[:po[-1]])
+        del positions[ro[-1]:]  # a polygon read in part
+        lonlat = _lonlat_prefix(positions)
+        bad = len(polygon_sizes)  # the first polygon with a malformed position
+        if len(lonlat) < len(positions):
+            bad = np.searchsorted(po, np.searchsorted(ro, len(lonlat), "right") - 1, "right") - 1
+        ro = ro[:po[bad] + 1]
+        lonlat = lonlat[:ro[-1]]
+        with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic
+            x, y = project_lonlat(lonlat[:, 0], lonlat[:, 1], origin_lon, origin_lat)
+        problem = ring_problem(x, y, ro)
+        if problem is not None:
+            r, message = problem
+            k = polygon_feature[np.searchsorted(po, r, "right") - 1]
+            raise GeometryError(f"{path}: feature {k}: {message}")
+        if bad < len(polygon_sizes):
+            k = polygon_feature[bad]
+            raise FormatError(f"{path}: feature {k}: bad coordinates value {reprlib.repr(raw[k])}")
+        feature_sizes = np.bincount(polygon_feature, minlength=len(raw))
+        return PolygonLayer(*close_rings(x, y, ro), po, run_offsets(feature_sizes))
+
+    try:
+        for where, gtype, values, coords in _features(path, _POLYGONAL, properties, unique):
+            raw.append(coords)
+            n_parts = 0
+            try:
+                for rings in [coords] if gtype == "Polygon" else coords:
+                    if rings.__class__ is not list or not rings:
+                        raise TypeError(rings)
+                    for ring in rings:
+                        n = len(positions)
+                        positions.extend(ring)
+                        ring_sizes.append(len(positions) - n)
+                    polygon_sizes.append(len(rings))
+                    polygon_feature.append(len(raw) - 1)
+                    n_parts += 1
+            except TypeError:
+                raise FormatError(f"{where}: bad coordinates value {reprlib.repr(coords)}") from None
+            try:
+                check(values, n_parts)
+            except ValidationError as exc:
+                raise type(exc)(f"{where}: {exc}") from None
+            for name, value in values.items():
+                columns[name].append(value)
+    except PipelineError:
+        layer()  # a bad polygon read before the failure is reported first
+        raise
+    return columns, layer()
+
+
+def _lonlat(positions: list) -> np.ndarray:
+    """(n, 2) lon/lat of GeoJSON positions, each a list of two or more
+    numbers (not bools); raises one of _MALFORMED for any other."""
+    if positions and set(map(type, positions)) != {list}:
+        raise TypeError(positions)
+    if set(map(len, positions)) - {2}:
+        positions = list(map(_LONLAT, positions))
+    if not set(map(type, itertools.chain.from_iterable(positions))) <= {int, float}:
+        raise TypeError(positions)
+    flat = itertools.chain.from_iterable(positions)
+    return np.fromiter(flat, np.float64, 2 * len(positions)).reshape(-1, 2)
+
+
+def _lonlat_prefix(positions: list) -> np.ndarray:
+    """:func:`_lonlat` of the positions before the first malformed one."""
+    try:
+        return _lonlat(positions)
+    except _MALFORMED:
+        for n, p in enumerate(positions):
+            try:
+                _lonlat([p])
+            except _MALFORMED:
+                return _lonlat(positions[:n])
+        raise
+
+
+def read_blocks(path: str | Path, origin_lon: float, origin_lat: float) -> Blocks:
+    values, parts = read_polygon_layer(
+        path, origin_lon, origin_lat,
         {"block_id": _text, "pop": _number, "tract_id": _text},
-        lambda v, parts: CensusBlock(v["block_id"], parts, v["pop"], v["tract_id"]),
+        lambda v, n_parts: check_block(v["block_id"], n_parts, v["pop"]),
         unique="block_id",
     )
+    pop = np.array(values["pop"], dtype=np.float64)
+    return Blocks(values["block_id"], pop, values["tract_id"], parts)
 
 
 def read_roads(path: str | Path, origin_lon: float, origin_lat: float) -> list[RoadFeature]:
@@ -490,13 +607,12 @@ def read_roads(path: str | Path, origin_lon: float, origin_lat: float) -> list[R
     )
 
 
-def read_buildings(
-    path: str | Path, origin_lon: float, origin_lat: float
-) -> list[BuildingFeature]:
-    return read_layer(
-        path, origin_lon, origin_lat, _POLYGONAL, {"id": _text},
-        lambda v, parts: BuildingFeature(parts, v["id"]),
-    )
+def read_buildings(path: str | Path, origin_lon: float, origin_lat: float) -> PolygonLayer:
+    """Each building's footprints, as feature k of one layer; ids are checked."""
+    return read_polygon_layer(
+        path, origin_lon, origin_lat, {"id": _text},
+        lambda v, n_parts: check_building(v["id"], n_parts),
+    )[1]
 
 
 def read_pois(path: str | Path, origin_lon: float, origin_lat: float) -> list[PoiFeature]:
@@ -510,11 +626,12 @@ def read_districts(
     path: str | Path, origin_lon: float, origin_lat: float
 ) -> list[District]:
     """Official perimeter file: one polygonal feature per district with a name."""
-    return read_layer(
-        path, origin_lon, origin_lat, _POLYGONAL, {"name": _text},
-        lambda v, parts: District(v["name"], parts),
+    values, parts = read_polygon_layer(
+        path, origin_lon, origin_lat, {"name": _text},
+        lambda v, n_parts: check_district(v["name"], n_parts),
         unique="name",
     )
+    return [District(name, parts.polygons(k)) for k, name in enumerate(values["name"])]
 
 
 def _json(doc: Any) -> str:

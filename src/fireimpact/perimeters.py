@@ -336,7 +336,8 @@ def extract_daily_perimeters(
     ``dates`` fixes the output sequence (useful to align several runs on
     one event window); by default it is the contiguous calendar range
     spanning the detections. Dates with no detections yield empty masks
-    but stay in the sequence.
+    but stay in the sequence. An ``official`` perimeter that captures no
+    cell center of ``grid`` is a ValidationError: nothing in it can burn.
     """
     if dates is None:
         dates = event_dates([d for day in detections_by_date.values() for d in day])
@@ -345,6 +346,8 @@ def extract_daily_perimeters(
     _check_day_count(len(dates))
 
     clip = rasterize_polygons(official, grid)
+    if not clip.bits.any():
+        raise ValidationError("official perimeter captures no cell center of the analysis grid")
     first = np.full(grid.shape, -1, dtype=np.int16)
     out: list[DailyPerimeter] = []
     for i, day in enumerate(dates):

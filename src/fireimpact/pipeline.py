@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dasymetric import (
+    Blocks,
     CensusBlock,
     DownscaleReport,
     MassReport,
@@ -21,7 +22,7 @@ from .dasymetric import (
     validate_mass,
 )
 from .errors import ValidationError
-from .geometry import points_in_polygon
+from .geometry import PolygonLayer, points_in_polygon, segment_sums
 from .grid import CategoryRaster, Mask
 from .impact import (
     BuildingFeature,
@@ -70,9 +71,9 @@ class Layers:
     manifest: FileManifest
     detections: Detections | list[Detection] = field(default_factory=list)
     landcover: CategoryRaster | None = None
-    blocks: list[CensusBlock] = field(default_factory=list)
+    blocks: list[CensusBlock] | Blocks = field(default_factory=list)
     roads: list[RoadFeature] = field(default_factory=list)
-    buildings: list[BuildingFeature] = field(default_factory=list)
+    buildings: list[BuildingFeature] | PolygonLayer = field(default_factory=list)
     pois: list[PoiFeature] = field(default_factory=list)
     districts: list[District] = field(default_factory=list)
     weights: WeightTable = field(default_factory=WeightTable.default)
@@ -141,7 +142,8 @@ def compute_perimeters(
 
     A detection belongs to a district when it falls inside the district's
     official perimeter; all districts share one event date range so their
-    daily sequences line up.
+    daily sequences line up. A district whose perimeter captures no cell
+    center of the grid is a ValidationError naming it.
     """
     if not layers.districts:
         raise ValidationError("no districts in the official perimeter file")
@@ -152,13 +154,16 @@ def compute_perimeters(
         inside = np.zeros(len(detections), dtype=bool)
         for part in district.perimeter:
             inside |= points_in_polygon(detections.x, detections.y, part)
-        out[district.name] = extract_daily_perimeters(
-            detections[inside].by_date(),
-            district.perimeter,
-            layers.manifest.grid,
-            params,
-            dates=dates,
-        )
+        try:
+            out[district.name] = extract_daily_perimeters(
+                detections[inside].by_date(),
+                district.perimeter,
+                layers.manifest.grid,
+                params,
+                dates=dates,
+            )
+        except ValidationError as exc:
+            raise type(exc)(f"district {district.name!r}: {exc}") from None
     return out
 
 
@@ -167,10 +172,9 @@ def compute_population(
 ) -> tuple[PopulationGrid, DownscaleReport, MassReport]:
     if layers.landcover is None:
         raise ValidationError("population downscaling needs a landcover layer")
-    popgrid, report = downscale(
-        layers.blocks, layers.landcover, layers.weights, layers.manifest.grid
-    )
-    mass = validate_mass(layers.blocks, popgrid, report)
+    blocks = Blocks.of(layers.blocks)
+    popgrid, report = downscale(blocks, layers.landcover, layers.weights, layers.manifest.grid)
+    mass = validate_mass(blocks, popgrid, report)
     failures = mass.failures()
     if failures:
         worst = max(failures, key=lambda e: e.rel_err)
@@ -193,7 +197,8 @@ def assess(
     """
     perimeters = compute_perimeters(layers, params)
     popgrid, ds_report, _ = compute_population(layers)
-    block_tracts = {b.block_id: b.tract_id for b in layers.blocks}
+    blocks = Blocks.of(layers.blocks)
+    block_tracts = dict(zip(blocks.ids, blocks.tracts))
     grid = layers.manifest.grid
     buildings = BuildingIndex.build(layers.buildings, grid, layers.costs)
 
@@ -240,15 +245,12 @@ def exposure_by_block(mask: Mask, report: DownscaleReport) -> dict[str, float]:
     """Exposed persons per block: its own shares of the cells in the mask.
 
     ``report`` is the one :func:`fireimpact.dasymetric.downscale` filled.
-    A centroid cell that several fallback blocks share charges each of
-    them its own population, not the cell's total.
+    Each block's exposure has the bits of summing its shares in the mask,
+    in allocation order, with ``ndarray.sum``. A centroid cell that several
+    fallback blocks share charges each of them its own population, not the
+    cell's total.
     """
-    hit = mask.bits[report.rows, report.cols]
-    exposed = [0.0] * len(report.allocations)
-    if hit.any():
-        ends = np.append(report.starts[1:], hit.size)
-        touched = np.logical_or.reduceat(hit, report.starts)
-        for k in np.flatnonzero(touched).tolist():
-            lo, hi = report.starts[k], ends[k]
-            exposed[k] = float(report.pop[lo:hi][hit[lo:hi]].sum())
-    return dict(zip((a.block_id for a in report.allocations), exposed))
+    hit = mask.bits.ravel()[report.rows * mask.grid.n_cols + report.cols]
+    counts = np.add.reduceat(hit, report.starts, dtype=np.int64)  # no run is empty
+    exposed = segment_sums(report.pop[hit], np.cumsum(counts) - counts)
+    return dict(zip(report.block_ids, exposed.tolist()))

@@ -1,9 +1,9 @@
-"""The array-native detections reader and perimeter writers against their
-former per-object implementations, kept here verbatim as references.
+"""The array-native readers and perimeter writers against their former
+per-object implementations, kept here verbatim as references.
 
-Each reference works one Python object per detection, vertex or cell; the
-rewrites must give the same detections, the same error text and the same
-bytes.
+Each reference works one Python object per detection, feature, vertex or
+cell; the rewrites must give the same detections, the same polygon
+coordinates, the same error text and the same bytes.
 """
 
 import csv
@@ -17,16 +17,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fireimpact.errors import FormatError, SchemaError, ValidationError
-from fireimpact.geometry import Polygon, project_lonlat, unproject_to_lonlat
+from fireimpact.dasymetric import Blocks, CensusBlock
+from fireimpact.errors import FormatError, GeometryError, SchemaError, ValidationError
+from fireimpact.geometry import (
+    Point,
+    PolygonLayer,
+    PolyLine,
+    Polygon,
+    project_lonlat,
+    ragged_cell_indices,
+    unproject_to_lonlat,
+)
 from fireimpact.grid import AnalysisGrid, CategoryRaster, Mask, RealRaster
+from fireimpact.impact import BuildingFeature, District
 from fireimpact.io_formats import (
+    _load_json,
+    _number,
+    _object,
     _open_text,
+    _required,
+    _text,
+    parse_value,
+    read_blocks,
+    read_buildings,
     read_detections,
+    read_districts,
     write_ascii_grid,
     write_daily_perimeters_geojson,
 )
 from fireimpact.perimeters import DailyPerimeter, Detection
+from fireimpact.scenario import ScenarioSpec, generate
 from test_geometry import reference_trace_mask_boundary
 
 # ---------------------------------------------------------------------------
@@ -115,6 +135,90 @@ def reference_read_detections(
     if problems:
         raise SchemaError(f"{path}: {len(problems)} bad row(s): " + "; ".join(problems))
     return detections
+
+
+def reference_read_layer(path, origin_lon, origin_lat, types, properties, build, unique=None):
+    """``build(values, shape)`` for each feature of a GeoJSON FeatureCollection.
+
+    Geometry types must be in ``types``; ``values`` holds each property in
+    ``properties`` parsed by its function, and ``unique`` names one that
+    must not repeat. ``shape`` is the projected Point, PolyLine or list of
+    Polygons. Malformed input is a FormatError (exit 2); invalid geometry,
+    a repeated value or one ``build`` rejects is a ValidationError (exit 1).
+    Both name the file and the feature.
+    """
+    path = Path(path)
+    doc = _load_json(path)
+    features = doc.get("features") if isinstance(doc, dict) else None
+    if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
+        raise FormatError(f"{path}: expected a FeatureCollection with a features list")
+
+    def position(p) -> Point:
+        lon, lat = p[0], p[1]
+        if lon.__class__ is bool or lat.__class__ is bool:  # as in _number
+            raise TypeError(p)
+        return project_lonlat(lon, lat, origin_lon, origin_lat)
+
+    def project(ring) -> list[Point]:
+        return [position(p) for p in ring]
+
+    def polygon(rings) -> Polygon:
+        return Polygon(project(rings[0]), [project(r) for r in rings[1:]])
+
+    shapes = {
+        "Point": position,
+        "LineString": lambda c: PolyLine(project(c)),
+        "Polygon": lambda c: [polygon(c)],
+        "MultiPolygon": lambda c: [polygon(rings) for rings in c],
+    }
+    out = []
+    seen = set()
+    for i, feat in enumerate(features):
+        features[i] = None  # each feature's JSON is freed once it is built
+        where = f"{path}: feature {i}"
+        geom = feat.get("geometry") if isinstance(feat, dict) else None
+        gtype = geom.get("type") if isinstance(geom, dict) else None
+        if gtype not in types:
+            raise FormatError(f"{where}: expected {' or '.join(types)}, got {gtype!r}")
+        props = parse_value(where, "properties", feat.get("properties") or {}, _object)
+        values = {name: _required(where, props, name, parse) for name, parse in properties.items()}
+        if unique is not None:
+            if values[unique] in seen:
+                raise ValidationError(f"{where}: duplicate {unique} {values[unique]!r}")
+            seen.add(values[unique])
+        try:
+            shape = parse_value(where, "coordinates", geom.get("coordinates"), shapes[gtype])
+            out.append(build(values, shape))
+        except ValidationError as exc:
+            raise type(exc)(f"{where}: {exc}") from None
+    return out
+
+
+_POLYGONAL = ("Polygon", "MultiPolygon")
+
+
+def reference_read_blocks(path, origin_lon, origin_lat):
+    return reference_read_layer(
+        path, origin_lon, origin_lat, _POLYGONAL,
+        {"block_id": _text, "pop": _number, "tract_id": _text},
+        lambda v, parts: CensusBlock(v["block_id"], parts, v["pop"], v["tract_id"]),
+        unique="block_id",
+    )
+
+
+def reference_read_buildings(path, origin_lon, origin_lat):
+    return reference_read_layer(
+        path, origin_lon, origin_lat, _POLYGONAL, {"id": _text},
+        lambda v, parts: BuildingFeature(parts, v["id"]),
+    )
+
+
+def reference_read_districts(path, origin_lon, origin_lat):
+    return reference_read_layer(
+        path, origin_lon, origin_lat, _POLYGONAL, {"name": _text},
+        lambda v, parts: District(v["name"], parts),
+        unique="name",
+    )
 
 
 def reference_write_ascii_grid(
@@ -281,6 +385,165 @@ class TestReadDetectionsMatchesReference:
         got = read_detections(path, *ORIGIN)
         assert len(got) == 3000
         assert [*got] == reference_read_detections(path, *ORIGIN)
+
+
+# ---------------------------------------------------------------------------
+# Polygon layer readers
+# ---------------------------------------------------------------------------
+
+# Positions are degrees from a (0, 0) origin, so -0.0 projects to -0.0.
+ZERO = (0.0, 0.0)
+COORD = st.one_of(
+    st.integers(-2, 2),
+    st.sampled_from([0.0, -0.0, 0.5, -1.25]),
+    st.floats(-2, 2, allow_nan=False),
+)
+ALTITUDE = st.sampled_from([0, 12.5, -3, "m", None, [1]])
+BAD_POSITION = st.sampled_from([
+    "a", "ab", True, None, 5, {}, [], [1], [1, "x"], ["1", 2], [True, 0], [0, False],
+    [None, 0], [[0], 0], [math.nan, 0], [0, math.inf], [1e308, 0], [10**400, 0],
+])
+BAD_RING = st.sampled_from([5, None, True, "", "ab", {}, {"k": 1}, [[0, 0]] * 2])
+BAD_RINGS = st.sampled_from([[], None, 7, "", "ab", {}, {"k": []}, [5]])
+BAD_MULTI = st.sampled_from([None, 3, "", "ab", {}, {"k": 1}, [[]], [None]])
+BAD_PROPERTY = st.sampled_from([
+    ("pop", "abc"), ("pop", -1.0), ("pop", True), ("pop", None), ("block_id", {}),
+    ("name", ""), ("name", None), ("id", [1]), ("tract_id", None), ("pop", "169"),
+])
+
+
+@st.composite
+def polygon_collections(draw):
+    """FeatureCollections of Polygons and MultiPolygons, half of them bad.
+
+    Rings take three or more distinct vertices from a small pool and may
+    repeat some (0.0 and -0.0 alike); they are open or closed, and some
+    positions carry an altitude. In a faulty collection some rings have
+    fewer than three distinct vertices and now and then a position, ring,
+    polygon, coordinates value or property is malformed.
+    """
+    pool = draw(st.lists(st.tuples(COORD, COORD), min_size=3, max_size=6, unique=True))
+    faulty = draw(st.booleans())
+
+    def rare(n: int) -> bool:
+        return faulty and draw(st.integers(0, n - 1)) == 0
+
+    def ring():
+        pts = [list(p) for p in draw(st.permutations(pool))[:draw(st.integers(3, len(pool)))]]
+        for _ in range(draw(st.integers(0, 2))):
+            k = draw(st.integers(0, len(pts) - 1))
+            pts.insert(k, [-v if v == 0 else v for v in pts[k]])
+        if rare(8):
+            pts = pts[:draw(st.integers(0, 2))]
+        if pts and draw(st.booleans()):
+            pts.append(list(pts[0]))
+        for p in pts:
+            if draw(st.integers(0, 5)) == 0:
+                p.append(draw(ALTITUDE))
+        if pts and rare(12):
+            pts[draw(st.integers(0, len(pts) - 1))] = draw(BAD_POSITION)
+        return pts
+
+    def polygon():
+        rings = [ring() for _ in range(draw(st.integers(1, 3)))]
+        if rare(15):
+            rings[draw(st.integers(0, len(rings) - 1))] = draw(BAD_RING)
+        return draw(BAD_RINGS) if rare(20) else rings
+
+    features = []
+    for i in range(draw(st.integers(1, 6))):
+        polys = [polygon() for _ in range(0 if rare(10) else draw(st.integers(1, 3)))]
+        if len(polys) == 1 and draw(st.booleans()):
+            gtype, coords = "Polygon", polys[0]
+        else:
+            gtype, coords = "MultiPolygon", polys
+        if rare(20):
+            coords = draw(BAD_MULTI)
+        props = {"block_id": f"b{i}", "pop": draw(st.integers(0, 900) | st.floats(0, 900)),
+                 "tract_id": "t", "id": i, "name": f"d{i}"}
+        if rare(10):
+            key, value = draw(BAD_PROPERTY)
+            props[key] = value
+        if i and rare(15):
+            props["block_id"], props["name"] = f"b{i - 1}", f"d{i - 1}"
+        features.append(
+            {"type": "Feature", "geometry": {"type": gtype, "coordinates": coords},
+             "properties": props}
+        )
+    return {"type": "FeatureCollection", "features": features}
+
+
+LAYER_READERS = {
+    "blocks": (read_blocks, reference_read_blocks),
+    "buildings": (read_buildings, reference_read_buildings),
+    "districts": (read_districts, reference_read_districts),
+}
+# Covers every projected coordinate the strategy can give (|lon|, |lat| <= 2).
+LAYER_GRID = AnalysisGrid(-250_000.0, -250_000.0, 25_000.0, 20, 20)
+
+
+def layer_values(kind, got):
+    """A reader's result as (values of the features, their PolygonLayer)."""
+    if kind == "blocks":
+        blocks = Blocks.of(got)
+        return (blocks.ids, blocks.pop.tobytes(), blocks.tracts), blocks.parts
+    if kind == "buildings":
+        return (), got if isinstance(got, PolygonLayer) else PolygonLayer.of(
+            [b.footprints for b in got]
+        )
+    return [d.name for d in got], PolygonLayer.of([d.perimeter for d in got])
+
+
+def layer_outcome(kind, read, path, origin=ZERO):
+    """The features' values, layer arrays and cells, or the error type and text."""
+    try:
+        values, layer = layer_values(kind, read(path, *origin))
+    except (FormatError, ValidationError) as exc:
+        return type(exc), str(exc)
+    cells, offsets = ragged_cell_indices(*layer, LAYER_GRID)
+    return (
+        values, layer.xs.tobytes(), layer.ys.tobytes(),
+        *(a.tolist() for a in (*layer[2:], cells, offsets)),
+    )
+
+
+class TestReadPolygonLayerMatchesReference:
+    @given(doc=polygon_collections())
+    @settings(max_examples=300, deadline=None)
+    def test_same_layer_and_errors(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("layer") / "l.geojson"
+        path.write_text(json.dumps(doc))
+        for kind, (read, reference) in LAYER_READERS.items():
+            assert layer_outcome(kind, read, path) == layer_outcome(kind, reference, path), kind
+
+    def test_first_bad_feature_in_file_order_is_named(self, tmp_path):
+        # Feature 1's ring is degenerate (exit 1) and feature 3's pop is text
+        # (exit 2): the ring, read first, is the error, as the reference says.
+        square = [[[0, 0], [1, 0], [1, 1], [0, 1]]]
+        features = [
+            {"type": "Feature", "geometry": {"type": "Polygon", "coordinates": coords},
+             "properties": {"block_id": f"b{i}", "pop": pop, "tract_id": "t"}}
+            for i, (coords, pop) in enumerate([
+                (square, 1), ([[[0, 0], [1, 0], [0, 0]]], 2), (square, 3), (square, "abc"),
+            ])
+        ]
+        path = tmp_path / "b.geojson"
+        path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+        got = layer_outcome("blocks", read_blocks, path)
+        assert got == layer_outcome("blocks", reference_read_blocks, path)
+        assert got == (
+            GeometryError, f"{path}: feature 1: ring needs >= 3 distinct vertices, got 2"
+        )
+
+    def test_synthetic_layers(self, tmp_path):
+        generate(ScenarioSpec(seed=7), tmp_path)
+        for kind, name in (("blocks", "blocks"), ("buildings", "buildings"),
+                           ("districts", "perimeter")):
+            read, reference = LAYER_READERS[kind]
+            path = tmp_path / f"{name}.geojson"
+            got = layer_outcome(kind, read, path, ORIGIN)
+            assert len(got) == 8, got
+            assert got == layer_outcome(kind, reference, path, ORIGIN)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from fireimpact.dasymetric import (
     DEFAULT_NLCD_WEIGHTS,
-    BlockAllocation,
+    FALLBACKS,
     CensusBlock,
     DownscaleReport,
     WeightTable,
@@ -208,7 +210,11 @@ class TestBlockOrder:
 def reference_rasterize_blocks(
     blocks: list[CensusBlock], grid: AnalysisGrid
 ) -> DownscaleReport:
-    """The per-block claim loop ``rasterize_blocks`` replaced, kept verbatim."""
+    """The per-block claim loop ``rasterize_blocks`` replaced.
+
+    The loop is kept verbatim; only its result is now stored in the
+    report's columns, from which ``allocations`` is built.
+    """
     cells, offsets = features_cell_indices([b.parts for b in blocks], grid)
     claimed = np.zeros(grid.n_rows * grid.n_cols, dtype=bool)
     report = DownscaleReport()
@@ -236,10 +242,8 @@ def reference_rasterize_blocks(
         flat = np.concatenate(owned)
         del owned
         report.rows, report.cols = np.divmod(flat, grid.n_cols)
-    for block, fallback, start, size in zip(blocks, fallbacks, report.starts, sizes):
-        rows = report.rows[start:start + size]
-        cols = report.cols[start:start + size]
-        report.allocations.append(BlockAllocation(block.block_id, rows, cols, fallback))
+    report.block_ids = [block.block_id for block in blocks]
+    report.fallback = np.array([FALLBACKS.index(f) for f in fallbacks], dtype=np.int8)
     return report
 
 
@@ -291,6 +295,68 @@ class TestReferenceClaimLoop:
         assert got.overlap_cells == ref.overlap_cells
         for name in ("rows", "cols", "starts"):
             assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+def reference_downscale(blocks, landcover, w, grid):
+    """The per-block loop of ``downscale`` and ``validate_mass`` before they
+    became array code, over ``rasterize_blocks``' placements.
+
+    Returns the population cells, each block's shares, its fallback and its
+    mass entry as (block_id, pop, allocated, rel_err, fallback).
+    """
+    ra = allocation_factor_raster(landcover, w)
+    report = rasterize_blocks(blocks, grid)
+    out = np.zeros(grid.shape)
+    shares, fallbacks = [], []
+    centroid_pops: dict[tuple[int, int], list[float]] = {}
+    for block, alloc in zip(blocks, report.allocations):
+        rows, cols = alloc.rows, alloc.cols
+        share = np.empty(rows.size)
+        shares.append(share)
+        fallbacks.append(alloc.fallback)
+        if alloc.fallback == "centroid":
+            share[:] = block.pop
+            centroid_pops.setdefault((int(rows[0]), int(cols[0])), []).append(block.pop)
+            continue
+        cell_ra = ra.cells[rows, cols]
+        total = float(cell_ra.sum())
+        if total > 0.0:
+            share[:] = block.pop * (cell_ra / total)
+        else:
+            fallbacks[-1] = "uniform"
+            share[:] = block.pop / rows.size
+        out[rows, cols] += share
+    for cell, pops in centroid_pops.items():
+        out[cell] = math.fsum(pops)
+    entries = []
+    for block, alloc, fallback in zip(blocks, report.allocations, fallbacks):
+        allocated = float(out[alloc.rows, alloc.cols].sum())
+        rel_err = abs(allocated - block.pop) / max(block.pop, 1.0)
+        entries.append((block.block_id, block.pop, allocated, rel_err, fallback))
+    return out, np.concatenate(shares or [np.zeros(0)]), fallbacks, entries
+
+
+class TestMatchesPerBlockLoop:
+    @given(
+        overlapping_blocks(),
+        st.lists(st.floats(0, 1e4) | st.integers(0, 1000).map(float), min_size=12, max_size=12),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_bits(self, layout, pops, seed):
+        g, blocks = layout
+        blocks = [CensusBlock(b.block_id, b.parts, p, "t") for b, p in zip(blocks, pops)]
+        codes = np.random.default_rng(seed).choice([11, 11, 21, 22, 24, 41, 90], g.shape)
+        landcover = CategoryRaster(g, codes)
+        w = WeightTable.default()
+        pop, report = downscale(blocks, landcover, w, g)
+        mass = validate_mass(blocks, pop, report)
+        cells, shares, fallbacks, entries = reference_downscale(blocks, landcover, w, g)
+        assert pop.cells.tobytes() == cells.tobytes()
+        assert report.pop.tobytes() == shares.tobytes()
+        assert [a.fallback for a in report.allocations] == fallbacks
+        got = [(e.block_id, e.pop, e.allocated, e.rel_err, e.fallback) for e in mass.entries]
+        assert repr(got) == repr(entries)
 
 
 class TestMassPreservedOnAnyLayout:

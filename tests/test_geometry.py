@@ -10,6 +10,7 @@ from fireimpact import geometry
 from fireimpact.errors import GeometryError
 from fireimpact.geometry import (
     Point,
+    PolygonLayer,
     PolyLine,
     Polygon,
     features_cell_indices,
@@ -19,6 +20,7 @@ from fireimpact.geometry import (
     project_lonlat,
     rasterize_polygons,
     rasterize_polyline,
+    segment_sums,
     trace_mask_boundary,
     unproject_to_lonlat,
 )
@@ -340,6 +342,67 @@ class TestFeaturesCellIndices:
         features = [[], [west], [inside], [west, south], [between_centers], []]
         got = slices(*features_cell_indices(features, g))
         assert got == [[], [], [6, 7, 8, 11, 12, 13, 16, 17, 18], [], [], []]
+
+
+class TestSegmentSums:
+    # Lengths cross numpy's 8-lane unrolled loop and its 128-term pairwise
+    # block; a sequential np.add.reduceat rounds differently from 8 terms on.
+    @given(
+        st.lists(st.integers(0, 300) | st.sampled_from([0, 7, 8, 9, 127, 128, 129]), max_size=12),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_each_sum_has_the_bits_of_its_own_sum(self, lengths, seed):
+        rng = np.random.default_rng(seed)
+        n = sum(lengths)
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n)
+        starts = np.cumsum(lengths, dtype=np.int64) - lengths
+        want = [values[a:a + k].sum() for a, k in zip(starts.tolist(), lengths)]
+        assert segment_sums(values, starts).tobytes() == np.array(want).tobytes()
+
+    @given(st.lists(st.integers(0, 40), max_size=12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_explicit_lengths_in_any_order(self, lengths, seed):
+        # Segments listed out of order, with gaps between them.
+        rng = np.random.default_rng(seed)
+        gaps = rng.integers(0, 3, len(lengths))
+        starts = np.cumsum(np.add(lengths, gaps), dtype=np.int64) - lengths
+        values = rng.standard_normal(int(starts[-1]) + lengths[-1] + 2 if lengths else 0)
+        order = rng.permutation(len(lengths))
+        starts, lengths = starts[order], np.array(lengths, dtype=np.int64)[order]
+        pairwise = [values[a:a + k].sum() for a, k in zip(starts.tolist(), lengths.tolist())]
+        sequential = []
+        for a, k in zip(starts.tolist(), lengths.tolist()):
+            total = 0.0
+            for v in values[a:a + k].tolist():
+                total += v
+            sequential.append(total)
+        got = segment_sums(values, starts, lengths)
+        assert got.tobytes() == np.array(pairwise, dtype=np.float64).tobytes()
+        got = segment_sums(values, starts, lengths, sequential=True)
+        assert got.tobytes() == np.array(sequential, dtype=np.float64).tobytes()
+
+
+class TestPolygonLayer:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_areas_have_the_bits_of_polygon_area(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_grid(rng)
+        features = random_features(rng, g, int(rng.integers(1, 12)))
+        features.append([random_part(rng, g) or unit_square() for _ in range(4)])
+        want = [math.fsum(polygon_area(p) for p in parts) for parts in features]
+        got = PolygonLayer.of(features).areas()
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_polygons_round_trip(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_grid(rng)
+        features = random_features(rng, g, int(rng.integers(0, 8)))
+        layer = PolygonLayer.of(features)
+        assert [layer.polygons(k) for k in range(len(features))] == features
 
 
 class TestRasterizePolyline:

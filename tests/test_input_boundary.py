@@ -93,6 +93,12 @@ def edit_demographics(change):
     return "demographics.csv", edit
 
 
+def two_vertex_ring_then_text_pop(doc):
+    ring = doc["features"][1]["geometry"]["coordinates"][0]
+    ring[:] = [ring[0], ring[1], ring[0]]
+    doc["features"][3]["properties"]["pop"] = "abc"
+
+
 # (id, file edited, edit, exit code, what stderr names besides the file)
 CASES = [
     ("ff-manifest", "manifest.json", set_byte, 2, None),
@@ -186,6 +192,12 @@ CASES = [
     ("building-cost-numeric-text", "costs.json",
      lambda p: edit_json(p, lambda d: d.update(building_cost="3000")),
      2, "bad building_cost value '3000'"),
+    # Geometry is checked for the whole layer at once, yet the first bad
+    # feature in file order is the one named: feature 1's two-vertex ring
+    # (exit 1), not feature 3's text pop (exit 2).
+    ("two-vertex-ring-before-text-pop", "blocks.geojson",
+     lambda p: edit_json(p, two_vertex_ring_then_text_pop), 1,
+     "feature 1: ring needs >= 3 distinct vertices, got 2"),
 ]
 
 
@@ -200,6 +212,40 @@ def test_malformed_input_exits_cleanly(capsys, scenario, tmp_path, name, edit, c
     assert name in err
     if names is not None:
         assert names in err
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
+def shift_dates(doc):
+    doc.update(start_date="2026-01-01", end_date="2026-01-05")
+
+
+def drop_tract(path, tract="district-a-t0"):
+    lines = path.read_text().split("\n")
+    path.write_text("\n".join(line for line in lines if not line.startswith(tract + ",")))
+
+
+# Files that are each valid but disagree: (id, file edited, edit, exit code,
+# what stderr holds).
+DISAGREEING = [
+    ("dates-outside-window", "manifest.json", lambda p: edit_json(p, shift_dates),
+     1, "no detections: nothing to assess"),
+    ("tract-missing", "demographics.csv", drop_tract,
+     1, "no demographics for tract district-a-t0"),
+    ("grid-misses-districts", "manifest.json",
+     lambda p: edit_json(p, lambda d: d["grid"].update(origin_x=1e6)),
+     1, "district 'district-a': official perimeter captures no cell center"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, edit, code, message", [c[1:] for c in DISAGREEING], ids=[c[0] for c in DISAGREEING]
+)
+def test_valid_inputs_that_disagree_exit_1(capsys, scenario, tmp_path, name, edit, code, message):
+    root = shutil.copytree(scenario, tmp_path / "s")
+    edit(root / name)
+    got, out, err = assess(root, tmp_path / "out", capsys)
+    assert got == code, err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
     assert not (tmp_path / "out" / "report.csv").exists()
 
 
