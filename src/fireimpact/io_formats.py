@@ -458,16 +458,14 @@ def read_layer(
     types: tuple[str, ...],
     properties: dict[str, Callable[[Any], Any]],
     build: Callable[[dict[str, Any], Any], T],
-    unique: str | None = None,
 ) -> list[T]:
     """``build(values, shape)`` for each feature of a GeoJSON FeatureCollection.
 
     Geometry types must be in ``types`` (Point or LineString); ``values``
-    holds each property in ``properties`` parsed by its function, and
-    ``unique`` names one that must not repeat. ``shape`` is the projected
-    Point or PolyLine. Malformed input is a FormatError (exit 2); invalid
-    geometry, a repeated value or one ``build`` rejects is a
-    ValidationError (exit 1). Both name the file and the feature.
+    holds each property in ``properties`` parsed by its function.
+    ``shape`` is the projected Point or PolyLine. Malformed input is a
+    FormatError (exit 2); invalid geometry or a value ``build`` rejects is
+    a ValidationError (exit 1). Both name the file and the feature.
     """
 
     def position(p) -> Point:
@@ -478,7 +476,7 @@ def read_layer(
 
     shapes = {"Point": position, "LineString": lambda c: PolyLine([position(p) for p in c])}
     out = []
-    for where, gtype, values, coords in _features(Path(path), types, properties, unique):
+    for where, gtype, values, coords in _features(Path(path), types, properties, None):
         try:
             out.append(build(values, parse_value(where, "coordinates", coords, shapes[gtype])))
         except ValidationError as exc:
@@ -497,10 +495,11 @@ def read_polygon_layer(
     """Each property's values in feature order, and the features' shapes as one layer.
 
     Features are Polygons or MultiPolygons; ``check(values, n_parts)``
-    validates each one's values, as its object's constructor would. Every
-    position is converted, projected and checked at once, yet the error is
-    the one that reading the features into :class:`Polygon` objects in
-    file order meets first, with :func:`read_layer`'s exit codes.
+    validates each one's values, as its object's constructor would, and
+    ``unique`` names one that must not repeat. Every position is converted,
+    projected and checked at once, yet the error is the one that reading
+    the features into :class:`Polygon` objects in file order meets first,
+    with :func:`read_layer`'s exit codes; a repeated value exits 1.
     """
     path = Path(path)
     columns: dict[str, list] = {name: [] for name in properties}
@@ -933,21 +932,19 @@ _DAY_COLORS = ("#e41a1c", "#ff7f00", "#ffd92f", "#4daf4a", "#377eb8", "#984ea3",
 def render_svg(
     path: str | Path,
     grid: AnalysisGrid,
-    popgrid: RealRaster | None = None,
-    perimeters: dict[str, list[DailyPerimeter]] | None = None,
-    districts: list[District] | None = None,
+    popgrid: RealRaster,
+    perimeters: dict[str, list[DailyPerimeter]],
+    districts: list[District],
 ) -> None:
     """Simple map: population choropleth, per-day new-burn outlines, legend.
 
     The choropleth uses a fixed 5-stop ramp over the quantiles of the
     positive population values. Output is deterministic for fixed inputs.
     """
-    if popgrid is None and not perimeters and not districts:
-        raise ValidationError("render_svg needs at least one layer")
     scale = 800.0 / max(grid.n_cols * grid.cell_size, grid.n_rows * grid.cell_size)
     width = grid.n_cols * grid.cell_size * scale
     height = grid.n_rows * grid.cell_size * scale
-    dates = _legend_dates(perimeters)
+    dates = sorted({day.date for days in perimeters.values() for day in days})
     legend_h = 20.0 * (1 + len(dates))
 
     def sx(x: float) -> float:
@@ -964,46 +961,43 @@ def render_svg(
     )
     parts.append(f'<rect width="{width:.2f}" height="{height:.2f}" fill="#f7f7f7"/>')
 
-    if popgrid is not None:
-        rows, cols = np.nonzero(popgrid.cells > 0)
-        if rows.size:
-            positive = popgrid.cells[rows, cols]
-            breaks = np.quantile(positive, [0.2, 0.4, 0.6, 0.8])
-            levels = np.searchsorted(breaks, positive, side="right")
-            cell_px = grid.cell_size * scale
-            for r, c, level in zip(rows.tolist(), cols.tolist(), levels.tolist()):
-                color = _POP_RAMP[level]
-                x = c * cell_px
-                y = r * cell_px
-                parts.append(
-                    f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell_px:.2f}" '
-                    f'height="{cell_px:.2f}" fill="{color}"/>'
-                )
+    rows, cols = np.nonzero(popgrid.cells > 0)
+    if rows.size:
+        positive = popgrid.cells[rows, cols]
+        breaks = np.quantile(positive, [0.2, 0.4, 0.6, 0.8])
+        levels = np.searchsorted(breaks, positive, side="right")
+        cell_px = grid.cell_size * scale
+        for r, c, level in zip(rows.tolist(), cols.tolist(), levels.tolist()):
+            color = _POP_RAMP[level]
+            x = c * cell_px
+            y = r * cell_px
+            parts.append(
+                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell_px:.2f}" '
+                f'height="{cell_px:.2f}" fill="{color}"/>'
+            )
 
-    if districts:
-        for d in districts:
-            for poly in d.perimeter:
-                parts.append(
-                    f'<path d="{_poly_path(poly, sx, sy)}" fill="none" '
-                    f'stroke="#555555" stroke-width="1.5" stroke-dasharray="4 2"/>'
-                )
+    for d in districts:
+        for poly in d.perimeter:
+            parts.append(
+                f'<path d="{_poly_path(poly, sx, sy)}" fill="none" '
+                f'stroke="#555555" stroke-width="1.5" stroke-dasharray="4 2"/>'
+            )
 
-    if perimeters:
-        # Traced vertices lie on the corner lattice: format its x and y once.
-        x_text, y_text = (
-            np.array([f"{v:.2f}" for v in values.tolist()], dtype=object)
-            for values in ((grid.corner_xs() - grid.origin_x) * scale,
-                           (grid.max_y - grid.corner_ys()) * scale)
-        )
-        for name in sorted(perimeters):
-            for day in perimeters[name]:
-                color = _DAY_COLORS[dates.index(day.date) % len(_DAY_COLORS)]
-                rings = trace_mask_rings(day.new_burn)
-                for path_data in _ring_paths(rings, x_text, y_text, grid.n_cols):
-                    parts.append(
-                        f'<path d="{path_data}" fill="none" '
-                        f'stroke="{color}" stroke-width="1.2"/>'
-                    )
+    # Traced vertices lie on the corner lattice: format its x and y once.
+    x_text, y_text = (
+        np.array([f"{v:.2f}" for v in values.tolist()], dtype=object)
+        for values in ((grid.corner_xs() - grid.origin_x) * scale,
+                       (grid.max_y - grid.corner_ys()) * scale)
+    )
+    for name in sorted(perimeters):
+        for day in perimeters[name]:
+            color = _DAY_COLORS[dates.index(day.date) % len(_DAY_COLORS)]
+            rings = trace_mask_rings(day.new_burn)
+            for path_data in _ring_paths(rings, x_text, y_text, grid.n_cols):
+                parts.append(
+                    f'<path d="{path_data}" fill="none" '
+                    f'stroke="{color}" stroke-width="1.2"/>'
+                )
 
     y_leg = height + 14.0
     parts.append(
@@ -1023,13 +1017,6 @@ def render_svg(
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
-
-
-def _legend_dates(perimeters: dict[str, list[DailyPerimeter]] | None) -> list[dt.date]:
-    if not perimeters:
-        return []
-    dates = sorted({day.date for days in perimeters.values() for day in days})
-    return dates
 
 
 def _ring_paths(

@@ -169,10 +169,10 @@ class DailyPerimeter:
         return Mask(self.active.grid, (first >= 0) & (first <= self.index))
 
 
-# A point whose KDE window holds more cells than this is added on its own,
-# by one slice update; smaller windows are added in batches.
+# When any KDE window holds more cells than this, every point is added on
+# its own, by one slice update; otherwise points are added in batches.
 SMALL_WINDOW_CELLS = 1024
-# A batch's points times its largest window rows times its largest window
+# A batch's points times the largest window rows times the largest window
 # columns stays within this many cells, bounding the padded temporaries.
 BATCH_CELLS = 32 * 1024
 
@@ -180,31 +180,16 @@ BATCH_CELLS = 32 * 1024
 def _batch_bounds(n_rows: np.ndarray, n_cols: np.ndarray) -> np.ndarray:
     """Bounds ``[0, ..., n]`` of the consecutive batches the points are added in.
 
-    A point whose window holds more than :data:`SMALL_WINDOW_CELLS` cells
-    is a batch of its own. Runs of the other points are cut so that a
-    batch's points times its largest window rows times its largest window
-    columns stays within :data:`BATCH_CELLS`; every batch holds at least
-    one point.
+    If the largest window holds more than :data:`SMALL_WINDOW_CELLS` cells,
+    every point is a batch of its own. Otherwise every batch but the last
+    holds ``BATCH_CELLS // (largest rows * largest columns)`` points, at
+    least one.
     """
-    sizes = n_rows * n_cols
-    big = sizes > SMALL_WINDOW_CELLS
-    edge = np.ones(len(sizes) + 1, dtype=bool)
-    edge[1:-1] = big[1:] | big[:-1]
-    bounds = np.flatnonzero(edge)
-    runs = np.flatnonzero(np.diff(bounds) > 1)
-    cuts = []
-    for lo, stop in zip(bounds[runs].tolist(), bounds[runs + 1].tolist()):
-        while lo < stop:
-            # A batch of k points pads at least k windows of the first one's size.
-            hi = min(stop, lo + max(1, BATCH_CELLS // int(sizes[lo])))
-            padded = (
-                np.arange(1, hi - lo + 1)
-                * np.maximum.accumulate(n_rows[lo:hi])
-                * np.maximum.accumulate(n_cols[lo:hi])
-            )
-            lo += max(1, int(np.count_nonzero(padded <= BATCH_CELLS)))
-            cuts.append(lo)
-    return np.union1d(bounds, np.array(cuts, dtype=bounds.dtype))
+    n = len(n_rows)
+    step = 1
+    if n and int((n_rows * n_cols).max()) <= SMALL_WINDOW_CELLS:
+        step = max(1, BATCH_CELLS // (int(n_rows.max()) * int(n_cols.max())))
+    return np.append(np.arange(0, n, step), n)
 
 
 def kde_surface(
@@ -216,9 +201,9 @@ def kde_surface(
     ``cutoff_sigmas * h``; beyond that the contribution is dropped. With
     ``frp_weighted`` the weights are frp / mean(frp), otherwise 1.
 
-    Points are added in consecutive batches (:func:`_batch_bounds`): a point
-    with a wide window by a slice update, runs of narrow-window points by
-    one padded kernel block and one ``np.add.at``. ``np.add.at`` adds
+    Points are added in consecutive batches (:func:`_batch_bounds`): when
+    windows are wide, one slice update per point, otherwise one padded
+    kernel block and one ``np.add.at`` per batch. ``np.add.at`` adds
     repeated cells one after another in index order, so every cell sums
     its terms in file order from 0.0, and the surface is bit for bit the
     one a loop adding one point at a time gives.

@@ -242,15 +242,18 @@ def assess(
 
 
 def exposure_by_block(mask: Mask, report: DownscaleReport) -> dict[str, float]:
-    """Exposed persons per block: its own shares of the cells in the mask.
+    """Exposed persons per block with a cell in the mask, in block order.
 
     ``report`` is the one :func:`fireimpact.dasymetric.downscale` filled.
-    Each block's exposure has the bits of summing its shares in the mask,
-    in allocation order, with ``ndarray.sum``. A centroid cell that several
-    fallback blocks share charges each of them its own population, not the
-    cell's total.
+    Each block's exposure is its own shares of the cells in the mask, with
+    the bits of summing them in allocation order with ``ndarray.sum``; a
+    block whose cells in the mask hold no one is kept, at 0.0. A centroid
+    cell that several fallback blocks share charges each of them its own
+    population, not the cell's total.
     """
     hit = mask.bits.ravel()[report.rows * mask.grid.n_cols + report.cols]
     counts = np.add.reduceat(hit, report.starts, dtype=np.int64)  # no run is empty
-    exposed = segment_sums(report.pop[hit], np.cumsum(counts) - counts)
-    return dict(zip(report.block_ids, exposed.tolist()))
+    touched = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[touched]
+    exposed = segment_sums(report.pop[hit], starts, counts[touched])
+    return dict(zip([report.block_ids[k] for k in touched.tolist()], exposed.tolist()))

@@ -22,7 +22,15 @@ from .dasymetric import WeightTable
 from .errors import FormatError, ValidationError
 from .geometry import Point, unproject_to_lonlat
 from .grid import AnalysisGrid, CategoryRaster
-from .impact import CostModel, TractDemographics, cents_to_usd, to_cents
+from .impact import (
+    AGE_KEYS,
+    GENDER_KEYS,
+    RACE_KEYS,
+    CostModel,
+    TractDemographics,
+    cents_to_usd,
+    to_cents,
+)
 from .io_formats import (
     FileManifest,
     write_ascii_grid,
@@ -148,6 +156,15 @@ def _band_widths(n_days: int, peak_day: int) -> list[int]:
     return widths
 
 
+def _feature(geometry_type: str, coordinates: list, **properties) -> dict:
+    """One GeoJSON feature."""
+    return {
+        "type": "Feature",
+        "geometry": {"type": geometry_type, "coordinates": coordinates},
+        "properties": properties,
+    }
+
+
 def generate(spec: ScenarioSpec, out_dir: str | Path) -> tuple[FileManifest, GroundTruth]:
     """Write a complete input tree plus ground_truth.csv; returns both.
 
@@ -168,46 +185,30 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> tuple[FileManifest, Gro
     def corner_lonlat(i: int, j: int) -> list[float]:
         return list(unproject_to_lonlat(Point(grid.corner_x(j), grid.corner_y(i)), lon0, lat0))
 
-    def cell_rect_coords(r0: int, r1: int, c0: int, c1: int) -> list[list[float]]:
-        # Closed lon/lat ring around cells rows r0..r1, cols c0..c1.
-        return [
-            corner_lonlat(r1 + 1, c0),
-            corner_lonlat(r1 + 1, c1 + 1),
-            corner_lonlat(r0, c1 + 1),
-            corner_lonlat(r0, c0),
-            corner_lonlat(r1 + 1, c0),
-        ]
+    def cell_rect_coords(r0: int, r1: int, c0: int, c1: int) -> list[list[list[float]]]:
+        # Polygon coordinates: one closed lon/lat ring around rows r0..r1, cols c0..c1.
+        corners = [(r1 + 1, c0), (r1 + 1, c1 + 1), (r0, c1 + 1), (r0, c0), (r1 + 1, c0)]
+        return [[corner_lonlat(i, j) for i, j in corners]]
 
     landcover_cells = np.full((spec.n_rows, spec.n_cols), 42, dtype=np.int32)
-    weights = WeightTable.default()
     costs = CostModel.demo()
     mix_codes = sorted(spec.class_mix)
     mix_probs = np.array([spec.class_mix[c] for c in mix_codes])
     mix_probs = mix_probs / mix_probs.sum()
 
-    block_features: list[dict] = []
-    road_features: list[dict] = []
-    building_features: list[dict] = []
-    poi_features: list[dict] = []
-    district_features: list[dict] = []
+    features: dict[str, list[dict]] = {
+        role: [] for role in ("blocks", "roads", "buildings", "pois", "official_perimeter")
+    }
     detection_rows: list[tuple] = []
     demos: dict[str, TractDemographics] = {}
     truth_rows: list[dict[str, str]] = []
     dates = [spec.start_date + dt.timedelta(days=i) for i in range(spec.n_days)]
 
     for dspec in spec.districts:
-        district_features.append(
-            {
-                "type": "Feature",
-                "geometry": {
-                    "type": "Polygon",
-                    "coordinates": [
-                        cell_rect_coords(dspec.row0, dspec.row1, dspec.col0, dspec.col1)
-                    ],
-                },
-                "properties": {"name": dspec.name},
-            }
-        )
+        features["official_perimeter"].append(_feature(
+            "Polygon", cell_rect_coords(dspec.row0, dspec.row1, dspec.col0, dspec.col1),
+            name=dspec.name,
+        ))
 
         # Blocks: BLOCK_SIDE x BLOCK_SIDE tiles, one land-cover class each,
         # two tracts split down the middle, integer pops summing exactly.
@@ -220,23 +221,12 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> tuple[FileManifest, Gro
         pop_per_cell = np.zeros((spec.n_rows, spec.n_cols))
         for (r, c), pop, code in zip(tiles, pops, classes):
             landcover_cells[r : r + BLOCK_SIDE, c : c + BLOCK_SIDE] = code
-            tract_id = f"{dspec.name}-t{0 if c < mid_col else 1}"
-            block_features.append(
-                {
-                    "type": "Feature",
-                    "geometry": {
-                        "type": "Polygon",
-                        "coordinates": [
-                            cell_rect_coords(r, r + BLOCK_SIDE - 1, c, c + BLOCK_SIDE - 1)
-                        ],
-                    },
-                    "properties": {
-                        "block_id": f"{dspec.name}-blk-{r}-{c}",
-                        "pop": int(pop),
-                        "tract_id": tract_id,
-                    },
-                }
-            )
+            features["blocks"].append(_feature(
+                "Polygon", cell_rect_coords(r, r + BLOCK_SIDE - 1, c, c + BLOCK_SIDE - 1),
+                block_id=f"{dspec.name}-blk-{r}-{c}",
+                pop=int(pop),
+                tract_id=f"{dspec.name}-t{0 if c < mid_col else 1}",
+            ))
             # pop / 16 is exact in floats; fallback-uniform (zero-weight
             # classes) lands on the same per-cell value.
             pop_per_cell[r : r + BLOCK_SIDE, c : c + BLOCK_SIDE] = pop / (
@@ -245,29 +235,20 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> tuple[FileManifest, Gro
 
         for tract_id in (f"{dspec.name}-t0", f"{dspec.name}-t1"):
             female = round(float(rng.uniform(0.45, 0.58)), 3)
-            age_raw = rng.uniform(1, 5, size=3)
-            age = [float(v) for v in age_raw / age_raw.sum()]
-            race_raw = rng.uniform(1, 5, size=5)
-            race = [float(v) for v in race_raw / race_raw.sum()]
+            age_raw = rng.uniform(1, 5, size=len(AGE_KEYS))
+            race_raw = rng.uniform(1, 5, size=len(RACE_KEYS))
             demos[tract_id] = TractDemographics(
                 tract_id,
-                gender={"female": female, "male": 1.0 - female},
-                age={"age_0_17": age[0], "age_18_64": age[1], "age_65_plus": age[2]},
-                race={
-                    "white": race[0],
-                    "asian": race[1],
-                    "black": race[2],
-                    "multiracial": race[3],
-                    "other": race[4],
-                },
+                gender=dict(zip(GENDER_KEYS, (female, 1.0 - female))),
+                age=dict(zip(AGE_KEYS, (age_raw / age_raw.sum()).tolist())),
+                race=dict(zip(RACE_KEYS, (race_raw / race_raw.sum()).tolist())),
             )
 
         # Scripted burn: contiguous column bands, one per day, widest on
         # the peak day; every cell burns exactly once.
-        widths = _band_widths(spec.n_days, dspec.peak_day)
         band_cols: list[range] = []
         col = dspec.col0 + 1
-        for w in widths:
+        for w in _band_widths(spec.n_days, dspec.peak_day):
             band_cols.append(range(col, col + w))
             col += w
         burn_rows = range(dspec.row0 + 1, dspec.row1)
@@ -282,64 +263,36 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> tuple[FileManifest, Gro
         for k, rclass in enumerate(ROAD_CLASSES):
             rr = dspec.row0 + 4 + 9 * k
             road_rows[rclass] = rr
-            coords = [
-                list(cell_center_lonlat(rr, road_span[0])),
-                list(cell_center_lonlat(rr, road_span[1])),
-            ]
-            road_features.append(
-                {
-                    "type": "Feature",
-                    "geometry": {"type": "LineString", "coordinates": coords},
-                    "properties": {"class": rclass},
-                }
-            )
+            coords = [cell_center_lonlat(rr, c) for c in road_span]
+            features["roads"].append(_feature("LineString", coords, **{"class": rclass}))
 
         # Buildings and POIs: subsets of burn cells, plus never-burned
         # controls east of the burn region.
-        b_index = 0
         building_cells: list[tuple[int, int]] = []
         poi_cells: list[tuple[tuple[int, int], str]] = []
-        for day_cells in burn_cells_by_day:
-            for cell in day_cells:
-                if rng.random() < 0.25:
+        control_cols = range(col + 2, min(col + 6, dspec.col1))
+        control_rows = range(dspec.row0 + 2, dspec.row0 + 8)
+        control_cells = [(r, c) for r in control_rows for c in control_cols]
+        for cells, p_building in (
+            ([cell for day_cells in burn_cells_by_day for cell in day_cells], 0.25),
+            (control_cells, 0.3),
+        ):
+            for cell in cells:
+                if rng.random() < p_building:
                     building_cells.append(cell)
                 if rng.random() < 0.2:
-                    poi_cells.append(
-                        (cell, POI_CATEGORIES[int(rng.integers(len(POI_CATEGORIES)))])
-                    )
-        control_cols = range(col + 2, min(col + 6, dspec.col1))
-        for r in range(dspec.row0 + 2, dspec.row0 + 8):
-            for c in control_cols:
-                if rng.random() < 0.3:
-                    building_cells.append((r, c))
-                if rng.random() < 0.2:
-                    poi_cells.append(
-                        ((r, c), POI_CATEGORIES[int(rng.integers(len(POI_CATEGORIES)))])
-                    )
-        for r, c in building_cells:
+                    poi_cells.append((cell, POI_CATEGORIES[int(rng.integers(len(POI_CATEGORIES)))]))
+        for b_index, (r, c) in enumerate(building_cells):
             ring = _square_ring_lonlat(grid, r, c, 8.0, lon0, lat0)
-            building_features.append(
-                {
-                    "type": "Feature",
-                    "geometry": {"type": "Polygon", "coordinates": [ring]},
-                    "properties": {"id": f"{dspec.name}-b{b_index:04d}"},
-                }
+            features["buildings"].append(
+                _feature("Polygon", [ring], id=f"{dspec.name}-b{b_index:04d}")
             )
-            b_index += 1
         for (r, c), cat in poi_cells:
-            lon, lat = cell_center_lonlat(r, c)
-            poi_features.append(
-                {
-                    "type": "Feature",
-                    "geometry": {"type": "Point", "coordinates": [lon, lat]},
-                    "properties": {"category": cat},
-                }
-            )
+            features["pois"].append(_feature("Point", cell_center_lonlat(r, c), category=cat))
 
         # Detections: one per scripted cell per day, plus daily decoys
         # outside every district perimeter.
-        for day_index, day_cells in enumerate(burn_cells_by_day):
-            date = dates[day_index]
+        for date, day_cells in zip(dates, burn_cells_by_day):
             for r, c in day_cells:
                 lon, lat = cell_center_lonlat(r, c)
                 frp = round(float(rng.uniform(5, 320)), 1)
@@ -358,25 +311,23 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> tuple[FileManifest, Gro
         }
         building_cents = to_cents(64.0 * costs.building_cost)
         for day_index, day_cells in enumerate(burn_cells_by_day):
-            date = dates[day_index]
-            exposed = 0.0
-            land_cents = 0
-            for r, c in day_cells:
-                exposed += pop_per_cell[r, c]
-                land_cents += land_cents_per_cell[int(landcover_cells[r, c])]
+            exposed = sum(pop_per_cell[r, c] for r, c in day_cells)
+            land_cents = sum(
+                land_cents_per_cell[int(landcover_cells[r, c])] for r, c in day_cells
+            )
             road_cents = 0
             for rclass, rr in road_rows.items():
                 if rr not in burn_rows:
                     continue
                 rate = costs.road_cost[rclass]
                 for c in band_cols[day_index]:
-                    length = 10.0 if c in (road_span[0], road_span[1]) else 20.0
+                    length = 10.0 if c in road_span else 20.0
                     road_cents += to_cents(length * rate)
             b_count = sum(1 for cell in building_cells if cell_day.get(cell) == day_index)
             poi_n = sum(1 for (cell, _) in poi_cells if cell_day.get(cell) == day_index)
             truth_rows.append(
                 {
-                    "date": date.isoformat(),
+                    "date": dates[day_index].isoformat(),
                     "district": dspec.name,
                     "new_burn_cells": str(len(day_cells)),
                     "exposed_population": repr(float(exposed)),
@@ -390,43 +341,42 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> tuple[FileManifest, Gro
 
     # Daily decoy detections well outside every district perimeter.
     decoy_cells = [(1, spec.n_cols - 2), (2, spec.n_cols - 3)]
-    for day_index, date in enumerate(dates):
+    for date in dates:
         for r, c in decoy_cells:
             lon, lat = cell_center_lonlat(r, c)
             detection_rows.append((lat, lon, date.isoformat(), 12.0, "l"))
 
-    # Write everything.
-    write_ascii_grid(CategoryRaster(grid, landcover_cells), out / "landcover.asc")
-    with (out / "detections.csv").open("w", newline="") as fh:
+    # Write everything: one file per manifest role.
+    file_names = {
+        "detections": "detections.csv",
+        "landcover": "landcover.asc",
+        "blocks": "blocks.geojson",
+        "roads": "roads.geojson",
+        "buildings": "buildings.geojson",
+        "pois": "pois.geojson",
+        "official_perimeter": "perimeter.geojson",
+        "weights": "weights.json",
+        "costs": "costs.json",
+        "demographics": "demographics.csv",
+    }
+    paths = {role: out / name for role, name in file_names.items()}
+    write_ascii_grid(CategoryRaster(grid, landcover_cells), paths["landcover"])
+    with paths["detections"].open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["latitude", "longitude", "acq_date", "frp", "confidence"])
         for lat, lon, date, frp, conf in detection_rows:
             writer.writerow([repr(lat), repr(lon), date, frp, conf])
-    write_feature_collection(block_features, out / "blocks.geojson")
-    write_feature_collection(road_features, out / "roads.geojson")
-    write_feature_collection(building_features, out / "buildings.geojson")
-    write_feature_collection(poi_features, out / "pois.geojson")
-    write_feature_collection(district_features, out / "perimeter.geojson")
-    write_weights(weights, out / "weights.json")
-    write_costs(costs, out / "costs.json")
-    write_demographics(demos, out / "demographics.csv")
+    for role, layer in features.items():
+        write_feature_collection(layer, paths[role])
+    write_weights(WeightTable.default(), paths["weights"])
+    write_costs(costs, paths["costs"])
+    write_demographics(demos, paths["demographics"])
 
     manifest = FileManifest(
         origin_lon=lon0,
         origin_lat=lat0,
         grid=grid,
-        paths={
-            "detections": out / "detections.csv",
-            "landcover": out / "landcover.asc",
-            "blocks": out / "blocks.geojson",
-            "roads": out / "roads.geojson",
-            "buildings": out / "buildings.geojson",
-            "pois": out / "pois.geojson",
-            "official_perimeter": out / "perimeter.geojson",
-            "weights": out / "weights.json",
-            "costs": out / "costs.json",
-            "demographics": out / "demographics.csv",
-        },
+        paths=paths,
         start_date=dates[0],
         end_date=dates[-1],
     )

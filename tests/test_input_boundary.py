@@ -112,6 +112,9 @@ CASES = [
      lambda p: edit_json(p, lambda d: d.update(start_date="2025-13-01")), 2, "start_date"),
     ("paths-list", "manifest.json",
      lambda p: edit_json(p, lambda d: d.update(paths=["a"])), 2, "paths"),
+    ("unknown-role", "manifest.json",
+     lambda p: edit_json(p, lambda d: d["paths"].update(rivers="roads.geojson")),
+     1, "unknown manifest role 'rivers'"),
     ("asc-cellsize-x", "landcover.asc",
      lambda p: edit_text(p, "cellsize 20", "cellsize x"), 2, "cellsize"),
     ("asc-class-real", *asc_token("4.5"), 2, "line 7"),

@@ -343,9 +343,8 @@ class TestRenderSvg:
     def _grid(self):
         return AnalysisGrid(0, 0, 20, 6, 6)
 
-    def test_needs_a_layer(self, tmp_path):
-        with pytest.raises(ValidationError):
-            render_svg(tmp_path / "x.svg", self._grid())
+    def _no_population(self, g):
+        return RealRaster(g, np.zeros(g.shape))
 
     def test_empty_perimeters_valid_svg_with_legend(self, tmp_path):
         g = self._grid()
@@ -355,7 +354,7 @@ class TestRenderSvg:
             first_burn=np.full(g.shape, -1, dtype=np.int16),
             active=Mask.empty(g),
         )
-        render_svg(tmp_path / "x.svg", g, perimeters={"A": [day]})
+        render_svg(tmp_path / "x.svg", g, self._no_population(g), {"A": [day]}, [])
         text = (tmp_path / "x.svg").read_text()
         assert text.startswith("<svg ")
         assert "2025-01-07" in text
@@ -371,7 +370,7 @@ class TestRenderSvg:
             first_burn=first,
             active=Mask(g, first == 0),
         )
-        render_svg(tmp_path / "x.svg", g, perimeters={"A": [day]})
+        render_svg(tmp_path / "x.svg", g, self._no_population(g), {"A": [day]}, [])
         text = (tmp_path / "x.svg").read_text()
         assert text.count("<path") == 1
 
@@ -379,6 +378,6 @@ class TestRenderSvg:
         rng = np.random.default_rng(1)
         g = self._grid()
         pop = RealRaster(g, rng.uniform(0, 5, size=(6, 6)))
-        render_svg(tmp_path / "a.svg", g, popgrid=pop)
-        render_svg(tmp_path / "b.svg", g, popgrid=pop)
+        render_svg(tmp_path / "a.svg", g, pop, {}, [])
+        render_svg(tmp_path / "b.svg", g, pop, {}, [])
         assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()

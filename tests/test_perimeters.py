@@ -1,9 +1,10 @@
 import datetime as dt
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fireimpact import perimeters
@@ -253,6 +254,37 @@ class TestKdeBitIdentity:
         cells = kde_surface([other, a, b, c], g, params).cells
         assert cells[0, 1] == (ka + kb) + kc
         kde_matches_reference([other, a, b, c], params, g)
+
+
+@st.composite
+def kde_windows(draw):
+    """Window shapes of at most 32×32 cells; in about half the examples one
+    of them is made wider than :data:`perimeters.SMALL_WINDOW_CELLS`."""
+    shapes = draw(st.lists(st.tuples(st.integers(1, 32), st.integers(1, 32)), max_size=60))
+    if shapes and draw(st.booleans()):
+        at = draw(st.integers(0, len(shapes) - 1))
+        shapes[at] = (draw(st.integers(33, 80)), draw(st.integers(33, 80)))
+    return shapes
+
+
+class TestBatchBounds:
+    """Invariants of the consecutive batches ``kde_surface`` adds points in."""
+
+    @given(kde_windows(), st.integers(1, 2**20))
+    @example([], 1)
+    @settings(max_examples=300, deadline=None)
+    def test_batches_cover_the_points_within_the_budget(self, windows, batch_cells):
+        n_rows = np.array([r for r, _ in windows], dtype=np.intp)
+        n_cols = np.array([c for _, c in windows], dtype=np.intp)
+        with mock.patch.object(perimeters, "BATCH_CELLS", batch_cells):
+            bounds = perimeters._batch_bounds(n_rows, n_cols)
+        assert bounds[0] == 0 and bounds[-1] == len(windows)
+        assert (np.diff(bounds) > 0).all()
+        sizes = np.diff(bounds)
+        if len(windows) and (n_rows * n_cols).max() > perimeters.SMALL_WINDOW_CELLS:
+            assert (sizes == 1).all()
+        largest = int(n_rows.max()) * int(n_cols.max()) if len(windows) else 0
+        assert (sizes[sizes > 1] * largest <= batch_cells).all()
 
 
 class TestKdeParams:

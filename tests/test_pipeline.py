@@ -218,15 +218,31 @@ class TestExposureByBlock:
         blocks.append(CensusBlock("tiny", [rect(3, 3, 6, 6)], 5.0, "t1"))
         popgrid, report = downscale(blocks, landcover, WeightTable.default(), g)
         bits = rng.random((24, 24)) < 0.6
-        # Reference: each block's own cells summed in allocation order.
+        # Reference: each block with a cell in the mask, its own cells summed
+        # in allocation order.
         want: dict[str, float] = {}
         for alloc in report.allocations:
             hit = bits[alloc.rows, alloc.cols]
-            want[alloc.block_id] = (
-                float(popgrid.cells[alloc.rows[hit], alloc.cols[hit]].sum()) if hit.any() else 0.0
-            )
+            if hit.any():
+                want[alloc.block_id] = float(popgrid.cells[alloc.rows[hit], alloc.cols[hit]].sum())
         got = exposure_by_block(Mask(g, bits), report)
         assert list(got.items()) == list(want.items())
+
+    def test_only_blocks_with_a_cell_in_the_mask(self):
+        from fireimpact.dasymetric import CensusBlock, WeightTable, downscale
+
+        g = manifest(8).grid
+        landcover = CategoryRaster(g, np.full((8, 8), 22))
+        blocks = [
+            CensusBlock("west", [rect(0, 0, 80, 160)], 40.0, "t1"),
+            CensusBlock("empty", [rect(80, 0, 120, 160)], 0.0, "t1"),
+            CensusBlock("east", [rect(120, 0, 160, 160)], 24.0, "t2"),
+        ]
+        _, report = downscale(blocks, landcover, WeightTable.default(), g)
+        bits = np.zeros((8, 8), dtype=bool)
+        bits[:, :6] = True  # west and empty, not east
+        assert exposure_by_block(Mask(g, bits), report) == {"west": 40.0, "empty": 0.0}
+        assert exposure_by_block(Mask.empty(g), report) == {}
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
     def test_shared_centroid_cell_charges_each_block_its_own_pop(self, order):
