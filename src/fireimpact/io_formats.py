@@ -4,11 +4,12 @@ All writers are deterministic: identical inputs give byte-identical
 files (sorted keys, fixed float formatting, no timestamps). Readers
 report the file, line or feature index, and field for every problem.
 
-Input passes one boundary: ``_open_text``/``_load_json`` decode files,
-``parse_value`` parses values, and ``read_layer`` (points and lines, one
-object per feature) and ``read_polygon_layer`` (polygons, one flat
-``PolygonLayer`` per file) read GeoJSON layers, so a malformed file is a
-FormatError naming the file and place.
+Input passes one boundary: ``_open_text``/``_load_json`` decode files
+(UTF-8, a leading byte order mark skipped), ``parse_value`` parses
+values, and ``read_layer`` (points and lines, one object per feature)
+and ``read_polygon_layer`` (polygons, one flat ``PolygonLayer`` per
+file) read GeoJSON layers, so a malformed file is a FormatError naming
+the file and place.
 
 GeoJSON input is a simple subset: a FeatureCollection of Point,
 LineString, Polygon, or MultiPolygon features with flat properties and
@@ -20,16 +21,18 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import itertools
 import json
 import math
 import operator
+import re
 import reprlib
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator, NamedTuple, TextIO, TypeVar
+from typing import Any, Callable, Iterator, NamedTuple, Sequence, TextIO, TypeVar
 
 import numpy as np
 
@@ -87,10 +90,11 @@ T = TypeVar("T")
 
 
 @contextmanager
-def _open_text(path: Path) -> Iterator[TextIO]:
-    """``path`` as streamed UTF-8 text; bad bytes or CSV syntax are a FormatError."""
+def _open_text(path: Path, errors: str = "strict") -> Iterator[TextIO]:
+    """``path`` as streamed UTF-8 text, a leading byte order mark skipped;
+    bad bytes or CSV syntax are a FormatError."""
     try:
-        with path.open(encoding="utf-8", newline="") as fh:
+        with path.open(encoding="utf-8-sig", errors=errors, newline="") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -244,6 +248,161 @@ _CONFIDENCE = {
 }
 
 
+# Characters of detections.csv read per block; each block runs on to the
+# next line end. Rows are split and converted a block at a time.
+BLOCK_CHARS = 1 << 15
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _text_blocks(fh: TextIO) -> Iterator[str]:
+    """``fh`` in blocks of whole lines of about ``BLOCK_CHARS`` characters.
+
+    ``fh`` decodes with ``surrogateescape``, so an undecodable byte reads as
+    a lone surrogate. The complete lines before the first one are yielded,
+    then the strict decoder's UnicodeDecodeError for it is raised.
+    """
+    while text := fh.read(BLOCK_CHARS):
+        text += fh.readline()
+        bad = None if text.isascii() else _SURROGATE.search(text)
+        if bad:
+            at = bad.start()
+            end = max(text.rfind("\n", 0, at), text.rfind("\r", 0, at)) + 1
+            if end:
+                yield text[:end]
+            # Raises: strict decoding fails at the same byte, for the same reason.
+            text[at:].encode("utf-8", "surrogateescape").decode("utf-8")
+        yield text
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """The CSV rows of one block: ``width`` fields each in the flat list
+    ``fields``, or, where rows differ in length (``width`` 0), one list of
+    fields per row."""
+
+    fields: list
+    width: int = 0
+
+    def __len__(self) -> int:
+        return len(self.fields) // self.width if self.width else len(self.fields)
+
+    def row(self, k: int) -> list[str]:
+        w = self.width
+        return self.fields[k * w:(k + 1) * w] if w else self.fields[k]
+
+    def columns(self, wanted: list[int | None], skip: int) -> list[Sequence[str | None]]:
+        """Columns ``wanted`` of rows ``skip:``; a missing field, and each
+        field of an absent column (``None`` in ``wanted``), is None."""
+        w = self.width
+        blank = (None,) * (len(self) - skip)
+        if w:
+            return [blank if j is None else self.fields[skip * w + j::w] for j in wanted]
+        need = slice(max(j for j in wanted if j is not None) + 1)
+        table = list(itertools.zip_longest(*map(operator.itemgetter(need), self.fields[skip:])))
+        return [table[j] if j is not None and j < len(table) else blank for j in wanted]
+
+
+def _lines(text: str) -> list[str]:
+    """``text`` split at the row ends ``csv.reader`` knows: ``\\r\\n``, ``\\r`` and ``\\n``."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _csv_blocks(fh: TextIO) -> Iterator[_Rows]:
+    """The rows of CSV text, header first, as ``csv.reader`` reads them.
+
+    Blocks of plain lines are split at commas with no Python loop per row.
+    The first block that holds a quote (or a NUL, or a line longer than the
+    csv field limit) and everything after it go through ``csv.reader``,
+    whose rows are yielded in batches; a failure comes after the rows
+    before it.
+    """
+    width = 0
+    blocks = _text_blocks(fh)
+    for text in blocks:
+        lines = _lines(text)
+        limit = csv.field_size_limit()
+        if '"' in text or "\0" in text or len(text) > limit and max(map(len, lines)) > limit:
+            break
+        width = width or lines[0].count(",") + 1
+        if set(map(str.count, lines, itertools.repeat(","))) == {width - 1}:
+            yield _Rows(",".join(lines).split(","), width)
+        else:
+            yield _Rows(list(map(str.split, lines, itertools.repeat(","))))
+    else:
+        return
+    reader = csv.reader(itertools.chain.from_iterable(
+        io.StringIO(text, newline="") for text in itertools.chain([text], blocks)
+    ))
+    rows: list[list[str]] = []
+    chars = 0
+    try:
+        for row in reader:
+            rows.append(row)
+            chars += sum(map(len, row))
+            if chars >= BLOCK_CHARS:
+                yield _Rows(rows)
+                rows, chars = [], 0
+    except (csv.Error, UnicodeDecodeError):
+        if rows:
+            yield _Rows(rows)
+        raise
+    if rows:
+        yield _Rows(rows)
+
+
+def _floats(column: Sequence[str | None]) -> tuple[np.ndarray, np.ndarray]:
+    """``float`` of each field, and a mask of the fields it rejects (None among them)."""
+    n = len(column)
+    try:
+        return np.fromiter(map(float, column), np.float64, n), np.zeros(n, bool)
+    except (TypeError, ValueError):
+        pass
+    values, bad = np.full(n, np.nan), np.zeros(n, bool)
+    for k, field in enumerate(column):  # only in a block with a bad field
+        try:
+            values[k] = float(field)
+        except (TypeError, ValueError):
+            bad[k] = True
+    return values, bad
+
+
+def _parsed(column: Sequence[str | None], parse: Callable[[str | None], T]) -> Iterator[T]:
+    """``parse`` of each field, called once per distinct field."""
+    memo = {field: parse(field) for field in set(column)}
+    return map(memo.__getitem__, column)
+
+
+def _ordinal(field: str | None) -> int:
+    """The ordinal of an ISO date, 0 (no date's) if the field is not one."""
+    try:
+        return dt.date.fromisoformat((field or "").strip()).toordinal()
+    except ValueError:
+        return 0
+
+
+def _frp(field: str | None) -> float:
+    """Fire radiative power: NaN if missing or blank, -1.0 if not a finite value >= 0."""
+    if field is None or not field.strip():
+        return math.nan
+    try:
+        value = float(field)
+    except ValueError:
+        return -1.0
+    return value if 0 <= value < math.inf else -1.0
+
+
+def _confidence(field: str | None) -> int:
+    """The confidence code: -1 if missing or blank, -2 if not a known name."""
+    raw = (field or "").strip().lower()
+    return _CONFIDENCE.get(raw, -2) if raw else -1
+
+
 def read_detections(
     path: str | Path,
     origin_lon: float,
@@ -253,12 +412,20 @@ def read_detections(
 ) -> Detections:
     """Parse a FIRMS-style CSV: latitude, longitude, acq_date [, frp, confidence].
 
-    Rows stream into columns, which are projected together at the end.
+    The file is read in blocks of whole lines, and each block is split and
+    converted column by column: coordinates with ``float``, dates, frp and
+    confidence once per distinct string. From the first block that holds a
+    quote on, ``csv.reader`` splits the rows. Row ends are ``\\r\\n``,
+    ``\\r`` or ``\\n``; a UTF-8 byte order mark is skipped. Blank rows are
+    skipped; a row's line is its row number, the header being line 1.
+
     Bad rows are collected and reported together with their line numbers
-    after the whole file has been scanned; rows outside the configured
-    event window are dropped. A kept row whose projected coordinates are
-    not finite is a ValidationError naming its line, reported before any
-    other problem.
+    after the whole file has been scanned, each with its first problem in
+    the order coordinate, acq_date, frp, confidence; rows outside the
+    configured event window are dropped. A kept row whose projected
+    coordinates are not finite is a ValidationError naming its line,
+    reported before any other problem. That includes an undecodable byte:
+    every complete line before it is read, then it is a FormatError.
     """
     path = Path(path)
     # Six floats per kept row: latitude, longitude, date ordinal, frp,
@@ -277,59 +444,58 @@ def read_detections(
             )
         return Detections(x, y, day.astype(np.int64), frp.copy(), code.astype(np.int8))
 
+    def take(rows: _Rows, skip: int, line: int) -> None:
+        """Check and keep ``rows[skip:]``; row ``k`` is on line ``line + k``."""
+        lat_col, lon_col, date_col, frp_col, conf_col = rows.columns(wanted, skip)
+        n = len(lat_col)
+        lat, coord_bad = _floats(lat_col)
+        lon, lon_bad = _floats(lon_col)
+        coord_bad |= lon_bad
+        day = np.fromiter(_parsed(date_col, _ordinal), np.int64, n)
+        frp = np.fromiter(_parsed(frp_col, _frp), np.float64, n)
+        code = np.fromiter(_parsed(conf_col, _confidence), np.int8, n)
+        problem = coord_bad | (day == 0) | (frp < 0) | (code == -2)
+        for k in np.flatnonzero(problem):  # one iteration per bad or blank row
+            if coord_bad[k]:
+                if not "".join(rows.row(skip + k)).strip():
+                    continue
+                message = "unparseable coordinate"
+            elif day[k] == 0:
+                message = "unparseable acq_date"
+            elif frp[k] < 0:
+                message = "bad frp value"
+            else:
+                message = f"bad confidence {conf_col[k].strip().lower()!r}"
+            problems.append(f"line {line + skip + k}: {message}")
+        keep = ~problem
+        if first is not None:
+            keep &= day >= first
+        if last is not None:
+            keep &= day <= last
+        at = np.flatnonzero(keep)
+        kept.frombytes(np.column_stack(
+            (lat[at], lon[at], day[at], frp[at], code[at], at + (line + skip))
+        ).tobytes())
+
     first = start_date.toordinal() if start_date else None
     last = end_date.toordinal() if end_date else None
-    ordinals: dict[str, int] = {}
     try:
-        with _open_text(path) as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise SchemaError(f"{path}: empty file, expected a CSV header") from None
-            cols = {name.strip().lower(): i for i, name in enumerate(header)}
+        with _open_text(path, errors="surrogateescape") as fh:
+            blocks = _csv_blocks(fh)
+            head = next(blocks, None)
+            if head is None:
+                raise SchemaError(f"{path}: empty file, expected a CSV header")
+            cols = {name.strip().lower(): i for i, name in enumerate(head.row(0))}
             for required in ("latitude", "longitude", "acq_date"):
                 if required not in cols:
                     raise SchemaError(f"{path}: missing required column {required!r}")
-            i_lat, i_lon, i_date = cols["latitude"], cols["longitude"], cols["acq_date"]
-            i_frp, i_conf = cols.get("frp"), cols.get("confidence")
-            for lineno, row in enumerate(reader, start=2):
-                if not "".join(row).strip():
-                    continue
-                try:
-                    lat = float(row[i_lat])
-                    lon = float(row[i_lon])
-                except (ValueError, IndexError):
-                    problems.append(f"line {lineno}: unparseable coordinate")
-                    continue
-                try:
-                    day = ordinals.get(row[i_date])
-                    if day is None:
-                        text = row[i_date]
-                        day = ordinals[text] = dt.date.fromisoformat(text.strip()).toordinal()
-                except (ValueError, IndexError):
-                    problems.append(f"line {lineno}: unparseable acq_date")
-                    continue
-                frp = math.nan
-                if i_frp is not None and i_frp < len(row) and row[i_frp].strip():
-                    try:
-                        frp = float(row[i_frp])
-                        if frp < 0 or not math.isfinite(frp):
-                            raise ValueError
-                    except ValueError:
-                        problems.append(f"line {lineno}: bad frp value")
-                        continue
-                code = -1
-                if i_conf is not None and i_conf < len(row):
-                    raw = row[i_conf].strip().lower()
-                    if raw:
-                        if raw not in _CONFIDENCE:
-                            problems.append(f"line {lineno}: bad confidence {raw!r}")
-                            continue
-                        code = _CONFIDENCE[raw]
-                if (first is not None and day < first) or (last is not None and day > last):
-                    continue
-                kept.extend((lat, lon, day, frp, code, lineno))
+            wanted = [cols["latitude"], cols["longitude"], cols["acq_date"],
+                      cols.get("frp"), cols.get("confidence")]
+            take(head, 1, 1)
+            line = 1 + len(head)
+            for rows in blocks:
+                take(rows, 0, line)
+                line += len(rows)
     except FormatError:
         table()  # a non-finite row read before the failure is reported first
         raise

@@ -11,12 +11,14 @@ import datetime as dt
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fireimpact import io_formats
 from fireimpact.dasymetric import Blocks, CensusBlock
 from fireimpact.errors import FormatError, GeometryError, SchemaError, ValidationError
 from fireimpact.geometry import (
@@ -302,10 +304,13 @@ GOOD = {
         st.integers(-2, 4).map(lambda k: (D0 + dt.timedelta(days=k)).isoformat()),
         st.just(" 2025-01-08 "),
     ),
-    "frp": st.sampled_from(["", " ", "10.0", "0", "312.5"]),
-    "confidence": st.sampled_from(["", " ", "l", "n", "h", "low", "NOMINAL", " High "]),
-    "extra": st.just("z"),
+    "frp": st.sampled_from(["", " ", "\x0c", "10.0", "0", "312.5"]),
+    "confidence": st.sampled_from(["", " ", "l", "n", "h", "low", "NOMINAL", " High ", "\u2028l"]),
+    # \x0c and \u2028 end a line for str.splitlines, not for csv.reader.
+    "extra": st.sampled_from(["z", "\x0c", "x\u2028y"]),
 }
+# Extra-column values only a quoted field can hold.
+QUOTED_EXTRA = st.sampled_from(["a,b", "two\nlines", "three\r\nlines", 'say "hi"'])
 BAD = {
     "latitude": st.sampled_from(["", "nan", "inf", "-inf", "1e999", "1e305", "abc"]),
     "longitude": st.sampled_from(["", "nan", "-inf", "1e305", "x"]),
@@ -319,20 +324,40 @@ OPTIONAL_COLUMNS = st.lists(st.sampled_from(["frp", "confidence", "extra"]), uni
 
 @st.composite
 def detection_csvs(draw):
-    """CSV text with blank lines, short rows, bad values and extreme coordinates."""
+    """CSV text with blank and comma-only lines, short and long rows, bad
+    values, extreme coordinates, mixed row ends and, in half the files,
+    quoted fields (an extra column may then hold a comma or a newline)."""
+    quoting = draw(st.booleans())
+
+    def field(value):
+        if quoting and (draw(st.booleans()) or any(c in value for c in ',"\r\n')):
+            return '"' + value.replace('"', '""') + '"'
+        return value
+
     header = ["latitude", "longitude", "acq_date", *draw(OPTIONAL_COLUMNS)]
     header = draw(st.permutations(header))
-    lines = [",".join(f" {name.upper()} " if draw(st.booleans()) else name for name in header)]
+    lines = [",".join(field(f" {name.upper()} " if draw(st.booleans()) else name)
+                      for name in header)]
     for _ in range(draw(st.integers(0, 12))):
-        kind = draw(st.sampled_from(["good"] * 6 + ["bad", "blank", "spaces", "short"]))
+        kinds = ["good"] * 6 + ["bad", "blank", "spaces", "short", "long"]
+        kind = draw(st.sampled_from(kinds))
         row = [draw(GOOD[name]) for name in header]
+        if quoting and "extra" in header and draw(st.booleans()):
+            row[header.index("extra")] = draw(QUOTED_EXTRA)
         if kind == "bad":
             k = draw(st.integers(0, len(header) - 1))
             row[k] = draw(BAD[header[k]])
         elif kind == "short":
             row = row[:draw(st.integers(0, len(row) - 1))]
-        lines.append({"blank": "", "spaces": " , ,"}.get(kind, ",".join(row)))
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+        elif kind == "long":
+            row += ["q", "r"]
+        spaces = draw(st.sampled_from([" , ,", ",,,", "\x0c,\u2028"]))
+        lines.append({"blank": "", "spaces": spaces}.get(kind, ",".join(map(field, row))))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
 
 
 def outcome(read, path, **window):
@@ -349,15 +374,28 @@ WINDOW = st.fixed_dictionaries({}, optional={
 })
 
 
+def same_as_reference(tmp_path_factory, text, window):
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_bytes(text.encode())
+    assert outcome(read_detections, path, **window) == outcome(
+        reference_read_detections, path, **window
+    )
+
+
 class TestReadDetectionsMatchesReference:
     @given(detection_csvs(), WINDOW)
     @settings(max_examples=300, deadline=None)
     def test_same_detections_and_errors(self, tmp_path_factory, text, window):
-        path = tmp_path_factory.mktemp("csv") / "d.csv"
-        path.write_text(text)
-        assert outcome(read_detections, path, **window) == outcome(
-            reference_read_detections, path, **window
-        )
+        same_as_reference(tmp_path_factory, text, window)
+
+    # Blocks of one character end at every line end; 40 cut the files
+    # above into a few blocks each, so quotes start past the first one.
+    @pytest.mark.parametrize("block_chars", [1, 40])
+    @given(detection_csvs(), WINDOW)
+    @settings(max_examples=300, deadline=None)
+    def test_same_at_small_block_sizes(self, tmp_path_factory, block_chars, text, window):
+        with mock.patch.object(io_formats, "BLOCK_CHARS", block_chars):
+            same_as_reference(tmp_path_factory, text, window)
 
     @pytest.mark.parametrize("first_bad", ["nan", "1e999", "abc"])
     def test_format_error_after_a_bad_row(self, tmp_path, first_bad):
@@ -374,6 +412,23 @@ class TestReadDetectionsMatchesReference:
         assert got == outcome(reference_read_detections, path)
         assert got[0] is (FormatError if first_bad == "abc" else ValidationError)
 
+    # A NUL is data to csv.reader from Python 3.11 on and an error before;
+    # a field past the csv field limit (lowered here to 50) is an error.
+    @pytest.mark.parametrize("row", [
+        "34.1,-118.2,2025-01-07,a\0b", "34.1\0,-118.2,2025-01-07,z",
+        "34.1,-118.2,2025-01-07," + "z" * 60, "abc,-118.2,2025-01-07," + "z" * 60,
+    ], ids=["nul-extra", "nul-latitude", "long", "bad-then-long"])
+    def test_nul_and_overlong_fields(self, tmp_path, row):
+        path = tmp_path / "d.csv"
+        path.write_text("latitude,longitude,acq_date,extra\n" + "34.1,-118.2,2025-01-08,z\n" * 3
+                        + row + "\n34.1,-118.2,2025-01-09,z\n")
+        limit = csv.field_size_limit(50)
+        try:
+            got = outcome(read_detections, path)
+            assert got == outcome(reference_read_detections, path)
+        finally:
+            csv.field_size_limit(limit)
+
     def test_benchmark_shaped_file(self, tmp_path):
         lines = ["latitude,longitude,acq_date,frp,confidence"]
         rng = np.random.default_rng(5)
@@ -385,6 +440,63 @@ class TestReadDetectionsMatchesReference:
         got = read_detections(path, *ORIGIN)
         assert len(got) == 3000
         assert [*got] == reference_read_detections(path, *ORIGIN)
+
+    def test_viirs_export(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(
+            "latitude,longitude,bright_ti4,scan,track,acq_date,acq_time,satellite,"
+            "instrument,confidence,version,bright_ti5,frp,daynight\n"
+            "34.07411,-118.23522,334.85,0.39,0.36,2025-01-07,0954,N,VIIRS,n,2.0NRT,290.12,5.63,N\n"
+            "34.07469,-118.23101,367.0,0.39,0.36,2025-01-07,0954,N,VIIRS,h,2.0NRT,293.4,18.2,N\n"
+            "34.0522,-118.2611,301.2,0.52,0.5,2025-01-08,2112,1,VIIRS,l,2.0NRT,280.0,,D\n"
+        )
+        got = read_detections(path, *ORIGIN)
+        assert [*got] == reference_read_detections(path, *ORIGIN)
+        assert [d.confidence for d in got] == ["nominal", "high", "low"]
+        assert [d.frp for d in got] == [5.63, 18.2, None]
+        assert [d.date.day for d in got] == [7, 7, 8]
+
+
+class TestReadDetectionsInput:
+    """Inputs where the reader departs from the reference on purpose."""
+
+    GOOD_ROW = f"{ORIGIN[1]},{ORIGIN[0]},2025-01-07\n"
+
+    @pytest.mark.parametrize("header", [b"latitude,longitude,acq_date\n",
+                                        b'latitude,longitude,"acq_date"\n'],
+                             ids=["plain", "quoted"])
+    @pytest.mark.parametrize("good_rows", [0, 10, 2000])
+    def test_non_finite_row_before_an_undecodable_byte(self, tmp_path, header, good_rows):
+        # Every complete line before the byte is read, however far the
+        # byte is from the start of the file.
+        path = tmp_path / "d.csv"
+        path.write_bytes(
+            header + f"nan,{ORIGIN[0]},2025-01-07\n".encode()
+            + (self.GOOD_ROW * good_rows).encode() + b"\xff\n"
+        )
+        with pytest.raises(ValidationError, match=r"line 2: detection has non-finite"):
+            read_detections(path, *ORIGIN)
+
+    @pytest.mark.parametrize("good_rows", [0, 2000])
+    @pytest.mark.parametrize("tail", [b"\xff\n", b"\xe2\x82A\n", b"\xe2\x82", b"2025\xed\xa0\x80"])
+    def test_undecodable_byte_gives_the_strict_decoder_reason(self, tmp_path, good_rows, tail):
+        path = tmp_path / "d.csv"
+        path.write_bytes(
+            b"latitude,longitude,acq_date\n" + (self.GOOD_ROW * good_rows).encode()
+            + f"nan,{ORIGIN[0]},".encode() + tail
+        )
+        got = outcome(read_detections, path)
+        assert got[0] is FormatError and "not UTF-8 text" in got[1]
+        with pytest.raises(UnicodeDecodeError) as strict:
+            path.read_bytes().decode("utf-8")
+        assert got[1] == f"{path}: not UTF-8 text ({strict.value.reason})"
+
+    def test_byte_order_mark(self, tmp_path):
+        text = "latitude,longitude,acq_date\n" + self.GOOD_ROW
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert [*read_detections(marked, *ORIGIN)] == [*read_detections(plain, *ORIGIN)]
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +627,20 @@ class TestReadPolygonLayerMatchesReference:
         path.write_text(json.dumps(doc))
         for kind, (read, reference) in LAYER_READERS.items():
             assert layer_outcome(kind, read, path) == layer_outcome(kind, reference, path), kind
+
+    def test_byte_order_mark(self, tmp_path):
+        ring = [[-118.25, 34.05], [-118.24, 34.05], [-118.24, 34.06], [-118.25, 34.05]]
+        doc = json.dumps({"type": "FeatureCollection", "features": [{
+            "type": "Feature", "properties": {"name": "A"},
+            "geometry": {"type": "Polygon", "coordinates": [ring]},
+        }]})
+        plain, marked = tmp_path / "plain.geojson", tmp_path / "bom.geojson"
+        plain.write_text(doc)
+        marked.write_bytes(b"\xef\xbb\xbf" + doc.encode())
+        [got] = read_districts(marked, *ORIGIN)
+        [want] = read_districts(plain, *ORIGIN)
+        assert got.name == want.name == "A"
+        assert got.perimeter == want.perimeter
 
     def test_first_bad_feature_in_file_order_is_named(self, tmp_path):
         # Feature 1's ring is degenerate (exit 1) and feature 3's pop is text
