@@ -86,6 +86,16 @@ class AnalysisGrid:
             return (row, col)
         return None
 
+    def flat_cells_of(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """:meth:`cell_of` of each point as a flat cell id (row * n_cols + col), -1 outside."""
+        col = np.floor((xs - self.origin_x) / self.cell_size)
+        band = np.floor((ys - self.origin_y) / self.cell_size)
+        inside = (0 <= col) & (col < self.n_cols) & (0 <= band) & (band < self.n_rows)
+        cells = np.full(len(col), -1, dtype=np.int64)
+        row = self.n_rows - 1 - band[inside].astype(np.int64)
+        cells[inside] = row * self.n_cols + col[inside].astype(np.int64)
+        return cells
+
     def corner_x(self, j: int) -> float:
         """x coordinate of the vertical grid line with corner index j."""
         return self.origin_x + j * self.cell_size

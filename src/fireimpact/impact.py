@@ -4,15 +4,18 @@ Converts each day's newly burned cells into dollar losses for land,
 roads, and buildings, exposure counts for POIs and population, and a
 demographic breakdown. Dollar amounts are carried as exact integer
 cents so that any partition of a mask accounts to the same totals.
+The ``*_by_day`` accountants reduce a whole run of days at once, from
+indexes built once per run; the single-day ones wrap them.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -25,6 +28,8 @@ from .geometry import (
     polygon_area,
     ragged_cell_indices,
     rasterize_polyline,
+    run_offsets,
+    segment_sums,
 )
 from .grid import AnalysisGrid, CategoryRaster, Mask, RealRaster
 
@@ -227,29 +232,277 @@ class DailyImpactRecord:
         return self.land_total_cents + self.road_total_cents + self.building_loss_cents
 
 
+def category_codes(names: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct ``names`` in sorted order, and each name's index among them."""
+    categories = sorted(set(names))
+    code = {name: k for k, name in enumerate(categories)}
+    return categories, np.fromiter(map(code.__getitem__, names), np.int64, len(names))
+
+
+@dataclass(frozen=True, eq=False)
+class Roads:
+    """Roads as columns: road k runs through the vertices
+    ``xs, ys[offsets[k]:offsets[k + 1]]`` and has class ``classes[codes[k]]``,
+    ``classes`` being sorted. Rows are assumed valid, as :class:`RoadFeature`
+    checks them; indexing yields RoadFeature objects.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+    offsets: np.ndarray
+    classes: list[str]
+    codes: np.ndarray
+
+    @classmethod
+    def of(cls, roads: "list[RoadFeature] | Roads") -> "Roads":
+        """``roads`` as a table; a table is returned as it is."""
+        if isinstance(roads, Roads):
+            return roads
+        xy = np.array(
+            [p for road in roads for p in road.line.vertices], dtype=np.float64
+        ).reshape(-1, 2)
+        classes, codes = category_codes([road.road_class for road in roads])
+        offsets = run_offsets([len(road.line.vertices) for road in roads])
+        return cls(xy[:, 0].copy(), xy[:, 1].copy(), offsets, classes, codes)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def line(self, k: int) -> PolyLine:
+        a, b = self.offsets[k], self.offsets[k + 1]
+        return PolyLine(list(map(Point, self.xs[a:b].tolist(), self.ys[a:b].tolist())))
+
+    def __getitem__(self, k: int) -> RoadFeature:
+        """Road k (k >= 0)."""
+        road_class = self.classes[self.codes[k]]  # IndexError past the end ends iteration
+        return RoadFeature(self.line(k), road_class)
+
+
+@dataclass(frozen=True, eq=False)
+class Pois:
+    """POIs as columns: POI k lies at ``xs[k], ys[k]`` and has category
+    ``categories[codes[k]]``, ``categories`` being sorted. Rows are assumed
+    valid, as :class:`PoiFeature` checks them; indexing yields PoiFeature
+    objects.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+    categories: list[str]
+    codes: np.ndarray
+
+    @classmethod
+    def of(cls, pois: "list[PoiFeature] | Pois") -> "Pois":
+        """``pois`` as a table; a table is returned as it is."""
+        if isinstance(pois, Pois):
+            return pois
+        xy = np.array([poi.location for poi in pois], dtype=np.float64).reshape(-1, 2)
+        categories, codes = category_codes([poi.category for poi in pois])
+        return cls(xy[:, 0].copy(), xy[:, 1].copy(), categories, codes)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, k: int) -> PoiFeature:
+        """POI k (k >= 0)."""
+        category = self.categories[self.codes[k]]  # IndexError past the end ends iteration
+        return PoiFeature(Point(float(self.xs[k]), float(self.ys[k])), category)
+
+
+@dataclass(frozen=True)
+class RoadIndex:
+    """The pieces of road that a burn can charge, from one rasterization of each road.
+
+    Built once per run. Piece j is road length ``lengths[j]`` in flat cell
+    ``cells[j]``, as :func:`rasterize_polyline` gives it for one road and
+    cell, of class ``classes[codes[j]]``, charged ``cents[j]``. If a road's
+    class has no cost, ``unpriced`` names the first such road's class and
+    the index holds no pieces.
+    """
+
+    cells: np.ndarray
+    lengths: np.ndarray
+    codes: np.ndarray
+    cents: np.ndarray
+    classes: list[str]
+    unpriced: str | None = None
+
+    @classmethod
+    def build(
+        cls, roads: "list[RoadFeature] | Roads", grid: AnalysisGrid, costs: CostModel
+    ) -> "RoadIndex":
+        """The index of ``roads``; each piece is charged ``to_cents(length * cost)``."""
+        roads = Roads.of(roads)
+        priced = np.array([c in costs.road_cost for c in roads.classes], dtype=bool)
+        unpriced = np.flatnonzero(~priced[roads.codes])
+        none = np.zeros(0, dtype=np.int64)
+        if unpriced.size:
+            name = roads.classes[roads.codes[unpriced[0]]]
+            return cls(none, np.zeros(0), none, none, roads.classes, name)
+        cells: list[int] = []
+        lengths: list[float] = []
+        counts: list[int] = []
+        for k in range(len(roads)):
+            pieces = rasterize_polyline(roads.line(k), grid)
+            cells.extend(r * grid.n_cols + c for r, c in pieces)
+            lengths.extend(pieces.values())
+            counts.append(len(pieces))
+        codes = np.repeat(roads.codes, counts)
+        length = np.array(lengths, dtype=np.float64)
+        rates = np.array([costs.road_cost[c] for c in roads.classes], dtype=np.float64)
+        cents = to_cents(length * rates[codes])
+        return cls(np.array(cells, dtype=np.int64), length, codes, cents, roads.classes)
+
+
+@dataclass(frozen=True)
+class PoiIndex:
+    """The cell and category of every POI on the grid.
+
+    Built once per run. POI j of the index lies in flat cell ``cells[j]``,
+    by :meth:`AnalysisGrid.cell_of`'s half-open rule, and has category
+    ``categories[codes[j]]``; POIs on no cell are left out.
+    """
+
+    cells: np.ndarray
+    codes: np.ndarray
+    categories: list[str]
+
+    @classmethod
+    def build(cls, pois: "list[PoiFeature] | Pois", grid: AnalysisGrid) -> "PoiIndex":
+        pois = Pois.of(pois)
+        cells = grid.flat_cells_of(pois.xs, pois.ys)
+        on_grid = cells >= 0
+        return cls(cells[on_grid], pois.codes[on_grid], pois.categories)
+
+
+def items_by_day(
+    cells: np.ndarray, burns: np.ndarray | list[np.ndarray], n_days: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The items whose cell burns on each day, day by day.
+
+    ``cells[k]`` is item k's flat cell id (row * n_cols + col). ``burns``,
+    here and in the ``*_by_day`` accountants, gives each day's cells: the
+    first-burn-day raster (the day index each cell first burned, -1 where
+    none did) or one boolean mask per day, such as the active extents. Day
+    i's items are ``items[offsets[i]:offsets[i + 1]]``, ascending.
+    """
+    if isinstance(burns, np.ndarray):
+        day = burns.ravel()[cells]
+        items = np.flatnonzero(day >= 0)
+        items = items[np.argsort(day[items], kind="stable")]
+        counts = np.bincount(day[items], minlength=n_days)
+    else:
+        hits = [np.flatnonzero(bits.ravel()[cells]) for bits in burns]
+        items = np.concatenate([np.zeros(0, dtype=np.int64), *hits])
+        counts = [len(h) for h in hits]
+    return items, run_offsets(counts)
+
+
+def item_days(offsets: np.ndarray) -> np.ndarray:
+    """The day of each item of :func:`items_by_day`, from its offsets."""
+    return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+
+
+def _fsum_runs(values: np.ndarray, starts: np.ndarray) -> list[float]:
+    """The ``math.fsum`` of each run of ``values`` from one start to the next."""
+    values = values.tolist()
+    bounds = np.append(starts, len(values)).tolist()
+    return [math.fsum(values[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def land_use_loss_by_day(
+    burns: np.ndarray | list[np.ndarray],
+    n_days: int,
+    landcover: CategoryRaster,
+    costs: CostModel,
+) -> Iterator[dict[int, int]]:
+    """:func:`land_use_loss` of each day's cells, yielded day by day.
+
+    One count of the burned cells per (day, class) serves every day. A
+    burned class with no land cost raises when the first day that burns it
+    is reached, naming the smallest such class of that day.
+    """
+    cells, offsets = items_by_day(np.arange(landcover.cells.size), burns, n_days)
+    classes, index = np.unique(landcover.cells.ravel()[cells], return_inverse=True)
+    n = len(classes)
+    counts = np.bincount(item_days(offsets) * n + index, minlength=n_days * n).reshape(n_days, n)
+    area = landcover.grid.cell_area
+    for row in counts:
+        out: dict[int, int] = {}
+        burned = np.flatnonzero(row)
+        for code, count in zip(classes[burned].tolist(), row[burned].tolist()):
+            if code == landcover.nodata:
+                continue
+            if code not in costs.land_cost:
+                raise UnpricedClassError(f"no land cost for class {code}")
+            out[code] = to_cents(costs.land_cost[code] * area) * count
+        yield out
+
+
+def road_loss_by_day(
+    index: RoadIndex, burns: np.ndarray | list[np.ndarray], n_days: int
+) -> Iterator[tuple[dict[str, int], dict[str, float]]]:
+    """:func:`road_loss` of each day's cells, yielded day by day.
+
+    Cents are int64 sums and lengths ``math.fsum`` totals per (day, class)
+    of the pieces in the day's cells. An unpriced road class raises on the
+    first day, whatever burns.
+    """
+    if index.unpriced is not None:
+        raise UnpricedClassError(f"no road cost for class {index.unpriced!r}")
+    items, offsets = items_by_day(index.cells, burns, n_days)
+    n = len(index.classes)
+    key = item_days(offsets) * n + index.codes[items]
+    order = np.argsort(key, kind="stable")
+    key, items = key[order], items[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    cents = np.add.reduceat(index.cents[items], starts).tolist() if starts.size else []
+    metres = _fsum_runs(index.lengths[items], starts)
+    day, code = np.divmod(key[starts], n)
+    cuts = np.searchsorted(day, np.arange(n_days + 1)).tolist()
+    for a, b in zip(cuts, cuts[1:]):
+        names = [index.classes[c] for c in code[a:b].tolist()]
+        yield dict(zip(names, cents[a:b])), dict(zip(names, metres[a:b]))
+
+
+def poi_exposure_by_day(
+    index: PoiIndex, burns: np.ndarray | list[np.ndarray], n_days: int
+) -> list[dict[str, int]]:
+    """:func:`poi_exposure` of each day's cells, from one count per (day, category)."""
+    items, offsets = items_by_day(index.cells, burns, n_days)
+    n = len(index.categories)
+    key = item_days(offsets) * n + index.codes[items]
+    counts = np.bincount(key, minlength=n_days * n).reshape(n_days, n)
+    return [
+        {index.categories[k]: count for k, count in enumerate(row) if count}
+        for row in counts.tolist()
+    ]
+
+
+def population_exposure_by_day(
+    popgrid: RealRaster, burns: np.ndarray | list[np.ndarray], n_days: int
+) -> np.ndarray:
+    """:func:`population_exposure` of each day's cells.
+
+    Each day's cells are summed in row-major order, with the bits of that
+    day's ``ndarray.sum()``.
+    """
+    cells, offsets = items_by_day(np.arange(popgrid.cells.size), burns, n_days)
+    return segment_sums(popgrid.cells.ravel()[cells], offsets[:-1], np.diff(offsets))
+
+
 def land_use_loss(
     new_burn: Mask, landcover: CategoryRaster, costs: CostModel
 ) -> dict[int, int]:
     """Cents lost per land class: burned cell count x cell area x unit cost."""
     if landcover.grid != new_burn.grid:
         raise ValidationError("landcover and mask are not on the same grid")
-    burned = landcover.cells[new_burn.bits]
-    codes, counts = np.unique(burned, return_counts=True)
-    out: dict[int, int] = {}
-    area = new_burn.grid.cell_area
-    for code, count in zip(codes, counts):
-        code = int(code)
-        if code == landcover.nodata:
-            continue
-        if code not in costs.land_cost:
-            raise UnpricedClassError(f"no land cost for class {code}")
-        per_cell = to_cents(costs.land_cost[code] * area)
-        out[code] = per_cell * int(count)
+    [out] = land_use_loss_by_day([new_burn.bits], 1, landcover, costs)
     return out
 
 
 def road_loss(
-    new_burn: Mask, roads: list[RoadFeature], costs: CostModel
+    new_burn: Mask, roads: "list[RoadFeature] | Roads", costs: CostModel
 ) -> tuple[dict[str, int], dict[str, float]]:
     """Burned road length and cents per road class.
 
@@ -258,20 +511,9 @@ def road_loss(
     partitions of the mask account exactly. Neither depends on the order
     of ``roads``; both dicts are keyed in sorted class order.
     """
-    cents: dict[str, int] = {}
-    lengths: dict[str, list[float]] = {}
-    for road in roads:
-        if road.road_class not in costs.road_cost:
-            raise UnpricedClassError(f"no road cost for class {road.road_class!r}")
-        rate = costs.road_cost[road.road_class]
-        for (r, c), length in rasterize_polyline(road.line, new_burn.grid).items():
-            if new_burn.bits[r, c]:
-                lengths.setdefault(road.road_class, []).append(length)
-                cents[road.road_class] = (
-                    cents.get(road.road_class, 0) + to_cents(length * rate)
-                )
-    classes = sorted(lengths)
-    return {k: cents[k] for k in classes}, {k: math.fsum(lengths[k]) for k in classes}
+    index = RoadIndex.build(roads, new_burn.grid, costs)
+    [out] = road_loss_by_day(index, [new_burn.bits], 1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -345,24 +587,79 @@ def building_loss(
     return int(cents[1]), int(counts[1])
 
 
-def poi_exposure(new_burn: Mask, pois: list[PoiFeature]) -> dict[str, int]:
+def poi_exposure(new_burn: Mask, pois: "list[PoiFeature] | Pois") -> dict[str, int]:
     """Counts of POIs whose containing cell is newly burned, per category.
 
     Keyed in sorted category order, whatever the order of ``pois``.
     """
-    out: dict[str, int] = {}
-    for poi in pois:
-        cell = new_burn.grid.cell_of(poi.location.x, poi.location.y)
-        if cell is not None and new_burn.bits[cell]:
-            out[poi.category] = out.get(poi.category, 0) + 1
-    return dict(sorted(out.items()))
+    [out] = poi_exposure_by_day(PoiIndex.build(pois, new_burn.grid), [new_burn.bits], 1)
+    return out
 
 
 def population_exposure(new_burn: Mask, popgrid: RealRaster) -> float:
     """Persons in newly burned cells."""
     if popgrid.grid != new_burn.grid:
         raise ValidationError("population grid and mask are not on the same grid")
-    return float(popgrid.cells[new_burn.bits].sum())
+    return float(population_exposure_by_day(popgrid, [new_burn.bits], 1)[0])
+
+
+def demographic_breakdown_by_day(
+    day: np.ndarray,
+    block_ids: list[str],
+    exposed: np.ndarray,
+    n_days: int,
+    block_tracts: dict[str, str],
+    tract_demo: dict[str, TractDemographics],
+) -> Iterator[Demographics]:
+    """:func:`demographic_breakdown` of each day, yielded day by day.
+
+    Block ``block_ids[j]`` exposes ``exposed[j]`` persons on day
+    ``day[j]``, each day's blocks in order. Each (day, tract) is summed
+    with ``math.fsum``, and the tracts are weighted in sorted order for
+    all days at once: a tract absent on a day adds 0.0, which leaves a
+    total of non-negative terms as it is. A block with no tract, then a
+    tract with no demographics, raises when the first day that exposes it
+    is reached.
+    """
+    hit = exposed != 0.0
+    day, exposed = day[hit], exposed[hit]
+    ids = list(itertools.compress(block_ids, hit))
+    tracts = list(map(block_tracts.get, ids))
+    names = sorted(set(tracts) - {None})
+    code = {name: k for k, name in enumerate(names)}
+    tract = np.fromiter(map(code.get, tracts, itertools.repeat(-1)), np.int64, len(ids))
+    unmapped = np.flatnonzero(tract < 0)
+    key = day * len(names) + tract
+    order = np.flatnonzero(tract >= 0)
+    order = order[np.argsort(key[order], kind="stable")]
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    per_tract = np.zeros((n_days, len(names)))
+    per_tract.flat[key[starts]] = _fsum_runs(exposed[order], starts)
+    present = np.zeros((n_days, len(names)), dtype=bool)
+    present.flat[key[starts]] = True
+    lacking = np.array([name not in tract_demo for name in names], dtype=bool)
+    width = sum(map(len, DEMOGRAPHIC_GROUPS.values()))
+    shares = [
+        [getattr(tract_demo[name], group)[k] for group, keys in DEMOGRAPHIC_GROUPS.items()
+         for k in keys] if name in tract_demo else [0.0] * width
+        for name in names
+    ]
+    totals = np.zeros((n_days, width))
+    for t, row in enumerate(shares):
+        totals += per_tract[:, t, None] * np.array(row)
+    unmapped_day = day[unmapped]
+    for i, row in enumerate(totals.tolist()):
+        u = np.searchsorted(unmapped_day, i)
+        if u < len(unmapped) and unmapped_day[u] == i:
+            raise MissingTractError(f"block {ids[unmapped[u]]} has no tract mapping")
+        missing = np.flatnonzero(present[i] & lacking)
+        if missing.size:
+            raise MissingTractError(f"no demographics for tract {names[missing[0]]}")
+        counts = iter(row)
+        yield Demographics(
+            **{group: dict(zip(keys, counts)) for group, keys in DEMOGRAPHIC_GROUPS.items()}
+        )
 
 
 def demographic_breakdown(
@@ -377,25 +674,12 @@ def demographic_breakdown(
     exactly rounded sum of its blocks' exposures, and tracts are weighted
     in sorted order, so the counts do not depend on the order of the blocks.
     """
-    exposed_by_tract: dict[str, list[float]] = {}
-    for block_id, exposed in exposure_by_block.items():
-        if exposed == 0.0:
-            continue
-        tract_id = block_tracts.get(block_id)
-        if tract_id is None:
-            raise MissingTractError(f"block {block_id} has no tract mapping")
-        exposed_by_tract.setdefault(tract_id, []).append(exposed)
-    counts = Demographics.zeros()
-    for tract_id in sorted(exposed_by_tract):
-        demo = tract_demo.get(tract_id)
-        if demo is None:
-            raise MissingTractError(f"no demographics for tract {tract_id}")
-        exposed = math.fsum(exposed_by_tract[tract_id])
-        for group in DEMOGRAPHIC_GROUPS:
-            shares, totals = getattr(demo, group), getattr(counts, group)
-            for k in totals:
-                totals[k] += exposed * shares[k]
-    return counts
+    n = len(exposure_by_block)
+    [out] = demographic_breakdown_by_day(
+        np.zeros(n, dtype=np.int64), list(exposure_by_block),
+        np.fromiter(exposure_by_block.values(), np.float64, n), 1, block_tracts, tract_demo,
+    )
+    return out
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,10 @@ report the file, line or feature index, and field for every problem.
 
 Input passes one boundary: ``_open_text``/``_load_json`` decode files
 (UTF-8, a leading byte order mark skipped), ``parse_value`` parses
-values, and ``read_layer`` (points and lines, one object per feature)
-and ``read_polygon_layer`` (polygons, one flat ``PolygonLayer`` per
-file) read GeoJSON layers, so a malformed file is a FormatError naming
-the file and place.
+values, and ``read_vertex_layer`` (points and lines, flat vertex
+arrays) and ``read_polygon_layer`` (polygons, one flat ``PolygonLayer``
+per file) read GeoJSON layers, checking properties a column at a time,
+so a malformed file is a FormatError naming the file and place.
 
 GeoJSON input is a simple subset: a FeatureCollection of Point,
 LineString, Polygon, or MultiPolygon features with flat properties and
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import gc
 import io
 import itertools
 import json
@@ -59,8 +60,11 @@ from .impact import (
     Demographics,
     District,
     PoiFeature,
+    Pois,
     RoadFeature,
+    Roads,
     TractDemographics,
+    category_codes,
     cents_to_usd,
     check_building,
     check_district,
@@ -103,11 +107,19 @@ def _open_text(path: Path, errors: str = "strict") -> Iterator[TextIO]:
 
 
 def _load_json(path: Path) -> Any:
+    """The JSON document in ``path``, parsed with the cyclic garbage
+    collector paused: a JSON tree holds no cycles, yet building a large
+    one would otherwise set off collections that scan it again and again."""
     with _open_text(path) as fh:
+        enabled = gc.isenabled()
+        gc.disable()
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON ({exc})") from None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def parse_value(where: str, key: str, raw: Any, parse: Callable[[Any], T]) -> T:
@@ -552,9 +564,16 @@ def write_ascii_grid(
     g = raster.grid
     if isinstance(raster, CategoryRaster):
         nodata: float = raster.nodata
-        # Each distinct code is formatted once; the cells look their text up.
-        codes, index = np.unique(raster.cells, return_inverse=True)
-        text = np.array([str(code) for code in codes.tolist()], dtype=object)
+        # Each code is formatted once and the cells look their text up: by
+        # code - lowest code while the codes span no more values than there
+        # are cells, else through the sorted distinct codes.
+        lo, hi = int(raster.cells.min()), int(raster.cells.max())
+        if hi - lo < raster.cells.size:
+            codes, index = range(lo, hi + 1), raster.cells.astype(np.int64) - lo
+        else:
+            codes, index = np.unique(raster.cells, return_inverse=True)
+            codes = codes.tolist()
+        text = np.array(list(map(str, codes)), dtype=object)
         rows = text[index.reshape(g.shape)].tolist()
     else:
         nodata = -9999
@@ -587,52 +606,162 @@ _LONLAT = operator.itemgetter(0, 1)
 _MALFORMED = (TypeError, IndexError, OverflowError)
 
 
+class _Features(NamedTuple):
+    """The features of a GeoJSON layer before its first bad one, as columns
+    (each one's geometry type, parsed properties by name and raw
+    coordinates), and that bad feature's error (None if there is none)."""
+
+    types: list
+    values: dict[str, Any]
+    coords: list
+    error: PipelineError | None
+
+
+def _text_column(raw: list) -> list[str] | None:
+    """:func:`_text` of each value, or None if it rejects one."""
+    if set(map(type, raw)) <= {str, int, float}:
+        return list(map(str, raw))
+    return None
+
+
+def _number_column(raw: list) -> np.ndarray | None:
+    """:func:`_number` of each value, or None if it rejects one."""
+    if set(map(type, raw)) <= {int, float}:
+        try:
+            values = np.fromiter(map(float, raw), np.float64, len(raw))
+        except OverflowError:
+            return None
+        if np.isfinite(values).all():
+            return values
+    return None
+
+
+# The column form of each property parser; other parsers go feature by feature.
+_COLUMN_PARSERS: dict[Callable, Callable[[list], Any]] = {
+    _text: _text_column, _number: _number_column,
+}
+
+
+def _feature_columns(
+    features: list, types: tuple[str, ...], properties: dict[str, Callable[[Any], Any]],
+    unique: str | None,
+) -> tuple[list, dict[str, Any], list] | None:
+    """:class:`_Features`' columns, checked a column at a time, or None if
+    any feature fails a check."""
+    if not set(map(type, features)) <= {dict}:
+        return None
+    geoms = list(map(dict.get, features, itertools.repeat("geometry")))
+    if not set(map(type, geoms)) <= {dict}:
+        return None
+    gtypes = list(map(dict.get, geoms, itertools.repeat("type")))
+    props = list(map(dict.get, features, itertools.repeat("properties")))
+    if not all(map(types.__contains__, gtypes)) or not set(map(type, props)) <= {dict}:
+        return None
+    values = {}
+    for name, parse in properties.items():
+        column = _COLUMN_PARSERS.get(parse)
+        if column is None or not all(map(dict.__contains__, props, itertools.repeat(name))):
+            return None
+        values[name] = column(list(map(dict.get, props, itertools.repeat(name))))
+        if values[name] is None:
+            return None
+    if unique is not None and len(set(values[unique])) < len(features):
+        return None
+    return gtypes, values, list(map(dict.get, geoms, itertools.repeat("coordinates")))
+
+
 def _features(
     path: Path, types: tuple[str, ...], properties: dict[str, Callable[[Any], Any]],
     unique: str | None,
-) -> Iterator[tuple[str, str, dict[str, Any], Any]]:
-    """(place, geometry type, parsed properties, raw coordinates) of each feature.
+) -> _Features:
+    """The features of the GeoJSON FeatureCollection in ``path``, up to the first bad one.
 
-    Features come in file order, each one's JSON freed once it is yielded;
-    see :func:`read_layer` for the checks and errors.
+    Geometry types must be in ``types``; each property in ``properties``
+    is required and parsed by its function, and ``unique`` names one that
+    must not repeat. The checks run a column at a time; only if one fails
+    are the features read one at a time, which finds the first bad one in
+    file order and its error: a malformed value is a FormatError, a
+    repeated one a ValidationError, each naming the file and the feature.
+    The document is freed on return, but for the coordinates.
     """
     doc = _load_json(path)
     features = doc.get("features") if isinstance(doc, dict) else None
     if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
         raise FormatError(f"{path}: expected a FeatureCollection with a features list")
+    columns = _feature_columns(features, types, properties, unique)
+    if columns is not None:
+        return _Features(*columns, None)
+    out = _Features([], {name: [] for name in properties}, [], None)
     seen = set()
     for i, feat in enumerate(features):
-        features[i] = None
         where = f"{path}: feature {i}"
-        geom = feat.get("geometry") if isinstance(feat, dict) else None
-        gtype = geom.get("type") if isinstance(geom, dict) else None
-        if gtype not in types:
-            raise FormatError(f"{where}: expected {' or '.join(types)}, got {gtype!r}")
-        props = parse_value(where, "properties", feat.get("properties") or {}, _object)
-        values = {name: _required(where, props, name, parse) for name, parse in properties.items()}
-        if unique is not None:
-            if values[unique] in seen:
-                raise ValidationError(f"{where}: duplicate {unique} {values[unique]!r}")
-            seen.add(values[unique])
-        yield where, gtype, values, geom.get("coordinates")
+        try:
+            geom = feat.get("geometry") if isinstance(feat, dict) else None
+            gtype = geom.get("type") if isinstance(geom, dict) else None
+            if gtype not in types:
+                raise FormatError(f"{where}: expected {' or '.join(types)}, got {gtype!r}")
+            props = parse_value(where, "properties", feat.get("properties") or {}, _object)
+            values = {name: _required(where, props, name, parse) for name, parse in properties.items()}
+            if unique is not None:
+                if values[unique] in seen:
+                    raise ValidationError(f"{where}: duplicate {unique} {values[unique]!r}")
+                seen.add(values[unique])
+        except PipelineError as exc:
+            return out._replace(error=exc)
+        out.types.append(gtype)
+        for name, value in values.items():
+            out.values[name].append(value)
+        out.coords.append(geom.get("coordinates"))
+    return out
 
 
-def read_layer(
+def _taken(values: dict[str, Any], k: int) -> dict[str, Any]:
+    """Feature k's value of each property."""
+    return {name: column[k] for name, column in values.items()}
+
+
+def read_vertex_layer(
     path: str | Path,
     origin_lon: float,
     origin_lat: float,
-    types: tuple[str, ...],
+    gtype: str,
     properties: dict[str, Callable[[Any], Any]],
-    build: Callable[[dict[str, Any], Any], T],
-) -> list[T]:
-    """``build(values, shape)`` for each feature of a GeoJSON FeatureCollection.
+    build: Callable[[dict[str, Any], Any], Any],
+    flag: Callable[[dict[str, Any], np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+) -> tuple[dict[str, Any], np.ndarray, np.ndarray, np.ndarray]:
+    """Each property's values, and the projected vertices of every Point or
+    LineString (``gtype``) feature: feature k's are ``xs, ys[offsets[k]:offsets[k + 1]]``.
 
-    Geometry types must be in ``types`` (Point or LineString); ``values``
-    holds each property in ``properties`` parsed by its function.
-    ``shape`` is the projected Point or PolyLine. Malformed input is a
-    FormatError (exit 2); invalid geometry or a value ``build`` rejects is
-    a ValidationError (exit 1). Both name the file and the feature.
+    The features are what ``build(values, shape)`` accepts, ``shape``
+    being the projected Point or PolyLine. ``flag(values, xs, ys,
+    offsets)`` marks, a column at a time, every feature that ``build``
+    could reject. From the first feature with a mark or a malformed
+    position on, features are read one at a time through ``build``, so the
+    error is the one that reading the layer into objects in file order
+    meets first. Malformed input is a FormatError (exit 2); invalid
+    geometry or a value ``build`` rejects is a ValidationError (exit 1).
+    Both name the file and the feature.
     """
+    path = Path(path)
+    _, values, coords, error = _features(path, (gtype,), properties, None)
+    k = len(coords)
+    if gtype == "Point":
+        positions, sizes = coords, np.ones(k, dtype=np.int64)
+    else:
+        k = _first_false(map(isinstance, coords, itertools.repeat(list)), k)
+        sizes = np.fromiter(map(len, coords[:k]), np.int64, k)
+        positions = list(itertools.chain.from_iterable(coords[:k]))
+    offsets = run_offsets(sizes)
+    lonlat = _lonlat_prefix(positions)
+    k = min(k, np.searchsorted(offsets, len(lonlat), "right") - 1)
+    offsets = offsets[:k + 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic
+        xs, ys = project_lonlat(lonlat[:offsets[-1], 0], lonlat[:offsets[-1], 1],
+                                origin_lon, origin_lat)
+    marked = np.flatnonzero(flag(_head(values, k), xs, ys, offsets))
+    if marked.size:
+        k = marked[0]
+        xs, ys, offsets = xs[:offsets[k]], ys[:offsets[k]], offsets[:k + 1]
 
     def position(p) -> Point:
         lon, lat = p[0], p[1]
@@ -641,13 +770,67 @@ def read_layer(
         return project_lonlat(lon, lat, origin_lon, origin_lat)
 
     shapes = {"Point": position, "LineString": lambda c: PolyLine([position(p) for p in c])}
-    out = []
-    for where, gtype, values, coords in _features(Path(path), types, properties, None):
+    tail: list[Point] = []
+    tail_sizes = []
+    for i in range(k, len(coords)):  # only from a marked or malformed feature on
+        where = f"{path}: feature {i}"
         try:
-            out.append(build(values, parse_value(where, "coordinates", coords, shapes[gtype])))
+            shape = parse_value(where, "coordinates", coords[i], shapes[gtype])
+            build(_taken(values, i), shape)
         except ValidationError as exc:
             raise type(exc)(f"{where}: {exc}") from None
-    return out
+        vertices = [shape] if gtype == "Point" else shape.vertices
+        tail.extend(vertices)
+        tail_sizes.append(len(vertices))
+    if error is not None:
+        raise error
+    if tail:
+        txy = np.array(tail, dtype=np.float64)
+        xs, ys = np.concatenate([xs, txy[:, 0]]), np.concatenate([ys, txy[:, 1]])
+        offsets = run_offsets(np.diff(offsets).tolist() + tail_sizes)
+    return values, xs, ys, offsets
+
+
+def _first_false(flags: Iterator[bool], n: int) -> int:
+    """The index of the first false value among the ``n`` flags, or ``n``."""
+    return int(np.argmin(np.append(np.fromiter(flags, bool, n), False)))
+
+
+def _polygon_structure(
+    gtypes: list, coords: list
+) -> tuple[int, list[np.ndarray], list[np.ndarray], list]:
+    """The structure of the longest prefix of features whose coordinates
+    are lists of non-empty lists of lists, a level at a time.
+
+    Gives the prefix's length k; the feature of each item at the first two
+    levels (features, polygons) and of each ring; each item's size at each
+    level (its polygons, rings or positions), from which those of features
+    k on are to be cut; and the prefix's positions.
+    """
+    items = [c if t == "MultiPolygon" else [c] for t, c in zip(gtypes, coords)]
+    k = len(items)
+    owners = [np.arange(k)]
+    sizes = []
+    for level in range(3):  # features, polygons, rings
+        owner = owners[level]
+        j = _first_false(map(isinstance, items, itertools.repeat(list)), len(items))
+        if j < len(items):
+            k = min(k, owner[j])
+        items = items[:np.searchsorted(owner, k)]
+        size = np.fromiter(map(len, items), np.int64, len(items))
+        if level == 1 and not size.all():  # a polygon needs a ring
+            k = min(k, owner[np.argmin(size)])
+            items, size = items[:np.searchsorted(owner, k)], size[:np.searchsorted(owner, k)]
+        sizes.append(size)
+        if level < 2:
+            owners.append(np.repeat(owner[:len(items)], size))
+        items = list(itertools.chain.from_iterable(items))
+    return k, owners, sizes, items
+
+
+def _head(values: dict[str, Any], n: int) -> dict[str, Any]:
+    """The first ``n`` values of each property."""
+    return {name: column[:n] for name, column in values.items()}
 
 
 def read_polygon_layer(
@@ -656,24 +839,31 @@ def read_polygon_layer(
     origin_lat: float,
     properties: dict[str, Callable[[Any], Any]],
     check: Callable[[dict[str, Any], int], None],
+    flag: Callable[[dict[str, Any], np.ndarray], np.ndarray],
     unique: str | None = None,
-) -> tuple[dict[str, list], PolygonLayer]:
+) -> tuple[dict[str, Any], PolygonLayer]:
     """Each property's values in feature order, and the features' shapes as one layer.
 
     Features are Polygons or MultiPolygons; ``check(values, n_parts)``
     validates each one's values, as its object's constructor would, and
-    ``unique`` names one that must not repeat. Every position is converted,
+    ``unique`` names one that must not repeat. ``flag(values, n_parts)``
+    marks, a column at a time, every feature that ``check`` could reject;
+    from the first feature with a mark or a malformed structure on,
+    features are read one at a time. Every position is converted,
     projected and checked at once, yet the error is the one that reading
     the features into :class:`Polygon` objects in file order meets first,
-    with :func:`read_layer`'s exit codes; a repeated value exits 1.
+    with :func:`read_vertex_layer`'s exit codes; a repeated value exits 1.
     """
     path = Path(path)
-    columns: dict[str, list] = {name: [] for name in properties}
-    raw: list = []  # each feature's coordinates, for an error message
-    positions: list = []  # every ring's positions, concatenated
-    ring_sizes: list[int] = []
-    polygon_sizes: list[int] = []
-    polygon_feature: list[int] = []
+    gtypes, values, raw, error = _features(path, _POLYGONAL, properties, unique)
+    k, owners, sizes, positions = _polygon_structure(gtypes, raw)
+    marked = np.flatnonzero(flag(_head(values, k), sizes[0][:k]))
+    if marked.size:
+        k = marked[0]
+    polygon_feature = owners[1][:np.searchsorted(owners[1], k)].tolist()
+    polygon_sizes = sizes[1][:len(polygon_feature)].tolist()
+    ring_sizes = sizes[2][:np.searchsorted(owners[2], k)].tolist()
+    del positions[sum(ring_sizes):], owners, sizes
 
     def layer() -> PolygonLayer:
         """The polygons read so far; their first bad one's error is raised."""
@@ -700,11 +890,12 @@ def read_polygon_layer(
         return PolygonLayer(*close_rings(x, y, ro), po, run_offsets(feature_sizes))
 
     try:
-        for where, gtype, values, coords in _features(path, _POLYGONAL, properties, unique):
-            raw.append(coords)
+        for i in range(k, len(raw)):  # only from a marked or malformed feature on
+            where = f"{path}: feature {i}"
+            coords = raw[i]
             n_parts = 0
             try:
-                for rings in [coords] if gtype == "Polygon" else coords:
+                for rings in [coords] if gtypes[i] == "Polygon" else coords:
                     if rings.__class__ is not list or not rings:
                         raise TypeError(rings)
                     for ring in rings:
@@ -712,20 +903,20 @@ def read_polygon_layer(
                         positions.extend(ring)
                         ring_sizes.append(len(positions) - n)
                     polygon_sizes.append(len(rings))
-                    polygon_feature.append(len(raw) - 1)
+                    polygon_feature.append(i)
                     n_parts += 1
             except TypeError:
                 raise FormatError(f"{where}: bad coordinates value {reprlib.repr(coords)}") from None
             try:
-                check(values, n_parts)
+                check(_taken(values, i), n_parts)
             except ValidationError as exc:
                 raise type(exc)(f"{where}: {exc}") from None
-            for name, value in values.items():
-                columns[name].append(value)
+        if error is not None:
+            raise error
     except PipelineError:
         layer()  # a bad polygon read before the failure is reported first
         raise
-    return columns, layer()
+    return values, layer()
 
 
 def _lonlat(positions: list) -> np.ndarray:
@@ -759,17 +950,37 @@ def read_blocks(path: str | Path, origin_lon: float, origin_lat: float) -> Block
         path, origin_lon, origin_lat,
         {"block_id": _text, "pop": _number, "tract_id": _text},
         lambda v, n_parts: check_block(v["block_id"], n_parts, v["pop"]),
+        lambda v, n_parts: (n_parts == 0) | ~(np.asarray(v["pop"], dtype=np.float64) >= 0),
         unique="block_id",
     )
     pop = np.array(values["pop"], dtype=np.float64)
     return Blocks(values["block_id"], pop, values["tract_id"], parts)
 
 
-def read_roads(path: str | Path, origin_lon: float, origin_lat: float) -> list[RoadFeature]:
-    return read_layer(
-        path, origin_lon, origin_lat, ("LineString",), {"class": _text},
-        lambda v, line: RoadFeature(line, v["class"]),
+def _empty(texts: list[str]) -> np.ndarray:
+    """Which of ``texts`` are empty."""
+    return np.fromiter(map(operator.not_, texts), bool, len(texts))
+
+
+def _line_flags(values: dict[str, Any], xs: np.ndarray, ys: np.ndarray,
+                offsets: np.ndarray) -> np.ndarray:
+    """The roads that :class:`PolyLine` or :class:`RoadFeature` could reject."""
+    sizes = np.diff(offsets)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    bad = (sizes < 2) | _empty(values["class"])
+    bad[owner[~(np.isfinite(xs) & np.isfinite(ys))]] = True
+    repeated = (xs[1:] == xs[:-1]) & (ys[1:] == ys[:-1]) & (owner[1:] == owner[:-1])
+    bad[owner[1:][repeated]] = True
+    return bad
+
+
+def read_roads(path: str | Path, origin_lon: float, origin_lat: float) -> Roads:
+    """Each road's vertices and class, as a :class:`Roads` table."""
+    values, xs, ys, offsets = read_vertex_layer(
+        path, origin_lon, origin_lat, "LineString", {"class": _text},
+        lambda v, line: RoadFeature(line, v["class"]), _line_flags,
     )
+    return Roads(xs, ys, offsets, *category_codes(values["class"]))
 
 
 def read_buildings(path: str | Path, origin_lon: float, origin_lat: float) -> PolygonLayer:
@@ -777,14 +988,20 @@ def read_buildings(path: str | Path, origin_lon: float, origin_lat: float) -> Po
     return read_polygon_layer(
         path, origin_lon, origin_lat, {"id": _text},
         lambda v, n_parts: check_building(v["id"], n_parts),
+        lambda v, n_parts: n_parts == 0,
     )[1]
 
 
-def read_pois(path: str | Path, origin_lon: float, origin_lat: float) -> list[PoiFeature]:
-    return read_layer(
-        path, origin_lon, origin_lat, ("Point",), {"category": _text},
+def read_pois(path: str | Path, origin_lon: float, origin_lat: float) -> Pois:
+    """Each POI's location and category, as a :class:`Pois` table."""
+    values, xs, ys, offsets = read_vertex_layer(
+        path, origin_lon, origin_lat, "Point", {"category": _text},
         lambda v, point: PoiFeature(point, v["category"]),
+        lambda v, xs, ys, offsets: (
+            ~(np.isfinite(xs) & np.isfinite(ys)) | _empty(v["category"])
+        ),
     )
+    return Pois(xs, ys, *category_codes(values["category"]))
 
 
 def read_districts(
@@ -794,6 +1011,7 @@ def read_districts(
     values, parts = read_polygon_layer(
         path, origin_lon, origin_lat, {"name": _text},
         lambda v, n_parts: check_district(v["name"], n_parts),
+        lambda v, n_parts: (n_parts == 0) | _empty(v["name"]),
         unique="name",
     )
     return [District(name, parts.polygons(k)) for k, name in enumerate(values["name"])]

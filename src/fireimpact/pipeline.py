@@ -32,14 +32,20 @@ from .impact import (
     Demographics,
     District,
     PoiFeature,
+    PoiIndex,
+    Pois,
     RoadFeature,
+    RoadIndex,
+    Roads,
     TractDemographics,
     building_loss_by_day,
-    demographic_breakdown,
-    land_use_loss,
-    poi_exposure,
-    population_exposure,
-    road_loss,
+    demographic_breakdown_by_day,
+    item_days,
+    items_by_day,
+    land_use_loss_by_day,
+    poi_exposure_by_day,
+    population_exposure_by_day,
+    road_loss_by_day,
 )
 from .io_formats import (
     FileManifest,
@@ -72,9 +78,9 @@ class Layers:
     detections: Detections | list[Detection] = field(default_factory=list)
     landcover: CategoryRaster | None = None
     blocks: list[CensusBlock] | Blocks = field(default_factory=list)
-    roads: list[RoadFeature] = field(default_factory=list)
+    roads: list[RoadFeature] | Roads = field(default_factory=list)
     buildings: list[BuildingFeature] | PolygonLayer = field(default_factory=list)
-    pois: list[PoiFeature] = field(default_factory=list)
+    pois: list[PoiFeature] | Pois = field(default_factory=list)
     districts: list[District] = field(default_factory=list)
     weights: WeightTable = field(default_factory=WeightTable.default)
     costs: CostModel = field(default_factory=CostModel.demo)
@@ -194,6 +200,9 @@ def assess(
     Dollar losses always attribute to a cell's first burned day; with
     ``active_extent`` the exposure figures (population, POIs,
     demographics) use the day's whole active mask instead of the new burn.
+    Each accountant reduces all of a district's days at once from indexes
+    built once per run, and the day loop builds the records; a missing
+    price or tract raises where accounting day by day would meet it.
     """
     perimeters = compute_perimeters(layers, params)
     popgrid, ds_report, _ = compute_population(layers)
@@ -201,27 +210,37 @@ def assess(
     block_tracts = dict(zip(blocks.ids, blocks.tracts))
     grid = layers.manifest.grid
     buildings = BuildingIndex.build(layers.buildings, grid, layers.costs)
+    roads = RoadIndex.build(layers.roads, grid, layers.costs)
+    pois = PoiIndex.build(layers.pois, grid)
 
     records: list[DailyImpactRecord] = []
     for name in sorted(perimeters):
         days = perimeters[name]
         if not days:
             continue
-        b_cents, b_count = building_loss_by_day(buildings, days[0].first_burn, len(days))
-        for i, day in enumerate(days):
-            new_burn = day.new_burn
-            exposure_mask = day.active if active_extent else new_burn
-            land = land_use_loss(new_burn, layers.landcover, layers.costs)
-            road_cents, road_m = road_loss(new_burn, layers.roads, layers.costs)
-            pois = poi_exposure(exposure_mask, layers.pois)
-            exposed = population_exposure(exposure_mask, popgrid)
-            if layers.demographics is not None:
-                by_block = exposure_by_block(exposure_mask, ds_report)
-                demo = demographic_breakdown(
-                    by_block, block_tracts, layers.demographics
-                )
-            else:
-                demo = Demographics.zeros()
+        n = len(days)
+        first = days[0].first_burn
+        exposure = [day.active.bits for day in days] if active_extent else first
+        b_cents, b_count = building_loss_by_day(buildings, first, n)
+        new_cells = np.bincount(first[first >= 0], minlength=n).tolist()
+        poi_counts = poi_exposure_by_day(pois, exposure, n)
+        exposed = population_exposure_by_day(popgrid, exposure, n).tolist()
+        if layers.demographics is not None:
+            demos = demographic_breakdown_by_day(
+                *block_exposures(ds_report, exposure, n, grid.n_cols), n,
+                block_tracts, layers.demographics,
+            )
+        else:
+            demos = (Demographics.zeros() for _ in days)
+        # Land, road and demographic figures come day by day, so that a
+        # missing price or tract raises on the day the per-day order meets it.
+        daily = zip(
+            days,
+            land_use_loss_by_day(first, n, layers.landcover, layers.costs),
+            road_loss_by_day(roads, first, n),
+            demos,
+        )
+        for i, (day, land, (road_cents, road_m), demo) in enumerate(daily):
             records.append(
                 DailyImpactRecord(
                     date=day.date,
@@ -231,14 +250,36 @@ def assess(
                     road_length_m=road_m,
                     building_loss_cents=int(b_cents[i]),
                     building_count=int(b_count[i]),
-                    poi_count=pois,
-                    exposed_population=exposed,
+                    poi_count=poi_counts[i],
+                    exposed_population=exposed[i],
                     demographics=demo,
-                    new_burn_cells=new_burn.popcount(),
+                    new_burn_cells=new_cells[i],
                 )
             )
     records.sort(key=lambda r: (r.date, r.district))
     return records
+
+
+def block_exposures(
+    report: DownscaleReport, burns: np.ndarray | list[np.ndarray], n_days: int, n_cols: int
+) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """The day, block id and exposed persons of each block with a cell in a
+    day's cells, day by day, blocks in order (see
+    :func:`fireimpact.impact.items_by_day` for ``burns``).
+
+    The allocation entries in each day's cells are taken in allocation
+    order, so each (day, block) run is summed by one segment sum, as
+    :func:`exposure_by_block` sums a block's cells.
+    """
+    cells = report.rows * n_cols + report.cols
+    items, offsets = items_by_day(cells, burns, n_days)
+    block = np.repeat(np.arange(len(report.starts)), np.diff(report.starts, append=cells.size))
+    block, day = block[items], item_days(offsets)
+    new_run = np.ones(len(items), dtype=bool)
+    new_run[1:] = (block[1:] != block[:-1]) | (day[1:] != day[:-1])
+    starts = np.flatnonzero(new_run)
+    ids = list(map(report.block_ids.__getitem__, block[starts].tolist()))
+    return day[starts], ids, segment_sums(report.pop[items], starts)
 
 
 def exposure_by_block(mask: Mask, report: DownscaleReport) -> dict[str, float]:
@@ -251,9 +292,5 @@ def exposure_by_block(mask: Mask, report: DownscaleReport) -> dict[str, float]:
     cell that several fallback blocks share charges each of them its own
     population, not the cell's total.
     """
-    hit = mask.bits.ravel()[report.rows * mask.grid.n_cols + report.cols]
-    counts = np.add.reduceat(hit, report.starts, dtype=np.int64)  # no run is empty
-    touched = np.flatnonzero(counts)
-    starts = (np.cumsum(counts) - counts)[touched]
-    exposed = segment_sums(report.pop[hit], starts, counts[touched])
-    return dict(zip([report.block_ids[k] for k in touched.tolist()], exposed.tolist()))
+    _, ids, exposed = block_exposures(report, [mask.bits], 1, mask.grid.n_cols)
+    return dict(zip(ids, exposed.tolist()))

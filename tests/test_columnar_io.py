@@ -8,6 +8,7 @@ coordinates, the same error text and the same bytes.
 
 import csv
 import datetime as dt
+import gc
 import json
 import math
 from pathlib import Path
@@ -31,7 +32,7 @@ from fireimpact.geometry import (
     unproject_to_lonlat,
 )
 from fireimpact.grid import AnalysisGrid, CategoryRaster, Mask, RealRaster
-from fireimpact.impact import BuildingFeature, District
+from fireimpact.impact import BuildingFeature, District, PoiFeature, Pois, RoadFeature, Roads
 from fireimpact.io_formats import (
     _load_json,
     _number,
@@ -44,6 +45,8 @@ from fireimpact.io_formats import (
     read_buildings,
     read_detections,
     read_districts,
+    read_pois,
+    read_roads,
     write_ascii_grid,
     write_daily_perimeters_geojson,
 )
@@ -220,6 +223,20 @@ def reference_read_districts(path, origin_lon, origin_lat):
         path, origin_lon, origin_lat, _POLYGONAL, {"name": _text},
         lambda v, parts: District(v["name"], parts),
         unique="name",
+    )
+
+
+def reference_read_roads(path, origin_lon, origin_lat):
+    return reference_read_layer(
+        path, origin_lon, origin_lat, ("LineString",), {"class": _text},
+        lambda v, line: RoadFeature(line, v["class"]),
+    )
+
+
+def reference_read_pois(path, origin_lon, origin_lat):
+    return reference_read_layer(
+        path, origin_lon, origin_lat, ("Point",), {"category": _text},
+        lambda v, point: PoiFeature(point, v["category"]),
     )
 
 
@@ -670,6 +687,192 @@ class TestReadPolygonLayerMatchesReference:
             got = layer_outcome(kind, read, path, ORIGIN)
             assert len(got) == 8, got
             assert got == layer_outcome(kind, reference, path, ORIGIN)
+
+
+# ---------------------------------------------------------------------------
+# Point and line layer readers
+# ---------------------------------------------------------------------------
+
+BAD_LINE = st.sampled_from([5, None, True, "", "a", "ab", {}, {"k": 1}, [], [[0, 0]]])
+BAD_POINT = st.sampled_from([5, None, True, "", "ab", {}, {"k": 1}, [], [1], [[0, 0], [1, 1]]])
+BAD_FEATURE = st.sampled_from([None, 3, [], {}, {"geometry": None}, {"geometry": {"type": 5}}])
+
+
+@st.composite
+def vertex_collections(draw, gtype):
+    """FeatureCollections of Points or LineStrings (``gtype``), half of them bad.
+
+    Vertices come from a small pool, some with an altitude. In a faulty
+    collection now and then a line is short or repeats a vertex (0.0 and
+    -0.0 alike), a position, coordinates value, geometry type, feature or
+    property is malformed, or a class or category is empty.
+    """
+    pool = draw(st.lists(st.tuples(COORD, COORD), min_size=2, max_size=5, unique=True))
+    faulty = draw(st.booleans())
+
+    def rare(n: int) -> bool:
+        return faulty and draw(st.integers(0, n - 1)) == 0
+
+    def position(p):
+        p = list(p)
+        if draw(st.integers(0, 5)) == 0:
+            p.append(draw(ALTITUDE))
+        return draw(BAD_POSITION) if rare(15) else p
+
+    features = []
+    for i in range(draw(st.integers(0, 6))):
+        if gtype == "Point":
+            coords = position(draw(st.sampled_from(pool)))
+        else:
+            pts = draw(st.permutations(pool))[:draw(st.integers(2, len(pool)))]
+            if rare(6):
+                k = draw(st.integers(0, len(pts) - 1))
+                pts.insert(k, tuple(-v if v == 0 else v for v in pts[k]))
+            if rare(8):
+                pts = pts[:draw(st.integers(0, 1))]
+            coords = [position(p) for p in pts]
+        if rare(20):
+            coords = draw(BAD_POINT if gtype == "Point" else BAD_LINE)
+        props = {"class": draw(st.sampled_from(["primary", "residential", 7, 2.5])),
+                 "category": draw(st.sampled_from(["school", "clinic", 3]))}
+        if rare(10):
+            props[draw(st.sampled_from(["class", "category"]))] = draw(
+                st.sampled_from(["", None, True, [1], {}])
+            )
+        feature = {"type": "Feature", "properties": props,
+                   "geometry": {"type": "Polygon" if rare(25) else gtype, "coordinates": coords}}
+        features.append(draw(BAD_FEATURE) if rare(30) else feature)
+    return {"type": "FeatureCollection", "features": features}
+
+
+VERTEX_READERS = {
+    "roads": (read_roads, reference_read_roads),
+    "pois": (read_pois, reference_read_pois),
+}
+
+
+def vertex_outcome(kind, read, path, origin=ZERO):
+    """The table's columns, or the error type and text."""
+    try:
+        got = read(path, *origin)
+    except (FormatError, ValidationError) as exc:
+        return type(exc), str(exc)
+    if kind == "roads":
+        t = Roads.of(got)
+        return t.xs.tobytes(), t.ys.tobytes(), t.offsets.tolist(), t.classes, t.codes.tolist()
+    t = Pois.of(got)
+    return t.xs.tobytes(), t.ys.tobytes(), t.categories, t.codes.tolist()
+
+
+class TestReadVertexLayerMatchesReference:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_layer_and_errors(self, tmp_path_factory, data):
+        for kind, gtype in (("roads", "LineString"), ("pois", "Point")):
+            doc = data.draw(vertex_collections(gtype), label=kind)
+            path = tmp_path_factory.mktemp("layer") / "l.geojson"
+            path.write_text(json.dumps(doc))
+            read, reference = VERTEX_READERS[kind]
+            assert vertex_outcome(kind, read, path) == vertex_outcome(kind, reference, path)
+
+    def test_synthetic_layers(self, tmp_path):
+        generate(ScenarioSpec(seed=7), tmp_path)
+        for kind in VERTEX_READERS:
+            read, reference = VERTEX_READERS[kind]
+            path = tmp_path / f"{kind}.geojson"
+            got = vertex_outcome(kind, read, path, ORIGIN)
+            assert len(got[0]) > 0 and got == vertex_outcome(kind, reference, path, ORIGIN)
+
+    def test_rows_read_back_as_objects(self, tmp_path):
+        generate(ScenarioSpec(seed=7), tmp_path)
+        for kind in VERTEX_READERS:
+            read, reference = VERTEX_READERS[kind]
+            path = tmp_path / f"{kind}.geojson"
+            assert list(read(path, *ORIGIN)) == reference(path, *ORIGIN)
+
+
+# Each reader's properties, and a valid geometry of its type.
+PROPERTY_KEYS = {
+    "blocks": ("block_id", "pop", "tract_id"),
+    "buildings": ("id",),
+    "districts": ("name",),
+    "roads": ("class",),
+    "pois": ("category",),
+}
+BAD_PROPERTY_VALUES = ("missing", "duplicate", True, None, [1], math.nan, -math.inf, -1.0, -0.0)
+
+
+@st.composite
+def one_bad_property(draw):
+    """A valid collection for one reader with one property of one feature spoiled:
+    missing, repeated from another feature, a bool, null, list, non-finite
+    or negative number."""
+    kind = draw(st.sampled_from(sorted(PROPERTY_KEYS)))
+    features = []
+    for i in range(draw(st.integers(1, 8))):
+        x = i * 0.01
+        geometry = {
+            "roads": {"type": "LineString", "coordinates": [[x, 0], [x + 0.005, 0.005]]},
+            "pois": {"type": "Point", "coordinates": [x, 0]},
+        }.get(kind, {"type": "Polygon", "coordinates": [[[x, 0], [x + 0.005, 0], [x, 0.005]]]})
+        props = {"block_id": f"b{i}", "pop": draw(st.integers(0, 50) | st.floats(0, 50)),
+                 "tract_id": "t", "id": f"h{i}", "name": f"d{i}", "class": "primary",
+                 "category": "school"}
+        features.append({"type": "Feature", "geometry": geometry, "properties": props})
+    k = draw(st.integers(0, len(features) - 1))
+    key = draw(st.sampled_from(PROPERTY_KEYS[kind]))
+    bad = draw(st.sampled_from(BAD_PROPERTY_VALUES))
+    props = features[k]["properties"]
+    if bad == "missing":
+        del props[key]
+    elif bad == "duplicate":
+        props[key] = features[draw(st.integers(0, len(features) - 1))]["properties"][key]
+    else:
+        props[key] = bad
+    return kind, {"type": "FeatureCollection", "features": features}
+
+
+class TestOneBadProperty:
+    @given(one_bad_property())
+    @settings(max_examples=300, deadline=None)
+    def test_same_error_as_reference(self, tmp_path_factory, case):
+        kind, doc = case
+        path = tmp_path_factory.mktemp("layer") / "l.geojson"
+        path.write_text(json.dumps(doc))
+        if kind in VERTEX_READERS:
+            read, reference = VERTEX_READERS[kind]
+            assert vertex_outcome(kind, read, path) == vertex_outcome(kind, reference, path)
+        else:
+            read, reference = LAYER_READERS[kind]
+            assert layer_outcome(kind, read, path) == layer_outcome(kind, reference, path)
+
+
+class TestLoadJson:
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("data", [b'{"a": [1, 2]}', b'{"a": ', b'{"a": "\xff"}'],
+                             ids=["valid", "truncated", "not-utf8"])
+    def test_collector_paused_and_restored(self, tmp_path, enabled, data):
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        during = []
+        real_load = json.load
+
+        def load(fh):
+            during.append(gc.isenabled())
+            return real_load(fh)
+
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            with mock.patch.object(json, "load", load):
+                try:
+                    _load_json(path)
+                except FormatError:
+                    assert data != b'{"a": [1, 2]}'
+            assert during == [False]
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
 
 
 # ---------------------------------------------------------------------------

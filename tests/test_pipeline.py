@@ -1,5 +1,6 @@
 import dataclasses
 import datetime as dt
+import math
 import tempfile
 from pathlib import Path
 
@@ -8,17 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fireimpact.dasymetric import CensusBlock
-from fireimpact.errors import ValidationError
-from fireimpact.geometry import Point, Polygon, PolyLine
+from fireimpact.dasymetric import Blocks, CensusBlock
+from fireimpact.errors import MissingTractError, UnpricedClassError, ValidationError
+from fireimpact.geometry import Point, Polygon, PolyLine, rasterize_polyline, segment_sums
 from fireimpact.grid import AnalysisGrid, CategoryRaster, Mask
 from fireimpact.impact import (
+    DEMOGRAPHIC_GROUPS,
     BuildingFeature,
+    BuildingIndex,
     CostModel,
+    DailyImpactRecord,
+    Demographics,
     District,
     PoiFeature,
     RoadFeature,
     TractDemographics,
+    building_loss_by_day,
+    demographic_breakdown_by_day,
     to_cents,
 )
 from fireimpact.io_formats import FileManifest, write_report
@@ -315,13 +322,17 @@ TRACT_SHARES = [
 
 
 @st.composite
-def assess_layers(draw):
+def assess_layers(draw, unpriced=False):
     """Layers whose totals are float sums over several features.
 
     Blocks tile the grid without overlap; some tiles give their bottom-left
     corner to up to three slivers that capture no cell center and so share
     one centroid cell. Each road class has two or three roads with float
-    vertices; buildings and POIs fall anywhere.
+    vertices, some on grid lines, that may leave the grid; buildings fall
+    anywhere, and POIs anywhere too, on cell edges and off the grid among
+    them. A second district may cover the west half. With ``unpriced`` the
+    cost model may, in half the draws, lack up to two land classes and one
+    road class.
     """
     cell = 20.0
     n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
@@ -358,8 +369,9 @@ def assess_layers(draw):
         t: TractDemographics(t, **shares) for t, shares in zip(["t0", "t1"], TRACT_SHARES)
     }
 
-    x = st.floats(-10, g.max_x + 10)
-    y = st.floats(-10, g.max_y + 10)
+    # Coordinates anywhere near the grid, or on a grid line in or beyond it.
+    x = st.floats(-30, g.max_x + 30) | st.integers(-1, n_cols + 1).map(lambda j: j * cell)
+    y = st.floats(-30, g.max_y + 30) | st.integers(-1, n_rows + 1).map(lambda i: i * cell)
     for road_class in ("primary", "residential"):
         for _ in range(draw(st.integers(2, 3))):
             vertices = draw(st.lists(st.tuples(x, y), min_size=2, max_size=4, unique=True))
@@ -371,8 +383,17 @@ def assess_layers(draw):
     for k in range(draw(st.integers(0, 6))):
         category = draw(st.sampled_from(["clinic", "school", "shelter"]))
         layers.pois.append(PoiFeature(Point(draw(x), draw(y)), category))
+    if unpriced and draw(st.booleans()):
+        costs = CostModel.demo()
+        land = {k: v for k, v in costs.land_cost.items()
+                if k not in draw(st.sets(st.sampled_from([21, 22, 24, 42]), max_size=2))}
+        road = {k: v for k, v in costs.road_cost.items()
+                if k not in draw(st.sets(st.sampled_from(["primary", "residential"]), max_size=1))}
+        layers.costs = CostModel(land, road, costs.building_cost)
 
     layers.districts = [District("d", [rect(0, 0, g.max_x, g.max_y)])]
+    if draw(st.booleans()):
+        layers.districts.append(District("c", [rect(0, 0, cell * -(-n_cols // 2), g.max_y)]))
     inside = st.tuples(st.floats(0, g.max_x), st.floats(0, g.max_y))
     layers.detections = [
         Detection(Point(*xy), D0 + dt.timedelta(days=day))
@@ -380,6 +401,221 @@ def assess_layers(draw):
         for xy in draw(st.lists(inside, min_size=1, max_size=4))
     ]
     return layers
+
+
+# ---------------------------------------------------------------------------
+# References: the per-object accountants and the per-day assess loop that
+# all-days accounting replaced, kept verbatim.
+# ---------------------------------------------------------------------------
+
+
+def reference_land_use_loss(new_burn, landcover, costs):
+    if landcover.grid != new_burn.grid:
+        raise ValidationError("landcover and mask are not on the same grid")
+    burned = landcover.cells[new_burn.bits]
+    codes, counts = np.unique(burned, return_counts=True)
+    out = {}
+    area = new_burn.grid.cell_area
+    for code, count in zip(codes, counts):
+        code = int(code)
+        if code == landcover.nodata:
+            continue
+        if code not in costs.land_cost:
+            raise UnpricedClassError(f"no land cost for class {code}")
+        per_cell = to_cents(costs.land_cost[code] * area)
+        out[code] = per_cell * int(count)
+    return out
+
+
+def reference_road_loss(new_burn, roads, costs):
+    cents = {}
+    lengths = {}
+    for road in roads:
+        if road.road_class not in costs.road_cost:
+            raise UnpricedClassError(f"no road cost for class {road.road_class!r}")
+        rate = costs.road_cost[road.road_class]
+        for (r, c), length in rasterize_polyline(road.line, new_burn.grid).items():
+            if new_burn.bits[r, c]:
+                lengths.setdefault(road.road_class, []).append(length)
+                cents[road.road_class] = (
+                    cents.get(road.road_class, 0) + to_cents(length * rate)
+                )
+    classes = sorted(lengths)
+    return {k: cents[k] for k in classes}, {k: math.fsum(lengths[k]) for k in classes}
+
+
+def reference_poi_exposure(new_burn, pois):
+    out = {}
+    for poi in pois:
+        cell = new_burn.grid.cell_of(poi.location.x, poi.location.y)
+        if cell is not None and new_burn.bits[cell]:
+            out[poi.category] = out.get(poi.category, 0) + 1
+    return dict(sorted(out.items()))
+
+
+def reference_population_exposure(new_burn, popgrid):
+    if popgrid.grid != new_burn.grid:
+        raise ValidationError("population grid and mask are not on the same grid")
+    return float(popgrid.cells[new_burn.bits].sum())
+
+
+def reference_demographic_breakdown(exposure_by_block, block_tracts, tract_demo):
+    exposed_by_tract = {}
+    for block_id, exposed in exposure_by_block.items():
+        if exposed == 0.0:
+            continue
+        tract_id = block_tracts.get(block_id)
+        if tract_id is None:
+            raise MissingTractError(f"block {block_id} has no tract mapping")
+        exposed_by_tract.setdefault(tract_id, []).append(exposed)
+    counts = Demographics.zeros()
+    for tract_id in sorted(exposed_by_tract):
+        demo = tract_demo.get(tract_id)
+        if demo is None:
+            raise MissingTractError(f"no demographics for tract {tract_id}")
+        exposed = math.fsum(exposed_by_tract[tract_id])
+        for group in DEMOGRAPHIC_GROUPS:
+            shares, totals = getattr(demo, group), getattr(counts, group)
+            for k in totals:
+                totals[k] += exposed * shares[k]
+    return counts
+
+
+def reference_exposure_by_block(mask, report):
+    hit = mask.bits.ravel()[report.rows * mask.grid.n_cols + report.cols]
+    counts = np.add.reduceat(hit, report.starts, dtype=np.int64)
+    touched = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[touched]
+    exposed = segment_sums(report.pop[hit], starts, counts[touched])
+    return dict(zip([report.block_ids[k] for k in touched.tolist()], exposed.tolist()))
+
+
+def reference_assess(layers, params, active_extent=False):
+    perimeters = compute_perimeters(layers, params)
+    popgrid, ds_report, _ = compute_population(layers)
+    blocks = Blocks.of(layers.blocks)
+    block_tracts = dict(zip(blocks.ids, blocks.tracts))
+    grid = layers.manifest.grid
+    buildings = BuildingIndex.build(layers.buildings, grid, layers.costs)
+
+    records = []
+    for name in sorted(perimeters):
+        days = perimeters[name]
+        if not days:
+            continue
+        b_cents, b_count = building_loss_by_day(buildings, days[0].first_burn, len(days))
+        for i, day in enumerate(days):
+            new_burn = day.new_burn
+            exposure_mask = day.active if active_extent else new_burn
+            land = reference_land_use_loss(new_burn, layers.landcover, layers.costs)
+            road_cents, road_m = reference_road_loss(new_burn, layers.roads, layers.costs)
+            pois = reference_poi_exposure(exposure_mask, layers.pois)
+            exposed = reference_population_exposure(exposure_mask, popgrid)
+            if layers.demographics is not None:
+                by_block = reference_exposure_by_block(exposure_mask, ds_report)
+                demo = reference_demographic_breakdown(by_block, block_tracts, layers.demographics)
+            else:
+                demo = Demographics.zeros()
+            records.append(
+                DailyImpactRecord(
+                    date=day.date,
+                    district=name,
+                    land_loss_cents=land,
+                    road_loss_cents=road_cents,
+                    road_length_m=road_m,
+                    building_loss_cents=int(b_cents[i]),
+                    building_count=int(b_count[i]),
+                    poi_count=pois,
+                    exposed_population=exposed,
+                    demographics=demo,
+                    new_burn_cells=new_burn.popcount(),
+                )
+            )
+    records.sort(key=lambda r: (r.date, r.district))
+    return records
+
+
+def assess_outcome(run, layers, active_extent):
+    """The records' reprs, or the error type and text."""
+    try:
+        return [repr(r) for r in run(layers, KdeParams(bandwidth_m=20.0), active_extent)]
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+class TestAssessMatchesReference:
+    """All-days accounting gives the per-day loop's records, bit for bit,
+    and its first error."""
+
+    @given(assess_layers(unpriced=True), st.sampled_from(["all", "one missing", "none"]))
+    @settings(max_examples=150, deadline=None)
+    def test_same_records_and_errors(self, layers, demographics):
+        if demographics == "none":
+            layers.demographics = None
+        elif demographics == "one missing":
+            del layers.demographics["t1"]
+        for active_extent in (False, True):
+            assert assess_outcome(assess, layers, active_extent) == assess_outcome(
+                reference_assess, layers, active_extent
+            )
+
+    def test_road_class_raises_before_a_later_days_land_class(self):
+        m = manifest(4)
+        layers = Layers(manifest=m)
+        layers.landcover = CategoryRaster(m.grid, np.array([[42, 22, 22, 22]] * 4))
+        layers.blocks = [CensusBlock("b", [rect(0, 0, 80, 80)], 10.0, "t")]
+        layers.districts = [District("d", [rect(0, 0, 80, 80)])]
+        # Day 0 burns class 22 only; day 1 burns class 42 as well.
+        layers.detections = [
+            Detection(Point(70, 70), D0), Detection(Point(10, 70), D0 + dt.timedelta(days=1)),
+        ]
+        demo = CostModel.demo()
+        off_grid = [PolyLine([Point(500, y), Point(600, y)]) for y in (500, 600)]
+        for unpriced, classes, want in (
+            ({42}, ("primary", "residential"), "no land cost for class 42"),
+            ({42}, ("motorway", "alley"), "no road cost for class 'motorway'"),
+            # Day 0's land comes before the roads.
+            ({22, 42}, ("motorway", "alley"), "no land cost for class 22"),
+        ):
+            land = {k: v for k, v in demo.land_cost.items() if k not in unpriced}
+            layers.roads = [RoadFeature(line, c) for line, c in zip(off_grid, classes)]
+            layers.costs = CostModel(land, demo.road_cost, demo.building_cost)
+            for run in (assess, reference_assess):
+                with pytest.raises(UnpricedClassError) as err:
+                    run(layers, KdeParams(bandwidth_m=4.0))
+                assert str(err.value) == want
+
+
+class TestDemographicBreakdownMatchesReference:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_counts_and_errors_day_by_day(self, data):
+        """Blocks may lack a tract and tracts their shares; exposures may be 0."""
+        tracts = {f"t{i}": TractDemographics(f"t{i}", **shares)
+                  for i, shares in enumerate(TRACT_SHARES * 3)}
+        lacking = data.draw(st.sets(st.sampled_from(sorted(tracts)), max_size=1))
+        tract_demo = {t: demo for t, demo in tracts.items() if t not in lacking}
+        blocks = [f"b{i}" for i in range(12)]
+        block_tracts = {b: data.draw(st.sampled_from(sorted(tracts))) for b in blocks
+                        if data.draw(st.integers(0, 19))}
+        exposure = st.floats(0, 1e4) | st.just(0.0)
+        by_day = data.draw(st.lists(
+            st.dictionaries(st.sampled_from(blocks), exposure, min_size=4), min_size=1, max_size=4
+        ))
+        got = demographic_breakdown_by_day(
+            np.repeat(np.arange(len(by_day)), [len(d) for d in by_day]),
+            [b for d in by_day for b in d], np.array([v for d in by_day for v in d.values()]),
+            len(by_day), block_tracts, tract_demo,
+        )
+        for day in by_day:
+            try:
+                want = repr(reference_demographic_breakdown(day, block_tracts, tract_demo))
+            except MissingTractError as exc:
+                with pytest.raises(MissingTractError) as err:
+                    next(got)
+                assert str(err.value) == str(exc)
+                return
+            assert repr(next(got)) == want
 
 
 class TestInputOrder:
