@@ -22,7 +22,7 @@ from .geometry import (
     ragged_cell_indices,
     segment_sums,
 )
-from .grid import AnalysisGrid, CategoryRaster, RealRaster
+from .grid import AnalysisGrid, CategoryRaster, RealRaster, value_index
 
 # Persons per cell; semantically distinct from other real rasters.
 PopulationGrid = RealRaster
@@ -185,17 +185,16 @@ def allocation_factor_raster(
     landcover: CategoryRaster, w: WeightTable
 ) -> RealRaster:
     """Per-cell relative weight from the class code; nodata cells get 0."""
-    codes = np.unique(landcover.cells)
-    lut_lo = int(codes.min())
-    lut = np.zeros(int(codes.max()) - lut_lo + 1)
-    for code in codes:
-        code = int(code)
+    codes, index = value_index(landcover.cells.astype(np.int64))
+    lut = np.zeros(len(codes))
+    present = np.flatnonzero(np.bincount(index.ravel(), minlength=len(codes)))
+    for k, code in zip(present.tolist(), codes[present].tolist()):
         if code == landcover.nodata:
             continue
         if code not in w.weights:
             raise UnknownClassError(f"land cover class {code} has no weight entry")
-        lut[code - lut_lo] = w.weights[code]
-    return RealRaster(landcover.grid, lut[landcover.cells - lut_lo])
+        lut[k] = w.weights[code]
+    return RealRaster(landcover.grid, lut[index].reshape(landcover.grid.shape))
 
 
 def rasterize_blocks(

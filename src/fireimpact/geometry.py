@@ -518,6 +518,9 @@ def _axis_cuts(
 # one corner, rank order is target corner order.
 _DI = np.array([-1, 0, 0, 1])
 _DJ = np.array([0, -1, 1, 0])
+# _LEFT[a, b]: turning from direction rank a to rank b is a left turn
+# (positive cross product).
+_LEFT = _DI[:, None] * _DJ - _DJ[:, None] * _DI > 0
 
 
 class RingArrays(NamedTuple):
@@ -569,59 +572,64 @@ def trace_mask_rings(m: Mask) -> RingArrays:
     keeps every ring simple. Rasterizing the result reproduces ``m``.
 
     Loops are the cycles of a successor map on directed boundary edges
-    (left turns at saddle corners), found by pointer doubling and list
-    ranking, so no Python loop runs over edges or corners. Each ring
-    starts at its loop's smallest corner and keeps only the corners where
-    the direction changes. Polygons are ordered by the (y, x) of their
-    exterior's first vertex; holes follow their exterior in loop order,
-    loops being ordered by (smallest corner, first target).
+    (left turns at saddle corners). Edges are read off a dense table of
+    (corner, direction) slots, and each edge's successor is found by
+    counting the edges that leave earlier corners. Pointer doubling then
+    labels each loop and ranks its edges, so no Python loop and no sort or
+    search runs over edges or corners. A hole finds its exterior by a ray
+    cast up its column. Each ring starts at its loop's smallest corner
+    and keeps only the corners where the direction changes. Polygons are
+    ordered by the (y, x) of their exterior's first vertex; holes follow
+    their exterior in loop order, loops being ordered by (smallest corner,
+    first target).
     """
     grid = m.grid
-    n_rows, n_cols = m.bits.shape
+    bits = m.bits
+    n_rows, n_cols = bits.shape
     width = n_cols + 1
-    start, rank = _directed_edges(m.bits)
+    slots = _edge_slots(bits)
+    key = np.flatnonzero(slots)
+    start, rank = key >> 2, key & 3
     n = len(start)
     edge = np.arange(n)
 
     # Successor: the out-edge of the target corner; at a saddle corner,
-    # which has two, the one turning left (positive cross product).
+    # which has two, the one turning left (positive cross product). Edges
+    # are sorted by start corner, so a corner's first out-edge is the
+    # number of edges leaving the corners before it.
+    count = slots.view(np.uint8)
+    degree = count[:, 0] + count[:, 1] + count[:, 2] + count[:, 3]
+    first_out = np.cumsum(degree, dtype=np.int64) - degree
     target = start + _DI[rank] * width + _DJ[rank]
-    first = np.searchsorted(start, target, side="left")
-    two_out = np.searchsorted(start, target, side="right") - first == 2
+    first = first_out[target]
     out = rank[first]
-    left = _DI[rank] * _DJ[out] - _DJ[rank] * _DI[out] > 0
-    succ = first + (two_out & ~left)
+    succ = first + ((degree[target] == 2) & ~_LEFT[rank, out])
     pred = np.empty(n, dtype=np.int64)
     pred[succ] = edge
 
-    # Label each cycle by its smallest edge: the minimum over a window of
-    # succ steps doubles each round, until a round changes nothing.
-    label, jump = edge, succ
+    # Label each cycle by its smallest edge, its head, and count how many
+    # succ steps ahead of each edge the head lies: the window of steps
+    # behind each label doubles each round, until a round changes nothing.
+    label, ahead, jump, window = edge.copy(), np.zeros(n, dtype=np.int64), succ, 1
     while True:
-        wider = np.minimum(label, label[jump])
-        if np.array_equal(wider, label):
+        further = label[jump]
+        smaller = np.flatnonzero(further < label)
+        if not smaller.size:
             break
-        label, jump = wider, jump[jump]
+        label[smaller] = further[smaller]
+        ahead[smaller] = ahead[jump[smaller]] + window
+        jump, window = jump[jump], 2 * window
 
-    # List ranking: each edge's distance from its loop's head edge.
+    # Each loop's edges in succ order from its head.
     head = label == edge
-    dist = (~head).astype(np.int64)
-    hop = np.where(head, edge, pred)
-    while not head[hop].all():
-        dist = dist + dist[hop]
-        hop = hop[hop]
-
     heads = np.flatnonzero(head)
-    sizes = np.bincount(label)[heads]
+    loop = (np.cumsum(head) - 1)[label]
+    sizes = np.bincount(loop, minlength=len(heads))
     loop_start = np.cumsum(sizes) - sizes
+    place = (loop_start + sizes)[loop] - ahead
+    place[heads] = loop_start
     order = np.empty(n, dtype=np.int64)
-    order[loop_start[np.searchsorted(heads, label)] + dist] = edge
-
-    # Exact doubled areas in cell units (x = j, y = -i); positive for
-    # counterclockwise loops, i.e. exteriors.
-    i, j = start // width, start % width
-    ti, tj = target // width, target % width
-    area2 = np.add.reduceat((i * tj - ti * j)[order], loop_start)
+    order[place] = edge
 
     # Ring vertices: loop corners where the direction changes.
     turn = (rank != rank[pred])[order]
@@ -635,29 +643,41 @@ def trace_mask_rings(m: Mask) -> RingArrays:
         within = _ramp(sizes) % np.repeat(n_vertices[loops], sizes)
         return corner[np.repeat(ring_start[loops], sizes) + within], run_offsets(sizes)
 
-    exteriors = np.flatnonzero(area2 > 0)
-    exteriors = exteriors[np.argsort(area2[exteriors], kind="stable")]
-    holes = np.flatnonzero(area2 < 0)
+    # A loop's head edge leaves its smallest corner: south down the left
+    # side of an exterior's top-left cell, east along the top of a hole's
+    # top-left false cell.
+    is_exterior = rank[heads] == 3
+    exteriors = np.flatnonzero(is_exterior)
+    holes = np.flatnonzero(~is_exterior)
     hole_exterior = np.zeros(0, dtype=np.int64)
     if holes.size:
-        # Exteriors ascend by area, so the lowest exterior index covering a
-        # cell center is the smallest exterior around that cell.
-        ext_corners, ext_offsets = closed(exteriors)
-        each = np.arange(len(exteriors) + 1)
-        cells, offsets = ragged_cell_indices(
-            *_corner_xy(grid, ext_corners), ext_offsets, each, each, grid
-        )
-        exterior_of_cell = np.repeat(np.arange(len(exteriors)), np.diff(offsets))
-        owner = np.full(n_rows * n_cols, len(exteriors))
-        np.minimum.at(owner, cells, exterior_of_cell)
-        # A hole's first edge starts at its smallest corner, so it heads
-        # east along the top of the hole's top-left false cell (i, j).
-        e0 = heads[holes]
-        hole_exterior = owner[i[e0] * n_cols + j[e0]]
+        # Ray casting: a hole's head edge is the bottom side of the true
+        # cell (i - 1, j). The top side of that cell's run of true cells up
+        # column j is an edge of the same 4-connected component, on its
+        # exterior or on a hole whose head lies higher. Following these
+        # steps ends at the component's exterior, the smallest exterior
+        # around the hole.
+        top = bits.copy()
+        top[1:] &= ~bits[:-1]
+        run_top = np.where(top, np.arange(n_rows)[:, None], -1)
+        np.maximum.accumulate(run_top, axis=0, out=run_top)
+        i, j = np.divmod(start[heads[holes]], width)
+        # The run's top side heads west from its top-right corner. The cell
+        # above the run is false, so no edge heads north from that corner:
+        # the top side is the corner's first out-edge.
+        top_right = run_top[i - 1, j] * width + j + 1
+        step = np.arange(len(heads))
+        step[holes] = loop[first_out[top_right]]
+        while True:
+            further = step[step]
+            if np.array_equal(further, step):
+                break
+            step = further
+        hole_exterior = (np.cumsum(is_exterior) - 1)[step[holes]]
 
     # Polygon of each ring: exteriors by the position of their first
     # vertex, then each exterior's holes.
-    xs, ys = _corner_xy(grid, corner[ring_start[exteriors]])
+    xs, ys = _corner_xy(grid, start[heads[exteriors]])
     position = np.empty(len(exteriors), dtype=np.int64)
     position[np.lexsort((xs, ys))] = np.arange(len(exteriors))
     polygon = np.concatenate([position, position[hole_exterior]])
@@ -668,28 +688,26 @@ def trace_mask_rings(m: Mask) -> RingArrays:
     return RingArrays(corners, ring_offsets, run_offsets(rings_per_polygon))
 
 
-def _directed_edges(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Directed boundary edges as (start corner, direction rank), sorted.
+def _edge_slots(bits: np.ndarray) -> np.ndarray:
+    """Directed boundary edges as a (corner, direction rank) bool table.
 
     A cell side survives dissolution iff its neighbor across that side is
     false (or outside); orientation is counterclockwise around the true
     region: bottom sides head east, right sides north, top sides west,
-    left sides south. Corners are flat ids ``i * (n_cols + 1) + j``;
-    edges are sorted by (start, target).
+    left sides south. Row ``i * (n_cols + 1) + j`` of the table is corner
+    (i, j), and a corner starts at most one edge of each rank, so
+    ``np.flatnonzero`` of the table lists the edges as ``start * 4 + rank``,
+    sorted by (start, target).
     """
-    padded = np.zeros((bits.shape[0] + 2, bits.shape[1] + 2), dtype=bool)
+    n_rows, n_cols = bits.shape
+    padded = np.zeros((n_rows + 2, n_cols + 2), dtype=bool)
     padded[1:-1, 1:-1] = bits
-    width = bits.shape[1] + 1
-    keys = []
-    # (rank, start corner offset from the cell's top-left corner, neighbor
-    # across the side) for right, top, bottom and left sides.
-    for rank, di, dj, neighbor in (
-        (0, 1, 1, padded[1:-1, 2:]),
-        (1, 0, 1, padded[:-2, 1:-1]),
-        (2, 1, 0, padded[2:, 1:-1]),
-        (3, 0, 0, padded[1:-1, :-2]),
-    ):
-        r, c = np.nonzero(bits & ~neighbor)
-        keys.append(((r + di) * width + c + dj) * 4 + rank)
-    key = np.sort(np.concatenate(keys))
-    return key // 4, key % 4
+    slots = np.zeros((n_rows + 1, n_cols + 1, 4), dtype=bool)
+    # Right sides start at the cell's bottom-right corner, top sides at its
+    # top-right, bottom sides at its bottom-left and left sides at its
+    # top-left.
+    slots[1:, 1:, 0] = bits & ~padded[1:-1, 2:]
+    slots[:-1, 1:, 1] = bits & ~padded[:-2, 1:-1]
+    slots[1:, :-1, 2] = bits & ~padded[2:, 1:-1]
+    slots[:-1, :-1, 3] = bits & ~padded[1:-1, :-2]
+    return slots.reshape(-1, 4)

@@ -185,6 +185,19 @@ class Mask:
         return bool(np.all(~self.bits | other.bits))
 
 
+def value_index(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending int64 values and each key's index into them (``values[index] == keys``).
+
+    While the keys span no more values than there are keys, the values are
+    that whole span, absent ones included, and no sort runs; otherwise
+    they are the distinct keys.
+    """
+    lo, hi = int(keys.min()), int(keys.max())
+    if hi - lo < keys.size:
+        return np.arange(lo, hi + 1), keys - lo
+    return np.unique(keys, return_inverse=True)
+
+
 def resample_nearest(src: CategoryRaster, target: AnalysisGrid) -> CategoryRaster:
     """Resample a categorical raster onto ``target`` by cell-center lookup.
 

@@ -40,14 +40,39 @@ RACE_KEYS = ("white", "asian", "black", "multiracial", "other")
 DEMOGRAPHIC_GROUPS = {"gender": GENDER_KEYS, "age": AGE_KEYS, "race": RACE_KEYS}
 
 
+# Every charge and every sum of charges is an int64 count of cents.
+INT64_CENTS = 2**63
+
+
 def to_cents(dollars: float | np.ndarray) -> int | np.ndarray:
     """Nearest integer cents; ties round half away from zero.
 
-    An array of dollar amounts gives an int64 array of cents.
+    An array of dollar amounts gives an int64 array of cents. An amount of
+    2^63 cents or more either way is a ValidationError.
     """
     scaled = np.asarray(dollars, dtype=np.float64) * 100.0
     cents = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
+    outside = ~(np.abs(cents) < INT64_CENTS)
+    if outside.any():
+        amount = float(scaled[outside][0]) / 100.0
+        raise ValidationError(f"a charge of {amount!r} dollars is beyond the int64 range of cents")
     return int(cents) if cents.ndim == 0 else cents.astype(np.int64)
+
+
+def sum_cents(cents: np.ndarray, reduce: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``reduce(cents)``, an int64 sum of charges per group, worked exactly.
+
+    The high and the low 32 bits of the charges are reduced apart, so
+    neither reduction can wrap below 2^31 charges, and recombined in
+    Python ints. A sum of 2^63 cents or more either way is a
+    ValidationError.
+    """
+    high = reduce(cents >> 32).tolist()
+    low = reduce(cents & 0xFFFFFFFF).tolist()
+    sums = [(h << 32) + lo for h, lo in zip(high, low)]
+    if any(abs(total) >= INT64_CENTS for total in sums):
+        raise ValidationError("a day's charges sum beyond the int64 range of cents")
+    return np.array(sums, dtype=np.int64)
 
 
 def cents_to_usd(cents: int) -> str:
@@ -456,7 +481,10 @@ def road_loss_by_day(
     order = np.argsort(key, kind="stable")
     key, items = key[order], items[order]
     starts = np.flatnonzero(np.diff(key, prepend=-1))
-    cents = np.add.reduceat(index.cents[items], starts).tolist() if starts.size else []
+    cents = (
+        sum_cents(index.cents[items], lambda c: np.add.reduceat(c, starts)).tolist()
+        if starts.size else []
+    )
     metres = _fsum_runs(index.lengths[items], starts)
     day, code = np.divmod(key[starts], n)
     cuts = np.searchsorted(day, np.arange(n_days + 1)).tolist()
@@ -558,15 +586,19 @@ def building_loss_by_day(
     A building is charged once, on the first day any of its footprint
     cells burns: the minimum of ``first_burn`` over its cells.
     """
-    cents = np.zeros(n_days, dtype=np.int64)
     if index.starts.size == 0:
-        return cents, np.zeros(n_days, dtype=np.int64)
+        return np.zeros(n_days, dtype=np.int64), np.zeros(n_days, dtype=np.int64)
     day = first_burn.ravel()[index.cells].astype(np.int64)
     day[day < 0] = n_days
     charge_day = np.minimum.reduceat(day, index.starts)
     burned = charge_day < n_days
-    np.add.at(cents, charge_day[burned], index.cents[burned])
-    return cents, np.bincount(charge_day[burned], minlength=n_days)
+
+    def by_day(part: np.ndarray) -> np.ndarray:
+        sums = np.zeros(n_days, dtype=np.int64)
+        np.add.at(sums, charge_day[burned], part)
+        return sums
+
+    return sum_cents(index.cents[burned], by_day), np.bincount(charge_day[burned], minlength=n_days)
 
 
 def building_loss(

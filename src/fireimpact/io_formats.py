@@ -52,7 +52,7 @@ from .geometry import (
     trace_mask_rings,
     unproject_to_lonlat,
 )
-from .grid import AnalysisGrid, CategoryRaster, Mask, RealRaster
+from .grid import AnalysisGrid, CategoryRaster, Mask, RealRaster, value_index
 from .impact import (
     DEMOGRAPHIC_GROUPS,
     CostModel,
@@ -527,8 +527,23 @@ _ASC_HEADER = ("xllcorner", "yllcorner", "cellsize", "ncols", "nrows", "nodata_v
 
 
 def read_ascii_grid(path: str | Path) -> CategoryRaster:
-    """Read an ESRI ASCII grid of integer class codes."""
+    """Read an ESRI ASCII grid of integer class codes.
+
+    The body is split once and each distinct token parsed once. After a
+    failure the file is read again a line at a time, so that the error
+    names the first bad line.
+    """
     path = Path(path)
+    try:
+        return _read_ascii_grid(path, _class_codes_at_once)
+    except (PipelineError, ValueError, OverflowError):
+        return _read_ascii_grid(path, _class_codes_by_line)
+
+
+def _read_ascii_grid(
+    path: Path, read_body: Callable[[str, Iterator[tuple[int, str]]], np.ndarray]
+) -> CategoryRaster:
+    """The grid in ``path``, its body read by ``read_body(file, numbered lines)``."""
     where = str(path)
     header: dict[str, str] = {}
     with _open_text(path) as fh:
@@ -543,13 +558,22 @@ def read_ascii_grid(path: str | Path) -> CategoryRaster:
         x0, y0, size = (_required(where, header, k, _finite) for k in _ASC_HEADER[:3])
         n_cols, n_rows, nodata = (_required(where, header, k, _whole) for k in _ASC_HEADER[3:])
         grid = AnalysisGrid(x0, y0, size, n_rows, n_cols)
-        values = np.concatenate([
-            parse_value(f"{path}: line {n}", "class", text, _class_codes)
-            for n, text in itertools.chain([(lineno, line)], lines)
-        ])
+        values = read_body(where, itertools.chain([(lineno, line)], lines))
     if values.size != n_rows * n_cols:
         raise FormatError(f"{path}: expected {n_rows * n_cols} values, found {values.size}")
     return CategoryRaster(grid, values.reshape(n_rows, n_cols), nodata=nodata)
+
+
+def _class_codes_at_once(where: str, lines: Iterator[tuple[int, str]]) -> np.ndarray:
+    tokens = "".join(map(operator.itemgetter(1), lines)).split()
+    codes = {token: int(token) for token in set(tokens)}
+    return np.fromiter(map(codes.__getitem__, tokens), np.int32, len(tokens))
+
+
+def _class_codes_by_line(where: str, lines: Iterator[tuple[int, str]]) -> np.ndarray:
+    return np.concatenate([
+        parse_value(f"{where}: line {n}", "class", text, _class_codes) for n, text in lines
+    ])
 
 
 def _class_codes(line: str) -> np.ndarray:
@@ -559,34 +583,38 @@ def _class_codes(line: str) -> np.ndarray:
 def write_ascii_grid(
     raster: CategoryRaster | RealRaster, path: str | Path
 ) -> None:
-    """Write an ESRI ASCII grid; reals keep 17 significant digits."""
+    """Write an ESRI ASCII grid; reals keep 17 significant digits.
+
+    Each distinct value is formatted once, into a row of a byte table:
+    its text, NUL-padded, then a space. The cells gather their rows, each
+    grid row's last space becomes a newline and the NULs are dropped.
+    Reals are told apart by their bits, so -0.0 and 0.0 keep their texts.
+    """
     path = Path(path)
     g = raster.grid
     if isinstance(raster, CategoryRaster):
         nodata: float = raster.nodata
-        # Each code is formatted once and the cells look their text up: by
-        # code - lowest code while the codes span no more values than there
-        # are cells, else through the sorted distinct codes.
-        lo, hi = int(raster.cells.min()), int(raster.cells.max())
-        if hi - lo < raster.cells.size:
-            codes, index = range(lo, hi + 1), raster.cells.astype(np.int64) - lo
-        else:
-            codes, index = np.unique(raster.cells, return_inverse=True)
-            codes = codes.tolist()
-        text = np.array(list(map(str, codes)), dtype=object)
-        rows = text[index.reshape(g.shape)].tolist()
+        keys, fmt = raster.cells.astype(np.int64), str
     else:
         nodata = -9999
-        rows = (map("{:.17g}".format, row.tolist()) for row in raster.cells)
-    with path.open("w") as fh:
-        fh.write(f"ncols {g.n_cols}\n")
-        fh.write(f"nrows {g.n_rows}\n")
-        fh.write(f"xllcorner {g.origin_x:.17g}\n")
-        fh.write(f"yllcorner {g.origin_y:.17g}\n")
-        fh.write(f"cellsize {g.cell_size:.17g}\n")
-        fh.write(f"NODATA_value {nodata}\n")
-        for row in rows:
-            fh.write(" ".join(row) + "\n")
+        keys, fmt = np.ascontiguousarray(raster.cells).view(np.int64), "{:.17g}".format
+    values, index = value_index(keys)
+    if isinstance(raster, RealRaster):
+        values = values.view(np.float64)
+    texts = np.array(list(map(fmt, values.tolist())), dtype=bytes)
+    table = np.full((len(texts), texts.itemsize + 1), ord(" "), dtype=np.uint8)
+    table[:, :-1] = texts.view(np.uint8).reshape(len(texts), -1)
+    body = np.take(table, index, axis=0).reshape(g.n_rows, -1)
+    body[:, -1] = ord("\n")
+    header = (
+        f"ncols {g.n_cols}\n"
+        f"nrows {g.n_rows}\n"
+        f"xllcorner {g.origin_x:.17g}\n"
+        f"yllcorner {g.origin_y:.17g}\n"
+        f"cellsize {g.cell_size:.17g}\n"
+        f"NODATA_value {nodata}\n"
+    )
+    path.write_bytes(header.encode() + body.tobytes().replace(b"\0", b""))
 
 
 def mask_to_category(mask: Mask) -> CategoryRaster:
@@ -1050,24 +1078,29 @@ def write_daily_perimeters_geojson(
         np.array(_json(values.tolist())[1:-1].split(","), dtype=object)
         for values in (lons, lats)
     )
-    i, j = np.divmod(rings.corners, grid.n_cols + 1)
-    vertices = (("[" + lon_text + ",")[j] + (lat_text + "]")[i]).tolist()
-    polygons = _json_arrays(_json_arrays(vertices, rings.ring_offsets), rings.polygon_offsets)
     properties = _json(
         {"district": district, "date": day.date.isoformat(), "kind": "new_burn"}
     )
-    features = ",".join(
-        '{"geometry":{"coordinates":' + coordinates + ',"type":"Polygon"},"properties":'
-        + properties + ',"type":"Feature"}'
-        for coordinates in polygons
-    )
-    Path(path).write_text('{"features":[' + features + '],"type":"FeatureCollection"}\n')
-
-
-def _json_arrays(items: list[str], offsets: np.ndarray) -> list[str]:
-    """The JSON array of each run ``items[offsets[k]:offsets[k + 1]]``."""
-    bounds = offsets.tolist()
-    return ["[" + ",".join(items[a:b]) + "]" for a, b in zip(bounds, bounds[1:])]
+    head = '{"geometry":{"coordinates":'
+    tail = ',"type":"Polygon"},"properties":' + properties + ',"type":"Feature"}'
+    # Each vertex is three tokens: what precedes it, "[lon," and "lat]".
+    # What precedes it closes the previous ring or feature and opens its
+    # own, taken from the ring and polygon offsets.
+    n = len(rings.corners)
+    tokens = np.empty(3 * n + 1, dtype=object)
+    before = tokens[0:-1:3]
+    before[:] = ","
+    before[rings.ring_offsets[1:-1]] = "],["
+    before[rings.ring_offsets[rings.polygon_offsets[1:-1]]] = "]]" + tail + "," + head + "[["
+    i, j = np.divmod(rings.corners, grid.n_cols + 1)
+    tokens[1::3] = ("[" + lon_text + ",")[j]
+    tokens[2::3] = (lat_text + "]")[i]
+    if n:
+        tokens[0] = '{"features":[' + head + "[["
+        tokens[-1] = "]]" + tail + '],"type":"FeatureCollection"}\n'
+    else:
+        tokens[-1] = '{"features":[],"type":"FeatureCollection"}\n'
+    Path(path).write_text("".join(tokens.tolist()))
 
 
 # ---------------------------------------------------------------------------

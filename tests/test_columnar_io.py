@@ -9,6 +9,7 @@ coordinates, the same error text and the same bytes.
 import csv
 import datetime as dt
 import gc
+import itertools
 import json
 import math
 from pathlib import Path
@@ -34,13 +35,17 @@ from fireimpact.geometry import (
 from fireimpact.grid import AnalysisGrid, CategoryRaster, Mask, RealRaster
 from fireimpact.impact import BuildingFeature, District, PoiFeature, Pois, RoadFeature, Roads
 from fireimpact.io_formats import (
+    _ASC_HEADER,
+    _finite,
     _load_json,
     _number,
     _object,
     _open_text,
     _required,
     _text,
+    _whole,
     parse_value,
+    read_ascii_grid,
     read_blocks,
     read_buildings,
     read_detections,
@@ -876,6 +881,95 @@ class TestLoadJson:
 
 
 # ---------------------------------------------------------------------------
+# Land cover grid reader
+# ---------------------------------------------------------------------------
+
+
+def reference_read_ascii_grid(path: str | Path) -> CategoryRaster:
+    """The former reader: one ``int()`` per token, a line at a time."""
+    path = Path(path)
+    where = str(path)
+    header: dict[str, str] = {}
+    with _open_text(path) as fh:
+        lines = enumerate(fh, start=1)
+        for lineno, line in lines:
+            parts = line.split()
+            if len(parts) != 2 or parts[0].lower() not in _ASC_HEADER:
+                break
+            header[parts[0].lower()] = parts[1]
+        else:
+            lineno, line = 0, ""
+        x0, y0, size = (_required(where, header, k, _finite) for k in _ASC_HEADER[:3])
+        n_cols, n_rows, nodata = (_required(where, header, k, _whole) for k in _ASC_HEADER[3:])
+        grid = AnalysisGrid(x0, y0, size, n_rows, n_cols)
+        values = np.concatenate([
+            parse_value(f"{path}: line {n}", "class", text, reference_class_codes)
+            for n, text in itertools.chain([(lineno, line)], lines)
+        ])
+    if values.size != n_rows * n_cols:
+        raise FormatError(f"{path}: expected {n_rows * n_cols} values, found {values.size}")
+    return CategoryRaster(grid, values.reshape(n_rows, n_cols), nodata=nodata)
+
+
+def reference_class_codes(line: str) -> np.ndarray:
+    return np.array([int(t) for t in line.split()], dtype=np.int32)
+
+
+# Tokens int() reads that a plain digit parser would not, and tokens it or
+# int32 rejects.
+ODD_TOKENS = ["+5", "1_0", "\u0663", "\uff11\uff12", "-0", "007", "2147483647", "-2147483648",
+              "2147483648", "-2147483649", "4.5", "abc", "_1", "1__0", "0x10", "5-"]
+
+
+@st.composite
+def class_grid_texts(draw):
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    token = st.one_of(
+        st.integers(-(2**31), 2**31 - 1).map(str),
+        st.integers(-3, 99).map(str),
+        st.sampled_from(ODD_TOKENS),
+    )
+    sep = draw(st.sampled_from([" ", "\t", "  "]))
+    rows = []
+    for _ in range(n_rows + draw(st.sampled_from([0, 0, 0, -1, 1]))):
+        width = n_cols + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+        rows.append(sep.join(draw(st.lists(token, min_size=width, max_size=width))))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    header = (f"ncols {n_cols}", f"nrows {n_rows}", "xllcorner 0", "yllcorner 0",
+              "cellsize 20", "NODATA_value -1")
+    return end.join([*header, *rows]) + draw(st.sampled_from(["", end, end + end]))
+
+
+def read_outcome(read, path):
+    """The raster's grid, nodata and cells, or the type and text of the error."""
+    try:
+        raster = read(path)
+    except Exception as exc:  # the outcome compared may be any error
+        return type(exc), str(exc)
+    return raster.grid, raster.nodata, raster.cells.dtype, raster.cells.tolist()
+
+
+class TestReadAsciiGridMatchesReference:
+    @given(class_grid_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_same_cells_or_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("asc") / "landcover.asc"
+        path.write_bytes(text.encode())
+        assert read_outcome(read_ascii_grid, path) == read_outcome(reference_read_ascii_grid, path)
+
+    @pytest.mark.parametrize("token", ODD_TOKENS)
+    def test_each_odd_token_on_line_9(self, tmp_path, token):
+        rows = ["1 2", "3 4", f"5 {token}"]
+        path = tmp_path / "landcover.asc"
+        path.write_text("ncols 2\nnrows 3\nxllcorner 0\nyllcorner 0\ncellsize 20\n"
+                        "NODATA_value -1\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        want = read_outcome(reference_read_ascii_grid, path)
+        assert read_outcome(read_ascii_grid, path) == want
+        if want[0] is FormatError:
+            assert "line 9" in want[1]
+
+
+# ---------------------------------------------------------------------------
 # Writers
 # ---------------------------------------------------------------------------
 
@@ -932,15 +1026,20 @@ class TestWritersMatchReference:
     @given(
         GRIDS,
         st.integers(0, 2**32 - 1),
-        st.sampled_from([(0, 1), (-1, 1), (-9999, 95), (-(2**31), 2**31 - 1)]),
+        st.sampled_from([(0, 1), (-1, 1), (-9999, 95), (-(2**31), 2**31 - 1), "widths"]),
         st.integers(-(2**31), 2**31 - 1),
     )
     @settings(max_examples=150, deadline=None)
     def test_class_grid_bytes(self, tmp_path_factory, grid, seed, code_range, nodata):
         out = tmp_path_factory.mktemp("asc")
         rng = np.random.default_rng(seed)
-        lo, hi = code_range
-        cells = rng.integers(lo, hi, grid.shape, endpoint=True)
+        if code_range == "widths":
+            # Texts of every width from 1 to 11 characters in one grid.
+            codes = [0, -1, 42, -42, 950, -9999, 123456, -2**31, 2**31 - 1, 7, 10**9]
+            cells = rng.choice(codes, grid.shape)
+        else:
+            lo, hi = code_range
+            cells = rng.integers(lo, hi, grid.shape, endpoint=True)
         if rng.random() < 0.5:
             cells = np.where(rng.random(grid.shape) < 0.3, nodata, cells)
         raster = CategoryRaster(grid, cells, nodata=nodata)
@@ -955,6 +1054,26 @@ class TestWritersMatchReference:
         reference_write_ascii_grid(raster, tmp_path / "ref.asc")
         assert (tmp_path / "new.asc").read_bytes() == (tmp_path / "ref.asc").read_bytes()
         assert (tmp_path / "new.asc").read_text().endswith(f"NODATA_value -1\n{value}\n")
+
+    @given(GRIDS, st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_real_grid_bytes_of_special_values(self, tmp_path_factory, grid, seed):
+        # Signed zeros (one value, two bit patterns), subnormals, the
+        # smallest normal and the extremes. RealRaster rejects inf and nan.
+        out = tmp_path_factory.mktemp("asc")
+        rng = np.random.default_rng(seed)
+        values = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                  1.7976931348623157e308, -1.7976931348623157e308, 0.1, -1.0, 1e16]
+        cells = rng.choice(values, grid.shape)
+        raster = RealRaster(grid, cells)
+        write_ascii_grid(raster, out / "new.asc")
+        reference_write_ascii_grid(raster, out / "ref.asc")
+        assert (out / "new.asc").read_bytes() == (out / "ref.asc").read_bytes()
+
+    def test_real_grid_keeps_the_sign_of_zero(self, tmp_path):
+        raster = RealRaster(AnalysisGrid(0, 0, 20, 2, 2), np.array([[0.0, -0.0], [-0.0, 5e-324]]))
+        write_ascii_grid(raster, tmp_path / "z.asc")
+        assert (tmp_path / "z.asc").read_text().endswith("\n0 -0\n-0 4.9406564584124654e-324\n")
 
     @given(GRIDS, st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)

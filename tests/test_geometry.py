@@ -9,19 +9,27 @@ from hypothesis import strategies as st
 from fireimpact import geometry
 from fireimpact.errors import GeometryError
 from fireimpact.geometry import (
+    _DI,
+    _DJ,
     Point,
     PolygonLayer,
     PolyLine,
     Polygon,
+    RingArrays,
+    _corner_xy,
+    _ramp,
     features_cell_indices,
     point_in_polygon,
     points_in_polygon,
     polygon_area,
     project_lonlat,
     rasterize_polygons,
+    ragged_cell_indices,
     rasterize_polyline,
+    run_offsets,
     segment_sums,
     trace_mask_boundary,
+    trace_mask_rings,
     unproject_to_lonlat,
 )
 from fireimpact.grid import AnalysisGrid, Mask
@@ -738,7 +746,7 @@ class TestHoleMatching:
         assert polys == reference_trace_mask_boundary(m)
         assert sum(len(p.holes) for p in polys) >= 100
 
-    def test_one_rasterizer_call_and_no_pnpoly(self):
+    def test_no_rasterizer_call_and_no_pnpoly(self):
         g = AnalysisGrid(0, 0, 20, 9, 9)
         m = Mask(g, nested_squares(9))
         with mock.patch.object(
@@ -747,7 +755,7 @@ class TestHoleMatching:
             geometry, "points_in_polygon", side_effect=AssertionError("PNPOLY scan")
         ):
             polys = trace_mask_boundary(m)
-        assert rasterizer.call_count == 1
+        assert rasterizer.call_count == 0
         assert sum(len(p.holes) for p in polys) == 2
 
 
@@ -779,6 +787,191 @@ class TestArrayTracer:
         polys = trace_mask_boundary(m)
         assert polys == reference_trace_mask_boundary(m, owner_raster=True)
         assert sum(len(p.holes) for p in polys) > 1000
+
+
+def reference_trace_mask_rings(m: Mask) -> RingArrays:
+    """The former array tracer, whose holes find their exterior through one
+    rasterization of every exterior (an owner raster).
+
+    Vectorize a mask into polygons that follow cell edges.
+
+    Each true cell contributes its square; shared edges dissolve. Loops
+    are oriented with the true region on the left, so exteriors come out
+    counterclockwise and holes clockwise; each hole is attached to the
+    smallest exterior that contains it. At corners where two true cells
+    touch only diagonally the trace keeps them in separate loops, which
+    keeps every ring simple. Rasterizing the result reproduces ``m``.
+
+    Loops are the cycles of a successor map on directed boundary edges
+    (left turns at saddle corners), found by pointer doubling and list
+    ranking, so no Python loop runs over edges or corners. Each ring
+    starts at its loop's smallest corner and keeps only the corners where
+    the direction changes. Polygons are ordered by the (y, x) of their
+    exterior's first vertex; holes follow their exterior in loop order,
+    loops being ordered by (smallest corner, first target).
+    """
+    grid = m.grid
+    n_rows, n_cols = m.bits.shape
+    width = n_cols + 1
+    start, rank = reference_directed_edges(m.bits)
+    n = len(start)
+    edge = np.arange(n)
+
+    # Successor: the out-edge of the target corner; at a saddle corner,
+    # which has two, the one turning left (positive cross product).
+    target = start + _DI[rank] * width + _DJ[rank]
+    first = np.searchsorted(start, target, side="left")
+    two_out = np.searchsorted(start, target, side="right") - first == 2
+    out = rank[first]
+    left = _DI[rank] * _DJ[out] - _DJ[rank] * _DI[out] > 0
+    succ = first + (two_out & ~left)
+    pred = np.empty(n, dtype=np.int64)
+    pred[succ] = edge
+
+    # Label each cycle by its smallest edge: the minimum over a window of
+    # succ steps doubles each round, until a round changes nothing.
+    label, jump = edge, succ
+    while True:
+        wider = np.minimum(label, label[jump])
+        if np.array_equal(wider, label):
+            break
+        label, jump = wider, jump[jump]
+
+    # List ranking: each edge's distance from its loop's head edge.
+    head = label == edge
+    dist = (~head).astype(np.int64)
+    hop = np.where(head, edge, pred)
+    while not head[hop].all():
+        dist = dist + dist[hop]
+        hop = hop[hop]
+
+    heads = np.flatnonzero(head)
+    sizes = np.bincount(label)[heads]
+    loop_start = np.cumsum(sizes) - sizes
+    order = np.empty(n, dtype=np.int64)
+    order[loop_start[np.searchsorted(heads, label)] + dist] = edge
+
+    # Exact doubled areas in cell units (x = j, y = -i); positive for
+    # counterclockwise loops, i.e. exteriors.
+    i, j = start // width, start % width
+    ti, tj = target // width, target % width
+    area2 = np.add.reduceat((i * tj - ti * j)[order], loop_start)
+
+    # Ring vertices: loop corners where the direction changes.
+    turn = (rank != rank[pred])[order]
+    corner = start[order][turn]
+    n_vertices = np.add.reduceat(turn.astype(np.int64), loop_start)
+    ring_start = np.cumsum(n_vertices) - n_vertices
+
+    def closed(loops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The loops' corners, each ring closed, and their ring offsets."""
+        sizes = n_vertices[loops] + 1
+        within = _ramp(sizes) % np.repeat(n_vertices[loops], sizes)
+        return corner[np.repeat(ring_start[loops], sizes) + within], run_offsets(sizes)
+
+    exteriors = np.flatnonzero(area2 > 0)
+    exteriors = exteriors[np.argsort(area2[exteriors], kind="stable")]
+    holes = np.flatnonzero(area2 < 0)
+    hole_exterior = np.zeros(0, dtype=np.int64)
+    if holes.size:
+        # Exteriors ascend by area, so the lowest exterior index covering a
+        # cell center is the smallest exterior around that cell.
+        ext_corners, ext_offsets = closed(exteriors)
+        each = np.arange(len(exteriors) + 1)
+        cells, offsets = ragged_cell_indices(
+            *_corner_xy(grid, ext_corners), ext_offsets, each, each, grid
+        )
+        exterior_of_cell = np.repeat(np.arange(len(exteriors)), np.diff(offsets))
+        owner = np.full(n_rows * n_cols, len(exteriors))
+        np.minimum.at(owner, cells, exterior_of_cell)
+        # A hole's first edge starts at its smallest corner, so it heads
+        # east along the top of the hole's top-left false cell (i, j).
+        e0 = heads[holes]
+        hole_exterior = owner[i[e0] * n_cols + j[e0]]
+
+    # Polygon of each ring: exteriors by the position of their first
+    # vertex, then each exterior's holes.
+    xs, ys = _corner_xy(grid, corner[ring_start[exteriors]])
+    position = np.empty(len(exteriors), dtype=np.int64)
+    position[np.lexsort((xs, ys))] = np.arange(len(exteriors))
+    polygon = np.concatenate([position, position[hole_exterior]])
+    is_hole = np.arange(len(polygon)) >= len(exteriors)
+    loops = np.concatenate([exteriors, holes])[np.lexsort((is_hole, polygon))]
+    corners, ring_offsets = closed(loops)
+    rings_per_polygon = np.bincount(polygon, minlength=len(exteriors))
+    return RingArrays(corners, ring_offsets, run_offsets(rings_per_polygon))
+
+
+def reference_directed_edges(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Directed boundary edges as (start corner, direction rank), sorted.
+
+    A cell side survives dissolution iff its neighbor across that side is
+    false (or outside); orientation is counterclockwise around the true
+    region: bottom sides head east, right sides north, top sides west,
+    left sides south. Corners are flat ids ``i * (n_cols + 1) + j``;
+    edges are sorted by (start, target).
+    """
+    padded = np.zeros((bits.shape[0] + 2, bits.shape[1] + 2), dtype=bool)
+    padded[1:-1, 1:-1] = bits
+    width = bits.shape[1] + 1
+    keys = []
+    # (rank, start corner offset from the cell's top-left corner, neighbor
+    # across the side) for right, top, bottom and left sides.
+    for rank, di, dj, neighbor in (
+        (0, 1, 1, padded[1:-1, 2:]),
+        (1, 0, 1, padded[:-2, 1:-1]),
+        (2, 1, 0, padded[2:, 1:-1]),
+        (3, 0, 0, padded[1:-1, :-2]),
+    ):
+        r, c = np.nonzero(bits & ~neighbor)
+        keys.append(((r + di) * width + c + dj) * 4 + rank)
+    key = np.sort(np.concatenate(keys))
+    return key // 4, key % 4
+
+
+@st.composite
+def tracer_masks(draw):
+    """Masks of every shape the tracer's cases turn on: random densities,
+    saddles at most corners, nested islands and holes, true cells on the
+    grid border, single rows and columns, and empty and full masks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "saddle", "nested", "border", "empty", "full"]))
+    n_rows, n_cols = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    shape = draw(st.sampled_from(["any", "row", "column"]))
+    if shape == "row":
+        n_rows = 1
+    elif shape == "column":
+        n_cols = 1
+    if kind == "nested":
+        n_rows = n_cols = max(n_rows, n_cols)
+    r, c = np.indices((n_rows, n_cols))
+    noise = rng.random((n_rows, n_cols)) < draw(st.floats(0.0, 1.0))
+    bits = {
+        "random": noise,
+        "saddle": ((r + c) % 2 == 0) ^ (rng.random((n_rows, n_cols)) < 0.1),
+        "nested": nested_squares(n_rows),
+        "border": noise | (r == 0) | (c == 0) | (r == n_rows - 1) | (c == n_cols - 1),
+        "empty": np.zeros((n_rows, n_cols), dtype=bool),
+        "full": np.ones((n_rows, n_cols), dtype=bool),
+    }[kind]
+    g = random_grid(rng)
+    return Mask(AnalysisGrid(g.origin_x, g.origin_y, g.cell_size, n_rows, n_cols), bits)
+
+
+class TestRingArraysMatchReference:
+    @given(tracer_masks())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_ring_arrays(self, m):
+        got, want = trace_mask_rings(m), reference_trace_mask_rings(m)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+    def test_benchmark_sized_dense_mask(self):
+        rng = np.random.default_rng(11)
+        m = Mask(AnalysisGrid(0, 0, 20, 208, 416), rng.random((208, 416)) < 0.62)
+        got, want = trace_mask_rings(m), reference_trace_mask_rings(m)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def reference_point_in_polygon(p, poly):

@@ -18,6 +18,7 @@ from fireimpact.impact import (
     BuildingFeature,
     BuildingIndex,
     CostModel,
+    RoadIndex,
     DailyImpactRecord,
     Demographics,
     PoiFeature,
@@ -29,6 +30,7 @@ from fireimpact.impact import (
     land_use_loss,
     poi_exposure,
     population_exposure,
+    road_loss_by_day,
     summarize,
     to_cents,
 )
@@ -543,3 +545,47 @@ class TestCents:
         assert to_cents(1.005) in (100, 101)  # float representation decides
         assert to_cents(2.0) == 200
         assert to_cents(0.125) == 13
+
+    @pytest.mark.parametrize("dollars", [1e17, 1e20, float("inf"), float("nan")])
+    def test_charge_beyond_int64_is_an_error(self, dollars):
+        for amount in (dollars, -dollars, np.array([1.0, dollars])):
+            with pytest.raises(ValidationError, match="beyond the int64 range of cents"):
+                to_cents(amount)
+
+    def test_largest_charge_below_2_63(self):
+        largest = np.nextafter(2.0**63, 0) / 100.0
+        assert to_cents(np.array([largest, -largest])).tolist() == [
+            int(np.nextafter(2.0**63, 0)), -int(np.nextafter(2.0**63, 0))
+        ]
+
+    def test_day_sums_are_exact_up_to_int64(self):
+        g = grid(4)
+        first = first_burn_raster(g, {(0, 0): 0, (0, 1): 0, (0, 2): 1})
+        index = BuildingIndex(
+            cells=np.array([0, 1, 2], dtype=np.int64),
+            starts=np.array([0, 1, 2], dtype=np.int64),
+            cents=np.array([2**62, 2**62 - 1, 2**62], dtype=np.int64),
+        )
+        cents, counts = building_loss_by_day(index, first, 2)
+        assert cents.tolist() == [2**63 - 1, 2**62] and counts.tolist() == [2, 1]
+
+        roads = RoadIndex(np.array([0, 1, 2]), np.ones(3), np.zeros(3, dtype=np.int64),
+                          np.array([2**62, 2**62 - 1, 2**62]), ["residential"])
+        burns = [np.array([True, True, False, False]), np.array([False, False, True, False])]
+        assert [c for c, _ in road_loss_by_day(roads, burns, 2)] == [
+            {"residential": 2**63 - 1}, {"residential": 2**62}
+        ]
+
+    def test_day_sum_beyond_int64_is_an_error(self):
+        g = grid(4)
+        index = BuildingIndex(
+            cells=np.array([0, 1], dtype=np.int64),
+            starts=np.array([0, 1], dtype=np.int64),
+            cents=np.array([2**62, 2**62], dtype=np.int64),
+        )
+        with pytest.raises(ValidationError, match="sum beyond the int64 range of cents"):
+            building_loss_by_day(index, first_burn_raster(g, {(0, 0): 0, (0, 1): 0}), 1)
+        roads = RoadIndex(np.array([0, 1]), np.ones(2), np.zeros(2, dtype=np.int64),
+                          np.array([2**62, 2**62]), ["residential"])
+        with pytest.raises(ValidationError, match="sum beyond the int64 range of cents"):
+            list(road_loss_by_day(roads, [np.ones(4, dtype=bool)], 1))

@@ -237,6 +237,17 @@ DISAGREEING = [
     ("grid-misses-districts", "manifest.json",
      lambda p: edit_json(p, lambda d: d["grid"].update(origin_x=1e6)),
      1, "district 'district-a': official perimeter captures no cell center"),
+    # Each 64 m² building is charged 6.4e18 cents, below 2^63; a day that
+    # burns two sums beyond it.
+    ("building-day-sum-beyond-int64", "costs.json",
+     lambda p: edit_json(p, lambda d: d.update(building_cost=1e15)),
+     1, "a day's charges sum beyond the int64 range of cents"),
+    ("road-charge-beyond-int64", "costs.json",
+     lambda p: edit_json(p, lambda d: d["road_cost"].update(residential=1e20)),
+     1, "a charge of "),
+    ("land-charge-infinite", "costs.json",
+     lambda p: edit_json(p, lambda d: d["land_cost"].update({"21": 1e308})),
+     1, "a charge of inf dollars is beyond the int64 range of cents"),
 ]
 
 
