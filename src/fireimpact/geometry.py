@@ -188,11 +188,6 @@ def points_in_polygon(xs: np.ndarray, ys: np.ndarray, poly: Polygon) -> np.ndarr
     return inside
 
 
-def point_in_polygon(p: Point, poly: Polygon) -> bool:
-    """Even-odd membership of one point (see :func:`points_in_polygon`)."""
-    return bool(points_in_polygon(np.array([p.x]), np.array([p.y]), poly)[0])
-
-
 def rasterize_polygons(polys: list[Polygon], grid: AnalysisGrid) -> Mask:
     """Mask of cells whose centers lie inside any of the polygons (even-odd)."""
     cells, _ = features_cell_indices([polys], grid)
@@ -536,23 +531,6 @@ class RingArrays(NamedTuple):
     corners: np.ndarray
     ring_offsets: np.ndarray
     polygon_offsets: np.ndarray
-
-
-def trace_mask_boundary(m: Mask) -> list[Polygon]:
-    """The polygons of :func:`trace_mask_rings`, as :class:`Polygon` objects."""
-    rings = trace_mask_rings(m)
-    xs, ys = _corner_xy(m.grid, rings.corners)
-    pts = list(zip(xs.tolist(), ys.tolist()))
-    ring_offsets = rings.ring_offsets.tolist()
-
-    def ring(r: int) -> list[tuple[float, float]]:
-        return pts[ring_offsets[r]:ring_offsets[r + 1]]
-
-    bounds = rings.polygon_offsets.tolist()
-    return [
-        Polygon(ring(first), [ring(r) for r in range(first + 1, stop)])
-        for first, stop in zip(bounds, bounds[1:])
-    ]
 
 
 def _corner_xy(grid: AnalysisGrid, corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,7 @@ roads, and buildings, exposure counts for POIs and population, and a
 demographic breakdown. Dollar amounts are carried as exact integer
 cents so that any partition of a mask accounts to the same totals.
 The ``*_by_day`` accountants reduce a whole run of days at once, from
-indexes built once per run; the single-day ones wrap them.
+indexes built once per run.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .geometry import (
     run_offsets,
     segment_sums,
 )
-from .grid import AnalysisGrid, CategoryRaster, Mask, RealRaster
+from .grid import AnalysisGrid, CategoryRaster, RealRaster
 
 GENDER_KEYS = ("female", "male")
 AGE_KEYS = ("age_0_17", "age_18_64", "age_65_plus")
@@ -441,11 +441,12 @@ def land_use_loss_by_day(
     landcover: CategoryRaster,
     costs: CostModel,
 ) -> Iterator[dict[int, int]]:
-    """:func:`land_use_loss` of each day's cells, yielded day by day.
+    """Cents lost per land class in each day's cells, yielded day by day.
 
-    One count of the burned cells per (day, class) serves every day. A
-    burned class with no land cost raises when the first day that burns it
-    is reached, naming the smallest such class of that day.
+    Cents are rounded once per cell, ``to_cents(cost * cell area)``; keys
+    come in sorted class order, and nodata cells cost nothing. A burned
+    class with no land cost raises when the first day that burns it is
+    reached, naming the smallest such class of that day.
     """
     cells, offsets = items_by_day(np.arange(landcover.cells.size), burns, n_days)
     classes, index = np.unique(landcover.cells.ravel()[cells], return_inverse=True)
@@ -467,11 +468,12 @@ def land_use_loss_by_day(
 def road_loss_by_day(
     index: RoadIndex, burns: np.ndarray | list[np.ndarray], n_days: int
 ) -> Iterator[tuple[dict[str, int], dict[str, float]]]:
-    """:func:`road_loss` of each day's cells, yielded day by day.
+    """Burned road cents and length per class in each day's cells, day by day.
 
-    Cents are int64 sums and lengths ``math.fsum`` totals per (day, class)
-    of the pieces in the day's cells. An unpriced road class raises on the
-    first day, whatever burns.
+    Cents are rounded once per piece and summed exactly, lengths with
+    ``math.fsum``: neither depends on the order of the roads, and both
+    dicts are keyed in sorted class order. An unpriced road class raises
+    on the first day, whatever burns.
     """
     if index.unpriced is not None:
         raise UnpricedClassError(f"no road cost for class {index.unpriced!r}")
@@ -496,7 +498,8 @@ def road_loss_by_day(
 def poi_exposure_by_day(
     index: PoiIndex, burns: np.ndarray | list[np.ndarray], n_days: int
 ) -> list[dict[str, int]]:
-    """:func:`poi_exposure` of each day's cells, from one count per (day, category)."""
+    """Counts of the POIs in each day's cells per category, keyed in sorted
+    order whatever the order of the POIs."""
     items, offsets = items_by_day(index.cells, burns, n_days)
     n = len(index.categories)
     key = item_days(offsets) * n + index.codes[items]
@@ -510,38 +513,13 @@ def poi_exposure_by_day(
 def population_exposure_by_day(
     popgrid: RealRaster, burns: np.ndarray | list[np.ndarray], n_days: int
 ) -> np.ndarray:
-    """:func:`population_exposure` of each day's cells.
+    """Persons in each day's cells.
 
     Each day's cells are summed in row-major order, with the bits of that
     day's ``ndarray.sum()``.
     """
     cells, offsets = items_by_day(np.arange(popgrid.cells.size), burns, n_days)
     return segment_sums(popgrid.cells.ravel()[cells], offsets[:-1], np.diff(offsets))
-
-
-def land_use_loss(
-    new_burn: Mask, landcover: CategoryRaster, costs: CostModel
-) -> dict[int, int]:
-    """Cents lost per land class: burned cell count x cell area x unit cost."""
-    if landcover.grid != new_burn.grid:
-        raise ValidationError("landcover and mask are not on the same grid")
-    [out] = land_use_loss_by_day([new_burn.bits], 1, landcover, costs)
-    return out
-
-
-def road_loss(
-    new_burn: Mask, roads: "list[RoadFeature] | Roads", costs: CostModel
-) -> tuple[dict[str, int], dict[str, float]]:
-    """Burned road length and cents per road class.
-
-    Length inside the burn is the exactly rounded sum of per-cell clipped
-    lengths over burned cells; each cell's cents are rounded once so
-    partitions of the mask account exactly. Neither depends on the order
-    of ``roads``; both dicts are keyed in sorted class order.
-    """
-    index = RoadIndex.build(roads, new_burn.grid, costs)
-    [out] = road_loss_by_day(index, [new_burn.bits], 1)
-    return out
 
 
 @dataclass(frozen=True)
@@ -584,7 +562,8 @@ def building_loss_by_day(
     """Cents and count of buildings charged on each of ``n_days`` days.
 
     A building is charged once, on the first day any of its footprint
-    cells burns: the minimum of ``first_burn`` over its cells.
+    cells burns: the minimum of ``first_burn`` over its cells. Cents are
+    rounded once per building and summed exactly, in any building order.
     """
     if index.starts.size == 0:
         return np.zeros(n_days, dtype=np.int64), np.zeros(n_days, dtype=np.int64)
@@ -601,40 +580,6 @@ def building_loss_by_day(
     return sum_cents(index.cents[burned], by_day), np.bincount(charge_day[burned], minlength=n_days)
 
 
-def building_loss(
-    cumulative_before: Mask,
-    new_burn: Mask,
-    buildings: list[BuildingFeature],
-    costs: CostModel,
-) -> tuple[int, int]:
-    """Cents and count of buildings first touched by fire today.
-
-    A building is charged once, on the first date any of its footprint
-    cells (center rule) is newly burned; later days skip it.
-    """
-    index = BuildingIndex.build(buildings, new_burn.grid, costs)
-    # A cell burned before today stays day 0 even if today's mask covers it too.
-    first = np.where(cumulative_before.bits, 0, np.where(new_burn.bits, 1, -1))
-    cents, counts = building_loss_by_day(index, first, 2)
-    return int(cents[1]), int(counts[1])
-
-
-def poi_exposure(new_burn: Mask, pois: "list[PoiFeature] | Pois") -> dict[str, int]:
-    """Counts of POIs whose containing cell is newly burned, per category.
-
-    Keyed in sorted category order, whatever the order of ``pois``.
-    """
-    [out] = poi_exposure_by_day(PoiIndex.build(pois, new_burn.grid), [new_burn.bits], 1)
-    return out
-
-
-def population_exposure(new_burn: Mask, popgrid: RealRaster) -> float:
-    """Persons in newly burned cells."""
-    if popgrid.grid != new_burn.grid:
-        raise ValidationError("population grid and mask are not on the same grid")
-    return float(population_exposure_by_day(popgrid, [new_burn.bits], 1)[0])
-
-
 def demographic_breakdown_by_day(
     day: np.ndarray,
     block_ids: list[str],
@@ -643,15 +588,15 @@ def demographic_breakdown_by_day(
     block_tracts: dict[str, str],
     tract_demo: dict[str, TractDemographics],
 ) -> Iterator[Demographics]:
-    """:func:`demographic_breakdown` of each day, yielded day by day.
+    """Each day's exposed persons by gender, age and race, day by day.
 
     Block ``block_ids[j]`` exposes ``exposed[j]`` persons on day
     ``day[j]``, each day's blocks in order. Each (day, tract) is summed
-    with ``math.fsum``, and the tracts are weighted in sorted order for
-    all days at once: a tract absent on a day adds 0.0, which leaves a
-    total of non-negative terms as it is. A block with no tract, then a
-    tract with no demographics, raises when the first day that exposes it
-    is reached.
+    with ``math.fsum``, whatever the order of its blocks, and the tracts
+    are weighted by their shares in sorted order for all days at once: a
+    tract absent on a day adds 0.0, which leaves a total of non-negative
+    terms as it is. A block with no tract, then a tract with no
+    demographics, raises when the first day that exposes it is reached.
     """
     hit = exposed != 0.0
     day, exposed = day[hit], exposed[hit]
@@ -692,26 +637,6 @@ def demographic_breakdown_by_day(
         yield Demographics(
             **{group: dict(zip(keys, counts)) for group, keys in DEMOGRAPHIC_GROUPS.items()}
         )
-
-
-def demographic_breakdown(
-    exposure_by_block: dict[str, float],
-    block_tracts: dict[str, str],
-    tract_demo: dict[str, TractDemographics],
-) -> Demographics:
-    """Split exposed persons into gender/age/race counts via tract shares.
-
-    Each group's counts sum back to the total exposure (to rounding),
-    because every tract's shares sum to one. A tract's exposure is the
-    exactly rounded sum of its blocks' exposures, and tracts are weighted
-    in sorted order, so the counts do not depend on the order of the blocks.
-    """
-    n = len(exposure_by_block)
-    [out] = demographic_breakdown_by_day(
-        np.zeros(n, dtype=np.int64), list(exposure_by_block),
-        np.fromiter(exposure_by_block.values(), np.float64, n), 1, block_tracts, tract_demo,
-    )
-    return out
 
 
 @dataclass(frozen=True)

@@ -213,6 +213,8 @@ def read_manifest(path: str | Path) -> FileManifest:
         _required(where, doc, key, dt.date.fromisoformat) if key in doc else None
         for key in ("start_date", "end_date")
     )
+    if start and end and end < start:
+        raise ValidationError(f"{path}: end_date {end} is before start_date {start}")
     return FileManifest(
         origin_lon=_required(where, doc, "origin_lon", _number),
         origin_lat=_required(where, doc, "origin_lat", _number),

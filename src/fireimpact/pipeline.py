@@ -23,7 +23,7 @@ from .dasymetric import (
 )
 from .errors import ValidationError
 from .geometry import PolygonLayer, points_in_polygon, segment_sums
-from .grid import CategoryRaster, Mask
+from .grid import CategoryRaster
 from .impact import (
     BuildingFeature,
     BuildingIndex,
@@ -267,9 +267,9 @@ def block_exposures(
     day's cells, day by day, blocks in order (see
     :func:`fireimpact.impact.items_by_day` for ``burns``).
 
-    The allocation entries in each day's cells are taken in allocation
-    order, so each (day, block) run is summed by one segment sum, as
-    :func:`exposure_by_block` sums a block's cells.
+    A block's exposure is its own shares of the day's cells, summed in
+    allocation order with the bits of ``ndarray.sum``: a centroid cell that
+    several fallback blocks share charges each its own population.
     """
     cells = report.rows * n_cols + report.cols
     items, offsets = items_by_day(cells, burns, n_days)
@@ -281,16 +281,3 @@ def block_exposures(
     ids = list(map(report.block_ids.__getitem__, block[starts].tolist()))
     return day[starts], ids, segment_sums(report.pop[items], starts)
 
-
-def exposure_by_block(mask: Mask, report: DownscaleReport) -> dict[str, float]:
-    """Exposed persons per block with a cell in the mask, in block order.
-
-    ``report`` is the one :func:`fireimpact.dasymetric.downscale` filled.
-    Each block's exposure is its own shares of the cells in the mask, with
-    the bits of summing them in allocation order with ``ndarray.sum``; a
-    block whose cells in the mask hold no one is kept, at 0.0. A centroid
-    cell that several fallback blocks share charges each of them its own
-    population, not the cell's total.
-    """
-    _, ids, exposed = block_exposures(report, [mask.bits], 1, mask.grid.n_cols)
-    return dict(zip(ids, exposed.tolist()))

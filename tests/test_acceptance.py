@@ -24,23 +24,28 @@ from fireimpact.geometry import (
     Point,
     PolyLine,
     Polygon,
-    point_in_polygon,
-    rasterize_polygons,
+    _corner_xy,
+    points_in_polygon,
+    ragged_cell_indices,
     rasterize_polyline,
-    trace_mask_boundary,
+    trace_mask_rings,
 )
 from fireimpact.grid import AnalysisGrid, CategoryRaster, Mask, RealRaster
 from fireimpact.impact import (
     BuildingFeature,
+    BuildingIndex,
     CostModel,
     PoiFeature,
+    PoiIndex,
     RoadFeature,
+    RoadIndex,
     TractDemographics,
-    building_loss,
-    demographic_breakdown,
-    land_use_loss,
-    poi_exposure,
-    population_exposure,
+    building_loss_by_day,
+    demographic_breakdown_by_day,
+    land_use_loss_by_day,
+    poi_exposure_by_day,
+    population_exposure_by_day,
+    road_loss_by_day,
     summarize,
 )
 from fireimpact.io_formats import read_report
@@ -161,9 +166,12 @@ def test_criterion_4_perimeter_bookkeeping():
         for a, b in zip(days, days[1:]):
             assert a.cumulative.is_subset_of(b.cumulative)
         for p in days:
-            for r, c in zip(*np.nonzero(p.new_burn.bits)):
-                center = Point(g.center_x(int(c)), g.center_y(int(r)))
-                assert any(point_in_polygon(center, poly) for poly in official)
+            rows, cols = np.nonzero(p.new_burn.bits)
+            xs, ys = g.center_xs()[cols], g.center_ys()[rows]
+            inside = np.zeros(len(xs), dtype=bool)
+            for poly in official:
+                inside |= points_in_polygon(xs, ys, poly)
+            assert inside.all()
     ok(4, "no double counting, monotone cumulation, clipped to perimeter")
 
 
@@ -179,10 +187,9 @@ def test_criterion_5_overlay_oracles():
         codes = rng.choice([21, 22, 24, 42], size=(32, 32))
         landcover = CategoryRaster(g, codes)
         bits = rng.random((32, 32)) < 0.4
-        burn = Mask(g, bits)
 
         # Land: per-cell enumeration in exact integer cents.
-        got = land_use_loss(burn, landcover, costs)
+        got = next(land_use_loss_by_day([bits], 1, landcover, costs))
         want: dict[int, int] = {}
         for r in range(32):
             for c in range(32):
@@ -192,8 +199,6 @@ def test_criterion_5_overlay_oracles():
         assert got == want
 
         # Roads: axis-aligned center-to-center lines with analytic lengths.
-        from fireimpact.impact import road_loss
-
         row = int(rng.integers(0, 32))
         c0, c1 = sorted(rng.integers(0, 32, size=2))
         if c0 == c1:
@@ -203,7 +208,7 @@ def test_criterion_5_overlay_oracles():
                       Point(g.center_x(c1), g.center_y(row))]),
             "residential",
         )
-        got_cents, got_m = road_loss(burn, [road], costs)
+        got_cents, got_m = next(road_loss_by_day(RoadIndex.build([road], g, costs), [bits], 1))
         want_m = 0.0
         want_cents = 0
         for c in range(c0, c1 + 1):
@@ -229,7 +234,10 @@ def test_criterion_5_overlay_oracles():
             )
         before_bits = rng.random((32, 32)) < 0.2
         before = Mask(g, before_bits & ~bits)
-        got_b_cents, got_b_count = building_loss(before, burn, buildings, costs)
+        # Cells burned before are day 0, today's burn day 1.
+        first = np.where(before.bits, 0, np.where(bits, 1, -1))
+        cents, counts = building_loss_by_day(BuildingIndex.build(buildings, g, costs), first, 2)
+        got_b_cents, got_b_count = int(cents[1]), int(counts[1])
         want_b_count = sum(
             1 for (r, c) in cells if bits[r, c] and not before.bits[r, c]
         )
@@ -241,12 +249,12 @@ def test_criterion_5_overlay_oracles():
             PoiFeature(Point(g.center_x(c), g.center_y(r)), "Retail")
             for (r, c) in cells[:10]
         ]
-        got_poi = poi_exposure(burn, pois)
+        [got_poi] = poi_exposure_by_day(PoiIndex.build(pois, g), [bits], 1)
         want_poi = sum(1 for (r, c) in cells[:10] if bits[r, c])
         assert got_poi.get("Retail", 0) == want_poi
 
         popgrid = RealRaster(g, rng.uniform(0, 4, size=(32, 32)))
-        got_pop = population_exposure(burn, popgrid)
+        [got_pop] = population_exposure_by_day(popgrid, [bits], 1)
         want_pop = 0.0
         for r in range(32):
             for c in range(32):
@@ -262,8 +270,12 @@ def test_criterion_6_geometry_round_trip_and_length():
         n = int(rng.integers(1, 65))
         g = AnalysisGrid(0, 0, 20, n, n)
         bits = rng.random((n, n)) < rng.uniform(0.1, 0.9)
-        polys = trace_mask_boundary(Mask(g, bits))
-        assert np.array_equal(rasterize_polygons(polys, g).bits, bits), f"trial {trial}"
+        rings = trace_mask_rings(Mask(g, bits))
+        cells, _ = ragged_cell_indices(
+            *_corner_xy(g, rings.corners), rings.ring_offsets, rings.polygon_offsets,
+            np.arange(len(rings.polygon_offsets)), g,
+        )
+        assert np.array_equal(np.unique(cells), np.flatnonzero(bits)), f"trial {trial}"
 
     worst = 0.0
     for trial in range(200):
@@ -342,7 +354,9 @@ def test_criterion_8_demographic_consistency():
         race={"white": 0.46, "asian": 0.158, "black": 0.05,
               "multiracial": 0.13, "other": 0.202},
     )
-    demo = demographic_breakdown({"b": 1000.0}, {"b": "t1"}, {"t1": tract})
+    demo = next(demographic_breakdown_by_day(
+        np.zeros(1, dtype=np.int64), ["b"], np.array([1000.0]), 1, {"b": "t1"}, {"t1": tract}
+    ))
     assert round(demo.gender["female"]) == 523
 
     rng = np.random.default_rng(88)
@@ -362,7 +376,10 @@ def test_criterion_8_demographic_consistency():
         )
     exposure = {f"b{j}": float(rng.uniform(0, 900)) for j in range(30)}
     block_tracts = {b: f"t{j % 6}" for j, b in enumerate(exposure)}
-    demo = demographic_breakdown(exposure, block_tracts, tracts)
+    demo = next(demographic_breakdown_by_day(
+        np.zeros(len(exposure), dtype=np.int64), list(exposure),
+        np.array(list(exposure.values())), 1, block_tracts, tracts,
+    ))
     total = sum(exposure.values())
     for group in (demo.gender, demo.age, demo.race):
         assert abs(sum(group.values()) - total) <= 1e-6 * total

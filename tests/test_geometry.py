@@ -19,7 +19,6 @@ from fireimpact.geometry import (
     _corner_xy,
     _ramp,
     features_cell_indices,
-    point_in_polygon,
     points_in_polygon,
     polygon_area,
     project_lonlat,
@@ -28,7 +27,6 @@ from fireimpact.geometry import (
     rasterize_polyline,
     run_offsets,
     segment_sums,
-    trace_mask_boundary,
     trace_mask_rings,
     unproject_to_lonlat,
 )
@@ -75,18 +73,17 @@ class TestProjection:
 
 class TestPointInPolygon:
     def test_center_of_unit_square(self):
-        assert point_in_polygon(Point(0.5, 0.5), unit_square())
+        assert points_in_polygon([0.5], [0.5], unit_square()).tolist() == [True]
 
     def test_obvious_exterior(self):
-        assert not point_in_polygon(Point(2, 2), unit_square())
+        assert points_in_polygon([2], [2], unit_square()).tolist() == [False]
 
     def test_point_inside_hole_is_outside(self):
         poly = Polygon(
             [Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4)],
             holes=[[Point(1, 1), Point(3, 1), Point(3, 3), Point(1, 3)]],
         )
-        assert not point_in_polygon(Point(2, 2), poly)
-        assert point_in_polygon(Point(0.5, 2), poly)
+        assert points_in_polygon([2, 0.5], [2, 2], poly).tolist() == [False, True]
 
     def test_degenerate_ring_rejected(self):
         with pytest.raises(GeometryError):
@@ -105,9 +102,9 @@ class TestPointInPolygon:
             poly = Polygon(ring)
         except GeometryError:
             return
-        for _ in range(20):
-            p = Point(rng.uniform(0, 10), rng.uniform(0, 10))
-            assert point_in_polygon(p, poly) == winding_number_inside(p, poly.exterior)
+        pts = [Point(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(20)]
+        got = points_in_polygon([p.x for p in pts], [p.y for p in pts], poly)
+        assert got.tolist() == [winding_number_inside(p, poly.exterior) for p in pts]
 
 
 class TestPolygonArea:
@@ -149,10 +146,8 @@ class TestRasterizePolygon:
         g = AnalysisGrid(0, 0, 20, 10, 10)
         tri = Polygon([Point(10, 10), Point(190, 30), Point(70, 180)])
         mask = rasterize_polygons([tri], g)
-        for r in range(10):
-            for c in range(10):
-                p = Point(g.center_x(c), g.center_y(r))
-                assert mask.bits[r, c] == point_in_polygon(p, tri), (r, c)
+        xs, ys = np.meshgrid(g.center_xs(), g.center_ys())
+        assert np.array_equal(mask.bits, points_in_polygon(xs, ys, tri))
 
     def test_polygon_outside_grid_gives_empty_mask(self):
         g = AnalysisGrid(0, 0, 20, 4, 4)
@@ -176,10 +171,8 @@ class TestRasterizePolygon:
             holes=[[Point(45, 45), Point(135, 45), Point(135, 135), Point(45, 135)]],
         )
         mask = rasterize_polygons([poly], g)
-        for r in range(10):
-            for c in range(10):
-                p = Point(g.center_x(c), g.center_y(r))
-                assert mask.bits[r, c] == point_in_polygon(p, poly), (r, c)
+        xs, ys = np.meshgrid(g.center_xs(), g.center_ys())
+        assert np.array_equal(mask.bits, points_in_polygon(xs, ys, poly))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
@@ -462,32 +455,40 @@ class TestRasterizePolyline:
 class TestTraceMaskBoundary:
     def test_empty_mask(self):
         g = AnalysisGrid(0, 0, 20, 4, 4)
-        assert trace_mask_boundary(Mask.empty(g)) == []
+        rings = trace_mask_rings(Mask.empty(g))
+        assert [a.tolist() for a in rings] == [[], [0], [0]]
 
     def test_single_cell_square(self):
         g = AnalysisGrid(0, 0, 20, 3, 3)
         bits = np.zeros((3, 3), dtype=bool)
         bits[1, 1] = True
-        [poly] = trace_mask_boundary(Mask(g, bits))
-        assert polygon_area(poly) == pytest.approx(400.0)
-        assert len(poly.exterior) == 5
-        assert not poly.holes
+        rings = trace_mask_rings(Mask(g, bits))
+        layer = PolygonLayer(*_corner_xy(g, rings.corners), rings.ring_offsets,
+                             rings.polygon_offsets, np.arange(len(rings.polygon_offsets)))
+        assert layer.areas().tolist() == pytest.approx([400.0])
+        assert rings.ring_offsets.tolist() == [0, 5]  # one exterior of 5 corners, no hole
+        assert rings.polygon_offsets.tolist() == [0, 1]
 
     def test_diagonal_cells_stay_separate(self):
         g = AnalysisGrid(0, 0, 20, 2, 2)
         bits = np.array([[True, False], [False, True]])
-        polys = trace_mask_boundary(Mask(g, bits))
-        assert len(polys) == 2
-        assert all(polygon_area(p) == pytest.approx(400.0) for p in polys)
-        assert np.array_equal(rasterize_polygons(polys, g).bits, bits)
+        rings = trace_mask_rings(Mask(g, bits))
+        layer = PolygonLayer(*_corner_xy(g, rings.corners), rings.ring_offsets,
+                             rings.polygon_offsets, np.arange(len(rings.polygon_offsets)))
+        cells, _ = ragged_cell_indices(*layer, g)
+        assert layer.areas().tolist() == pytest.approx([400.0, 400.0])
+        assert np.array_equal(np.unique(cells), np.flatnonzero(bits))
 
     def test_ring_with_hole(self):
         g = AnalysisGrid(0, 0, 20, 3, 3)
         bits = np.ones((3, 3), dtype=bool)
         bits[1, 1] = False
-        polys = trace_mask_boundary(Mask(g, bits))
-        assert np.array_equal(rasterize_polygons(polys, g).bits, bits)
-        assert sum(polygon_area(p) for p in polys) == pytest.approx(8 * 400.0)
+        rings = trace_mask_rings(Mask(g, bits))
+        layer = PolygonLayer(*_corner_xy(g, rings.corners), rings.ring_offsets,
+                             rings.polygon_offsets, np.arange(len(rings.polygon_offsets)))
+        cells, _ = ragged_cell_indices(*layer, g)
+        assert np.array_equal(np.unique(cells), np.flatnonzero(bits))
+        assert layer.areas().sum() == pytest.approx(8 * 400.0)
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.1, 0.9))
     @settings(max_examples=150, deadline=None)
@@ -496,8 +497,11 @@ class TestTraceMaskBoundary:
         n = int(rng.integers(1, 13))
         g = AnalysisGrid(0, 0, 20, n, n)
         bits = rng.random((n, n)) < density
-        polys = trace_mask_boundary(Mask(g, bits))
-        assert np.array_equal(rasterize_polygons(polys, g).bits, bits)
+        rings = trace_mask_rings(Mask(g, bits))
+        layer = PolygonLayer(*_corner_xy(g, rings.corners), rings.ring_offsets,
+                             rings.polygon_offsets, np.arange(len(rings.polygon_offsets)))
+        cells, _ = ragged_cell_indices(*layer, g)
+        assert np.array_equal(np.unique(cells), np.flatnonzero(bits))
 
     def test_round_trip_pinched_region_with_hole(self):
         g = AnalysisGrid(0, 0, 20, 3, 4)
@@ -508,8 +512,11 @@ class TestTraceMaskBoundary:
                 [False, False, True, True],
             ]
         )
-        polys = trace_mask_boundary(Mask(g, bits))
-        assert np.array_equal(rasterize_polygons(polys, g).bits, bits)
+        rings = trace_mask_rings(Mask(g, bits))
+        layer = PolygonLayer(*_corner_xy(g, rings.corners), rings.ring_offsets,
+                             rings.polygon_offsets, np.arange(len(rings.polygon_offsets)))
+        cells, _ = ragged_cell_indices(*layer, g)
+        assert np.array_equal(np.unique(cells), np.flatnonzero(bits))
 
     def test_round_trip_exhaustive_small_grids(self):
         # All 16 2x2 masks and all 512 3x3 masks.
@@ -519,8 +526,11 @@ class TestTraceMaskBoundary:
                 bits = np.array(
                     [(code >> i) & 1 for i in range(n * n)], dtype=bool
                 ).reshape(n, n)
-                polys = trace_mask_boundary(Mask(g, bits))
-                assert np.array_equal(rasterize_polygons(polys, g).bits, bits), code
+                rings = trace_mask_rings(Mask(g, bits))
+                layer = PolygonLayer(*_corner_xy(g, rings.corners), rings.ring_offsets,
+                                     rings.polygon_offsets, np.arange(len(rings.polygon_offsets)))
+                cells, _ = ragged_cell_indices(*layer, g)
+                assert np.array_equal(np.unique(cells), np.flatnonzero(bits)), code
 
 
 # The tracer's former loop building and hole matching, kept verbatim as the
@@ -702,6 +712,16 @@ def reference_trace_mask_boundary(m, owner_raster=False):
     return polys
 
 
+def assert_same_polygons(rings, polys, grid):
+    """``rings`` hold the corners of ``polys``, ring for ring and polygon
+    for polygon."""
+    want = PolygonLayer.of([polys])
+    xs, ys = _corner_xy(grid, rings.corners)
+    assert np.array_equal(xs, want.xs) and np.array_equal(ys, want.ys)
+    assert np.array_equal(rings.ring_offsets, want.ring_offsets)
+    assert np.array_equal(rings.polygon_offsets, want.polygon_offsets)
+
+
 def nested_squares(n):
     """Concentric square bands alternating true / false from the border in."""
     r, c = np.indices((n, n))
@@ -726,25 +746,29 @@ class TestHoleMatching:
             n_cols,
         )
         m = Mask(g, rng.random((n_rows, n_cols)) < density)
-        assert trace_mask_boundary(m) == reference_trace_mask_boundary(m)
+        assert_same_polygons(trace_mask_rings(m), reference_trace_mask_boundary(m), g)
 
     def test_nested_islands_and_holes(self):
         # Exterior > hole > island > hole > island, one cell at the center.
         g = AnalysisGrid(0, 0, 20, 9, 9)
         m = Mask(g, nested_squares(9))
-        polys = trace_mask_boundary(m)
-        assert polys == reference_trace_mask_boundary(m)
-        got = sorted((polygon_area(p) / g.cell_area, len(p.holes)) for p in polys)
+        rings = trace_mask_rings(m)
+        layer = PolygonLayer(*_corner_xy(g, rings.corners), rings.ring_offsets,
+                             rings.polygon_offsets, np.arange(len(rings.polygon_offsets)))
+        cells, _ = ragged_cell_indices(*layer, g)
+        assert_same_polygons(rings, reference_trace_mask_boundary(m), g)
+        holes = np.diff(rings.polygon_offsets) - 1
+        got = sorted(zip((layer.areas() / g.cell_area).tolist(), holes.tolist()))
         assert got == [(1.0, 0), (16.0, 1), (32.0, 1)]
-        assert np.array_equal(rasterize_polygons(polys, g).bits, m.bits)
+        assert np.array_equal(np.unique(cells), np.flatnonzero(m.bits))
 
     def test_dense_mask_with_many_holes(self):
         rng = np.random.default_rng(62)
         g = AnalysisGrid(0, 0, 20, 100, 100)
         m = Mask(g, rng.random((100, 100)) < 0.62)
-        polys = trace_mask_boundary(m)
-        assert polys == reference_trace_mask_boundary(m)
-        assert sum(len(p.holes) for p in polys) >= 100
+        rings = trace_mask_rings(m)
+        assert_same_polygons(rings, reference_trace_mask_boundary(m), g)
+        assert len(rings.ring_offsets) - len(rings.polygon_offsets) >= 100  # holes
 
     def test_no_rasterizer_call_and_no_pnpoly(self):
         g = AnalysisGrid(0, 0, 20, 9, 9)
@@ -754,9 +778,9 @@ class TestHoleMatching:
         ) as rasterizer, mock.patch.object(
             geometry, "points_in_polygon", side_effect=AssertionError("PNPOLY scan")
         ):
-            polys = trace_mask_boundary(m)
+            rings = trace_mask_rings(m)
         assert rasterizer.call_count == 0
-        assert sum(len(p.holes) for p in polys) == 2
+        assert len(rings.ring_offsets) - len(rings.polygon_offsets) == 2  # holes
 
 
 class TestArrayTracer:
@@ -775,7 +799,7 @@ class TestArrayTracer:
         g = AnalysisGrid(g.origin_x, g.origin_y, g.cell_size, n_rows, n_cols)
         r, c = np.indices((n_rows, n_cols))
         m = Mask(g, ((r + c) % 2 == 0) ^ (rng.random((n_rows, n_cols)) < flip))
-        assert trace_mask_boundary(m) == reference_trace_mask_boundary(m)
+        assert_same_polygons(trace_mask_rings(m), reference_trace_mask_boundary(m), g)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=2, deadline=None)
@@ -784,9 +808,9 @@ class TestArrayTracer:
         rng = np.random.default_rng(seed)
         g = AnalysisGrid(0, 0, 20, 208, 416)
         m = Mask(g, rng.random((208, 416)) < 0.62)
-        polys = trace_mask_boundary(m)
-        assert polys == reference_trace_mask_boundary(m, owner_raster=True)
-        assert sum(len(p.holes) for p in polys) > 1000
+        rings = trace_mask_rings(m)
+        assert_same_polygons(rings, reference_trace_mask_boundary(m, owner_raster=True), g)
+        assert len(rings.ring_offsets) - len(rings.polygon_offsets) > 1000  # holes
 
 
 def reference_trace_mask_rings(m: Mask) -> RingArrays:
@@ -1006,7 +1030,8 @@ class TestPointsInPolygon:
         want = [reference_point_in_polygon(Point(x, y), poly) for x, y in pts.tolist()]
         assert got.tolist() == want
         vertices = pts[:len(ring_pts)].tolist()
-        assert [point_in_polygon(Point(x, y), poly) for x, y in vertices] == want[:len(vertices)]
+        one_at_a_time = [points_in_polygon([x], [y], poly)[0] for x, y in vertices]
+        assert one_at_a_time == want[:len(vertices)]
 
     def test_no_points(self):
         assert points_in_polygon(np.zeros(0), np.zeros(0), unit_square()).shape == (0,)

@@ -18,18 +18,18 @@ from fireimpact.impact import (
     BuildingFeature,
     BuildingIndex,
     CostModel,
-    RoadIndex,
     DailyImpactRecord,
     Demographics,
     PoiFeature,
+    PoiIndex,
     RoadFeature,
+    RoadIndex,
     TractDemographics,
-    building_loss,
     building_loss_by_day,
-    demographic_breakdown,
-    land_use_loss,
-    poi_exposure,
-    population_exposure,
+    demographic_breakdown_by_day,
+    land_use_loss_by_day,
+    poi_exposure_by_day,
+    population_exposure_by_day,
     road_loss_by_day,
     summarize,
     to_cents,
@@ -88,13 +88,13 @@ class TestLandUseLoss:
     def test_empty_burn(self):
         g = grid(5)
         landcover = CategoryRaster(g, np.full((5, 5), 21))
-        assert land_use_loss(Mask.empty(g), landcover, simple_costs()) == {}
+        assert next(land_use_loss_by_day([Mask.empty(g).bits], 1, landcover, simple_costs())) == {}
 
     def test_ten_cells_at_two_dollars(self):
         g = grid(5)
         landcover = CategoryRaster(g, np.full((5, 5), 21))
         burn = mask_of(g, [(r, c) for r in range(2) for c in range(5)])
-        losses = land_use_loss(burn, landcover, simple_costs(land=2.0))
+        losses = next(land_use_loss_by_day([burn.bits], 1, landcover, simple_costs(land=2.0)))
         assert losses == {21: 800_000}  # 10 * 400 m2 * $2 = $8,000
 
     def test_mixed_classes_match_enumeration(self):
@@ -106,7 +106,7 @@ class TestLandUseLoss:
         costs = CostModel(
             land_cost={21: 1.25, 24: 30.0, 42: 2.0}, road_cost={}, building_cost=0
         )
-        losses = land_use_loss(burn, landcover, costs)
+        losses = next(land_use_loss_by_day([burn.bits], 1, landcover, costs))
         want: dict[int, int] = {}
         for r in range(8):
             for c in range(8):
@@ -120,7 +120,7 @@ class TestLandUseLoss:
         g = grid(2)
         landcover = CategoryRaster(g, np.full((2, 2), 95))
         with pytest.raises(UnpricedClassError, match="95"):
-            land_use_loss(Mask.full(g), landcover, simple_costs())
+            next(land_use_loss_by_day([Mask.full(g).bits], 1, landcover, simple_costs()))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -130,9 +130,9 @@ class TestLandUseLoss:
         landcover = CategoryRaster(g, rng.choice([21, 24], size=(8, 8)))
         bits = rng.random((8, 8)) < 0.6
         split = rng.random((8, 8)) < 0.5
-        whole = land_use_loss(Mask(g, bits), landcover, simple_costs())
-        part1 = land_use_loss(Mask(g, bits & split), landcover, simple_costs())
-        part2 = land_use_loss(Mask(g, bits & ~split), landcover, simple_costs())
+        whole, part1, part2 = land_use_loss_by_day(
+            [bits, bits & split, bits & ~split], 3, landcover, simple_costs()
+        )
         merged: dict[int, int] = {}
         for part in (part1, part2):
             for k, v in part.items():
@@ -144,29 +144,26 @@ class TestRoadLoss:
     def test_road_outside_burn(self):
         g = grid(5)
         road = RoadFeature(PolyLine([Point(10, 10), Point(90, 10)]), "residential")
-        from fireimpact.impact import road_loss
-
-        cents, meters = road_loss(Mask.empty(g), [road], simple_costs())
+        index = RoadIndex.build([road], g, simple_costs())
+        cents, meters = next(road_loss_by_day(index, [Mask.empty(g).bits], 1))
         assert cents == {} and meters == {}
 
     def test_hundred_meters_residential(self):
-        from fireimpact.impact import road_loss
-
         g = grid(6)
         road = RoadFeature(PolyLine([Point(10, 30), Point(110, 30)]), "residential")
-        cents, meters = road_loss(Mask.full(g), [road], simple_costs(road=50.0))
+        index = RoadIndex.build([road], g, simple_costs(road=50.0))
+        cents, meters = next(road_loss_by_day(index, [Mask.full(g).bits], 1))
         assert meters["residential"] == pytest.approx(100.0, rel=1e-12)
         assert cents["residential"] == 500_000  # $5,000
 
     def test_half_in_half_out_matches_clipped_oracle(self):
-        from fireimpact.impact import road_loss
-
         g = grid(6)
         # Burn only the west half (cols 0..2).
         burn = mask_of(g, [(r, c) for r in range(6) for c in range(3)])
         line = PolyLine([Point(0, 50), Point(120, 50)])
         road = RoadFeature(line, "residential")
-        cents, meters = road_loss(burn, [road], simple_costs(road=50.0))
+        index = RoadIndex.build([road], g, simple_costs(road=50.0))
+        cents, meters = next(road_loss_by_day(index, [burn.bits], 1))
         per_cell = rasterize_polyline(line, g)
         want_m = sum(v for (r, c), v in per_cell.items() if burn.bits[r, c])
         assert meters["residential"] == pytest.approx(want_m, rel=1e-12)
@@ -174,18 +171,15 @@ class TestRoadLoss:
         assert cents["residential"] == 300_000
 
     def test_unpriced_road_class(self):
-        from fireimpact.impact import road_loss
-
         g = grid(3)
         road = RoadFeature(PolyLine([Point(0, 10), Point(50, 10)]), "motorway")
+        index = RoadIndex.build([road], g, simple_costs())
         with pytest.raises(UnpricedClassError, match="motorway"):
-            road_loss(Mask.full(g), [road], simple_costs())
+            next(road_loss_by_day(index, [Mask.full(g).bits], 1))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_cents_distribute_over_mask_partitions(self, seed):
-        from fireimpact.impact import road_loss
-
         rng = np.random.default_rng(seed)
         g = grid(8)
         roads = [
@@ -198,9 +192,10 @@ class TestRoadLoss:
         ]
         bits = rng.random((8, 8)) < 0.6
         split = rng.random((8, 8)) < 0.5
-        whole, _ = road_loss(Mask(g, bits), roads, simple_costs())
-        p1, _ = road_loss(Mask(g, bits & split), roads, simple_costs())
-        p2, _ = road_loss(Mask(g, bits & ~split), roads, simple_costs())
+        index = RoadIndex.build(roads, g, simple_costs())
+        (whole, _), (p1, _), (p2, _) = road_loss_by_day(
+            index, [bits, bits & split, bits & ~split], 3
+        )
         total = p1.get("residential", 0) + p2.get("residential", 0)
         assert total == whole.get("residential", 0)
 
@@ -217,10 +212,10 @@ class TestBuildingLoss:
     def test_already_burned_building_costs_nothing_today(self):
         g = grid(5)
         b = self._building(g, 2, 2)
-        before = mask_of(g, [(2, 2)])
-        today = mask_of(g, [(2, 2), (2, 3)])
-        cents, count = building_loss(before, today, [b], simple_costs())
-        assert (cents, count) == (0, 0)
+        # Day 0 burned (2, 2); today, day 1, burns (2, 2) again and (2, 3).
+        first = first_burn_raster(g, {(2, 2): 0, (2, 3): 1})
+        cents, counts = building_loss_by_day(BuildingIndex.build([b], g, simple_costs()), first, 2)
+        assert (cents[1], counts[1]) == (0, 0)
 
     def test_200_m2_footprint_cost(self):
         g = grid(3)
@@ -230,11 +225,10 @@ class TestBuildingLoss:
             [Point(x0, y0), Point(x0 + 16, y0), Point(x0 + 16, y0 + 12.5), Point(x0, y0 + 12.5)]
         )
         b = BuildingFeature([rect], "b1")
-        cents, count = building_loss(
-            Mask.empty(g), mask_of(g, [(1, 1)]), [b], simple_costs(building=3000.0)
-        )
-        assert count == 1
-        assert cents == 60_000_000  # $600,000
+        index = BuildingIndex.build([b], g, simple_costs(building=3000.0))
+        cents, counts = building_loss_by_day(index, first_burn_raster(g, {(1, 1): 0}), 1)
+        assert counts.tolist() == [1]
+        assert cents.tolist() == [60_000_000]  # $600,000
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -254,17 +248,9 @@ class TestBuildingLoss:
             new_burns.append(Mask(g, nb))
             cum |= nb
 
-        costs = simple_costs()
-        befores = []
-        acc = np.zeros(g.shape, dtype=bool)
-        for nb in new_burns:
-            befores.append(Mask(g, acc.copy()))
-            acc |= nb.bits
-
-        got_counts = [
-            building_loss(before, nb, buildings, costs)[1]
-            for before, nb in zip(befores, new_burns)
-        ]
+        index = BuildingIndex.build(buildings, g, simple_costs())
+        _, counts = building_loss_by_day(index, first_burn_day(new_burns, g), len(new_burns))
+        got_counts = counts.tolist()
 
         # Oracle: per building, find its first day by direct scan.
         from fireimpact.geometry import points_in_polygon
@@ -371,7 +357,7 @@ class TestBuildingLossByDay:
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
-    def test_random_sequence_matches_daily_wrapper_and_oracle(self, seed):
+    def test_random_sequence_matches_day_by_day_and_oracle(self, seed):
         rng = np.random.default_rng(seed)
         g = grid(10)
         costs = simple_costs(building=float(rng.uniform(1, 5000)))
@@ -394,7 +380,12 @@ class TestBuildingLossByDay:
 
         index = BuildingIndex.build(buildings, g, costs)
         cents, counts = building_loss_by_day(index, first_burn_day(new_burns, g), n_days)
-        daily = [building_loss(b, nb, buildings, costs) for b, nb in zip(befores, new_burns)]
+        # Each day on its own: day 0 holds the cells burned before it, day 1 its new burn.
+        daily = []
+        for before, nb in zip(befores, new_burns):
+            first = np.where(before.bits, 0, np.where(nb.bits, 1, -1))
+            day_cents, day_counts = building_loss_by_day(index, first, 2)
+            daily.append((int(day_cents[1]), int(day_counts[1])))
         assert [(int(c), int(n)) for c, n in zip(cents, counts)] == daily
         assert int(cents.sum()) == sum(c for c, _ in daily)
 
@@ -416,7 +407,7 @@ class TestPoiExposure:
     def test_no_pois_in_burn(self):
         g = grid(4)
         pois = [PoiFeature(Point(10, 10), "Retail")]
-        assert poi_exposure(Mask.empty(g), pois) == {}
+        assert poi_exposure_by_day(PoiIndex.build(pois, g), [Mask.empty(g).bits], 1) == [{}]
 
     def test_three_of_one_category(self):
         g = grid(4)
@@ -427,36 +418,38 @@ class TestPoiExposure:
             PoiFeature(Point(30, 10), "Retail"),
             PoiFeature(Point(70, 70), "Retail"),
         ]
-        assert poi_exposure(burn, pois) == {"Retail": 3}
+        assert poi_exposure_by_day(PoiIndex.build(pois, g), [burn.bits], 1) == [{"Retail": 3}]
 
     def test_poi_outside_grid_ignored(self):
         g = grid(2)
-        assert poi_exposure(Mask.full(g), [PoiFeature(Point(-5, 10), "X")]) == {}
+        index = PoiIndex.build([PoiFeature(Point(-5, 10), "X")], g)
+        assert poi_exposure_by_day(index, [Mask.full(g).bits], 1) == [{}]
 
 
 class TestPopulationExposure:
     def test_zero_grid(self):
         g = grid(4)
         pop = RealRaster(g, np.zeros((4, 4)))
-        assert population_exposure(Mask.full(g), pop) == 0.0
+        assert population_exposure_by_day(pop, [Mask.full(g).bits], 1).tolist() == [0.0]
 
     def test_uniform_two_persons_ten_cells(self):
         g = grid(5)
         pop = RealRaster(g, np.full((5, 5), 2.0))
         burn = mask_of(g, [(r, c) for r in range(2) for c in range(5)])
-        assert population_exposure(burn, pop) == 20.0
+        assert population_exposure_by_day(pop, [burn.bits], 1).tolist() == [20.0]
 
     def test_exposure_bounded_by_total(self):
         rng = np.random.default_rng(12)
         g = grid(6)
         pop = RealRaster(g, rng.uniform(0, 5, size=(6, 6)))
         total = float(pop.cells.sum())
-        exposures = []
+        new_burns = []
         cum = np.zeros(g.shape, dtype=bool)
         for _ in range(5):
             nb = (rng.random((6, 6)) < 0.3) & ~cum
             cum |= nb
-            exposures.append(population_exposure(Mask(g, nb), pop))
+            new_burns.append(nb)
+        exposures = population_exposure_by_day(pop, new_burns, 5).tolist()
         assert sum(exposures) <= total + 1e-9
 
 
@@ -472,15 +465,21 @@ def tract(tid="t1", female=0.523, seniors=0.257):
 
 class TestDemographicBreakdown:
     def test_female_share_example(self):
-        demo = demographic_breakdown({"b1": 1000.0}, {"b1": "t1"}, {"t1": tract()})
+        demo = next(demographic_breakdown_by_day(
+            np.zeros(1, dtype=np.int64), ["b1"], np.array([1000.0]), 1, {"b1": "t1"}, {"t1": tract()}
+        ))
         assert round(demo.gender["female"]) == 523
 
     def test_senior_share_example(self):
-        demo = demographic_breakdown({"b1": 1000.0}, {"b1": "t1"}, {"t1": tract()})
+        demo = next(demographic_breakdown_by_day(
+            np.zeros(1, dtype=np.int64), ["b1"], np.array([1000.0]), 1, {"b1": "t1"}, {"t1": tract()}
+        ))
         assert demo.age["age_65_plus"] == pytest.approx(257.0, rel=1e-12)
 
     def test_zero_exposure_all_zero(self):
-        demo = demographic_breakdown({"b1": 0.0}, {"b1": "t1"}, {"t1": tract()})
+        demo = next(demographic_breakdown_by_day(
+            np.zeros(1, dtype=np.int64), ["b1"], np.array([0.0]), 1, {"b1": "t1"}, {"t1": tract()}
+        ))
         assert all(v == 0.0 for v in demo.gender.values())
         assert all(v == 0.0 for v in demo.race.values())
 
@@ -489,14 +488,19 @@ class TestDemographicBreakdown:
         tracts = {f"t{i}": tract(f"t{i}", female=rng.uniform(0.4, 0.6)) for i in range(4)}
         blocks = {f"b{i}": float(rng.uniform(0, 500)) for i in range(12)}
         block_tracts = {b: f"t{i % 4}" for i, b in enumerate(blocks)}
-        demo = demographic_breakdown(blocks, block_tracts, tracts)
+        demo = next(demographic_breakdown_by_day(
+            np.zeros(len(blocks), dtype=np.int64), list(blocks), np.array(list(blocks.values())),
+            1, block_tracts, tracts,
+        ))
         total = sum(blocks.values())
         for group in (demo.gender, demo.age, demo.race):
             assert sum(group.values()) == pytest.approx(total, rel=1e-6)
 
     def test_missing_tract_is_named(self):
         with pytest.raises(MissingTractError, match="t9"):
-            demographic_breakdown({"b1": 10.0}, {"b1": "t9"}, {"t1": tract()})
+            next(demographic_breakdown_by_day(
+                np.zeros(1, dtype=np.int64), ["b1"], np.array([10.0]), 1, {"b1": "t9"}, {"t1": tract()}
+            ))
 
 
 class TestSummarize:

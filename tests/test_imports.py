@@ -55,7 +55,9 @@ def synth_tree(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("command", [["assess", "--bandwidth-m", "4"], ["downscale"]])
+@pytest.mark.parametrize(
+    "command", [["assess", "--bandwidth-m", "4"], ["downscale"], ["perimeters", "--bandwidth-m", "4"]]
+)
 def test_command_leaves_numpy_ma_unimported(synth_tree, tmp_path, command):
     # numpy loads numpy.ma lazily, and only some calls (a bare np.unique)
     # pull it in: 12 ms of a fresh process that no command needs.

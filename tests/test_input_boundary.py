@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fireimpact import cli
+from fireimpact.io_formats import read_report
 from fireimpact.scenario import DistrictSpec, ScenarioSpec, generate
 
 ASSESS = ["--bandwidth-m", "4"]
@@ -110,6 +111,9 @@ CASES = [
      lambda p: edit_json(p, lambda d: d["grid"].update(origin_x="abc")), 2, "origin_x"),
     ("start-date-month-13", "manifest.json",
      lambda p: edit_json(p, lambda d: d.update(start_date="2025-13-01")), 2, "start_date"),
+    ("end-date-before-start-date", "manifest.json",
+     lambda p: edit_json(p, lambda d: d.update(start_date="2025-01-20", end_date="2025-01-01")),
+     1, "end_date 2025-01-01 is before start_date 2025-01-20"),
     ("paths-list", "manifest.json",
      lambda p: edit_json(p, lambda d: d.update(paths=["a"])), 2, "paths"),
     ("unknown-role", "manifest.json",
@@ -261,6 +265,15 @@ def test_valid_inputs_that_disagree_exit_1(capsys, scenario, tmp_path, name, edi
     assert got == code, err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
     assert not (tmp_path / "out" / "report.csv").exists()
+
+
+def test_one_day_window_is_valid(capsys, scenario, tmp_path):
+    root = shutil.copytree(scenario, tmp_path / "s")
+    one_day = {"start_date": "2025-01-07", "end_date": "2025-01-07"}
+    edit_json(root / "manifest.json", lambda d: d.update(one_day))
+    got, out, err = assess(root, tmp_path / "out", capsys)
+    assert got == 0, err
+    assert {r["date"] for r in read_report(tmp_path / "out" / "report.csv")} == {"2025-01-07"}
 
 
 def test_numeric_text_properties_read_as_their_text(capsys, scenario, tmp_path):

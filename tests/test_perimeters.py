@@ -394,11 +394,15 @@ class TestExtractDailyPerimeters:
                 inside |= points_in_polygon(xs, ys, poly)
             assert inside.all()
         # Traced polygons reproduce the new-burn masks.
-        from fireimpact.geometry import rasterize_polygons, trace_mask_boundary
+        from fireimpact.geometry import _corner_xy, ragged_cell_indices, trace_mask_rings
 
         for p in days:
-            polys = trace_mask_boundary(p.new_burn)
-            assert np.array_equal(rasterize_polygons(polys, g).bits, p.new_burn.bits)
+            rings = trace_mask_rings(p.new_burn)
+            cells, _ = ragged_cell_indices(
+                *_corner_xy(g, rings.corners), rings.ring_offsets, rings.polygon_offsets,
+                np.arange(len(rings.polygon_offsets)), g,
+            )
+            assert np.array_equal(np.unique(cells), np.flatnonzero(p.new_burn.bits))
 
 
 class TestFirstBurnRaster:

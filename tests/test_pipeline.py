@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from fireimpact.dasymetric import Blocks, CensusBlock
 from fireimpact.errors import MissingTractError, UnpricedClassError, ValidationError
 from fireimpact.geometry import Point, Polygon, PolyLine, rasterize_polyline, segment_sums
-from fireimpact.grid import AnalysisGrid, CategoryRaster, Mask
+from fireimpact.grid import AnalysisGrid, CategoryRaster
 from fireimpact.impact import (
     DEMOGRAPHIC_GROUPS,
     BuildingFeature,
@@ -26,6 +26,7 @@ from fireimpact.impact import (
     TractDemographics,
     building_loss_by_day,
     demographic_breakdown_by_day,
+    population_exposure_by_day,
     to_cents,
 )
 from fireimpact.io_formats import FileManifest, write_report
@@ -33,10 +34,10 @@ from fireimpact.perimeters import Detection, KdeParams
 from fireimpact.pipeline import (
     Layers,
     assess,
+    block_exposures,
     compute_perimeters,
     compute_population,
     event_dates,
-    exposure_by_block,
 )
 
 D0 = dt.date(2025, 1, 7)
@@ -205,10 +206,10 @@ class TestExposureByBlock:
         popgrid, report = downscale(blocks, landcover, WeightTable.default(), g)
         bits = np.zeros((8, 8), dtype=bool)
         bits[:, 2:6] = True  # straddles both blocks
-        by_block = exposure_by_block(Mask(g, bits), report)
+        _, ids, exposed = block_exposures(report, [bits], 1, g.n_cols)
         total = float(popgrid.cells[bits].sum())
-        assert sum(by_block.values()) == pytest.approx(total, rel=1e-12)
-        assert by_block["west"] > 0 and by_block["east"] > 0
+        assert sum(exposed) == pytest.approx(total, rel=1e-12)
+        assert ids == ["west", "east"] and all(exposed > 0)
 
 
     def test_matches_each_blocks_own_sum_exactly(self):
@@ -232,7 +233,8 @@ class TestExposureByBlock:
             hit = bits[alloc.rows, alloc.cols]
             if hit.any():
                 want[alloc.block_id] = float(popgrid.cells[alloc.rows[hit], alloc.cols[hit]].sum())
-        got = exposure_by_block(Mask(g, bits), report)
+        _, ids, exposed = block_exposures(report, [bits], 1, g.n_cols)
+        got = dict(zip(ids, exposed.tolist()))
         assert list(got.items()) == list(want.items())
 
     def test_only_blocks_with_a_cell_in_the_mask(self):
@@ -248,13 +250,12 @@ class TestExposureByBlock:
         _, report = downscale(blocks, landcover, WeightTable.default(), g)
         bits = np.zeros((8, 8), dtype=bool)
         bits[:, :6] = True  # west and empty, not east
-        assert exposure_by_block(Mask(g, bits), report) == {"west": 40.0, "empty": 0.0}
-        assert exposure_by_block(Mask.empty(g), report) == {}
+        days, ids, exposed = block_exposures(report, [bits, np.zeros_like(bits)], 2, g.n_cols)
+        assert (days.tolist(), ids, exposed.tolist()) == ([0, 0], ["west", "empty"], [40.0, 0.0])
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
     def test_shared_centroid_cell_charges_each_block_its_own_pop(self, order):
         from fireimpact.dasymetric import WeightTable, downscale
-        from fireimpact.impact import demographic_breakdown, population_exposure
 
         # Two slivers capture no cell center; both fall back to the one cell.
         g = AnalysisGrid(0, 0, 20, 1, 1)
@@ -266,15 +267,15 @@ class TestExposureByBlock:
         landcover = CategoryRaster(g, np.full((1, 1), 22))
         popgrid, report = downscale(blocks, landcover, WeightTable.default(), g)
         assert [a.fallback for a in report.allocations] == ["centroid", "centroid"]
-        mask = Mask(g, np.ones((1, 1), dtype=bool))
-        by_block = exposure_by_block(mask, report)
-        assert by_block == {"a": 10.0, "b": 20.0}
-        exposed = population_exposure(mask, popgrid)
+        burns = [np.ones((1, 1), dtype=bool)]
+        by_block = block_exposures(report, burns, 1, g.n_cols)
+        assert dict(zip(by_block[1], by_block[2].tolist())) == {"a": 10.0, "b": 20.0}
+        [exposed] = population_exposure_by_day(popgrid, burns, 1).tolist()
         assert exposed == 30.0
-        demo = demographic_breakdown(
-            by_block, {"a": "t0", "b": "t0"},
+        demo = next(demographic_breakdown_by_day(
+            *by_block, 1, {"a": "t0", "b": "t0"},
             {"t0": TractDemographics("t0", **TRACT_SHARES[0])},
-        )
+        ))
         for group in ("gender", "age", "race"):
             assert sum(getattr(demo, group).values()) == pytest.approx(exposed, rel=1e-12)
 
@@ -667,7 +668,7 @@ class TestLazyTracing:
             {"detections", "landcover", "blocks", "roads", "buildings", "pois",
              "official_perimeter", "weights", "costs", "demographics"},
         )
-        # The array-level tracer, which trace_mask_boundary also calls.
+        # The array-level tracer, which every writer and renderer calls.
         original = geometry.trace_mask_rings
         traced = []
 
