@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .dasymetric import MassReport
+from .dasymetric import FALLBACKS, MassReport
 from .errors import FormatError, ValidationError
 from .impact import EventSummary, cents_to_usd, summarize
 from .io_formats import (
@@ -156,7 +156,7 @@ def cmd_downscale(argv: list[str]) -> int:
     print(
         f"population grid written to {out / 'population.asc'}; "
         f"max relative error {mass.max_rel_err():.3g} over "
-        f"{len(mass.entries)} blocks ({len(ds_report.fallback_ids())} fallback)"
+        f"{len(mass.block_ids)} blocks ({len(ds_report.fallback_ids())} fallback)"
     )
     return 0
 
@@ -164,14 +164,16 @@ def cmd_downscale(argv: list[str]) -> int:
 def _write_mass_report(mass: MassReport, path: Path) -> None:
     import csv
 
+    fallbacks = [name or "" for name in FALLBACKS]
+    columns = (
+        mass.block_ids,
+        *(map(repr, a.tolist()) for a in (mass.pop, mass.allocated, mass.rel_err)),
+        map(fallbacks.__getitem__, mass.fallback.tolist()),
+    )
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["block_id", "pop", "allocated", "rel_err", "fallback"])
-        for e in mass.entries:
-            writer.writerow(
-                [e.block_id, repr(e.pop), repr(e.allocated), repr(e.rel_err),
-                 e.fallback or ""]
-            )
+        writer.writerows(zip(*columns))
 
 
 def cmd_assess(argv: list[str]) -> int:

@@ -77,21 +77,8 @@ class WeightTable:
         return cls(dict(DEFAULT_NLCD_WEIGHTS))
 
 
-@dataclass(frozen=True)
-class CensusBlock:
-    """One census block: boundary part(s), total population, parent tract."""
-
-    block_id: str
-    parts: list[Polygon]
-    pop: float
-    tract_id: str
-
-    def __post_init__(self) -> None:
-        check_block(self.block_id, len(self.parts), self.pop)
-
-
 def check_block(block_id: str, n_parts: int, pop: float) -> None:
-    """The checks of a :class:`CensusBlock`, on a block's values."""
+    """The checks of a census block, on its values."""
     if not n_parts:
         raise ValidationError(f"block {block_id} has no boundary parts")
     if not (pop >= 0):
@@ -102,7 +89,7 @@ def check_block(block_id: str, n_parts: int, pop: float) -> None:
 class Blocks:
     """Census blocks as columns: block k is ``ids[k]``, ``pop[k]``,
     ``tracts[k]`` and feature k of ``parts``. Rows are assumed valid, as
-    :class:`CensusBlock` checks them; indexing yields CensusBlock objects.
+    :func:`check_block` checks them.
     """
 
     ids: list[str]
@@ -110,25 +97,8 @@ class Blocks:
     tracts: list[str]
     parts: PolygonLayer
 
-    @classmethod
-    def of(cls, blocks: "list[CensusBlock] | Blocks") -> "Blocks":
-        """``blocks`` as a table; a table is returned as it is."""
-        if isinstance(blocks, Blocks):
-            return blocks
-        return cls(
-            [b.block_id for b in blocks],
-            np.array([b.pop for b in blocks], dtype=np.float64),
-            [b.tract_id for b in blocks],
-            PolygonLayer.of([b.parts for b in blocks]),
-        )
-
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, k: int) -> CensusBlock:
-        """Block k (k >= 0), its parts built as Polygons."""
-        block_id = self.ids[k]  # IndexError past the end ends iteration
-        return CensusBlock(block_id, self.parts.polygons(k), float(self.pop[k]), self.tracts[k])
 
 
 # DownscaleReport.fallback codes: none, centroid cell, uniform spread.
@@ -197,9 +167,7 @@ def allocation_factor_raster(
     return RealRaster(landcover.grid, lut[index].reshape(landcover.grid.shape))
 
 
-def rasterize_blocks(
-    blocks: list[CensusBlock] | Blocks, grid: AnalysisGrid
-) -> DownscaleReport:
+def rasterize_blocks(blocks: Blocks, grid: AnalysisGrid) -> DownscaleReport:
     """Assign grid cells to blocks by the cell-center rule, first wins.
 
     A cell whose center several blocks capture goes to the earliest of
@@ -210,7 +178,6 @@ def rasterize_blocks(
     cell, whatever the order, so each block's cells hold its population
     alone; a block that so loses its last cell falls back in turn.
     """
-    blocks = Blocks.of(blocks)
     n = len(blocks)
     cells, offsets = ragged_cell_indices(*blocks.parts, grid)
     block = np.repeat(np.arange(n, dtype=np.int32), np.diff(offsets))
@@ -258,7 +225,7 @@ def _centroid_cell(parts: list[Polygon], grid: AnalysisGrid) -> int:
 
 
 def downscale(
-    blocks: list[CensusBlock] | Blocks,
+    blocks: Blocks,
     landcover: CategoryRaster,
     w: WeightTable,
     grid: AnalysisGrid,
@@ -273,7 +240,6 @@ def downscale(
     """
     if landcover.grid != grid:
         raise ValidationError("landcover raster is not on the analysis grid")
-    blocks = Blocks.of(blocks)
     ra = allocation_factor_raster(landcover, w)
     report = rasterize_blocks(blocks, grid)
     sizes = np.diff(report.starts, append=report.rows.size)
@@ -300,15 +266,6 @@ def downscale(
     return RealRaster(grid, out), report
 
 
-@dataclass(frozen=True)
-class MassEntry:
-    block_id: str
-    pop: float
-    allocated: float
-    rel_err: float
-    fallback: str | None
-
-
 @dataclass(frozen=True, eq=False)
 class MassReport:
     """Per-block mass check as columns; ``fallback`` indexes :data:`FALLBACKS`."""
@@ -319,32 +276,18 @@ class MassReport:
     rel_err: np.ndarray
     fallback: np.ndarray
 
-    @property
-    def entries(self) -> list[MassEntry]:
-        """One record per block, built from the columns on each access."""
-        return self._entries(np.arange(len(self.block_ids)))
-
-    def _entries(self, ks: np.ndarray) -> list[MassEntry]:
-        return [
-            MassEntry(self.block_ids[k], p, a, e, FALLBACKS[f])
-            for k, p, a, e, f in zip(
-                ks.tolist(), self.pop[ks].tolist(), self.allocated[ks].tolist(),
-                self.rel_err[ks].tolist(), self.fallback[ks].tolist(),
-            )
-        ]
-
     def max_rel_err(self) -> float:
         """Largest relative error over non-fallback blocks."""
         errs = self.rel_err[self.fallback == 0]
         return float(errs.max()) if errs.size else 0.0
 
-    def failures(self) -> list[MassEntry]:
-        """Non-fallback blocks whose relative error exceeds 1e-9."""
-        return self._entries(np.flatnonzero((self.fallback == 0) & (self.rel_err > 1e-9)))
+    def failures(self) -> np.ndarray:
+        """The indices of the non-fallback blocks whose relative error exceeds 1e-9."""
+        return np.flatnonzero((self.fallback == 0) & (self.rel_err > 1e-9))
 
 
 def validate_mass(
-    blocks: list[CensusBlock] | Blocks,
+    blocks: Blocks,
     popgrid: PopulationGrid,
     report: DownscaleReport,
 ) -> MassReport:
@@ -354,7 +297,7 @@ def validate_mass(
     names each block's cells and exempts its fallback blocks. Each block's
     ``allocated`` has the bits of summing its own cells with ``ndarray.sum``.
     """
-    pop = Blocks.of(blocks).pop
+    pop = blocks.pop
     allocated = segment_sums(popgrid.cells[report.rows, report.cols], report.starts)
     rel_err = np.abs(allocated - pop) / np.maximum(pop, 1.0)
     return MassReport(report.block_ids, pop, allocated, rel_err, report.fallback.copy())

@@ -177,13 +177,6 @@ class Mask:
     def popcount(self) -> int:
         return int(np.count_nonzero(self.bits))
 
-    def is_subset_of(self, other: "Mask") -> bool:
-        if self.grid != other.grid:
-            raise AlignmentError(
-                f"mask comparison: grids are not aligned ({self.grid} vs {other.grid})"
-            )
-        return bool(np.all(~self.bits | other.bits))
-
 
 def value_index(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending int64 values and each key's index into them (``values[index] == keys``).

@@ -25,7 +25,6 @@ from .geometry import (
     PolygonLayer,
     PolyLine,
     Polygon,
-    polygon_area,
     ragged_cell_indices,
     rasterize_polyline,
     run_offsets,
@@ -128,40 +127,6 @@ class CostModel:
 
 
 @dataclass(frozen=True)
-class RoadFeature:
-    line: PolyLine
-    road_class: str
-
-    def __post_init__(self) -> None:
-        if not self.road_class:
-            raise ValidationError("road feature needs a class")
-
-
-@dataclass(frozen=True)
-class BuildingFeature:
-    footprints: list[Polygon]
-    building_id: str
-
-    def __post_init__(self) -> None:
-        check_building(self.building_id, len(self.footprints))
-
-    def area(self) -> float:
-        return math.fsum(polygon_area(p) for p in self.footprints)
-
-
-@dataclass(frozen=True)
-class PoiFeature:
-    location: Point
-    category: str
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.location.x) and math.isfinite(self.location.y)):
-            raise ValidationError("poi has non-finite coordinates")
-        if not self.category:
-            raise ValidationError("poi feature needs a category")
-
-
-@dataclass(frozen=True)
 class District:
     """A named assessment region bounded by its official fire perimeter."""
 
@@ -172,10 +137,24 @@ class District:
         check_district(self.name, len(self.perimeter))
 
 
+def check_road(road_class: str) -> None:
+    """The checks of a road, on its values; :class:`PolyLine` checks its line."""
+    if not road_class:
+        raise ValidationError("road feature needs a class")
+
+
 def check_building(building_id: str, n_parts: int) -> None:
-    """The checks of a :class:`BuildingFeature`, on a building's values."""
+    """The checks of a building, on its values."""
     if not n_parts:
         raise ValidationError(f"building {building_id} has no footprint")
+
+
+def check_poi(x: float, y: float, category: str) -> None:
+    """The checks of a POI, on its values."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValidationError("poi has non-finite coordinates")
+    if not category:
+        raise ValidationError("poi feature needs a category")
 
 
 def check_district(name: str, n_parts: int) -> None:
@@ -268,8 +247,8 @@ def category_codes(names: list[str]) -> tuple[list[str], np.ndarray]:
 class Roads:
     """Roads as columns: road k runs through the vertices
     ``xs, ys[offsets[k]:offsets[k + 1]]`` and has class ``classes[codes[k]]``,
-    ``classes`` being sorted. Rows are assumed valid, as :class:`RoadFeature`
-    checks them; indexing yields RoadFeature objects.
+    ``classes`` being sorted. Rows are assumed valid, as :class:`PolyLine`
+    and :func:`check_road` check them.
     """
 
     xs: np.ndarray
@@ -278,18 +257,6 @@ class Roads:
     classes: list[str]
     codes: np.ndarray
 
-    @classmethod
-    def of(cls, roads: "list[RoadFeature] | Roads") -> "Roads":
-        """``roads`` as a table; a table is returned as it is."""
-        if isinstance(roads, Roads):
-            return roads
-        xy = np.array(
-            [p for road in roads for p in road.line.vertices], dtype=np.float64
-        ).reshape(-1, 2)
-        classes, codes = category_codes([road.road_class for road in roads])
-        offsets = run_offsets([len(road.line.vertices) for road in roads])
-        return cls(xy[:, 0].copy(), xy[:, 1].copy(), offsets, classes, codes)
-
     def __len__(self) -> int:
         return len(self.codes)
 
@@ -297,18 +264,12 @@ class Roads:
         a, b = self.offsets[k], self.offsets[k + 1]
         return PolyLine(list(map(Point, self.xs[a:b].tolist(), self.ys[a:b].tolist())))
 
-    def __getitem__(self, k: int) -> RoadFeature:
-        """Road k (k >= 0)."""
-        road_class = self.classes[self.codes[k]]  # IndexError past the end ends iteration
-        return RoadFeature(self.line(k), road_class)
-
 
 @dataclass(frozen=True, eq=False)
 class Pois:
     """POIs as columns: POI k lies at ``xs[k], ys[k]`` and has category
     ``categories[codes[k]]``, ``categories`` being sorted. Rows are assumed
-    valid, as :class:`PoiFeature` checks them; indexing yields PoiFeature
-    objects.
+    valid, as :func:`check_poi` checks them.
     """
 
     xs: np.ndarray
@@ -316,22 +277,8 @@ class Pois:
     categories: list[str]
     codes: np.ndarray
 
-    @classmethod
-    def of(cls, pois: "list[PoiFeature] | Pois") -> "Pois":
-        """``pois`` as a table; a table is returned as it is."""
-        if isinstance(pois, Pois):
-            return pois
-        xy = np.array([poi.location for poi in pois], dtype=np.float64).reshape(-1, 2)
-        categories, codes = category_codes([poi.category for poi in pois])
-        return cls(xy[:, 0].copy(), xy[:, 1].copy(), categories, codes)
-
     def __len__(self) -> int:
         return len(self.codes)
-
-    def __getitem__(self, k: int) -> PoiFeature:
-        """POI k (k >= 0)."""
-        category = self.categories[self.codes[k]]  # IndexError past the end ends iteration
-        return PoiFeature(Point(float(self.xs[k]), float(self.ys[k])), category)
 
 
 @dataclass(frozen=True)
@@ -353,11 +300,8 @@ class RoadIndex:
     unpriced: str | None = None
 
     @classmethod
-    def build(
-        cls, roads: "list[RoadFeature] | Roads", grid: AnalysisGrid, costs: CostModel
-    ) -> "RoadIndex":
+    def build(cls, roads: Roads, grid: AnalysisGrid, costs: CostModel) -> "RoadIndex":
         """The index of ``roads``; each piece is charged ``to_cents(length * cost)``."""
-        roads = Roads.of(roads)
         priced = np.array([c in costs.road_cost for c in roads.classes], dtype=bool)
         unpriced = np.flatnonzero(~priced[roads.codes])
         none = np.zeros(0, dtype=np.int64)
@@ -393,8 +337,7 @@ class PoiIndex:
     categories: list[str]
 
     @classmethod
-    def build(cls, pois: "list[PoiFeature] | Pois", grid: AnalysisGrid) -> "PoiIndex":
-        pois = Pois.of(pois)
+    def build(cls, pois: Pois, grid: AnalysisGrid) -> "PoiIndex":
         cells = grid.flat_cells_of(pois.xs, pois.ys)
         on_grid = cells >= 0
         return cls(cells[on_grid], pois.codes[on_grid], pois.categories)
@@ -538,18 +481,12 @@ class BuildingIndex:
 
     @classmethod
     def build(
-        cls,
-        buildings: list[BuildingFeature] | PolygonLayer,
-        grid: AnalysisGrid,
-        costs: CostModel,
+        cls, buildings: PolygonLayer, grid: AnalysisGrid, costs: CostModel
     ) -> "BuildingIndex":
-        """The index of buildings given as objects or as a layer of footprints.
-
-        A building's charge is ``to_cents(area() * building_cost)``, with
-        :meth:`BuildingFeature.area`'s bits.
+        """The index of the buildings whose footprints are the features of
+        ``buildings``; a building's charge is ``to_cents(area * building_cost)``,
+        with the area :meth:`PolygonLayer.areas` gives.
         """
-        if not isinstance(buildings, PolygonLayer):
-            buildings = PolygonLayer.of([b.footprints for b in buildings])
         cells, offsets = ragged_cell_indices(*buildings, grid)
         covered = np.diff(offsets) > 0
         cents = to_cents(buildings.areas()[covered] * costs.building_cost)

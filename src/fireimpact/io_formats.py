@@ -59,15 +59,15 @@ from .impact import (
     DailyImpactRecord,
     Demographics,
     District,
-    PoiFeature,
     Pois,
-    RoadFeature,
     Roads,
     TractDemographics,
     category_codes,
     cents_to_usd,
     check_building,
     check_district,
+    check_poi,
+    check_road,
     usd_to_cents,
 )
 from .perimeters import CONFIDENCE_CODES, DailyPerimeter, Detections
@@ -756,20 +756,20 @@ def read_vertex_layer(
     origin_lat: float,
     gtype: str,
     properties: dict[str, Callable[[Any], Any]],
-    build: Callable[[dict[str, Any], Any], Any],
+    check: Callable[[dict[str, Any], Any], None],
     flag: Callable[[dict[str, Any], np.ndarray, np.ndarray, np.ndarray], np.ndarray],
 ) -> tuple[dict[str, Any], np.ndarray, np.ndarray, np.ndarray]:
     """Each property's values, and the projected vertices of every Point or
     LineString (``gtype``) feature: feature k's are ``xs, ys[offsets[k]:offsets[k + 1]]``.
 
-    The features are what ``build(values, shape)`` accepts, ``shape``
-    being the projected Point or PolyLine. ``flag(values, xs, ys,
-    offsets)`` marks, a column at a time, every feature that ``build``
-    could reject. From the first feature with a mark or a malformed
-    position on, features are read one at a time through ``build``, so the
-    error is the one that reading the layer into objects in file order
-    meets first. Malformed input is a FormatError (exit 2); invalid
-    geometry or a value ``build`` rejects is a ValidationError (exit 1).
+    ``check(values, shape)`` validates each feature's values, ``shape``
+    being its projected Point or PolyLine. ``flag(values, xs, ys,
+    offsets)`` marks, a column at a time, every feature that ``check`` or
+    :class:`PolyLine` could reject. From the first feature with a mark or
+    a malformed position on, features are read one at a time through
+    ``check``, so the error is the one that reading the features in file
+    order meets first. Malformed input is a FormatError (exit 2); invalid
+    geometry or a value ``check`` rejects is a ValidationError (exit 1).
     Both name the file and the feature.
     """
     path = Path(path)
@@ -806,7 +806,7 @@ def read_vertex_layer(
         where = f"{path}: feature {i}"
         try:
             shape = parse_value(where, "coordinates", coords[i], shapes[gtype])
-            build(_taken(values, i), shape)
+            check(_taken(values, i), shape)
         except ValidationError as exc:
             raise type(exc)(f"{where}: {exc}") from None
         vertices = [shape] if gtype == "Point" else shape.vertices
@@ -875,7 +875,7 @@ def read_polygon_layer(
     """Each property's values in feature order, and the features' shapes as one layer.
 
     Features are Polygons or MultiPolygons; ``check(values, n_parts)``
-    validates each one's values, as its object's constructor would, and
+    validates each one's values, as :func:`check_block` does, and
     ``unique`` names one that must not repeat. ``flag(values, n_parts)``
     marks, a column at a time, every feature that ``check`` could reject;
     from the first feature with a mark or a malformed structure on,
@@ -994,7 +994,7 @@ def _empty(texts: list[str]) -> np.ndarray:
 
 def _line_flags(values: dict[str, Any], xs: np.ndarray, ys: np.ndarray,
                 offsets: np.ndarray) -> np.ndarray:
-    """The roads that :class:`PolyLine` or :class:`RoadFeature` could reject."""
+    """The roads that :class:`PolyLine` or :func:`check_road` could reject."""
     sizes = np.diff(offsets)
     owner = np.repeat(np.arange(len(sizes)), sizes)
     bad = (sizes < 2) | _empty(values["class"])
@@ -1008,7 +1008,7 @@ def read_roads(path: str | Path, origin_lon: float, origin_lat: float) -> Roads:
     """Each road's vertices and class, as a :class:`Roads` table."""
     values, xs, ys, offsets = read_vertex_layer(
         path, origin_lon, origin_lat, "LineString", {"class": _text},
-        lambda v, line: RoadFeature(line, v["class"]), _line_flags,
+        lambda v, line: check_road(v["class"]), _line_flags,
     )
     return Roads(xs, ys, offsets, *category_codes(values["class"]))
 
@@ -1026,7 +1026,7 @@ def read_pois(path: str | Path, origin_lon: float, origin_lat: float) -> Pois:
     """Each POI's location and category, as a :class:`Pois` table."""
     values, xs, ys, offsets = read_vertex_layer(
         path, origin_lon, origin_lat, "Point", {"category": _text},
-        lambda v, point: PoiFeature(point, v["category"]),
+        lambda v, point: check_poi(point.x, point.y, v["category"]),
         lambda v, xs, ys, offsets: (
             ~(np.isfinite(xs) & np.isfinite(ys)) | _empty(v["category"])
         ),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal
+from typing import Iterator, Literal
 
 import numpy as np
 
@@ -57,24 +57,6 @@ class Detections:
     day: np.ndarray
     frp: np.ndarray
     confidence: np.ndarray
-
-    @classmethod
-    def of(cls, detections: Detections | Iterable[Detection]) -> Detections:
-        """``detections`` as a table; a table is returned as it is."""
-        if isinstance(detections, Detections):
-            return detections
-        rows = list(detections)
-        return cls(
-            np.array([d.location.x for d in rows], dtype=np.float64),
-            np.array([d.location.y for d in rows], dtype=np.float64),
-            np.array([d.date.toordinal() for d in rows], dtype=np.int64),
-            np.array([math.nan if d.frp is None else d.frp for d in rows], dtype=np.float64),
-            np.array(
-                [-1 if d.confidence is None else CONFIDENCE_CODES.index(d.confidence)
-                 for d in rows],
-                dtype=np.int8,
-            ),
-        )
 
     def __len__(self) -> int:
         return len(self.x)
@@ -192,9 +174,7 @@ def _batch_bounds(n_rows: np.ndarray, n_cols: np.ndarray) -> np.ndarray:
     return np.append(np.arange(0, n, step), n)
 
 
-def kde_surface(
-    points: Detections | list[Detection], grid: AnalysisGrid, params: KdeParams
-) -> RealRaster:
+def kde_surface(points: Detections, grid: AnalysisGrid, params: KdeParams) -> RealRaster:
     """Gaussian kernel density of detection points at cell centers, per m².
 
     Each point contributes w / (2*pi*h^2) * exp(-d^2 / (2*h^2)) out to
@@ -209,7 +189,6 @@ def kde_surface(
     one a loop adding one point at a time gives.
     """
     values = np.zeros(grid.shape)
-    points = Detections.of(points)
     if not len(points):
         return RealRaster(grid, values)
 
@@ -295,13 +274,13 @@ def _check_day_count(n_days: int) -> None:
         raise ValidationError(f"{n_days} days exceed the first-burn-day raster")
 
 
-def event_dates(detections: Detections | list[Detection]) -> list[dt.date]:
+def event_dates(detections: Detections) -> list[dt.date]:
     """Contiguous calendar range spanning all detections.
 
     A span longer than the first-burn-day raster can index is rejected
     before any date is built.
     """
-    days = Detections.of(detections).day
+    days = detections.day
     if not days.size:
         return []
     first, last = int(days.min()), int(days.max())
@@ -310,22 +289,20 @@ def event_dates(detections: Detections | list[Detection]) -> list[dt.date]:
 
 
 def extract_daily_perimeters(
-    detections_by_date: dict[dt.date, Detections | list[Detection]],
+    detections_by_date: dict[dt.date, Detections],
     official: list[Polygon],
     grid: AnalysisGrid,
     params: KdeParams,
-    dates: list[dt.date] | None = None,
+    dates: list[dt.date],
 ) -> list[DailyPerimeter]:
     """Build the daily new-burn / cumulative sequence, clipped to ``official``.
 
-    ``dates`` fixes the output sequence (useful to align several runs on
-    one event window); by default it is the contiguous calendar range
-    spanning the detections. Dates with no detections yield empty masks
-    but stay in the sequence. An ``official`` perimeter that captures no
-    cell center of ``grid`` is a ValidationError: nothing in it can burn.
+    ``dates`` fixes the output sequence, so that several runs line up on
+    one event window (:func:`event_dates` of all their detections). Dates
+    with no detections yield empty masks but stay in the sequence. An
+    ``official`` perimeter that captures no cell center of ``grid`` is a
+    ValidationError: nothing in it can burn.
     """
-    if dates is None:
-        dates = event_dates([d for day in detections_by_date.values() for d in day])
     if sorted(dates) != list(dates):
         raise ValidationError("dates must be sorted ascending")
     _check_day_count(len(dates))
@@ -336,9 +313,11 @@ def extract_daily_perimeters(
     first = np.full(grid.shape, -1, dtype=np.int16)
     out: list[DailyPerimeter] = []
     for i, day in enumerate(dates):
-        points = detections_by_date.get(day, [])
-        burned = threshold_surface(kde_surface(points, grid, params), params)
-        active = burned.bits & clip.bits
+        points = detections_by_date.get(day)
+        if points is None:  # no detections, no burn
+            active = np.zeros(grid.shape, dtype=bool)
+        else:
+            active = threshold_surface(kde_surface(points, grid, params), params).bits & clip.bits
         first[active & (first < 0)] = i
         out.append(
             DailyPerimeter(date=day, index=i, first_burn=first, active=Mask(grid, active))

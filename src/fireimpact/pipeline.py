@@ -13,7 +13,6 @@ import numpy as np
 
 from .dasymetric import (
     Blocks,
-    CensusBlock,
     DownscaleReport,
     MassReport,
     PopulationGrid,
@@ -25,16 +24,13 @@ from .errors import ValidationError
 from .geometry import PolygonLayer, points_in_polygon, segment_sums
 from .grid import CategoryRaster
 from .impact import (
-    BuildingFeature,
     BuildingIndex,
     CostModel,
     DailyImpactRecord,
     Demographics,
     District,
-    PoiFeature,
     PoiIndex,
     Pois,
-    RoadFeature,
     RoadIndex,
     Roads,
     TractDemographics,
@@ -62,7 +58,6 @@ from .io_formats import (
 )
 from .perimeters import (
     DailyPerimeter,
-    Detection,
     Detections,
     KdeParams,
     event_dates,
@@ -72,15 +67,16 @@ from .perimeters import (
 
 @dataclass
 class Layers:
-    """Everything a run needs, loaded from the manifest's declared files."""
+    """Everything a run needs, loaded from the manifest's declared files;
+    a layer that no requested role loads is None."""
 
     manifest: FileManifest
-    detections: Detections | list[Detection] = field(default_factory=list)
+    detections: Detections | None = None
     landcover: CategoryRaster | None = None
-    blocks: list[CensusBlock] | Blocks = field(default_factory=list)
-    roads: list[RoadFeature] | Roads = field(default_factory=list)
-    buildings: list[BuildingFeature] | PolygonLayer = field(default_factory=list)
-    pois: list[PoiFeature] | Pois = field(default_factory=list)
+    blocks: Blocks | None = None
+    roads: Roads | None = None
+    buildings: PolygonLayer | None = None
+    pois: Pois | None = None
     districts: list[District] = field(default_factory=list)
     weights: WeightTable = field(default_factory=WeightTable.default)
     costs: CostModel = field(default_factory=CostModel.demo)
@@ -153,7 +149,7 @@ def compute_perimeters(
     """
     if not layers.districts:
         raise ValidationError("no districts in the official perimeter file")
-    detections = Detections.of(layers.detections)
+    detections = layers.detections
     dates = event_dates(detections)
     out: dict[str, list[DailyPerimeter]] = {}
     for district in layers.districts:
@@ -178,14 +174,15 @@ def compute_population(
 ) -> tuple[PopulationGrid, DownscaleReport, MassReport]:
     if layers.landcover is None:
         raise ValidationError("population downscaling needs a landcover layer")
-    blocks = Blocks.of(layers.blocks)
+    blocks = layers.blocks
     popgrid, report = downscale(blocks, layers.landcover, layers.weights, layers.manifest.grid)
     mass = validate_mass(blocks, popgrid, report)
     failures = mass.failures()
-    if failures:
-        worst = max(failures, key=lambda e: e.rel_err)
+    if failures.size:
+        worst = failures[np.argmax(mass.rel_err[failures])]  # the first largest
         raise ValidationError(
-            f"mass preservation failed: block {worst.block_id} off by {worst.rel_err:g}"
+            f"mass preservation failed: block {mass.block_ids[worst]} "
+            f"off by {float(mass.rel_err[worst]):g}"
         )
     return popgrid, report, mass
 
@@ -206,8 +203,7 @@ def assess(
     """
     perimeters = compute_perimeters(layers, params)
     popgrid, ds_report, _ = compute_population(layers)
-    blocks = Blocks.of(layers.blocks)
-    block_tracts = dict(zip(blocks.ids, blocks.tracts))
+    block_tracts = dict(zip(layers.blocks.ids, layers.blocks.tracts))
     grid = layers.manifest.grid
     buildings = BuildingIndex.build(layers.buildings, grid, layers.costs)
     roads = RoadIndex.build(layers.roads, grid, layers.costs)

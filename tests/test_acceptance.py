@@ -15,13 +15,13 @@ import pytest
 from fireimpact import cli
 from fireimpact.dasymetric import (
     DEFAULT_NLCD_WEIGHTS,
-    CensusBlock,
     WeightTable,
     downscale,
     validate_mass,
 )
 from fireimpact.geometry import (
     Point,
+    PolygonLayer,
     PolyLine,
     Polygon,
     _corner_xy,
@@ -32,12 +32,9 @@ from fireimpact.geometry import (
 )
 from fireimpact.grid import AnalysisGrid, CategoryRaster, Mask, RealRaster
 from fireimpact.impact import (
-    BuildingFeature,
     BuildingIndex,
     CostModel,
-    PoiFeature,
     PoiIndex,
-    RoadFeature,
     RoadIndex,
     TractDemographics,
     building_loss_by_day,
@@ -49,8 +46,17 @@ from fireimpact.impact import (
     summarize,
 )
 from fireimpact.io_formats import read_report
-from fireimpact.perimeters import Detection, KdeParams, extract_daily_perimeters, kde_surface
+from fireimpact.perimeters import (
+    Detection,
+    KdeParams,
+    event_dates,
+    extract_daily_perimeters,
+    kde_surface,
+)
 from fireimpact.scenario import read_ground_truth
+
+import layer_tables as tables
+from layer_tables import Block, Poi, Road
 
 
 def ok(n: int, text: str) -> None:
@@ -74,7 +80,7 @@ def test_criterion_1_mass_preservation_and_runtime():
     for i, r0 in enumerate(range(0, n - tile + 1, tile)):
         for j, c0 in enumerate(range(0, n - tile + 1, tile)):
             blocks.append(
-                CensusBlock(
+                Block(
                     f"b{i}_{j}",
                     [cell_rect(g, r0, r0 + tile - 1, c0, c0 + tile - 1)],
                     float(rng.integers(0, 800)),
@@ -82,9 +88,10 @@ def test_criterion_1_mass_preservation_and_runtime():
                 )
             )
     assert len(blocks) >= 1000
+    table = tables.blocks(blocks)
     t0 = time.perf_counter()
-    pop, report = downscale(blocks, landcover, WeightTable.default(), g)
-    mass = validate_mass(blocks, pop, report)
+    pop, report = downscale(table, landcover, WeightTable.default(), g)
+    mass = validate_mass(table, pop, report)
     elapsed = time.perf_counter() - t0
     worst = mass.max_rel_err()
     assert worst <= 1e-9, f"worst relative error {worst}"
@@ -97,8 +104,8 @@ def test_criterion_2_dasymetric_hand_oracle():
     # 33.333... per developed cell, 0 for water, exact to 1e-12.
     g = AnalysisGrid(0, 0, 20, 1, 4)
     landcover = CategoryRaster(g, np.array([[24, 24, 24, 11]]))
-    block = CensusBlock("b", [cell_rect(g, 0, 0, 0, 3)], 100.0, "t")
-    pop, _ = downscale([block], landcover, WeightTable.default(), g)
+    block = Block("b", [cell_rect(g, 0, 0, 0, 3)], 100.0, "t")
+    pop, _ = downscale(tables.blocks([block]), landcover, WeightTable.default(), g)
     for c in range(3):
         assert pop.cells[0, c] == pytest.approx(100.0 / 3.0, abs=1e-12)
     assert pop.cells[0, 3] == 0.0
@@ -114,7 +121,8 @@ def test_criterion_3_kde_oracle_and_mass():
         Detection(Point(rng.uniform(0, 2000), rng.uniform(0, 2000)), dt.date(2025, 1, 7))
         for _ in range(50)
     ]
-    engine = kde_surface(pts, g, params).cells
+    table = tables.detections(pts)
+    engine = kde_surface(table, g, params).cells
     h = params.bandwidth_m
     norm = 1.0 / (2 * math.pi * h * h)
     oracle = np.zeros(g.shape)
@@ -134,7 +142,7 @@ def test_criterion_3_kde_oracle_and_mass():
     pad = params.cutoff_sigmas * h
     n_pad = int((2000 + 2 * pad) / 20)
     padded = AnalysisGrid(-pad, -pad, 20, n_pad, n_pad)
-    mass = float(kde_surface(pts, padded, params).cells.sum()) * padded.cell_area
+    mass = float(kde_surface(table, padded, params).cells.sum()) * padded.cell_area
     assert abs(mass - 50) / 50 < 0.02, f"mass {mass}"
     ok(3, f"engine vs brute force rel dev {rel:.2e}; mass {mass:.2f} vs 50")
 
@@ -158,13 +166,15 @@ def test_criterion_4_perimeter_bookkeeping():
                 detections[base + dt.timedelta(days=day)] = pts
         if not detections:
             continue
+        dates = event_dates(tables.detections(d for pts in detections.values() for d in pts))
         days = extract_daily_perimeters(
-            detections, official, g, KdeParams(bandwidth_m=90)
+            {day: tables.detections(pts) for day, pts in detections.items()},
+            official, g, KdeParams(bandwidth_m=90), dates,
         )
         total_new = sum(p.new_burn.popcount() for p in days)
         assert total_new == days[-1].cumulative.popcount()
         for a, b in zip(days, days[1:]):
-            assert a.cumulative.is_subset_of(b.cumulative)
+            assert not (a.cumulative.bits & ~b.cumulative.bits).any()
         for p in days:
             rows, cols = np.nonzero(p.new_burn.bits)
             xs, ys = g.center_xs()[cols], g.center_ys()[rows]
@@ -203,12 +213,13 @@ def test_criterion_5_overlay_oracles():
         c0, c1 = sorted(rng.integers(0, 32, size=2))
         if c0 == c1:
             continue
-        road = RoadFeature(
+        road = Road(
             PolyLine([Point(g.center_x(c0), g.center_y(row)),
                       Point(g.center_x(c1), g.center_y(row))]),
             "residential",
         )
-        got_cents, got_m = next(road_loss_by_day(RoadIndex.build([road], g, costs), [bits], 1))
+        index = RoadIndex.build(tables.roads([road]), g, costs)
+        got_cents, got_m = next(road_loss_by_day(index, [bits], 1))
         want_m = 0.0
         want_cents = 0
         for c in range(c0, c1 + 1):
@@ -223,20 +234,18 @@ def test_criterion_5_overlay_oracles():
         # Buildings: 6 m squares at cell centers; first-day attribution.
         cells = [(int(rng.integers(0, 32)), int(rng.integers(0, 32))) for _ in range(30)]
         buildings = []
-        for i, (r, c) in enumerate(cells):
+        for r, c in cells:
             x, y = g.center_x(c), g.center_y(r)
             buildings.append(
-                BuildingFeature(
-                    [Polygon([Point(x - 3, y - 3), Point(x + 3, y - 3),
-                              Point(x + 3, y + 3), Point(x - 3, y + 3)])],
-                    f"b{i}",
-                )
+                [Polygon([Point(x - 3, y - 3), Point(x + 3, y - 3),
+                          Point(x + 3, y + 3), Point(x - 3, y + 3)])]
             )
         before_bits = rng.random((32, 32)) < 0.2
         before = Mask(g, before_bits & ~bits)
         # Cells burned before are day 0, today's burn day 1.
         first = np.where(before.bits, 0, np.where(bits, 1, -1))
-        cents, counts = building_loss_by_day(BuildingIndex.build(buildings, g, costs), first, 2)
+        index = BuildingIndex.build(PolygonLayer.of(buildings), g, costs)
+        cents, counts = building_loss_by_day(index, first, 2)
         got_b_cents, got_b_count = int(cents[1]), int(counts[1])
         want_b_count = sum(
             1 for (r, c) in cells if bits[r, c] and not before.bits[r, c]
@@ -246,10 +255,10 @@ def test_criterion_5_overlay_oracles():
 
         # POIs and population by direct per-feature / per-cell loops.
         pois = [
-            PoiFeature(Point(g.center_x(c), g.center_y(r)), "Retail")
+            Poi(Point(g.center_x(c), g.center_y(r)), "Retail")
             for (r, c) in cells[:10]
         ]
-        [got_poi] = poi_exposure_by_day(PoiIndex.build(pois, g), [bits], 1)
+        [got_poi] = poi_exposure_by_day(PoiIndex.build(tables.pois(pois), g), [bits], 1)
         want_poi = sum(1 for (r, c) in cells[:10] if bits[r, c])
         assert got_poi.get("Retail", 0) == want_poi
 

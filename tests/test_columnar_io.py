@@ -12,6 +12,7 @@ import gc
 import itertools
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 from unittest import mock
 
@@ -21,19 +22,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fireimpact import io_formats
-from fireimpact.dasymetric import Blocks, CensusBlock
+from fireimpact.dasymetric import Blocks, check_block
 from fireimpact.errors import FormatError, GeometryError, SchemaError, ValidationError
 from fireimpact.geometry import (
     Point,
     PolygonLayer,
     PolyLine,
     Polygon,
+    polygon_area,
     project_lonlat,
     ragged_cell_indices,
     unproject_to_lonlat,
 )
 from fireimpact.grid import AnalysisGrid, CategoryRaster, Mask, RealRaster
-from fireimpact.impact import BuildingFeature, District, PoiFeature, Pois, RoadFeature, Roads
+from fireimpact.impact import District, Pois, Roads, check_building
 from fireimpact.io_formats import (
     _ASC_HEADER,
     _finite,
@@ -57,6 +59,8 @@ from fireimpact.io_formats import (
 )
 from fireimpact.perimeters import DailyPerimeter, Detection
 from fireimpact.scenario import ScenarioSpec, generate
+
+import layer_tables as tables
 from test_geometry import reference_trace_mask_boundary
 
 # ---------------------------------------------------------------------------
@@ -145,6 +149,57 @@ def reference_read_detections(
     if problems:
         raise SchemaError(f"{path}: {len(problems)} bad row(s): " + "; ".join(problems))
     return detections
+
+
+# The reference readers build one row object per feature; the readers
+# under test build column tables.
+
+
+@dataclass(frozen=True)
+class CensusBlock:
+    """One census block: boundary part(s), total population, parent tract."""
+
+    block_id: str
+    parts: list[Polygon]
+    pop: float
+    tract_id: str
+
+    def __post_init__(self) -> None:
+        check_block(self.block_id, len(self.parts), self.pop)
+
+
+@dataclass(frozen=True)
+class RoadFeature:
+    line: PolyLine
+    road_class: str
+
+    def __post_init__(self) -> None:
+        if not self.road_class:
+            raise ValidationError("road feature needs a class")
+
+
+@dataclass(frozen=True)
+class BuildingFeature:
+    footprints: list[Polygon]
+    building_id: str
+
+    def __post_init__(self) -> None:
+        check_building(self.building_id, len(self.footprints))
+
+    def area(self) -> float:
+        return math.fsum(polygon_area(p) for p in self.footprints)
+
+
+@dataclass(frozen=True)
+class PoiFeature:
+    location: Point
+    category: str
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.location.x) and math.isfinite(self.location.y)):
+            raise ValidationError("poi has non-finite coordinates")
+        if not self.category:
+            raise ValidationError("poi feature needs a category")
 
 
 def reference_read_layer(path, origin_lon, origin_lat, types, properties, build, unique=None):
@@ -619,7 +674,9 @@ LAYER_GRID = AnalysisGrid(-250_000.0, -250_000.0, 25_000.0, 20, 20)
 def layer_values(kind, got):
     """A reader's result as (values of the features, their PolygonLayer)."""
     if kind == "blocks":
-        blocks = Blocks.of(got)
+        blocks = got if isinstance(got, Blocks) else tables.blocks(
+            (b.block_id, b.parts, b.pop, b.tract_id) for b in got
+        )
         return (blocks.ids, blocks.pop.tobytes(), blocks.tracts), blocks.parts
     if kind == "buildings":
         return (), got if isinstance(got, PolygonLayer) else PolygonLayer.of(
@@ -763,9 +820,9 @@ def vertex_outcome(kind, read, path, origin=ZERO):
     except (FormatError, ValidationError) as exc:
         return type(exc), str(exc)
     if kind == "roads":
-        t = Roads.of(got)
+        t = got if isinstance(got, Roads) else tables.roads((r.line, r.road_class) for r in got)
         return t.xs.tobytes(), t.ys.tobytes(), t.offsets.tolist(), t.classes, t.codes.tolist()
-    t = Pois.of(got)
+    t = got if isinstance(got, Pois) else tables.pois((p.location, p.category) for p in got)
     return t.xs.tobytes(), t.ys.tobytes(), t.categories, t.codes.tolist()
 
 
@@ -787,13 +844,6 @@ class TestReadVertexLayerMatchesReference:
             path = tmp_path / f"{kind}.geojson"
             got = vertex_outcome(kind, read, path, ORIGIN)
             assert len(got[0]) > 0 and got == vertex_outcome(kind, reference, path, ORIGIN)
-
-    def test_rows_read_back_as_objects(self, tmp_path):
-        generate(ScenarioSpec(seed=7), tmp_path)
-        for kind in VERTEX_READERS:
-            read, reference = VERTEX_READERS[kind]
-            path = tmp_path / f"{kind}.geojson"
-            assert list(read(path, *ORIGIN)) == reference(path, *ORIGIN)
 
 
 # Each reader's properties, and a valid geometry of its type.

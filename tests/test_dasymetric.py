@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fireimpact.dasymetric import (
     DEFAULT_NLCD_WEIGHTS,
     FALLBACKS,
-    CensusBlock,
     DownscaleReport,
     WeightTable,
     allocation_factor_raster,
@@ -25,6 +24,9 @@ from fireimpact.geometry import (
     polygon_centroid,
 )
 from fireimpact.grid import AnalysisGrid, CategoryRaster
+
+import layer_tables as tables
+from layer_tables import Block
 
 
 def grid(n, cell=20.0):
@@ -45,7 +47,7 @@ def rect(x0, y0, x1, y1):
 
 
 def block(grid_, bid, r0, r1, c0, c1, pop, tract="t1"):
-    return CensusBlock(bid, [cell_rect(grid_, r0, r1, c0, c1)], pop, tract)
+    return Block(bid, [cell_rect(grid_, r0, r1, c0, c1)], pop, tract)
 
 
 class TestWeightTable:
@@ -111,7 +113,7 @@ class TestRasterizeBlocks:
         landcover = CategoryRaster(g, np.full((4, 4), 21))
         b1 = block(g, "first", 0, 3, 0, 3, 1)
         b2 = block(g, "second", 0, 3, 0, 3, 1)  # fully shadowed
-        report = rasterize_blocks([b1, b2], g)
+        report = rasterize_blocks(tables.blocks([b1, b2]), g)
         assert report.overlap_cells == 16
         assert report.allocations[1].fallback == "centroid"
 
@@ -122,9 +124,9 @@ class TestRasterizeBlocks:
         # so each block's cells hold its own population and nothing overlaps.
         g = grid(4)
         landcover = CategoryRaster(g, np.full((4, 4), 22))
-        sliver = CensusBlock("s", [rect(2, 2, 6, 6)], 7.0, "t")
-        neighbour = CensusBlock("n", [rect(0, 0, 40, 80)], 80.0, "t")
-        blocks = [sliver, neighbour] if sliver_first else [neighbour, sliver]
+        sliver = Block("s", [rect(2, 2, 6, 6)], 7.0, "t")
+        neighbour = Block("n", [rect(0, 0, 40, 80)], 80.0, "t")
+        blocks = tables.blocks([sliver, neighbour] if sliver_first else [neighbour, sliver])
         pop, report = downscale(blocks, landcover, WeightTable.default(), g)
         assert type(report.overlap_cells) is int and report.overlap_cells == 0
         got = {a.block_id: (a.fallback, a.rows.size) for a in report.allocations}
@@ -133,15 +135,15 @@ class TestRasterizeBlocks:
         expected[:, :2] = 80.0 * (10.0 / 70.0)
         expected[3, 0] = 7.0
         assert np.array_equal(pop.cells, expected)
-        assert not validate_mass(blocks, pop, report).failures()
+        assert validate_mass(blocks, pop, report).failures().size == 0
 
     @pytest.mark.parametrize("sliver_first", [True, False])
     def test_block_losing_its_last_cell_to_a_centroid_falls_back(self, sliver_first):
         g = grid(2)
         landcover = CategoryRaster(g, np.full((2, 2), 22))
-        sliver = CensusBlock("s", [rect(2, 2, 6, 6)], 7.0, "t")
-        host = CensusBlock("h", [rect(0, 0, 20, 20)], 5.0, "t")
-        blocks = [sliver, host] if sliver_first else [host, sliver]
+        sliver = Block("s", [rect(2, 2, 6, 6)], 7.0, "t")
+        host = Block("h", [rect(0, 0, 20, 20)], 5.0, "t")
+        blocks = tables.blocks([sliver, host] if sliver_first else [host, sliver])
         pop, report = downscale(blocks, landcover, WeightTable.default(), g)
         assert report.overlap_cells == 0
         for a in report.allocations:
@@ -173,11 +175,11 @@ def tiled_blocks(draw):
                     Point(x0 + w, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1),
                     Point(x0, y0 + h), Point(x0 + w, y0 + h),
                 ])
-                blocks.append(CensusBlock(f"s{i}_{j}", [rect(x0, y0, x0 + w, y0 + h)],
+                blocks.append(Block(f"s{i}_{j}", [rect(x0, y0, x0 + w, y0 + h)],
                                           float(draw(st.integers(0, 50))), "t"))
-                blocks.append(CensusBlock(f"r{i}_{j}", [rest], pop, "t"))
+                blocks.append(Block(f"r{i}_{j}", [rest], pop, "t"))
             else:
-                blocks.append(CensusBlock(f"b{i}_{j}", [rect(x0, y0, x1, y1)], pop, "t"))
+                blocks.append(Block(f"b{i}_{j}", [rect(x0, y0, x1, y1)], pop, "t"))
     codes = draw(st.lists(st.sampled_from([11, 21, 22, 24, 42]),
                           min_size=n_rows * n_cols, max_size=n_rows * n_cols))
     landcover = CategoryRaster(g, np.array(codes).reshape(n_rows, n_cols))
@@ -198,17 +200,18 @@ class TestBlockOrder:
         g, landcover, blocks = layout
         shuffled = list(blocks)
         rnd.shuffle(shuffled)
-        pop, report = downscale(blocks, landcover, WeightTable.default(), g)
-        pop2, report2 = downscale(shuffled, landcover, WeightTable.default(), g)
+        table, shuffled_table = tables.blocks(blocks), tables.blocks(shuffled)
+        pop, report = downscale(table, landcover, WeightTable.default(), g)
+        pop2, report2 = downscale(shuffled_table, landcover, WeightTable.default(), g)
         assert placements(shuffled, report2) == placements(blocks, report)
         assert report2.overlap_cells == report.overlap_cells == 0
         assert np.array_equal(pop2.cells, pop.cells)
-        assert not validate_mass(blocks, pop, report).failures()
-        assert not validate_mass(shuffled, pop2, report2).failures()
+        assert validate_mass(table, pop, report).failures().size == 0
+        assert validate_mass(shuffled_table, pop2, report2).failures().size == 0
 
 
 def reference_rasterize_blocks(
-    blocks: list[CensusBlock], grid: AnalysisGrid
+    blocks: list[Block], grid: AnalysisGrid
 ) -> DownscaleReport:
     """The per-block claim loop ``rasterize_blocks`` replaced.
 
@@ -248,7 +251,7 @@ def reference_rasterize_blocks(
 
 
 def _reference_centroid_cell(
-    block: CensusBlock, grid: AnalysisGrid
+    block: Block, grid: AnalysisGrid
 ) -> tuple[np.ndarray, np.ndarray]:
     num_x = num_y = den = 0.0
     for part in block.parts:
@@ -276,7 +279,7 @@ def overlapping_blocks(draw):
         tiny = draw(st.integers(0, 3)) == 0
         w = draw(st.integers(1, 8) if tiny else st.integers(10, 100))
         h = draw(st.integers(1, 8) if tiny else st.integers(10, 100))
-        blocks.append(CensusBlock(f"b{k}", [rect(x0, y0, x0 + w, y0 + h)], 1.0, "t"))
+        blocks.append(Block(f"b{k}", [rect(x0, y0, x0 + w, y0 + h)], 1.0, "t"))
     return g, blocks
 
 
@@ -290,7 +293,7 @@ class TestReferenceClaimLoop:
         for a in ref.allocations:
             if a.fallback:
                 assume(a.rows[0] * g.n_cols + a.cols[0] not in cells)
-        got = rasterize_blocks(blocks, g)
+        got = rasterize_blocks(tables.blocks(blocks), g)
         assert placements(blocks, got) == placements(blocks, ref)
         assert got.overlap_cells == ref.overlap_cells
         for name in ("rows", "cols", "starts"):
@@ -305,7 +308,7 @@ def reference_downscale(blocks, landcover, w, grid):
     mass entry as (block_id, pop, allocated, rel_err, fallback).
     """
     ra = allocation_factor_raster(landcover, w)
-    report = rasterize_blocks(blocks, grid)
+    report = rasterize_blocks(tables.blocks(blocks), grid)
     out = np.zeros(grid.shape)
     shares, fallbacks = [], []
     centroid_pops: dict[tuple[int, int], list[float]] = {}
@@ -345,17 +348,21 @@ class TestMatchesPerBlockLoop:
     @settings(max_examples=200, deadline=None)
     def test_same_bits(self, layout, pops, seed):
         g, blocks = layout
-        blocks = [CensusBlock(b.block_id, b.parts, p, "t") for b, p in zip(blocks, pops)]
+        blocks = [Block(b.block_id, b.parts, p, "t") for b, p in zip(blocks, pops)]
         codes = np.random.default_rng(seed).choice([11, 11, 21, 22, 24, 41, 90], g.shape)
         landcover = CategoryRaster(g, codes)
         w = WeightTable.default()
-        pop, report = downscale(blocks, landcover, w, g)
-        mass = validate_mass(blocks, pop, report)
+        table = tables.blocks(blocks)
+        pop, report = downscale(table, landcover, w, g)
+        mass = validate_mass(table, pop, report)
         cells, shares, fallbacks, entries = reference_downscale(blocks, landcover, w, g)
         assert pop.cells.tobytes() == cells.tobytes()
         assert report.pop.tobytes() == shares.tobytes()
         assert [a.fallback for a in report.allocations] == fallbacks
-        got = [(e.block_id, e.pop, e.allocated, e.rel_err, e.fallback) for e in mass.entries]
+        got = list(zip(
+            mass.block_ids, mass.pop.tolist(), mass.allocated.tolist(), mass.rel_err.tolist(),
+            [FALLBACKS[f] for f in mass.fallback.tolist()],
+        ))
         assert repr(got) == repr(entries)
 
 
@@ -364,10 +371,11 @@ class TestMassPreservedOnAnyLayout:
     @settings(max_examples=200, deadline=None)
     def test_no_block_shares_its_cells(self, layout, pops):
         g, blocks = layout
-        blocks = [CensusBlock(b.block_id, b.parts, float(p), "t") for b, p in zip(blocks, pops)]
+        blocks = [Block(b.block_id, b.parts, float(p), "t") for b, p in zip(blocks, pops)]
         landcover = CategoryRaster(g, np.full((g.n_rows, g.n_cols), 22))
-        pop, report = downscale(blocks, landcover, WeightTable.default(), g)
-        assert not validate_mass(blocks, pop, report).failures()
+        table = tables.blocks(blocks)
+        pop, report = downscale(table, landcover, WeightTable.default(), g)
+        assert validate_mass(table, pop, report).failures().size == 0
         assert float(pop.cells.sum()) == pytest.approx(sum(b.pop for b in blocks))
 
 
@@ -377,8 +385,8 @@ class TestDownscale:
         # each developed cell gets 100 * 46/138 = 33.333..., water gets 0.
         g = AnalysisGrid(0, 0, 20, 1, 4)
         landcover = CategoryRaster(g, np.array([[24, 24, 24, 11]]))
-        b = CensusBlock("b1", [cell_rect(g, 0, 0, 0, 3)], 100.0, "t1")
-        pop, report = downscale([b], landcover, WeightTable.default(), g)
+        b = Block("b1", [cell_rect(g, 0, 0, 0, 3)], 100.0, "t1")
+        pop, report = downscale(tables.blocks([b]), landcover, WeightTable.default(), g)
         assert pop.cells[0, 0] == pytest.approx(100 / 3, abs=1e-12)
         assert pop.cells[0, 1] == pytest.approx(100 / 3, abs=1e-12)
         assert pop.cells[0, 3] == 0.0
@@ -388,7 +396,7 @@ class TestDownscale:
         g = grid(4)
         landcover = CategoryRaster(g, np.full((4, 4), 24))
         pop, _ = downscale(
-            [block(g, "b", 0, 3, 0, 3, 0.0)], landcover, WeightTable.default(), g
+            tables.blocks([block(g, "b", 0, 3, 0, 3, 0.0)]), landcover, WeightTable.default(), g
         )
         assert np.all(pop.cells == 0.0)
 
@@ -396,7 +404,7 @@ class TestDownscale:
         g = grid(4)
         landcover = CategoryRaster(g, np.full((4, 4), 22))
         pop, _ = downscale(
-            [block(g, "b", 0, 3, 0, 3, 80.0)], landcover, WeightTable.default(), g
+            tables.blocks([block(g, "b", 0, 3, 0, 3, 80.0)]), landcover, WeightTable.default(), g
         )
         assert np.all(pop.cells == 5.0)
 
@@ -404,7 +412,7 @@ class TestDownscale:
         g = grid(2)
         landcover = CategoryRaster(g, np.full((2, 2), 11))
         pop, report = downscale(
-            [block(g, "wet", 0, 1, 0, 1, 8.0)], landcover, WeightTable.default(), g
+            tables.blocks([block(g, "wet", 0, 1, 0, 1, 8.0)]), landcover, WeightTable.default(), g
         )
         assert np.all(pop.cells == 2.0)
         assert report.fallback_ids() == {"wet"}
@@ -412,10 +420,10 @@ class TestDownscale:
     def test_tiny_block_centroid_fallback_preserves_pop(self):
         g = grid(6)
         landcover = CategoryRaster(g, np.full((6, 6), 21))
-        sliver = CensusBlock(
+        sliver = Block(
             "s", [Polygon([Point(41, 41), Point(43, 41), Point(43, 43), Point(41, 43)])], 7.0, "t"
         )
-        pop, report = downscale([sliver], landcover, WeightTable.default(), g)
+        pop, report = downscale(tables.blocks([sliver]), landcover, WeightTable.default(), g)
         assert float(pop.cells.sum()) == 7.0
         # Centroid (42, 42) lies in cell row 3, col 2.
         assert pop.cells[3, 2] == 7.0
@@ -424,24 +432,24 @@ class TestDownscale:
     def test_multipolygon_parts_share_one_pop(self):
         g = grid(6)
         landcover = CategoryRaster(g, np.full((6, 6), 23))
-        b = CensusBlock(
+        b = Block(
             "m",
             [cell_rect(g, 0, 0, 0, 1), cell_rect(g, 5, 5, 4, 5)],
             40.0,
             "t",
         )
-        pop, report = downscale([b], landcover, WeightTable.default(), g)
+        pop, report = downscale(tables.blocks([b]), landcover, WeightTable.default(), g)
         assert pop.cells[0, 0] == 10.0
         assert pop.cells[5, 5] == 10.0
         assert float(pop.cells.sum()) == 40.0
-        mass = validate_mass([b], pop, report)
+        mass = validate_mass(tables.blocks([b]), pop, report)
         assert mass.max_rel_err() <= 1e-9
 
     def test_zero_weight_cells_get_exactly_zero(self):
         g = AnalysisGrid(0, 0, 20, 1, 3)
         landcover = CategoryRaster(g, np.array([[24, 11, 22]]))
-        b = CensusBlock("b", [cell_rect(g, 0, 0, 0, 2)], 56.0, "t")
-        pop, _ = downscale([b], landcover, WeightTable.default(), g)
+        b = Block("b", [cell_rect(g, 0, 0, 0, 2)], 56.0, "t")
+        pop, _ = downscale(tables.blocks([b]), landcover, WeightTable.default(), g)
         assert pop.cells[0, 1] == 0.0
         assert pop.cells[0, 0] == 56.0 * 46 / 56
         assert pop.cells[0, 2] == 56.0 * 10 / 56
@@ -451,7 +459,11 @@ class TestDownscale:
         g = grid(8)
         codes = rng.choice([21, 22, 23, 24, 42], size=(8, 8))
         landcover = CategoryRaster(g, codes)
-        blocks = [block(g, f"b{i}", 4 * (i // 2), 4 * (i // 2) + 3, 4 * (i % 2), 4 * (i % 2) + 3, float(10 + i)) for i in range(4)]
+        blocks = tables.blocks([
+            block(g, f"b{i}", 4 * (i // 2), 4 * (i // 2) + 3, 4 * (i % 2), 4 * (i % 2) + 3,
+                  float(10 + i))
+            for i in range(4)
+        ])
         base = WeightTable.default()
         scaled = WeightTable({k: 3.0 * v for k, v in base.weights.items()})
         pop1, _ = downscale(blocks, landcover, base, g)
@@ -461,8 +473,8 @@ class TestDownscale:
     def test_monotone_in_weight_within_block(self):
         g = AnalysisGrid(0, 0, 20, 1, 2)
         landcover = CategoryRaster(g, np.array([[24, 22]]))  # 46 vs 10
-        b = CensusBlock("b", [cell_rect(g, 0, 0, 0, 1)], 70.0, "t")
-        pop, _ = downscale([b], landcover, WeightTable.default(), g)
+        b = Block("b", [cell_rect(g, 0, 0, 0, 1)], 70.0, "t")
+        pop, _ = downscale(tables.blocks([b]), landcover, WeightTable.default(), g)
         assert pop.cells[0, 0] > pop.cells[0, 1]
 
 
@@ -479,7 +491,7 @@ class TestValidateMass:
                     block(g, f"b{i}_{j}", r0, r0 + tile - 1, c0, c0 + tile - 1,
                           float(rng.integers(0, 500)))
                 )
-        return g, landcover, blocks
+        return g, landcover, tables.blocks(blocks)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -488,7 +500,7 @@ class TestValidateMass:
         pop, report = downscale(blocks, landcover, WeightTable.default(), g)
         mass = validate_mass(blocks, pop, report)
         assert mass.max_rel_err() <= 1e-9
-        assert not mass.failures()
+        assert mass.failures().size == 0
 
     def test_corrupted_grid_is_flagged(self):
         g, landcover, blocks = self._random_setup(5)
@@ -500,6 +512,4 @@ class TestValidateMass:
 
         corrupted = RealRaster(g, cells)
         mass = validate_mass(blocks, corrupted, report)
-        bad = mass.failures()
-        assert len(bad) == 1
-        assert bad[0].block_id == "b0_0"
+        assert [mass.block_ids[k] for k in mass.failures()] == ["b0_0"]

@@ -1,4 +1,5 @@
 import datetime as dt
+import math
 
 import numpy as np
 import pytest
@@ -8,21 +9,20 @@ from hypothesis import strategies as st
 from fireimpact.errors import MissingTractError, UnpricedClassError, ValidationError
 from fireimpact.geometry import (
     Point,
+    PolygonLayer,
     PolyLine,
     Polygon,
     features_cell_indices,
+    polygon_area,
     rasterize_polyline,
 )
 from fireimpact.grid import AnalysisGrid, CategoryRaster, Mask, RealRaster
 from fireimpact.impact import (
-    BuildingFeature,
     BuildingIndex,
     CostModel,
     DailyImpactRecord,
     Demographics,
-    PoiFeature,
     PoiIndex,
-    RoadFeature,
     RoadIndex,
     TractDemographics,
     building_loss_by_day,
@@ -34,6 +34,9 @@ from fireimpact.impact import (
     summarize,
     to_cents,
 )
+
+import layer_tables as tables
+from layer_tables import Poi, Road
 
 D0 = dt.date(2025, 1, 7)
 
@@ -143,15 +146,15 @@ class TestLandUseLoss:
 class TestRoadLoss:
     def test_road_outside_burn(self):
         g = grid(5)
-        road = RoadFeature(PolyLine([Point(10, 10), Point(90, 10)]), "residential")
-        index = RoadIndex.build([road], g, simple_costs())
+        road = Road(PolyLine([Point(10, 10), Point(90, 10)]), "residential")
+        index = RoadIndex.build(tables.roads([road]), g, simple_costs())
         cents, meters = next(road_loss_by_day(index, [Mask.empty(g).bits], 1))
         assert cents == {} and meters == {}
 
     def test_hundred_meters_residential(self):
         g = grid(6)
-        road = RoadFeature(PolyLine([Point(10, 30), Point(110, 30)]), "residential")
-        index = RoadIndex.build([road], g, simple_costs(road=50.0))
+        road = Road(PolyLine([Point(10, 30), Point(110, 30)]), "residential")
+        index = RoadIndex.build(tables.roads([road]), g, simple_costs(road=50.0))
         cents, meters = next(road_loss_by_day(index, [Mask.full(g).bits], 1))
         assert meters["residential"] == pytest.approx(100.0, rel=1e-12)
         assert cents["residential"] == 500_000  # $5,000
@@ -161,8 +164,8 @@ class TestRoadLoss:
         # Burn only the west half (cols 0..2).
         burn = mask_of(g, [(r, c) for r in range(6) for c in range(3)])
         line = PolyLine([Point(0, 50), Point(120, 50)])
-        road = RoadFeature(line, "residential")
-        index = RoadIndex.build([road], g, simple_costs(road=50.0))
+        road = Road(line, "residential")
+        index = RoadIndex.build(tables.roads([road]), g, simple_costs(road=50.0))
         cents, meters = next(road_loss_by_day(index, [burn.bits], 1))
         per_cell = rasterize_polyline(line, g)
         want_m = sum(v for (r, c), v in per_cell.items() if burn.bits[r, c])
@@ -172,8 +175,8 @@ class TestRoadLoss:
 
     def test_unpriced_road_class(self):
         g = grid(3)
-        road = RoadFeature(PolyLine([Point(0, 10), Point(50, 10)]), "motorway")
-        index = RoadIndex.build([road], g, simple_costs())
+        road = Road(PolyLine([Point(0, 10), Point(50, 10)]), "motorway")
+        index = RoadIndex.build(tables.roads([road]), g, simple_costs())
         with pytest.raises(UnpricedClassError, match="motorway"):
             next(road_loss_by_day(index, [Mask.full(g).bits], 1))
 
@@ -183,7 +186,7 @@ class TestRoadLoss:
         rng = np.random.default_rng(seed)
         g = grid(8)
         roads = [
-            RoadFeature(
+            Road(
                 PolyLine([Point(rng.uniform(0, 160), rng.uniform(0, 160)),
                           Point(rng.uniform(0, 160), rng.uniform(0, 160))]),
                 "residential",
@@ -192,7 +195,7 @@ class TestRoadLoss:
         ]
         bits = rng.random((8, 8)) < 0.6
         split = rng.random((8, 8)) < 0.5
-        index = RoadIndex.build(roads, g, simple_costs())
+        index = RoadIndex.build(tables.roads(roads), g, simple_costs())
         (whole, _), (p1, _), (p2, _) = road_loss_by_day(
             index, [bits, bits & split, bits & ~split], 3
         )
@@ -201,20 +204,21 @@ class TestRoadLoss:
 
 
 class TestBuildingLoss:
-    def _building(self, g, r, c, bid="b1", area_side=10.0):
+    def _building(self, g, r, c, area_side=10.0):
         x = g.center_x(c) - area_side / 2
         y = g.center_y(r) - area_side / 2
         rect = Polygon(
             [Point(x, y), Point(x + area_side, y), Point(x + area_side, y + area_side), Point(x, y + area_side)]
         )
-        return BuildingFeature([rect], bid)
+        return [rect]
 
     def test_already_burned_building_costs_nothing_today(self):
         g = grid(5)
         b = self._building(g, 2, 2)
         # Day 0 burned (2, 2); today, day 1, burns (2, 2) again and (2, 3).
         first = first_burn_raster(g, {(2, 2): 0, (2, 3): 1})
-        cents, counts = building_loss_by_day(BuildingIndex.build([b], g, simple_costs()), first, 2)
+        index = BuildingIndex.build(PolygonLayer.of([b]), g, simple_costs())
+        cents, counts = building_loss_by_day(index, first, 2)
         assert (cents[1], counts[1]) == (0, 0)
 
     def test_200_m2_footprint_cost(self):
@@ -224,8 +228,7 @@ class TestBuildingLoss:
         rect = Polygon(
             [Point(x0, y0), Point(x0 + 16, y0), Point(x0 + 16, y0 + 12.5), Point(x0, y0 + 12.5)]
         )
-        b = BuildingFeature([rect], "b1")
-        index = BuildingIndex.build([b], g, simple_costs(building=3000.0))
+        index = BuildingIndex.build(PolygonLayer.of([[rect]]), g, simple_costs(building=3000.0))
         cents, counts = building_loss_by_day(index, first_burn_raster(g, {(1, 1): 0}), 1)
         assert counts.tolist() == [1]
         assert cents.tolist() == [60_000_000]  # $600,000
@@ -236,8 +239,8 @@ class TestBuildingLoss:
         rng = np.random.default_rng(seed)
         g = grid(8)
         buildings = [
-            self._building(g, int(rng.integers(0, 8)), int(rng.integers(0, 8)), f"b{i}")
-            for i in range(50)
+            self._building(g, int(rng.integers(0, 8)), int(rng.integers(0, 8)))
+            for _ in range(50)
         ]
         daily = [Mask(g, rng.random((8, 8)) < 0.15) for _ in range(4)]
         # Disjoint new burns via running cumulative.
@@ -248,7 +251,7 @@ class TestBuildingLoss:
             new_burns.append(Mask(g, nb))
             cum |= nb
 
-        index = BuildingIndex.build(buildings, g, simple_costs())
+        index = BuildingIndex.build(PolygonLayer.of(buildings), g, simple_costs())
         _, counts = building_loss_by_day(index, first_burn_day(new_burns, g), len(new_burns))
         got_counts = counts.tolist()
 
@@ -261,7 +264,7 @@ class TestBuildingLoss:
         ys = np.array([g.center_y(r) for r, _ in centers])
         for b in buildings:
             inside = np.zeros(len(centers), dtype=bool)
-            for fp in b.footprints:
+            for fp in b:
                 inside |= points_in_polygon(xs, ys, fp)
             if not inside.any():
                 continue
@@ -278,11 +281,16 @@ class TestBuildingLoss:
             if any(
                 nb.bits[cell]
                 for nb in new_burns
-                for cell in [g.cell_of(b.footprints[0].exterior[0].x + 5, b.footprints[0].exterior[0].y + 5)]
+                for cell in [g.cell_of(b[0].exterior[0].x + 5, b[0].exterior[0].y + 5)]
                 if cell is not None
             )
         )
         assert sum(got_counts) == ever
+
+
+def area(footprints):
+    """A building's area: the ``math.fsum`` of its footprints' areas."""
+    return math.fsum(polygon_area(p) for p in footprints)
 
 
 def box(x0, y0, x1, y1):
@@ -312,13 +320,13 @@ class TestBuildingLossByDay:
         g = grid(5)
         costs = simple_costs()
         buildings = [
-            BuildingFeature([box(-80, -80, -60, -60)], "off-grid"),
-            BuildingFeature([box(20, 60, 40, 80)], "cell-1-1"),
-            BuildingFeature([box(41, 41, 49, 49)], "between-centers"),
-            BuildingFeature([box(60, 20, 80, 40)], "cell-3-3"),
-            BuildingFeature([box(41, 81, 49, 89)], "between-centers-2"),
+            [box(-80, -80, -60, -60)],  # off the grid
+            [box(20, 60, 40, 80)],  # cell (1, 1)
+            [box(41, 41, 49, 49)],  # between centers
+            [box(60, 20, 80, 40)],  # cell (3, 3)
+            [box(41, 81, 49, 89)],  # between centers
         ]
-        index = BuildingIndex.build(buildings, g, costs)
+        index = BuildingIndex.build(PolygonLayer.of(buildings), g, costs)
         assert index.starts.size == 2
         first = first_burn_raster(g, {(1, 1): 1, (3, 3): 0, (2, 2): 0, (0, 2): 2})
         cents, counts = building_loss_by_day(index, first, 3)
@@ -330,12 +338,12 @@ class TestBuildingLossByDay:
         g = grid(5)
         costs = simple_costs()
         # Covers the centers of (2, 1), (2, 2) and (2, 3).
-        b = BuildingFeature([box(25, 45, 75, 55)], "long")
-        index = BuildingIndex.build([b], g, costs)
+        b = [box(25, 45, 75, 55)]
+        index = BuildingIndex.build(PolygonLayer.of([b]), g, costs)
         first = first_burn_raster(g, {(2, 1): 2, (2, 3): 1})
         cents, counts = building_loss_by_day(index, first, 4)
         assert counts.tolist() == [0, 1, 0, 0]
-        assert cents.tolist() == [0, to_cents(b.area() * costs.building_cost), 0, 0]
+        assert cents.tolist() == [0, to_cents(area(b) * costs.building_cost), 0, 0]
 
     def test_cents_are_summed_as_exact_integers(self):
         # 3 * 2**52 + 3 is odd and above 2**53, so float weights would round it.
@@ -351,7 +359,7 @@ class TestBuildingLossByDay:
 
     def test_no_buildings(self):
         g = grid(3)
-        index = BuildingIndex.build([], g, simple_costs())
+        index = BuildingIndex.build(PolygonLayer.of([]), g, simple_costs())
         cents, counts = building_loss_by_day(index, first_burn_raster(g, {(0, 0): 0}), 2)
         assert cents.tolist() == [0, 0] and counts.tolist() == [0, 0]
 
@@ -362,13 +370,13 @@ class TestBuildingLossByDay:
         g = grid(10)
         costs = simple_costs(building=float(rng.uniform(1, 5000)))
         buildings = []
-        for i in range(40):
+        for _ in range(40):
             parts = []
             for _ in range(int(rng.integers(1, 3))):
                 x0, y0 = rng.uniform(-40, 200, 2)
                 w, h = rng.uniform(2, 50, 2)
                 parts.append(box(x0, y0, x0 + w, y0 + h))
-            buildings.append(BuildingFeature(parts, f"b{i}"))
+            buildings.append(parts)
         n_days = int(rng.integers(1, 7))
         cum = np.zeros(g.shape, dtype=bool)
         befores, new_burns = [], []
@@ -378,7 +386,7 @@ class TestBuildingLossByDay:
             new_burns.append(Mask(g, nb))
             cum |= nb
 
-        index = BuildingIndex.build(buildings, g, costs)
+        index = BuildingIndex.build(PolygonLayer.of(buildings), g, costs)
         cents, counts = building_loss_by_day(index, first_burn_day(new_burns, g), n_days)
         # Each day on its own: day 0 holds the cells burned before it, day 1 its new burn.
         daily = []
@@ -394,10 +402,10 @@ class TestBuildingLossByDay:
         for before, nb in zip(befores, new_burns):
             total = count = 0
             for b in buildings:
-                cells, _ = features_cell_indices([b.footprints], g)
+                cells, _ = features_cell_indices([b], g)
                 was, now = before.bits.ravel()[cells], nb.bits.ravel()[cells]
                 if cells.size and not was.any() and now.any():
-                    total += to_cents(b.area() * costs.building_cost)
+                    total += to_cents(area(b) * costs.building_cost)
                     count += 1
             want.append((total, count))
         assert daily == want
@@ -406,23 +414,25 @@ class TestBuildingLossByDay:
 class TestPoiExposure:
     def test_no_pois_in_burn(self):
         g = grid(4)
-        pois = [PoiFeature(Point(10, 10), "Retail")]
-        assert poi_exposure_by_day(PoiIndex.build(pois, g), [Mask.empty(g).bits], 1) == [{}]
+        pois = [Poi(Point(10, 10), "Retail")]
+        index = PoiIndex.build(tables.pois(pois), g)
+        assert poi_exposure_by_day(index, [Mask.empty(g).bits], 1) == [{}]
 
     def test_three_of_one_category(self):
         g = grid(4)
         burn = mask_of(g, [(3, 0), (3, 1)])
         pois = [
-            PoiFeature(Point(10, 10), "Retail"),
-            PoiFeature(Point(12, 12), "Retail"),
-            PoiFeature(Point(30, 10), "Retail"),
-            PoiFeature(Point(70, 70), "Retail"),
+            Poi(Point(10, 10), "Retail"),
+            Poi(Point(12, 12), "Retail"),
+            Poi(Point(30, 10), "Retail"),
+            Poi(Point(70, 70), "Retail"),
         ]
-        assert poi_exposure_by_day(PoiIndex.build(pois, g), [burn.bits], 1) == [{"Retail": 3}]
+        index = PoiIndex.build(tables.pois(pois), g)
+        assert poi_exposure_by_day(index, [burn.bits], 1) == [{"Retail": 3}]
 
     def test_poi_outside_grid_ignored(self):
         g = grid(2)
-        index = PoiIndex.build([PoiFeature(Point(-5, 10), "X")], g)
+        index = PoiIndex.build(tables.pois([Poi(Point(-5, 10), "X")]), g)
         assert poi_exposure_by_day(index, [Mask.full(g).bits], 1) == [{}]
 
 

@@ -199,6 +199,31 @@ CASES = [
     ("building-cost-numeric-text", "costs.json",
      lambda p: edit_json(p, lambda d: d.update(building_cost="3000")),
      2, "bad building_cost value '3000'"),
+    # Each layer's row checks, with their messages.
+    ("block-negative-pop",
+     *first_feature("blocks.geojson", lambda f: f["properties"].update(pop=-1)),
+     1, "has negative pop -1.0"),
+    ("block-no-parts",
+     *first_feature("blocks.geojson", lambda f: f["geometry"].update(
+         type="MultiPolygon", coordinates=[])),
+     1, "has no boundary parts"),
+    ("building-no-footprint",
+     *first_feature("buildings.geojson", lambda f: f["geometry"].update(
+         type="MultiPolygon", coordinates=[])),
+     1, "has no footprint"),
+    ("district-name-empty",
+     *first_feature("perimeter.geojson", lambda f: f["properties"].update(name="")),
+     1, "feature 0: district needs a name"),
+    ("district-no-perimeter",
+     *first_feature("perimeter.geojson", lambda f: f["geometry"].update(
+         type="MultiPolygon", coordinates=[])),
+     1, "has no perimeter"),
+    ("road-class-empty",
+     *first_feature("roads.geojson", lambda f: f["properties"].update({"class": ""})),
+     1, "feature 0: road feature needs a class"),
+    ("poi-category-empty",
+     *first_feature("pois.geojson", lambda f: f["properties"].update(category="")),
+     1, "feature 0: poi feature needs a category"),
     # Geometry is checked for the whole layer at once, yet the first bad
     # feature in file order is the one named: feature 1's two-vertex ring
     # (exit 1), not feature 3's text pop (exit 2).

@@ -153,10 +153,10 @@ class TestVectors:
             "properties": {"block_id": "b1", "pop": 100, "tract_id": "t1"},
         }
         p = write(tmp_path / "v.geojson", fc([feat]))
-        [block] = read_blocks(p, *ORIGIN)
-        assert block.block_id == "b1"
-        assert block.pop == 100.0
-        assert len(block.parts) == 1
+        blocks = read_blocks(p, *ORIGIN)
+        assert blocks.ids == ["b1"]
+        assert blocks.pop.tolist() == [100.0]
+        assert blocks.parts.feature_offsets.tolist() == [0, 1]
 
     def test_multipolygon_block_preserves_mass_across_parts(self, tmp_path):
         g = AnalysisGrid(0, 0, 20, 8, 8)
@@ -168,11 +168,11 @@ class TestVectors:
             "properties": {"block_id": "m1", "pop": 60, "tract_id": "t1"},
         }
         p = write(tmp_path / "v.geojson", fc([feat]))
-        [block] = read_blocks(p, *ORIGIN)
-        assert len(block.parts) == 2
+        blocks = read_blocks(p, *ORIGIN)
+        assert blocks.parts.feature_offsets.tolist() == [0, 2]
         landcover = CategoryRaster(g, np.full((8, 8), 22))
-        pop, report = downscale([block], landcover, WeightTable.default(), g)
-        mass = validate_mass([block], pop, report)
+        pop, report = downscale(blocks, landcover, WeightTable.default(), g)
+        mass = validate_mass(blocks, pop, report)
         assert mass.max_rel_err() <= 1e-9
         assert float(pop.cells.sum()) == pytest.approx(60.0, abs=1e-9)
 
@@ -210,10 +210,10 @@ class TestVectors:
             "geometry": {"type": "Point", "coordinates": [-118.25, 34.05]},
             "properties": {"category": "Retail"},
         }
-        [r] = read_roads(write(tmp_path / "r.geojson", fc([road])), *ORIGIN)
-        assert r.road_class == "residential"
-        [p] = read_pois(write(tmp_path / "p.geojson", fc([poi])), *ORIGIN)
-        assert p.category == "Retail"
+        roads = read_roads(write(tmp_path / "r.geojson", fc([road])), *ORIGIN)
+        assert len(roads) == 1 and roads.classes == ["residential"]
+        pois = read_pois(write(tmp_path / "p.geojson", fc([poi])), *ORIGIN)
+        assert len(pois) == 1 and pois.categories == ["Retail"]
 
     def test_duplicate_district_names_rejected(self, tmp_path):
         feat = {

@@ -13,18 +13,30 @@ from fireimpact.geometry import Point, Polygon, rasterize_polygons
 from fireimpact.grid import AnalysisGrid
 from fireimpact.perimeters import (
     Detection,
-    Detections,
     KdeParams,
+    event_dates,
     extract_daily_perimeters,
     kde_surface,
     threshold_surface,
 )
+
+import layer_tables as tables
 
 D0 = dt.date(2025, 1, 7)
 
 
 def det(x, y, day=0, frp=None):
     return Detection(Point(x, y), D0 + dt.timedelta(days=day), frp=frp)
+
+
+def first_days(n):
+    """The ``n`` dates from D0 on."""
+    return [D0 + dt.timedelta(days=i) for i in range(n)]
+
+
+def tables_by_date(points_by_date):
+    """Each date's detections as a table."""
+    return {day: tables.detections(points) for day, points in points_by_date.items()}
 
 
 def brute_force_kde(points, grid, h, weights=None):
@@ -48,14 +60,14 @@ class TestKdeSurface:
     def test_peak_value_at_point_cell(self):
         g = AnalysisGrid(0, 0, 20, 11, 11)
         params = KdeParams(bandwidth_m=100.0)
-        surface = kde_surface([det(g.center_x(5), g.center_y(5))], g, params)
+        surface = kde_surface(tables.detections([det(g.center_x(5), g.center_y(5))]), g, params)
         assert surface.cells[5, 5] == pytest.approx(1 / (2 * math.pi * 1e4), rel=1e-12)
         assert surface.cells[5, 5] == pytest.approx(1.59155e-5, rel=1e-5)
 
     def test_value_at_one_bandwidth_distance(self):
         g = AnalysisGrid(0, 0, 20, 11, 11)
         params = KdeParams(bandwidth_m=100.0)
-        surface = kde_surface([det(g.center_x(5), g.center_y(5))], g, params)
+        surface = kde_surface(tables.detections([det(g.center_x(5), g.center_y(5))]), g, params)
         # Cell (5, 10) is exactly 5 cells = 100 m east.
         peak = 1 / (2 * math.pi * 1e4)
         assert surface.cells[5, 10] == pytest.approx(peak * math.exp(-0.5), rel=1e-12)
@@ -66,7 +78,8 @@ class TestKdeSurface:
         # centers of cells (5, 0), (5, 10), (0, 5) and (10, 5).
         g = AnalysisGrid(0, 0, 20, 11, 11)
         params = KdeParams(bandwidth_m=25.0)
-        cells = kde_surface([det(g.center_x(5), g.center_y(5))], g, params).cells
+        point = tables.detections([det(g.center_x(5), g.center_y(5))])
+        cells = kde_surface(point, g, params).cells
         at_cutoff = math.exp(-8.0) / (2 * math.pi * 625.0)
         for r, c in ((5, 0), (5, 10), (0, 5), (10, 5)):
             assert cells[r, c] == pytest.approx(at_cutoff, rel=1e-12)
@@ -76,20 +89,22 @@ class TestKdeSurface:
         g = AnalysisGrid(0, 0, 20, 9, 9)
         params = KdeParams(bandwidth_m=150.0)
         mid = Point(g.center_x(4), g.center_y(4))
-        single = kde_surface([det(mid.x - 60, mid.y)], g, params)
-        pair = kde_surface([det(mid.x - 60, mid.y), det(mid.x + 60, mid.y)], g, params)
+        single = kde_surface(tables.detections([det(mid.x - 60, mid.y)]), g, params)
+        pair = kde_surface(
+            tables.detections([det(mid.x - 60, mid.y), det(mid.x + 60, mid.y)]), g, params
+        )
         assert pair.cells[4, 4] == pytest.approx(2 * single.cells[4, 4], rel=1e-12)
 
     def test_empty_points_all_zero(self):
         g = AnalysisGrid(0, 0, 20, 4, 4)
-        assert np.all(kde_surface([], g, KdeParams()).cells == 0.0)
+        assert np.all(kde_surface(tables.detections([]), g, KdeParams()).cells == 0.0)
 
     def test_matches_untruncated_brute_force_within_tolerance(self):
         rng = np.random.default_rng(11)
         g = AnalysisGrid(0, 0, 20, 30, 30)
         pts = [det(rng.uniform(0, 600), rng.uniform(0, 600)) for _ in range(12)]
         params = KdeParams(bandwidth_m=750.0)
-        engine = kde_surface(pts, g, params).cells
+        engine = kde_surface(tables.detections(pts), g, params).cells
         oracle = brute_force_kde(pts, g, 750.0)
         assert np.max(np.abs(engine - oracle) / oracle) < 1e-4
 
@@ -98,7 +113,7 @@ class TestKdeSurface:
         params = KdeParams(bandwidth_m=100.0, frp_weighted=True)
         p1 = det(g.center_x(2), g.center_y(2), frp=300.0)
         p2 = det(g.center_x(2), g.center_y(2), frp=100.0)
-        surface = kde_surface([p1, p2], g, params)
+        surface = kde_surface(tables.detections([p1, p2]), g, params)
         # Weights 1.5 and 0.5 sum to 2 at the shared cell.
         peak = 1 / (2 * math.pi * 1e4)
         assert surface.cells[2, 2] == pytest.approx(2 * peak, rel=1e-12)
@@ -106,7 +121,7 @@ class TestKdeSurface:
     def test_frp_weighting_requires_frp(self):
         g = AnalysisGrid(0, 0, 20, 3, 3)
         with pytest.raises(ValidationError):
-            kde_surface([det(10, 10)], g, KdeParams(frp_weighted=True))
+            kde_surface(tables.detections([det(10, 10)]), g, KdeParams(frp_weighted=True))
 
     def test_mass_approaches_point_count_on_padded_grid(self):
         rng = np.random.default_rng(5)
@@ -114,7 +129,7 @@ class TestKdeSurface:
         pad = 4 * h
         g = AnalysisGrid(-pad, -pad, 20, int((400 + 2 * pad) / 20), int((400 + 2 * pad) / 20))
         pts = [det(rng.uniform(0, 400), rng.uniform(0, 400)) for _ in range(25)]
-        surface = kde_surface(pts, g, KdeParams(bandwidth_m=h))
+        surface = kde_surface(tables.detections(pts), g, KdeParams(bandwidth_m=h))
         mass = float(surface.cells.sum()) * g.cell_area
         assert abs(mass - 25) / 25 < 0.02
 
@@ -122,7 +137,6 @@ class TestKdeSurface:
 def reference_kde(points, grid, params):
     """One slice update per point, in file order: the bits ``kde_surface`` must give."""
     values = np.zeros(grid.shape)
-    points = Detections.of(points)
     if not len(points):
         return values
 
@@ -198,6 +212,7 @@ def kde_points(draw):
 
 
 def kde_matches_reference(points, params, grid=KDE_GRID):
+    points = tables.detections(points)
     try:
         want = reference_kde(points, grid, params)
     except ValidationError:
@@ -251,7 +266,7 @@ class TestKdeBitIdentity:
         ka, kb, kc = ((f / mean) * (1.0 / (2.0 * math.pi * 4.0 * 4.0)) for f in frps[1:])
         assert (ka + kb) + kc != ka + (kb + kc)
         monkeypatch.setattr(perimeters, "BATCH_CELLS", 2)
-        cells = kde_surface([other, a, b, c], g, params).cells
+        cells = kde_surface(tables.detections([other, a, b, c]), g, params).cells
         assert cells[0, 1] == (ka + kb) + kc
         kde_matches_reference([other, a, b, c], params, g)
 
@@ -302,7 +317,7 @@ class TestKdeParams:
     def test_zero_absolute_threshold_on_empty_day_stays_empty(self):
         g = AnalysisGrid(0, 0, 20, 5, 5)
         params = KdeParams(threshold_mode="absolute", threshold_value=0.0)
-        surface = kde_surface([], g, params)
+        surface = kde_surface(tables.detections([]), g, params)
         assert threshold_surface(surface, params).popcount() == 0
 
 
@@ -315,18 +330,22 @@ class TestExtractDailyPerimeters:
         g = AnalysisGrid(0, 0, 20, 20, 20)
         official = [square(0, 0, 100, 100)]
         dets = {D0: [det(300, 300)], D0 + dt.timedelta(days=1): [det(320, 320, day=1)]}
-        days = extract_daily_perimeters(dets, official, g, KdeParams(bandwidth_m=50))
+        days = extract_daily_perimeters(
+            tables_by_date(dets), official, g, KdeParams(bandwidth_m=50), first_days(2)
+        )
         assert all(p.new_burn.popcount() == 0 for p in days)
 
     def test_tight_cluster_gives_one_connected_component(self):
         g = AnalysisGrid(0, 0, 20, 50, 50)
         official = [square(0, 0, 1000, 1000)]
         cluster = [det(500 + dx, 500 + dy) for dx in (-30, 0, 30) for dy in (-30, 0, 30)]
-        days = extract_daily_perimeters({D0: cluster}, official, g, KdeParams(bandwidth_m=100))
+        days = extract_daily_perimeters(
+            tables_by_date({D0: cluster}), official, g, KdeParams(bandwidth_m=100), [D0]
+        )
         assert len(days) == 1
         assert dilation_flood_fill(days[0].new_burn.bits).max() == 1
         # Brute-force check of the same thresholding on this day.
-        surface = kde_surface(cluster, g, KdeParams(bandwidth_m=100))
+        surface = kde_surface(tables.detections(cluster), g, KdeParams(bandwidth_m=100))
         want = threshold_surface(surface, KdeParams(bandwidth_m=100)).bits
         assert np.array_equal(days[0].new_burn.bits, want)
 
@@ -336,10 +355,11 @@ class TestExtractDailyPerimeters:
         pts0 = [det(200, 200)]
         pts1 = [det(200, 200, day=1)]
         days = extract_daily_perimeters(
-            {D0: pts0, D0 + dt.timedelta(days=1): pts1},
+            tables_by_date({D0: pts0, D0 + dt.timedelta(days=1): pts1}),
             official,
             g,
             KdeParams(bandwidth_m=60),
+            first_days(2),
         )
         assert days[0].new_burn.popcount() > 0
         assert days[1].new_burn.popcount() == 0
@@ -349,9 +369,29 @@ class TestExtractDailyPerimeters:
         g = AnalysisGrid(0, 0, 20, 10, 10)
         official = [square(0, 0, 200, 200)]
         dets = {D0: [det(100, 100)], D0 + dt.timedelta(days=2): [det(40, 40, day=2)]}
-        days = extract_daily_perimeters(dets, official, g, KdeParams(bandwidth_m=40))
+        days = extract_daily_perimeters(
+            tables_by_date(dets), official, g, KdeParams(bandwidth_m=40), first_days(3)
+        )
         assert [p.date for p in days] == [D0 + dt.timedelta(days=i) for i in range(3)]
         assert days[1].new_burn.popcount() == 0
+
+    def test_gap_dates_compute_no_surface(self, monkeypatch):
+        kde = perimeters.kde_surface
+        sizes = []
+
+        def counting(points, grid, params):
+            sizes.append(len(points))
+            return kde(points, grid, params)
+
+        monkeypatch.setattr(perimeters, "kde_surface", counting)
+        g = AnalysisGrid(0, 0, 20, 10, 10)
+        dets = {D0: [det(100, 100)], D0 + dt.timedelta(days=3): [det(40, 40, day=3)] * 2}
+        days = extract_daily_perimeters(
+            tables_by_date(dets), [square(0, 0, 200, 200)], g, KdeParams(bandwidth_m=40),
+            first_days(4),
+        )
+        assert sizes == [1, 2]
+        assert [p.active.popcount() == 0 for p in days] == [False, True, True, False]
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -370,13 +410,16 @@ class TestExtractDailyPerimeters:
                 dets[D0 + dt.timedelta(days=day)] = pts
         if not dets:
             return
-        days = extract_daily_perimeters(dets, official, g, KdeParams(bandwidth_m=80))
+        dates = event_dates(tables.detections(d for pts in dets.values() for d in pts))
+        days = extract_daily_perimeters(
+            tables_by_date(dets), official, g, KdeParams(bandwidth_m=80), dates
+        )
 
         # No double counting and monotone cumulation.
         total_new = sum(p.new_burn.popcount() for p in days)
         assert total_new == days[-1].cumulative.popcount()
         for a, b in zip(days, days[1:]):
-            assert a.cumulative.is_subset_of(b.cumulative)
+            assert not (a.cumulative.bits & ~b.cumulative.bits).any()
         # Pairwise disjoint new burns.
         seen = np.zeros(g.shape, dtype=bool)
         for p in days:
@@ -421,13 +464,14 @@ class TestFirstBurnRaster:
         for x, y, day in points:
             dets.setdefault(D0 + dt.timedelta(days=day), []).append(det(x, y, day=day))
         dates = [D0 + dt.timedelta(days=i) for i in range(6)]
-        days = extract_daily_perimeters(dets, official, g, params, dates=dates)
+        days = extract_daily_perimeters(tables_by_date(dets), official, g, params, dates)
 
         # Reference: the running cumulative mask the first-burn raster replaced.
         clip = rasterize_polygons(official, g)
         cum = np.zeros(g.shape, dtype=bool)
         for p in days:
-            burned = threshold_surface(kde_surface(dets.get(p.date, []), g, params), params)
+            points = tables.detections(dets.get(p.date, []))
+            burned = threshold_surface(kde_surface(points, g, params), params)
             active = burned.bits & clip.bits
             new = active & ~cum
             cum |= new
@@ -439,7 +483,9 @@ class TestFirstBurnRaster:
         g = AnalysisGrid(0, 0, 20, 10, 10)
         official = [square(0, 0, 200, 200)]
         dets = {D0: [det(100, 100)], D0 + dt.timedelta(days=2): [det(40, 40, day=2)]}
-        days = extract_daily_perimeters(dets, official, g, KdeParams(bandwidth_m=40))
+        days = extract_daily_perimeters(
+            tables_by_date(dets), official, g, KdeParams(bandwidth_m=40), first_days(3)
+        )
         first = days[0].first_burn
         assert [p.index for p in days] == [0, 1, 2]
         assert all(p.first_burn is first for p in days)
@@ -452,7 +498,7 @@ class TestFirstBurnRaster:
         g = AnalysisGrid(0, 0, 20, 2, 2)
         dates = [D0 + dt.timedelta(days=i) for i in range(np.iinfo(np.int16).max + 1)]
         with pytest.raises(ValidationError, match="first-burn-day raster"):
-            extract_daily_perimeters({}, [square(0, 0, 40, 40)], g, KdeParams(), dates=dates)
+            extract_daily_perimeters({}, [square(0, 0, 40, 40)], g, KdeParams(), dates)
 
 
 def random_detections(seed, n):
@@ -473,8 +519,7 @@ class TestDetectionsTable:
     @settings(max_examples=40, deadline=None)
     def test_round_trip_and_selection(self, seed, n):
         dets = random_detections(seed, n)
-        table = Detections.of(dets)
-        assert Detections.of(table) is table
+        table = tables.detections(dets)
         assert len(table) == n
         assert list(table) == dets
         keep = np.random.default_rng(seed).random(n) < 0.5
@@ -484,7 +529,7 @@ class TestDetectionsTable:
     @settings(max_examples=40, deadline=None)
     def test_by_date_keeps_file_order_within_each_date(self, seed, n):
         dets = random_detections(seed, n)
-        groups = Detections.of(dets).by_date()
+        groups = tables.detections(dets).by_date()
         assert sorted(groups) == sorted({d.date for d in dets})
         for date, rows in groups.items():
             assert list(rows) == [d for d in dets if d.date == date]

@@ -1,5 +1,6 @@
 import dataclasses
 import datetime as dt
+import functools
 import math
 import tempfile
 from pathlib import Path
@@ -9,20 +10,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fireimpact.dasymetric import Blocks, CensusBlock
 from fireimpact.errors import MissingTractError, UnpricedClassError, ValidationError
-from fireimpact.geometry import Point, Polygon, PolyLine, rasterize_polyline, segment_sums
+from fireimpact.geometry import (
+    Point,
+    PolygonLayer,
+    Polygon,
+    PolyLine,
+    polygon_area,
+    rasterize_polyline,
+    segment_sums,
+)
 from fireimpact.grid import AnalysisGrid, CategoryRaster
 from fireimpact.impact import (
     DEMOGRAPHIC_GROUPS,
-    BuildingFeature,
     BuildingIndex,
     CostModel,
     DailyImpactRecord,
     Demographics,
     District,
-    PoiFeature,
-    RoadFeature,
     TractDemographics,
     building_loss_by_day,
     demographic_breakdown_by_day,
@@ -39,6 +44,9 @@ from fireimpact.pipeline import (
     compute_population,
     event_dates,
 )
+
+import layer_tables as tables
+from layer_tables import Block, Poi, Road
 
 D0 = dt.date(2025, 1, 7)
 
@@ -58,27 +66,28 @@ def manifest(n=20):
 
 class TestEventDates:
     def test_empty(self):
-        assert event_dates([]) == []
+        assert event_dates(tables.detections([])) == []
 
     def test_contiguous_range_fills_gaps(self):
         dets = [
             Detection(Point(1, 1), D0),
             Detection(Point(2, 2), D0 + dt.timedelta(days=3)),
         ]
-        assert event_dates(dets) == [D0 + dt.timedelta(days=i) for i in range(4)]
+        want = [D0 + dt.timedelta(days=i) for i in range(4)]
+        assert event_dates(tables.detections(dets)) == want
 
     def test_span_beyond_first_burn_raster_is_rejected_before_building(self):
         dets = [Detection(Point(1, 1), dt.date.min), Detection(Point(2, 2), dt.date.max)]
         with pytest.raises(ValidationError, match="3652059 days exceed"):
-            event_dates(dets)
+            event_dates(tables.detections(dets))
 
     def test_longest_span_the_raster_indexes_is_kept(self):
         last = D0 + dt.timedelta(days=32766)
         dets = [Detection(Point(1, 1), D0), Detection(Point(2, 2), last)]
-        assert len(event_dates(dets)) == 32767
+        assert len(event_dates(tables.detections(dets))) == 32767
         dets[1] = Detection(Point(2, 2), last + dt.timedelta(days=1))
         with pytest.raises(ValidationError, match="32768 days exceed"):
-            event_dates(dets)
+            event_dates(tables.detections(dets))
 
 
 class TestComputePerimeters:
@@ -89,11 +98,11 @@ class TestComputePerimeters:
             District("west", [rect(0, 0, 180, 400)]),
             District("east", [rect(220, 0, 400, 400)]),
         ]
-        layers.detections = [
+        layers.detections = tables.detections([
             Detection(Point(90, 190), D0),
             Detection(Point(310, 190), D0),
             Detection(Point(200, 190), D0),  # between the two districts
-        ]
+        ])
         perims = compute_perimeters(layers, KdeParams(bandwidth_m=4))
         west = perims["west"][0].new_burn
         east = perims["east"][0].new_burn
@@ -107,10 +116,10 @@ class TestComputePerimeters:
         layers.districts = [
             District("both", [rect(0, 0, 240, 400), rect(160, 0, 400, 400)])
         ]
-        layers.detections = [
+        layers.detections = tables.detections([
             Detection(Point(205, 195), D0),  # in both parts
             Detection(Point(95, 195), D0),  # in the first part only
-        ]
+        ])
         new_burn = compute_perimeters(layers, KdeParams(bandwidth_m=4))["both"][0].new_burn
         assert new_burn.popcount() == 2
         assert new_burn.bits[10, 10] and new_burn.bits[10, 4]
@@ -122,10 +131,10 @@ class TestComputePerimeters:
             District("west", [rect(0, 0, 180, 400)]),
             District("east", [rect(220, 0, 400, 400)]),
         ]
-        layers.detections = [
+        layers.detections = tables.detections([
             Detection(Point(90, 200), D0),
             Detection(Point(300, 200), D0 + dt.timedelta(days=2)),
-        ]
+        ])
         perims = compute_perimeters(layers, KdeParams(bandwidth_m=4))
         for days in perims.values():
             assert [d.date for d in days] == [D0 + dt.timedelta(days=i) for i in range(3)]
@@ -143,32 +152,45 @@ class TestComputePopulation:
             compute_population(layers)
 
     def test_population_and_mass(self):
-        from fireimpact.dasymetric import CensusBlock
-
         m = manifest(8)
         layers = Layers(manifest=m)
         layers.landcover = CategoryRaster(m.grid, np.full((8, 8), 22))
-        layers.blocks = [
-            CensusBlock("b1", [rect(0, 0, 80, 160)], 64.0, "t1"),
-        ]
+        layers.blocks = tables.blocks([
+            Block("b1", [rect(0, 0, 80, 160)], 64.0, "t1"),
+        ])
         popgrid, report, mass = compute_population(layers)
         assert float(popgrid.cells.sum()) == 64.0
         assert mass.max_rel_err() <= 1e-9
 
     @pytest.mark.parametrize("sliver_first", [True, False])
     def test_sliver_inside_a_neighbours_cell_passes_mass_check(self, sliver_first):
-        from fireimpact.dasymetric import CensusBlock
-
         m = manifest(4)
         layers = Layers(manifest=m)
         layers.landcover = CategoryRaster(m.grid, np.full((4, 4), 22))
-        sliver = CensusBlock("s", [rect(2, 2, 6, 6)], 7.0, "t1")
-        neighbour = CensusBlock("n", [rect(0, 0, 40, 80)], 80.0, "t1")
-        layers.blocks = [sliver, neighbour] if sliver_first else [neighbour, sliver]
+        sliver = Block("s", [rect(2, 2, 6, 6)], 7.0, "t1")
+        neighbour = Block("n", [rect(0, 0, 40, 80)], 80.0, "t1")
+        layers.blocks = tables.blocks([sliver, neighbour] if sliver_first else [neighbour, sliver])
         popgrid, report, mass = compute_population(layers)
         assert float(popgrid.cells.sum()) == pytest.approx(87.0)
         assert report.fallback_ids() == {"s"}
         assert mass.max_rel_err() <= 1e-9
+
+    def test_mass_failure_names_the_first_block_with_the_largest_error(self, monkeypatch):
+        from fireimpact import pipeline
+        from fireimpact.dasymetric import MassReport
+
+        m = manifest(8)
+        layers = Layers(manifest=m)
+        layers.landcover = CategoryRaster(m.grid, np.full((8, 8), 22))
+        layers.blocks = tables.blocks([Block("b1", [rect(0, 0, 80, 160)], 64.0, "t1")])
+        # A fallback block's error is exempt; of two equal errors the first is named.
+        rel_err = np.array([1e-3, 0.5, 2e-3, 2e-3, 1e-12])
+        fallback = np.array([0, 2, 0, 0, 0], dtype=np.int8)
+        mass = MassReport(["a", "f", "b", "c", "d"], np.ones(5), np.ones(5), rel_err, fallback)
+        monkeypatch.setattr(pipeline, "validate_mass", lambda *args: mass)
+        with pytest.raises(ValidationError) as err:
+            compute_population(layers)
+        assert str(err.value) == "mass preservation failed: block b off by 0.002"
 
 
 class TestLandcoverResampling:
@@ -194,15 +216,15 @@ class TestLandcoverResampling:
 
 class TestExposureByBlock:
     def test_blocks_partition_exposure(self):
-        from fireimpact.dasymetric import CensusBlock, WeightTable, downscale
+        from fireimpact.dasymetric import WeightTable, downscale
 
         m = manifest(8)
         g = m.grid
         landcover = CategoryRaster(g, np.full((8, 8), 22))
-        blocks = [
-            CensusBlock("west", [rect(0, 0, 80, 160)], 40.0, "t1"),
-            CensusBlock("east", [rect(80, 0, 160, 160)], 24.0, "t2"),
-        ]
+        blocks = tables.blocks([
+            Block("west", [rect(0, 0, 80, 160)], 40.0, "t1"),
+            Block("east", [rect(80, 0, 160, 160)], 24.0, "t2"),
+        ])
         popgrid, report = downscale(blocks, landcover, WeightTable.default(), g)
         bits = np.zeros((8, 8), dtype=bool)
         bits[:, 2:6] = True  # straddles both blocks
@@ -213,18 +235,18 @@ class TestExposureByBlock:
 
 
     def test_matches_each_blocks_own_sum_exactly(self):
-        from fireimpact.dasymetric import CensusBlock, WeightTable, downscale
+        from fireimpact.dasymetric import WeightTable, downscale
 
         rng = np.random.default_rng(5)
         m = manifest(24)
         g = m.grid
         landcover = CategoryRaster(g, rng.choice([11, 21, 22, 41, 82], size=(24, 24)))
         blocks = [
-            CensusBlock(f"b{i % 7}", [rect(x, y, x + 120, y + 160)], float(rng.uniform(1, 900)), "t1")
+            Block(f"b{i % 7}", [rect(x, y, x + 120, y + 160)], float(rng.uniform(1, 900)), "t1")
             for i, (x, y) in enumerate((x, y) for x in range(0, 480, 120) for y in range(0, 480, 160))
         ]
-        blocks.append(CensusBlock("tiny", [rect(3, 3, 6, 6)], 5.0, "t1"))
-        popgrid, report = downscale(blocks, landcover, WeightTable.default(), g)
+        blocks.append(Block("tiny", [rect(3, 3, 6, 6)], 5.0, "t1"))
+        popgrid, report = downscale(tables.blocks(blocks), landcover, WeightTable.default(), g)
         bits = rng.random((24, 24)) < 0.6
         # Reference: each block with a cell in the mask, its own cells summed
         # in allocation order.
@@ -238,15 +260,15 @@ class TestExposureByBlock:
         assert list(got.items()) == list(want.items())
 
     def test_only_blocks_with_a_cell_in_the_mask(self):
-        from fireimpact.dasymetric import CensusBlock, WeightTable, downscale
+        from fireimpact.dasymetric import WeightTable, downscale
 
         g = manifest(8).grid
         landcover = CategoryRaster(g, np.full((8, 8), 22))
-        blocks = [
-            CensusBlock("west", [rect(0, 0, 80, 160)], 40.0, "t1"),
-            CensusBlock("empty", [rect(80, 0, 120, 160)], 0.0, "t1"),
-            CensusBlock("east", [rect(120, 0, 160, 160)], 24.0, "t2"),
-        ]
+        blocks = tables.blocks([
+            Block("west", [rect(0, 0, 80, 160)], 40.0, "t1"),
+            Block("empty", [rect(80, 0, 120, 160)], 0.0, "t1"),
+            Block("east", [rect(120, 0, 160, 160)], 24.0, "t2"),
+        ])
         _, report = downscale(blocks, landcover, WeightTable.default(), g)
         bits = np.zeros((8, 8), dtype=bool)
         bits[:, :6] = True  # west and empty, not east
@@ -260,10 +282,10 @@ class TestExposureByBlock:
         # Two slivers capture no cell center; both fall back to the one cell.
         g = AnalysisGrid(0, 0, 20, 1, 1)
         slivers = [
-            CensusBlock("a", [rect(1, 1, 3, 3)], 10.0, "t0"),
-            CensusBlock("b", [rect(4, 4, 6, 6)], 20.0, "t0"),
+            Block("a", [rect(1, 1, 3, 3)], 10.0, "t0"),
+            Block("b", [rect(4, 4, 6, 6)], 20.0, "t0"),
         ]
-        blocks = [slivers[k] for k in order]
+        blocks = tables.blocks([slivers[k] for k in order])
         landcover = CategoryRaster(g, np.full((1, 1), 22))
         popgrid, report = downscale(blocks, landcover, WeightTable.default(), g)
         assert [a.fallback for a in report.allocations] == ["centroid", "centroid"]
@@ -282,25 +304,24 @@ class TestExposureByBlock:
 
 class TestAssessBuildings:
     def test_building_in_two_districts_is_charged_once_in_each(self):
-        from fireimpact.dasymetric import CensusBlock
-
         m = manifest(20)
         layers = Layers(manifest=m)
         layers.landcover = CategoryRaster(m.grid, np.full((20, 20), 22))
-        layers.blocks = [CensusBlock("b1", [rect(0, 0, 400, 400)], 100.0, "t1")]
+        layers.blocks = tables.blocks([Block("b1", [rect(0, 0, 400, 400)], 100.0, "t1")])
+        layers.roads, layers.pois = tables.roads([]), tables.pois([])
         layers.districts = [
             District("east", [rect(100, 0, 400, 400)]),
             District("west", [rect(0, 0, 300, 400)]),
         ]
         # Covers the centers of cells (10, 9) and (10, 10), inside both districts.
-        house = BuildingFeature([rect(180, 180, 220, 200)], "house")
-        layers.buildings = [house]
-        layers.detections = [
+        house = rect(180, 180, 220, 200)
+        layers.buildings = PolygonLayer.of([[house]])
+        layers.detections = tables.detections([
             Detection(Point(191, 191), D0),
             Detection(Point(211, 191), D0 + dt.timedelta(days=1)),
-        ]
+        ])
         records = assess(layers, KdeParams(bandwidth_m=4))
-        charge = to_cents(house.area() * CostModel.demo().building_cost)
+        charge = to_cents(polygon_area(house) * CostModel.demo().building_cost)
         got = [(r.date, r.district, r.building_count, r.building_loss_cents) for r in records]
         assert got == [
             (D0, "east", 1, charge),
@@ -323,8 +344,9 @@ TRACT_SHARES = [
 
 
 @st.composite
-def assess_layers(draw, unpriced=False):
-    """Layers whose totals are float sums over several features.
+def assess_inputs(draw, unpriced=False):
+    """Layers whose totals are float sums over several features, and the
+    rows their blocks, roads, buildings and POIs are built from.
 
     Blocks tile the grid without overlap; some tiles give their bottom-left
     corner to up to three slivers that capture no cell center and so share
@@ -335,6 +357,7 @@ def assess_layers(draw, unpriced=False):
     cost model may, in half the draws, lack up to two land classes and one
     road class.
     """
+    rows = {"blocks": [], "roads": [], "buildings": [], "pois": []}
     cell = 20.0
     n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     g = AnalysisGrid(0, 0, cell, n_rows, n_cols)
@@ -351,13 +374,13 @@ def assess_layers(draw, unpriced=False):
             x0, x1, y0, y1 = a0 * cell, a1 * cell, b0 * cell, b1 * cell
             widths = draw(st.lists(st.integers(1, 3), max_size=3))
             if not widths:
-                layers.blocks.append(CensusBlock(
+                rows["blocks"].append(Block(
                     f"b{i}_{j}", [rect(x0, y0, x1, y1)], draw(pop), draw(tract)))
                 continue
             h = draw(st.integers(1, 9))
             edges = np.cumsum([0, *widths]).tolist()
             for k, (e0, e1) in enumerate(zip(edges, edges[1:])):
-                layers.blocks.append(CensusBlock(
+                rows["blocks"].append(Block(
                     f"s{i}_{j}_{k}", [rect(x0 + e0, y0, x0 + e1, y0 + h)],
                     draw(pop), draw(tract)))
             w = edges[-1]
@@ -365,7 +388,7 @@ def assess_layers(draw, unpriced=False):
                 Point(x0 + w, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1),
                 Point(x0, y0 + h), Point(x0 + w, y0 + h),
             ])
-            layers.blocks.append(CensusBlock(f"r{i}_{j}", [rest], draw(pop), draw(tract)))
+            rows["blocks"].append(Block(f"r{i}_{j}", [rest], draw(pop), draw(tract)))
     layers.demographics = {
         t: TractDemographics(t, **shares) for t, shares in zip(["t0", "t1"], TRACT_SHARES)
     }
@@ -376,14 +399,14 @@ def assess_layers(draw, unpriced=False):
     for road_class in ("primary", "residential"):
         for _ in range(draw(st.integers(2, 3))):
             vertices = draw(st.lists(st.tuples(x, y), min_size=2, max_size=4, unique=True))
-            layers.roads.append(RoadFeature(PolyLine([Point(*v) for v in vertices]), road_class))
-    for k in range(draw(st.integers(0, 4))):
+            rows["roads"].append(Road(PolyLine([Point(*v) for v in vertices]), road_class))
+    for _ in range(draw(st.integers(0, 4))):
         bx, by = draw(st.integers(0, int(g.max_x) - 1)), draw(st.integers(0, int(g.max_y) - 1))
         bw, bh = draw(st.integers(1, 40)), draw(st.integers(1, 40))
-        layers.buildings.append(BuildingFeature([rect(bx, by, bx + bw, by + bh)], f"h{k}"))
-    for k in range(draw(st.integers(0, 6))):
+        rows["buildings"].append([rect(bx, by, bx + bw, by + bh)])
+    for _ in range(draw(st.integers(0, 6))):
         category = draw(st.sampled_from(["clinic", "school", "shelter"]))
-        layers.pois.append(PoiFeature(Point(draw(x), draw(y)), category))
+        rows["pois"].append(Poi(Point(draw(x), draw(y)), category))
     if unpriced and draw(st.booleans()):
         costs = CostModel.demo()
         land = {k: v for k, v in costs.land_cost.items()
@@ -396,12 +419,20 @@ def assess_layers(draw, unpriced=False):
     if draw(st.booleans()):
         layers.districts.append(District("c", [rect(0, 0, cell * -(-n_cols // 2), g.max_y)]))
     inside = st.tuples(st.floats(0, g.max_x), st.floats(0, g.max_y))
-    layers.detections = [
+    layers.detections = tables.detections(
         Detection(Point(*xy), D0 + dt.timedelta(days=day))
         for day in range(draw(st.integers(1, 3)))
         for xy in draw(st.lists(inside, min_size=1, max_size=4))
-    ]
-    return layers
+    )
+    return with_rows(layers, rows), rows
+
+
+def with_rows(layers, rows):
+    """``layers`` with the blocks, roads, buildings and POIs of ``rows``."""
+    return dataclasses.replace(
+        layers, blocks=tables.blocks(rows["blocks"]), roads=tables.roads(rows["roads"]),
+        buildings=PolygonLayer.of(rows["buildings"]), pois=tables.pois(rows["pois"]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +522,11 @@ def reference_exposure_by_block(mask, report):
     return dict(zip([report.block_ids[k] for k in touched.tolist()], exposed.tolist()))
 
 
-def reference_assess(layers, params, active_extent=False):
+def reference_assess(layers, params, active_extent=False, *, rows):
+    """The per-day loop over ``layers``, reading roads and POIs from ``rows``."""
     perimeters = compute_perimeters(layers, params)
     popgrid, ds_report, _ = compute_population(layers)
-    blocks = Blocks.of(layers.blocks)
-    block_tracts = dict(zip(blocks.ids, blocks.tracts))
+    block_tracts = dict(zip(layers.blocks.ids, layers.blocks.tracts))
     grid = layers.manifest.grid
     buildings = BuildingIndex.build(layers.buildings, grid, layers.costs)
 
@@ -509,8 +540,8 @@ def reference_assess(layers, params, active_extent=False):
             new_burn = day.new_burn
             exposure_mask = day.active if active_extent else new_burn
             land = reference_land_use_loss(new_burn, layers.landcover, layers.costs)
-            road_cents, road_m = reference_road_loss(new_burn, layers.roads, layers.costs)
-            pois = reference_poi_exposure(exposure_mask, layers.pois)
+            road_cents, road_m = reference_road_loss(new_burn, rows["roads"], layers.costs)
+            pois = reference_poi_exposure(exposure_mask, rows["pois"])
             exposed = reference_population_exposure(exposure_mask, popgrid)
             if layers.demographics is not None:
                 by_block = reference_exposure_by_block(exposure_mask, ds_report)
@@ -548,28 +579,31 @@ class TestAssessMatchesReference:
     """All-days accounting gives the per-day loop's records, bit for bit,
     and its first error."""
 
-    @given(assess_layers(unpriced=True), st.sampled_from(["all", "one missing", "none"]))
+    @given(assess_inputs(unpriced=True), st.sampled_from(["all", "one missing", "none"]))
     @settings(max_examples=150, deadline=None)
-    def test_same_records_and_errors(self, layers, demographics):
+    def test_same_records_and_errors(self, inputs, demographics):
+        layers, rows = inputs
         if demographics == "none":
             layers.demographics = None
         elif demographics == "one missing":
             del layers.demographics["t1"]
+        reference = functools.partial(reference_assess, rows=rows)
         for active_extent in (False, True):
             assert assess_outcome(assess, layers, active_extent) == assess_outcome(
-                reference_assess, layers, active_extent
+                reference, layers, active_extent
             )
 
     def test_road_class_raises_before_a_later_days_land_class(self):
         m = manifest(4)
         layers = Layers(manifest=m)
         layers.landcover = CategoryRaster(m.grid, np.array([[42, 22, 22, 22]] * 4))
-        layers.blocks = [CensusBlock("b", [rect(0, 0, 80, 80)], 10.0, "t")]
+        layers.blocks = tables.blocks([Block("b", [rect(0, 0, 80, 80)], 10.0, "t")])
+        layers.buildings, layers.pois = PolygonLayer.of([]), tables.pois([])
         layers.districts = [District("d", [rect(0, 0, 80, 80)])]
         # Day 0 burns class 22 only; day 1 burns class 42 as well.
-        layers.detections = [
+        layers.detections = tables.detections([
             Detection(Point(70, 70), D0), Detection(Point(10, 70), D0 + dt.timedelta(days=1)),
-        ]
+        ])
         demo = CostModel.demo()
         off_grid = [PolyLine([Point(500, y), Point(600, y)]) for y in (500, 600)]
         for unpriced, classes, want in (
@@ -579,9 +613,11 @@ class TestAssessMatchesReference:
             ({22, 42}, ("motorway", "alley"), "no land cost for class 22"),
         ):
             land = {k: v for k, v in demo.land_cost.items() if k not in unpriced}
-            layers.roads = [RoadFeature(line, c) for line, c in zip(off_grid, classes)]
+            roads = [Road(line, c) for line, c in zip(off_grid, classes)]
+            layers.roads = tables.roads(roads)
             layers.costs = CostModel(land, demo.road_cost, demo.building_cost)
-            for run in (assess, reference_assess):
+            reference = functools.partial(reference_assess, rows={"roads": roads, "pois": []})
+            for run in (assess, reference):
                 with pytest.raises(UnpricedClassError) as err:
                     run(layers, KdeParams(bandwidth_m=4.0))
                 assert str(err.value) == want
@@ -622,14 +658,12 @@ class TestDemographicBreakdownMatchesReference:
 class TestInputOrder:
     """Reordering blocks, roads, buildings or POIs leaves the records and report alone."""
 
-    @given(assess_layers(), st.randoms(use_true_random=False))
+    @given(assess_inputs(), st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
-    def test_reordering_features_changes_no_record(self, layers, rnd):
+    def test_reordering_features_changes_no_record(self, inputs, rnd):
+        layers, rows = inputs
         params = KdeParams(bandwidth_m=20.0)
-        shuffled = dataclasses.replace(layers, **{
-            name: rnd.sample(getattr(layers, name), len(getattr(layers, name)))
-            for name in ("blocks", "roads", "buildings", "pois")
-        })
+        shuffled = with_rows(layers, {name: rnd.sample(r, len(r)) for name, r in rows.items()})
         records = assess(layers, params)
         again = assess(shuffled, params)
         assert [repr(r) for r in again] == [repr(r) for r in records]
@@ -642,9 +676,10 @@ class TestInputOrder:
 class TestDemographicsSumToExposure:
     """Slivers that share a centroid cell are charged their own population."""
 
-    @given(assess_layers())
+    @given(assess_inputs())
     @settings(max_examples=50, deadline=None)
-    def test_every_group_sums_to_the_exposed_population(self, layers):
+    def test_every_group_sums_to_the_exposed_population(self, inputs):
+        layers, _ = inputs
         for active_extent in (False, True):
             for r in assess(layers, KdeParams(bandwidth_m=20.0), active_extent=active_extent):
                 for group in ("gender", "age", "race"):

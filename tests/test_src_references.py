@@ -1,6 +1,6 @@
-"""Every module-level function and class of ``fireimpact`` is used by the
-package itself: code that only the tests reach is a second API beside the
-one the commands run."""
+"""Every module-level function and class of ``fireimpact``, and every
+method of such a class, is used by the package itself: code that only the
+tests reach is a second API beside the one the commands run."""
 
 import ast
 from collections import Counter
@@ -12,6 +12,10 @@ import fireimpact
 # parameters recorded in it), which only the acceptance and scenario tests
 # compare a run against.
 TEST_ORACLES = {"scenario.read_ground_truth", "scenario.kde_params_from_meta"}
+
+# Counters that perfbench/tracer.py reads off results, until the stage
+# record of ROADMAP item 1 replaces the tracer.
+TRACER_READS = {"dasymetric.DownscaleReport.allocations", "grid.Mask.popcount"}
 
 
 def references(node: ast.AST) -> Counter:
@@ -38,21 +42,48 @@ def references(node: ast.AST) -> Counter:
     return found
 
 
-def test_every_module_level_def_is_referenced_in_src():
+def package_trees() -> tuple[dict[str, ast.Module], Counter]:
+    """Each module's syntax tree, and the references of the whole package."""
     root = Path(fireimpact.__file__).resolve().parent
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
     assert "pipeline" in trees
-    everywhere = sum((references(tree) for tree in trees.values()), Counter())
-    unused = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            # A reference inside the definition itself (a recursive call, a
-            # classmethod naming its class) does not count.
-            outside = everywhere[node.name] - references(node)[node.name]
-            if outside <= 0:
-                unused.append(f"{module}.{node.name}")
+    return trees, sum((references(tree) for tree in trees.values()), Counter())
+
+
+def unreferenced(defs: list, everywhere: Counter) -> list[str]:
+    """The names in ``defs`` (each a (qualified name, node) pair) that nothing
+    references outside the node itself: a reference inside the definition
+    (a recursive call, a classmethod naming its class) does not count."""
+    return [name for name, node in defs
+            if everywhere[node.name] - references(node)[node.name] <= 0]
+
+
+def test_every_module_level_def_is_referenced_in_src():
+    trees, everywhere = package_trees()
+    defs = [
+        (f"{module}.{node.name}", node)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    unused = unreferenced(defs, everywhere)
     assert sorted(unused) == sorted(TEST_ORACLES), (
         f"used only outside src/fireimpact: {sorted(set(unused) - TEST_ORACLES)}"
+    )
+
+
+def test_every_method_is_referenced_in_src():
+    """Every non-dunder method of a module-level class, by its attribute name."""
+    trees, everywhere = package_trees()
+    defs = [
+        (f"{module}.{cls.name}.{node.name}", node)
+        for module, tree in trees.items()
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    unused = unreferenced(defs, everywhere)
+    assert sorted(unused) == sorted(TRACER_READS), (
+        f"used only outside src/fireimpact: {sorted(set(unused) - TRACER_READS)}"
     )
