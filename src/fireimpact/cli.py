@@ -117,7 +117,7 @@ def cmd_perimeters(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     manifest = read_manifest(args.manifest)
     layers = load_layers(manifest, {"detections", "official_perimeter"})
-    slugs = _district_slugs([d.name for d in layers.districts])
+    slugs = _district_slugs(layers.districts.names)
     perims = compute_perimeters(layers, _kde_params(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -14,14 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnknownClassError, ValidationError
-from .geometry import (
-    Polygon,
-    PolygonLayer,
-    polygon_area,
-    polygon_centroid,
-    ragged_cell_indices,
-    segment_sums,
-)
+from .geometry import PolygonLayer, ragged_cell_indices, segment_sums
 from .grid import AnalysisGrid, CategoryRaster, RealRaster, value_index
 
 # Persons per cell; semantically distinct from other real rasters.
@@ -186,12 +179,15 @@ def rasterize_blocks(blocks: Blocks, grid: AnalysisGrid) -> DownscaleReport:
     kept = owner[cells] == block
     overlap_cells = kept.size - int(np.count_nonzero(kept))
     extra = np.full(n, -1, dtype=np.int64)  # each fallback block's centroid cell
+    centroid_cells = None
     while True:
         sizes = np.bincount(block[kept], minlength=n)
         fallback = np.flatnonzero((sizes == 0) & (extra < 0))
         if fallback.size == 0:
             break
-        extra[fallback] = [_centroid_cell(blocks.parts.polygons(k), grid) for k in fallback]
+        if centroid_cells is None:
+            centroid_cells = _centroid_cells(blocks.parts, grid)
+        extra[fallback] = centroid_cells[fallback]
         owner[extra[fallback]] = -1  # no block keeps a centroid cell
         kept = owner[cells] == block
     # Free each array once done: a run of `assess` reaches its memory peak here.
@@ -209,19 +205,13 @@ def rasterize_blocks(blocks: Blocks, grid: AnalysisGrid) -> DownscaleReport:
     )
 
 
-def _centroid_cell(parts: list[Polygon], grid: AnalysisGrid) -> int:
-    num_x = num_y = den = 0.0
-    for part in parts:
-        area = polygon_area(part)
-        c = polygon_centroid(part)
-        weight = area if area > 0 else 1.0
-        num_x += weight * c.x
-        num_y += weight * c.y
-        den += weight
-    cx, cy = num_x / den, num_y / den
-    col = int(np.clip((cx - grid.origin_x) // grid.cell_size, 0, grid.n_cols - 1))
-    band = int(np.clip((cy - grid.origin_y) // grid.cell_size, 0, grid.n_rows - 1))
-    return (grid.n_rows - 1 - band) * grid.n_cols + col
+def _centroid_cells(parts: PolygonLayer, grid: AnalysisGrid) -> np.ndarray:
+    """The flat cell of each feature's centroid, clamped into the grid."""
+    cx, cy = parts.centroids()
+    with np.errstate(invalid="ignore"):  # a feature without polygons has no centroid
+        col = np.clip((cx - grid.origin_x) // grid.cell_size, 0, grid.n_cols - 1)
+        band = np.clip((cy - grid.origin_y) // grid.cell_size, 0, grid.n_rows - 1)
+        return (grid.n_rows - 1 - band.astype(np.int64)) * grid.n_cols + col.astype(np.int64)
 
 
 def downscale(

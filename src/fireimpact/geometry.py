@@ -11,7 +11,6 @@ reproduces the source mask bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -55,27 +54,15 @@ def unproject_to_lonlat(
     return (lon, lat)
 
 
-def _normalize_ring(ring: list[Point]) -> list[Point]:
-    """Close the ring (first == last) and reject degenerate rings."""
-    pts = [Point(float(p[0]), float(p[1])) for p in ring]
-    for p in pts:
-        if not (math.isfinite(p.x) and math.isfinite(p.y)):
-            raise GeometryError("ring has non-finite coordinates")
-    if len(pts) >= 2 and pts[0] == pts[-1]:
-        pts = pts[:-1]
-    if len(set(pts)) < 3:
-        raise GeometryError(f"ring needs >= 3 distinct vertices, got {len(set(pts))}")
-    return pts + [pts[0]]
-
-
 def ring_problem(
     xs: np.ndarray, ys: np.ndarray, ring_offsets: np.ndarray
 ) -> tuple[int, str] | None:
-    """The first ring :func:`_normalize_ring` rejects, as (ring, its message).
+    """The first bad ring, as (ring, its message), or None.
 
     Ring r is ``xs, ys[ring_offsets[r]:ring_offsets[r + 1]]``, closed or
-    not. Distinct vertices are counted up to three: a ring's first vertex,
-    its first vertex unequal to that one, and any vertex unequal to both.
+    not. A ring needs finite coordinates and three distinct vertices.
+    Distinct vertices are counted up to three: a ring's first vertex, its
+    first vertex unequal to that one, and any vertex unequal to both.
     """
     n = np.diff(ring_offsets)
     starts = ring_offsets[:-1]
@@ -102,7 +89,7 @@ def ring_problem(
 def close_rings(
     xs: np.ndarray, ys: np.ndarray, ring_offsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rings :func:`_normalize_ring` returns, as (xs, ys, ring offsets).
+    """The rings closed, as (xs, ys, ring offsets).
 
     Each ring's closing vertex, if equal to its first, is dropped and the
     first vertex is repeated last. Every ring must pass
@@ -116,84 +103,15 @@ def close_rings(
     return xs[src], ys[src], run_offsets(sizes)
 
 
-@dataclass(frozen=True)
-class Polygon:
-    """Closed exterior ring plus zero or more interior (hole) rings."""
-
-    exterior: list[Point]
-    holes: list[list[Point]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exterior", _normalize_ring(self.exterior))
-        object.__setattr__(self, "holes", [_normalize_ring(h) for h in self.holes])
-
-    def rings(self) -> list[list[Point]]:
-        return [self.exterior, *self.holes]
-
-
-@dataclass(frozen=True)
-class PolyLine:
-    """Open chain of at least two points; consecutive vertices distinct."""
-
-    vertices: list[Point]
-
-    def __post_init__(self) -> None:
-        pts = [Point(float(p[0]), float(p[1])) for p in self.vertices]
-        if not all(math.isfinite(p.x) and math.isfinite(p.y) for p in pts):
-            raise GeometryError("polyline has non-finite coordinates")
-        if len(pts) < 2:
-            raise GeometryError("polyline needs >= 2 vertices")
-        for a, b in zip(pts, pts[1:]):
-            if a == b:
-                raise GeometryError("polyline has repeated consecutive vertices")
-        object.__setattr__(self, "vertices", pts)
-
-    def length(self) -> float:
-        return sum(math.dist(a, b) for a, b in zip(self.vertices, self.vertices[1:]))
-
-
-def _ring_area_signed(ring: list[Point]) -> float:
-    """Shoelace area; positive for counterclockwise rings (y up)."""
-    s = 0.0
-    for (x1, y1), (x2, y2) in zip(ring, ring[1:]):
-        s += x1 * y2 - x2 * y1
-    return 0.5 * s
-
-
-def polygon_area(poly: Polygon) -> float:
-    """Area in square meters: |exterior| minus the holes."""
-    area = abs(_ring_area_signed(poly.exterior))
-    for hole in poly.holes:
-        area -= abs(_ring_area_signed(hole))
-    return area
-
-
-def points_in_polygon(xs: np.ndarray, ys: np.ndarray, poly: Polygon) -> np.ndarray:
-    """Even-odd membership of many points; interior rings subtract.
-
-    The PNPOLY crossing test, one ring edge at a time over all points.
-    Points exactly on a boundary resolve by the crossing count, which is
-    deterministic and half-open: of two polygons sharing an edge, the
-    point belongs to exactly one.
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    inside = np.zeros(xs.shape, dtype=bool)
-    for ring in poly.rings():
-        for (x1, y1), (x2, y2) in zip(ring, ring[1:]):
-            if y1 == y2:  # a horizontal edge crosses no point's ray
-                continue
-            crossed = (y1 > ys) != (y2 > ys)
-            inside ^= crossed & (xs < x1 + (ys - y1) * (x2 - x1) / (y2 - y1))
-    return inside
-
-
-def rasterize_polygons(polys: list[Polygon], grid: AnalysisGrid) -> Mask:
-    """Mask of cells whose centers lie inside any of the polygons (even-odd)."""
-    cells, _ = features_cell_indices([polys], grid)
-    bits = np.zeros(grid.shape, dtype=bool)
-    bits.ravel()[cells] = True
-    return Mask(grid, bits)
+def check_line(vertices: list[Point]) -> None:
+    """Reject a polyline that is not an open chain of at least two finite
+    points with distinct consecutive vertices."""
+    if not all(math.isfinite(x) and math.isfinite(y) for x, y in vertices):
+        raise GeometryError("polyline has non-finite coordinates")
+    if len(vertices) < 2:
+        raise GeometryError("polyline needs >= 2 vertices")
+    if any(a == b for a, b in zip(vertices, vertices[1:])):
+        raise GeometryError("polyline has repeated consecutive vertices")
 
 
 class PolygonLayer(NamedTuple):
@@ -213,64 +131,103 @@ class PolygonLayer(NamedTuple):
     polygon_offsets: np.ndarray
     feature_offsets: np.ndarray
 
-    @classmethod
-    def of(cls, features: list[list[Polygon]]) -> "PolygonLayer":
-        """The layer of features given as lists of polygons (a block's parts)."""
-        coords: list[Point] = []
-        ring_sizes: list[int] = []
-        polygon_sizes: list[int] = []
-        for polys in features:
-            for poly in polys:
-                rings = poly.rings()
-                for ring in rings:
-                    coords.extend(ring)
-                    ring_sizes.append(len(ring))
-                polygon_sizes.append(len(rings))
-        xy = np.array(coords, dtype=np.float64).reshape(-1, 2)
-        return cls(
-            xy[:, 0].copy(), xy[:, 1].copy(), run_offsets(ring_sizes),
-            run_offsets(polygon_sizes), run_offsets([len(polys) for polys in features]),
-        )
+    def _ring_sums(self, values: np.ndarray) -> np.ndarray:
+        """Each ring's sum of ``values[v]`` over its edges (v to v + 1),
+        added left to right."""
+        ro = self.ring_offsets
+        return segment_sums(values, ro[:-1], np.diff(ro) - 1, sequential=True)
 
-    def polygons(self, k: int) -> list[Polygon]:
-        """Feature k as Polygon objects."""
-        ro, po = self.ring_offsets, self.polygon_offsets
+    def _polygon_sums(self, values: np.ndarray) -> np.ndarray:
+        """Each polygon's sum of its rings' ``values``, added left to right."""
+        po = self.polygon_offsets
+        return segment_sums(values, po[:-1], np.diff(po), sequential=True)
 
-        def ring(r: int) -> list[Point]:
-            a, b = ro[r], ro[r + 1]
-            return list(map(Point, self.xs[a:b].tolist(), self.ys[a:b].tolist()))
-
-        return [
-            Polygon(ring(po[p]), [ring(r) for r in range(po[p] + 1, po[p + 1])])
-            for p in range(self.feature_offsets[k], self.feature_offsets[k + 1])
-        ]
+    def _rings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each ring's shoelace terms (the edge from vertex v to v + 1), its
+        signed area (positive counterclockwise, y up), and its absolute
+        area, negated for a hole."""
+        xs, ys = self.xs, self.ys
+        terms = xs[:-1] * ys[1:] - xs[1:] * ys[:-1]
+        area = 0.5 * self._ring_sums(terms)
+        weight = np.abs(area)
+        hole = np.ones(len(weight), dtype=bool)
+        hole[self.polygon_offsets[:-1]] = False
+        weight[hole] = -weight[hole]
+        return terms, area, weight
 
     def areas(self) -> np.ndarray:
-        """Each feature's area, to the bit the ``math.fsum`` of its polygons'
-        :func:`polygon_area`.
+        """Each feature's area: its polygons' areas, summed exactly rounded.
 
-        As in :func:`polygon_area`, each ring's shoelace terms and then each
-        polygon's ring areas (holes negated) are added left to right.
+        A polygon's area is its exterior's absolute shoelace area minus its
+        holes', each ring's terms and then each polygon's ring areas added
+        left to right.
         """
-        xs, ys, ro, po, fo = self
-        terms = xs[:-1] * ys[1:] - xs[1:] * ys[:-1]  # the edge from vertex v to v + 1
-        ring_area = np.abs(0.5 * segment_sums(terms, ro[:-1], np.diff(ro) - 1, sequential=True))
-        hole = np.ones(len(ring_area), dtype=bool)
-        hole[po[:-1]] = False
-        ring_area[hole] = -ring_area[hole]
-        poly_area = segment_sums(ring_area, po[:-1], np.diff(po), sequential=True)
+        fo = self.feature_offsets
+        poly_area = self._polygon_sums(self._rings()[2])
         # One or two terms: a pairwise sum is exactly rounded, as fsum is.
         area = segment_sums(poly_area, fo[:-1], np.diff(fo))
         for k in np.flatnonzero(np.diff(fo) > 2).tolist():
             area[k] = math.fsum(poly_area[fo[k]:fo[k + 1]].tolist())
         return area
 
+    def centroids(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each feature's centroid (x, y): its polygons' centroids weighted by
+        their areas, 1.0 for a polygon whose area is not positive.
 
-def features_cell_indices(
-    features: list[list[Polygon]], grid: AnalysisGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`ragged_cell_indices` of features given as lists of polygons."""
-    return ragged_cell_indices(*PolygonLayer.of(features), grid)
+        A polygon's centroid is its rings' centroids weighted by their areas
+        as :meth:`areas` takes them, rings of zero area left out; a polygon
+        of zero area takes the mean of its exterior's vertices. Every
+        weighted sum adds its terms left to right.
+        """
+        xs, ys, ro, po, fo = self
+        terms, ring_area, weight = self._rings()
+        area = self._polygon_sums(weight)
+        part_weight = np.where(area > 0, area, 1.0)
+        total = segment_sums(part_weight, fo[:-1], np.diff(fo), sequential=True)
+        out = []
+        for v in (xs, ys):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ring_c = self._ring_sums((v[:-1] + v[1:]) * terms) / (6.0 * ring_area)
+                c = self._polygon_sums(np.where(ring_area == 0.0, 0.0, weight * ring_c)) / area
+            for p in np.flatnonzero(area == 0.0).tolist():
+                a, b = ro[po[p]], ro[po[p] + 1] - 1  # the exterior, unclosed
+                c[p] = math.fsum(v[a:b].tolist()) / (b - a)
+            weighted = segment_sums(part_weight * c, fo[:-1], np.diff(fo), sequential=True)
+            with np.errstate(invalid="ignore"):  # a feature without polygons
+                out.append(weighted / total)
+        return out[0], out[1]
+
+
+def points_in_polygon(xs: np.ndarray, ys: np.ndarray, layer: PolygonLayer) -> np.ndarray:
+    """Which points lie inside each feature of ``layer``, as a (features,
+    points) bool array.
+
+    The PNPOLY crossing test, one ring edge at a time over all points:
+    crossings within a polygon count even-odd, so holes subtract, and a
+    point inside any of a feature's polygons is inside the feature. Points
+    exactly on a boundary resolve by the crossing count, which is
+    deterministic and half-open: of two polygons sharing an edge, the
+    point belongs to exactly one.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    lx, ly, ro, po, fo = layer
+    starts = np.ones(len(lx), dtype=bool)  # each ring vertex but its closing one
+    starts[ro[1:] - 1] = False
+    ring_polygon = np.repeat(np.arange(len(po) - 1), np.diff(po))
+    vertex_polygon = np.repeat(ring_polygon, np.diff(ro)).tolist()
+    x, y = lx.tolist(), ly.tolist()
+    parity = np.zeros((len(po) - 1, len(xs)), dtype=bool)
+    for v in np.flatnonzero(starts).tolist():
+        x1, y1, x2, y2 = x[v], y[v], x[v + 1], y[v + 1]
+        if y1 == y2:  # a horizontal edge crosses no point's ray
+            continue
+        crossed = (y1 > ys) != (y2 > ys)
+        parity[vertex_polygon[v]] ^= crossed & (xs < x1 + (ys - y1) * (x2 - x1) / (y2 - y1))
+    inside = np.zeros((len(fo) - 1, len(xs)), dtype=bool)
+    for p, k in enumerate(np.repeat(np.arange(len(fo) - 1), np.diff(fo)).tolist()):
+        inside[k] |= parity[p]
+    return inside
 
 
 # Features scanned together; bounds the transient per-crossing arrays.
@@ -439,43 +396,19 @@ def _ramp(lengths: np.ndarray) -> np.ndarray:
     return np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
-def polygon_centroid(poly: Polygon) -> Point:
-    """Area-weighted centroid; holes subtract."""
-    num_x = num_y = den = 0.0
-    for k, ring in enumerate(poly.rings()):
-        a = _ring_area_signed(ring)
-        if a == 0.0:
-            continue
-        sx = sy = 0.0
-        for (xa, ya), (xb, yb) in zip(ring, ring[1:]):
-            cross = xa * yb - xb * ya
-            sx += (xa + xb) * cross
-            sy += (ya + yb) * cross
-        cx = sx / (6.0 * a)
-        cy = sy / (6.0 * a)
-        w = abs(a) if k == 0 else -abs(a)
-        num_x += w * cx
-        num_y += w * cy
-        den += w
-    if den == 0.0:
-        pts = poly.exterior[:-1]
-        return Point(
-            math.fsum(p.x for p in pts) / len(pts), math.fsum(p.y for p in pts) / len(pts)
-        )
-    return Point(num_x / den, num_y / den)
-
-
 def rasterize_polyline(
-    line: PolyLine, grid: AnalysisGrid
+    xs: np.ndarray, ys: np.ndarray, grid: AnalysisGrid
 ) -> dict[tuple[int, int], float]:
-    """Distribute polyline length (meters) over the grid cells it crosses.
+    """Distribute the length (meters) of the polyline through the vertices
+    ``xs, ys`` over the grid cells it crosses.
 
     Each segment is cut at grid lines; each piece's length accrues to the
     cell containing its midpoint (half-open rule). Pieces outside the
     grid are dropped, so values sum to the in-grid length.
     """
     out: dict[tuple[int, int], float] = {}
-    for a, b in zip(line.vertices, line.vertices[1:]):
+    vertices = list(map(Point, xs.tolist(), ys.tolist()))
+    for a, b in zip(vertices, vertices[1:]):
         seg_len = math.dist(a, b)
         ts = [0.0, 1.0]
         _axis_cuts(a.x, b.x, grid.origin_x, grid.cell_size, grid.n_cols, ts)

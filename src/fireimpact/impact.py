@@ -21,10 +21,7 @@ import numpy as np
 
 from .errors import MissingTractError, UnpricedClassError, ValidationError
 from .geometry import (
-    Point,
     PolygonLayer,
-    PolyLine,
-    Polygon,
     ragged_cell_indices,
     rasterize_polyline,
     run_offsets,
@@ -126,19 +123,22 @@ class CostModel:
         )
 
 
-@dataclass(frozen=True)
-class District:
-    """A named assessment region bounded by its official fire perimeter."""
+@dataclass(frozen=True, eq=False)
+class Districts:
+    """Named assessment regions as columns: district k is ``names[k]``,
+    bounded by its official fire perimeter, feature k of ``parts``. Rows
+    are assumed valid, as :func:`check_district` checks them.
+    """
 
-    name: str
-    perimeter: list[Polygon]
+    names: list[str]
+    parts: PolygonLayer
 
-    def __post_init__(self) -> None:
-        check_district(self.name, len(self.perimeter))
+    def __len__(self) -> int:
+        return len(self.names)
 
 
 def check_road(road_class: str) -> None:
-    """The checks of a road, on its values; :class:`PolyLine` checks its line."""
+    """The checks of a road, on its values; :func:`check_line` checks its line."""
     if not road_class:
         raise ValidationError("road feature needs a class")
 
@@ -158,7 +158,7 @@ def check_poi(x: float, y: float, category: str) -> None:
 
 
 def check_district(name: str, n_parts: int) -> None:
-    """The checks of a :class:`District`, on a district's values."""
+    """The checks of a district, on its values."""
     if not name:
         raise ValidationError("district needs a name")
     if not n_parts:
@@ -247,7 +247,7 @@ def category_codes(names: list[str]) -> tuple[list[str], np.ndarray]:
 class Roads:
     """Roads as columns: road k runs through the vertices
     ``xs, ys[offsets[k]:offsets[k + 1]]`` and has class ``classes[codes[k]]``,
-    ``classes`` being sorted. Rows are assumed valid, as :class:`PolyLine`
+    ``classes`` being sorted. Rows are assumed valid, as :func:`check_line`
     and :func:`check_road` check them.
     """
 
@@ -259,10 +259,6 @@ class Roads:
 
     def __len__(self) -> int:
         return len(self.codes)
-
-    def line(self, k: int) -> PolyLine:
-        a, b = self.offsets[k], self.offsets[k + 1]
-        return PolyLine(list(map(Point, self.xs[a:b].tolist(), self.ys[a:b].tolist())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,8 +307,9 @@ class RoadIndex:
         cells: list[int] = []
         lengths: list[float] = []
         counts: list[int] = []
-        for k in range(len(roads)):
-            pieces = rasterize_polyline(roads.line(k), grid)
+        bounds = roads.offsets.tolist()
+        for a, b in zip(bounds, bounds[1:]):
+            pieces = rasterize_polyline(roads.xs[a:b], roads.ys[a:b], grid)
             cells.extend(r * grid.n_cols + c for r, c in pieces)
             lengths.extend(pieces.values())
             counts.append(len(pieces))

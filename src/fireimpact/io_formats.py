@@ -42,9 +42,7 @@ from .errors import FormatError, GeometryError, PipelineError, SchemaError, Vali
 from .geometry import (
     Point,
     PolygonLayer,
-    PolyLine,
-    Polygon,
-    RingArrays,
+    check_line,
     close_rings,
     project_lonlat,
     ring_problem,
@@ -58,7 +56,7 @@ from .impact import (
     CostModel,
     DailyImpactRecord,
     Demographics,
-    District,
+    Districts,
     Pois,
     Roads,
     TractDemographics,
@@ -756,21 +754,21 @@ def read_vertex_layer(
     origin_lat: float,
     gtype: str,
     properties: dict[str, Callable[[Any], Any]],
-    check: Callable[[dict[str, Any], Any], None],
+    check: Callable[[dict[str, Any], list[Point]], None],
     flag: Callable[[dict[str, Any], np.ndarray, np.ndarray, np.ndarray], np.ndarray],
 ) -> tuple[dict[str, Any], np.ndarray, np.ndarray, np.ndarray]:
     """Each property's values, and the projected vertices of every Point or
     LineString (``gtype``) feature: feature k's are ``xs, ys[offsets[k]:offsets[k + 1]]``.
 
-    ``check(values, shape)`` validates each feature's values, ``shape``
-    being its projected Point or PolyLine. ``flag(values, xs, ys,
-    offsets)`` marks, a column at a time, every feature that ``check`` or
-    :class:`PolyLine` could reject. From the first feature with a mark or
-    a malformed position on, features are read one at a time through
-    ``check``, so the error is the one that reading the features in file
-    order meets first. Malformed input is a FormatError (exit 2); invalid
-    geometry or a value ``check`` rejects is a ValidationError (exit 1).
-    Both name the file and the feature.
+    ``check(values, vertices)`` validates each feature's values, given its
+    projected vertices; a LineString's pass :func:`check_line` first.
+    ``flag(values, xs, ys, offsets)`` marks, a column at a time, every
+    feature that ``check`` or :func:`check_line` could reject. From the
+    first feature with a mark or a malformed position on, features are
+    read one at a time through ``check``, so the error is the one that
+    reading the features in file order meets first. Malformed input is a
+    FormatError (exit 2); invalid geometry or a value ``check`` rejects is
+    a ValidationError (exit 1). Both name the file and the feature.
     """
     path = Path(path)
     _, values, coords, error = _features(path, (gtype,), properties, None)
@@ -799,19 +797,24 @@ def read_vertex_layer(
             raise TypeError(p)
         return project_lonlat(lon, lat, origin_lon, origin_lat)
 
-    shapes = {"Point": position, "LineString": lambda c: PolyLine([position(p) for p in c])}
+    def vertices(c) -> list[Point]:
+        if gtype == "Point":
+            return [position(c)]
+        points = [position(p) for p in c]
+        check_line(points)
+        return points
+
     tail: list[Point] = []
     tail_sizes = []
     for i in range(k, len(coords)):  # only from a marked or malformed feature on
         where = f"{path}: feature {i}"
         try:
-            shape = parse_value(where, "coordinates", coords[i], shapes[gtype])
+            shape = parse_value(where, "coordinates", coords[i], vertices)
             check(_taken(values, i), shape)
         except ValidationError as exc:
             raise type(exc)(f"{where}: {exc}") from None
-        vertices = [shape] if gtype == "Point" else shape.vertices
-        tail.extend(vertices)
-        tail_sizes.append(len(vertices))
+        tail.extend(shape)
+        tail_sizes.append(len(shape))
     if error is not None:
         raise error
     if tail:
@@ -880,9 +883,10 @@ def read_polygon_layer(
     marks, a column at a time, every feature that ``check`` could reject;
     from the first feature with a mark or a malformed structure on,
     features are read one at a time. Every position is converted,
-    projected and checked at once, yet the error is the one that reading
-    the features into :class:`Polygon` objects in file order meets first,
-    with :func:`read_vertex_layer`'s exit codes; a repeated value exits 1.
+    projected and checked at once (:func:`ring_problem`), yet the error is
+    the one that reading the features one at a time in file order, and
+    checking each ring as it is read, meets first, with
+    :func:`read_vertex_layer`'s exit codes; a repeated value exits 1.
     """
     path = Path(path)
     gtypes, values, raw, error = _features(path, _POLYGONAL, properties, unique)
@@ -994,7 +998,7 @@ def _empty(texts: list[str]) -> np.ndarray:
 
 def _line_flags(values: dict[str, Any], xs: np.ndarray, ys: np.ndarray,
                 offsets: np.ndarray) -> np.ndarray:
-    """The roads that :class:`PolyLine` or :func:`check_road` could reject."""
+    """The roads that :func:`check_line` or :func:`check_road` could reject."""
     sizes = np.diff(offsets)
     owner = np.repeat(np.arange(len(sizes)), sizes)
     bad = (sizes < 2) | _empty(values["class"])
@@ -1008,7 +1012,7 @@ def read_roads(path: str | Path, origin_lon: float, origin_lat: float) -> Roads:
     """Each road's vertices and class, as a :class:`Roads` table."""
     values, xs, ys, offsets = read_vertex_layer(
         path, origin_lon, origin_lat, "LineString", {"class": _text},
-        lambda v, line: check_road(v["class"]), _line_flags,
+        lambda v, vertices: check_road(v["class"]), _line_flags,
     )
     return Roads(xs, ys, offsets, *category_codes(values["class"]))
 
@@ -1026,7 +1030,7 @@ def read_pois(path: str | Path, origin_lon: float, origin_lat: float) -> Pois:
     """Each POI's location and category, as a :class:`Pois` table."""
     values, xs, ys, offsets = read_vertex_layer(
         path, origin_lon, origin_lat, "Point", {"category": _text},
-        lambda v, point: check_poi(point.x, point.y, v["category"]),
+        lambda v, vertices: check_poi(*vertices[0], v["category"]),
         lambda v, xs, ys, offsets: (
             ~(np.isfinite(xs) & np.isfinite(ys)) | _empty(v["category"])
         ),
@@ -1034,9 +1038,7 @@ def read_pois(path: str | Path, origin_lon: float, origin_lat: float) -> Pois:
     return Pois(xs, ys, *category_codes(values["category"]))
 
 
-def read_districts(
-    path: str | Path, origin_lon: float, origin_lat: float
-) -> list[District]:
+def read_districts(path: str | Path, origin_lon: float, origin_lat: float) -> Districts:
     """Official perimeter file: one polygonal feature per district with a name."""
     values, parts = read_polygon_layer(
         path, origin_lon, origin_lat, {"name": _text},
@@ -1044,7 +1046,7 @@ def read_districts(
         lambda v, n_parts: (n_parts == 0) | _empty(v["name"]),
         unique="name",
     )
-    return [District(name, parts.polygons(k)) for k, name in enumerate(values["name"])]
+    return Districts(values["name"], parts)
 
 
 def _json(doc: Any) -> str:
@@ -1353,7 +1355,7 @@ def render_svg(
     grid: AnalysisGrid,
     popgrid: RealRaster,
     perimeters: dict[str, list[DailyPerimeter]],
-    districts: list[District],
+    districts: Districts,
 ) -> None:
     """Simple map: population choropleth, per-day new-burn outlines, legend.
 
@@ -1366,10 +1368,10 @@ def render_svg(
     dates = sorted({day.date for days in perimeters.values() for day in days})
     legend_h = 20.0 * (1 + len(dates))
 
-    def sx(x: float) -> float:
+    def sx(x: np.ndarray) -> np.ndarray:
         return (x - grid.origin_x) * scale
 
-    def sy(y: float) -> float:
+    def sy(y: np.ndarray) -> np.ndarray:
         return (grid.max_y - y) * scale
 
     parts: list[str] = []
@@ -1383,7 +1385,7 @@ def render_svg(
     rows, cols = np.nonzero(popgrid.cells > 0)
     if rows.size:
         positive = popgrid.cells[rows, cols]
-        breaks = np.quantile(positive, [0.2, 0.4, 0.6, 0.8])
+        breaks = _quintile_breaks(positive)
         levels = np.searchsorted(breaks, positive, side="right")
         cell_px = grid.cell_size * scale
         for r, c, level in zip(rows.tolist(), cols.tolist(), levels.tolist()):
@@ -1395,24 +1397,28 @@ def render_svg(
                 f'height="{cell_px:.2f}" fill="{color}"/>'
             )
 
-    for d in districts:
-        for poly in d.perimeter:
-            parts.append(
-                f'<path d="{_poly_path(poly, sx, sy)}" fill="none" '
-                f'stroke="#555555" stroke-width="1.5" stroke-dasharray="4 2"/>'
-            )
+    layer = districts.parts
+    vertices = [
+        f"{x:.2f} {y:.2f}" for x, y in zip(sx(layer.xs).tolist(), sy(layer.ys).tolist())
+    ]
+    for path_data in _ring_paths(vertices, layer.ring_offsets, layer.polygon_offsets):
+        parts.append(
+            f'<path d="{path_data}" fill="none" '
+            f'stroke="#555555" stroke-width="1.5" stroke-dasharray="4 2"/>'
+        )
 
     # Traced vertices lie on the corner lattice: format its x and y once.
     x_text, y_text = (
         np.array([f"{v:.2f}" for v in values.tolist()], dtype=object)
-        for values in ((grid.corner_xs() - grid.origin_x) * scale,
-                       (grid.max_y - grid.corner_ys()) * scale)
+        for values in (sx(grid.corner_xs()), sy(grid.corner_ys()))
     )
     for name in sorted(perimeters):
         for day in perimeters[name]:
             color = _DAY_COLORS[dates.index(day.date) % len(_DAY_COLORS)]
             rings = trace_mask_rings(day.new_burn)
-            for path_data in _ring_paths(rings, x_text, y_text, grid.n_cols):
+            i, j = np.divmod(rings.corners, grid.n_cols + 1)
+            vertices = ((x_text + " ")[j] + y_text[i]).tolist()
+            for path_data in _ring_paths(vertices, rings.ring_offsets, rings.polygon_offsets):
                 parts.append(
                     f'<path d="{path_data}" fill="none" '
                     f'stroke="{color}" stroke-width="1.2"/>'
@@ -1439,25 +1445,35 @@ def render_svg(
 
 
 def _ring_paths(
-    rings: RingArrays, x_text: np.ndarray, y_text: np.ndarray, n_cols: int
+    vertices: list[str], ring_offsets: np.ndarray, polygon_offsets: np.ndarray
 ) -> list[str]:
-    """The SVG path data of each traced polygon, one closed subpath per ring.
+    """The SVG path data of each polygon, one closed subpath per ring.
 
-    ``x_text`` and ``y_text`` hold the formatted coordinates of the corner
-    lattice's columns and rows; the text is what :func:`_poly_path` gives
-    for the same polygon.
+    ``vertices`` holds the text of each ring vertex, ``"x y"``; rings and
+    polygons are laid out as in a :class:`PolygonLayer`, each ring's
+    closing vertex repeating its first.
     """
-    i, j = np.divmod(rings.corners, n_cols + 1)
-    vertices = ((x_text + " ")[j] + y_text[i]).tolist()
-    ends = rings.ring_offsets.tolist()
+    ends = ring_offsets.tolist()
     subpaths = ["M " + " L ".join(vertices[a:b - 1]) + " Z" for a, b in zip(ends, ends[1:])]
-    bounds = rings.polygon_offsets.tolist()
+    bounds = polygon_offsets.tolist()
     return [" ".join(subpaths[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-def _poly_path(poly: Polygon, sx, sy) -> str:
-    chunks = []
-    for ring in poly.rings():
-        coords = " L ".join(f"{sx(p.x):.2f} {sy(p.y):.2f}" for p in ring[:-1])
-        chunks.append(f"M {coords} Z")
-    return " ".join(chunks)
+def _quintile_breaks(values: np.ndarray) -> np.ndarray:
+    """``np.quantile(values, [0.2, 0.4, 0.6, 0.8])``, to the bit, for a
+    non-empty array of finite values.
+
+    numpy's "linear" rule on the sorted values: quantile q sits at the
+    virtual index ``(n - 1) * q``, between the values a and b at its floor
+    and the next index, at fraction g, and is ``a + (b - a) * g``, or
+    ``b - (b - a) * (1 - g)`` where g >= 0.5. ``np.quantile`` itself calls
+    a bare ``np.unique``, which imports ``numpy.ma``.
+    """
+    ordered = np.sort(values)
+    virtual = (len(ordered) - 1) * np.array([0.2, 0.4, 0.6, 0.8])
+    below = np.floor(virtual)
+    g = virtual - below
+    i = below.astype(np.int64)
+    a, b = ordered[i], ordered[np.minimum(i + 1, len(ordered) - 1)]
+    d = b - a
+    return np.where(g >= 0.5, b - d * (1 - g), a + d * g)

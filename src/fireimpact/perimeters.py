@@ -16,7 +16,7 @@ from typing import Iterator, Literal
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import Point, Polygon, rasterize_polygons
+from .geometry import Point
 from .grid import AnalysisGrid, Mask, RealRaster
 
 ThresholdMode = Literal["relative_to_daily_max", "absolute"]
@@ -290,24 +290,24 @@ def event_dates(detections: Detections) -> list[dt.date]:
 
 def extract_daily_perimeters(
     detections_by_date: dict[dt.date, Detections],
-    official: list[Polygon],
-    grid: AnalysisGrid,
+    clip: Mask,
     params: KdeParams,
     dates: list[dt.date],
 ) -> list[DailyPerimeter]:
-    """Build the daily new-burn / cumulative sequence, clipped to ``official``.
+    """Build the daily new-burn / cumulative sequence on ``clip``'s grid,
+    clipped to it (the cells of the official perimeter).
 
     ``dates`` fixes the output sequence, so that several runs line up on
     one event window (:func:`event_dates` of all their detections). Dates
     with no detections yield empty masks but stay in the sequence. An
-    ``official`` perimeter that captures no cell center of ``grid`` is a
-    ValidationError: nothing in it can burn.
+    empty ``clip``, a perimeter that captures no cell center of the grid,
+    is a ValidationError: nothing in it can burn.
     """
     if sorted(dates) != list(dates):
         raise ValidationError("dates must be sorted ascending")
     _check_day_count(len(dates))
 
-    clip = rasterize_polygons(official, grid)
+    grid = clip.grid
     if not clip.bits.any():
         raise ValidationError("official perimeter captures no cell center of the analysis grid")
     first = np.full(grid.shape, -1, dtype=np.int16)

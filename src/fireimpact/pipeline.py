@@ -21,14 +21,14 @@ from .dasymetric import (
     validate_mass,
 )
 from .errors import ValidationError
-from .geometry import PolygonLayer, points_in_polygon, segment_sums
-from .grid import CategoryRaster
+from .geometry import PolygonLayer, points_in_polygon, ragged_cell_indices, segment_sums
+from .grid import CategoryRaster, Mask
 from .impact import (
     BuildingIndex,
     CostModel,
     DailyImpactRecord,
     Demographics,
-    District,
+    Districts,
     PoiIndex,
     Pois,
     RoadIndex,
@@ -77,7 +77,7 @@ class Layers:
     roads: Roads | None = None
     buildings: PolygonLayer | None = None
     pois: Pois | None = None
-    districts: list[District] = field(default_factory=list)
+    districts: Districts | None = None
     weights: WeightTable = field(default_factory=WeightTable.default)
     costs: CostModel = field(default_factory=CostModel.demo)
     demographics: dict[str, TractDemographics] | None = None
@@ -150,22 +150,21 @@ def compute_perimeters(
     if not layers.districts:
         raise ValidationError("no districts in the official perimeter file")
     detections = layers.detections
+    districts = layers.districts
+    grid = layers.manifest.grid
     dates = event_dates(detections)
+    inside = points_in_polygon(detections.x, detections.y, districts.parts)
+    cells, cell_offsets = ragged_cell_indices(*districts.parts, grid)
     out: dict[str, list[DailyPerimeter]] = {}
-    for district in layers.districts:
-        inside = np.zeros(len(detections), dtype=bool)
-        for part in district.perimeter:
-            inside |= points_in_polygon(detections.x, detections.y, part)
+    for k, name in enumerate(districts.names):
+        clip = np.zeros(grid.shape, dtype=bool)
+        clip.ravel()[cells[cell_offsets[k]:cell_offsets[k + 1]]] = True
         try:
-            out[district.name] = extract_daily_perimeters(
-                detections[inside].by_date(),
-                district.perimeter,
-                layers.manifest.grid,
-                params,
-                dates=dates,
+            out[name] = extract_daily_perimeters(
+                detections[inside[k]].by_date(), Mask(grid, clip), params, dates=dates
             )
         except ValidationError as exc:
-            raise type(exc)(f"district {district.name!r}: {exc}") from None
+            raise type(exc)(f"district {name!r}: {exc}") from None
     return out
 
 

@@ -21,13 +21,8 @@ from fireimpact.dasymetric import (
 )
 from fireimpact.geometry import (
     Point,
-    PolygonLayer,
-    PolyLine,
-    Polygon,
     _corner_xy,
-    points_in_polygon,
     ragged_cell_indices,
-    rasterize_polyline,
     trace_mask_rings,
 )
 from fireimpact.grid import AnalysisGrid, CategoryRaster, Mask, RealRaster
@@ -56,7 +51,17 @@ from fireimpact.perimeters import (
 from fireimpact.scenario import read_ground_truth
 
 import layer_tables as tables
-from layer_tables import Block, Poi, Road
+from layer_tables import (
+    Block,
+    Poi,
+    PolyLine,
+    Polygon,
+    Road,
+    line_cells,
+    points_in_polygon,
+    polygon_layer,
+    rasterize_polygons,
+)
 
 
 def ok(n: int, text: str) -> None:
@@ -169,7 +174,7 @@ def test_criterion_4_perimeter_bookkeeping():
         dates = event_dates(tables.detections(d for pts in detections.values() for d in pts))
         days = extract_daily_perimeters(
             {day: tables.detections(pts) for day, pts in detections.items()},
-            official, g, KdeParams(bandwidth_m=90), dates,
+            rasterize_polygons(official, g), KdeParams(bandwidth_m=90), dates,
         )
         total_new = sum(p.new_burn.popcount() for p in days)
         assert total_new == days[-1].cumulative.popcount()
@@ -244,7 +249,7 @@ def test_criterion_5_overlay_oracles():
         before = Mask(g, before_bits & ~bits)
         # Cells burned before are day 0, today's burn day 1.
         first = np.where(before.bits, 0, np.where(bits, 1, -1))
-        index = BuildingIndex.build(PolygonLayer.of(buildings), g, costs)
+        index = BuildingIndex.build(polygon_layer(buildings), g, costs)
         cents, counts = building_loss_by_day(index, first, 2)
         got_b_cents, got_b_count = int(cents[1]), int(counts[1])
         want_b_count = sum(
@@ -298,7 +303,7 @@ def test_criterion_6_geometry_round_trip_and_length():
         if len(pts) < 2:
             continue
         line = PolyLine(pts)
-        total = sum(rasterize_polyline(line, g).values())
+        total = sum(line_cells(line, g).values())
         rel = abs(total - line.length()) / line.length()
         worst = max(worst, rel)
     assert worst <= 1e-9

@@ -27,15 +27,12 @@ from fireimpact.errors import FormatError, GeometryError, SchemaError, Validatio
 from fireimpact.geometry import (
     Point,
     PolygonLayer,
-    PolyLine,
-    Polygon,
-    polygon_area,
     project_lonlat,
     ragged_cell_indices,
     unproject_to_lonlat,
 )
 from fireimpact.grid import AnalysisGrid, CategoryRaster, Mask, RealRaster
-from fireimpact.impact import District, Pois, Roads, check_building
+from fireimpact.impact import Districts, Pois, Roads, check_building
 from fireimpact.io_formats import (
     _ASC_HEADER,
     _finite,
@@ -61,6 +58,7 @@ from fireimpact.perimeters import DailyPerimeter, Detection
 from fireimpact.scenario import ScenarioSpec, generate
 
 import layer_tables as tables
+from layer_tables import District, Polygon, polygon_area, polygon_layer
 from test_geometry import reference_trace_mask_boundary
 
 # ---------------------------------------------------------------------------
@@ -166,6 +164,24 @@ class CensusBlock:
 
     def __post_init__(self) -> None:
         check_block(self.block_id, len(self.parts), self.pop)
+
+
+@dataclass(frozen=True)
+class PolyLine:
+    """Open chain of at least two points; consecutive vertices distinct."""
+
+    vertices: list[Point]
+
+    def __post_init__(self) -> None:
+        pts = [Point(float(p[0]), float(p[1])) for p in self.vertices]
+        if not all(math.isfinite(p.x) and math.isfinite(p.y) for p in pts):
+            raise GeometryError("polyline has non-finite coordinates")
+        if len(pts) < 2:
+            raise GeometryError("polyline needs >= 2 vertices")
+        for a, b in zip(pts, pts[1:]):
+            if a == b:
+                raise GeometryError("polyline has repeated consecutive vertices")
+        object.__setattr__(self, "vertices", pts)
 
 
 @dataclass(frozen=True)
@@ -679,10 +695,11 @@ def layer_values(kind, got):
         )
         return (blocks.ids, blocks.pop.tobytes(), blocks.tracts), blocks.parts
     if kind == "buildings":
-        return (), got if isinstance(got, PolygonLayer) else PolygonLayer.of(
+        return (), got if isinstance(got, PolygonLayer) else polygon_layer(
             [b.footprints for b in got]
         )
-    return [d.name for d in got], PolygonLayer.of([d.perimeter for d in got])
+    districts = got if isinstance(got, Districts) else tables.districts(got)
+    return districts.names, districts.parts
 
 
 def layer_outcome(kind, read, path, origin=ZERO):
@@ -716,10 +733,11 @@ class TestReadPolygonLayerMatchesReference:
         plain, marked = tmp_path / "plain.geojson", tmp_path / "bom.geojson"
         plain.write_text(doc)
         marked.write_bytes(b"\xef\xbb\xbf" + doc.encode())
-        [got] = read_districts(marked, *ORIGIN)
-        [want] = read_districts(plain, *ORIGIN)
-        assert got.name == want.name == "A"
-        assert got.perimeter == want.perimeter
+        got = read_districts(marked, *ORIGIN)
+        want = read_districts(plain, *ORIGIN)
+        assert got.names == want.names == ["A"]
+        for a, b in zip(got.parts, want.parts):
+            assert a.tobytes() == b.tobytes()
 
     def test_first_bad_feature_in_file_order_is_named(self, tmp_path):
         # Feature 1's ring is degenerate (exit 1) and feature 3's pop is text

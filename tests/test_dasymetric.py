@@ -16,17 +16,11 @@ from fireimpact.dasymetric import (
     validate_mass,
 )
 from fireimpact.errors import UnknownClassError, ValidationError
-from fireimpact.geometry import (
-    Point,
-    Polygon,
-    features_cell_indices,
-    polygon_area,
-    polygon_centroid,
-)
+from fireimpact.geometry import Point
 from fireimpact.grid import AnalysisGrid, CategoryRaster
 
 import layer_tables as tables
-from layer_tables import Block
+from layer_tables import Block, Polygon, features_cell_indices, polygon_area, polygon_centroid
 
 
 def grid(n, cell=20.0):
@@ -270,16 +264,36 @@ def _reference_centroid_cell(
 
 @st.composite
 def overlapping_blocks(draw):
-    """Rectangles anywhere on or partly off a grid, some too small to hold a center."""
+    """Blocks anywhere on or partly off a grid, some too small to hold a center.
+
+    A block has one to three parts. A part is a rectangle, some with a
+    hole, or now and then a part of zero area, weighted 1.0 in its block's
+    centroid: a collinear ring or a bowtie, whose rings' areas are all
+    zero, so that its centroid is its exterior's mean vertex.
+    """
     g = AnalysisGrid(0, 0, 20.0, draw(st.integers(1, 8)), draw(st.integers(1, 8)))
-    blocks = []
-    for k in range(draw(st.integers(0, 12))):
+
+    def part():
         x0 = draw(st.integers(-40, int(g.max_x)))
         y0 = draw(st.integers(-40, int(g.max_y)))
         tiny = draw(st.integers(0, 3)) == 0
         w = draw(st.integers(1, 8) if tiny else st.integers(10, 100))
         h = draw(st.integers(1, 8) if tiny else st.integers(10, 100))
-        blocks.append(Block(f"b{k}", [rect(x0, y0, x0 + w, y0 + h)], 1.0, "t"))
+        kind = draw(st.integers(0, 7))
+        if kind == 0:
+            return Polygon([Point(x0, y0), Point(x0 + w, y0 + h), Point(x0 + 2 * w, y0 + 2 * h)])
+        if kind == 1:
+            return Polygon([Point(x0, y0), Point(x0 + w, y0 + h), Point(x0 + w, y0),
+                            Point(x0, y0 + h)])
+        if kind == 2 and w >= 3 and h >= 3:
+            hole = rect(x0 + 1, y0 + 1, x0 + w - 1, y0 + h - 1).exterior
+            return Polygon(rect(x0, y0, x0 + w, y0 + h).exterior, [hole])
+        return rect(x0, y0, x0 + w, y0 + h)
+
+    blocks = []
+    for k in range(draw(st.integers(0, 12))):
+        n_parts = draw(st.sampled_from([1, 1, 1, 2, 3]))
+        blocks.append(Block(f"b{k}", [part() for _ in range(n_parts)], 1.0, "t"))
     return g, blocks
 
 

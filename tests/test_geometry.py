@@ -13,18 +13,12 @@ from fireimpact.geometry import (
     _DJ,
     Point,
     PolygonLayer,
-    PolyLine,
-    Polygon,
     RingArrays,
     _corner_xy,
     _ramp,
-    features_cell_indices,
     points_in_polygon,
-    polygon_area,
     project_lonlat,
-    rasterize_polygons,
     ragged_cell_indices,
-    rasterize_polyline,
     run_offsets,
     segment_sums,
     trace_mask_rings,
@@ -32,9 +26,31 @@ from fireimpact.geometry import (
 )
 from fireimpact.grid import AnalysisGrid, Mask
 
+import layer_tables as tables
+from layer_tables import (
+    PolyLine,
+    Polygon,
+    features_cell_indices,
+    line_cells,
+    polygon_area,
+    polygon_layer,
+    rasterize_polygons,
+)
+
 
 def unit_square(size=1.0):
     return Polygon([Point(0, 0), Point(size, 0), Point(size, size), Point(0, size)])
+
+
+def rect(x0, y0, x1, y1):
+    return Polygon([Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)])
+
+
+def members(xs, ys, parts):
+    """Which of the points :func:`points_in_polygon` puts inside the one
+    feature made of the polygons ``parts``."""
+    [inside] = points_in_polygon(xs, ys, polygon_layer([parts]))
+    return inside
 
 
 def winding_number_inside(p, ring):
@@ -73,17 +89,17 @@ class TestProjection:
 
 class TestPointInPolygon:
     def test_center_of_unit_square(self):
-        assert points_in_polygon([0.5], [0.5], unit_square()).tolist() == [True]
+        assert members([0.5], [0.5], [unit_square()]).tolist() == [True]
 
     def test_obvious_exterior(self):
-        assert points_in_polygon([2], [2], unit_square()).tolist() == [False]
+        assert members([2], [2], [unit_square()]).tolist() == [False]
 
     def test_point_inside_hole_is_outside(self):
         poly = Polygon(
             [Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4)],
             holes=[[Point(1, 1), Point(3, 1), Point(3, 3), Point(1, 3)]],
         )
-        assert points_in_polygon([2, 0.5], [2, 2], poly).tolist() == [False, True]
+        assert members([2, 0.5], [2, 2], [poly]).tolist() == [False, True]
 
     def test_degenerate_ring_rejected(self):
         with pytest.raises(GeometryError):
@@ -103,27 +119,31 @@ class TestPointInPolygon:
         except GeometryError:
             return
         pts = [Point(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(20)]
-        got = points_in_polygon([p.x for p in pts], [p.y for p in pts], poly)
+        got = members([p.x for p in pts], [p.y for p in pts], [poly])
         assert got.tolist() == [winding_number_inside(p, poly.exterior) for p in pts]
+
+
+def area(poly):
+    return float(polygon_layer([[poly]]).areas()[0])
 
 
 class TestPolygonArea:
     def test_unit_square(self):
-        assert polygon_area(unit_square()) == 1.0
+        assert area(unit_square()) == 1.0
 
     def test_20m_square_is_the_cell_area(self):
-        assert polygon_area(unit_square(20.0)) == 400.0
+        assert area(unit_square(20.0)) == 400.0
 
     def test_3_4_5_triangle(self):
         tri = Polygon([Point(0, 0), Point(4, 0), Point(0, 3)])
-        assert polygon_area(tri) == 6.0
+        assert area(tri) == 6.0
 
     def test_holes_subtract(self):
         poly = Polygon(
             [Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4)],
             holes=[[Point(1, 1), Point(2, 1), Point(2, 2), Point(1, 2)]],
         )
-        assert polygon_area(poly) == 15.0
+        assert area(poly) == 15.0
 
 
 class TestRasterizePolygon:
@@ -147,7 +167,7 @@ class TestRasterizePolygon:
         tri = Polygon([Point(10, 10), Point(190, 30), Point(70, 180)])
         mask = rasterize_polygons([tri], g)
         xs, ys = np.meshgrid(g.center_xs(), g.center_ys())
-        assert np.array_equal(mask.bits, points_in_polygon(xs, ys, tri))
+        assert np.array_equal(mask.bits, tables.points_in_polygon(xs, ys, tri))
 
     def test_polygon_outside_grid_gives_empty_mask(self):
         g = AnalysisGrid(0, 0, 20, 4, 4)
@@ -172,7 +192,7 @@ class TestRasterizePolygon:
         )
         mask = rasterize_polygons([poly], g)
         xs, ys = np.meshgrid(g.center_xs(), g.center_ys())
-        assert np.array_equal(mask.bits, points_in_polygon(xs, ys, poly))
+        assert np.array_equal(mask.bits, tables.points_in_polygon(xs, ys, poly))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
@@ -203,7 +223,7 @@ class TestRasterizePolygon:
         xs, ys = np.meshgrid(g.center_xs(), g.center_ys())
         want = np.zeros(g.shape, dtype=bool)
         for poly in polys:
-            want |= points_in_polygon(xs, ys, poly)
+            want |= tables.points_in_polygon(xs, ys, poly)
         assert np.array_equal(rasterize_polygons(polys, g).bits, want)
 
 
@@ -237,12 +257,12 @@ def row_scan_cells(polys, g):
 
 
 def center_rule_cells(polys, g):
-    """Flat cell ids whose centers points_in_polygon puts inside a polygon."""
+    """Flat cell ids whose centers the object even-odd test puts inside a polygon."""
     xs = np.array([g.center_x(c) for r in range(g.n_rows) for c in range(g.n_cols)])
     ys = np.array([g.center_y(r) for r in range(g.n_rows) for c in range(g.n_cols)])
     inside = np.zeros(xs.size, dtype=bool)
     for p in polys:
-        inside |= points_in_polygon(xs, ys, p)
+        inside |= tables.points_in_polygon(xs, ys, p)
     return np.flatnonzero(inside).tolist()
 
 
@@ -393,24 +413,15 @@ class TestPolygonLayer:
         features = random_features(rng, g, int(rng.integers(1, 12)))
         features.append([random_part(rng, g) or unit_square() for _ in range(4)])
         want = [math.fsum(polygon_area(p) for p in parts) for parts in features]
-        got = PolygonLayer.of(features).areas()
+        got = polygon_layer(features).areas()
         assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_polygons_round_trip(self, seed):
-        rng = np.random.default_rng(seed)
-        g = random_grid(rng)
-        features = random_features(rng, g, int(rng.integers(0, 8)))
-        layer = PolygonLayer.of(features)
-        assert [layer.polygons(k) for k in range(len(features))] == features
 
 
 class TestRasterizePolyline:
     def test_horizontal_segment_across_three_cells(self):
         g = AnalysisGrid(0, 0, 20, 3, 3)
         line = PolyLine([Point(0, 30), Point(60, 30)])
-        lengths = rasterize_polyline(line, g)
+        lengths = line_cells(line, g)
         assert lengths == {
             (1, 0): pytest.approx(20.0),
             (1, 1): pytest.approx(20.0),
@@ -420,13 +431,13 @@ class TestRasterizePolyline:
     def test_segment_within_one_cell(self):
         g = AnalysisGrid(0, 0, 20, 3, 3)
         line = PolyLine([Point(2, 2), Point(9, 2)])
-        lengths = rasterize_polyline(line, g)
+        lengths = line_cells(line, g)
         assert lengths == {(2, 0): pytest.approx(7.0)}
 
     def test_diagonal_segment_analytic(self):
         g = AnalysisGrid(0, 0, 20, 2, 2)
         line = PolyLine([Point(0, 0), Point(40, 40)])
-        lengths = rasterize_polyline(line, g)
+        lengths = line_cells(line, g)
         # Diagonal through cells (1,0) and (0,1): sqrt(2)*20 each.
         assert lengths[(1, 0)] == pytest.approx(20 * math.sqrt(2), rel=1e-12)
         assert lengths[(0, 1)] == pytest.approx(20 * math.sqrt(2), rel=1e-12)
@@ -442,13 +453,13 @@ class TestRasterizePolyline:
         if len(pts) < 2:
             return
         line = PolyLine(pts)
-        total = sum(rasterize_polyline(line, g).values())
+        total = sum(line_cells(line, g).values())
         assert total == pytest.approx(line.length(), rel=1e-9)
 
     def test_length_split_out_of_grid(self):
         g = AnalysisGrid(0, 0, 20, 2, 2)
         line = PolyLine([Point(-20, 10), Point(20, 10)])
-        lengths = rasterize_polyline(line, g)
+        lengths = line_cells(line, g)
         assert sum(lengths.values()) == pytest.approx(20.0, rel=1e-12)
 
 
@@ -675,7 +686,7 @@ def reference_trace_mask_boundary(m, owner_raster=False):
     holes = []
     for loop in loops:
         ring_xy = [Point(grid.corner_x(j), grid.corner_y(i)) for i, j in loop]
-        area = geometry._ring_area_signed(ring_xy + [ring_xy[0]])
+        area = tables._ring_area_signed(ring_xy + [ring_xy[0]])
         if area > 0:
             exteriors.append((area, loop))
         else:
@@ -715,7 +726,7 @@ def reference_trace_mask_boundary(m, owner_raster=False):
 def assert_same_polygons(rings, polys, grid):
     """``rings`` hold the corners of ``polys``, ring for ring and polygon
     for polygon."""
-    want = PolygonLayer.of([polys])
+    want = polygon_layer([polys])
     xs, ys = _corner_xy(grid, rings.corners)
     assert np.array_equal(xs, want.xs) and np.array_equal(ys, want.ys)
     assert np.array_equal(rings.ring_offsets, want.ring_offsets)
@@ -1026,12 +1037,85 @@ class TestPointsInPolygon:
             ring_pts + t * (ends - ring_pts),  # other points on edges
             rng.uniform(lo, hi, (100, 2)),
         ])
-        got = points_in_polygon(pts[:, 0], pts[:, 1], poly)
+        got = members(pts[:, 0], pts[:, 1], [poly])
         want = [reference_point_in_polygon(Point(x, y), poly) for x, y in pts.tolist()]
         assert got.tolist() == want
         vertices = pts[:len(ring_pts)].tolist()
-        one_at_a_time = [points_in_polygon([x], [y], poly)[0] for x, y in vertices]
+        one_at_a_time = [members([x], [y], [poly])[0] for x, y in vertices]
         assert one_at_a_time == want[:len(vertices)]
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_features_equal_the_object_test_of_their_parts(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_grid(rng)
+        features = random_features(rng, g, int(rng.integers(0, 6)))
+        corners = [q for parts in features for p in parts for ring in p.rings() for q in ring]
+        lo = (g.origin_x - g.cell_size, g.origin_y - g.cell_size)
+        hi = (g.max_x + g.cell_size, g.max_y + g.cell_size)
+        pts = np.concatenate([np.array(corners).reshape(-1, 2), rng.uniform(lo, hi, (60, 2))])
+        pts = pts[rng.permutation(len(pts))]
+        got = points_in_polygon(pts[:, 0], pts[:, 1], polygon_layer(features))
+        assert got.shape == (len(features), len(pts))
+        for parts, inside in zip(features, got):
+            want = np.zeros(len(pts), dtype=bool)
+            for poly in parts:
+                want |= tables.points_in_polygon(pts[:, 0], pts[:, 1], poly)
+            assert np.array_equal(inside, want)
+
     def test_no_points(self):
-        assert points_in_polygon(np.zeros(0), np.zeros(0), unit_square()).shape == (0,)
+        layer = polygon_layer([[unit_square()]])
+        assert points_in_polygon(np.zeros(0), np.zeros(0), layer).shape == (1, 0)
+
+
+def half_open_rect(xs, ys, x0, y0, x1, y1):
+    """Which points PNPOLY puts inside the axis-aligned rectangle: its
+    west and south edges are in, its east and north edges out."""
+    return (x0 <= xs) & (xs < x1) & (y0 <= ys) & (ys < y1)
+
+
+class TestSplitDistrict:
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_two_part_split_keeps_membership(self, seed, on_lattice):
+        # A rectangle and the same rectangle cut at an interior x into a
+        # two-polygon feature, with corners, and now and then the cut, on
+        # the half-cell lattice, so that edges pass through cell centers.
+        rng = np.random.default_rng(seed)
+        g = random_grid(rng)
+        half = g.cell_size / 2
+        i0, i1 = sorted(rng.choice(np.arange(-3, 2 * g.n_cols + 4), 2, replace=False))
+        j0, j1 = sorted(rng.choice(np.arange(-3, 2 * g.n_rows + 4), 2, replace=False))
+        x0, x1 = g.origin_x + i0 * half, g.origin_x + i1 * half
+        y0, y1 = g.origin_y + j0 * half, g.origin_y + j1 * half
+        if on_lattice and i1 - i0 >= 2:
+            cut = g.origin_x + int(rng.integers(i0 + 1, i1)) * half
+        else:
+            cut = float(x0 + (x1 - x0) * rng.uniform(0.01, 0.99))
+        assert x0 < cut < x1
+        whole = [rect(x0, y0, x1, y1)]
+        split = [rect(x0, y0, cut, y1), rect(cut, y0, x1, y1)]
+        layer = polygon_layer([whole, split])
+
+        # Vertices, points on the cut, on each edge, and anywhere around.
+        ty = rng.uniform(y0, y1, 8)
+        tx = rng.uniform(x0, x1, 8)
+        pts = np.concatenate([
+            [(x, y) for x in (x0, cut, x1) for y in (y0, y1)],
+            np.column_stack([np.full(8, cut), ty]),
+            np.column_stack([np.full(8, x0), ty]),
+            np.column_stack([np.full(8, x1), ty]),
+            np.column_stack([tx, np.full(8, y0)]),
+            np.column_stack([tx, np.full(8, y1)]),
+            rng.uniform((x0 - half, y0 - half), (x1 + half, y1 + half), (40, 2)),
+        ])
+        pts = pts[rng.permutation(len(pts))]
+        xs, ys = pts[:, 0], pts[:, 1]
+        whole_in, split_in = points_in_polygon(xs, ys, layer)
+        want = half_open_rect(xs, ys, x0, y0, x1, y1)
+        assert np.array_equal(whole_in, want) and np.array_equal(split_in, want)
+
+        cells = slices(*ragged_cell_indices(*layer, g))
+        cx, cy = np.meshgrid(g.center_xs(), g.center_ys())
+        want = np.flatnonzero(half_open_rect(cx.ravel(), cy.ravel(), x0, y0, x1, y1))
+        assert cells[0] == cells[1] == want.tolist()

@@ -7,15 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fireimpact.errors import MissingTractError, UnpricedClassError, ValidationError
-from fireimpact.geometry import (
-    Point,
-    PolygonLayer,
-    PolyLine,
-    Polygon,
-    features_cell_indices,
-    polygon_area,
-    rasterize_polyline,
-)
+from fireimpact.geometry import Point
 from fireimpact.grid import AnalysisGrid, CategoryRaster, Mask, RealRaster
 from fireimpact.impact import (
     BuildingIndex,
@@ -36,7 +28,17 @@ from fireimpact.impact import (
 )
 
 import layer_tables as tables
-from layer_tables import Poi, Road
+from layer_tables import (
+    Poi,
+    PolyLine,
+    Polygon,
+    Road,
+    features_cell_indices,
+    line_cells,
+    points_in_polygon,
+    polygon_area,
+    polygon_layer,
+)
 
 D0 = dt.date(2025, 1, 7)
 
@@ -167,7 +169,7 @@ class TestRoadLoss:
         road = Road(line, "residential")
         index = RoadIndex.build(tables.roads([road]), g, simple_costs(road=50.0))
         cents, meters = next(road_loss_by_day(index, [burn.bits], 1))
-        per_cell = rasterize_polyline(line, g)
+        per_cell = line_cells(line, g)
         want_m = sum(v for (r, c), v in per_cell.items() if burn.bits[r, c])
         assert meters["residential"] == pytest.approx(want_m, rel=1e-12)
         assert meters["residential"] == pytest.approx(60.0, rel=1e-12)
@@ -217,7 +219,7 @@ class TestBuildingLoss:
         b = self._building(g, 2, 2)
         # Day 0 burned (2, 2); today, day 1, burns (2, 2) again and (2, 3).
         first = first_burn_raster(g, {(2, 2): 0, (2, 3): 1})
-        index = BuildingIndex.build(PolygonLayer.of([b]), g, simple_costs())
+        index = BuildingIndex.build(polygon_layer([b]), g, simple_costs())
         cents, counts = building_loss_by_day(index, first, 2)
         assert (cents[1], counts[1]) == (0, 0)
 
@@ -228,7 +230,7 @@ class TestBuildingLoss:
         rect = Polygon(
             [Point(x0, y0), Point(x0 + 16, y0), Point(x0 + 16, y0 + 12.5), Point(x0, y0 + 12.5)]
         )
-        index = BuildingIndex.build(PolygonLayer.of([[rect]]), g, simple_costs(building=3000.0))
+        index = BuildingIndex.build(polygon_layer([[rect]]), g, simple_costs(building=3000.0))
         cents, counts = building_loss_by_day(index, first_burn_raster(g, {(1, 1): 0}), 1)
         assert counts.tolist() == [1]
         assert cents.tolist() == [60_000_000]  # $600,000
@@ -251,13 +253,11 @@ class TestBuildingLoss:
             new_burns.append(Mask(g, nb))
             cum |= nb
 
-        index = BuildingIndex.build(PolygonLayer.of(buildings), g, simple_costs())
+        index = BuildingIndex.build(polygon_layer(buildings), g, simple_costs())
         _, counts = building_loss_by_day(index, first_burn_day(new_burns, g), len(new_burns))
         got_counts = counts.tolist()
 
         # Oracle: per building, find its first day by direct scan.
-        from fireimpact.geometry import points_in_polygon
-
         want_counts = [0] * len(new_burns)
         centers = [(r, c) for r in range(8) for c in range(8)]
         xs = np.array([g.center_x(c) for _, c in centers])
@@ -326,7 +326,7 @@ class TestBuildingLossByDay:
             [box(60, 20, 80, 40)],  # cell (3, 3)
             [box(41, 81, 49, 89)],  # between centers
         ]
-        index = BuildingIndex.build(PolygonLayer.of(buildings), g, costs)
+        index = BuildingIndex.build(polygon_layer(buildings), g, costs)
         assert index.starts.size == 2
         first = first_burn_raster(g, {(1, 1): 1, (3, 3): 0, (2, 2): 0, (0, 2): 2})
         cents, counts = building_loss_by_day(index, first, 3)
@@ -339,7 +339,7 @@ class TestBuildingLossByDay:
         costs = simple_costs()
         # Covers the centers of (2, 1), (2, 2) and (2, 3).
         b = [box(25, 45, 75, 55)]
-        index = BuildingIndex.build(PolygonLayer.of([b]), g, costs)
+        index = BuildingIndex.build(polygon_layer([b]), g, costs)
         first = first_burn_raster(g, {(2, 1): 2, (2, 3): 1})
         cents, counts = building_loss_by_day(index, first, 4)
         assert counts.tolist() == [0, 1, 0, 0]
@@ -359,7 +359,7 @@ class TestBuildingLossByDay:
 
     def test_no_buildings(self):
         g = grid(3)
-        index = BuildingIndex.build(PolygonLayer.of([]), g, simple_costs())
+        index = BuildingIndex.build(polygon_layer([]), g, simple_costs())
         cents, counts = building_loss_by_day(index, first_burn_raster(g, {(0, 0): 0}), 2)
         assert cents.tolist() == [0, 0] and counts.tolist() == [0, 0]
 
@@ -386,7 +386,7 @@ class TestBuildingLossByDay:
             new_burns.append(Mask(g, nb))
             cum |= nb
 
-        index = BuildingIndex.build(PolygonLayer.of(buildings), g, costs)
+        index = BuildingIndex.build(polygon_layer(buildings), g, costs)
         cents, counts = building_loss_by_day(index, first_burn_day(new_burns, g), n_days)
         # Each day on its own: day 0 holds the cells burned before it, day 1 its new burn.
         daily = []

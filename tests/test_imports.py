@@ -56,7 +56,9 @@ def synth_tree(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "command", [["assess", "--bandwidth-m", "4"], ["downscale"], ["perimeters", "--bandwidth-m", "4"]]
+    "command",
+    [["assess", "--bandwidth-m", "4"], ["downscale"], ["perimeters", "--bandwidth-m", "4"],
+     ["render", "--bandwidth-m", "4"]],
 )
 def test_command_leaves_numpy_ma_unimported(synth_tree, tmp_path, command):
     # numpy loads numpy.ma lazily, and only some calls (a bare np.unique)

@@ -224,6 +224,23 @@ CASES = [
     ("poi-category-empty",
      *first_feature("pois.geojson", lambda f: f["properties"].update(category="")),
      1, "feature 0: poi feature needs a category"),
+    # The line and ring checks, with their messages.
+    ("road-one-vertex",
+     *first_feature("roads.geojson", lambda f: f["geometry"].update(
+         coordinates=f["geometry"]["coordinates"][:1])),
+     1, "feature 0: polyline needs >= 2 vertices"),
+    ("road-repeated-vertex",
+     *first_feature("roads.geojson", lambda f: f["geometry"]["coordinates"].insert(
+         1, list(f["geometry"]["coordinates"][0]))),
+     1, "feature 0: polyline has repeated consecutive vertices"),
+    ("road-lon-nan",
+     *first_feature("roads.geojson",
+                    lambda f: f["geometry"]["coordinates"][0].__setitem__(0, math.nan)),
+     1, "feature 0: polyline has non-finite coordinates"),
+    ("block-ring-nan",
+     *first_feature("blocks.geojson",
+                    lambda f: f["geometry"]["coordinates"][0][0].__setitem__(0, math.nan)),
+     1, "feature 0: ring has non-finite coordinates"),
     # Geometry is checked for the whole layer at once, yet the first bad
     # feature in file order is the one named: feature 1's two-vertex ring
     # (exit 1), not feature 3's text pop (exit 2).

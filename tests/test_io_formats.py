@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fireimpact.dasymetric import downscale, validate_mass, WeightTable
 from fireimpact.errors import FormatError, SchemaError, ValidationError
@@ -21,6 +23,7 @@ from fireimpact.io_formats import (
     read_report,
     read_roads,
     read_weights,
+    _quintile_breaks,
     render_svg,
     write_ascii_grid,
     write_costs,
@@ -30,6 +33,8 @@ from fireimpact.io_formats import (
     write_weights,
 )
 from fireimpact.perimeters import DailyPerimeter
+
+import layer_tables as tables
 
 ORIGIN = (-118.25, 34.05)
 
@@ -354,7 +359,9 @@ class TestRenderSvg:
             first_burn=np.full(g.shape, -1, dtype=np.int16),
             active=Mask.empty(g),
         )
-        render_svg(tmp_path / "x.svg", g, self._no_population(g), {"A": [day]}, [])
+        render_svg(
+            tmp_path / "x.svg", g, self._no_population(g), {"A": [day]}, tables.districts([])
+        )
         text = (tmp_path / "x.svg").read_text()
         assert text.startswith("<svg ")
         assert "2025-01-07" in text
@@ -370,14 +377,27 @@ class TestRenderSvg:
             first_burn=first,
             active=Mask(g, first == 0),
         )
-        render_svg(tmp_path / "x.svg", g, self._no_population(g), {"A": [day]}, [])
+        render_svg(
+            tmp_path / "x.svg", g, self._no_population(g), {"A": [day]}, tables.districts([])
+        )
         text = (tmp_path / "x.svg").read_text()
         assert text.count("<path") == 1
+
+    @given(st.lists(
+        st.floats(1e-300, 1e300) | st.sampled_from([0.5, 1.0, 2.0, 3.25, 7.0]),
+        min_size=1, max_size=40,
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_breaks_have_the_bits_of_np_quantile(self, values):
+        # The sampled values give runs of ties.
+        values = np.array(values)
+        want = np.quantile(values, [0.2, 0.4, 0.6, 0.8])
+        assert _quintile_breaks(values).tobytes() == want.tobytes()
 
     def test_deterministic_output(self, tmp_path):
         rng = np.random.default_rng(1)
         g = self._grid()
         pop = RealRaster(g, rng.uniform(0, 5, size=(6, 6)))
-        render_svg(tmp_path / "a.svg", g, pop, {}, [])
-        render_svg(tmp_path / "b.svg", g, pop, {}, [])
+        render_svg(tmp_path / "a.svg", g, pop, {}, tables.districts([]))
+        render_svg(tmp_path / "b.svg", g, pop, {}, tables.districts([]))
         assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fireimpact import perimeters
 from fireimpact.errors import ValidationError
-from fireimpact.geometry import Point, Polygon, rasterize_polygons
+from fireimpact.geometry import Point
 from fireimpact.grid import AnalysisGrid
 from fireimpact.perimeters import (
     Detection,
@@ -21,6 +21,7 @@ from fireimpact.perimeters import (
 )
 
 import layer_tables as tables
+from layer_tables import Polygon, points_in_polygon, rasterize_polygons
 
 D0 = dt.date(2025, 1, 7)
 
@@ -331,7 +332,8 @@ class TestExtractDailyPerimeters:
         official = [square(0, 0, 100, 100)]
         dets = {D0: [det(300, 300)], D0 + dt.timedelta(days=1): [det(320, 320, day=1)]}
         days = extract_daily_perimeters(
-            tables_by_date(dets), official, g, KdeParams(bandwidth_m=50), first_days(2)
+            tables_by_date(dets), rasterize_polygons(official, g),
+            KdeParams(bandwidth_m=50), first_days(2)
         )
         assert all(p.new_burn.popcount() == 0 for p in days)
 
@@ -340,7 +342,8 @@ class TestExtractDailyPerimeters:
         official = [square(0, 0, 1000, 1000)]
         cluster = [det(500 + dx, 500 + dy) for dx in (-30, 0, 30) for dy in (-30, 0, 30)]
         days = extract_daily_perimeters(
-            tables_by_date({D0: cluster}), official, g, KdeParams(bandwidth_m=100), [D0]
+            tables_by_date({D0: cluster}), rasterize_polygons(official, g),
+            KdeParams(bandwidth_m=100), [D0]
         )
         assert len(days) == 1
         assert dilation_flood_fill(days[0].new_burn.bits).max() == 1
@@ -356,8 +359,7 @@ class TestExtractDailyPerimeters:
         pts1 = [det(200, 200, day=1)]
         days = extract_daily_perimeters(
             tables_by_date({D0: pts0, D0 + dt.timedelta(days=1): pts1}),
-            official,
-            g,
+            rasterize_polygons(official, g),
             KdeParams(bandwidth_m=60),
             first_days(2),
         )
@@ -370,7 +372,8 @@ class TestExtractDailyPerimeters:
         official = [square(0, 0, 200, 200)]
         dets = {D0: [det(100, 100)], D0 + dt.timedelta(days=2): [det(40, 40, day=2)]}
         days = extract_daily_perimeters(
-            tables_by_date(dets), official, g, KdeParams(bandwidth_m=40), first_days(3)
+            tables_by_date(dets), rasterize_polygons(official, g),
+            KdeParams(bandwidth_m=40), first_days(3)
         )
         assert [p.date for p in days] == [D0 + dt.timedelta(days=i) for i in range(3)]
         assert days[1].new_burn.popcount() == 0
@@ -387,7 +390,8 @@ class TestExtractDailyPerimeters:
         g = AnalysisGrid(0, 0, 20, 10, 10)
         dets = {D0: [det(100, 100)], D0 + dt.timedelta(days=3): [det(40, 40, day=3)] * 2}
         days = extract_daily_perimeters(
-            tables_by_date(dets), [square(0, 0, 200, 200)], g, KdeParams(bandwidth_m=40),
+            tables_by_date(dets), rasterize_polygons([square(0, 0, 200, 200)], g),
+            KdeParams(bandwidth_m=40),
             first_days(4),
         )
         assert sizes == [1, 2]
@@ -412,7 +416,7 @@ class TestExtractDailyPerimeters:
             return
         dates = event_dates(tables.detections(d for pts in dets.values() for d in pts))
         days = extract_daily_perimeters(
-            tables_by_date(dets), official, g, KdeParams(bandwidth_m=80), dates
+            tables_by_date(dets), rasterize_polygons(official, g), KdeParams(bandwidth_m=80), dates
         )
 
         # No double counting and monotone cumulation.
@@ -426,8 +430,6 @@ class TestExtractDailyPerimeters:
             assert not np.any(seen & p.new_burn.bits)
             seen |= p.new_burn.bits
         # Every new-burn cell center is inside the official perimeter.
-        from fireimpact.geometry import points_in_polygon
-
         for p in days:
             rows, cols = np.nonzero(p.new_burn.bits)
             xs = np.array([g.center_x(int(c)) for c in cols])
@@ -464,7 +466,9 @@ class TestFirstBurnRaster:
         for x, y, day in points:
             dets.setdefault(D0 + dt.timedelta(days=day), []).append(det(x, y, day=day))
         dates = [D0 + dt.timedelta(days=i) for i in range(6)]
-        days = extract_daily_perimeters(tables_by_date(dets), official, g, params, dates)
+        days = extract_daily_perimeters(
+            tables_by_date(dets), rasterize_polygons(official, g), params, dates
+        )
 
         # Reference: the running cumulative mask the first-burn raster replaced.
         clip = rasterize_polygons(official, g)
@@ -484,7 +488,8 @@ class TestFirstBurnRaster:
         official = [square(0, 0, 200, 200)]
         dets = {D0: [det(100, 100)], D0 + dt.timedelta(days=2): [det(40, 40, day=2)]}
         days = extract_daily_perimeters(
-            tables_by_date(dets), official, g, KdeParams(bandwidth_m=40), first_days(3)
+            tables_by_date(dets), rasterize_polygons(official, g),
+            KdeParams(bandwidth_m=40), first_days(3)
         )
         first = days[0].first_burn
         assert [p.index for p in days] == [0, 1, 2]
@@ -498,7 +503,9 @@ class TestFirstBurnRaster:
         g = AnalysisGrid(0, 0, 20, 2, 2)
         dates = [D0 + dt.timedelta(days=i) for i in range(np.iinfo(np.int16).max + 1)]
         with pytest.raises(ValidationError, match="first-burn-day raster"):
-            extract_daily_perimeters({}, [square(0, 0, 40, 40)], g, KdeParams(), dates)
+            extract_daily_perimeters(
+                {}, rasterize_polygons([square(0, 0, 40, 40)], g), KdeParams(), dates
+            )
 
 
 def random_detections(seed, n):

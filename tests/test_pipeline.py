@@ -11,15 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fireimpact.errors import MissingTractError, UnpricedClassError, ValidationError
-from fireimpact.geometry import (
-    Point,
-    PolygonLayer,
-    Polygon,
-    PolyLine,
-    polygon_area,
-    rasterize_polyline,
-    segment_sums,
-)
+from fireimpact.geometry import Point, segment_sums
 from fireimpact.grid import AnalysisGrid, CategoryRaster
 from fireimpact.impact import (
     DEMOGRAPHIC_GROUPS,
@@ -27,7 +19,6 @@ from fireimpact.impact import (
     CostModel,
     DailyImpactRecord,
     Demographics,
-    District,
     TractDemographics,
     building_loss_by_day,
     demographic_breakdown_by_day,
@@ -46,7 +37,17 @@ from fireimpact.pipeline import (
 )
 
 import layer_tables as tables
-from layer_tables import Block, Poi, Road
+from layer_tables import (
+    Block,
+    District,
+    Poi,
+    PolyLine,
+    Polygon,
+    Road,
+    line_cells,
+    polygon_area,
+    polygon_layer,
+)
 
 D0 = dt.date(2025, 1, 7)
 
@@ -94,10 +95,10 @@ class TestComputePerimeters:
     def test_detections_partition_by_district(self):
         m = manifest(20)
         layers = Layers(manifest=m)
-        layers.districts = [
+        layers.districts = tables.districts([
             District("west", [rect(0, 0, 180, 400)]),
             District("east", [rect(220, 0, 400, 400)]),
-        ]
+        ])
         layers.detections = tables.detections([
             Detection(Point(90, 190), D0),
             Detection(Point(310, 190), D0),
@@ -113,9 +114,9 @@ class TestComputePerimeters:
 
     def test_detection_in_two_overlapping_parts_is_kept(self):
         layers = Layers(manifest=manifest(20))
-        layers.districts = [
+        layers.districts = tables.districts([
             District("both", [rect(0, 0, 240, 400), rect(160, 0, 400, 400)])
-        ]
+        ])
         layers.detections = tables.detections([
             Detection(Point(205, 195), D0),  # in both parts
             Detection(Point(95, 195), D0),  # in the first part only
@@ -127,10 +128,10 @@ class TestComputePerimeters:
     def test_districts_share_event_date_range(self):
         m = manifest(20)
         layers = Layers(manifest=m)
-        layers.districts = [
+        layers.districts = tables.districts([
             District("west", [rect(0, 0, 180, 400)]),
             District("east", [rect(220, 0, 400, 400)]),
-        ]
+        ])
         layers.detections = tables.detections([
             Detection(Point(90, 200), D0),
             Detection(Point(300, 200), D0 + dt.timedelta(days=2)),
@@ -309,13 +310,13 @@ class TestAssessBuildings:
         layers.landcover = CategoryRaster(m.grid, np.full((20, 20), 22))
         layers.blocks = tables.blocks([Block("b1", [rect(0, 0, 400, 400)], 100.0, "t1")])
         layers.roads, layers.pois = tables.roads([]), tables.pois([])
-        layers.districts = [
+        layers.districts = tables.districts([
             District("east", [rect(100, 0, 400, 400)]),
             District("west", [rect(0, 0, 300, 400)]),
-        ]
+        ])
         # Covers the centers of cells (10, 9) and (10, 10), inside both districts.
         house = rect(180, 180, 220, 200)
-        layers.buildings = PolygonLayer.of([[house]])
+        layers.buildings = polygon_layer([[house]])
         layers.detections = tables.detections([
             Detection(Point(191, 191), D0),
             Detection(Point(211, 191), D0 + dt.timedelta(days=1)),
@@ -415,9 +416,10 @@ def assess_inputs(draw, unpriced=False):
                 if k not in draw(st.sets(st.sampled_from(["primary", "residential"]), max_size=1))}
         layers.costs = CostModel(land, road, costs.building_cost)
 
-    layers.districts = [District("d", [rect(0, 0, g.max_x, g.max_y)])]
+    districts = [District("d", [rect(0, 0, g.max_x, g.max_y)])]
     if draw(st.booleans()):
-        layers.districts.append(District("c", [rect(0, 0, cell * -(-n_cols // 2), g.max_y)]))
+        districts.append(District("c", [rect(0, 0, cell * -(-n_cols // 2), g.max_y)]))
+    layers.districts = tables.districts(districts)
     inside = st.tuples(st.floats(0, g.max_x), st.floats(0, g.max_y))
     layers.detections = tables.detections(
         Detection(Point(*xy), D0 + dt.timedelta(days=day))
@@ -431,7 +433,7 @@ def with_rows(layers, rows):
     """``layers`` with the blocks, roads, buildings and POIs of ``rows``."""
     return dataclasses.replace(
         layers, blocks=tables.blocks(rows["blocks"]), roads=tables.roads(rows["roads"]),
-        buildings=PolygonLayer.of(rows["buildings"]), pois=tables.pois(rows["pois"]),
+        buildings=polygon_layer(rows["buildings"]), pois=tables.pois(rows["pois"]),
     )
 
 
@@ -466,7 +468,7 @@ def reference_road_loss(new_burn, roads, costs):
         if road.road_class not in costs.road_cost:
             raise UnpricedClassError(f"no road cost for class {road.road_class!r}")
         rate = costs.road_cost[road.road_class]
-        for (r, c), length in rasterize_polyline(road.line, new_burn.grid).items():
+        for (r, c), length in line_cells(road.line, new_burn.grid).items():
             if new_burn.bits[r, c]:
                 lengths.setdefault(road.road_class, []).append(length)
                 cents[road.road_class] = (
@@ -598,8 +600,8 @@ class TestAssessMatchesReference:
         layers = Layers(manifest=m)
         layers.landcover = CategoryRaster(m.grid, np.array([[42, 22, 22, 22]] * 4))
         layers.blocks = tables.blocks([Block("b", [rect(0, 0, 80, 80)], 10.0, "t")])
-        layers.buildings, layers.pois = PolygonLayer.of([]), tables.pois([])
-        layers.districts = [District("d", [rect(0, 0, 80, 80)])]
+        layers.buildings, layers.pois = polygon_layer([]), tables.pois([])
+        layers.districts = tables.districts([District("d", [rect(0, 0, 80, 80)])])
         # Day 0 burns class 22 only; day 1 burns class 42 as well.
         layers.detections = tables.detections([
             Detection(Point(70, 70), D0), Detection(Point(10, 70), D0 + dt.timedelta(days=1)),
