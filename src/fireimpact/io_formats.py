@@ -8,8 +8,14 @@ Input passes one boundary: ``_open_text``/``_load_json`` decode files
 (UTF-8, a leading byte order mark skipped), ``parse_value`` parses
 values, and ``read_vertex_layer`` (points and lines, flat vertex
 arrays) and ``read_polygon_layer`` (polygons, one flat ``PolygonLayer``
-per file) read GeoJSON layers, checking properties a column at a time,
-so a malformed file is a FormatError naming the file and place.
+per file) read GeoJSON layers, so a malformed file is a FormatError
+naming the file and place.
+
+Each GeoJSON reader works in two phases. The fast path assumes a valid
+file and reads it a column and a nesting level at a time; at the first
+irregularity it gives up without saying where. The file is then read
+again one feature at a time, and only that reader names the error: the
+first that reading the features in file order meets.
 
 GeoJSON input is a simple subset: a FeatureCollection of Point,
 LineString, Polygon, or MultiPolygon features with flat properties and
@@ -113,7 +119,9 @@ def _load_json(path: Path) -> Any:
         gc.disable()
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except UnicodeDecodeError:  # a ValueError that _open_text reports
+            raise
+        except (ValueError, RecursionError) as exc:  # bad syntax, too many digits or levels
             raise FormatError(f"{path}: invalid JSON ({exc})") from None
         finally:
             if enabled:
@@ -630,122 +638,187 @@ def mask_to_category(mask: Mask) -> CategoryRaster:
 _POLYGONAL = ("Polygon", "MultiPolygon")
 # The lon and lat of a GeoJSON position; an altitude is dropped.
 _LONLAT = operator.itemgetter(0, 1)
-# What `_lonlat` raises for a malformed position.
-_MALFORMED = (TypeError, IndexError, OverflowError)
+# What the fast path of a GeoJSON reader raises when it gives up.
+_IRREGULAR = (TypeError, ValueError, LookupError, OverflowError)
 
 
-class _Features(NamedTuple):
-    """The features of a GeoJSON layer before its first bad one, as columns
-    (each one's geometry type, parsed properties by name and raw
-    coordinates), and that bad feature's error (None if there is none)."""
-
-    types: list
-    values: dict[str, Any]
-    coords: list
-    error: PipelineError | None
+def _text_column(raw: list) -> list[str]:
+    """:func:`_text` of each value; a TypeError if it rejects one."""
+    if not set(map(type, raw)) <= {str, int, float}:
+        raise TypeError(raw)
+    return list(map(str, raw))
 
 
-def _text_column(raw: list) -> list[str] | None:
-    """:func:`_text` of each value, or None if it rejects one."""
-    if set(map(type, raw)) <= {str, int, float}:
-        return list(map(str, raw))
-    return None
+def _number_column(raw: list) -> np.ndarray:
+    """:func:`_number` of each value; a TypeError, ValueError or
+    OverflowError if it rejects one."""
+    if not set(map(type, raw)) <= {int, float}:
+        raise TypeError(raw)
+    values = np.fromiter(map(float, raw), np.float64, len(raw))
+    if not np.isfinite(values).all():
+        raise ValueError(raw)
+    return values
 
 
-def _number_column(raw: list) -> np.ndarray | None:
-    """:func:`_number` of each value, or None if it rejects one."""
-    if set(map(type, raw)) <= {int, float}:
-        try:
-            values = np.fromiter(map(float, raw), np.float64, len(raw))
-        except OverflowError:
-            return None
-        if np.isfinite(values).all():
-            return values
-    return None
-
-
-# The column form of each property parser; other parsers go feature by feature.
+# The column form of each property parser; a layer with another parser
+# is read feature by feature.
 _COLUMN_PARSERS: dict[Callable, Callable[[list], Any]] = {
     _text: _text_column, _number: _number_column,
 }
 
 
 def _feature_columns(
-    features: list, types: tuple[str, ...], properties: dict[str, Callable[[Any], Any]],
+    doc: Any, types: tuple[str, ...], properties: dict[str, Callable[[Any], Any]],
     unique: str | None,
-) -> tuple[list, dict[str, Any], list] | None:
-    """:class:`_Features`' columns, checked a column at a time, or None if
-    any feature fails a check."""
+) -> tuple[list, dict[str, Any], list]:
+    """The features of the GeoJSON FeatureCollection ``doc`` as columns:
+    each one's geometry type, its parsed properties by name and its raw
+    coordinates. The checks of :func:`_layer_by_feature` on types and
+    properties run a column at a time; one of ``_IRREGULAR`` is raised if
+    any fails."""
+    features = doc.get("features") if isinstance(doc, dict) else None
+    if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
+        raise TypeError(doc)
     if not set(map(type, features)) <= {dict}:
-        return None
+        raise TypeError(features)
     geoms = list(map(dict.get, features, itertools.repeat("geometry")))
     if not set(map(type, geoms)) <= {dict}:
-        return None
+        raise TypeError(geoms)
     gtypes = list(map(dict.get, geoms, itertools.repeat("type")))
     props = list(map(dict.get, features, itertools.repeat("properties")))
     if not all(map(types.__contains__, gtypes)) or not set(map(type, props)) <= {dict}:
-        return None
+        raise TypeError(gtypes)
     values = {}
     for name, parse in properties.items():
-        column = _COLUMN_PARSERS.get(parse)
-        if column is None or not all(map(dict.__contains__, props, itertools.repeat(name))):
-            return None
-        values[name] = column(list(map(dict.get, props, itertools.repeat(name))))
-        if values[name] is None:
-            return None
+        if not all(map(dict.__contains__, props, itertools.repeat(name))):
+            raise KeyError(name)
+        values[name] = _COLUMN_PARSERS[parse](list(map(dict.get, props, itertools.repeat(name))))
     if unique is not None and len(set(values[unique])) < len(features):
-        return None
+        raise ValueError(unique)
     return gtypes, values, list(map(dict.get, geoms, itertools.repeat("coordinates")))
 
 
-def _features(
-    path: Path, types: tuple[str, ...], properties: dict[str, Callable[[Any], Any]],
-    unique: str | None,
-) -> _Features:
-    """The features of the GeoJSON FeatureCollection in ``path``, up to the first bad one.
+def _nesting(items: list, levels: int) -> tuple[list[np.ndarray], list]:
+    """The lengths of the lists at each of the top ``levels`` levels of the
+    nested lists ``items``, and the items that the lowest of them hold, in
+    order; a TypeError if one of those is not a list."""
+    sizes = []
+    for _ in range(levels):
+        if not set(map(type, items)) <= {list}:
+            raise TypeError(items)
+        sizes.append(np.fromiter(map(len, items), np.int64, len(items)))
+        items = list(itertools.chain.from_iterable(items))
+    return sizes, items
 
-    Geometry types must be in ``types``; each property in ``properties``
-    is required and parsed by its function, and ``unique`` names one that
-    must not repeat. The checks run a column at a time; only if one fails
-    are the features read one at a time, which finds the first bad one in
-    file order and its error: a malformed value is a FormatError, a
-    repeated one a ValidationError, each naming the file and the feature.
-    The document is freed on return, but for the coordinates.
+
+def _layer_at_once(
+    path: Path, origin_lon: float, origin_lat: float, types: tuple[str, ...],
+    properties: dict[str, Callable[[Any], Any]], unique: str | None,
+) -> tuple[dict[str, Any], list[np.ndarray], np.ndarray, np.ndarray]:
+    """The GeoJSON layer in ``path`` read as if it were valid, a column or
+    a nesting level at a time.
+
+    Gives each property's values, the sizes at each level of the layer's
+    nesting (:func:`_nesting`, a Point being a list of one position and a
+    Polygon a list of one polygon) and every position projected. One of
+    ``_IRREGULAR`` is raised at the first irregularity in types,
+    properties or structure; a feature's values and geometry are left to
+    the caller to check, a column at a time.
+    """
+    gtypes, values, coords = _feature_columns(_load_json(path), types, properties, unique)
+    if types == _POLYGONAL:
+        sizes, positions = _nesting(
+            [[c] if t == "Polygon" else c for t, c in zip(gtypes, coords)], 3
+        )
+    elif types == ("LineString",):
+        sizes, positions = _nesting(coords, 1)
+    else:
+        sizes, positions = [np.ones(len(coords), np.int64)], coords
+    lonlat = _lonlat(positions)
+    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic
+        x, y = project_lonlat(lonlat[:, 0], lonlat[:, 1], origin_lon, origin_lat)
+    return values, sizes, x, y
+
+
+def _layer_by_feature(
+    path: Path, origin_lon: float, origin_lat: float, types: tuple[str, ...],
+    properties: dict[str, Callable[[Any], Any]], unique: str | None,
+    check: Callable[[dict[str, Any], list], None],
+) -> tuple[dict[str, Any], list[np.ndarray], np.ndarray, np.ndarray]:
+    """:func:`_layer_at_once`'s result, from the features read one at a
+    time in file order, each checked in full before the next, so that the
+    first bad one's error is raised.
+
+    A feature's geometry type must be in ``types``; each property in
+    ``properties`` is required and parsed by its function, and ``unique``
+    names one that must not repeat. Its coordinates are projected a
+    position at a time: a line is checked (:func:`check_line`) once it is
+    projected, and so are a polygon's rings (:func:`ring_problem`). Last,
+    ``check(values, shape)`` validates its values, given its Points (a
+    Point or LineString) or its polygons, each a list of rings of Points.
+    Malformed input is a FormatError (exit 2); invalid geometry, a
+    repeated value or one ``check`` rejects is a ValidationError (exit 1).
+    Both name the file and the feature.
     """
     doc = _load_json(path)
     features = doc.get("features") if isinstance(doc, dict) else None
     if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
         raise FormatError(f"{path}: expected a FeatureCollection with a features list")
-    columns = _feature_columns(features, types, properties, unique)
-    if columns is not None:
-        return _Features(*columns, None)
-    out = _Features([], {name: [] for name in properties}, [], None)
+
+    def position(p) -> Point:
+        lon, lat = p[0], p[1]
+        if lon.__class__ is bool or lat.__class__ is bool:  # as in _number
+            raise TypeError(p)
+        return project_lonlat(lon, lat, origin_lon, origin_lat)
+
+    def project(ring) -> list[Point]:
+        return [position(p) for p in ring]
+
+    def line(c) -> list[Point]:
+        points = project(c)
+        check_line(points)
+        return points
+
+    def polygon(rings) -> list[list[Point]]:
+        rings = [project(rings[0]), *map(project, rings[1:])]
+        xy = np.array(list(itertools.chain.from_iterable(rings)), np.float64).reshape(-1, 2)
+        problem = ring_problem(xy[:, 0], xy[:, 1], run_offsets(list(map(len, rings))))
+        if problem is not None:
+            raise GeometryError(problem[1])
+        return rings
+
+    shapes = {
+        "Point": lambda c: [position(c)],
+        "LineString": line,
+        "Polygon": lambda c: [polygon(c)],
+        "MultiPolygon": lambda c: [polygon(rings) for rings in c],
+    }
+    values: dict[str, list] = {name: [] for name in properties}
+    geometries = []
     seen = set()
     for i, feat in enumerate(features):
         where = f"{path}: feature {i}"
+        geom = feat.get("geometry") if isinstance(feat, dict) else None
+        gtype = geom.get("type") if isinstance(geom, dict) else None
+        if gtype not in types:
+            raise FormatError(f"{where}: expected {' or '.join(types)}, got {gtype!r}")
+        props = parse_value(where, "properties", feat.get("properties") or {}, _object)
+        row = {name: _required(where, props, name, parse) for name, parse in properties.items()}
+        if unique is not None:
+            if row[unique] in seen:
+                raise ValidationError(f"{where}: duplicate {unique} {row[unique]!r}")
+            seen.add(row[unique])
         try:
-            geom = feat.get("geometry") if isinstance(feat, dict) else None
-            gtype = geom.get("type") if isinstance(geom, dict) else None
-            if gtype not in types:
-                raise FormatError(f"{where}: expected {' or '.join(types)}, got {gtype!r}")
-            props = parse_value(where, "properties", feat.get("properties") or {}, _object)
-            values = {name: _required(where, props, name, parse) for name, parse in properties.items()}
-            if unique is not None:
-                if values[unique] in seen:
-                    raise ValidationError(f"{where}: duplicate {unique} {values[unique]!r}")
-                seen.add(values[unique])
-        except PipelineError as exc:
-            return out._replace(error=exc)
-        out.types.append(gtype)
-        for name, value in values.items():
-            out.values[name].append(value)
-        out.coords.append(geom.get("coordinates"))
-    return out
-
-
-def _taken(values: dict[str, Any], k: int) -> dict[str, Any]:
-    """Feature k's value of each property."""
-    return {name: column[k] for name, column in values.items()}
+            shape = parse_value(where, "coordinates", geom.get("coordinates"), shapes[gtype])
+            check(row, shape)
+        except ValidationError as exc:
+            raise type(exc)(f"{where}: {exc}") from None
+        for name, value in row.items():
+            values[name].append(value)
+        geometries.append(shape)
+    sizes, points = _nesting(geometries, 3 if types == _POLYGONAL else 1)
+    x, y = np.array(points, np.float64).reshape(-1, 2).T.copy()
+    return values, sizes, x, y
 
 
 def read_vertex_layer(
@@ -763,107 +836,33 @@ def read_vertex_layer(
     ``check(values, vertices)`` validates each feature's values, given its
     projected vertices; a LineString's pass :func:`check_line` first.
     ``flag(values, xs, ys, offsets)`` marks, a column at a time, every
-    feature that ``check`` or :func:`check_line` could reject. From the
-    first feature with a mark or a malformed position on, features are
-    read one at a time through ``check``, so the error is the one that
-    reading the features in file order meets first. Malformed input is a
+    feature that ``check`` or :func:`check_line` could reject.
+
+    The file is read in two phases. The first assumes a valid file: it
+    reads it a column at a time (:func:`_layer_at_once`), then asks
+    ``flag`` whether any feature is marked. At the first irregularity or
+    mark it gives up, and the file is read again one feature at a time
+    (:func:`_layer_by_feature`), which alone names an error: the first
+    that reading the features in file order meets. Malformed input is a
     FormatError (exit 2); invalid geometry or a value ``check`` rejects is
     a ValidationError (exit 1). Both name the file and the feature.
     """
     path = Path(path)
-    _, values, coords, error = _features(path, (gtype,), properties, None)
-    k = len(coords)
-    if gtype == "Point":
-        positions, sizes = coords, np.ones(k, dtype=np.int64)
-    else:
-        k = _first_false(map(isinstance, coords, itertools.repeat(list)), k)
-        sizes = np.fromiter(map(len, coords[:k]), np.int64, k)
-        positions = list(itertools.chain.from_iterable(coords[:k]))
-    offsets = run_offsets(sizes)
-    lonlat = _lonlat_prefix(positions)
-    k = min(k, np.searchsorted(offsets, len(lonlat), "right") - 1)
-    offsets = offsets[:k + 1]
-    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic
-        xs, ys = project_lonlat(lonlat[:offsets[-1], 0], lonlat[:offsets[-1], 1],
-                                origin_lon, origin_lat)
-    marked = np.flatnonzero(flag(_head(values, k), xs, ys, offsets))
-    if marked.size:
-        k = marked[0]
-        xs, ys, offsets = xs[:offsets[k]], ys[:offsets[k]], offsets[:k + 1]
-
-    def position(p) -> Point:
-        lon, lat = p[0], p[1]
-        if lon.__class__ is bool or lat.__class__ is bool:  # as in _number
-            raise TypeError(p)
-        return project_lonlat(lon, lat, origin_lon, origin_lat)
-
-    def vertices(c) -> list[Point]:
-        if gtype == "Point":
-            return [position(c)]
-        points = [position(p) for p in c]
-        check_line(points)
-        return points
-
-    tail: list[Point] = []
-    tail_sizes = []
-    for i in range(k, len(coords)):  # only from a marked or malformed feature on
-        where = f"{path}: feature {i}"
-        try:
-            shape = parse_value(where, "coordinates", coords[i], vertices)
-            check(_taken(values, i), shape)
-        except ValidationError as exc:
-            raise type(exc)(f"{where}: {exc}") from None
-        tail.extend(shape)
-        tail_sizes.append(len(shape))
-    if error is not None:
-        raise error
-    if tail:
-        txy = np.array(tail, dtype=np.float64)
-        xs, ys = np.concatenate([xs, txy[:, 0]]), np.concatenate([ys, txy[:, 1]])
-        offsets = run_offsets(np.diff(offsets).tolist() + tail_sizes)
-    return values, xs, ys, offsets
-
-
-def _first_false(flags: Iterator[bool], n: int) -> int:
-    """The index of the first false value among the ``n`` flags, or ``n``."""
-    return int(np.argmin(np.append(np.fromiter(flags, bool, n), False)))
-
-
-def _polygon_structure(
-    gtypes: list, coords: list
-) -> tuple[int, list[np.ndarray], list[np.ndarray], list]:
-    """The structure of the longest prefix of features whose coordinates
-    are lists of non-empty lists of lists, a level at a time.
-
-    Gives the prefix's length k; the feature of each item at the first two
-    levels (features, polygons) and of each ring; each item's size at each
-    level (its polygons, rings or positions), from which those of features
-    k on are to be cut; and the prefix's positions.
-    """
-    items = [c if t == "MultiPolygon" else [c] for t, c in zip(gtypes, coords)]
-    k = len(items)
-    owners = [np.arange(k)]
-    sizes = []
-    for level in range(3):  # features, polygons, rings
-        owner = owners[level]
-        j = _first_false(map(isinstance, items, itertools.repeat(list)), len(items))
-        if j < len(items):
-            k = min(k, owner[j])
-        items = items[:np.searchsorted(owner, k)]
-        size = np.fromiter(map(len, items), np.int64, len(items))
-        if level == 1 and not size.all():  # a polygon needs a ring
-            k = min(k, owner[np.argmin(size)])
-            items, size = items[:np.searchsorted(owner, k)], size[:np.searchsorted(owner, k)]
-        sizes.append(size)
-        if level < 2:
-            owners.append(np.repeat(owner[:len(items)], size))
-        items = list(itertools.chain.from_iterable(items))
-    return k, owners, sizes, items
-
-
-def _head(values: dict[str, Any], n: int) -> dict[str, Any]:
-    """The first ``n`` values of each property."""
-    return {name: column[:n] for name, column in values.items()}
+    types = (gtype,)
+    try:
+        values, (sizes,), xs, ys = _layer_at_once(
+            path, origin_lon, origin_lat, types, properties, None
+        )
+        regular = not flag(values, xs, ys, run_offsets(sizes)).any()
+    except _IRREGULAR:
+        regular = False
+    # Read again one feature at a time, which names the error; only now that
+    # the except block has exited, as its traceback kept the JSON tree alive.
+    if not regular:
+        values, (sizes,), xs, ys = _layer_by_feature(
+            path, origin_lon, origin_lat, types, properties, None, check
+        )
+    return values, xs, ys, run_offsets(sizes)
 
 
 def read_polygon_layer(
@@ -880,82 +879,40 @@ def read_polygon_layer(
     Features are Polygons or MultiPolygons; ``check(values, n_parts)``
     validates each one's values, as :func:`check_block` does, and
     ``unique`` names one that must not repeat. ``flag(values, n_parts)``
-    marks, a column at a time, every feature that ``check`` could reject;
-    from the first feature with a mark or a malformed structure on,
-    features are read one at a time. Every position is converted,
-    projected and checked at once (:func:`ring_problem`), yet the error is
-    the one that reading the features one at a time in file order, and
-    checking each ring as it is read, meets first, with
-    :func:`read_vertex_layer`'s exit codes; a repeated value exits 1.
+    marks, a column at a time, every feature that ``check`` could reject.
+
+    The file is read in :func:`read_vertex_layer`'s two phases. The first
+    converts, projects and checks every position at once
+    (:func:`ring_problem`), and asks ``flag`` whether any feature is
+    marked. Only the second, feature by feature, names an error: the first
+    that reading the features in file order, and checking each polygon's
+    rings once they are projected, meets, with :func:`read_vertex_layer`'s
+    exit codes; a repeated value exits 1.
     """
     path = Path(path)
-    gtypes, values, raw, error = _features(path, _POLYGONAL, properties, unique)
-    k, owners, sizes, positions = _polygon_structure(gtypes, raw)
-    marked = np.flatnonzero(flag(_head(values, k), sizes[0][:k]))
-    if marked.size:
-        k = marked[0]
-    polygon_feature = owners[1][:np.searchsorted(owners[1], k)].tolist()
-    polygon_sizes = sizes[1][:len(polygon_feature)].tolist()
-    ring_sizes = sizes[2][:np.searchsorted(owners[2], k)].tolist()
-    del positions[sum(ring_sizes):], owners, sizes
-
-    def layer() -> PolygonLayer:
-        """The polygons read so far; their first bad one's error is raised."""
-        po = run_offsets(polygon_sizes)
-        ro = run_offsets(ring_sizes[:po[-1]])
-        del positions[ro[-1]:]  # a polygon read in part
-        lonlat = _lonlat_prefix(positions)
-        bad = len(polygon_sizes)  # the first polygon with a malformed position
-        if len(lonlat) < len(positions):
-            bad = np.searchsorted(po, np.searchsorted(ro, len(lonlat), "right") - 1, "right") - 1
-        ro = ro[:po[bad] + 1]
-        lonlat = lonlat[:ro[-1]]
-        with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic
-            x, y = project_lonlat(lonlat[:, 0], lonlat[:, 1], origin_lon, origin_lat)
-        problem = ring_problem(x, y, ro)
-        if problem is not None:
-            r, message = problem
-            k = polygon_feature[np.searchsorted(po, r, "right") - 1]
-            raise GeometryError(f"{path}: feature {k}: {message}")
-        if bad < len(polygon_sizes):
-            k = polygon_feature[bad]
-            raise FormatError(f"{path}: feature {k}: bad coordinates value {reprlib.repr(raw[k])}")
-        feature_sizes = np.bincount(polygon_feature, minlength=len(raw))
-        return PolygonLayer(*close_rings(x, y, ro), po, run_offsets(feature_sizes))
-
     try:
-        for i in range(k, len(raw)):  # only from a marked or malformed feature on
-            where = f"{path}: feature {i}"
-            coords = raw[i]
-            n_parts = 0
-            try:
-                for rings in [coords] if gtypes[i] == "Polygon" else coords:
-                    if rings.__class__ is not list or not rings:
-                        raise TypeError(rings)
-                    for ring in rings:
-                        n = len(positions)
-                        positions.extend(ring)
-                        ring_sizes.append(len(positions) - n)
-                    polygon_sizes.append(len(rings))
-                    polygon_feature.append(i)
-                    n_parts += 1
-            except TypeError:
-                raise FormatError(f"{where}: bad coordinates value {reprlib.repr(coords)}") from None
-            try:
-                check(_taken(values, i), n_parts)
-            except ValidationError as exc:
-                raise type(exc)(f"{where}: {exc}") from None
-        if error is not None:
-            raise error
-    except PipelineError:
-        layer()  # a bad polygon read before the failure is reported first
-        raise
-    return values, layer()
+        values, sizes, x, y = _layer_at_once(
+            path, origin_lon, origin_lat, _POLYGONAL, properties, unique
+        )
+        n_parts, n_rings, n_positions = sizes
+        regular = (n_rings.all() and not flag(values, n_parts).any()
+                   and ring_problem(x, y, run_offsets(n_positions)) is None)
+    except _IRREGULAR:
+        regular = False
+    # Read again one feature at a time, which names the error; only now that
+    # the except block has exited, as its traceback kept the JSON tree alive.
+    if not regular:
+        values, sizes, x, y = _layer_by_feature(
+            path, origin_lon, origin_lat, _POLYGONAL, properties, unique,
+            lambda v, parts: check(v, len(parts)),
+        )
+    feature_offsets, polygon_offsets, ring_offsets = map(run_offsets, sizes)
+    return values, PolygonLayer(*close_rings(x, y, ring_offsets), polygon_offsets, feature_offsets)
 
 
 def _lonlat(positions: list) -> np.ndarray:
     """(n, 2) lon/lat of GeoJSON positions, each a list of two or more
-    numbers (not bools); raises one of _MALFORMED for any other."""
+    numbers (not bools); a TypeError, IndexError or OverflowError for any other."""
     if positions and set(map(type, positions)) != {list}:
         raise TypeError(positions)
     if set(map(len, positions)) - {2}:
@@ -964,19 +921,6 @@ def _lonlat(positions: list) -> np.ndarray:
         raise TypeError(positions)
     flat = itertools.chain.from_iterable(positions)
     return np.fromiter(flat, np.float64, 2 * len(positions)).reshape(-1, 2)
-
-
-def _lonlat_prefix(positions: list) -> np.ndarray:
-    """:func:`_lonlat` of the positions before the first malformed one."""
-    try:
-        return _lonlat(positions)
-    except _MALFORMED:
-        for n, p in enumerate(positions):
-            try:
-                _lonlat([p])
-            except _MALFORMED:
-                return _lonlat(positions[:n])
-        raise
 
 
 def read_blocks(path: str | Path, origin_lon: float, origin_lat: float) -> Blocks:

@@ -715,6 +715,17 @@ def layer_outcome(kind, read, path, origin=ZERO):
     )
 
 
+def by_feature():
+    """The GeoJSON readers with their fast path giving up on every file, so
+    that the per-feature reader reads it."""
+    return mock.patch.object(io_formats, "_layer_at_once", side_effect=ValueError)
+
+
+def fast_path_only():
+    """The GeoJSON readers without their per-feature reader."""
+    return mock.patch.object(io_formats, "_layer_by_feature", side_effect=AssertionError)
+
+
 class TestReadPolygonLayerMatchesReference:
     @given(doc=polygon_collections())
     @settings(max_examples=300, deadline=None)
@@ -767,6 +778,16 @@ class TestReadPolygonLayerMatchesReference:
             got = layer_outcome(kind, read, path, ORIGIN)
             assert len(got) == 8, got
             assert got == layer_outcome(kind, reference, path, ORIGIN)
+
+    @given(doc=polygon_collections())
+    @settings(max_examples=300, deadline=None)
+    def test_same_layer_and_errors_by_feature(self, tmp_path_factory, doc):
+        with by_feature():
+            self.test_same_layer_and_errors.hypothesis.inner_test(self, tmp_path_factory, doc)
+
+    def test_synthetic_layers_by_feature(self, tmp_path):
+        with by_feature():
+            self.test_synthetic_layers(tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -862,6 +883,71 @@ class TestReadVertexLayerMatchesReference:
             path = tmp_path / f"{kind}.geojson"
             got = vertex_outcome(kind, read, path, ORIGIN)
             assert len(got[0]) > 0 and got == vertex_outcome(kind, reference, path, ORIGIN)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_layer_and_errors_by_feature(self, tmp_path_factory, data):
+        with by_feature():
+            self.test_same_layer_and_errors.hypothesis.inner_test(self, tmp_path_factory, data)
+
+    def test_synthetic_layers_by_feature(self, tmp_path):
+        with by_feature():
+            self.test_synthetic_layers(tmp_path)
+
+
+def test_valid_synthetic_layers_take_the_fast_path(tmp_path):
+    generate(ScenarioSpec(seed=7), tmp_path)
+    with fast_path_only():
+        for read, name in ((read_blocks, "blocks"), (read_buildings, "buildings"),
+                           (read_districts, "perimeter"), (read_roads, "roads"),
+                           (read_pois, "pois")):
+            read(tmp_path / f"{name}.geojson", *ORIGIN)
+
+
+# Number literals that json.dumps never writes: exponents, more than 17
+# significant digits, a negative zero, a subnormal, an integer beyond 2^53
+# and one beyond the double range, which json reads as inf.
+LITERALS = ["1E-3", "-2.5e+1", "0.10000000000000000555", "-0.0", "5e-324",
+            "9007199254740993", "1e400"]
+READERS = {**LAYER_READERS, **VERTEX_READERS}
+
+
+def literal_layer(kind, lon, pop):
+    """The text of a one-feature layer for ``kind``'s reader whose first
+    longitude and whose pop are the literals ``lon`` and ``pop``."""
+    gtype, coords = {
+        "pois": ("Point", f"[{lon}, 1]"),
+        "roads": ("LineString", f"[[{lon}, 1], [2, 2]]"),
+    }.get(kind, ("Polygon", f"[[[{lon}, 1], [2, 1], [2, 2], [{lon}, 1]]]"))
+    props = (f'"block_id": "b", "pop": {pop}, "tract_id": "t", "id": "h", "name": "d", '
+             '"class": "c", "category": "s"')
+    return ('{"type": "FeatureCollection", "features": [{"type": "Feature", "properties": {'
+            + props + '}, "geometry": {"type": "' + gtype + '", "coordinates": ' + coords
+            + "}}]}")
+
+
+@pytest.mark.parametrize("literal", LITERALS)
+def test_number_literals_read_as_the_reference_reads_them(tmp_path, literal):
+    """Each reader's bits or error, in both phases, for the literal as a
+    longitude and as a block's pop; the file is valid unless it is out of
+    range or a negative pop."""
+    cases = [(kind, "lon", literal, "1") for kind in READERS] + [("blocks", "pop", "0.5", literal)]
+    for kind, field, lon, pop in cases:
+        path = tmp_path / f"{kind}-{field}.geojson"
+        path.write_text(literal_layer(kind, lon, pop))
+        read, reference = READERS[kind]
+        outcome = layer_outcome if kind in LAYER_READERS else vertex_outcome
+        want = outcome(kind, reference, path)
+        invalid = literal == "1e400" or pop == "-2.5e+1"
+        assert isinstance(want[0], type) == invalid, want
+        assert outcome(kind, read, path) == want
+        with by_feature():
+            assert outcome(kind, read, path) == want
+        if not invalid:
+            with fast_path_only():
+                assert outcome(kind, read, path) == want
+        if literal == "1e400" and kind in LAYER_READERS and field == "lon":
+            assert want == (GeometryError, f"{path}: feature 0: ring has non-finite coordinates")
 
 
 # Each reader's properties, and a valid geometry of its type.

@@ -94,6 +94,18 @@ def edit_demographics(change):
     return "demographics.csv", edit
 
 
+def long_integer(key):
+    """Write the first value of ``key`` as a 5,000-digit integer literal,
+    beyond the digits CPython converts; ``json.dumps`` cannot write it."""
+
+    def change(path):
+        text, n = re.subn(rf'("{key}":\s*)[-+.\deE]+', rf"\g<1>{'9' * 5000}", path.read_text(), 1)
+        assert n == 1
+        path.write_text(text)
+
+    return change
+
+
 def two_vertex_ring_then_text_pop(doc):
     ring = doc["features"][1]["geometry"]["coordinates"][0]
     ring[:] = [ring[0], ring[1], ring[0]]
@@ -247,6 +259,12 @@ CASES = [
     ("two-vertex-ring-before-text-pop", "blocks.geojson",
      lambda p: edit_json(p, two_vertex_ring_then_text_pop), 1,
      "feature 1: ring needs >= 3 distinct vertices, got 2"),
+    # json raises a plain ValueError for an integer too long to convert.
+    ("pop-5000-digits", "blocks.geojson", long_integer("pop"), 2, "invalid JSON (Exceeds"),
+    ("building-cost-5000-digits", "costs.json", long_integer("building_cost"),
+     2, "invalid JSON (Exceeds"),
+    ("origin-lon-5000-digits", "manifest.json", long_integer("origin_lon"),
+     2, "invalid JSON (Exceeds"),
 ]
 
 
@@ -262,6 +280,14 @@ def test_malformed_input_exits_cleanly(capsys, scenario, tmp_path, name, edit, c
     if names is not None:
         assert names in err
     assert not (tmp_path / "out" / "report.csv").exists()
+
+
+def test_deeply_nested_json_exits_2(capsys, scenario, tmp_path):
+    # json raises a RecursionError for nesting deeper than the interpreter's stack.
+    root = shutil.copytree(scenario, tmp_path / "s")
+    (root / "roads.geojson").write_text("[" * 100_000 + "]" * 100_000)
+    got, out, err = assess(root, tmp_path / "out", capsys)
+    assert got == 2 and "roads.geojson: invalid JSON (maximum recursion depth" in err, err
 
 
 def shift_dates(doc):
