@@ -83,6 +83,9 @@ def cmd_synth(argv: list[str]) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", required=True, help="output directory")
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        # numpy refuses a negative seed only after the output directory exists.
+        raise FormatError(f"synth: --seed must be a non-negative integer, not {args.seed}")
     manifest, truth = generate(ScenarioSpec(seed=args.seed), args.out)
     print(f"scenario written to {args.out} ({len(truth.rows)} ground-truth rows)")
     return 0

@@ -993,14 +993,23 @@ def read_districts(path: str | Path, origin_lon: float, origin_lat: float) -> Di
     return Districts(values["name"], parts)
 
 
-def _json(doc: Any) -> str:
+def compact_json(doc: Any) -> str:
     """The compact, key-sorted JSON text every GeoJSON writer emits."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def write_feature_collection(features: list[dict], path: str | Path) -> None:
-    doc = {"type": "FeatureCollection", "features": features}
-    Path(path).write_text(_json(doc) + "\n")
+def lonlat_texts(
+    xs: np.ndarray, ys: np.ndarray, origin_lon: float, origin_lat: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The text of each x's longitude and each y's latitude, as object arrays.
+
+    The text is what :func:`compact_json` writes for the float: its
+    ``repr``, as ``csv.writer`` writes it too, when it is finite.
+    """
+    lons, lats = unproject_to_lonlat(Point(xs, ys), origin_lon, origin_lat)
+    return tuple(
+        np.array(compact_json(a.tolist())[1:-1].split(","), dtype=object) for a in (lons, lats)
+    )
 
 
 def write_daily_perimeters_geojson(
@@ -1019,14 +1028,8 @@ def write_daily_perimeters_geojson(
     """
     grid = day.new_burn.grid
     rings = trace_mask_rings(day.new_burn)
-    lons, lats = unproject_to_lonlat(
-        Point(grid.corner_xs(), grid.corner_ys()), origin_lon, origin_lat
-    )
-    lon_text, lat_text = (
-        np.array(_json(values.tolist())[1:-1].split(","), dtype=object)
-        for values in (lons, lats)
-    )
-    properties = _json(
+    lon_text, lat_text = lonlat_texts(grid.corner_xs(), grid.corner_ys(), origin_lon, origin_lat)
+    properties = compact_json(
         {"district": district, "date": day.date.isoformat(), "kind": "new_burn"}
     )
     head = '{"geometry":{"coordinates":'

@@ -7,6 +7,15 @@ cells. Because every block is uniform in land cover and 4x4 cells, each
 cell's population is the block total divided by 16, a value that is
 exact in binary floating point; the ground-truth file therefore matches
 the pipeline's output bit for bit, not just approximately.
+
+Generation does no Python work per vertex: every coordinate lies on a
+grid line (a corner or cell-center line, or a building edge 4 m either
+side of a center), so each line's longitude or latitude is unprojected
+and formatted once, and rings, points and detection rows are joined from
+those strings with array operations. Each layer is written as one text in
+the readers' compact layout, the bytes ``json.dumps(sort_keys=True,
+separators=(",", ":"))`` and ``csv.writer`` give. Only the random draws
+run one cell at a time, each call in its fixed order.
 """
 
 from __future__ import annotations
@@ -20,7 +29,6 @@ import numpy as np
 
 from .dasymetric import WeightTable
 from .errors import FormatError, ValidationError
-from .geometry import Point, unproject_to_lonlat
 from .grid import AnalysisGrid, CategoryRaster
 from .impact import (
     AGE_KEYS,
@@ -33,10 +41,11 @@ from .impact import (
 )
 from .io_formats import (
     FileManifest,
+    compact_json,
+    lonlat_texts,
     write_ascii_grid,
     write_costs,
     write_demographics,
-    write_feature_collection,
     write_manifest,
     write_weights,
 )
@@ -136,6 +145,14 @@ class ScenarioSpec:
                 raise ValidationError(f"district {d.name}: rows outside the grid")
             if not (0 <= d.col0 <= d.col1 < self.n_cols):
                 raise ValidationError(f"district {d.name}: cols outside the grid")
+        # Each district's ground truth counts its own cells and features once.
+        for i, d in enumerate(self.districts):
+            for other in self.districts[:i]:
+                if d.name == other.name:
+                    raise ValidationError(f"districts {other.name} and {d.name}: duplicate name")
+                if (d.row0 <= other.row1 and other.row0 <= d.row1
+                        and d.col0 <= other.col1 and other.col0 <= d.col1):
+                    raise ValidationError(f"districts {other.name} and {d.name} overlap")
 
     @property
     def kde(self) -> KdeParams:
@@ -156,13 +173,23 @@ def _band_widths(n_days: int, peak_day: int) -> list[int]:
     return widths
 
 
-def _feature(geometry_type: str, coordinates: list, **properties) -> dict:
-    """One GeoJSON feature."""
-    return {
-        "type": "Feature",
-        "geometry": {"type": geometry_type, "coordinates": coordinates},
-        "properties": properties,
-    }
+def _box(west: np.ndarray, south: np.ndarray, east: np.ndarray, north: np.ndarray) -> np.ndarray:
+    """Polygon coordinates text of each lon/lat box, from its south-west corner."""
+    sw = "[" + west + "," + south + "]"
+    return (
+        "[[" + sw + ",[" + east + "," + south + "],[" + east + "," + north
+        + "],[" + west + "," + north + "]," + sw + "]]"
+    )
+
+
+def _features(
+    geometry_type: str, coordinates: np.ndarray, properties: np.ndarray | str
+) -> list[str]:
+    """Feature texts in :func:`compact_json` layout from coordinate and property texts."""
+    return (
+        '{"geometry":{"coordinates":' + coordinates + ',"type":"' + geometry_type
+        + '"},"properties":' + properties + ',"type":"Feature"}'
+    ).tolist()
 
 
 def generate(spec: ScenarioSpec, out_dir: str | Path) -> tuple[FileManifest, GroundTruth]:
@@ -179,59 +206,86 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> tuple[FileManifest, Gro
     grid = AnalysisGrid(0.0, 0.0, spec.cell_size, spec.n_rows, spec.n_cols)
     lon0, lat0 = spec.origin_lon, spec.origin_lat
 
-    def cell_center_lonlat(r: int, c: int) -> tuple[float, float]:
-        return unproject_to_lonlat(Point(grid.center_x(c), grid.center_y(r)), lon0, lat0)
-
-    def corner_lonlat(i: int, j: int) -> list[float]:
-        return list(unproject_to_lonlat(Point(grid.corner_x(j), grid.corner_y(i)), lon0, lat0))
-
-    def cell_rect_coords(r0: int, r1: int, c0: int, c1: int) -> list[list[list[float]]]:
-        # Polygon coordinates: one closed lon/lat ring around rows r0..r1, cols c0..c1.
-        corners = [(r1 + 1, c0), (r1 + 1, c1 + 1), (r0, c1 + 1), (r0, c0), (r1 + 1, c0)]
-        return [[corner_lonlat(i, j) for i, j in corners]]
+    # Every vertex lies on a corner line, a cell-center line, or a line 4 m
+    # either side of a center (the 8 m building squares), so each line is
+    # unprojected and formatted once. Roads and control cells may lie
+    # south of the grid: the center rows run on to the last road row.
+    road_offsets = 4 + 9 * np.arange(len(ROAD_CLASSES))
+    last_row = max(d.row0 for d in spec.districts) + int(road_offsets[-1])
+    corner_lon, corner_lat = lonlat_texts(
+        np.array([grid.corner_x(j) for j in range(spec.n_cols + 1)]),
+        np.array([grid.corner_y(i) for i in range(spec.n_rows + 1)]),
+        lon0, lat0,
+    )
+    center_xs = np.array([grid.center_x(c) for c in range(spec.n_cols)])
+    center_ys = np.array([grid.center_y(r) for r in range(max(spec.n_rows, last_row + 1))])
+    center_lon, center_lat = lonlat_texts(center_xs, center_ys, lon0, lat0)
+    west, south = lonlat_texts(center_xs - 4.0, center_ys - 4.0, lon0, lat0)
+    east, north = lonlat_texts(center_xs + 4.0, center_ys + 4.0, lon0, lat0)
 
     landcover_cells = np.full((spec.n_rows, spec.n_cols), 42, dtype=np.int32)
     costs = CostModel.demo()
     mix_codes = sorted(spec.class_mix)
     mix_probs = np.array([spec.class_mix[c] for c in mix_codes])
     mix_probs = mix_probs / mix_probs.sum()
+    land_cents = to_cents(np.array([costs.land_cost[c] for c in mix_codes]) * grid.cell_area)
+    road_rates = np.array([costs.road_cost[c] for c in ROAD_CLASSES])
+    building_cents = to_cents(64.0 * costs.building_cost)
+    road_properties = np.array(
+        [compact_json({"class": c}) for c in ROAD_CLASSES], dtype=object
+    )
+    poi_properties = np.array(
+        [compact_json({"category": c}) for c in POI_CATEGORIES], dtype=object
+    )
 
-    features: dict[str, list[dict]] = {
+    layers: dict[str, list[str]] = {
         role: [] for role in ("blocks", "roads", "buildings", "pois", "official_perimeter")
     }
-    detection_rows: list[tuple] = []
+    detection_lines = ["latitude,longitude,acq_date,frp,confidence"]
     demos: dict[str, TractDemographics] = {}
     truth_rows: list[dict[str, str]] = []
     dates = [spec.start_date + dt.timedelta(days=i) for i in range(spec.n_days)]
+    date_texts = np.array([d.isoformat() for d in dates], dtype=object)
 
     for dspec in spec.districts:
-        features["official_perimeter"].append(_feature(
-            "Polygon", cell_rect_coords(dspec.row0, dspec.row1, dspec.col0, dspec.col1),
-            name=dspec.name,
-        ))
+        row0, row1, col0, col1 = dspec.row0, dspec.row1, dspec.col0, dspec.col1
+        # The name as it appears inside a JSON string.
+        name = compact_json(dspec.name)[1:-1]
+        layers["official_perimeter"] += _features(
+            "Polygon",
+            _box(corner_lon[[col0]], corner_lat[[row1 + 1]], corner_lon[[col1 + 1]],
+                 corner_lat[[row0]]),
+            compact_json({"name": dspec.name}),
+        )
 
         # Blocks: BLOCK_SIDE x BLOCK_SIDE tiles, one land-cover class each,
         # two tracts split down the middle, integer pops summing exactly.
-        tile_rows = range(dspec.row0, dspec.row1 + 1, BLOCK_SIDE)
-        tile_cols = range(dspec.col0, dspec.col1 + 1, BLOCK_SIDE)
-        tiles = [(r, c) for r in tile_rows for c in tile_cols]
-        pops = rng.multinomial(dspec.population, [1 / len(tiles)] * len(tiles))
-        classes = rng.choice(mix_codes, size=len(tiles), p=mix_probs)
-        mid_col = dspec.col0 + dspec.n_cols() // 2
-        pop_per_cell = np.zeros((spec.n_rows, spec.n_cols))
-        for (r, c), pop, code in zip(tiles, pops, classes):
-            landcover_cells[r : r + BLOCK_SIDE, c : c + BLOCK_SIDE] = code
-            features["blocks"].append(_feature(
-                "Polygon", cell_rect_coords(r, r + BLOCK_SIDE - 1, c, c + BLOCK_SIDE - 1),
-                block_id=f"{dspec.name}-blk-{r}-{c}",
-                pop=int(pop),
-                tract_id=f"{dspec.name}-t{0 if c < mid_col else 1}",
-            ))
-            # pop / 16 is exact in floats; fallback-uniform (zero-weight
-            # classes) lands on the same per-cell value.
-            pop_per_cell[r : r + BLOCK_SIDE, c : c + BLOCK_SIDE] = pop / (
-                BLOCK_SIDE * BLOCK_SIDE
-            )
+        tile_rows = np.arange(row0, row1 + 1, BLOCK_SIDE)
+        tile_cols = np.arange(col0, col1 + 1, BLOCK_SIDE)
+        n_tiles = len(tile_rows) * len(tile_cols)
+        pops = rng.multinomial(dspec.population, [1 / n_tiles] * n_tiles)
+        classes = rng.choice(mix_codes, size=n_tiles, p=mix_probs)
+        tile_r = np.repeat(tile_rows, len(tile_cols))
+        tile_c = np.tile(tile_cols, len(tile_rows))
+        tract = np.where(tile_c < col0 + dspec.n_cols() // 2, "0", "1").astype(object)
+        layers["blocks"] += _features(
+            "Polygon",
+            _box(corner_lon[tile_c], corner_lat[tile_r + BLOCK_SIDE],
+                 corner_lon[tile_c + BLOCK_SIDE], corner_lat[tile_r]),
+            '{"block_id":"' + name + "-blk-" + tile_r.astype(str).astype(object) + "-"
+            + tile_c.astype(str).astype(object) + '","pop":' + pops.astype(str).astype(object)
+            + ',"tract_id":"' + name + "-t" + tract + '"}',
+        )
+        # Each district cell's tile, row-major over the district.
+        cell_tile = (
+            (np.arange(dspec.n_rows()) // BLOCK_SIDE)[:, None] * len(tile_cols)
+            + (np.arange(dspec.n_cols()) // BLOCK_SIDE)
+        )
+        landcover_cells[row0 : row1 + 1, col0 : col1 + 1] = classes[cell_tile]
+        # pop / 16 is exact in floats; fallback-uniform (zero-weight
+        # classes) lands on the same per-cell value.
+        cell_pop = (pops / (BLOCK_SIDE * BLOCK_SIDE))[cell_tile]
+        cell_land_cents = land_cents[np.searchsorted(mix_codes, classes)][cell_tile]
 
         for tract_id in (f"{dspec.name}-t0", f"{dspec.name}-t1"):
             female = round(float(rng.uniform(0.45, 0.58)), 3)
@@ -245,106 +299,108 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> tuple[FileManifest, Gro
             )
 
         # Scripted burn: contiguous column bands, one per day, widest on
-        # the peak day; every cell burns exactly once.
-        band_cols: list[range] = []
-        col = dspec.col0 + 1
-        for w in _band_widths(spec.n_days, dspec.peak_day):
-            band_cols.append(range(col, col + w))
-            col += w
-        burn_rows = range(dspec.row0 + 1, dspec.row1)
-        burn_cells_by_day = [
-            [(r, c) for r in burn_rows for c in cols] for cols in band_cols
-        ]
+        # the peak day, over the district's inner rows; every cell burns
+        # exactly once. Burn cells run day by day, row-major within a day.
+        widths = np.array(_band_widths(spec.n_days, dspec.peak_day))
+        day_of_col = np.repeat(np.arange(spec.n_days), widths)
+        order = np.argsort(np.tile(day_of_col, dspec.n_rows() - 2), kind="stable")
+        burn_r = row0 + 1 + order // len(day_of_col)
+        burn_c = col0 + 1 + order % len(day_of_col)
+        burn_day = day_of_col[burn_c - col0 - 1]
+        last_col = col0 + int(widths.sum())
 
-        # Roads: one horizontal line per class with endpoints at cell
-        # centers, crossing every band.
-        road_span = (dspec.col0 + 1, col - 1)
-        road_rows = {}
-        for k, rclass in enumerate(ROAD_CLASSES):
-            rr = dspec.row0 + 4 + 9 * k
-            road_rows[rclass] = rr
-            coords = [cell_center_lonlat(rr, c) for c in road_span]
-            features["roads"].append(_feature("LineString", coords, **{"class": rclass}))
+        # Roads: one horizontal line per class with endpoints at the centers
+        # of the first and last burn columns, crossing every band.
+        road_rows = row0 + road_offsets
+        layers["roads"] += _features(
+            "LineString",
+            "[[" + center_lon[col0 + 1] + "," + center_lat[road_rows] + "],["
+            + center_lon[last_col] + "," + center_lat[road_rows] + "]]",
+            road_properties,
+        )
 
         # Buildings and POIs: subsets of burn cells, plus never-burned
         # controls east of the burn region.
-        building_cells: list[tuple[int, int]] = []
-        poi_cells: list[tuple[tuple[int, int], str]] = []
-        control_cols = range(col + 2, min(col + 6, dspec.col1))
-        control_rows = range(dspec.row0 + 2, dspec.row0 + 8)
-        control_cells = [(r, c) for r in control_rows for c in control_cols]
-        for cells, p_building in (
-            ([cell for day_cells in burn_cells_by_day for cell in day_cells], 0.25),
-            (control_cells, 0.3),
-        ):
-            for cell in cells:
-                if rng.random() < p_building:
-                    building_cells.append(cell)
-                if rng.random() < 0.2:
-                    poi_cells.append((cell, POI_CATEGORIES[int(rng.integers(len(POI_CATEGORIES)))]))
-        for b_index, (r, c) in enumerate(building_cells):
-            ring = _square_ring_lonlat(grid, r, c, 8.0, lon0, lat0)
-            features["buildings"].append(
-                _feature("Polygon", [ring], id=f"{dspec.name}-b{b_index:04d}")
-            )
-        for (r, c), cat in poi_cells:
-            features["pois"].append(_feature("Point", cell_center_lonlat(r, c), category=cat))
+        control_r, control_c = (a.ravel() for a in np.meshgrid(
+            np.arange(row0 + 2, row0 + 8), np.arange(last_col + 3, min(last_col + 7, col1)),
+            indexing="ij",
+        ))
+        is_building = []
+        poi_category = []  # -1: no POI
+        for p_building, n_cells in ((0.25, len(burn_r)), (0.3, len(control_r))):
+            for _ in range(n_cells):
+                is_building.append(rng.random() < p_building)
+                poi_category.append(
+                    int(rng.integers(len(POI_CATEGORIES))) if rng.random() < 0.2 else -1
+                )
+        is_building = np.array(is_building, dtype=bool)
+        poi_category = np.array(poi_category, dtype=np.int64)
+        cells_r = np.concatenate([burn_r, control_r])
+        cells_c = np.concatenate([burn_c, control_c])
+        r, c = cells_r[is_building], cells_c[is_building]
+        layers["buildings"] += _features(
+            "Polygon",
+            _box(west[c], south[r], east[c], north[r]),
+            np.array([f'{{"id":"{name}-b{i:04d}"}}' for i in range(len(r))], dtype=object),
+        )
+        has_poi = poi_category >= 0
+        layers["pois"] += _features(
+            "Point",
+            "[" + center_lon[cells_c[has_poi]] + "," + center_lat[cells_r[has_poi]] + "]",
+            poi_properties[poi_category[has_poi]],
+        )
 
-        # Detections: one per scripted cell per day, plus daily decoys
-        # outside every district perimeter.
-        for date, day_cells in zip(dates, burn_cells_by_day):
-            for r, c in day_cells:
-                lon, lat = cell_center_lonlat(r, c)
-                frp = round(float(rng.uniform(5, 320)), 1)
-                conf = ("l", "n", "h")[int(rng.integers(3))]
-                detection_rows.append((lat, lon, date.isoformat(), frp, conf))
+        # Detections: one per scripted cell per day.
+        frps: list[str] = []
+        confidences: list[str] = []
+        for _ in range(len(burn_r)):
+            frps.append(repr(round(float(rng.uniform(5, 320)), 1)))
+            confidences.append(("l", "n", "h")[int(rng.integers(3))])
+        detection_lines += (
+            center_lat[burn_r] + "," + center_lon[burn_c] + ","
+            + date_texts[burn_day] + ","
+            + np.array(frps, dtype=object) + "," + np.array(confidences, dtype=object)
+        ).tolist()
 
         # Ground truth by direct enumeration of the scripted cells. Every
         # cell burns exactly once, so a feature's burn day is its cell's
-        # band day; control features never appear.
-        land_cents_per_cell = {
-            code: to_cents(costs.land_cost[code] * grid.cell_area)
-            for code in mix_codes + [42]
-        }
-        cell_day = {
-            cell: i for i, cells in enumerate(burn_cells_by_day) for cell in cells
-        }
-        building_cents = to_cents(64.0 * costs.building_cost)
-        for day_index, day_cells in enumerate(burn_cells_by_day):
-            exposed = sum(pop_per_cell[r, c] for r, c in day_cells)
-            land_cents = sum(
-                land_cents_per_cell[int(landcover_cells[r, c])] for r, c in day_cells
-            )
-            road_cents = 0
-            for rclass, rr in road_rows.items():
-                if rr not in burn_rows:
-                    continue
-                rate = costs.road_cost[rclass]
-                for c in band_cols[day_index]:
-                    length = 10.0 if c in road_span else 20.0
-                    road_cents += to_cents(length * rate)
-            b_count = sum(1 for cell in building_cells if cell_day.get(cell) == day_index)
-            poi_n = sum(1 for (cell, _) in poi_cells if cell_day.get(cell) == day_index)
+        # band day; control features never appear. Per-cell populations are
+        # sixteenths of integers, so below 2**49 people their sums are exact
+        # in any order.
+        burn = np.s_[1:-1, 1 : 1 + int(widths.sum())]
+        offsets = np.cumsum(widths) - widths
+        exposed = np.add.reduceat(cell_pop[burn].sum(axis=0), offsets)
+        land = np.add.reduceat(cell_land_cents[burn].sum(axis=0), offsets)
+        # A road in a burn row loses 20 m per burned cell, 10 m in the
+        # cells of its two endpoints (in the first and the last band).
+        burning = (road_rows > row0) & (road_rows < row1)
+        ends = np.bincount([0, spec.n_days - 1], minlength=spec.n_days)
+        road = (
+            ends * int(to_cents(10.0 * road_rates[burning]).sum())
+            + (widths - ends) * int(to_cents(20.0 * road_rates[burning]).sum())
+        )
+        n_burn = len(burn_r)
+        b_count = np.bincount(burn_day[is_building[:n_burn]], minlength=spec.n_days)
+        poi_n = np.bincount(burn_day[has_poi[:n_burn]], minlength=spec.n_days)
+        for day_index in range(spec.n_days):
             truth_rows.append(
                 {
-                    "date": dates[day_index].isoformat(),
+                    "date": date_texts[day_index],
                     "district": dspec.name,
-                    "new_burn_cells": str(len(day_cells)),
-                    "exposed_population": repr(float(exposed)),
-                    "land_loss_usd": cents_to_usd(land_cents),
-                    "road_loss_usd": cents_to_usd(road_cents),
-                    "building_loss_usd": cents_to_usd(b_count * building_cents),
-                    "building_count": str(b_count),
-                    "poi_count": str(poi_n),
+                    "new_burn_cells": str(int(widths[day_index]) * (dspec.n_rows() - 2)),
+                    "exposed_population": repr(float(exposed[day_index])),
+                    "land_loss_usd": cents_to_usd(int(land[day_index])),
+                    "road_loss_usd": cents_to_usd(int(road[day_index])),
+                    "building_loss_usd": cents_to_usd(int(b_count[day_index]) * building_cents),
+                    "building_count": str(int(b_count[day_index])),
+                    "poi_count": str(int(poi_n[day_index])),
                 }
             )
 
     # Daily decoy detections well outside every district perimeter.
-    decoy_cells = [(1, spec.n_cols - 2), (2, spec.n_cols - 3)]
-    for date in dates:
-        for r, c in decoy_cells:
-            lon, lat = cell_center_lonlat(r, c)
-            detection_rows.append((lat, lon, date.isoformat(), 12.0, "l"))
+    for date in date_texts:
+        for r, c in ((1, spec.n_cols - 2), (2, spec.n_cols - 3)):
+            detection_lines.append(f"{center_lat[r]},{center_lon[c]},{date},12.0,l")
 
     # Write everything: one file per manifest role.
     file_names = {
@@ -361,13 +417,11 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> tuple[FileManifest, Gro
     }
     paths = {role: out / name for role, name in file_names.items()}
     write_ascii_grid(CategoryRaster(grid, landcover_cells), paths["landcover"])
-    with paths["detections"].open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["latitude", "longitude", "acq_date", "frp", "confidence"])
-        for lat, lon, date, frp, conf in detection_rows:
-            writer.writerow([repr(lat), repr(lon), date, frp, conf])
-    for role, layer in features.items():
-        write_feature_collection(layer, paths[role])
+    paths["detections"].write_text("\n".join(detection_lines) + "\n", newline="")
+    for role, features in layers.items():
+        paths[role].write_text(
+            '{"features":[' + ",".join(features) + '],"type":"FeatureCollection"}\n'
+        )
     write_weights(WeightTable.default(), paths["weights"])
     write_costs(costs, paths["costs"])
     write_demographics(demos, paths["demographics"])
@@ -395,21 +449,6 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> tuple[FileManifest, Gro
     truth = GroundTruth(meta=meta, rows=truth_rows)
     write_ground_truth(truth, out / "ground_truth.csv")
     return manifest, truth
-
-
-def _square_ring_lonlat(
-    grid: AnalysisGrid, r: int, c: int, side: float, lon0: float, lat0: float
-) -> list[list[float]]:
-    cx, cy = grid.center_x(c), grid.center_y(r)
-    h = side / 2.0
-    corners = [
-        Point(cx - h, cy - h),
-        Point(cx + h, cy - h),
-        Point(cx + h, cy + h),
-        Point(cx - h, cy + h),
-        Point(cx - h, cy - h),
-    ]
-    return [list(unproject_to_lonlat(p, lon0, lat0)) for p in corners]
 
 
 def write_ground_truth(truth: GroundTruth, path: str | Path) -> None:

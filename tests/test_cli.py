@@ -98,6 +98,12 @@ class TestDispatch:
         assert "Traceback" not in err and stdout == ""
         assert not out.exists()
 
+    def test_negative_seed_exits_2_and_writes_nothing(self, capsys, tmp_path):
+        code, out, err = run(["synth", "--seed", "-1", "--out", str(tmp_path / "s")], capsys)
+        assert code == 2
+        assert err == "error: synth: --seed must be a non-negative integer, not -1\n"
+        assert not (tmp_path / "s").exists()
+
     def test_malformed_manifest_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
