@@ -12,10 +12,12 @@ per file) read GeoJSON layers, so a malformed file is a FormatError
 naming the file and place.
 
 Each GeoJSON reader works in two phases. The fast path assumes a valid
-file and reads it a column and a nesting level at a time; at the first
-irregularity it gives up without saying where. The file is then read
-again one feature at a time, and only that reader names the error: the
-first that reading the features in file order meets.
+file: it cuts each geometry's coordinates out of the text, has ``json``
+parse only the rest (types and properties, checked a column at a time),
+and reads the coordinates' nesting and numbers from their characters. At
+the first irregularity it gives up without saying where. The file is
+then read again one feature at a time, and only that reader names the
+error: the first that reading the features in file order meets.
 
 GeoJSON input is a simple subset: a FeatureCollection of Point,
 LineString, Polygon, or MultiPolygon features with flat properties and
@@ -110,22 +112,29 @@ def _open_text(path: Path, errors: str = "strict") -> Iterator[TextIO]:
         raise FormatError(f"{path}: {exc}") from None
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """The cyclic garbage collector paused, then restored: a JSON tree holds
+    no cycles, yet building a large one would otherwise set off collections
+    that scan it again and again."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _load_json(path: Path) -> Any:
-    """The JSON document in ``path``, parsed with the cyclic garbage
-    collector paused: a JSON tree holds no cycles, yet building a large
-    one would otherwise set off collections that scan it again and again."""
-    with _open_text(path) as fh:
-        enabled = gc.isenabled()
-        gc.disable()
+    """The JSON document in ``path``, parsed with the collector paused."""
+    with _open_text(path) as fh, _collector_paused():
         try:
             return json.load(fh)
         except UnicodeDecodeError:  # a ValueError that _open_text reports
             raise
         except (ValueError, RecursionError) as exc:  # bad syntax, too many digits or levels
             raise FormatError(f"{path}: invalid JSON ({exc})") from None
-        finally:
-            if enabled:
-                gc.enable()
 
 
 def parse_value(where: str, key: str, raw: Any, parse: Callable[[Any], T]) -> T:
@@ -417,6 +426,23 @@ def _frp(field: str | None) -> float:
     return value if 0 <= value < math.inf else -1.0
 
 
+def _frp_column(column: Sequence[str | None]) -> np.ndarray:
+    """:func:`_frp` of each field. Where most fields are distinct, as
+    measured FRP values are, one ``float`` of each if all are finite values
+    >= 0; else ``_frp`` once per distinct field, which is cheaper where
+    few are distinct."""
+    distinct = set(column)
+    if 2 * len(distinct) > len(column):
+        try:
+            values = np.fromiter(map(float, column), np.float64, len(column))
+            if ((0 <= values) & (values < math.inf)).all():
+                return values
+        except (TypeError, ValueError):
+            pass
+    memo = {field: _frp(field) for field in distinct}
+    return np.fromiter(map(memo.__getitem__, column), np.float64, len(column))
+
+
 def _confidence(field: str | None) -> int:
     """The confidence code: -1 if missing or blank, -2 if not a known name."""
     raw = (field or "").strip().lower()
@@ -472,7 +498,7 @@ def read_detections(
         lon, lon_bad = _floats(lon_col)
         coord_bad |= lon_bad
         day = np.fromiter(_parsed(date_col, _ordinal), np.int64, n)
-        frp = np.fromiter(_parsed(frp_col, _frp), np.float64, n)
+        frp = _frp_column(frp_col)
         code = np.fromiter(_parsed(conf_col, _confidence), np.int8, n)
         problem = coord_bad | (day == 0) | (frp < 0) | (code == -2)
         for k in np.flatnonzero(problem):  # one iteration per bad or blank row
@@ -530,6 +556,10 @@ def read_detections(
 # ---------------------------------------------------------------------------
 
 
+# Characters of a land cover body, or of cut GeoJSON coordinates, read
+# per chunk; a chunk bounds the arrays kept per character.
+_CHUNK_CHARS = 1 << 18
+
 # The three real-valued header keys, then the three integer ones.
 _ASC_HEADER = ("xllcorner", "yllcorner", "cellsize", "ncols", "nrows", "nodata_value")
 
@@ -537,9 +567,10 @@ _ASC_HEADER = ("xllcorner", "yllcorner", "cellsize", "ncols", "nrows", "nodata_v
 def read_ascii_grid(path: str | Path) -> CategoryRaster:
     """Read an ESRI ASCII grid of integer class codes.
 
-    The body is split once and each distinct token parsed once. After a
-    failure the file is read again a line at a time, so that the error
-    names the first bad line.
+    A body of ASCII digits, minus signs and whitespace is parsed from its
+    bytes; any other is split once and each distinct token parsed once.
+    After a failure the file is read again a line at a time, so that the
+    error names the first bad line.
     """
     path = Path(path)
     try:
@@ -573,9 +604,54 @@ def _read_ascii_grid(
 
 
 def _class_codes_at_once(where: str, lines: Iterator[tuple[int, str]]) -> np.ndarray:
-    tokens = "".join(map(operator.itemgetter(1), lines)).split()
-    codes = {token: int(token) for token in set(tokens)}
-    return np.fromiter(map(codes.__getitem__, tokens), np.int32, len(tokens))
+    """The codes of the body: a plain one (:func:`_plain_class_codes`) read
+    from its bytes, any other by :func:`_class_codes_by_token`."""
+    body = "".join(map(operator.itemgetter(1), lines))
+    if body.isascii():
+        codes = list(map(_plain_class_codes, _line_chunks(body.encode())))
+        if not any(c is None for c in codes):
+            return np.concatenate([np.zeros(0, np.int32), *codes])
+    return _class_codes_by_token(body)
+
+
+def _line_chunks(data: bytes) -> Iterator[bytes]:
+    """``data`` in chunks of whole lines of about ``_CHUNK_CHARS`` bytes,
+    which bound the per-character arrays of :func:`_plain_class_codes`."""
+    start = 0
+    while start < len(data):
+        stop = data.find(b"\n", start + _CHUNK_CHARS) + 1 or len(data)
+        yield data[start:stop]
+        start = stop
+
+
+def _class_codes_by_token(body: str) -> np.ndarray:
+    """The codes of the body split once, each distinct token parsed once."""
+    tokens = body.split()
+    memo = {token: int(token) for token in set(tokens)}
+    return np.fromiter(map(memo.__getitem__, tokens), np.int32, len(tokens))
+
+
+def _plain_class_codes(body: bytes) -> np.ndarray | None:
+    """The class codes of a body of spaces, tabs, line ends and tokens of one
+    to nine ASCII digits, each after an optional minus sign, as ``int``
+    reads them; None for any other body. No token list is built."""
+    chars = np.frombuffer(body, np.uint8)
+    space = (chars == ord(" ")) | (chars == ord("\t")) | (chars == ord("\n")) | (chars == ord("\r"))
+    minus = chars == ord("-")
+    if not (space | minus | (chars - np.uint8(ord("0")) < 10)).all():
+        return None
+    starts, ends = np.flatnonzero(np.diff(~space, prepend=False, append=False)).reshape(-1, 2).T
+    negative = minus[starts]
+    n_digits = ends - starts - negative
+    if np.count_nonzero(minus) != np.count_nonzero(negative) or not (
+        (n_digits >= 1) & (n_digits <= 9)
+    ).all():
+        return None
+    codes = np.zeros(len(starts), np.int64)
+    for k in range(int(n_digits.max(initial=0))):  # the digit worth 10**k of every code
+        digit = chars[np.where(n_digits > k, ends - 1 - k, 0)] - np.int64(ord("0"))
+        codes += np.where(n_digits > k, digit, 0) * 10**k
+    return np.where(negative, -codes, codes).astype(np.int32)
 
 
 def _class_codes_by_line(where: str, lines: Iterator[tuple[int, str]]) -> np.ndarray:
@@ -636,11 +712,39 @@ def mask_to_category(mask: Mask) -> CategoryRaster:
 
 
 _POLYGONAL = ("Polygon", "MultiPolygon")
-# The lon and lat of a GeoJSON position; an altitude is dropped.
-_LONLAT = operator.itemgetter(0, 1)
 # What the fast path of a GeoJSON reader raises when it gives up.
 _IRREGULAR = (TypeError, ValueError, LookupError, OverflowError)
 
+# A "coordinates" member whose value holds only brackets, number
+# characters, commas and JSON whitespace: the key, then the value from its
+# "[" to the last "]" before the next '"' or '}'.
+_COORDINATES = re.compile(r'("coordinates"[ \t\n\r]*:[ \t\n\r]*)(\[[\[\]0-9eE.+\- \t\n\r,]*\])')
+# Where the fast path cut a coordinates value out, the skeleton it parses
+# holds this literal, which ``json`` reads as ``_CUT``.
+_PLACEHOLDER = "NaN"
+_CUT = object()
+_CONSTANTS = {"NaN": _CUT, "Infinity": math.inf, "-Infinity": -math.inf}
+
+# The tokens of a cut value: brackets, commas and number literals; JSON
+# whitespace (all below "!") separates them.
+_OPEN, _CLOSE, _COMMA, _NUMBER = range(4)
+_TOKEN_KIND = np.full(256, _NUMBER, np.int8)
+_TOKEN_KIND[list(b"[],")] = (_OPEN, _CLOSE, _COMMA)
+_DEPTH_STEP = np.array([1, -1, 0, 0], np.int8)
+# Which token may follow which in a JSON array of numbers, by 4 * kind + next kind.
+_FOLLOWS = np.zeros((4, 4), bool)
+_FOLLOWS[_OPEN, [_OPEN, _CLOSE, _NUMBER]] = True
+_FOLLOWS[_CLOSE, [_CLOSE, _COMMA]] = True
+_FOLLOWS[_COMMA, [_OPEN, _NUMBER]] = True
+_FOLLOWS[_NUMBER, [_CLOSE, _COMMA]] = True
+_FOLLOWS = _FOLLOWS.ravel()
+# Brackets and commas read as spaces, so that splitting at whitespace
+# leaves the number literals.
+_SEPARATORS = bytes.maketrans(b"[],", b"   ")
+# JSON's number grammar; a literal with neither group is an integer.
+_JSON_NUMBER = re.compile(rb"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+# How deep a valid value of each geometry type nests its positions.
+_POSITION_DEPTH = {"Point": 1, "LineString": 2, "Polygon": 3, "MultiPolygon": 4}
 
 def _text_column(raw: list) -> list[str]:
     """:func:`_text` of each value; a TypeError if it rejects one."""
@@ -668,17 +772,13 @@ _COLUMN_PARSERS: dict[Callable, Callable[[list], Any]] = {
 
 
 def _feature_columns(
-    doc: Any, types: tuple[str, ...], properties: dict[str, Callable[[Any], Any]],
-    unique: str | None,
-) -> tuple[list, dict[str, Any], list]:
-    """The features of the GeoJSON FeatureCollection ``doc`` as columns:
-    each one's geometry type, its parsed properties by name and its raw
-    coordinates. The checks of :func:`_layer_by_feature` on types and
-    properties run a column at a time; one of ``_IRREGULAR`` is raised if
-    any fails."""
-    features = doc.get("features") if isinstance(doc, dict) else None
-    if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
-        raise TypeError(doc)
+    features: list, types: tuple[str, ...], properties: dict[str, Callable[[Any], Any]],
+) -> tuple[list, dict[str, Any]]:
+    """The ``features`` of a skeleton as columns: each one's geometry type
+    and its parsed properties by name. The checks of
+    :func:`_layer_by_feature` on types and properties run a column at a
+    time, and every geometry's coordinates must be a placeholder; one of
+    ``_IRREGULAR`` is raised if any fails."""
     if not set(map(type, features)) <= {dict}:
         raise TypeError(features)
     geoms = list(map(dict.get, features, itertools.repeat("geometry")))
@@ -688,14 +788,41 @@ def _feature_columns(
     props = list(map(dict.get, features, itertools.repeat("properties")))
     if not all(map(types.__contains__, gtypes)) or not set(map(type, props)) <= {dict}:
         raise TypeError(gtypes)
-    values = {}
-    for name, parse in properties.items():
-        if not all(map(dict.__contains__, props, itertools.repeat(name))):
-            raise KeyError(name)
-        values[name] = _COLUMN_PARSERS[parse](list(map(dict.get, props, itertools.repeat(name))))
-    if unique is not None and len(set(values[unique])) < len(features):
-        raise ValueError(unique)
-    return gtypes, values, list(map(dict.get, geoms, itertools.repeat("coordinates")))
+    if operator.countOf(map(dict.get, geoms, itertools.repeat("coordinates")), _CUT) < len(geoms):
+        raise ValueError("coordinates not cut")
+    # A missing property reads as None, which no column parser takes.
+    return gtypes, {
+        name: _COLUMN_PARSERS[parse](list(map(dict.get, props, itertools.repeat(name))))
+        for name, parse in properties.items()
+    }
+
+
+def _collection_features(doc: Any) -> list | None:
+    """The features list of the FeatureCollection ``doc``; None if it is not one."""
+    features = doc.get("features") if isinstance(doc, dict) else None
+    if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
+        return None
+    return features
+
+
+def _skeleton_features(skeleton: str) -> tuple[list, int]:
+    """The features of the FeatureCollection ``skeleton``, each placeholder
+    read as ``_CUT``, and how many placeholders ``json`` read: a literal
+    ``NaN`` inside a string is none. A ValueError or TypeError if it is not
+    JSON, nests too deep or is not a FeatureCollection."""
+    constants = []
+
+    def constant(name: str) -> Any:
+        constants.append(name)
+        return _CONSTANTS[name]
+
+    try:
+        features = _collection_features(json.loads(skeleton, parse_constant=constant))
+    except RecursionError:
+        raise ValueError("JSON nests too deep") from None
+    if features is None:
+        raise TypeError("not a FeatureCollection")
+    return features, constants.count(_PLACEHOLDER)
 
 
 def _nesting(items: list, levels: int) -> tuple[list[np.ndarray], list]:
@@ -711,33 +838,116 @@ def _nesting(items: list, levels: int) -> tuple[list[np.ndarray], list]:
     return sizes, items
 
 
+def _json_float(literal: bytes) -> float:
+    """The float ``json`` gives a position for a JSON number literal: an
+    integer is read as an int first, so ``-0`` is 0.0. A ValueError outside
+    JSON's grammar, an OverflowError for an integer beyond the double range."""
+    match = _JSON_NUMBER.fullmatch(literal)
+    if match is None:
+        raise ValueError(literal)
+    return float(literal) if match.lastindex else float(int(literal))
+
+
+def _positions(
+    text: bytes, lengths: np.ndarray, depths: np.ndarray, top: int
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """The nesting and the lon/lat of cut coordinates values, ``text`` being
+    their concatenation: value k has ``lengths[k]`` characters and nests its
+    positions ``depths[k]`` deep.
+
+    The digits are dropped first: each number literal becomes one token.
+    Bracket depths come from one ``cumsum`` over the tokens. Gives the sizes
+    at each level of the nesting, from the arrays ``top`` levels above the
+    positions per value down to the positions per array one level above
+    them, then each position's first two numbers; each distinct literal is
+    converted once. A ValueError or OverflowError unless every value is a
+    JSON array whose numbers all lie at its depth, two or more to a
+    position, in JSON's number grammar.
+    """
+    chars = np.frombuffer(text, np.uint8)
+    token = chars > ord(" ")
+    digit = token & (chars != ord("[")) & (chars != ord("]")) & (chars != ord(","))
+    token[1:] &= ~(digit[1:] & digit[:-1])  # a literal's first character
+    at = np.flatnonzero(token)
+    kind = np.take(_TOKEN_KIND, chars[at])
+    ends = np.searchsorted(at, np.cumsum(lengths) - 1)  # each value's last "]"
+    depth = np.cumsum(np.take(_DEPTH_STEP, kind), dtype=np.int32)
+    follows = np.take(_FOLLOWS, kind[:-1] * 4 + kind[1:])
+    follows[ends[:-1]] = True  # one value's last "]", the next one's "["
+    # How many levels above its positions each token lies.
+    above = np.repeat(depths, np.diff(ends, prepend=-1)) - depth
+    is_open, is_number = kind == _OPEN, kind == _NUMBER
+    if (depth[ends].any() or np.count_nonzero(depth <= 0) != len(ends) or not follows.all()
+            or above[is_number].any() or (above[is_open] < 0).any()):
+        raise ValueError("irregular coordinates")
+    opens = [np.flatnonzero(is_open & (above == level)) for level in range(top + 1)]
+    numbers_at = np.flatnonzero(is_number)
+    first = np.searchsorted(numbers_at, opens[0])  # each position's first number
+    if (np.diff(first, append=len(numbers_at)) < 2).any():
+        raise ValueError("short position")
+    sizes = [np.bincount(np.searchsorted(ends, opens[top]), minlength=len(ends))]
+    sizes += [
+        np.diff(np.searchsorted(opens[level - 1], opens[level]), append=len(opens[level - 1]))
+        for level in range(top, 0, -1)
+    ]
+    literals = text.translate(_SEPARATORS).split()
+    memo = {literal: _json_float(literal) for literal in set(literals)}
+    numbers = np.fromiter(map(memo.__getitem__, literals), np.float64, len(literals))
+    return sizes, numbers[first], numbers[first + 1]
+
+
 def _layer_at_once(
     path: Path, origin_lon: float, origin_lat: float, types: tuple[str, ...],
     properties: dict[str, Callable[[Any], Any]], unique: str | None,
 ) -> tuple[dict[str, Any], list[np.ndarray], np.ndarray, np.ndarray]:
-    """The GeoJSON layer in ``path`` read as if it were valid, a column or
-    a nesting level at a time.
+    """The GeoJSON layer in ``path`` read as if it were valid, with no JSON
+    tree for its coordinates.
+
+    Each geometry's coordinates value is cut out of the text
+    (``_COORDINATES``) and a placeholder left in its place, so that
+    ``json`` parses only the skeleton at once, with the collector paused:
+    types and properties, checked a column at a time
+    (:func:`_feature_columns`). The cut values are read in chunks of about
+    ``_CHUNK_CHARS`` characters (:func:`_positions`).
 
     Gives each property's values, the sizes at each level of the layer's
-    nesting (:func:`_nesting`, a Point being a list of one position and a
-    Polygon a list of one polygon) and every position projected. One of
-    ``_IRREGULAR`` is raised at the first irregularity in types,
-    properties or structure; a feature's values and geometry are left to
-    the caller to check, a column at a time.
+    nesting (a Point being a list of one position and a Polygon a list of
+    one polygon) and every position projected. One of ``_IRREGULAR`` is
+    raised at the first irregularity in types, properties or structure, or
+    when a placeholder is not the coordinates of a geometry (a member
+    named ``coordinates`` elsewhere, a repeated or escaped key); a
+    feature's values and geometry are left to the caller to check, a
+    column at a time.
     """
-    gtypes, values, coords = _feature_columns(_load_json(path), types, properties, unique)
-    if types == _POLYGONAL:
-        sizes, positions = _nesting(
-            [[c] if t == "Polygon" else c for t, c in zip(gtypes, coords)], 3
-        )
-    elif types == ("LineString",):
-        sizes, positions = _nesting(coords, 1)
-    else:
-        sizes, positions = [np.ones(len(coords), np.int64)], coords
-    lonlat = _lonlat(positions)
+    with _open_text(path) as fh:
+        parts = _COORDINATES.split(fh.read())
+    cut = parts[2::3]
+    parts[2::3] = [_PLACEHOLDER] * len(cut)
+    skeleton = "".join(parts)
+    del parts
+    with _collector_paused():
+        features, placeholders = _skeleton_features(skeleton)
+        del skeleton
+        gtypes, values = _feature_columns(features, types, properties)
+        del features
+    # Each geometry's coordinates is a placeholder, and json read no other
+    # (a NaN in the file, or a cut value that was not a geometry's).
+    if placeholders != len(cut) or len(gtypes) != len(cut):
+        raise ValueError(path)
+    if unique is not None and len(set(values[unique])) < len(cut):
+        raise ValueError(path)
+    depths = np.fromiter(map(_POSITION_DEPTH.__getitem__, gtypes), np.int32, len(gtypes))
+    lengths = np.fromiter(map(len, cut), np.int64, len(cut))
+    chunk = np.cumsum(lengths) // _CHUNK_CHARS
+    bounds = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), len(cut)]
+    levels, lon, lat = zip(*(
+        _positions("".join(cut[a:b]).encode(), lengths[a:b], depths[a:b],
+                   2 if types == _POLYGONAL else 0)
+        for a, b in itertools.pairwise(bounds)
+    ))
     with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic
-        x, y = project_lonlat(lonlat[:, 0], lonlat[:, 1], origin_lon, origin_lat)
-    return values, sizes, x, y
+        x, y = project_lonlat(np.concatenate(lon), np.concatenate(lat), origin_lon, origin_lat)
+    return values, list(map(np.concatenate, zip(*levels))), x, y
 
 
 def _layer_by_feature(
@@ -760,9 +970,8 @@ def _layer_by_feature(
     repeated value or one ``check`` rejects is a ValidationError (exit 1).
     Both name the file and the feature.
     """
-    doc = _load_json(path)
-    features = doc.get("features") if isinstance(doc, dict) else None
-    if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
+    features = _collection_features(_load_json(path))
+    if features is None:
         raise FormatError(f"{path}: expected a FeatureCollection with a features list")
 
     def position(p) -> Point:
@@ -839,7 +1048,8 @@ def read_vertex_layer(
     feature that ``check`` or :func:`check_line` could reject.
 
     The file is read in two phases. The first assumes a valid file: it
-    reads it a column at a time (:func:`_layer_at_once`), then asks
+    reads it a column at a time, with no JSON tree for the coordinates
+    (:func:`_layer_at_once`), then asks
     ``flag`` whether any feature is marked. At the first irregularity or
     mark it gives up, and the file is read again one feature at a time
     (:func:`_layer_by_feature`), which alone names an error: the first
@@ -908,19 +1118,6 @@ def read_polygon_layer(
         )
     feature_offsets, polygon_offsets, ring_offsets = map(run_offsets, sizes)
     return values, PolygonLayer(*close_rings(x, y, ring_offsets), polygon_offsets, feature_offsets)
-
-
-def _lonlat(positions: list) -> np.ndarray:
-    """(n, 2) lon/lat of GeoJSON positions, each a list of two or more
-    numbers (not bools); a TypeError, IndexError or OverflowError for any other."""
-    if positions and set(map(type, positions)) != {list}:
-        raise TypeError(positions)
-    if set(map(len, positions)) - {2}:
-        positions = list(map(_LONLAT, positions))
-    if not set(map(type, itertools.chain.from_iterable(positions))) <= {int, float}:
-        raise TypeError(positions)
-    flat = itertools.chain.from_iterable(positions)
-    return np.fromiter(flat, np.float64, 2 * len(positions)).reshape(-1, 2)
 
 
 def read_blocks(path: str | Path, origin_lon: float, origin_lat: float) -> Blocks:

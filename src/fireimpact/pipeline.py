@@ -145,7 +145,8 @@ def compute_perimeters(
     A detection belongs to a district when it falls inside the district's
     official perimeter; all districts share one event date range so their
     daily sequences line up. A district whose perimeter captures no cell
-    center of the grid is a ValidationError naming it.
+    center of the grid is a ValidationError naming it, and so are two
+    districts that capture one cell center, which would be charged twice.
     """
     if not layers.districts:
         raise ValidationError("no districts in the official perimeter file")
@@ -155,6 +156,7 @@ def compute_perimeters(
     dates = event_dates(detections)
     inside = points_in_polygon(detections.x, detections.y, districts.parts)
     cells, cell_offsets = ragged_cell_indices(*districts.parts, grid)
+    _check_disjoint(districts.names, cells, cell_offsets, grid.n_rows * grid.n_cols)
     out: dict[str, list[DailyPerimeter]] = {}
     for k, name in enumerate(districts.names):
         clip = np.zeros(grid.shape, dtype=bool)
@@ -166,6 +168,26 @@ def compute_perimeters(
         except ValidationError as exc:
             raise type(exc)(f"district {name!r}: {exc}") from None
     return out
+
+
+def _check_disjoint(names: list[str], cells: np.ndarray, offsets: np.ndarray,
+                    n_cells: int) -> None:
+    """A ValidationError if a cell is in two districts (each lists a cell
+    once): it names the first district in file order that shares a cell,
+    the first later one it shares cells with, and how many they share."""
+    claims = np.bincount(cells, minlength=n_cells)
+    if claims.max(initial=0) < 2:
+        return
+    first = int(np.searchsorted(offsets, np.argmax(claims[cells] > 1), side="right")) - 1
+    theirs = np.zeros(n_cells, dtype=bool)
+    theirs[cells[offsets[first]:offsets[first + 1]]] = True
+    for k in range(first + 1, len(names)):
+        shared = np.count_nonzero(theirs[cells[offsets[k]:offsets[k + 1]]])
+        if shared:
+            raise ValidationError(
+                f"districts {names[first]!r} and {names[k]!r} overlap: "
+                f"{shared} grid cell(s) in both"
+            )
 
 
 def compute_population(

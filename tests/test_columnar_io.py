@@ -789,6 +789,17 @@ class TestReadPolygonLayerMatchesReference:
         with by_feature():
             self.test_synthetic_layers(tmp_path)
 
+    @given(doc=polygon_collections())
+    @settings(max_examples=150, deadline=None)
+    def test_same_layer_and_errors_in_small_chunks(self, tmp_path_factory, doc):
+        with small_chunks():
+            self.test_same_layer_and_errors.hypothesis.inner_test(self, tmp_path_factory, doc)
+
+
+def small_chunks():
+    """The fast path with cut coordinates read a few characters at a time."""
+    return mock.patch.object(io_formats, "_CHUNK_CHARS", 16)
+
 
 # ---------------------------------------------------------------------------
 # Point and line layer readers
@@ -894,6 +905,23 @@ class TestReadVertexLayerMatchesReference:
         with by_feature():
             self.test_synthetic_layers(tmp_path)
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_layer_and_errors_in_small_chunks(self, tmp_path_factory, data):
+        with small_chunks():
+            self.test_same_layer_and_errors.hypothesis.inner_test(self, tmp_path_factory, data)
+
+
+READERS = {**LAYER_READERS, **VERTEX_READERS}
+
+
+def asc_fast_path_only():
+    """The land cover reader without its token and line parsers."""
+    return mock.patch.multiple(
+        io_formats, _class_codes_by_token=mock.Mock(side_effect=AssertionError),
+        _class_codes_by_line=mock.Mock(side_effect=AssertionError),
+    )
+
 
 def test_valid_synthetic_layers_take_the_fast_path(tmp_path):
     generate(ScenarioSpec(seed=7), tmp_path)
@@ -902,14 +930,189 @@ def test_valid_synthetic_layers_take_the_fast_path(tmp_path):
                            (read_districts, "perimeter"), (read_roads, "roads"),
                            (read_pois, "pois")):
             read(tmp_path / f"{name}.geojson", *ORIGIN)
+    with asc_fast_path_only():
+        read_ascii_grid(tmp_path / "landcover.asc")
+    with mock.patch.object(io_formats, "_frp", side_effect=AssertionError):
+        detections = read_detections(tmp_path / "detections.csv", *ORIGIN)
+    assert len(detections.frp) and (detections.frp > 0).all()
+
+
+def layout_doc(kind):
+    """A valid two-feature layer for ``kind``'s reader."""
+    features = []
+    for i in range(2):
+        x = i * 0.01
+        geometry = {
+            "roads": {"type": "LineString", "coordinates": [[x, 0], [x + 0.005, 0.005]]},
+            "pois": {"type": "Point", "coordinates": [x, 0.5]},
+        }.get(kind, {"type": "Polygon",
+                     "coordinates": [[[x, 0], [x + 0.005, 0], [x, 0.005], [x, 0]]]})
+        props = {"block_id": f"b{i}", "pop": 5 + i, "tract_id": "t", "id": f"h{i}",
+                 "name": f"d{i}", "class": "primary", "category": "school"}
+        features.append({"type": "Feature", "geometry": geometry, "properties": props})
+    return {"type": "FeatureCollection", "features": features}
+
+
+def _with_altitude(doc):
+    def add(c):
+        return [*c, 12.5] if not isinstance(c[0], list) else [add(x) for x in c]
+
+    for f in doc["features"]:
+        f["geometry"]["coordinates"] = add(f["geometry"]["coordinates"])
+    return json.dumps(doc)
+
+
+def _with_property(doc, key, value):
+    for f in doc["features"]:
+        f["properties"][key] = value
+    return json.dumps(doc)
+
+
+def _with_text(doc, texts):
+    for f in doc["features"]:
+        f["properties"].update(texts)
+    return json.dumps(doc)
+
+
+def _non_ascii(doc):
+    for i, f in enumerate(doc["features"]):
+        f["properties"].update(block_id=f"blöck-{i}", tract_id="Zürich", id=f"häus-{i}",
+                               name=f"Ñandú-{i}", category="Bücherei ☃")
+    return json.dumps(doc, ensure_ascii=False)
+
+
+def _duplicate_key(doc):
+    # json keeps the last of two equal keys: the feature's own coordinates.
+    other = json.dumps(doc["features"][1]["geometry"]["coordinates"])
+    return json.dumps(doc).replace('"coordinates": ', f'"coordinates": {other}, "coordinates": ', 1)
+
+
+def _long_integer(doc):
+    text = json.dumps(doc)
+    return text.replace('"coordinates": [', '"coordinates": [' + "1" + "0" * 4999 + ", ", 1)
+
+
+def _nan_coordinates(doc):
+    # As many values are cut as there are features, the first feature's
+    # from its properties, and json reads its NaN as a placeholder.
+    first = doc["features"][0]
+    first["geometry"]["coordinates"] = math.nan
+    first["properties"]["coordinates"] = [0, 0]
+    return json.dumps(doc)
+
+
+# Layouts a compact writer never makes: (text of a layer, valid, plain).
+# A plain layout must stay on the fast path.
+LAYOUTS = {
+    "property named coordinates": (
+        lambda d: _with_property(d, "coordinates", [[1, 2]]), True, False,
+    ),
+    "collection coordinates member": (
+        lambda d: json.dumps({**d, "coordinates": [0, 0]}), True, False,
+    ),
+    "duplicate coordinates key": (_duplicate_key, True, False),
+    "coordinates as a string value": (
+        lambda d: _with_text(d, {"note": "coordinates", "tract_id": "coordinates",
+                                 "class": "coordinates", "category": "coordinates"}), True, True,
+    ),
+    "placeholder as a string value": (lambda d: _with_property(d, "note", "NaN"), True, True),
+    "NaN property value": (lambda d: _with_property(d, "note", math.nan), True, False),
+    "escaped key": (
+        lambda d: json.dumps(d).replace('"coordinates"', '"coordin\\u0061tes"', 1), True, False,
+    ),
+    "altitude": (_with_altitude, True, True),
+    "indent=2 with CRLF": (lambda d: json.dumps(d, indent=2).replace("\n", "\r\n"), True, True),
+    "non-ASCII property text": (_non_ascii, True, True),
+    "5000-digit integer coordinate": (_long_integer, False, False),
+    "NaN coordinates and a coordinates property": (_nan_coordinates, False, False),
+}
+
+
+# Coordinates texts that break JSON's grammar, each made from a valid one.
+BROKEN_COORDINATES = {
+    "missing comma": lambda c: c.replace(", ", " ", 1),
+    "double comma": lambda c: c.replace(", ", ", , ", 1),
+    "leading comma": lambda c: c.replace("[", "[, ", 1),
+    "trailing comma": lambda c: c[:-1] + ", ]",
+    "plus sign": lambda c: c.replace("1", "+1", 1),
+    "bare fraction": lambda c: c.replace("1", ".5", 1),
+    "trailing point": lambda c: c.replace("1", "1.", 1),
+    "leading zero": lambda c: c.replace("1", "01", 1),
+    "bare exponent": lambda c: c.replace("1", "1e", 1),
+    "lone minus": lambda c: c.replace("1", "-", 1),
+    "unclosed": lambda c: c[:-1],
+    "extra bracket": lambda c: c + "]",
+    "two values": lambda c: c + ", " + c,
+    "adjacent arrays": lambda c: c.replace("]", "] [0, 0]", 1),
+}
+
+
+# Valid JSON with a number where an array belongs, an array where a number
+# belongs, or a position of fewer than two numbers.
+MISPLACED_COORDINATES = {
+    "pois": ["[[1], 0.5]", "[1, [0.5]]", "[[1, 0.5]]", "[[], 1, 0.5]", "[1]"],
+    "roads": ["[[0, 0], [1, 1], 5]", "[5, [0, 0], [1, 1]]", "[[0, 0], [1, [1]]]", "[0, 1]",
+              "[[[], 0, 0], [1, 1]]", "[[0], [1, 1], [2, 2]]", "[[], [1, 1], [2, 2]]"],
+    "blocks": ["[[[0, 0], [1, 0], [1, 1], [0, 0]], 5]", "[5, [[0, 0], [1, 0], [1, 1]]]",
+               "[[[0, 0], [1, 0], [1, 1], 7]]", "[[[0, 0], [1, 0], [1, [1]]]]",
+               "[[0, 0], [1, 0], [1, 1]]", "[[[[], 0, 0], [1, 0], [1, 1]]]",
+               "[[[0], [1, 0], [1, 1], [0, 1]]]"],
+}
+COORDINATES_CASES = [
+    (kind, name, make({"pois": "[1, 0.5]", "roads": "[[0, 0], [1, 1]]"}.get(
+        kind, "[[[0, 0], [1, 0], [1, 1], [0, 0]]]")))
+    for kind in READERS for name, make in BROKEN_COORDINATES.items()
+] + [
+    (kind, f"misplaced {k}", text)
+    for kind in READERS for k, text in enumerate(MISPLACED_COORDINATES.get(kind, ()))
+]
+
+
+@pytest.mark.parametrize("kind, case, coordinates", COORDINATES_CASES,
+                         ids=[f"{k}-{c}" for k, c, _ in COORDINATES_CASES])
+def test_irregular_coordinates_read_as_by_feature(tmp_path, kind, case, coordinates):
+    """A cut value outside JSON's grammar, or with a number or an array out
+    of place, makes the fast path give up: the per-feature reader's error."""
+    properties = json.dumps(layout_doc(kind)["features"][0]["properties"])
+    gtype = {"pois": "Point", "roads": "LineString"}.get(kind, "Polygon")
+    path = tmp_path / "layer.geojson"
+    path.write_text(
+        '{"type": "FeatureCollection", "features": [{"type": "Feature", "geometry": '
+        f'{{"type": "{gtype}", "coordinates": {coordinates}}}, "properties": {properties}}}]}}'
+    )
+    read = READERS[kind][0]
+    outcome = layer_outcome if kind in LAYER_READERS else vertex_outcome
+    with by_feature():
+        want = outcome(kind, read, path)
+    assert want[0] is FormatError, want
+    assert outcome(kind, read, path) == want
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("kind", READERS)
+def test_unusual_layouts_read_as_by_feature(tmp_path, kind, layout):
+    """The layer bytes or the error of the per-feature reader; a plain
+    layout's without it."""
+    make, valid, plain = LAYOUTS[layout]
+    path = tmp_path / "layer.geojson"
+    path.write_bytes(make(layout_doc(kind)).encode())
+    read = READERS[kind][0]
+    outcome = layer_outcome if kind in LAYER_READERS else vertex_outcome
+    with by_feature():
+        want = outcome(kind, read, path)
+    assert isinstance(want[0], type) != valid, want
+    assert outcome(kind, read, path) == want
+    if plain:
+        with fast_path_only():
+            assert outcome(kind, read, path) == want
 
 
 # Number literals that json.dumps never writes: exponents, more than 17
-# significant digits, a negative zero, a subnormal, an integer beyond 2^53
-# and one beyond the double range, which json reads as inf.
+# significant digits, a negative zero, a subnormal, an integer beyond 2^53,
+# one beyond the double range, which json reads as inf, and the integer
+# zeros, which json reads as the int 0 whatever the sign.
 LITERALS = ["1E-3", "-2.5e+1", "0.10000000000000000555", "-0.0", "5e-324",
-            "9007199254740993", "1e400"]
-READERS = {**LAYER_READERS, **VERTEX_READERS}
+            "9007199254740993", "1e400", "-0", "0"]
 
 
 def literal_layer(kind, lon, pop):
@@ -1110,6 +1313,19 @@ class TestReadAsciiGridMatchesReference:
         path = tmp_path_factory.mktemp("asc") / "landcover.asc"
         path.write_bytes(text.encode())
         assert read_outcome(read_ascii_grid, path) == read_outcome(reference_read_ascii_grid, path)
+
+    def test_plain_body_with_nodata_crlf_and_space_runs(self, tmp_path):
+        path = tmp_path / "landcover.asc"
+        path.write_bytes(
+            b"ncols 4\r\nnrows 3\r\nxllcorner 0\r\nyllcorner 0\r\ncellsize 20\r\n"
+            b"NODATA_value -9999\r\n"
+            b"11  -9999   21 22\r\n   -9999 0 07 -0\r\n41\t42    43  -9999  \r\n\r\n"
+        )
+        want = read_outcome(reference_read_ascii_grid, path)
+        assert want[1:] == (-9999, np.int32, [[11, -9999, 21, 22], [-9999, 0, 7, 0],
+                                              [41, 42, 43, -9999]])
+        with asc_fast_path_only():
+            assert read_outcome(read_ascii_grid, path) == want
 
     @pytest.mark.parametrize("token", ODD_TOKENS)
     def test_each_odd_token_on_line_9(self, tmp_path, token):

@@ -304,33 +304,41 @@ class TestExposureByBlock:
 
 
 class TestAssessBuildings:
-    def test_building_in_two_districts_is_charged_once_in_each(self):
+    @pytest.mark.parametrize("shapes, message", [
+        ({"east": rect(100, 0, 400, 400), "west": rect(0, 0, 300, 400)},
+         "districts 'east' and 'west' overlap: 200 grid cell(s) in both"),
+        ({"a": rect(0, 0, 100, 100), "b": rect(200, 200, 300, 300),
+          "c": rect(260, 260, 400, 400), "d": rect(0, 0, 40, 40)},
+         "districts 'a' and 'd' overlap: 4 grid cell(s) in both"),
+        ({"a": rect(0, 0, 100, 100), "b": rect(60, 60, 400, 400), "c": rect(0, 0, 400, 400)},
+         "districts 'a' and 'b' overlap: 4 grid cell(s) in both"),
+    ])
+    def test_districts_that_share_a_cell_are_rejected(self, shapes, message):
+        # A cell in two districts would be charged to both, so event totals
+        # would count it twice. The first district in file order with a
+        # shared cell is named, then the first later one it shares with.
         m = manifest(20)
         layers = Layers(manifest=m)
         layers.landcover = CategoryRaster(m.grid, np.full((20, 20), 22))
         layers.blocks = tables.blocks([Block("b1", [rect(0, 0, 400, 400)], 100.0, "t1")])
         layers.roads, layers.pois = tables.roads([]), tables.pois([])
+        layers.districts = tables.districts([District(k, [v]) for k, v in shapes.items()])
+        layers.buildings = polygon_layer([[rect(180, 180, 220, 200)]])
+        layers.detections = tables.detections([Detection(Point(191, 191), D0)])
+        with pytest.raises(ValidationError) as info:
+            assess(layers, KdeParams(bandwidth_m=4))
+        assert str(info.value) == message
+
+    def test_districts_that_only_touch_are_accepted(self):
+        m = manifest(20)
+        layers = Layers(manifest=m)
         layers.districts = tables.districts([
-            District("east", [rect(100, 0, 400, 400)]),
-            District("west", [rect(0, 0, 300, 400)]),
+            District("east", [rect(200, 0, 400, 400)]), District("west", [rect(0, 0, 200, 400)]),
         ])
-        # Covers the centers of cells (10, 9) and (10, 10), inside both districts.
-        house = rect(180, 180, 220, 200)
-        layers.buildings = polygon_layer([[house]])
-        layers.detections = tables.detections([
-            Detection(Point(191, 191), D0),
-            Detection(Point(211, 191), D0 + dt.timedelta(days=1)),
-        ])
-        records = assess(layers, KdeParams(bandwidth_m=4))
-        charge = to_cents(polygon_area(house) * CostModel.demo().building_cost)
-        got = [(r.date, r.district, r.building_count, r.building_loss_cents) for r in records]
-        assert got == [
-            (D0, "east", 1, charge),
-            (D0, "west", 1, charge),
-            (D0 + dt.timedelta(days=1), "east", 0, 0),
-            (D0 + dt.timedelta(days=1), "west", 0, 0),
-        ]
-        assert all(r.new_burn_cells == 1 for r in records)
+        layers.detections = tables.detections([Detection(Point(191, 191), D0)])
+        got = compute_perimeters(layers, KdeParams(bandwidth_m=4))
+        assert [p.new_burn.bits.sum() for p in got["west"]] == [1]
+        assert [p.new_burn.bits.sum() for p in got["east"]] == [0]
 
 
 # Tract shares that weight every group's keys differently.
@@ -354,7 +362,8 @@ def assess_inputs(draw, unpriced=False):
     one centroid cell. Each road class has two or three roads with float
     vertices, some on grid lines, that may leave the grid; buildings fall
     anywhere, and POIs anywhere too, on cell edges and off the grid among
-    them. A second district may cover the west half. With ``unpriced`` the
+    them. A second district may take the west half from the first (two
+    districts must not share a cell). With ``unpriced`` the
     cost model may, in half the draws, lack up to two land classes and one
     road class.
     """
@@ -417,8 +426,10 @@ def assess_inputs(draw, unpriced=False):
         layers.costs = CostModel(land, road, costs.building_cost)
 
     districts = [District("d", [rect(0, 0, g.max_x, g.max_y)])]
-    if draw(st.booleans()):
-        districts.append(District("c", [rect(0, 0, cell * -(-n_cols // 2), g.max_y)]))
+    if n_cols > 1 and draw(st.booleans()):
+        west = cell * -(-n_cols // 2)
+        districts = [District("d", [rect(west, 0, g.max_x, g.max_y)]),
+                     District("c", [rect(0, 0, west, g.max_y)])]
     layers.districts = tables.districts(districts)
     inside = st.tuples(st.floats(0, g.max_x), st.floats(0, g.max_y))
     layers.detections = tables.detections(
