@@ -314,11 +314,13 @@ def _scan_features(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(feature, flat cell) pairs inside the features, sorted and unique.
 
-    Each polygon is scanned over the rows whose center y lies within its
-    vertical extent. An edge is tested only on the rows its own extent
-    spans, padded by one row against rounding, and kept only where the
-    PNPOLY test ``(y1 > y) != (y2 > y)`` holds. Crossings are sorted by
-    (polygon, row, x) and paired; centers between a pair are inside.
+    An edge from (x1, y1) to (x2, y2) crosses the rows whose center y has
+    ``min(y1, y2) <= y < max(y1, y2)``, the PNPOLY test ``(y1 > y) != (y2 >
+    y)``; over the ascending center ys those rows are one range, bounded by
+    two ``searchsorted`` calls, and a horizontal edge's range is empty.
+    Edges of polygons wholly east or west of the grid are skipped.
+    Crossings are sorted by (polygon, row, x) and paired; centers between
+    a pair are inside.
     """
     if not xs.size:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
@@ -327,39 +329,26 @@ def _scan_features(
     point_poly = np.repeat(ring_poly, np.diff(ring_offsets))
     poly_first = ring_offsets[polygon_offsets[:-1]]
     poly_feature = np.repeat(np.arange(len(feature_offsets) - 1), np.diff(feature_offsets))
-
-    # Polygon extents and their candidate rows.
     off_grid = (np.maximum.reduceat(xs, poly_first) < grid.origin_x) | (
         np.minimum.reduceat(xs, poly_first) > grid.max_x
     )
-    r_lo, r_hi = _row_range(
-        np.minimum.reduceat(ys, poly_first), np.maximum.reduceat(ys, poly_first), grid
-    )
-    r_hi[off_grid] = -1
 
-    # Each ring point except its closing one starts an edge; horizontal
-    # edges never cross a row of centers.
-    starts = np.ones(len(xs), dtype=bool)
+    # Each ring point except its closing one starts an edge.
+    starts = ~off_grid[point_poly]
     starts[ring_offsets[1:] - 1] = False
     e = np.flatnonzero(starts)
     x1, y1, x2, y2 = xs[e], ys[e], xs[e + 1], ys[e + 1]
-    poly = point_poly[e]
-    sloped = y1 != y2
-    x1, y1, x2, y2, poly = x1[sloped], y1[sloped], x2[sloped], y2[sloped], poly[sloped]
-    dx, dy = x2 - x1, y2 - y1
-    e_lo, e_hi = _row_range(np.minimum(y1, y2), np.maximum(y1, y2), grid)
-    e_lo = np.maximum(e_lo - 1, r_lo[poly])
-    e_hi = np.minimum(e_hi + 1, r_hi[poly])
 
-    # One entry per (edge, candidate row); keep the rows the edge crosses.
-    n_rows_per_edge = np.maximum(e_hi - e_lo + 1, 0)
-    edge = np.repeat(np.arange(len(e_lo)), n_rows_per_edge)
-    row = e_lo[edge] + _ramp(n_rows_per_edge)
-    y = grid.origin_y + (grid.n_rows - row - 0.5) * grid.cell_size
-    hit = (y1[edge] > y) != (y2[edge] > y)
-    edge, row, y = edge[hit], row[hit], y[hit]
-    x = x1[edge] + (y - y1[edge]) * dx[edge] / dy[edge]  # as in points_in_polygon
-    poly = poly[edge]
+    # One entry per (edge, row it crosses); index i of the ascending center
+    # ys is row n_rows - 1 - i.
+    centers_y = grid.center_ys()[::-1]
+    lo = np.searchsorted(centers_y, np.minimum(y1, y2), side="left")
+    n_rows_per_edge = np.searchsorted(centers_y, np.maximum(y1, y2), side="left") - lo
+    edge = np.repeat(np.arange(len(e)), n_rows_per_edge)
+    i = lo[edge] + _ramp(n_rows_per_edge)
+    row, y = grid.n_rows - 1 - i, centers_y[i]
+    x = x1[edge] + (y - y1[edge]) * (x2 - x1)[edge] / (y2 - y1)[edge]  # as in points_in_polygon
+    poly = point_poly[e][edge]
 
     # Even-odd pairs of crossings along each (polygon, row).
     order = np.lexsort((x, row, poly))
@@ -377,17 +366,6 @@ def _scan_features(
     keys = keys[np.diff(keys, prepend=-1) != 0]
     owner = keys // n_cells
     return owner, keys - owner * n_cells
-
-
-def _row_range(
-    lo_y: np.ndarray, hi_y: np.ndarray, grid: AnalysisGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows whose center y may fall in [lo_y, hi_y], clipped to the grid."""
-    top = grid.n_rows - 1 - np.ceil((hi_y - grid.origin_y) / grid.cell_size - 0.5)
-    bottom = grid.n_rows - 1 - np.floor((lo_y - grid.origin_y) / grid.cell_size - 0.5)
-    r_lo = np.clip(top, 0, grid.n_rows).astype(np.int64)
-    r_hi = np.clip(bottom, -1, grid.n_rows - 1).astype(np.int64)
-    return r_lo, r_hi
 
 
 def _ramp(lengths: np.ndarray) -> np.ndarray:

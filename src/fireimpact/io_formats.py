@@ -568,9 +568,8 @@ def read_ascii_grid(path: str | Path) -> CategoryRaster:
     """Read an ESRI ASCII grid of integer class codes.
 
     A body of ASCII digits, minus signs and whitespace is parsed from its
-    bytes; any other is split once and each distinct token parsed once.
-    After a failure the file is read again a line at a time, so that the
-    error names the first bad line.
+    bytes. Any other body, and any file that fails, is read again a line
+    at a time, so that an error names the first bad line.
     """
     path = Path(path)
     try:
@@ -604,14 +603,14 @@ def _read_ascii_grid(
 
 
 def _class_codes_at_once(where: str, lines: Iterator[tuple[int, str]]) -> np.ndarray:
-    """The codes of the body: a plain one (:func:`_plain_class_codes`) read
-    from its bytes, any other by :func:`_class_codes_by_token`."""
+    """The codes of a plain body (:func:`_plain_class_codes`), read from its
+    bytes; ValueError for any other body."""
     body = "".join(map(operator.itemgetter(1), lines))
     if body.isascii():
         codes = list(map(_plain_class_codes, _line_chunks(body.encode())))
         if not any(c is None for c in codes):
             return np.concatenate([np.zeros(0, np.int32), *codes])
-    return _class_codes_by_token(body)
+    raise ValueError(f"{where}: not a plain body")
 
 
 def _line_chunks(data: bytes) -> Iterator[bytes]:
@@ -622,13 +621,6 @@ def _line_chunks(data: bytes) -> Iterator[bytes]:
         stop = data.find(b"\n", start + _CHUNK_CHARS) + 1 or len(data)
         yield data[start:stop]
         start = stop
-
-
-def _class_codes_by_token(body: str) -> np.ndarray:
-    """The codes of the body split once, each distinct token parsed once."""
-    tokens = body.split()
-    memo = {token: int(token) for token in set(tokens)}
-    return np.fromiter(map(memo.__getitem__, tokens), np.int32, len(tokens))
 
 
 def _plain_class_codes(body: bytes) -> np.ndarray | None:

@@ -916,11 +916,8 @@ READERS = {**LAYER_READERS, **VERTEX_READERS}
 
 
 def asc_fast_path_only():
-    """The land cover reader without its token and line parsers."""
-    return mock.patch.multiple(
-        io_formats, _class_codes_by_token=mock.Mock(side_effect=AssertionError),
-        _class_codes_by_line=mock.Mock(side_effect=AssertionError),
-    )
+    """The land cover reader without its line parser."""
+    return mock.patch.object(io_formats, "_class_codes_by_line", side_effect=AssertionError)
 
 
 def test_valid_synthetic_layers_take_the_fast_path(tmp_path):

@@ -200,7 +200,9 @@ class TestRasterizePolygon:
         rng = np.random.default_rng(seed)
         size = float(rng.choice([0.1, 1.0, 3.0, 20.0]))
         n_rows, n_cols = (int(n) for n in rng.integers(4, 17, 2))
-        x0, y0 = (float(v) for v in rng.integers(-20, 21, 2) * size)
+        # Near origins, and far ones where (y - origin_y) / cell_size rounds.
+        reach = int(rng.choice([20, 2**24]))
+        x0, y0 = (float(v) for v in rng.integers(-reach, reach + 1, 2) * size)
         g = AnalysisGrid(x0, y0, size, n_rows, n_cols)
 
         def ring():
@@ -230,8 +232,9 @@ class TestRasterizePolygon:
 def row_scan_cells(polys, g):
     """Flat cell ids from the per-row scanline that tests every edge on every row.
 
-    Same arithmetic as the library (row range, center y, crossing x,
-    half-open searchsorted), evaluated one polygon and one row at a time.
+    An independent per-row oracle: on every row within a polygon's y
+    extent it tests each edge with PNPOLY's ``(y1 > y) != (y2 > y)``, one
+    polygon and one row at a time.
     """
     out = set()
     centers_x = g.center_xs()
@@ -363,6 +366,56 @@ class TestFeaturesCellIndices:
         features = [[], [west], [inside], [west, south], [between_centers], []]
         got = slices(*features_cell_indices(features, g))
         assert got == [[], [], [6, 7, 8, 11, 12, 13, 16, 17, 18], [], [], []]
+
+
+@st.composite
+def quarter_cell_scenes(draw):
+    """Grid shape and south-west corner (whole cells), features and points,
+    every coordinate an integer number of quarter cells. Features are
+    MultiPolygons whose polygons have up to two holes; rings may cross."""
+    n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    i0, j0 = draw(st.integers(-8, 8)), draw(st.integers(-8, 8))
+    vertex = st.tuples(st.integers(4 * i0 - 8, 4 * (i0 + n_cols) + 8),
+                       st.integers(4 * j0 - 8, 4 * (j0 + n_rows) + 8))
+    ring = st.lists(vertex, min_size=3, max_size=6)
+    polygon = st.lists(ring, min_size=1, max_size=3)  # exterior, then holes
+    features = draw(st.lists(st.lists(polygon, max_size=3), min_size=1, max_size=4))
+    points = draw(st.lists(vertex, max_size=40))
+    return (n_rows, n_cols, i0, j0), features, points
+
+
+class TestWholeCellTranslation:
+    """Moving the grid and every feature by whole cells changes no cell and
+    no membership: every coordinate and every difference is exact."""
+
+    @given(
+        quarter_cell_scenes(),
+        st.sampled_from([0.25, 1.0, 4.0, 20.0]),
+        st.integers(-(2**20), 2**20) | st.sampled_from([-(2**20), 2**20]),
+        st.integers(-(2**20), 2**20) | st.sampled_from([-(2**20), 2**20]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_cells_offsets_and_points_inside(self, scene, size, di, dj):
+        (n_rows, n_cols, i0, j0), features, points = scene
+        rings = [r for f in features for p in f for r in p]
+        closed = np.array([q for r in rings for q in [*r, r[0]]], dtype=np.int64).reshape(-1, 2)
+        pts = np.array(points, dtype=np.int64).reshape(-1, 2)
+        offsets = (
+            run_offsets([len(r) + 1 for r in rings]),
+            run_offsets([len(p) for f in features for p in f]),
+            run_offsets([len(f) for f in features]),
+        )
+        quarter = size / 4
+
+        def overlays(i, j):
+            grid = AnalysisGrid((i0 + i) * size, (j0 + j) * size, size, n_rows, n_cols)
+            xy = (closed + [4 * i, 4 * j]) * quarter
+            layer = PolygonLayer(xy[:, 0].copy(), xy[:, 1].copy(), *offsets)
+            px, py = ((pts + [4 * i, 4 * j]) * quarter).T
+            cells, cell_offsets = ragged_cell_indices(*layer, grid)
+            return cells.tolist(), cell_offsets.tolist(), points_in_polygon(px, py, layer).tolist()
+
+        assert overlays(di, dj) == overlays(0, 0)
 
 
 class TestSegmentSums:

@@ -1,6 +1,6 @@
-"""Every module-level function and class of ``fireimpact``, and every
-method of such a class, is used by the package itself: code that only the
-tests reach is a second API beside the one the commands run."""
+"""Every module-level function, class and assigned name of ``fireimpact``,
+and every method of such a class, is used by the package itself: code that
+only the tests reach is a second API beside the one the commands run."""
 
 import ast
 from collections import Counter
@@ -53,9 +53,29 @@ def package_trees() -> tuple[dict[str, ast.Module], Counter]:
 def unreferenced(defs: list, everywhere: Counter) -> list[str]:
     """The names in ``defs`` (each a (qualified name, node) pair) that nothing
     references outside the node itself: a reference inside the definition
-    (a recursive call, a classmethod naming its class) does not count."""
-    return [name for name, node in defs
-            if everywhere[node.name] - references(node)[node.name] <= 0]
+    (a recursive call, a classmethod naming its class, the assignment's
+    own target) does not count."""
+    found = []
+    for name, node in defs:
+        bare = name.rpartition(".")[2]
+        if everywhere[bare] - references(node)[bare] <= 0:
+            found.append(name)
+    return found
+
+
+def assigned_names(tree: ast.Module):
+    """(name, statement) for each name that a top-level assignment binds."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                    yield name.id, node
 
 
 def test_every_module_level_def_is_referenced_in_src():
@@ -87,3 +107,18 @@ def test_every_method_is_referenced_in_src():
     assert sorted(unused) == sorted(TRACER_READS), (
         f"used only outside src/fireimpact: {sorted(set(unused) - TRACER_READS)}"
     )
+
+
+def test_every_module_level_name_is_referenced_in_src():
+    """Every non-dunder name assigned at a module's top level, so that no
+    constant or alias outlives the code that used it."""
+    trees, everywhere = package_trees()
+    defs = [
+        (f"{module}.{name}", node)
+        for module, tree in trees.items()
+        for name, node in assigned_names(tree)
+        if not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert "geometry.FEATURE_BATCH" in dict(defs)
+    unused = unreferenced(defs, everywhere)
+    assert not unused, f"used only outside src/fireimpact: {sorted(unused)}"
