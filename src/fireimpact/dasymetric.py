@@ -70,19 +70,11 @@ class WeightTable:
         return cls(dict(DEFAULT_NLCD_WEIGHTS))
 
 
-def check_block(block_id: str, n_parts: int, pop: float) -> None:
-    """The checks of a census block, on its values."""
-    if not n_parts:
-        raise ValidationError(f"block {block_id} has no boundary parts")
-    if not (pop >= 0):
-        raise ValidationError(f"block {block_id} has negative pop {pop}")
-
-
 @dataclass(frozen=True, eq=False)
 class Blocks:
     """Census blocks as columns: block k is ``ids[k]``, ``pop[k]``,
     ``tracts[k]`` and feature k of ``parts``. Rows are assumed valid, as
-    :func:`check_block` checks them.
+    ``io_formats.read_blocks`` checks them.
     """
 
     ids: list[str]

@@ -11,11 +11,10 @@ reproduces the source mask bit for bit.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
-from .errors import GeometryError
 from .grid import AnalysisGrid, Mask
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -54,6 +53,20 @@ def unproject_to_lonlat(
     return (lon, lat)
 
 
+def first_problem(
+    rules: list[tuple[np.ndarray, str]], /, **columns: Any
+) -> tuple[int, str] | None:
+    """The first item that breaks one of ``rules``, as (item, the message of
+    the first rule it breaks), or None. A rule is which items break it and
+    its message, formatted with the item's entry of each of ``columns``."""
+    bad = np.flatnonzero(np.any([broken for broken, _ in rules], axis=0))
+    if not bad.size:
+        return None
+    k = int(bad[0])
+    message = next(message for broken, message in rules if broken[k])
+    return k, message.format_map({name: column[k] for name, column in columns.items()})
+
+
 def ring_problem(
     xs: np.ndarray, ys: np.ndarray, ring_offsets: np.ndarray
 ) -> tuple[int, str] | None:
@@ -77,13 +90,10 @@ def ring_problem(
     third = other & ((xs != xs[second]) | (ys != ys[second]))
     has_third = np.bincount(ring[third], minlength=len(n)) > 0
     distinct = np.where(has_third, 3, (n > 0).astype(np.int64) + has_second)
-    bad = np.flatnonzero(nonfinite | (distinct < 3))
-    if not bad.size:
-        return None
-    r = int(bad[0])
-    if nonfinite[r]:
-        return r, "ring has non-finite coordinates"
-    return r, f"ring needs >= 3 distinct vertices, got {distinct[r]}"
+    return first_problem([
+        (nonfinite, "ring has non-finite coordinates"),
+        (distinct < 3, "ring needs >= 3 distinct vertices, got {distinct}"),
+    ], distinct=distinct)
 
 
 def close_rings(
@@ -103,15 +113,25 @@ def close_rings(
     return xs[src], ys[src], run_offsets(sizes)
 
 
-def check_line(vertices: list[Point]) -> None:
-    """Reject a polyline that is not an open chain of at least two finite
-    points with distinct consecutive vertices."""
-    if not all(math.isfinite(x) and math.isfinite(y) for x, y in vertices):
-        raise GeometryError("polyline has non-finite coordinates")
-    if len(vertices) < 2:
-        raise GeometryError("polyline needs >= 2 vertices")
-    if any(a == b for a, b in zip(vertices, vertices[1:])):
-        raise GeometryError("polyline has repeated consecutive vertices")
+def line_problem(
+    xs: np.ndarray, ys: np.ndarray, offsets: np.ndarray
+) -> tuple[int, str] | None:
+    """The first bad polyline, as (line, its message), or None.
+
+    Line k is ``xs, ys[offsets[k]:offsets[k + 1]]``. A line needs finite
+    coordinates, two or more vertices and each vertex unequal to the one
+    before it.
+    """
+    n = np.diff(offsets)
+    line = np.repeat(np.arange(len(n)), n)
+    same = (xs[1:] == xs[:-1]) & (ys[1:] == ys[:-1]) & (line[1:] == line[:-1])
+    return first_problem([
+        (np.bincount(line[~(np.isfinite(xs) & np.isfinite(ys))], minlength=len(n)) > 0,
+         "polyline has non-finite coordinates"),
+        (n < 2, "polyline needs >= 2 vertices"),
+        (np.bincount(line[1:][same], minlength=len(n)) > 0,
+         "polyline has repeated consecutive vertices"),
+    ])
 
 
 class PolygonLayer(NamedTuple):

@@ -127,7 +127,7 @@ class CostModel:
 class Districts:
     """Named assessment regions as columns: district k is ``names[k]``,
     bounded by its official fire perimeter, feature k of ``parts``. Rows
-    are assumed valid, as :func:`check_district` checks them.
+    are assumed valid, as ``io_formats.read_districts`` checks them.
     """
 
     names: list[str]
@@ -135,34 +135,6 @@ class Districts:
 
     def __len__(self) -> int:
         return len(self.names)
-
-
-def check_road(road_class: str) -> None:
-    """The checks of a road, on its values; :func:`check_line` checks its line."""
-    if not road_class:
-        raise ValidationError("road feature needs a class")
-
-
-def check_building(building_id: str, n_parts: int) -> None:
-    """The checks of a building, on its values."""
-    if not n_parts:
-        raise ValidationError(f"building {building_id} has no footprint")
-
-
-def check_poi(x: float, y: float, category: str) -> None:
-    """The checks of a POI, on its values."""
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValidationError("poi has non-finite coordinates")
-    if not category:
-        raise ValidationError("poi feature needs a category")
-
-
-def check_district(name: str, n_parts: int) -> None:
-    """The checks of a district, on its values."""
-    if not name:
-        raise ValidationError("district needs a name")
-    if not n_parts:
-        raise ValidationError(f"district {name} has no perimeter")
 
 
 @dataclass(frozen=True)
@@ -247,8 +219,8 @@ def category_codes(names: list[str]) -> tuple[list[str], np.ndarray]:
 class Roads:
     """Roads as columns: road k runs through the vertices
     ``xs, ys[offsets[k]:offsets[k + 1]]`` and has class ``classes[codes[k]]``,
-    ``classes`` being sorted. Rows are assumed valid, as :func:`check_line`
-    and :func:`check_road` check them.
+    ``classes`` being sorted. Rows are assumed valid, as
+    ``io_formats.read_roads`` checks them.
     """
 
     xs: np.ndarray
@@ -265,7 +237,7 @@ class Roads:
 class Pois:
     """POIs as columns: POI k lies at ``xs[k], ys[k]`` and has category
     ``categories[codes[k]]``, ``categories`` being sorted. Rows are assumed
-    valid, as :func:`check_poi` checks them.
+    valid, as ``io_formats.read_pois`` checks them.
     """
 
     xs: np.ndarray

@@ -19,6 +19,10 @@ the first irregularity it gives up without saying where. The file is
 then read again one feature at a time, and only that reader names the
 error: the first that reading the features in file order meets.
 
+Every feature rule is written once, over columns, and gives the first
+bad item and its message: :func:`ring_problem`, :func:`line_problem` and
+each layer's value rule. Both phases ask the same rules.
+
 GeoJSON input is a simple subset: a FeatureCollection of Point,
 LineString, Polygon, or MultiPolygon features with flat properties and
 lon/lat degree positions (an altitude is ignored), projected onto the
@@ -45,13 +49,14 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence, TextIO, TypeVa
 
 import numpy as np
 
-from .dasymetric import Blocks, WeightTable, check_block
+from .dasymetric import Blocks, WeightTable
 from .errors import FormatError, GeometryError, PipelineError, SchemaError, ValidationError
 from .geometry import (
     Point,
     PolygonLayer,
-    check_line,
     close_rings,
+    first_problem,
+    line_problem,
     project_lonlat,
     ring_problem,
     run_offsets,
@@ -70,10 +75,6 @@ from .impact import (
     TractDemographics,
     category_codes,
     cents_to_usd,
-    check_building,
-    check_district,
-    check_poi,
-    check_road,
     usd_to_cents,
 )
 from .perimeters import CONFIDENCE_CODES, DailyPerimeter, Detections
@@ -945,21 +946,24 @@ def _layer_at_once(
 def _layer_by_feature(
     path: Path, origin_lon: float, origin_lat: float, types: tuple[str, ...],
     properties: dict[str, Callable[[Any], Any]], unique: str | None,
-    check: Callable[[dict[str, Any], list], None],
+    rule: Callable[..., tuple[int, str] | None],
 ) -> tuple[dict[str, Any], list[np.ndarray], np.ndarray, np.ndarray]:
     """:func:`_layer_at_once`'s result, from the features read one at a
-    time in file order, each checked in full before the next, so that the
-    first bad one's error is raised.
+    time in file order, so that the first bad one's error is raised.
 
     A feature's geometry type must be in ``types``; each property in
     ``properties`` is required and parsed by its function, and ``unique``
     names one that must not repeat. Its coordinates are projected a
-    position at a time: a line is checked (:func:`check_line`) once it is
+    position at a time: a line is checked (:func:`line_problem`) once it is
     projected, and so are a polygon's rings (:func:`ring_problem`). Last,
-    ``check(values, shape)`` validates its values, given its Points (a
-    Point or LineString) or its polygons, each a list of rings of Points.
+    ``rule`` is asked about the features' values, given the layer as
+    :func:`_layer_at_once` gives it, and names the first bad feature with
+    its message. Before any other error is raised it is asked about the
+    features read so far, so that the first in file order is raised; within
+    a feature the type, the properties, the repeated value and the geometry
+    come before its values.
     Malformed input is a FormatError (exit 2); invalid geometry, a
-    repeated value or one ``check`` rejects is a ValidationError (exit 1).
+    repeated value or one ``rule`` names is a ValidationError (exit 1).
     Both name the file and the feature.
     """
     features = _collection_features(_load_json(path))
@@ -975,51 +979,60 @@ def _layer_by_feature(
     def project(ring) -> list[Point]:
         return [position(p) for p in ring]
 
-    def line(c) -> list[Point]:
-        points = project(c)
-        check_line(points)
-        return points
+    def runs(problem, projected: list[list[Point]]) -> list[list[Point]]:
+        """The vertex runs ``projected``, unless ``problem`` names a bad one."""
+        xy = np.array(list(itertools.chain.from_iterable(projected)), np.float64).reshape(-1, 2)
+        found = problem(xy[:, 0], xy[:, 1], run_offsets(list(map(len, projected))))
+        if found is not None:
+            raise GeometryError(found[1])
+        return projected
 
     def polygon(rings) -> list[list[Point]]:
-        rings = [project(rings[0]), *map(project, rings[1:])]
-        xy = np.array(list(itertools.chain.from_iterable(rings)), np.float64).reshape(-1, 2)
-        problem = ring_problem(xy[:, 0], xy[:, 1], run_offsets(list(map(len, rings))))
-        if problem is not None:
-            raise GeometryError(problem[1])
-        return rings
+        return runs(ring_problem, [project(rings[0]), *map(project, rings[1:])])
 
     shapes = {
         "Point": lambda c: [position(c)],
-        "LineString": line,
+        "LineString": lambda c: runs(line_problem, [project(c)])[0],
         "Polygon": lambda c: [polygon(c)],
         "MultiPolygon": lambda c: [polygon(rings) for rings in c],
     }
     values: dict[str, list] = {name: [] for name in properties}
     geometries = []
+
+    def checked() -> tuple[dict[str, Any], list[np.ndarray], np.ndarray, np.ndarray]:
+        """The features read so far, unless ``rule`` names a bad one."""
+        sizes, points = _nesting(geometries, 3 if types == _POLYGONAL else 1)
+        x, y = np.array(points, np.float64).reshape(-1, 2).T.copy()
+        found = rule(values, sizes, x, y)
+        if found is not None:
+            raise ValidationError(f"{path}: feature {found[0]}: {found[1]}") from None
+        return values, sizes, x, y
+
     seen = set()
-    for i, feat in enumerate(features):
-        where = f"{path}: feature {i}"
-        geom = feat.get("geometry") if isinstance(feat, dict) else None
-        gtype = geom.get("type") if isinstance(geom, dict) else None
-        if gtype not in types:
-            raise FormatError(f"{where}: expected {' or '.join(types)}, got {gtype!r}")
-        props = parse_value(where, "properties", feat.get("properties") or {}, _object)
-        row = {name: _required(where, props, name, parse) for name, parse in properties.items()}
-        if unique is not None:
-            if row[unique] in seen:
-                raise ValidationError(f"{where}: duplicate {unique} {row[unique]!r}")
-            seen.add(row[unique])
-        try:
-            shape = parse_value(where, "coordinates", geom.get("coordinates"), shapes[gtype])
-            check(row, shape)
-        except ValidationError as exc:
-            raise type(exc)(f"{where}: {exc}") from None
-        for name, value in row.items():
-            values[name].append(value)
-        geometries.append(shape)
-    sizes, points = _nesting(geometries, 3 if types == _POLYGONAL else 1)
-    x, y = np.array(points, np.float64).reshape(-1, 2).T.copy()
-    return values, sizes, x, y
+    try:
+        for i, feat in enumerate(features):
+            where = f"{path}: feature {i}"
+            geom = feat.get("geometry") if isinstance(feat, dict) else None
+            gtype = geom.get("type") if isinstance(geom, dict) else None
+            if gtype not in types:
+                raise FormatError(f"{where}: expected {' or '.join(types)}, got {gtype!r}")
+            props = parse_value(where, "properties", feat.get("properties") or {}, _object)
+            row = {name: _required(where, props, name, parse) for name, parse in properties.items()}
+            if unique is not None:
+                if row[unique] in seen:
+                    raise ValidationError(f"{where}: duplicate {unique} {row[unique]!r}")
+                seen.add(row[unique])
+            try:
+                shape = parse_value(where, "coordinates", geom.get("coordinates"), shapes[gtype])
+            except GeometryError as exc:
+                raise GeometryError(f"{where}: {exc}") from None
+            for name, value in row.items():
+                values[name].append(value)
+            geometries.append(shape)
+    except PipelineError:
+        checked()  # an earlier feature's values come first
+        raise
+    return checked()
 
 
 def read_vertex_layer(
@@ -1028,43 +1041,42 @@ def read_vertex_layer(
     origin_lat: float,
     gtype: str,
     properties: dict[str, Callable[[Any], Any]],
-    check: Callable[[dict[str, Any], list[Point]], None],
-    flag: Callable[[dict[str, Any], np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    rule: Callable[..., tuple[int, str] | None],
 ) -> tuple[dict[str, Any], np.ndarray, np.ndarray, np.ndarray]:
     """Each property's values, and the projected vertices of every Point or
     LineString (``gtype``) feature: feature k's are ``xs, ys[offsets[k]:offsets[k + 1]]``.
 
-    ``check(values, vertices)`` validates each feature's values, given its
-    projected vertices; a LineString's pass :func:`check_line` first.
-    ``flag(values, xs, ys, offsets)`` marks, a column at a time, every
-    feature that ``check`` or :func:`check_line` could reject.
+    ``rule(values, sizes, xs, ys)`` names the first feature whose values
+    are bad, and its message, or gives None; ``sizes`` holds each feature's
+    vertex count. A LineString's vertices must pass :func:`line_problem`.
 
     The file is read in two phases. The first assumes a valid file: it
     reads it a column at a time, with no JSON tree for the coordinates
-    (:func:`_layer_at_once`), then asks
-    ``flag`` whether any feature is marked. At the first irregularity or
-    mark it gives up, and the file is read again one feature at a time
+    (:func:`_layer_at_once`), then asks :func:`line_problem` and ``rule``
+    about all features at once. At the first irregularity or problem it
+    gives up, and the file is read again one feature at a time
     (:func:`_layer_by_feature`), which alone names an error: the first
     that reading the features in file order meets. Malformed input is a
-    FormatError (exit 2); invalid geometry or a value ``check`` rejects is
-    a ValidationError (exit 1). Both name the file and the feature.
+    FormatError (exit 2); invalid geometry or a value ``rule`` names is a
+    ValidationError (exit 1). Both name the file and the feature.
     """
     path = Path(path)
     types = (gtype,)
     try:
-        values, (sizes,), xs, ys = _layer_at_once(
+        values, sizes, xs, ys = _layer_at_once(
             path, origin_lon, origin_lat, types, properties, None
         )
-        regular = not flag(values, xs, ys, run_offsets(sizes)).any()
+        regular = ((gtype == "Point" or line_problem(xs, ys, run_offsets(sizes[0])) is None)
+                   and rule(values, sizes, xs, ys) is None)
     except _IRREGULAR:
         regular = False
     # Read again one feature at a time, which names the error; only now that
     # the except block has exited, as its traceback kept the JSON tree alive.
     if not regular:
-        values, (sizes,), xs, ys = _layer_by_feature(
-            path, origin_lon, origin_lat, types, properties, None, check
+        values, sizes, xs, ys = _layer_by_feature(
+            path, origin_lon, origin_lat, types, properties, None, rule
         )
-    return values, xs, ys, run_offsets(sizes)
+    return values, xs, ys, run_offsets(sizes[0])
 
 
 def read_polygon_layer(
@@ -1072,41 +1084,39 @@ def read_polygon_layer(
     origin_lon: float,
     origin_lat: float,
     properties: dict[str, Callable[[Any], Any]],
-    check: Callable[[dict[str, Any], int], None],
-    flag: Callable[[dict[str, Any], np.ndarray], np.ndarray],
+    rule: Callable[..., tuple[int, str] | None],
     unique: str | None = None,
 ) -> tuple[dict[str, Any], PolygonLayer]:
     """Each property's values in feature order, and the features' shapes as one layer.
 
-    Features are Polygons or MultiPolygons; ``check(values, n_parts)``
-    validates each one's values, as :func:`check_block` does, and
-    ``unique`` names one that must not repeat. ``flag(values, n_parts)``
-    marks, a column at a time, every feature that ``check`` could reject.
+    Features are Polygons or MultiPolygons; ``unique`` names a property
+    that must not repeat, and ``rule(values, sizes, xs, ys)`` names the
+    first feature whose values are bad, and its message, or gives None;
+    ``sizes[0]`` holds each feature's polygon count.
 
     The file is read in :func:`read_vertex_layer`'s two phases. The first
     converts, projects and checks every position at once
-    (:func:`ring_problem`), and asks ``flag`` whether any feature is
-    marked. Only the second, feature by feature, names an error: the first
-    that reading the features in file order, and checking each polygon's
-    rings once they are projected, meets, with :func:`read_vertex_layer`'s
-    exit codes; a repeated value exits 1.
+    (:func:`ring_problem`), and asks ``rule`` about all features. Only the
+    second, feature by feature, names an error: the first that reading the
+    features in file order, and checking each polygon's rings once they
+    are projected, meets, with :func:`read_vertex_layer`'s exit codes; a
+    repeated value exits 1.
     """
     path = Path(path)
     try:
         values, sizes, x, y = _layer_at_once(
             path, origin_lon, origin_lat, _POLYGONAL, properties, unique
         )
-        n_parts, n_rings, n_positions = sizes
-        regular = (n_rings.all() and not flag(values, n_parts).any()
-                   and ring_problem(x, y, run_offsets(n_positions)) is None)
+        _, n_rings, n_positions = sizes
+        regular = (n_rings.all() and ring_problem(x, y, run_offsets(n_positions)) is None
+                   and rule(values, sizes, x, y) is None)
     except _IRREGULAR:
         regular = False
     # Read again one feature at a time, which names the error; only now that
     # the except block has exited, as its traceback kept the JSON tree alive.
     if not regular:
         values, sizes, x, y = _layer_by_feature(
-            path, origin_lon, origin_lat, _POLYGONAL, properties, unique,
-            lambda v, parts: check(v, len(parts)),
+            path, origin_lon, origin_lat, _POLYGONAL, properties, unique, rule
         )
     feature_offsets, polygon_offsets, ring_offsets = map(run_offsets, sizes)
     return values, PolygonLayer(*close_rings(x, y, ring_offsets), polygon_offsets, feature_offsets)
@@ -1116,8 +1126,10 @@ def read_blocks(path: str | Path, origin_lon: float, origin_lat: float) -> Block
     values, parts = read_polygon_layer(
         path, origin_lon, origin_lat,
         {"block_id": _text, "pop": _number, "tract_id": _text},
-        lambda v, n_parts: check_block(v["block_id"], n_parts, v["pop"]),
-        lambda v, n_parts: (n_parts == 0) | ~(np.asarray(v["pop"], dtype=np.float64) >= 0),
+        lambda v, sizes, xs, ys: first_problem([
+            (sizes[0] == 0, "block {block_id} has no boundary parts"),
+            (~(np.asarray(v["pop"], np.float64) >= 0), "block {block_id} has negative pop {pop}"),
+        ], **v),
         unique="block_id",
     )
     pop = np.array(values["pop"], dtype=np.float64)
@@ -1129,23 +1141,13 @@ def _empty(texts: list[str]) -> np.ndarray:
     return np.fromiter(map(operator.not_, texts), bool, len(texts))
 
 
-def _line_flags(values: dict[str, Any], xs: np.ndarray, ys: np.ndarray,
-                offsets: np.ndarray) -> np.ndarray:
-    """The roads that :func:`check_line` or :func:`check_road` could reject."""
-    sizes = np.diff(offsets)
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    bad = (sizes < 2) | _empty(values["class"])
-    bad[owner[~(np.isfinite(xs) & np.isfinite(ys))]] = True
-    repeated = (xs[1:] == xs[:-1]) & (ys[1:] == ys[:-1]) & (owner[1:] == owner[:-1])
-    bad[owner[1:][repeated]] = True
-    return bad
-
-
 def read_roads(path: str | Path, origin_lon: float, origin_lat: float) -> Roads:
     """Each road's vertices and class, as a :class:`Roads` table."""
     values, xs, ys, offsets = read_vertex_layer(
         path, origin_lon, origin_lat, "LineString", {"class": _text},
-        lambda v, vertices: check_road(v["class"]), _line_flags,
+        lambda v, sizes, xs, ys: first_problem([
+            (_empty(v["class"]), "road feature needs a class"),
+        ], **v),
     )
     return Roads(xs, ys, offsets, *category_codes(values["class"]))
 
@@ -1154,8 +1156,9 @@ def read_buildings(path: str | Path, origin_lon: float, origin_lat: float) -> Po
     """Each building's footprints, as feature k of one layer; ids are checked."""
     return read_polygon_layer(
         path, origin_lon, origin_lat, {"id": _text},
-        lambda v, n_parts: check_building(v["id"], n_parts),
-        lambda v, n_parts: n_parts == 0,
+        lambda v, sizes, xs, ys: first_problem([
+            (sizes[0] == 0, "building {id} has no footprint"),
+        ], **v),
     )[1]
 
 
@@ -1163,10 +1166,10 @@ def read_pois(path: str | Path, origin_lon: float, origin_lat: float) -> Pois:
     """Each POI's location and category, as a :class:`Pois` table."""
     values, xs, ys, offsets = read_vertex_layer(
         path, origin_lon, origin_lat, "Point", {"category": _text},
-        lambda v, vertices: check_poi(*vertices[0], v["category"]),
-        lambda v, xs, ys, offsets: (
-            ~(np.isfinite(xs) & np.isfinite(ys)) | _empty(v["category"])
-        ),
+        lambda v, sizes, xs, ys: first_problem([
+            (~(np.isfinite(xs) & np.isfinite(ys)), "poi has non-finite coordinates"),
+            (_empty(v["category"]), "poi feature needs a category"),
+        ], **v),
     )
     return Pois(xs, ys, *category_codes(values["category"]))
 
@@ -1175,8 +1178,10 @@ def read_districts(path: str | Path, origin_lon: float, origin_lat: float) -> Di
     """Official perimeter file: one polygonal feature per district with a name."""
     values, parts = read_polygon_layer(
         path, origin_lon, origin_lat, {"name": _text},
-        lambda v, n_parts: check_district(v["name"], n_parts),
-        lambda v, n_parts: (n_parts == 0) | _empty(v["name"]),
+        lambda v, sizes, xs, ys: first_problem([
+            (_empty(v["name"]), "district needs a name"),
+            (sizes[0] == 0, "district {name} has no perimeter"),
+        ], **v),
         unique="name",
     )
     return Districts(values["name"], parts)

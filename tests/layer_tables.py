@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from fireimpact.dasymetric import Blocks
-from fireimpact.errors import GeometryError
+from fireimpact.errors import GeometryError, ValidationError
 from fireimpact.geometry import (
     Point,
     PolygonLayer,
@@ -26,7 +26,7 @@ from fireimpact.geometry import (
     run_offsets,
 )
 from fireimpact.grid import AnalysisGrid, Mask
-from fireimpact.impact import Districts, Pois, Roads, category_codes, check_district
+from fireimpact.impact import Districts, Pois, Roads, category_codes
 from fireimpact.perimeters import CONFIDENCE_CODES, Detection, Detections
 
 
@@ -87,7 +87,10 @@ class District:
     perimeter: list[Polygon]
 
     def __post_init__(self) -> None:
-        check_district(self.name, len(self.perimeter))
+        if not self.name:
+            raise ValidationError("district needs a name")
+        if not self.perimeter:
+            raise ValidationError(f"district {self.name} has no perimeter")
 
 
 def _ring_area_signed(ring: list[Point]) -> float:

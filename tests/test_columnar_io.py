@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fireimpact import io_formats
-from fireimpact.dasymetric import Blocks, check_block
+from fireimpact.dasymetric import Blocks
 from fireimpact.errors import FormatError, GeometryError, SchemaError, ValidationError
 from fireimpact.geometry import (
     Point,
@@ -32,7 +32,7 @@ from fireimpact.geometry import (
     unproject_to_lonlat,
 )
 from fireimpact.grid import AnalysisGrid, CategoryRaster, Mask, RealRaster
-from fireimpact.impact import Districts, Pois, Roads, check_building
+from fireimpact.impact import Districts, Pois, Roads
 from fireimpact.io_formats import (
     _ASC_HEADER,
     _finite,
@@ -163,7 +163,10 @@ class CensusBlock:
     tract_id: str
 
     def __post_init__(self) -> None:
-        check_block(self.block_id, len(self.parts), self.pop)
+        if not self.parts:
+            raise ValidationError(f"block {self.block_id} has no boundary parts")
+        if not (self.pop >= 0):
+            raise ValidationError(f"block {self.block_id} has negative pop {self.pop}")
 
 
 @dataclass(frozen=True)
@@ -200,7 +203,8 @@ class BuildingFeature:
     building_id: str
 
     def __post_init__(self) -> None:
-        check_building(self.building_id, len(self.footprints))
+        if not self.footprints:
+            raise ValidationError(f"building {self.building_id} has no footprint")
 
     def area(self) -> float:
         return math.fsum(polygon_area(p) for p in self.footprints)
@@ -751,23 +755,59 @@ class TestReadPolygonLayerMatchesReference:
             assert a.tobytes() == b.tobytes()
 
     def test_first_bad_feature_in_file_order_is_named(self, tmp_path):
-        # Feature 1's ring is degenerate (exit 1) and feature 3's pop is text
-        # (exit 2): the ring, read first, is the error, as the reference says.
+        # Across features the first bad one in file order is the error; within
+        # one, its type, properties, repeated value and geometry come before
+        # its values. The reader, its per-feature phase and the reference agree.
         square = [[[0, 0], [1, 0], [1, 1], [0, 1]]]
-        features = [
-            {"type": "Feature", "geometry": {"type": "Polygon", "coordinates": coords},
-             "properties": {"block_id": f"b{i}", "pop": pop, "tract_id": "t"}}
-            for i, (coords, pop) in enumerate([
-                (square, 1), ([[[0, 0], [1, 0], [0, 0]]], 2), (square, 3), (square, "abc"),
-            ])
+        degenerate = [[[0, 0], [1, 0], [0, 0]]]
+
+        def feature(gtype, coordinates, **properties):
+            return {"type": "Feature", "geometry": {"type": gtype, "coordinates": coordinates},
+                    "properties": properties}
+
+        def block(block_id, pop, coordinates=square, gtype="Polygon"):
+            return feature(gtype, coordinates, block_id=block_id, pop=pop, tract_id="t")
+
+        cases = [
+            # Feature 1's ring is degenerate (exit 1) and feature 3's pop is text (exit 2).
+            ("blocks", [block("b0", 1), block("b1", 2, degenerate), block("b2", 3),
+                        block("b3", "abc")],
+             GeometryError, "feature 1: ring needs >= 3 distinct vertices, got 2"),
+            # Polygon 0 has a 2-vertex ring and polygon 1 a malformed position.
+            ("blocks", [block("b0", 1, [[[[0, 0], [1, 0]]], [[[0, 0], "x", [1, 1]]]],
+                              "MultiPolygon")],
+             GeometryError, "feature 0: ring needs >= 3 distinct vertices, got 2"),
+            ("blocks", [block("b0", 1), block("b1", -1), block("b0", 3)],
+             ValidationError, "feature 1: block b1 has negative pop -1.0"),
+            ("blocks", [block("b0", 1), block("b0", -1)],
+             ValidationError, "feature 1: duplicate block_id 'b0'"),
+            ("districts", [feature("Polygon", square, name=""),
+                           feature("LineString", [[0, 0], [1, 1]], name="d1")],
+             ValidationError, "feature 0: district needs a name"),
+            ("districts", [feature("MultiPolygon", [], name="d0"),
+                           feature("Polygon", degenerate, name="d1")],
+             ValidationError, "feature 0: district d0 has no perimeter"),
+            ("roads", [feature("LineString", [[0, 0], [1, 1], [1, 1]], **{"class": ""})],
+             GeometryError, "feature 0: polyline has repeated consecutive vertices"),
+            ("pois", [feature("Point", [1e308, 0], category="")],
+             ValidationError, "feature 0: poi has non-finite coordinates"),
+            ("roads", [feature("LineString", [[0, 0], [1, 1]], **{"class": ""}),
+                       feature("LineString", [[0, 0], "x"], **{"class": "primary"})],
+             ValidationError, "feature 0: road feature needs a class"),
+            ("pois", [feature("Point", [0, 0], category=""),
+                      feature("LineString", [[0, 0], [1, 1]], category="school")],
+             ValidationError, "feature 0: poi feature needs a category"),
         ]
-        path = tmp_path / "b.geojson"
-        path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
-        got = layer_outcome("blocks", read_blocks, path)
-        assert got == layer_outcome("blocks", reference_read_blocks, path)
-        assert got == (
-            GeometryError, f"{path}: feature 1: ring needs >= 3 distinct vertices, got 2"
-        )
+        for k, (kind, features, error, message) in enumerate(cases):
+            path = tmp_path / f"{k}.geojson"
+            path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+            read, reference = READERS[kind]
+            outcome = layer_outcome if kind in LAYER_READERS else vertex_outcome
+            got = outcome(kind, read, path)
+            with by_feature():
+                assert outcome(kind, read, path) == got, k
+            assert outcome(kind, reference, path) == got, k
+            assert got == (error, f"{path}: {message}"), k
 
     def test_synthetic_layers(self, tmp_path):
         generate(ScenarioSpec(seed=7), tmp_path)
@@ -1083,6 +1123,15 @@ def test_irregular_coordinates_read_as_by_feature(tmp_path, kind, case, coordina
         want = outcome(kind, read, path)
     assert want[0] is FormatError, want
     assert outcome(kind, read, path) == want
+
+
+def test_value_that_ends_inside_an_array_is_irregular():
+    # "[[]", "[]]" and "[]]": the brackets balance over the three values and
+    # each token may follow the one before, but the first value ends one level
+    # deep. Only the check that each value closes at its end rejects them; a
+    # layer reader rejects such a file later either way.
+    with pytest.raises(ValueError):
+        io_formats._positions(b"[[][]][]]", np.array([3, 3, 3]), np.full(3, 3, np.int32), 2)
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
