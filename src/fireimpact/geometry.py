@@ -394,49 +394,58 @@ def _ramp(lengths: np.ndarray) -> np.ndarray:
     return np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
-def rasterize_polyline(
-    xs: np.ndarray, ys: np.ndarray, grid: AnalysisGrid
-) -> dict[tuple[int, int], float]:
-    """Distribute the length (meters) of the polyline through the vertices
-    ``xs, ys`` over the grid cells it crosses.
+def polyline_pieces(
+    xs: np.ndarray, ys: np.ndarray, offsets: np.ndarray, grid: AnalysisGrid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The length (meters) of each line in each grid cell it crosses.
 
-    Each segment is cut at grid lines; each piece's length accrues to the
-    cell containing its midpoint (half-open rule). Pieces outside the
-    grid are dropped, so values sum to the in-grid length.
+    Line k runs through the vertices ``xs, ys[offsets[k]:offsets[k + 1]]``.
+    Each segment is cut where it crosses a grid line (Amanatides and Woo's
+    traversal, for all segments at once); each piece's length, ``math.dist``
+    of the segment times its share of the segment, accrues to the cell of
+    its midpoint by :meth:`AnalysisGrid.flat_cells_of`, and pieces off the
+    grid are dropped. Returns (line, flat cell, length), one entry per line
+    and cell it crosses, ascending, the length the sum of that cell's
+    pieces added left to right in (segment, cut) order.
     """
-    out: dict[tuple[int, int], float] = {}
-    vertices = list(map(Point, xs.tolist(), ys.tolist()))
-    for a, b in zip(vertices, vertices[1:]):
-        seg_len = math.dist(a, b)
-        ts = [0.0, 1.0]
-        _axis_cuts(a.x, b.x, grid.origin_x, grid.cell_size, grid.n_cols, ts)
-        _axis_cuts(a.y, b.y, grid.origin_y, grid.cell_size, grid.n_rows, ts)
-        ts.sort()
-        for t0, t1 in zip(ts, ts[1:]):
-            if t1 <= t0:
-                continue
-            tm = 0.5 * (t0 + t1)
-            cell = grid.cell_of(a.x + tm * (b.x - a.x), a.y + tm * (b.y - a.y))
-            if cell is None:
-                continue
-            out[cell] = out.get(cell, 0.0) + seg_len * (t1 - t0)
-    return out
-
-
-def _axis_cuts(
-    c0: float, c1: float, origin: float, step: float, n: int, ts: list[float]
-) -> None:
-    """Append parameters in (0, 1) where the segment crosses grid lines."""
-    lo, hi = min(c0, c1), max(c0, c1)
-    k_min = max(0, math.ceil((lo - origin) / step))
-    k_max = min(n, math.floor((hi - origin) / step))
-    d = c1 - c0
-    if d == 0.0:
-        return
-    for k in range(k_min, k_max + 1):
-        t = (origin + k * step - c0) / d
-        if 0.0 < t < 1.0:
-            ts.append(t)
+    line_of = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    a = np.flatnonzero(line_of[:-1] == line_of[1:])
+    x0, y0, x1, y1 = xs[a], ys[a], xs[a + 1], ys[a + 1]
+    seg_len = np.fromiter(
+        map(math.dist, zip(x0.tolist(), y0.tolist()), zip(x1.tolist(), y1.tolist())),
+        dtype=np.float64, count=len(a),
+    )
+    every = np.arange(len(a))
+    segs, ts = [every, every], [np.zeros(len(a)), np.ones(len(a))]
+    for c0, c1, origin, n in ((x0, x1, grid.origin_x, grid.n_cols),
+                              (y0, y1, grid.origin_y, grid.n_rows)):
+        # The grid lines k = 0..n between the ends, clamped in float so
+        # that a far-off segment casts no huge index to int.
+        k_lo = np.clip(np.ceil((np.minimum(c0, c1) - origin) / grid.cell_size), 0, n + 1)
+        k_hi = np.clip(np.floor((np.maximum(c0, c1) - origin) / grid.cell_size), -1, n)
+        d = c1 - c0
+        count = np.where(d == 0.0, 0, np.maximum(k_hi - k_lo + 1, 0)).astype(np.int64)
+        s = np.repeat(every, count)
+        k = k_lo.astype(np.int64)[s] + _ramp(count)
+        t = (origin + k * grid.cell_size - c0[s]) / d[s]
+        cut = (0.0 < t) & (t < 1.0)
+        segs.append(s[cut])
+        ts.append(t[cut])
+    seg, t = np.concatenate(segs), np.concatenate(ts)
+    order = np.lexsort((t, seg))
+    seg, t = seg[order], t[order]
+    # Each segment's cuts run 0 .. 1, so consecutive entries of one
+    # segment with distinct t bound a piece and no other pair does.
+    piece = np.flatnonzero(t[1:] > t[:-1])
+    s, t0, t1 = seg[piece], t[piece], t[piece + 1]
+    tm = 0.5 * (t0 + t1)
+    cell = grid.flat_cells_of(x0[s] + tm * (x1 - x0)[s], y0[s] + tm * (y1 - y0)[s])
+    on = cell >= 0
+    line, cell, length = line_of[a[s[on]]], cell[on], (seg_len[s] * (t1 - t0))[on]
+    order = np.lexsort((cell, line))
+    line, cell, length = line[order], cell[order], length[order]
+    starts = np.flatnonzero((np.diff(line, prepend=-1) != 0) | (np.diff(cell, prepend=-1) != 0))
+    return line[starts], cell[starts], segment_sums(length, starts, sequential=True)
 
 
 # Boundary edge directions on the corner lattice, as (di, dj) with i
@@ -453,7 +462,7 @@ class RingArrays(NamedTuple):
     """Traced polygons as flat arrays, in the GeoArrow polygon layout.
 
     ``corners`` holds corner ids ``i * (n_cols + 1) + j`` (see
-    :meth:`AnalysisGrid.corner_x` and :meth:`AnalysisGrid.corner_y`).
+    :meth:`AnalysisGrid.corner_xs` and :meth:`AnalysisGrid.corner_ys`).
     Ring r is ``corners[ring_offsets[r]:ring_offsets[r + 1]]``, closed:
     its first corner is repeated last. Polygon p is the rings
     ``polygon_offsets[p]:polygon_offsets[p + 1]``, exterior first.

@@ -10,7 +10,6 @@ cell boundary belongs to the cell to its east / north of it exactly once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,21 +72,12 @@ class AnalysisGrid:
         rows = np.arange(self.n_rows)
         return self.origin_y + (self.n_rows - rows - 0.5) * self.cell_size
 
-    def cell_of(self, x: float, y: float) -> tuple[int, int] | None:
-        """Return (row, col) of the cell containing (x, y), or None outside.
+    def flat_cells_of(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The cell of each point (x, y) as a flat cell id (row * n_cols + col), -1 outside.
 
         Half-open in both axes: a point on the shared boundary of two
         cells belongs to the cell with the larger x (resp. larger y).
         """
-        col = math.floor((x - self.origin_x) / self.cell_size)
-        band = math.floor((y - self.origin_y) / self.cell_size)
-        row = self.n_rows - 1 - band
-        if 0 <= row < self.n_rows and 0 <= col < self.n_cols:
-            return (row, col)
-        return None
-
-    def flat_cells_of(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """:meth:`cell_of` of each point as a flat cell id (row * n_cols + col), -1 outside."""
         col = np.floor((xs - self.origin_x) / self.cell_size)
         band = np.floor((ys - self.origin_y) / self.cell_size)
         inside = (0 <= col) & (col < self.n_cols) & (0 <= band) & (band < self.n_rows)
@@ -96,20 +86,12 @@ class AnalysisGrid:
         cells[inside] = row * self.n_cols + col[inside].astype(np.int64)
         return cells
 
-    def corner_x(self, j: int) -> float:
-        """x coordinate of the vertical grid line with corner index j."""
-        return self.origin_x + j * self.cell_size
-
-    def corner_y(self, i: int) -> float:
-        """y coordinate of the horizontal grid line with corner index i (0 = north edge)."""
-        return self.origin_y + (self.n_rows - i) * self.cell_size
-
     def corner_xs(self) -> np.ndarray:
-        """:meth:`corner_x` of every corner index j = 0 .. n_cols."""
+        """x of every vertical grid line, by corner index j = 0 .. n_cols (west to east)."""
         return self.origin_x + np.arange(self.n_cols + 1) * self.cell_size
 
     def corner_ys(self) -> np.ndarray:
-        """:meth:`corner_y` of every corner index i = 0 .. n_rows."""
+        """y of every horizontal grid line, by corner index i = 0 .. n_rows (0 = north edge)."""
         return self.origin_y + (self.n_rows - np.arange(self.n_rows + 1)) * self.cell_size
 
 

@@ -22,8 +22,8 @@ import numpy as np
 from .errors import MissingTractError, UnpricedClassError, ValidationError
 from .geometry import (
     PolygonLayer,
+    polyline_pieces,
     ragged_cell_indices,
-    rasterize_polyline,
     run_offsets,
     segment_sums,
 )
@@ -251,13 +251,14 @@ class Pois:
 
 @dataclass(frozen=True)
 class RoadIndex:
-    """The pieces of road that a burn can charge, from one rasterization of each road.
+    """The pieces of road that a burn can charge, from one rasterization of every road.
 
     Built once per run. Piece j is road length ``lengths[j]`` in flat cell
-    ``cells[j]``, as :func:`rasterize_polyline` gives it for one road and
-    cell, of class ``classes[codes[j]]``, charged ``cents[j]``. If a road's
-    class has no cost, ``unpriced`` names the first such road's class and
-    the index holds no pieces.
+    ``cells[j]``, as :func:`polyline_pieces` gives it for one road and
+    cell, of class ``classes[codes[j]]``, charged ``cents[j]``; pieces
+    come in (road, cell) order. If a road's class has no cost,
+    ``unpriced`` names the first such road's class and the index holds no
+    pieces.
     """
 
     cells: np.ndarray
@@ -276,20 +277,11 @@ class RoadIndex:
         if unpriced.size:
             name = roads.classes[roads.codes[unpriced[0]]]
             return cls(none, np.zeros(0), none, none, roads.classes, name)
-        cells: list[int] = []
-        lengths: list[float] = []
-        counts: list[int] = []
-        bounds = roads.offsets.tolist()
-        for a, b in zip(bounds, bounds[1:]):
-            pieces = rasterize_polyline(roads.xs[a:b], roads.ys[a:b], grid)
-            cells.extend(r * grid.n_cols + c for r, c in pieces)
-            lengths.extend(pieces.values())
-            counts.append(len(pieces))
-        codes = np.repeat(roads.codes, counts)
-        length = np.array(lengths, dtype=np.float64)
+        line, cells, length = polyline_pieces(roads.xs, roads.ys, roads.offsets, grid)
+        codes = roads.codes[line]
         rates = np.array([costs.road_cost[c] for c in roads.classes], dtype=np.float64)
         cents = to_cents(length * rates[codes])
-        return cls(np.array(cells, dtype=np.int64), length, codes, cents, roads.classes)
+        return cls(cells, length, codes, cents, roads.classes)
 
 
 @dataclass(frozen=True)
@@ -297,8 +289,8 @@ class PoiIndex:
     """The cell and category of every POI on the grid.
 
     Built once per run. POI j of the index lies in flat cell ``cells[j]``,
-    by :meth:`AnalysisGrid.cell_of`'s half-open rule, and has category
-    ``categories[codes[j]]``; POIs on no cell are left out.
+    by :meth:`AnalysisGrid.flat_cells_of`'s half-open rule, and has
+    category ``categories[codes[j]]``; POIs on no cell are left out.
     """
 
     cells: np.ndarray

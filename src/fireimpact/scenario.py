@@ -212,11 +212,7 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> tuple[FileManifest, Gro
     # south of the grid: the center rows run on to the last road row.
     road_offsets = 4 + 9 * np.arange(len(ROAD_CLASSES))
     last_row = max(d.row0 for d in spec.districts) + int(road_offsets[-1])
-    corner_lon, corner_lat = lonlat_texts(
-        np.array([grid.corner_x(j) for j in range(spec.n_cols + 1)]),
-        np.array([grid.corner_y(i) for i in range(spec.n_rows + 1)]),
-        lon0, lat0,
-    )
+    corner_lon, corner_lat = lonlat_texts(grid.corner_xs(), grid.corner_ys(), lon0, lat0)
     center_xs = np.array([grid.center_x(c) for c in range(spec.n_cols)])
     center_ys = np.array([grid.center_y(r) for r in range(max(spec.n_rows, last_row + 1))])
     center_lon, center_lat = lonlat_texts(center_xs, center_ys, lon0, lat0)

@@ -22,7 +22,6 @@ from fireimpact.geometry import (
     Point,
     PolygonLayer,
     ragged_cell_indices,
-    rasterize_polyline,
     run_offsets,
 )
 from fireimpact.grid import AnalysisGrid, Mask
@@ -190,9 +189,35 @@ def features_cell_indices(
 
 
 def line_cells(line: PolyLine, grid: AnalysisGrid) -> dict[tuple[int, int], float]:
-    """:func:`rasterize_polyline` of a PolyLine."""
-    xs, ys = (np.array(c, dtype=np.float64) for c in zip(*line.vertices))
-    return rasterize_polyline(xs, ys, grid)
+    """The length of ``line`` in each (row, col) it crosses, one segment and
+    one piece at a time: each segment is cut where it crosses a grid line,
+    and each piece's length goes to the cell of its midpoint (half-open
+    rule). Pieces off the grid are dropped."""
+    out: dict[tuple[int, int], float] = {}
+    size = grid.cell_size
+    for a, b in zip(line.vertices, line.vertices[1:]):
+        seg_len = math.dist(a, b)
+        ts = [0.0, 1.0]
+        for c0, c1, origin, n in ((a.x, b.x, grid.origin_x, grid.n_cols),
+                                  (a.y, b.y, grid.origin_y, grid.n_rows)):
+            if c1 == c0:
+                continue
+            k_min = max(0, math.ceil((min(c0, c1) - origin) / size))
+            k_max = min(n, math.floor((max(c0, c1) - origin) / size))
+            for k in range(k_min, k_max + 1):
+                t = (origin + k * size - c0) / (c1 - c0)
+                if 0.0 < t < 1.0:
+                    ts.append(t)
+        ts.sort()
+        for t0, t1 in zip(ts, ts[1:]):
+            if t1 <= t0:
+                continue
+            tm = 0.5 * (t0 + t1)
+            col = math.floor((a.x + tm * (b.x - a.x) - grid.origin_x) / size)
+            row = grid.n_rows - 1 - math.floor((a.y + tm * (b.y - a.y) - grid.origin_y) / size)
+            if 0 <= row < grid.n_rows and 0 <= col < grid.n_cols:
+                out[row, col] = out.get((row, col), 0.0) + seg_len * (t1 - t0)
+    return out
 
 
 class Block(NamedTuple):

@@ -78,8 +78,10 @@ def reference_generate(spec: ScenarioSpec, out_dir: str | Path) -> tuple[FileMan
     def cell_center_lonlat(r: int, c: int) -> tuple[float, float]:
         return unproject_to_lonlat(Point(grid.center_x(c), grid.center_y(r)), lon0, lat0)
 
+    corner_xs, corner_ys = grid.corner_xs().tolist(), grid.corner_ys().tolist()
+
     def corner_lonlat(i: int, j: int) -> list[float]:
-        return list(unproject_to_lonlat(Point(grid.corner_x(j), grid.corner_y(i)), lon0, lat0))
+        return list(unproject_to_lonlat(Point(corner_xs[j], corner_ys[i]), lon0, lat0))
 
     def cell_rect_coords(r0: int, r1: int, c0: int, c1: int) -> list[list[list[float]]]:
         # Polygon coordinates: one closed lon/lat ring around rows r0..r1, cols c0..c1.

@@ -69,8 +69,8 @@ def ok(n: int, text: str) -> None:
 
 
 def cell_rect(g, r0, r1, c0, c1):
-    x0, x1 = g.corner_x(c0), g.corner_x(c1 + 1)
-    y0, y1 = g.corner_y(r1 + 1), g.corner_y(r0)
+    x0, x1 = g.corner_xs()[[c0, c1 + 1]].tolist()
+    y0, y1 = g.corner_ys()[[r1 + 1, r0]].tolist()
     return Polygon([Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)])
 
 

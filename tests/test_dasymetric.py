@@ -29,10 +29,8 @@ def grid(n, cell=20.0):
 
 def cell_rect(grid_, r0, r1, c0, c1):
     """Rectangle exactly covering cell rows r0..r1 and cols c0..c1 (inclusive)."""
-    x0 = grid_.corner_x(c0)
-    x1 = grid_.corner_x(c1 + 1)
-    y_top = grid_.corner_y(r0)
-    y_bot = grid_.corner_y(r1 + 1)
+    x0, x1 = grid_.corner_xs()[[c0, c1 + 1]].tolist()
+    y_top, y_bot = grid_.corner_ys()[[r0, r1 + 1]].tolist()
     return Polygon([Point(x0, y_bot), Point(x1, y_bot), Point(x1, y_top), Point(x0, y_top)])
 
 

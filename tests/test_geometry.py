@@ -17,6 +17,7 @@ from fireimpact.geometry import (
     _corner_xy,
     _ramp,
     points_in_polygon,
+    polyline_pieces,
     project_lonlat,
     ragged_cell_indices,
     run_offsets,
@@ -470,11 +471,54 @@ class TestPolygonLayer:
         assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
 
 
+def pieces(line, g):
+    """:func:`polyline_pieces` of one PolyLine, as {(row, col): length}."""
+    xs, ys = (np.array(c, dtype=np.float64) for c in zip(*line.vertices))
+    _, cells, lengths = polyline_pieces(xs, ys, np.array([0, len(xs)]), g)
+    return {divmod(c, g.n_cols): v for c, v in zip(cells.tolist(), lengths.tolist())}
+
+
+def axis_coordinate(origin, size, n):
+    """A coordinate along one grid axis: on a grid line, on a cell centre,
+    or anywhere from two cells before the grid to two past it."""
+    return st.one_of(
+        st.integers(-2, n + 2).map(lambda k: origin + k * size),
+        st.integers(-2, n + 1).map(lambda k: origin + (k + 0.5) * size),
+        st.floats(origin - 2 * size, origin + (n + 2) * size),
+    )
+
+
+@st.composite
+def lines_and_grid(draw):
+    """A grid and 1-30 lines of 2-8 vertices each; some lines moved wholly
+    east of the grid, some with one coordinate 1e300 m off. Consecutive
+    repeated vertices are dropped."""
+    g = AnalysisGrid(
+        draw(st.floats(-100, 100)), draw(st.floats(-100, 100)),
+        draw(st.sampled_from([1.0, 20.0, 0.3])), draw(st.integers(1, 12)), draw(st.integers(1, 12)),
+    )
+    vertices = st.lists(st.tuples(
+        axis_coordinate(g.origin_x, g.cell_size, g.n_cols),
+        axis_coordinate(g.origin_y, g.cell_size, g.n_rows),
+    ), min_size=2, max_size=8)
+    lines = []
+    for _ in range(draw(st.integers(1, 30))):
+        shift = draw(st.sampled_from([0.0, 0.0, 0.0, (g.n_cols + 3) * g.cell_size]))
+        pts = [[x + shift, y] for x, y in draw(vertices)]
+        far = draw(st.sampled_from([0.0] * 6 + [-1e300, 1e300]))
+        if far:
+            pts[draw(st.integers(0, len(pts) - 1))][draw(st.integers(0, 1))] = far
+        pts = [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
+        if len(pts) >= 2:
+            lines.append(PolyLine([Point(*p) for p in pts]))
+    return g, lines
+
+
 class TestRasterizePolyline:
     def test_horizontal_segment_across_three_cells(self):
         g = AnalysisGrid(0, 0, 20, 3, 3)
         line = PolyLine([Point(0, 30), Point(60, 30)])
-        lengths = line_cells(line, g)
+        lengths = pieces(line, g)
         assert lengths == {
             (1, 0): pytest.approx(20.0),
             (1, 1): pytest.approx(20.0),
@@ -484,13 +528,13 @@ class TestRasterizePolyline:
     def test_segment_within_one_cell(self):
         g = AnalysisGrid(0, 0, 20, 3, 3)
         line = PolyLine([Point(2, 2), Point(9, 2)])
-        lengths = line_cells(line, g)
+        lengths = pieces(line, g)
         assert lengths == {(2, 0): pytest.approx(7.0)}
 
     def test_diagonal_segment_analytic(self):
         g = AnalysisGrid(0, 0, 20, 2, 2)
         line = PolyLine([Point(0, 0), Point(40, 40)])
-        lengths = line_cells(line, g)
+        lengths = pieces(line, g)
         # Diagonal through cells (1,0) and (0,1): sqrt(2)*20 each.
         assert lengths[(1, 0)] == pytest.approx(20 * math.sqrt(2), rel=1e-12)
         assert lengths[(0, 1)] == pytest.approx(20 * math.sqrt(2), rel=1e-12)
@@ -506,14 +550,29 @@ class TestRasterizePolyline:
         if len(pts) < 2:
             return
         line = PolyLine(pts)
-        total = sum(line_cells(line, g).values())
+        total = sum(pieces(line, g).values())
         assert total == pytest.approx(line.length(), rel=1e-9)
 
     def test_length_split_out_of_grid(self):
         g = AnalysisGrid(0, 0, 20, 2, 2)
         line = PolyLine([Point(-20, 10), Point(20, 10)])
-        lengths = line_cells(line, g)
+        lengths = pieces(line, g)
         assert sum(lengths.values()) == pytest.approx(20.0, rel=1e-12)
+
+    @given(lines_and_grid())
+    @settings(max_examples=150, deadline=None)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_matches_the_scalar_loop(self, case):
+        g, lines = case
+        want = [
+            (k, r * g.n_cols + c, v.hex())
+            for k, line in enumerate(lines)
+            for (r, c), v in sorted(line_cells(line, g).items())
+        ]
+        xy = np.array([p for line in lines for p in line.vertices], dtype=np.float64).reshape(-1, 2)
+        offsets = run_offsets([len(line.vertices) for line in lines])
+        line, cell, length = polyline_pieces(xy[:, 0].copy(), xy[:, 1].copy(), offsets, g)
+        assert list(zip(line.tolist(), cell.tolist(), map(float.hex, length.tolist()))) == want
 
 
 class TestTraceMaskBoundary:
@@ -717,7 +776,8 @@ def _corners_to_ring(loop: list[tuple[int, int]], grid: AnalysisGrid) -> list[Po
         nxt = loop[(idx + 1) % n]
         if (cur[0] - prv[0], cur[1] - prv[1]) != (nxt[0] - cur[0], nxt[1] - cur[1]):
             kept.append(cur)
-    return [Point(grid.corner_x(j), grid.corner_y(i)) for i, j in kept]
+    xs, ys = grid.corner_xs().tolist(), grid.corner_ys().tolist()
+    return [Point(xs[j], ys[i]) for i, j in kept]
 
 
 def reference_trace_mask_boundary(m, owner_raster=False):
@@ -737,8 +797,9 @@ def reference_trace_mask_boundary(m, owner_raster=False):
 
     exteriors = []
     holes = []
+    xs, ys = grid.corner_xs().tolist(), grid.corner_ys().tolist()
     for loop in loops:
-        ring_xy = [Point(grid.corner_x(j), grid.corner_y(i)) for i, j in loop]
+        ring_xy = [Point(xs[j], ys[i]) for i, j in loop]
         area = tables._ring_area_signed(ring_xy + [ring_xy[0]])
         if area > 0:
             exteriors.append((area, loop))

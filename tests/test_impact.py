@@ -275,15 +275,10 @@ class TestBuildingLoss:
                     break
         assert got_counts == want_counts
         # No building charged twice: total equals buildings ever hit.
+        corner = np.array([b[0].exterior[0] for b in buildings]) + 5
+        cells = g.flat_cells_of(corner[:, 0], corner[:, 1]).tolist()
         ever = sum(
-            1
-            for b in buildings
-            if any(
-                nb.bits[cell]
-                for nb in new_burns
-                for cell in [g.cell_of(b[0].exterior[0].x + 5, b[0].exterior[0].y + 5)]
-                if cell is not None
-            )
+            1 for cell in cells if cell >= 0 and any(nb.bits.flat[cell] for nb in new_burns)
         )
         assert sum(got_counts) == ever
 

@@ -491,9 +491,10 @@ def reference_road_loss(new_burn, roads, costs):
 
 def reference_poi_exposure(new_burn, pois):
     out = {}
-    for poi in pois:
-        cell = new_burn.grid.cell_of(poi.location.x, poi.location.y)
-        if cell is not None and new_burn.bits[cell]:
+    xy = np.array([poi.location for poi in pois], dtype=np.float64).reshape(-1, 2)
+    cells = new_burn.grid.flat_cells_of(xy[:, 0], xy[:, 1]).tolist()
+    for poi, cell in zip(pois, cells):
+        if cell >= 0 and new_burn.bits.flat[cell]:
             out[poi.category] = out.get(poi.category, 0) + 1
     return dict(sorted(out.items()))
 
