@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import gc
 import io
 import itertools
@@ -386,11 +387,45 @@ def _csv_blocks(fh: TextIO) -> Iterator[_Rows]:
         yield _Rows(rows)
 
 
-def _floats(column: Sequence[str | None]) -> tuple[np.ndarray, np.ndarray]:
-    """``float`` of each field, and a mask of the fields it rejects (None among them)."""
+# A column's memo is dropped once it has read at least this many fields and
+# holds more than half as many texts as fields read.
+_MEMO_TRIAL = 1024
+
+
+class _Memo(dict):
+    """One column's converted value of each field text read so far in a file.
+
+    ``convert`` runs once per distinct text; a text it rejects is not kept.
+    ``lookup`` gives a field's value: through the memo, or, once most
+    fields read have been distinct, through ``convert`` itself.
+    """
+
+    lookup = dict.__getitem__  # bound on each access, so the memo holds no cycle
+
+    def __init__(self, convert: Callable[[str | None], Any]) -> None:
+        super().__init__()
+        self.convert = convert
+        self.fields = 0
+
+    def __missing__(self, field: str | None) -> Any:
+        value = self[field] = self.convert(field)
+        return value
+
+    def count(self, n: int) -> None:
+        """Count ``n`` more fields read; drop the memo if most were distinct."""
+        self.fields += n
+        if self.fields >= _MEMO_TRIAL and 2 * len(self) > self.fields:
+            self.clear()
+            self.lookup = self.convert
+
+
+def _floats(column: Sequence[str | None], lookup: Callable[[str | None], float]
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """``float`` of each field by ``lookup``, and a mask of the fields
+    ``float`` rejects (None among them)."""
     n = len(column)
     try:
-        return np.fromiter(map(float, column), np.float64, n), np.zeros(n, bool)
+        return np.fromiter(map(lookup, column), np.float64, n), np.zeros(n, bool)
     except (TypeError, ValueError):
         pass
     values, bad = np.full(n, np.nan), np.zeros(n, bool)
@@ -400,12 +435,6 @@ def _floats(column: Sequence[str | None]) -> tuple[np.ndarray, np.ndarray]:
         except (TypeError, ValueError):
             bad[k] = True
     return values, bad
-
-
-def _parsed(column: Sequence[str | None], parse: Callable[[str | None], T]) -> Iterator[T]:
-    """``parse`` of each field, called once per distinct field."""
-    memo = {field: parse(field) for field in set(column)}
-    return map(memo.__getitem__, column)
 
 
 def _ordinal(field: str | None) -> int:
@@ -427,21 +456,16 @@ def _frp(field: str | None) -> float:
     return value if 0 <= value < math.inf else -1.0
 
 
-def _frp_column(column: Sequence[str | None]) -> np.ndarray:
-    """:func:`_frp` of each field. Where most fields are distinct, as
-    measured FRP values are, one ``float`` of each if all are finite values
-    >= 0; else ``_frp`` once per distinct field, which is cheaper where
-    few are distinct."""
-    distinct = set(column)
-    if 2 * len(distinct) > len(column):
-        try:
-            values = np.fromiter(map(float, column), np.float64, len(column))
-            if ((0 <= values) & (values < math.inf)).all():
-                return values
-        except (TypeError, ValueError):
-            pass
-    memo = {field: _frp(field) for field in distinct}
-    return np.fromiter(map(memo.__getitem__, column), np.float64, len(column))
+def _frps(column: Sequence[str | None], lookup: Callable[[str | None], float]) -> np.ndarray:
+    """:func:`_frp` of each field: its ``float`` by ``lookup`` where all
+    are finite values >= 0, else ``_frp`` field by field."""
+    try:
+        values = np.fromiter(map(lookup, column), np.float64, len(column))
+        if ((0 <= values) & (values < math.inf)).all():
+            return values
+    except (TypeError, ValueError):
+        pass
+    return np.fromiter(map(_frp, column), np.float64, len(column))
 
 
 def _confidence(field: str | None) -> int:
@@ -460,11 +484,15 @@ def read_detections(
     """Parse a FIRMS-style CSV: latitude, longitude, acq_date [, frp, confidence].
 
     The file is read in blocks of whole lines, and each block is split and
-    converted column by column: coordinates with ``float``, dates, frp and
-    confidence once per distinct string. From the first block that holds a
-    quote on, ``csv.reader`` splits the rows. Row ends are ``\\r\\n``,
-    ``\\r`` or ``\\n``; a UTF-8 byte order mark is skipped. Blank rows are
-    skipped; a row's line is its row number, the header being line 1.
+    converted column by column. Each column converts its fields through
+    one :class:`_Memo` for the whole file, so a distinct text is parsed
+    once per file (coordinates and frp with ``float``), until most of its
+    texts prove distinct; then its fields are converted one at a time.
+    From the first block that holds a quote on, ``csv.reader`` splits the
+    rows. Row ends are ``\\r\\n``, ``\\r`` or ``\\n``; a UTF-8 byte order
+    mark is skipped. Blank rows are skipped; a row's line is its row
+    number, the header being line 1. The window and the projection run
+    once, over every row read.
 
     Bad rows are collected and reported together with their line numbers
     after the whole file has been scanned, each with its first problem in
@@ -475,34 +503,51 @@ def read_detections(
     every complete line before it is read, then it is a FormatError.
     """
     path = Path(path)
-    # Six floats per kept row: latitude, longitude, date ordinal, frp,
-    # confidence code and line number; the integers are exact in a double.
-    kept = array("d")
+    first = start_date.toordinal() if start_date else None
+    last = end_date.toordinal() if end_date else None
+    memos = [_Memo(float), _Memo(float), _Memo(_ordinal), _Memo(float), _Memo(_confidence)]
+    # Six floats per row past the header: latitude, longitude, date
+    # ordinal, frp, confidence code and 1 if the row is bad or blank; the
+    # integers are exact in a double.
+    values = array("d")
     problems: list[str] = []
 
     def table() -> Detections:
-        lat, lon, day, frp, code, line = np.frombuffer(kept).reshape(-1, 6).T
+        """The good rows inside the window, projected; row ``k`` past the
+        header is on line ``k + 2``."""
+        lat, lon, day, frp, code, bad = np.frombuffer(values).reshape(-1, 6).T
+        keep = bad == 0
+        if first is not None:
+            keep &= day >= first
+        if last is not None:
+            keep &= day <= last
+        lat, lon = lat[keep], lon[keep]
         with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic
             x, y = project_lonlat(lon, lat, origin_lon, origin_lat)
-        bad = ~(np.isfinite(x) & np.isfinite(y))
-        if bad.any():
-            raise ValidationError(
-                f"{path}: line {int(line[bad.argmax()])}: detection has non-finite coordinates"
-            )
-        return Detections(x, y, day.astype(np.int64), frp.copy(), code.astype(np.int8))
+        off = ~(np.isfinite(x) & np.isfinite(y))
+        if off.any():
+            line = np.flatnonzero(keep)[off.argmax()] + 2
+            raise ValidationError(f"{path}: line {line}: detection has non-finite coordinates")
+        return Detections(
+            x, y, day[keep].astype(np.int64), frp[keep], code[keep].astype(np.int8)
+        )
 
-    def take(rows: _Rows, skip: int, line: int) -> None:
-        """Check and keep ``rows[skip:]``; row ``k`` is on line ``line + k``."""
+    def take(rows: _Rows, skip: int) -> None:
+        """Convert and check ``rows[skip:]``, the rows after those read."""
+        line = len(values) // 6 + 2  # of rows[skip]
         lat_col, lon_col, date_col, frp_col, conf_col = rows.columns(wanted, skip)
         n = len(lat_col)
-        lat, coord_bad = _floats(lat_col)
-        lon, lon_bad = _floats(lon_col)
+        lat_memo, lon_memo, date_memo, frp_memo, conf_memo = memos
+        lat, coord_bad = _floats(lat_col, lat_memo.lookup)
+        lon, lon_bad = _floats(lon_col, lon_memo.lookup)
         coord_bad |= lon_bad
-        day = np.fromiter(_parsed(date_col, _ordinal), np.int64, n)
-        frp = _frp_column(frp_col)
-        code = np.fromiter(_parsed(conf_col, _confidence), np.int8, n)
-        problem = coord_bad | (day == 0) | (frp < 0) | (code == -2)
-        for k in np.flatnonzero(problem):  # one iteration per bad or blank row
+        day = np.fromiter(map(date_memo.lookup, date_col), np.int64, n)
+        frp = np.full(n, math.nan) if wanted[3] is None else _frps(frp_col, frp_memo.lookup)
+        code = np.fromiter(map(conf_memo.lookup, conf_col), np.int8, n)
+        for memo in memos:
+            memo.count(n)
+        bad = coord_bad | (day == 0) | (frp < 0) | (code == -2)
+        for k in np.flatnonzero(bad):  # one iteration per bad or blank row
             if coord_bad[k]:
                 if not "".join(rows.row(skip + k)).strip():
                     continue
@@ -513,19 +558,9 @@ def read_detections(
                 message = "bad frp value"
             else:
                 message = f"bad confidence {conf_col[k].strip().lower()!r}"
-            problems.append(f"line {line + skip + k}: {message}")
-        keep = ~problem
-        if first is not None:
-            keep &= day >= first
-        if last is not None:
-            keep &= day <= last
-        at = np.flatnonzero(keep)
-        kept.frombytes(np.column_stack(
-            (lat[at], lon[at], day[at], frp[at], code[at], at + (line + skip))
-        ).tobytes())
+            problems.append(f"line {line + k}: {message}")
+        values.frombytes(np.column_stack((lat, lon, day, frp, code, bad)).view(np.uint8))
 
-    first = start_date.toordinal() if start_date else None
-    last = end_date.toordinal() if end_date else None
     try:
         with _open_text(path, errors="surrogateescape") as fh:
             blocks = _csv_blocks(fh)
@@ -538,13 +573,12 @@ def read_detections(
                     raise SchemaError(f"{path}: missing required column {required!r}")
             wanted = [cols["latitude"], cols["longitude"], cols["acq_date"],
                       cols.get("frp"), cols.get("confidence")]
-            take(head, 1, 1)
-            line = 1 + len(head)
+            take(head, 1)
             for rows in blocks:
-                take(rows, 0, line)
-                line += len(rows)
+                take(rows, 0)
     except FormatError:
-        table()  # a non-finite row read before the failure is reported first
+        if values:
+            table()  # a non-finite row read before the failure is reported first
         raise
     detections = table()
     if problems:
@@ -1206,6 +1240,19 @@ def lonlat_texts(
     )
 
 
+@functools.lru_cache(maxsize=4)
+def _corner_texts(
+    grid: AnalysisGrid, origin_lon: float, origin_lat: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``"[lon,"`` of each of the grid's n_cols + 1 corner columns and
+    ``"lat]"`` of each of its n_rows + 1 corner rows, read-only."""
+    lon_text, lat_text = lonlat_texts(grid.corner_xs(), grid.corner_ys(), origin_lon, origin_lat)
+    texts = "[" + lon_text + ",", lat_text + "]"
+    for a in texts:
+        a.setflags(write=False)
+    return texts
+
+
 def write_daily_perimeters_geojson(
     district: str,
     day: DailyPerimeter,
@@ -1218,11 +1265,12 @@ def write_daily_perimeters_geojson(
     The text is what ``json.dumps(doc, sort_keys=True, separators=(",",
     ":"))`` gives for the FeatureCollection. Traced vertices lie on the
     grid's corner lattice, so its n_cols + 1 longitudes and n_rows + 1
-    latitudes are unprojected and formatted once, then joined by index.
+    latitudes are unprojected and formatted once per grid and origin, then
+    joined by index.
     """
     grid = day.new_burn.grid
     rings = trace_mask_rings(day.new_burn)
-    lon_text, lat_text = lonlat_texts(grid.corner_xs(), grid.corner_ys(), origin_lon, origin_lat)
+    lon_text, lat_text = _corner_texts(grid, origin_lon, origin_lat)
     properties = compact_json(
         {"district": district, "date": day.date.isoformat(), "kind": "new_burn"}
     )
@@ -1238,8 +1286,8 @@ def write_daily_perimeters_geojson(
     before[rings.ring_offsets[1:-1]] = "],["
     before[rings.ring_offsets[rings.polygon_offsets[1:-1]]] = "]]" + tail + "," + head + "[["
     i, j = np.divmod(rings.corners, grid.n_cols + 1)
-    tokens[1::3] = ("[" + lon_text + ",")[j]
-    tokens[2::3] = (lat_text + "]")[i]
+    tokens[1::3] = lon_text[j]
+    tokens[2::3] = lat_text[i]
     if n:
         tokens[0] = '{"features":[' + head + "[["
         tokens[-1] = "]]" + tail + '],"type":"FeatureCollection"}\n'

@@ -12,6 +12,7 @@ import gc
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 from unittest import mock
@@ -552,6 +553,148 @@ class TestReadDetectionsMatchesReference:
         assert [d.confidence for d in got] == ["nominal", "high", "low"]
         assert [d.frp for d in got] == [5.63, 18.2, None]
         assert [d.date.day for d in got] == [7, 7, 8]
+
+
+# Texts that float reads and a plain decimal parser would not: digit
+# separators, signs and spaces, full-width digits.
+FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+ODD = {
+    "latitude": ["3_4.1", " +34.1 ", "34.1".translate(FULL_WIDTH)],
+    "longitude": ["-11_8.2", " -118.2 ", "-118.2".translate(FULL_WIDTH)],
+    "frp": ["1_0.5", " +10 ", "10".translate(FULL_WIDTH)],
+}
+MEMO_COLUMNS = ["latitude", "longitude", "acq_date", "frp", "confidence"]
+
+
+def distinct_text(name, k, style):
+    """The ``k``-th of a run of distinct texts for column ``name``."""
+    if name == "acq_date":
+        return (D0 + dt.timedelta(days=k % 400 - 2)).isoformat()
+    base = {"latitude": ORIGIN[1], "longitude": ORIGIN[0], "frp": 10.0}[name]
+    text = repr(base + k * 1e-6)
+    return {"plain": text, "full-width": text.translate(FULL_WIDTH),
+            "spaced": f" {text} "}[style]
+
+
+@st.composite
+def repetitive_detection_csvs(draw):
+    """Many rows drawn from a few texts per column, so every memo is warm
+    long before the end of the file. One late row may bring a bad text not
+    seen before, a short row or a blank frp, and one column may turn
+    distinct part way, so that its memo is dropped."""
+    header = draw(st.permutations(MEMO_COLUMNS))
+    pools = {
+        name: draw(st.lists(st.one_of(GOOD[name], st.sampled_from(ODD[name]))
+                            if name in ODD else GOOD[name], min_size=1, max_size=3))
+        for name in header
+    }
+    n = draw(st.integers(20, 120))
+    picks = {name: draw(st.lists(st.integers(0, len(pools[name]) - 1), min_size=n, max_size=n))
+             for name in header}
+    rows = [[pools[name][picks[name][k]] for name in header] for k in range(n)]
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(["latitude", "longitude", "acq_date", "frp"]))
+        style = draw(st.sampled_from(["plain", "full-width", "spaced"]))
+        for k in range(draw(st.integers(n // 4, n // 2)), n):
+            rows[k][header.index(name)] = distinct_text(name, k, style)
+    late = draw(st.integers(n // 2, n - 1))
+    event = draw(st.sampled_from(["none", "bad", "short", "blank frp"]))
+    if event == "bad":
+        name = draw(st.sampled_from(header))
+        rows[late][header.index(name)] = draw(BAD[name])
+    elif event == "short":
+        rows[late] = rows[late][:draw(st.integers(0, len(header) - 1))]
+    elif event == "blank frp":
+        rows[late][header.index("frp")] = draw(st.sampled_from(["", " "]))
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
+
+
+class TestReadDetectionsMemos:
+    """Each column converts a field text once per file, through a memo
+    kept from block to block, until most of its texts prove distinct."""
+
+    # Blocks of one character end at every line end; 40 hold a line or
+    # two; the default holds these files whole. A memo may be dropped
+    # after 16 fields here.
+    @pytest.mark.parametrize("block_chars", [1, 40, io_formats.BLOCK_CHARS])
+    @given(repetitive_detection_csvs(), WINDOW)
+    @settings(max_examples=150, deadline=None)
+    def test_same_as_reference(self, tmp_path_factory, block_chars, text, window):
+        with mock.patch.object(io_formats, "BLOCK_CHARS", block_chars), \
+                mock.patch.object(io_formats, "_MEMO_TRIAL", 16):
+            same_as_reference(tmp_path_factory, text, window)
+
+    @staticmethod
+    def recorded_memos():
+        """Patch the reader to record its memos, in column order."""
+        memos = []
+
+        class Recorded(io_formats._Memo):
+            def __init__(self, convert):
+                super().__init__(convert)
+                memos.append(self)
+
+        return memos, mock.patch.object(io_formats, "_Memo", Recorded)
+
+    @staticmethod
+    def dropped(memos):
+        """Whether each memo was dropped: its fields then go to ``convert`` itself."""
+        return [memo.lookup is memo.convert for memo in memos]
+
+    def test_memo_dropped_mid_file(self, tmp_path):
+        # Latitude comes from four texts for 1,000 rows, then from a new
+        # text on every row, so its memo is dropped near row 2,000; a bad
+        # latitude and a bad confidence text follow.
+        lines = ["latitude,longitude,acq_date,frp,confidence"]
+        for k in range(3000):
+            lat = (repr(ORIGIN[1] + k % 4 * 0.001) if k < 1000
+                   else distinct_text("latitude", k, "plain"))
+            lines.append(f"{lat},{ORIGIN[0]},2025-01-0{7 + k % 3},12.5,{'nlh'[k % 3]}")
+        lines[2500] = f"x,{ORIGIN[0]},2025-01-07,12.5,n"
+        lines[2700] = f"{ORIGIN[1]},{ORIGIN[0]},2025-01-07,12.5,m"
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(lines) + "\n")
+        memos, recording = self.recorded_memos()
+        with recording:
+            got = outcome(read_detections, path)
+        assert got == outcome(reference_read_detections, path)
+        assert got[1].endswith("line 2501: unparseable coordinate; line 2701: bad confidence 'm'")
+        assert self.dropped(memos) == [True, False, False, False, False]
+
+    # tracemalloc peak of read_detections on this file, measured with the
+    # reader of 55d5c0c (one memo per block, rebuilt in each) on CPython
+    # 3.11.7 and numpy 2.4.6.
+    BLOCK_MEMO_PEAK = 5_244_202
+
+    def test_memory_on_a_distinct_export(self, tmp_path):
+        # A VIIRS-shaped export whose coordinates and frp never repeat:
+        # memos of all their texts would hold several times the peak.
+        rng = np.random.default_rng(17)
+        lat = (ORIGIN[1] + rng.uniform(0, 0.4, 60_000)).tolist()
+        lon = (ORIGIN[0] + rng.uniform(0, 0.4, 60_000)).tolist()
+        frp = rng.uniform(0.5, 300, 60_000).tolist()
+        path = tmp_path / "d.csv"
+        path.write_text(
+            "latitude,longitude,bright_ti4,scan,track,acq_date,acq_time,satellite,"
+            "instrument,confidence,version,bright_ti5,frp,daynight\n"
+            + "".join(
+                f"{lat[k]!r},{lon[k]!r},334.85,0.39,0.36,2025-01-{7 + k % 9:02d},0954,N,VIIRS,"
+                f"{'nlh'[k % 3]},2.0NRT,290.12,{frp[k]!r},N\n"
+                for k in range(60_000)
+            )
+        )
+        memos, recording = self.recorded_memos()
+        with recording:
+            read_detections(path, *ORIGIN)
+        tracemalloc.start()
+        try:
+            got = read_detections(path, *ORIGIN)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 60_000
+        assert peak <= 1.5 * self.BLOCK_MEMO_PEAK
+        assert self.dropped(memos) == [True, True, False, True, False]
 
 
 class TestReadDetectionsInput:
