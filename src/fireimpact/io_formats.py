@@ -17,7 +17,9 @@ parse only the rest (types and properties, checked a column at a time),
 and reads the coordinates' nesting and numbers from their characters. At
 the first irregularity it gives up without saying where. The file is
 then read again one feature at a time, and only that reader names the
-error: the first that reading the features in file order meets.
+error: the first that reading the features in file order meets. No value
+either phase gives back is an object of a JSON tree (:func:`_own_texts`),
+so a tree's memory goes back to the system once it is dropped.
 
 Every feature rule is written once, over columns, and gives the first
 bad item and its message: :func:`ring_problem`, :func:`line_problem` and
@@ -393,7 +395,9 @@ _MEMO_TRIAL = 1024
 
 
 class _Memo(dict):
-    """One column's converted value of each field text read so far in a file.
+    """One column's converted value of each field text read so far in a file:
+    a detections column's, or the number literals of a GeoJSON layer's
+    coordinates.
 
     ``convert`` runs once per distinct text; a text it rejects is not kept.
     ``lookup`` gives a field's value: through the memo, or, once most
@@ -402,12 +406,12 @@ class _Memo(dict):
 
     lookup = dict.__getitem__  # bound on each access, so the memo holds no cycle
 
-    def __init__(self, convert: Callable[[str | None], Any]) -> None:
+    def __init__(self, convert: Callable[[Any], Any]) -> None:
         super().__init__()
         self.convert = convert
         self.fields = 0
 
-    def __missing__(self, field: str | None) -> Any:
+    def __missing__(self, field: Any) -> Any:
         value = self[field] = self.convert(field)
         return value
 
@@ -773,11 +777,27 @@ _JSON_NUMBER = re.compile(rb"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?")
 # How deep a valid value of each geometry type nests its positions.
 _POSITION_DEPTH = {"Point": 1, "LineString": 2, "Polygon": 3, "MultiPolygon": 4}
 
+
+def _own_texts(texts: list[str]) -> list[str]:
+    """``texts`` as new string objects, one per distinct text.
+
+    A string of a JSON tree lies among the tree's other objects, and an
+    arena of Python's small-object allocator goes back to the system only
+    once every object in it is freed: one kept string of the tree keeps its
+    arena's whole megabyte. Called while the tree is alive, the copies fill
+    arenas of their own, and freeing the tree frees all of its arenas.
+    """
+    distinct = dict.fromkeys(texts)
+    # str.join with two items builds a new string; str() and slicing would give the text itself.
+    copies = dict(zip(distinct, map(str.join, distinct, itertools.repeat(("", "")))))
+    return list(map(copies.__getitem__, texts))
+
+
 def _text_column(raw: list) -> list[str]:
-    """:func:`_text` of each value; a TypeError if it rejects one."""
+    """:func:`_text` of each value, as :func:`_own_texts`; a TypeError if it rejects one."""
     if not set(map(type, raw)) <= {str, int, float}:
         raise TypeError(raw)
-    return list(map(str, raw))
+    return _own_texts(list(map(str, raw)))
 
 
 def _number_column(raw: list) -> np.ndarray:
@@ -805,7 +825,8 @@ def _feature_columns(
     and its parsed properties by name. The checks of
     :func:`_layer_by_feature` on types and properties run a column at a
     time, and every geometry's coordinates must be a placeholder; one of
-    ``_IRREGULAR`` is raised if any fails."""
+    ``_IRREGULAR`` is raised if any fails. No value given back is an object
+    of the tree (:func:`_own_texts`)."""
     if not set(map(type, features)) <= {dict}:
         raise TypeError(features)
     geoms = list(map(dict.get, features, itertools.repeat("geometry")))
@@ -876,7 +897,7 @@ def _json_float(literal: bytes) -> float:
 
 
 def _positions(
-    text: bytes, lengths: np.ndarray, depths: np.ndarray, top: int
+    text: bytes, lengths: np.ndarray, depths: np.ndarray, top: int, memo: _Memo
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """The nesting and the lon/lat of cut coordinates values, ``text`` being
     their concatenation: value k has ``lengths[k]`` characters and nests its
@@ -886,8 +907,9 @@ def _positions(
     Bracket depths come from one ``cumsum`` over the tokens. Gives the sizes
     at each level of the nesting, from the arrays ``top`` levels above the
     positions per value down to the positions per array one level above
-    them, then each position's first two numbers; each distinct literal is
-    converted once. A ValueError or OverflowError unless every value is a
+    them, then each position's first two numbers. The literals are
+    converted by :func:`_json_float` through ``memo``, which the layer's
+    chunks share. A ValueError or OverflowError unless every value is a
     JSON array whose numbers all lie at its depth, two or more to a
     position, in JSON's number grammar.
     """
@@ -918,8 +940,8 @@ def _positions(
         for level in range(top, 0, -1)
     ]
     literals = text.translate(_SEPARATORS).split()
-    memo = {literal: _json_float(literal) for literal in set(literals)}
-    numbers = np.fromiter(map(memo.__getitem__, literals), np.float64, len(literals))
+    numbers = np.fromiter(map(memo.lookup, literals), np.float64, len(literals))
+    memo.count(len(literals))
     return sizes, numbers[first], numbers[first + 1]
 
 
@@ -935,7 +957,8 @@ def _layer_at_once(
     ``json`` parses only the skeleton at once, with the collector paused:
     types and properties, checked a column at a time
     (:func:`_feature_columns`). The cut values are read in chunks of about
-    ``_CHUNK_CHARS`` characters (:func:`_positions`).
+    ``_CHUNK_CHARS`` characters (:func:`_positions`), their literals
+    converted through one :class:`_Memo` for the layer.
 
     Gives each property's values, the sizes at each level of the layer's
     nesting (a Point being a list of one position and a Polygon a list of
@@ -967,9 +990,10 @@ def _layer_at_once(
     lengths = np.fromiter(map(len, cut), np.int64, len(cut))
     chunk = np.cumsum(lengths) // _CHUNK_CHARS
     bounds = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), len(cut)]
+    memo = _Memo(_json_float)
     levels, lon, lat = zip(*(
         _positions("".join(cut[a:b]).encode(), lengths[a:b], depths[a:b],
-                   2 if types == _POLYGONAL else 0)
+                   2 if types == _POLYGONAL else 0, memo)
         for a, b in itertools.pairwise(bounds)
     ))
     with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic
@@ -1066,6 +1090,9 @@ def _layer_by_feature(
     except PipelineError:
         checked()  # an earlier feature's values come first
         raise
+    for name, parse in properties.items():  # while the tree is alive
+        if parse is _text:
+            values[name] = _own_texts(values[name])
     return checked()
 
 

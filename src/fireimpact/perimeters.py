@@ -3,7 +3,8 @@
 Detections for each date are smoothed into a Gaussian density surface,
 thresholded, and clipped to the official perimeter. One first-burn-day
 raster per sequence gives the disjoint per-day new-burn masks and the
-cumulative extents.
+cumulative extents; each day's active extent is kept packed, one bit a
+cell.
 """
 
 from __future__ import annotations
@@ -124,31 +125,48 @@ class KdeParams:
 
 @dataclass(frozen=True)
 class DailyPerimeter:
-    """Fire extent bookkeeping for one date.
+    """Fire extent bookkeeping for one date on ``grid``.
 
-    ``active`` is the day's full thresholded-and-clipped mask.
     ``first_burn`` is shared, read-only, by every day of the sequence: the
     int16 index of the day each cell first burned, -1 where none did.
-    ``index`` is this day's position in the sequence. Outlines are traced
-    from ``new_burn`` only where they are written
+    ``index`` is this day's position in the sequence. ``packed_active``
+    holds the day's full thresholded-and-clipped mask as ``np.packbits`` of
+    its cells in row-major order, one bit a cell; :attr:`active` unpacks
+    it, and :meth:`from_active` packs it. Outlines are traced from
+    ``new_burn`` only where they are written
     (:func:`fireimpact.geometry.trace_mask_rings`).
     """
 
     date: dt.date
     index: int
     first_burn: np.ndarray
-    active: Mask
+    grid: AnalysisGrid
+    packed_active: np.ndarray
+
+    @classmethod
+    def from_active(
+        cls, date: dt.date, index: int, first_burn: np.ndarray, active: Mask
+    ) -> DailyPerimeter:
+        """The day whose full thresholded-and-clipped mask is ``active``."""
+        return cls(date, index, first_burn, active.grid, np.packbits(active.bits))
+
+    @property
+    def active(self) -> Mask:
+        """The day's full thresholded-and-clipped mask."""
+        g = self.grid
+        bits = np.unpackbits(self.packed_active, count=g.n_rows * g.n_cols).view(bool)
+        return Mask(g, bits.reshape(g.shape))
 
     @property
     def new_burn(self) -> Mask:
         """Cells first burned on this date."""
-        return Mask(self.active.grid, self.first_burn == self.index)
+        return Mask(self.grid, self.first_burn == self.index)
 
     @property
     def cumulative(self) -> Mask:
         """Cells burned on this date or earlier: the union of new burns to date."""
         first = self.first_burn
-        return Mask(self.active.grid, (first >= 0) & (first <= self.index))
+        return Mask(self.grid, (first >= 0) & (first <= self.index))
 
 
 # When any KDE window holds more cells than this, every point is added on
@@ -319,8 +337,6 @@ def extract_daily_perimeters(
         else:
             active = threshold_surface(kde_surface(points, grid, params), params).bits & clip.bits
         first[active & (first < 0)] = i
-        out.append(
-            DailyPerimeter(date=day, index=i, first_burn=first, active=Mask(grid, active))
-        )
+        out.append(DailyPerimeter.from_active(day, i, first, Mask(grid, active)))
     first.setflags(write=False)
     return out

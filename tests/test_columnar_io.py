@@ -12,6 +12,10 @@ import gc
 import itertools
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,7 +60,7 @@ from fireimpact.io_formats import (
     write_daily_perimeters_geojson,
 )
 from fireimpact.perimeters import DailyPerimeter, Detection
-from fireimpact.scenario import ScenarioSpec, generate
+from fireimpact.scenario import DistrictSpec, ScenarioSpec, generate
 
 import layer_tables as tables
 from layer_tables import District, Polygon, polygon_area, polygon_layer
@@ -1274,7 +1278,8 @@ def test_value_that_ends_inside_an_array_is_irregular():
     # deep. Only the check that each value closes at its end rejects them; a
     # layer reader rejects such a file later either way.
     with pytest.raises(ValueError):
-        io_formats._positions(b"[[][]][]]", np.array([3, 3, 3]), np.full(3, 3, np.int32), 2)
+        io_formats._positions(b"[[][]][]]", np.array([3, 3, 3]), np.full(3, 3, np.int32), 2,
+                              io_formats._Memo(io_formats._json_float))
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
@@ -1426,6 +1431,85 @@ class TestLoadJson:
             gc.enable() if was else gc.disable()
 
 
+def tree_text_ids(node) -> set[int]:
+    """The ids of every string (key or value) in the JSON tree ``node``."""
+    ids, stack = set(), [node]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            stack += [*value.keys(), *value.values()]
+        elif isinstance(value, list):
+            stack += value
+        elif isinstance(value, str):
+            ids.add(id(value))
+    return ids
+
+
+# Reads a blocks layer in a fresh process, between two reports of the
+# small-object allocator on stderr.
+ARENA_PROBE = """
+import gc
+import sys
+
+from fireimpact import io_formats
+
+manifest = io_formats.read_manifest(sys.argv[1])
+gc.collect()
+sys._debugmallocstats()
+blocks = io_formats.read_blocks(manifest.paths["blocks"], manifest.origin_lon, manifest.origin_lat)
+gc.collect()
+sys._debugmallocstats()
+"""
+
+
+class TestKeptValuesHoldNoTree:
+    @pytest.mark.parametrize("phase", ["fast path", "by feature"])
+    def test_kept_texts_are_not_tree_strings(self, tmp_path, phase):
+        generate(ScenarioSpec(seed=7), tmp_path)
+        trees = []
+        real_loads = json.loads
+
+        def loads(*args, **kwargs):  # json.load calls it too
+            trees.append(real_loads(*args, **kwargs))
+            return trees[-1]
+
+        with mock.patch.object(json, "loads", loads), \
+                (by_feature() if phase == "by feature" else fast_path_only()):
+            blocks = read_blocks(tmp_path / "blocks.geojson", *ORIGIN)
+            districts = read_districts(tmp_path / "perimeter.geojson", *ORIGIN)
+        kept = [*blocks.ids, *blocks.tracts, *districts.names]
+        assert len(trees) == 2 and len(blocks) == 288
+        assert not {id(text) for text in kept} & set().union(*map(tree_text_ids, trees))
+        # One object per distinct text.
+        assert len(set(map(id, blocks.tracts))) == len(set(blocks.tracts)) < len(blocks)
+
+    def test_read_blocks_gives_back_the_tree_arenas(self, tmp_path):
+        # 404x808 cells, two 396x396-cell districts: 19,602 blocks. When the
+        # kept block ids were strings of the JSON tree, they were spread
+        # over all of its arenas and kept 22 arenas for 2.7 MiB of live
+        # objects.
+        spec = ScenarioSpec(seed=3, n_days=10, n_rows=404, n_cols=808, districts=[
+            DistrictSpec("district-a", 4, 399, 4, 399, 2, 400_000),
+            DistrictSpec("district-b", 4, 399, 408, 803, 6, 300_000),
+        ])
+        generate(spec, tmp_path)
+        src = str(Path(io_formats.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONMALLOC", None)
+        result = subprocess.run(
+            [sys.executable, "-c", ARENA_PROBE, str(tmp_path / "manifest.json")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        arenas = [int(n.replace(",", "")) for n in
+                  re.findall(r"# arenas allocated current\s*=\s*([\d,]+)", result.stderr)]
+        live = [int(n.replace(",", "")) for n in
+                re.findall(r"# bytes in allocated blocks\s*=\s*([\d,]+)", result.stderr)]
+        if len(arenas) != 2 or len(live) != 2:
+            pytest.skip("no small-object allocator statistics in this Python")
+        assert arenas[1] - arenas[0] <= (live[1] - live[0]) / 2**20 + 2
+
+
 # ---------------------------------------------------------------------------
 # Land cover grid reader
 # ---------------------------------------------------------------------------
@@ -1563,7 +1647,7 @@ class TestWritersMatchReference:
     def test_geojson_bytes(self, tmp_path_factory, mask, lon, lat, district, day):
         out = tmp_path_factory.mktemp("geojson")
         first = np.where(mask.bits, 0, -1).astype(np.int16)
-        perimeter = DailyPerimeter(D0 + dt.timedelta(days=day), 0, first, mask)
+        perimeter = DailyPerimeter.from_active(D0 + dt.timedelta(days=day), 0, first, mask)
         write_daily_perimeters_geojson(district, perimeter, lon, lat, out / "new.geojson")
         reference_write_daily_perimeters_geojson(district, perimeter, lon, lat, out / "ref.geojson")
         assert (out / "new.geojson").read_bytes() == (out / "ref.geojson").read_bytes()
@@ -1573,7 +1657,9 @@ class TestWritersMatchReference:
         r, c = np.indices(g.shape)
         bits = (np.minimum.reduce([r, c, 8 - r, 10 - c]) % 2 == 0) | ((r + c) % 5 == 0)
         mask = Mask(g, bits)
-        perimeter = DailyPerimeter(D0, 0, np.where(bits, 0, -1).astype(np.int16), mask)
+        perimeter = DailyPerimeter.from_active(
+            D0, 0, np.where(bits, 0, -1).astype(np.int16), mask
+        )
         for name, write in (("new", write_daily_perimeters_geojson),
                             ("ref", reference_write_daily_perimeters_geojson)):
             write("Zoë \"Süd\" 東", perimeter, *ORIGIN, tmp_path / f"{name}.geojson")

@@ -353,7 +353,7 @@ class TestRenderSvg:
 
     def test_empty_perimeters_valid_svg_with_legend(self, tmp_path):
         g = self._grid()
-        day = DailyPerimeter(
+        day = DailyPerimeter.from_active(
             date=dt.date(2025, 1, 7),
             index=0,
             first_burn=np.full(g.shape, -1, dtype=np.int16),
@@ -371,7 +371,7 @@ class TestRenderSvg:
         g = self._grid()
         first = np.full((6, 6), -1, dtype=np.int16)
         first[2, 3] = 0
-        day = DailyPerimeter(
+        day = DailyPerimeter.from_active(
             date=dt.date(2025, 1, 7),
             index=0,
             first_burn=first,

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from fireimpact import perimeters
 from fireimpact.errors import ValidationError
 from fireimpact.geometry import Point
-from fireimpact.grid import AnalysisGrid
+from fireimpact.grid import AnalysisGrid, Mask
 from fireimpact.perimeters import (
+    DailyPerimeter,
     Detection,
     KdeParams,
     event_dates,
@@ -506,6 +507,34 @@ class TestFirstBurnRaster:
             extract_daily_perimeters(
                 {}, rasterize_polygons([square(0, 0, 40, 40)], g), KdeParams(), dates
             )
+
+
+class TestPackedActive:
+    @given(
+        st.integers(1, 40), st.integers(1, 40),
+        st.sampled_from(["random", "all", "none"]), st.integers(0, 2**32 - 1),
+    )
+    @example(3, 5, "all", 0)  # 15 cells: the last byte holds seven
+    @example(1, 1, "all", 0)
+    @example(2, 4, "none", 0)
+    @example(7, 9, "random", 1)
+    @settings(max_examples=150, deadline=None)
+    def test_active_gives_back_the_mask(self, n_rows, n_cols, fill, seed):
+        g = AnalysisGrid(-35.5, 812.25, 20, n_rows, n_cols)
+        bits = {
+            "random": np.random.default_rng(seed).random(g.shape) < 0.5,
+            "all": np.ones(g.shape, bool),
+            "none": np.zeros(g.shape, bool),
+        }[fill]
+        first = np.where(bits, 0, -1).astype(np.int16)
+        day = DailyPerimeter.from_active(D0, 0, first, Mask(g, bits))
+        assert day.packed_active.nbytes == -(-n_rows * n_cols // 8)
+        active = day.active
+        assert isinstance(active, Mask) and active.grid == g
+        assert active.bits.dtype == bool and not active.bits.flags.writeable
+        assert np.array_equal(active.bits, bits)
+        assert np.array_equal(day.new_burn.bits, bits)
+        assert np.array_equal(day.cumulative.bits, bits)
 
 
 def random_detections(seed, n):
